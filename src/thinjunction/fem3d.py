@@ -78,6 +78,12 @@ def _tri_rule_4():
 
 _TRI_RULES[4] = _tri_rule_4()
 
+# Most (point, candidate tet) pairs PointLocator.locate expands at once.
+# Node fans reach ~1,700 tets, so blocks are cut on the pair count.  At
+# ~200 bytes per pair a block's temporaries stay near 13 MB; 2**14 pairs
+# was up to 1.4x slower and 2**17 no faster.
+PAIR_BUDGET = 1 << 16
+
 
 class FemContext:
     """Cached geometry and stiffness matrix of one mesh."""
@@ -313,11 +319,16 @@ def slab_flux(ctx: FemContext, u, axis, lo, hi):
 
 
 class PointLocator:
-    """Barycentric point location via node adjacency candidates."""
+    """Barycentric point location via node adjacency candidates.
+
+    The locator keeps only the mesh arrays it reads, not the context, so
+    a context and its lazily built locator form no reference cycle.
+    """
 
     def __init__(self, ctx: FemContext):
-        self.ctx = ctx
         mesh = ctx.mesh
+        self._tets = mesh.tets
+        self._grads = ctx.grads
         tets = mesh.tets.astype(np.int64)
         order = np.argsort(tets.ravel(), kind="stable")
         self._adj_tets = order // 4
@@ -328,14 +339,16 @@ class PointLocator:
         self._origin = x[:, 0, :]
         self._minv = np.linalg.inv(x[:, 1:] - x[:, :1])
 
-    def _candidates(self, node_ids):
-        out = []
-        for n in np.unique(node_ids):
-            out.append(self._adj_tets[self._adj_ptr[n]:self._adj_ptr[n + 1]])
-        return np.unique(np.concatenate(out)) if out else np.empty(0, int)
-
     def locate(self, points, tol=1e-9):
-        """(tet index, barycentric coords) per point; -1 when outside."""
+        """(tet index, barycentric coords) per point; -1 when outside.
+
+        Rounds query the 1, 8 and 32 nearest nodes of the points still
+        unlocated; a point's candidates are the tets adjacent to those
+        nodes.  A round picks the candidate with the largest smallest
+        barycentric (the smallest tet index among ties) and accepts it
+        within ``tol``.  Points never accepted fall back to their best
+        candidate over all rounds when it is within 1e-6.
+        """
 
         points = np.asarray(points, dtype=float)
         npts = points.shape[0]
@@ -350,24 +363,23 @@ class PointLocator:
                 break
             _, near = self._tree.query(points[todo], k=k)
             near = np.asarray(near).reshape(todo.size, -1)
-            for row, p_idx in enumerate(todo):
-                cand = self._candidates(near[row])
-                if cand.size == 0:
-                    continue
-                local = np.einsum(
-                    "tdk,td->tk", self._minv[cand],
-                    points[p_idx] - self._origin[cand])
-                lam = np.concatenate(
-                    [1.0 - local.sum(axis=1, keepdims=True), local], axis=1)
-                gaps = lam.min(axis=1)
-                j = int(np.argmax(gaps))
-                if gaps[j] > best_gap[p_idx]:
-                    best_gap[p_idx] = gaps[j]
-                    best_tet[p_idx] = cand[j]
-                    best_bary[p_idx] = lam[j]
-                if gaps[j] >= -tol:
-                    found[p_idx] = cand[j]
-                    bary[p_idx] = np.clip(lam[j], 0.0, None)
+            pairs = np.cumsum(
+                (self._adj_ptr[near + 1] - self._adj_ptr[near]).sum(axis=1))
+            lo = 0
+            while lo < todo.size:
+                done = pairs[lo - 1] if lo else 0
+                hi = max(lo + 1, int(np.searchsorted(
+                    pairs, done + PAIR_BUDGET, side="right")))
+                p_idx, tet, gap, lam = self._best_candidates(
+                    points, todo[lo:hi], near[lo:hi])
+                better = gap > best_gap[p_idx]
+                best_gap[p_idx[better]] = gap[better]
+                best_tet[p_idx[better]] = tet[better]
+                best_bary[p_idx[better]] = lam[better]
+                hit = gap >= -tol
+                found[p_idx[hit]] = tet[hit]
+                bary[p_idx[hit]] = np.clip(lam[hit], 0.0, None)
+                lo = hi
         missing = found < 0
         if missing.any():
             ok = best_gap >= -1e-6
@@ -375,13 +387,50 @@ class PointLocator:
             bary[missing & ok] = np.clip(best_bary[missing & ok], 0.0, None)
         return found, bary
 
+    def _best_candidates(self, points, p_idx, near):
+        """(points, best tet, its smallest barycentric, all four) of a block.
+
+        Candidate pairs are deduplicated by sorting ``row * ntets + tet``
+        keys, which also orders each point's candidates by tet index, so
+        the first maximum of a row is its smallest-index best tet.
+        Points without any candidate are left out.
+        """
+
+        ptr = self._adj_ptr
+        start = ptr[near].ravel()
+        count = ptr[near + 1].ravel() - start
+        ends = np.cumsum(count)
+        offset = np.arange(ends[-1]) + np.repeat(start - ends + count, count)
+        rows = np.repeat(np.arange(near.size) // near.shape[1], count)
+        stride = self._tets.shape[0]
+        key = rows * stride + self._adj_tets[offset]
+        if key.size == 0:
+            return p_idx[:0], key, np.zeros(0), np.zeros((0, 4))
+        key.sort()
+        key = key[np.concatenate(([True], key[1:] != key[:-1]))]
+        rows, cand = np.divmod(key, stride)
+        # the per-point arithmetic and summation order of the original
+        # loop, so results match it bit for bit
+        local = np.einsum("tdk,td->tk", self._minv[cand],
+                          points[p_idx[rows]] - self._origin[cand])
+        l1, l2, l3 = local.T
+        l0 = 1.0 - (l1 + l2 + l3)
+        gaps = np.minimum(np.minimum(l0, l1), np.minimum(l2, l3))
+        head = np.concatenate(([True], rows[1:] != rows[:-1]))
+        seg = np.cumsum(head) - 1
+        top = np.maximum.reduceat(gaps, np.flatnonzero(head))
+        tied = np.flatnonzero(gaps == top[seg])
+        first = tied[np.concatenate(([True], seg[tied][1:] != seg[tied][:-1]))]
+        lam = np.column_stack([l0[first], local[first]])
+        return p_idx[rows[first]], cand[first], gaps[first], lam
+
     def evaluate(self, u, points, gradient=False):
         tet, lam = self.locate(points)
         if np.any(tet < 0):
             raise ValueError("points outside the mesh")
-        tets = self.ctx.mesh.tets.astype(np.int64)
-        vals = np.einsum("pa,pa->p", u[tets[tet]], lam)
+        nodal = u[self._tets[tet]]
+        vals = np.einsum("pa,pa->p", nodal, lam)
         if not gradient:
             return vals
-        grads = self.ctx.field_gradients(u)[tet]
+        grads = np.einsum("pad,pa->pd", self._grads[tet], nodal)
         return vals, grads

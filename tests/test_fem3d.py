@@ -1,9 +1,13 @@
 """Finite element layer: quadrature, solves, evaluation, fluxes."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
-from thinjunction import build_tube_mesh
+from locator_oracle import locate_reference
+from thinjunction import build_tube_mesh, fem3d
 from thinjunction.fem3d import (
     FemContext,
     galerkin_residual,
@@ -14,6 +18,7 @@ from thinjunction.fem3d import (
     station_average,
     station_profile,
 )
+from thinjunction.mesh3d import TetMesh
 
 
 @pytest.fixture(scope="module")
@@ -188,6 +193,146 @@ class TestEvaluation:
         l2_half, _, _ = norms(ctx, ones, mask=mask)
         l2_full, _, _ = norms(ctx, ones)
         assert l2_half ** 2 == pytest.approx(0.5 * l2_full ** 2, rel=1e-12)
+
+
+def _assert_same_location(loc, pts):
+    tet, bary = loc.locate(pts)
+    ref_tet, ref_bary = locate_reference(loc, pts)
+    assert np.array_equal(tet, ref_tet)
+    assert np.array_equal(bary, ref_bary)
+    return tet
+
+
+def _inside_points(mesh, n, seed):
+    rng = np.random.default_rng(seed)
+    t = rng.integers(0, mesh.num_tets, n)
+    lam = rng.dirichlet(np.ones(4), n)
+    return np.einsum("pa,pad->pd", lam, mesh.nodes[mesh.tets[t]])
+
+
+def _interior_face_centroids(mesh):
+    faces = np.sort(mesh.tets[:, [[1, 2, 3], [0, 2, 3], [0, 1, 3],
+                                  [0, 1, 2]]].reshape(-1, 3), axis=1)
+    uniq, count = np.unique(faces, axis=0, return_counts=True)
+    return mesh.nodes[uniq[count == 2]].mean(axis=1)
+
+
+class TestBatchedLocator:
+    """The batched kernel against the per-point reference, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def jloc(self, junction_flat6):
+        return junction_flat6.ctx.locator()
+
+    def test_random_points_in_tube(self, ctx, tube):
+        rng = np.random.default_rng(11)
+        pts = rng.uniform([-0.05, -0.55, -0.55], [1.05, 0.55, 0.55],
+                          size=(3000, 3))
+        tet = _assert_same_location(ctx.locator(), pts)
+        assert 0 < (tet >= 0).sum() < len(pts)
+
+    def test_random_points_in_junction(self, jloc, junction_flat6):
+        mesh = junction_flat6.mesh
+        pts = _inside_points(mesh, 4000, seed=12)
+        lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
+        rng = np.random.default_rng(13)
+        box = rng.uniform(lo, np.minimum(hi, 1.5), size=(2000, 3))
+        _assert_same_location(jloc, np.vstack([pts, box]))
+
+    def test_vertices_and_shared_faces_tie_rule(self, ctx, tube, jloc,
+                                                junction_flat6):
+        for loc, mesh in ((ctx.locator(), tube),
+                          (jloc, junction_flat6.mesh)):
+            rng = np.random.default_rng(14)
+            faces = _interior_face_centroids(mesh)
+            pick = rng.choice(len(faces), min(len(faces), 2000),
+                              replace=False)
+            verts = rng.choice(mesh.num_nodes, min(mesh.num_nodes, 1000),
+                               replace=False)
+            pts = np.vstack([mesh.nodes[verts], faces[pick]])
+            tet = _assert_same_location(loc, pts)
+            assert np.all(tet >= 0)
+
+    def test_points_found_only_by_wider_rounds(self, jloc, junction_flat6):
+        mesh = junction_flat6.mesh
+        pts = _inside_points(mesh, 40000, seed=15)
+        tet, _ = jloc.locate(pts)
+        pts, tet = pts[tet >= 0], tet[tet >= 0]
+        late = {}
+        for k in (1, 8):
+            _, near = jloc._tree.query(pts, k=k)
+            near = np.asarray(near).reshape(len(pts), -1)
+            touches = (mesh.tets[tet][:, :, None]
+                       == near[:, None, :]).any(axis=(1, 2))
+            late[k] = ~touches
+        # tets adjacent to none of the nearest 1 (8) nodes: the k = 8
+        # (k = 32) round found them
+        assert late[1].sum() > 20 and late[8].sum() > 5
+        _assert_same_location(jloc, pts[late[1]])
+
+    def test_isolated_nodes_defer_to_last_round(self):
+        # nodes without tets give the first two rounds no candidate
+        tet_nodes = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        rng = np.random.default_rng(16)
+        stray = np.vstack([0.2 + 0.01 * rng.standard_normal((20, 3)),
+                           5.0 + rng.standard_normal((20, 3))])
+        mesh = TetMesh(nodes=np.vstack([tet_nodes, stray]),
+                             tets=np.array([[0, 1, 2, 3]]), boundary={},
+                             stations={}, disk_tris=np.empty((0, 3), int))
+        loc = FemContext(mesh).locator()
+        pts = np.array([[0.2, 0.2, 0.2], [0.21, 0.19, 0.2], [5.0, 5, 5]])
+        tet = _assert_same_location(loc, pts)
+        assert tet.tolist() == [0, 0, -1]
+
+    def test_points_just_outside_the_wall_fall_back(self, ctx, tube):
+        p = tube.nodes[tube.boundary["lateral_0"]]
+        cent = p.mean(axis=1)
+        normal = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+        normal /= np.linalg.norm(normal, axis=1)[:, None]
+        normal *= np.sign(np.einsum("fd,fd->f", normal,
+                                    cent * [0.0, 1.0, 1.0]))[:, None]
+        pts = cent + 1e-7 * normal
+        tet = _assert_same_location(ctx.locator(), pts)
+        assert np.all(tet >= 0)
+
+    def test_far_outside_points_are_not_found(self, ctx, jloc):
+        far = np.array([[2.5, 2.5, 0.0], [0.5, 3.0, 0.0], [-4.0, -4, -4],
+                        [50.0, 50, 50]])
+        for loc in (ctx.locator(), jloc):
+            tet = _assert_same_location(loc, far)
+            assert np.all(tet == -1)
+
+    @pytest.mark.parametrize("budget", [1, 50, 700])
+    def test_small_pair_budget_splits_blocks(self, monkeypatch, jloc,
+                                             junction_flat6, budget):
+        monkeypatch.setattr(fem3d, "PAIR_BUDGET", budget)
+        pts = _inside_points(junction_flat6.mesh, 1500, seed=17)
+        far = np.array([[40.0, 0.0, 0.0]])
+        _assert_same_location(jloc, np.vstack([pts, far]))
+
+    def test_empty_batch(self, ctx):
+        tet, bary = ctx.locator().locate(np.empty((0, 3)))
+        assert tet.shape == (0,) and bary.shape == (0, 4)
+
+    def test_gradients_at_located_tets(self, ctx, tube):
+        rng = np.random.default_rng(18)
+        u = rng.standard_normal(tube.num_nodes)
+        pts = _inside_points(tube, 500, seed=19)
+        loc = ctx.locator()
+        _, grads = loc.evaluate(u, pts, gradient=True)
+        tet, _ = loc.locate(pts)
+        assert np.array_equal(grads, ctx.field_gradients(u)[tet])
+
+    def test_context_freed_without_cycle_collection(self, tube):
+        c = FemContext(tube)
+        c.locator()
+        ref = weakref.ref(c)
+        gc.disable()
+        try:
+            del c
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 def test_norms_of_known_field(ctx, tube):

@@ -17,19 +17,6 @@ from .reference import solve_reference, with_epsilon
 from .study import emit, load_plan, run_study, spec_digest
 
 
-def _set_threads(n):
-    if n is None:
-        return
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-        os.environ[var] = str(n)
-    try:
-        import threadpoolctl
-        threadpoolctl.threadpool_limits(n)
-    except ImportError:
-        pass
-
-
 def _write(out_dir, name, text):
     if out_dir is None:
         return None
@@ -158,8 +145,6 @@ def build_parser():
     p = argparse.ArgumentParser(
         prog="thinjunction",
         description="Asymptotic expansions on a thin three-tube junction")
-    p.add_argument("--threads", type=int, default=None,
-                   help="cap BLAS/OpenMP thread pools")
     sub = p.add_subparsers(dest="command", required=True)
 
     s = sub.add_parser("limit-solve", help="solve the limit graph problem")
@@ -200,7 +185,6 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    _set_threads(args.threads)
     return args.fn(args)
 
 

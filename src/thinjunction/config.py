@@ -382,7 +382,3 @@ def load_spec(source):
         aneurysm=AneurysmShape(float(doc["ell"])),
     )
 
-
-def taylor_source_axis(f: SourceField, edge, k):
-    """Degree-k transverse Taylor slice of the source about the axis of ``edge``."""
-    return f.transverse_taylor(edge, k)

@@ -102,7 +102,8 @@ class Expansion:
                     f"order-{k} junction data violate the flux balance by "
                     f"{defect:.3e}; the recurrence state is inconsistent")
             dstar = compute_dstar(spec, k)
-            jumps = compute_delta(self.junction, data, self.specials())
+            nhat = solve_decaying(self.junction, data)
+            jumps = compute_delta(nhat.load, self.specials())
             trans = TransmissionData(delta2=float(jumps[0]),
                                      delta3=float(jumps[1]), dstar=dstar)
             self.trans[k] = trans
@@ -110,7 +111,6 @@ class Expansion:
                                  self.correctors.get(k, (None,) * 3)[i])
                    for i in range(3)]
             self.graph[k] = solve_omega_k(spec, rhs, trans, deg=self.deg)
-            nhat = solve_decaying(self.junction, data)
             self.nfields[k] = nhat.with_growth(
                 data.growth, constant=self.graph[k].edges[0].vertex_value)
             if k >= 2:
@@ -395,33 +395,3 @@ class Expansion:
             r6 += eps ** k * (dcore - dtay)
             r7 += eps ** k * (core - tay)
         return r6, r7
-
-    # -- boundary residual -------------------------------------------------
-
-    def wall_residual(self, edge, x, theta, epsilon, m=None):
-        """Lateral defect (inward flux minus load) on one tube wall.
-
-        Points are given by axial position and angle; returns the defect
-        of the partial sum against the prescribed lateral load.
-        """
-        eps = float(epsilon)
-        x = np.asarray(x, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        h = self.spec.h[edge]
-        hx = h(x)
-        dh = h.deriv(x)
-        a, b = TRANSVERSE_AXES[edge]
-        pts = np.zeros((x.size, 3))
-        pts[:, edge] = x
-        pts[:, a] = eps * hx * np.cos(theta)
-        pts[:, b] = eps * hx * np.sin(theta)
-        _, grads = self.evaluate(pts, eps, m=m, gradient=True)
-        norm = np.sqrt(1.0 + (eps * dh) ** 2)
-        nu = np.zeros((x.size, 3))
-        nu[:, edge] = -eps * dh / norm
-        nu[:, a] = np.cos(theta) / norm
-        nu[:, b] = np.sin(theta) / norm
-        flux = -(grads * nu).sum(axis=1)
-        load = eps * self.spec.phi[edge](x, hx * np.cos(theta),
-                                         hx * np.sin(theta))
-        return flux - load

@@ -1,15 +1,14 @@
 """Piecewise-linear finite elements on the tetrahedral meshes.
 
-Vectorized assembly, a conjugate-gradient solver (algebraic-multigrid
-preconditioned when pyamg is importable, Jacobi otherwise) with constant
-deflation for pure flux-condition problems, quadrature-based norms, and
-cross-section utilities (averages, slab fluxes, point evaluation).
+Vectorized assembly, a Jacobi-preconditioned conjugate-gradient solver
+with constant deflation for pure flux-condition problems,
+quadrature-based norms, and cross-section utilities (averages, slab
+fluxes, point evaluation).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -17,13 +16,6 @@ from scipy.sparse.linalg import LinearOperator, cg
 from scipy.spatial import cKDTree
 
 from .mesh3d import TetMesh
-
-try:
-    import pyamg
-
-    _HAVE_PYAMG = True
-except ImportError:  # pragma: no cover
-    _HAVE_PYAMG = False
 
 _S5 = math.sqrt(5.0)
 _TET_RULES = {
@@ -84,6 +76,10 @@ _TRI_RULES[4] = _tri_rule_4()
 # was up to 1.4x slower and 2**17 no faster.
 PAIR_BUDGET = 1 << 16
 
+# Tets per block of FemContext.volume_load.  Under the 14-point rule
+# of the junction load a block's quadrature points take 40 MB.
+LOAD_BLOCK = 120_000
+
 
 class FemContext:
     """Cached geometry and stiffness matrix of one mesh."""
@@ -121,11 +117,20 @@ class FemContext:
         return pts, wts, bary
 
     def volume_load(self, fn, degree=2):
-        pts, wts, bary = self.quad_points(degree)
-        vals = fn(pts.reshape(-1, 3)).reshape(wts.shape)
-        contrib = np.einsum("tq,qa->ta", wts * vals, bary)
+        """Load vector of ``fn(points)``, assembled in blocks of tets.
+
+        Blocks are added in tet order, so the sum at each node runs in
+        the same order as one unblocked ``add.at``.
+        """
+        bary, w = _TET_RULES[degree]
+        tets = self.mesh.tets.astype(np.int64)
         b = np.zeros(self.mesh.num_nodes)
-        np.add.at(b, self.mesh.tets.astype(np.int64), contrib)
+        for start in range(0, len(tets), LOAD_BLOCK):
+            block = tets[start:start + LOAD_BLOCK]
+            pts = np.einsum("qa,tad->tqd", bary, self.mesh.nodes[block])
+            wts = np.outer(self.volumes[start:start + LOAD_BLOCK], w)
+            vals = fn(pts.reshape(-1, 3)).reshape(wts.shape)
+            np.add.at(b, block, np.einsum("tq,qa->ta", wts * vals, bary))
         return b
 
     def surface_quad(self, tag, degree=2):
@@ -157,31 +162,23 @@ class FemContext:
         return self._locator
 
 
-def _preconditioner(a, nullspace):
-    if _HAVE_PYAMG:
-        near = np.ones((a.shape[0], 1)) if nullspace else None
-        ml = pyamg.smoothed_aggregation_solver(a.tocsr(), B=near,
-                                               max_coarse=200)
-        return ml.aspreconditioner(cycle="V")
+def _solve_spd(a, b, rtol=1e-10, deflate=False):
+    """Jacobi-preconditioned CG; ``deflate`` solves in the mean-zero class."""
+    n = a.shape[0]
     d = a.diagonal()
     d[d == 0.0] = 1.0
     inv = 1.0 / d
-    return LinearOperator(a.shape, matvec=lambda v: inv * v)
-
-
-def _solve_spd(a, b, rtol=1e-10, deflate=False):
-    n = a.shape[0]
-    prec = _preconditioner(a, deflate)
 
     if deflate:
         def project(v):
             return v - v.mean()
 
         op = LinearOperator((n, n), matvec=lambda v: project(a @ project(v)))
-        mop = LinearOperator((n, n), matvec=lambda v: project(prec @ project(v)))
+        mop = LinearOperator((n, n), matvec=lambda v: project(inv * project(v)))
         rhs = project(b)
     else:
-        op, mop, rhs = a, prec, b
+        op, rhs = a, b
+        mop = LinearOperator((n, n), matvec=lambda v: inv * v)
 
     iters = [0]
 
@@ -335,9 +332,7 @@ class PointLocator:
         counts = np.bincount(tets.ravel(), minlength=mesh.num_nodes)
         self._adj_ptr = np.concatenate([[0], np.cumsum(counts)])
         self._tree = cKDTree(mesh.nodes)
-        x = mesh.nodes[tets]
-        self._origin = x[:, 0, :]
-        self._minv = np.linalg.inv(x[:, 1:] - x[:, :1])
+        self._origin = mesh.nodes[tets[:, 0]]
 
     def locate(self, points, tol=1e-9):
         """(tet index, barycentric coords) per point; -1 when outside.
@@ -409,9 +404,11 @@ class PointLocator:
         key.sort()
         key = key[np.concatenate(([True], key[1:] != key[:-1]))]
         rows, cand = np.divmod(key, stride)
-        # the per-point arithmetic and summation order of the original
-        # loop, so results match it bit for bit
-        local = np.einsum("tdk,td->tk", self._minv[cand],
+        # inverse edge matrices, contiguous so that the einsum sums in
+        # the order of the per-point loop and matches it bit for bit
+        minv = np.ascontiguousarray(
+            np.swapaxes(self._grads[cand, 1:], 1, 2))
+        local = np.einsum("tdk,td->tk", minv,
                           points[p_idx[rows]] - self._origin[cand])
         l1, l2, l3 = local.T
         l0 = 1.0 - (l1 + l2 + l3)

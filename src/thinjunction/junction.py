@@ -16,14 +16,13 @@ constant-deflated iteration.  The module provides
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import TRANSVERSE_AXES, ProblemSpec
-from .corrector import DiskPoly
 from .cutoffs import SmoothStep
-from .fem3d import FemContext, _solve_spd, station_average
+from .fem3d import FemContext, _solve_spd, station_average, station_profile
 from .mesh3d import build_junction_mesh
 from .poly import (
     Poly3,
@@ -256,10 +255,6 @@ class TruncatedJunction:
         self.radii = tuple(spec.h0(i) for i in range(3))
         self.step = SmoothStep(spec.ell + 1.0, spec.ell + 2.0)
 
-    def chunked_tets(self, block=120_000):
-        for start in range(0, self.mesh.num_tets, block):
-            yield slice(start, min(start + block, self.mesh.num_tets))
-
 
 def _source_values(junction: TruncatedJunction, data: InnerData, pts):
     """Interior data evaluated at points of the truncated junction."""
@@ -286,55 +281,50 @@ def _source_values(junction: TruncatedJunction, data: InnerData, pts):
     return out
 
 
-def assemble_load(junction: TruncatedJunction, data: InnerData, degree=5):
+def assemble_load(junction: TruncatedJunction, data: InnerData):
     """Weak-form load vector of one corrector order."""
     ctx = junction.ctx
-    mesh = junction.mesh
-    from .fem3d import _TET_RULES
-
-    bary, w = _TET_RULES[degree]
-    b = np.zeros(mesh.num_nodes)
-    coords = mesh.nodes[mesh.tets]
-    for sl in junction.chunked_tets():
-        pts = np.einsum("qa,tad->tqd", bary, coords[sl])
-        wts = np.outer(ctx.volumes[sl], w)
-        vals = _source_values(junction, data,
-                              pts.reshape(-1, 3)).reshape(wts.shape)
-        contrib = np.einsum("tq,qa->ta", wts * vals, bary)
-        np.add.at(b, mesh.tets[sl].astype(np.int64), contrib)
-
+    b = ctx.volume_load(lambda pts: _source_values(junction, data, pts),
+                        degree=5)
     for i in range(3):
         wall = data.walls[i]
         if wall is None:
             continue
-        tris, spts, swts, sbary = ctx.surface_quad(f"lateral_{i}", degree=4)
-        flat = spts.reshape(-1, 3)
-        fall = 1.0 - junction.step(flat[:, i])
         a, bb = TRANSVERSE_AXES[i]
-        tr = wall(flat[:, i], flat[:, a], flat[:, bb])
-        vals = (fall * tr).reshape(swts.shape)
-        contrib = np.einsum("fq,qa->fa", swts * vals, sbary)
-        np.subtract.at(b, tris.astype(np.int64), contrib)
+
+        def trace(pts, wall=wall, i=i, a=a, bb=bb):
+            fall = 1.0 - junction.step(pts[:, i])
+            return fall * wall(pts[:, i], pts[:, a], pts[:, bb])
+
+        b -= ctx.surface_load(f"lateral_{i}", trace, degree=4)
     return b
 
 
 class JunctionField:
-    """A solved junction field: decaying nodal part plus analytic growth."""
+    """A solved junction field: decaying nodal part plus analytic growth.
 
-    def __init__(self, junction: TruncatedJunction, decay, growth=None,
-                 constant=0.0, info=None, load_defect=0.0):
+    ``load`` is the assembled load vector the decaying part solves for.
+    """
+
+    def __init__(self, junction: TruncatedJunction, decay, load, growth=None,
+                 constant=0.0, info=None):
         self.junction = junction
         self.decay = decay
+        self.load = load
         self.growth = growth if growth is not None else (None, None, None)
         self.constant = float(constant)
         self.info = info or {}
-        self.load_defect = float(load_defect)
         self._total = None
 
+    @property
+    def load_defect(self):
+        """Net load; nonzero when the data violate the flux balance."""
+        return float(self.load.sum())
+
     def with_growth(self, growth, constant=0.0):
-        return JunctionField(self.junction, self.decay, growth=growth,
-                             constant=constant, info=self.info,
-                             load_defect=self.load_defect)
+        return JunctionField(self.junction, self.decay, self.load,
+                             growth=growth, constant=constant,
+                             info=self.info)
 
     def _growth_at(self, pts):
         step = self.junction.step
@@ -359,13 +349,7 @@ class JunctionField:
         return self._total
 
     def station_means(self, edge):
-        mesh = self.junction.mesh
-        total = self.nodal_total()
-        xs, means = [], []
-        for st in mesh.stations[edge]:
-            xs.append(st.x)
-            means.append(station_average(mesh, total, st))
-        return np.array(xs), np.array(means)
+        return station_profile(self.junction.mesh, self.nodal_total(), edge)
 
     def plateau(self, edge, window=1.5):
         xs, means = self.station_means(edge)
@@ -379,11 +363,6 @@ class JunctionField:
         keep = xs >= start
         fit = np.polyfit(xs[keep], means[keep], 1)
         return float(fit[0])
-
-    def end_average(self, edge):
-        mesh = self.junction.mesh
-        return station_average(mesh, self.nodal_total(),
-                               mesh.stations[edge][-1])
 
     def evaluate(self, points, gradient=False):
         points = np.asarray(points, dtype=float)
@@ -418,12 +397,15 @@ class JunctionField:
 
 
 def solve_decaying(junction: TruncatedJunction, data: InnerData, rtol=1e-10):
-    """Decaying corrector field, zeroed on the first outlet's end disk."""
+    """Decaying corrector field, zeroed on the first outlet's end disk.
+
+    The field keeps the load it solves for, which :func:`compute_delta`
+    pairs with the special fields.
+    """
     b = assemble_load(junction, data)
     u, info = _solve_spd(junction.ctx.matrix, b, rtol=rtol, deflate=True)
-    defect = float(b.sum())
     shift = station_average(junction.mesh, u, junction.mesh.stations[0][-1])
-    return JunctionField(junction, u - shift, info=info, load_defect=defect)
+    return JunctionField(junction, u - shift, b, info=info)
 
 
 def solve_special(junction: TruncatedJunction, edge, rtol=1e-10):
@@ -443,56 +425,26 @@ def solve_special(junction: TruncatedJunction, edge, rtol=1e-10):
     data = InnerData(k=0, growth=tuple(growth))
     b = assemble_load(junction, data)
     u, info = _solve_spd(junction.ctx.matrix, b, rtol=rtol, deflate=True)
-    tilde = JunctionField(junction, u, info=info, load_defect=float(b.sum()))
-    shift = tilde.plateau(0)
-    fld = JunctionField(junction, u - shift, growth=tuple(growth),
-                        info=info, load_defect=float(b.sum()))
-    fld.info = dict(info)
+    shift = JunctionField(junction, u, b).plateau(0)
+    fld = JunctionField(junction, u - shift, b, growth=tuple(growth),
+                        info=dict(info))
     fld.info["slopes"] = [fld.far_slope(i) for i in range(3)]
     fld.info["plateaus"] = [
-        JunctionField(junction, u - shift).plateau(i) for i in range(3)]
+        JunctionField(junction, u - shift, b).plateau(i) for i in range(3)]
     return fld
 
 
-def compute_delta(junction: TruncatedJunction, data: InnerData, specials):
+def compute_delta(load, specials):
     """Transmission jumps of one corrector order via the bilinear pairing.
 
+    ``load`` is the order's assembled load vector (:func:`assemble_load`,
+    kept as ``JunctionField.load`` by :func:`solve_decaying`) and
     ``specials`` are the two fields from :func:`solve_special` (edges 1
-    and 2).  Returns the jumps on outlets 1 and 2 relative to outlet 0.
+    and 2).  The pairing of the data with a special field is the load
+    applied to the field's nodal values.  Returns the jumps on outlets 1
+    and 2 relative to outlet 0.
     """
-
-    from .fem3d import _TET_RULES
-
-    ctx = junction.ctx
-    mesh = junction.mesh
-    bary, w = _TET_RULES[5]
-    coords = mesh.nodes[mesh.tets]
-    totals = [s.nodal_total() for s in specials]
-    acc = np.zeros(len(specials))
-    for sl in junction.chunked_tets():
-        pts = np.einsum("qa,tad->tqd", bary, coords[sl])
-        wts = np.outer(ctx.volumes[sl], w)
-        src = _source_values(junction, data,
-                             pts.reshape(-1, 3)).reshape(wts.shape)
-        for s_idx, tot in enumerate(totals):
-            nv = np.einsum("ta,qa->tq", tot[mesh.tets[sl].astype(np.int64)],
-                           bary)
-            acc[s_idx] += float(np.sum(wts * src * nv))
-
-    for i in range(3):
-        wall = data.walls[i]
-        if wall is None:
-            continue
-        tris, spts, swts, sbary = ctx.surface_quad(f"lateral_{i}", degree=4)
-        flat = spts.reshape(-1, 3)
-        fall = 1.0 - junction.step(flat[:, i])
-        a, bb = TRANSVERSE_AXES[i]
-        tr = (fall * wall(flat[:, i], flat[:, a], flat[:, bb])).reshape(
-            swts.shape)
-        for s_idx, tot in enumerate(totals):
-            nv = np.einsum("fa,qa->fq", tot[tris.astype(np.int64)], sbary)
-            acc[s_idx] -= float(np.sum(swts * tr * nv))
-    return acc
+    return np.array([float(load @ s.nodal_total()) for s in specials])
 
 
 def compute_dstar(spec: ProblemSpec, k):

@@ -8,7 +8,7 @@ import numpy as np
 
 from .config import TRANSVERSE_AXES, ProblemSpec
 from .fem3d import FemContext, norms, region_mask, solve_poisson, \
-    station_average
+    station_profile
 from .mesh3d import build_thin_mesh
 
 
@@ -39,12 +39,9 @@ class ReferenceSolution:
     def station_values(self, edge, interval=None):
         """Axial positions and cross-section means along one tube."""
         lo, hi = interval if interval is not None else (0.0, 1.0)
-        xs, means = [], []
-        for st in self.mesh.stations[edge]:
-            if lo <= st.x <= hi:
-                xs.append(st.x)
-                means.append(station_average(self.mesh, self.u, st))
-        return np.array(xs), np.array(means)
+        xs, means = station_profile(self.mesh, self.u, edge)
+        keep = (xs >= lo) & (xs <= hi)
+        return xs[keep], means[keep]
 
     def tube_mask(self, edge, interval=None):
         """Tetrahedra of one tube, optionally restricted axially."""

@@ -1,7 +1,8 @@
 """Per-point reference for ``PointLocator.locate``.
 
 The original one-point-at-a-time loop, kept as the oracle the batched
-kernel must match bit for bit.  It reads the locator's own arrays.
+kernel must match bit for bit.  It reads the locator's own arrays and
+inverts the edge matrices itself, as the original loop did.
 """
 
 import numpy as np
@@ -22,6 +23,8 @@ def locate_reference(loc, points, tol=1e-9):
     best_gap = np.full(npts, -np.inf)
     best_tet = np.full(npts, -1, dtype=np.int64)
     best_bary = np.zeros((npts, 4))
+    x = loc._tree.data[loc._tets]
+    minv = np.linalg.inv(x[:, 1:] - x[:, :1])
     for k in (1, 8, 32):
         todo = np.flatnonzero(found < 0)
         if todo.size == 0:
@@ -33,7 +36,7 @@ def locate_reference(loc, points, tol=1e-9):
             if cand.size == 0:
                 continue
             local = np.einsum(
-                "tdk,td->tk", loc._minv[cand],
+                "tdk,td->tk", minv[cand],
                 points[p_idx] - loc._origin[cand])
             lam = np.concatenate(
                 [1.0 - local.sum(axis=1, keepdims=True), local], axis=1)

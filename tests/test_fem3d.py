@@ -54,6 +54,15 @@ class TestQuadrature:
         area = tube.boundary_area("end_a")
         assert b.sum() == pytest.approx(area * 0.5, rel=1e-12)
 
+    def test_volume_load_blocks_keep_the_summation_order(self, monkeypatch,
+                                                         ctx):
+        def fn(pts):
+            return np.sin(3.0 * pts[:, 0]) + pts[:, 1] * pts[:, 2]
+
+        whole = ctx.volume_load(fn, degree=5)
+        monkeypatch.setattr(fem3d, "LOAD_BLOCK", 7)
+        assert np.array_equal(ctx.volume_load(fn, degree=5), whole)
+
     def test_surface_load_constant_gives_area(self, ctx, tube):
         b = ctx.surface_load("end_b", lambda pts: np.ones(pts.shape[0]))
         assert b.sum() == pytest.approx(tube.boundary_area("end_b"),

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from delta_oracle import delta_reference
 from thinjunction import (
     build_inner_rhs,
     check_solvability,
@@ -116,12 +117,29 @@ class TestTransmission:
     def test_jumps_match_plateau_readout(self, exp_fx, junction_flat6,
                                          specials_flat6):
         data = exp_fx.inner[1]
-        jumps = compute_delta(junction_flat6, data, specials_flat6)
         nhat = solve_decaying(junction_flat6, data)
+        assert np.array_equal(nhat.load, assemble_load(junction_flat6, data))
+        assert nhat.load_defect == float(nhat.load.sum())
+        jumps = compute_delta(nhat.load, specials_flat6)
         plateaus = [nhat.plateau(i) for i in range(3)]
         for s_idx, edge in enumerate((1, 2)):
             direct = plateaus[edge] - plateaus[0]
             assert jumps[s_idx] == pytest.approx(direct, rel=1e-2)
+
+    def test_jumps_match_quadrature_pairing(self, flat_spec, exp_fx, exp_rich,
+                                            junction_flat6, specials_flat6):
+        gf = solve_limit(flat_spec)
+        taylor = [{0: gf.edges[i].germ().coef, 1: np.zeros(4)}
+                  for i in range(3)]
+        with_fpart = build_inner_rhs(flat_spec, 2, taylor, [{}, {}, {}])
+        flat = (junction_flat6, specials_flat6)
+        rich = (exp_rich.junction, exp_rich.specials())
+        cases = [(flat, exp_fx.inner[1]), (flat, with_fpart),
+                 (rich, exp_rich.inner[1]), (rich, exp_rich.inner[2])]
+        for (junction, specials), data in cases:
+            got = compute_delta(assemble_load(junction, data), specials)
+            want = delta_reference(junction, data, specials)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     def test_decaying_field_levels_off(self, exp_fx, junction_flat6):
         nhat = solve_decaying(junction_flat6, exp_fx.inner[1])
@@ -150,8 +168,8 @@ class TestTransmission:
         b = assemble_load(junction_flat6, data)
         assert abs(b.sum()) < 1e-3 * np.abs(b).sum()
 
-        jumps = compute_delta(junction_flat6, data, specials_flat6)
         nhat = solve_decaying(junction_flat6, data)
+        jumps = compute_delta(b, specials_flat6)
         plateaus = [nhat.plateau(i) for i in range(3)]
         for s_idx, edge in enumerate((1, 2)):
             direct = plateaus[edge] - plateaus[0]

@@ -18,7 +18,7 @@ kept exactly for vertex Taylor data.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
@@ -147,85 +147,44 @@ class DiskPoly:
         return np.stack([self.cos, self.sin])[None, :, :, :]
 
     def evaluate(self, xa, xb):
-        xa = np.asarray(xa, dtype=float)
-        out = _modal_values(self._batch(), xa.ravel(), np.asarray(xb, float).ravel())
-        return out.reshape(xa.shape) if xa.shape else float(out[0])
+        return self.gradient(xa, xb)[0]
 
     def gradient(self, xa, xb):
+        """(value, d/dxa, d/dxb) at the given points."""
         xa = np.asarray(xa, dtype=float)
-        ga, gb = _modal_gradient(self._batch(), xa.ravel(),
-                                 np.asarray(xb, float).ravel())
+        out = _modal_eval(self._batch(), xa.ravel(),
+                          np.asarray(xb, float).ravel())
         if xa.shape:
-            return ga.reshape(xa.shape), gb.reshape(xa.shape)
-        return float(ga[0]), float(gb[0])
+            return tuple(v.reshape(xa.shape) for v in out)
+        return tuple(float(v[0]) for v in out)
 
     def max_abs(self):
         return max(np.abs(self.cos).max(), np.abs(self.sin).max())
 
 
-def _polar(xa, xb):
-    return np.hypot(xa, xb), np.arctan2(xb, xa)
+def _modal_eval(A, xa, xb):
+    """Value and Cartesian transverse gradient of modal arrays at (xa, xb).
 
-
-def _trig_tables(theta, N):
-    ang = theta[:, None] * np.arange(N)
-    return np.cos(ang), np.sin(ang)
-
-
-def _power_table(r, P, shift=0):
-    """r^(p - shift) for p = 0..P-1, with negative exponents clamped to 0."""
-    p = np.maximum(np.arange(P) - shift, 0)
-    return r[:, None] ** p
-
-
-def _modal_values(A, xa, xb):
-    """Evaluate per-point modal arrays A (npts, 2, N, P) at (xa, xb)."""
-    r, t = _polar(xa, xb)
+    ``A`` is (npts, 2, N, P), one array per point, or (1, 2, N, P), one
+    polynomial for every point.  One set of polar, trig and power tables
+    serves both: the harmonics are summed first into radial coefficients
+    of the value and of the angular derivative.
+    """
+    r, t = np.hypot(xa, xb), np.arctan2(xb, xa)
     N, P = A.shape[2], A.shape[3]
-    if A.shape[0] == 1 and xa.size > 1:
-        A = np.broadcast_to(A, (xa.size,) + A.shape[1:])
-    cosm, sinm = _trig_tables(t, N)
-    rp = _power_table(r, P)
-    return (np.einsum("knp,kn,kp->k", A[:, 0], cosm, rp)
-            + np.einsum("knp,kn,kp->k", A[:, 1], sinm, rp))
-
-
-def _modal_gradient(A, xa, xb):
-    """Cartesian transverse gradient of per-point modal arrays."""
-    r, t = _polar(xa, xb)
-    N, P = A.shape[2], A.shape[3]
-    if A.shape[0] == 1 and xa.size > 1:
-        A = np.broadcast_to(A, (xa.size,) + A.shape[1:])
-    cosm, sinm = _trig_tables(t, N)
-    rp1 = _power_table(r, P, shift=1)
-    pfac = np.arange(P, dtype=float)
-    nfac = np.arange(N, dtype=float)
-    Ac = A[:, 0] * pfac
-    As = A[:, 1] * pfac
-    ur = (np.einsum("knp,kn,kp->k", Ac, cosm, rp1)
-          + np.einsum("knp,kn,kp->k", As, sinm, rp1))
-    Bc = A[:, 0] * nfac[:, None]
-    Bs = A[:, 1] * nfac[:, None]
-    ut = (np.einsum("knp,kn,kp->k", Bs, cosm, rp1)
-          - np.einsum("knp,kn,kp->k", Bc, sinm, rp1))
+    n = np.arange(N)
+    ang = t[:, None] * n
+    cosm, sinm = np.cos(ang)[:, None], np.sin(ang)[:, None]
+    rp = r[:, None] ** np.arange(P)
+    # r^(p-1); its p = 0 column only ever meets the factor p = 0
+    rp1 = np.concatenate([np.ones((r.size, 1)), rp[:, :-1]], axis=1)
+    radial = (cosm @ A[:, 0] + sinm @ A[:, 1])[:, 0]
+    angular = ((n * cosm) @ A[:, 1] - (n * sinm) @ A[:, 0])[:, 0]
+    val = np.einsum("kp,kp->k", radial, rp)
+    ur = np.einsum("kp,kp->k", radial * np.arange(P), rp1)
+    ut = np.einsum("kp,kp->k", angular, rp1)
     ct, st = np.cos(t), np.sin(t)
-    return ct * ur - st * ut, st * ur + ct * ut
-
-
-def _modal_transverse_laplacian(A, xa, xb):
-    r, t = _polar(xa, xb)
-    N, P = A.shape[2], A.shape[3]
-    if P <= 2:
-        return np.zeros(xa.size)
-    if A.shape[0] == 1 and xa.size > 1:
-        A = np.broadcast_to(A, (xa.size,) + A.shape[1:])
-    n = np.arange(N, dtype=float)[:, None]
-    p = np.arange(2, P, dtype=float)[None, :]
-    fac = p * p - n * n
-    cosm, sinm = _trig_tables(t, N)
-    rp = _power_table(r, P - 2)
-    return (np.einsum("knp,kn,kp->k", A[:, 0, :, 2:] * fac, cosm, rp)
-            + np.einsum("knp,kn,kp->k", A[:, 1, :, 2:] * fac, sinm, rp))
+    return val, ct * ur - st * ut, st * ur + ct * ut
 
 
 def disk_compatibility_defect(g: DiskPoly, bc, h):
@@ -299,7 +258,15 @@ class EdgeCorrector:
     breakpoints: np.ndarray
     coeffs: list
     germ: list
-    germ_valid: float
+
+    def __post_init__(self):
+        # coefficients of the first and second x-derivative, built once
+        scl = [2.0 / (xr - xl)
+               for xl, xr in zip(self.breakpoints, self.breakpoints[1:])]
+        self._derivs = [self.coeffs] + [
+            [npcheb.chebder(c, d, scl=s, axis=0)
+             for c, s in zip(self.coeffs, scl)]
+            for d in (1, 2)]
 
     @property
     def shape(self):
@@ -309,18 +276,17 @@ class EdgeCorrector:
         """Per-point modal arrays of d^deriv u / dx^deriv, (npts, 2, N, P)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         out = np.empty((x.size,) + self.shape)
+        coeffs = self._derivs[deriv]
         idx = np.clip(np.searchsorted(self.breakpoints, x, side="right") - 1,
-                      0, len(self.coeffs) - 1)
+                      0, len(coeffs) - 1)
         for j in np.unique(idx):
             sel = np.where(idx == j)[0]
             xl, xr = self.breakpoints[j], self.breakpoints[j + 1]
-            c = self.coeffs[j]
-            if deriv:
-                c = npcheb.chebder(c, deriv, scl=2.0 / (xr - xl), axis=0)
             t = (2.0 * x[sel] - (xl + xr)) / (xr - xl)
             for lo in range(0, sel.size, _EVAL_CHUNK):
                 piece = sel[lo: lo + _EVAL_CHUNK]
-                v = npcheb.chebval(t[lo: lo + _EVAL_CHUNK], c, tensor=True)
+                v = npcheb.chebval(t[lo: lo + _EVAL_CHUNK], coeffs[j],
+                                   tensor=True)
                 out[piece] = np.moveaxis(v, -1, 0)
         return out
 
@@ -328,20 +294,19 @@ class EdgeCorrector:
         A = self.modal_batch(float(x), deriv)
         return DiskPoly(A[0, 0], A[0, 1])
 
+    def evaluate(self, x, xa, xb):
+        """(u, du/dx, du/dxa, du/dxb) at each point, from one modal batch
+        per x-derivative order."""
+        xa = np.asarray(xa, float).ravel()
+        xb = np.asarray(xb, float).ravel()
+        u, ga, gb = _modal_eval(self.modal_batch(x), xa, xb)
+        ux = _modal_eval(self.modal_batch(x, 1), xa, xb)[0]
+        return u, ux, ga, gb
+
     def values(self, x, xa, xb, xderiv=0):
-        A = self.modal_batch(x, xderiv)
-        return _modal_values(A, np.asarray(xa, float).ravel(),
-                             np.asarray(xb, float).ravel())
-
-    def transverse_gradient(self, x, xa, xb, xderiv=0):
-        A = self.modal_batch(x, xderiv)
-        return _modal_gradient(A, np.asarray(xa, float).ravel(),
-                               np.asarray(xb, float).ravel())
-
-    def transverse_laplacian(self, x, xa, xb, xderiv=0):
-        A = self.modal_batch(x, xderiv)
-        return _modal_transverse_laplacian(A, np.asarray(xa, float).ravel(),
-                                           np.asarray(xb, float).ravel())
+        return _modal_eval(self.modal_batch(x, xderiv),
+                           np.asarray(xa, float).ravel(),
+                           np.asarray(xb, float).ravel())[0]
 
     def trace_fourier(self, x, xderiv=0):
         """Rim harmonics of d^xderiv u/dx^xderiv at each x (vectorized)."""
@@ -363,9 +328,6 @@ class EdgeCorrector:
     def end_trace(self):
         """u_k at the sealed end x = 1 as a modal polynomial."""
         return self.modal_at(1.0)
-
-    def germ_modal(self, j):
-        return self.germ[j]
 
 
 def _poly_coef(poly: Polynomial, j):
@@ -474,8 +436,7 @@ def build_corrector(spec: ProblemSpec, edge, k, omega: EdgeFunction,
     prev_g = prev.germ if prev is not None else None
     germ = corrector_germ(spec, edge, k, omega.germ(), prev_g, jmax, tol)
     return EdgeCorrector(edge=edge, order=k, h=h, breakpoints=bp,
-                         coeffs=coeffs, germ=germ,
-                         germ_valid=h.plateau0)
+                         coeffs=coeffs, germ=germ)
 
 
 def corrector_rhs(spec: ProblemSpec, edge, k, corr: EdgeCorrector | None):

@@ -41,18 +41,6 @@ def radial_derivative_roots(n, count):
     return np.array([_polish_root(n, x) for x in raw])
 
 
-def _jn_over_r(n, lam, r):
-    """J_n(lam r)/r with the correct r -> 0 limit."""
-    r = np.asarray(r, dtype=float)
-    small = r < 1e-300
-    safe = np.where(small, 1.0, r)
-    out = special.jv(n, lam * r) / safe
-    if np.any(small):
-        limit = 0.5 * lam if n == 1 else 0.0
-        out = np.where(small, limit, out)
-    return out
-
-
 @dataclass(frozen=True)
 class DiskMode:
     """One Neumann eigenfunction of the disk of radius ``radius``.
@@ -91,20 +79,6 @@ class DiskMode:
         if self.kind == "cos":
             return radial * np.cos(self.n * theta)
         return radial * np.sin(self.n * theta)
-
-    def gradient_polar(self, r, theta):
-        """(d/dr, (1/r) d/dtheta) of the mode, finite on the axis."""
-        r = np.asarray(r, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        if self.kind == "const":
-            z = np.zeros(np.broadcast(r, theta).shape)
-            return z, z.copy()
-        lam = self.lam
-        dr = lam * special.jvp(self.n, lam * r)
-        over_r = self.n * _jn_over_r(self.n, lam, r)
-        if self.kind == "cos":
-            return dr * np.cos(self.n * theta), -over_r * np.sin(self.n * theta)
-        return dr * np.sin(self.n * theta), over_r * np.cos(self.n * theta)
 
     def rim_slope(self):
         """|J_n'| at the rim; a direct check of the lateral condition."""

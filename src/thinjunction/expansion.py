@@ -19,6 +19,7 @@ from .corrector import build_corrector, corrector_rhs
 from .cutoffs import SmoothStep
 from .graph import TransmissionData, solve_limit, solve_omega_k
 from .junction import (
+    FieldStack,
     TruncatedJunction,
     build_inner_rhs,
     check_solvability,
@@ -118,6 +119,9 @@ class Expansion:
                     build_pi(spec, i, self.correctors[k][i],
                              omega=self.graph[k].edges[i])
                     for i in range(3))
+        if self.nfields:
+            self.inner_stack = FieldStack(
+                self.nfields[k] for k in range(1, self.order + 1))
 
     def _data_scale(self, k):
         scale = 1.0
@@ -148,8 +152,16 @@ class Expansion:
 
     # -- partial sum -----------------------------------------------------
 
+    def _inner_sum(self, eps, m):
+        """sum_{k=1..m} eps^k N_k as one junction field."""
+        return self.inner_stack.combine(eps ** np.arange(1, m + 1))
+
     def evaluate(self, points, epsilon, m=None, gradient=False):
-        """Glued partial sum of order m (and gradient) at physical points."""
+        """Glued partial sum of order m (and gradient) at physical points.
+
+        Each term is evaluated once with its gradient; ``gradient`` only
+        picks whether the gradients are returned.
+        """
         pts = np.asarray(points, dtype=float)
         eps = float(epsilon)
         m = self.order if m is None else int(m)
@@ -158,7 +170,7 @@ class Expansion:
         alpha = self.spec.alpha
         n = len(pts)
         vals = np.zeros(n)
-        grads = np.zeros((n, 3)) if gradient else None
+        grads = np.zeros((n, 3))
 
         edge = self._split(pts, eps)
         weight = np.ones(n)
@@ -176,6 +188,8 @@ class Expansion:
             dchi = self.cut_axial.deriv(zeta)
             weight[sel] = 1.0 - chi
             wslope[sel] = -dchi * eps ** (-alpha)
+            # the end layers live where the end cutoff is nonzero
+            end = x > self.cut_end.lo
             chid = self.cut_end(x)
             dchid = self.cut_end.deriv(x)
 
@@ -183,51 +197,41 @@ class Expansion:
                 ek = eps ** k
                 w = self.graph[k].edges[i]
                 core = w.value(x)
+                d_ax = w.d1(x)
                 corr = self.correctors.get(k)
-                corr = corr[i] if corr is not None else None
                 if corr is not None:
-                    core = core + corr.values(x, ta, tb)
+                    cv, cx, ga, gb = corr[i].evaluate(x, ta, tb)
+                    core = core + cv
+                    d_ax = d_ax + cx
+                    grads[sel, a] += ek * chi * ga / eps
+                    grads[sel, b] += ek * chi * gb / eps
                 vals[sel] += ek * chi * core
-                if gradient:
-                    d_ax = w.d1(x)
-                    if corr is not None:
-                        d_ax = d_ax + corr.values(x, ta, tb, xderiv=1)
-                        ga, gb = corr.transverse_gradient(x, ta, tb)
-                        grads[sel, a] += ek * chi * ga / eps
-                        grads[sel, b] += ek * chi * gb / eps
-                    grads[sel, i] += ek * (eps ** (-alpha) * dchi * core
-                                           + chi * d_ax)
+                grads[sel, i] += ek * (eps ** (-alpha) * dchi * core
+                                       + chi * d_ax)
                 layer = self.layers.get(k)
-                if layer is not None and not layer[i].is_zero:
-                    s = (1.0 - x) / eps
-                    lv = layer[i].values(s, ta, tb)
-                    vals[sel] += ek * chid * lv
-                    if gradient:
-                        ds, ga, gb = layer[i].gradient(s, ta, tb)
-                        grads[sel, i] += ek * (dchid * lv - chid * ds / eps)
-                        grads[sel, a] += ek * chid * ga / eps
-                        grads[sel, b] += ek * chid * gb / eps
+                if layer is not None and not layer[i].is_zero and end.any():
+                    lv, ds, ga, gb = layer[i].gradient(
+                        (1.0 - x[end]) / eps, ta[end], tb[end])
+                    c, dc = chid[end], dchid[end]
+                    vals[sel[end]] += ek * c * lv
+                    grads[sel[end], i] += ek * (dc * lv - c * ds / eps)
+                    grads[sel[end], a] += ek * c * ga / eps
+                    grads[sel[end], b] += ek * c * gb / eps
 
         live = np.flatnonzero(weight > 0.0)
         if live.size:
-            xi = pts[live] / eps
-            base = self.graph[0].edges[0].vertex_value
-            vals[live] += weight[live] * base
-            if gradient:
-                tube_live = edge[live] >= 0
-                rows = live[tube_live]
-                grads[rows, edge[rows]] += wslope[rows] * base
-            for k in range(1, m + 1):
-                ek = eps ** k
-                if gradient:
-                    nv, ng = self.nfields[k].evaluate(xi, gradient=True)
-                    grads[live] += ek * weight[live, None] * ng / eps
-                    rows = live[tube_live]
-                    grads[rows, edge[rows]] += (ek * wslope[rows]
-                                                * nv[tube_live])
-                else:
-                    nv = self.nfields[k].evaluate(xi)
-                vals[live] += ek * weight[live] * nv
+            tube = edge[live] >= 0
+            rows = live[tube]
+            nv = np.full(live.size, self.graph[0].edges[0].vertex_value)
+            ng = np.zeros((live.size, 3))
+            if m >= 1:
+                inner, inner_grad = self._inner_sum(eps, m).evaluate(
+                    pts[live] / eps)
+                nv += inner
+                ng = inner_grad / eps
+            vals[live] += weight[live] * nv
+            grads[live] += weight[live, None] * ng
+            grads[rows, edge[rows]] += wslope[rows] * nv[tube]
         return (vals, grads) if gradient else vals
 
     # -- interior residual terms ------------------------------------------
@@ -289,8 +293,7 @@ class Expansion:
                         lay = self.layers[k][i]
                         if lay.is_zero:
                             continue
-                        ds, _, _ = lay.gradient(s, ta[band], tb[band])
-                        lv = lay.values(s, ta[band], tb[band])
+                        lv, ds, _, _ = lay.gradient(s, ta[band], tb[band])
                         acc += eps ** k * (-2.0 / eps * dchid[band] * ds
                                            + d2chid[band] * lv)
                     out[3][sel[band]] += acc
@@ -334,10 +337,9 @@ class Expansion:
     def _matching_commutator(self, target, sel, i, x, ta, tb, eps, m,
                              dchi, d2chi):
         band = (dchi != 0.0) | (d2chi != 0.0)
-        if not band.any():
+        if m == 0 or not band.any():
             return
         alpha = self.spec.alpha
-        rows = sel[band]
         xi_ax = x[band] / eps
         pts_xi = np.zeros((band.sum(), 3))
         pts_xi[:, i] = xi_ax
@@ -347,19 +349,14 @@ class Expansion:
         step = self.junction.step
         chi_j = step(xi_ax)
         dchi_j = step.deriv(xi_ax)
-        loc = self.junction.ctx.locator()
-        for k in range(1, m + 1):
-            nf = self.nfields[k]
-            dec, dgrad = loc.evaluate(nf.decay, pts_xi, gradient=True)
-            delta = self.trans[k].jumps[i]
-            g = self.inner[k].growth[i]
-            psi = g.value(xi_ax, ta[band], tb[band])
-            dpsi = g.axial_slope(xi_ax, ta[band], tb[band])
-            val = dec - delta + (chi_j - 1.0) * psi
-            dval = dgrad[:, i] + dchi_j * psi + (chi_j - 1.0) * dpsi
-            target[rows] += eps ** k * (
-                -2.0 * eps ** (-1.0 - alpha) * dchi[band] * dval
-                - eps ** (-2.0 * alpha) * d2chi[band] * val)
+        inner = self._inner_sum(eps, m)
+        dec, dgrad = self.junction.ctx.locator().evaluate(inner.decay, pts_xi)
+        delta = sum(eps ** k * self.trans[k].jumps[i] for k in range(1, m + 1))
+        psi, dpsi, _, _ = inner.growth[i].evaluate(xi_ax, ta[band], tb[band])
+        val = dec - delta + (chi_j - 1.0) * psi
+        dval = dgrad[:, i] + dchi_j * psi + (chi_j - 1.0) * dpsi
+        target[sel[band]] += (-2.0 * eps ** (-1.0 - alpha) * dchi[band] * dval
+                              - eps ** (-2.0 * alpha) * d2chi[band] * val)
 
     def _vertex_remainders(self, i, x, ta, tb, eps, m):
         """Taylor remainders of the tube terms about the vertex."""
@@ -385,8 +382,9 @@ class Expansion:
             corr = self.correctors.get(k)
             if corr is not None:
                 c = corr[i]
-                core = core + c.values(x, ta, tb)
-                dcore = dcore + c.values(x, ta, tb, xderiv=1)
+                cv, cx, _, _ = c.evaluate(x, ta, tb)
+                core = core + cv
+                dcore = dcore + cx
                 for j in range(min(depth, len(c.germ) - 1) + 1):
                     gv = c.germ[j].evaluate(ta, tb)
                     tay += gv * x ** j

@@ -19,7 +19,6 @@ from .mesh3d import TetMesh
 
 _S5 = math.sqrt(5.0)
 _TET_RULES = {
-    1: (np.full((1, 4), 0.25), np.array([1.0])),
     2: (np.array([
         [(5 + 3 * _S5) / 20 if a == b else (5 - _S5) / 20
          for b in range(4)] for a in range(4)]),
@@ -47,10 +46,8 @@ def _tet_rule_5():
 
 
 _TET_RULES[5] = _tet_rule_5()
-_TET_RULES[4] = _TET_RULES[5]
 
 _TRI_RULES = {
-    1: (np.full((1, 3), 1.0 / 3.0), np.array([1.0])),
     2: (np.array([[2 / 3, 1 / 6, 1 / 6], [1 / 6, 2 / 3, 1 / 6],
                   [1 / 6, 1 / 6, 2 / 3]]), np.full(3, 1.0 / 3.0)),
 }
@@ -251,14 +248,14 @@ def galerkin_residual(ctx: FemContext, u, b, trials=20, seed=7):
     return worst
 
 
-def norms(ctx: FemContext, u, reference=None, mask=None, degree=2):
+def norms(ctx: FemContext, u, reference=None, mask=None):
     """(L2, H1-seminorm, H1) of u minus an optional analytic reference.
 
     ``reference(points) -> (values, gradients)`` is evaluated at the
     quadrature points; ``mask`` selects tetrahedra (centroid filters).
     """
 
-    pts, wts, bary = ctx.quad_points(degree)
+    pts, wts, bary = ctx.quad_points(2)
     tets = ctx.mesh.tets.astype(np.int64)
     vals = np.einsum("ta,qa->tq", u[tets], bary)
     grads = ctx.field_gradients(u)
@@ -421,13 +418,11 @@ class PointLocator:
         lam = np.column_stack([l0[first], local[first]])
         return p_idx[rows[first]], cand[first], gaps[first], lam
 
-    def evaluate(self, u, points, gradient=False):
+    def evaluate(self, u, points):
+        """(values, gradients) of the nodal field u at the points."""
         tet, lam = self.locate(points)
         if np.any(tet < 0):
             raise ValueError("points outside the mesh")
         nodal = u[self._tets[tet]]
-        vals = np.einsum("pa,pa->p", nodal, lam)
-        if not gradient:
-            return vals
-        grads = np.einsum("pad,pa->pd", self._grads[tet], nodal)
-        return vals, grads
+        return (np.einsum("pa,pa->p", nodal, lam),
+                np.einsum("pad,pa->pd", self._grads[tet], nodal))

@@ -13,7 +13,7 @@ equation for the common vertex value.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -126,7 +126,7 @@ class EdgeFunction:
     def vertex_slope(self):
         return float(self.d1(0.0))
 
-    def germ(self, extra_degree=0):
+    def germ(self):
         """Exact Taylor polynomial at x = 0 (valid while h is constant there).
 
         Uses w'' = -rhs/(pi h0^2) near the vertex, where the rhs germ is a
@@ -189,8 +189,8 @@ class GraphFunction:
     def end_values(self):
         return tuple(float(e.value(1.0)) for e in self.edges)
 
-    def germ(self, edge, extra_degree=0):
-        return self.edges[edge].germ(extra_degree)
+    def germ(self, edge):
+        return self.edges[edge].germ()
 
     def derivs_at_zero(self, edge, qmax):
         return self.edges[edge].derivs_at_zero(qmax)

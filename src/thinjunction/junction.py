@@ -63,37 +63,37 @@ class OutletGrowth:
     def degree(self):
         return len(self.coeffs) - 1
 
-    def value(self, ax, ta, tb):
+    def evaluate(self, ax, ta, tb):
+        """(value, d/dax, d/dta, d/dtb) at each point.
+
+        Horner's scheme in the axial power, with each cross-section
+        profile evaluated once together with its gradient.
+        """
         ax = np.asarray(ax, dtype=float)
-        out = np.zeros_like(ax)
+        val, slope, ga, gb = (np.zeros_like(ax) for _ in range(4))
         for j in range(len(self.coeffs) - 1, -1, -1):
-            term = np.full_like(ax, self.coeffs[j])
+            term, da, db = np.full_like(ax, self.coeffs[j]), 0.0, 0.0
             if self.disks[j] is not None:
-                term = term + self.disks[j].evaluate(ta, tb)
-            out = out * ax + term
-        return out
+                dv, da, db = self.disks[j].gradient(ta, tb)
+                term = term + dv
+            slope = slope * ax + val
+            val = val * ax + term
+            ga = ga * ax + da
+            gb = gb * ax + db
+        return val, slope, ga, gb
 
-    def axial_slope(self, ax, ta, tb):
-        ax = np.asarray(ax, dtype=float)
-        out = np.zeros_like(ax)
-        for j in range(len(self.coeffs) - 1, 0, -1):
-            term = np.full_like(ax, j * self.coeffs[j])
-            if self.disks[j] is not None:
-                term = term + j * self.disks[j].evaluate(ta, tb)
-            out = out * ax + term
-        return out
-
-    def transverse_gradient(self, ax, ta, tb):
-        ax = np.asarray(ax, dtype=float)
-        ga = np.zeros_like(ax)
-        gb = np.zeros_like(ax)
-        for j, d in enumerate(self.disks):
-            if d is None:
-                continue
-            da, db = d.gradient(ta, tb)
-            ga += ax ** j * da
-            gb += ax ** j * db
-        return ga, gb
+    @staticmethod
+    def combine(growths, weights):
+        """The growth sum_k weights[k] growths[k] of one outlet."""
+        coeffs = np.zeros(max(g.coeffs.size for g in growths))
+        disks = [None] * coeffs.size
+        for g, w in zip(growths, weights):
+            coeffs[:g.coeffs.size] += w * g.coeffs
+            for j, d in enumerate(g.disks):
+                if d is not None:
+                    d = d.scale(w)
+                    disks[j] = d if disks[j] is None else disks[j] + d
+        return OutletGrowth(growths[0].edge, coeffs, tuple(disks))
 
     def cross_integrals(self, radius):
         """Disk integral of each power's cross-section profile."""
@@ -273,9 +273,9 @@ def _source_values(junction: TruncatedJunction, data: InnerData, pts):
         if not band.any():
             continue
         a, b = TRANSVERSE_AXES[i]
-        axb, ta, tb = ax[band], pts[band, a], pts[band, b]
-        out[band] += (g.value(axb, ta, tb) * step.deriv2(axb)
-                      + 2.0 * g.axial_slope(axb, ta, tb) * step.deriv(axb))
+        axb = ax[band]
+        gv, gs, _, _ = g.evaluate(axb, pts[band, a], pts[band, b])
+        out[band] += gv * step.deriv2(axb) + 2.0 * gs * step.deriv(axb)
     if data.fpart is not None:
         out += (1.0 - chi_sum) * data.fpart(pts[:, 0], pts[:, 1], pts[:, 2])
     return out
@@ -303,7 +303,8 @@ def assemble_load(junction: TruncatedJunction, data: InnerData):
 class JunctionField:
     """A solved junction field: decaying nodal part plus analytic growth.
 
-    ``load`` is the assembled load vector the decaying part solves for.
+    ``load`` is the assembled load vector the decaying part solves for;
+    a weighted sum of solved fields (:class:`FieldStack`) has none.
     """
 
     def __init__(self, junction: TruncatedJunction, decay, load, growth=None,
@@ -338,8 +339,8 @@ class JunctionField:
             if not live.any():
                 continue
             a, b = TRANSVERSE_AXES[i]
-            out[live] += step(ax[live]) * g.value(ax[live], pts[live, a],
-                                                  pts[live, b])
+            out[live] += step(ax[live]) * g.evaluate(
+                ax[live], pts[live, a], pts[live, b])[0]
         return out
 
     def nodal_total(self):
@@ -364,15 +365,11 @@ class JunctionField:
         fit = np.polyfit(xs[keep], means[keep], 1)
         return float(fit[0])
 
-    def evaluate(self, points, gradient=False):
+    def evaluate(self, points):
+        """(values, gradients) of the whole field at junction points."""
         points = np.asarray(points, dtype=float)
-        loc = self.junction.ctx.locator()
-        if gradient:
-            vals, grads = loc.evaluate(self.decay, points, gradient=True)
-            grads = grads.copy()
-        else:
-            vals = loc.evaluate(self.decay, points)
-        vals = vals + self.constant
+        vals, grads = self.junction.ctx.locator().evaluate(self.decay, points)
+        vals += self.constant
         step = self.junction.step
         for i in range(3):
             g = self.growth[i]
@@ -383,17 +380,37 @@ class JunctionField:
             if not live.any():
                 continue
             a, b = TRANSVERSE_AXES[i]
-            axl, ta, tb = ax[live], points[live, a], points[live, b]
+            axl = ax[live]
+            gv, gs, ga, gb = g.evaluate(axl, points[live, a], points[live, b])
             chi = step(axl)
-            gval = g.value(axl, ta, tb)
-            vals[live] += chi * gval
-            if gradient:
-                grads[live, i] += (step.deriv(axl) * gval
-                                   + chi * g.axial_slope(axl, ta, tb))
-                ga, gb = g.transverse_gradient(axl, ta, tb)
-                grads[live, a] += chi * ga
-                grads[live, b] += chi * gb
-        return (vals, grads) if gradient else vals
+            vals[live] += chi * gv
+            grads[live, i] += step.deriv(axl) * gv + chi * gs
+            grads[live, a] += chi * ga
+            grads[live, b] += chi * gb
+        return vals, grads
+
+
+class FieldStack:
+    """Solved junction fields whose weighted sums are served as one field.
+
+    The decaying parts are stacked once as columns; the outlet growths
+    and the constants are linear in the weights.
+    """
+
+    def __init__(self, fields):
+        self.fields = tuple(fields)
+        self.decays = np.column_stack([f.decay for f in self.fields])
+
+    def combine(self, weights):
+        """sum_k weights[k] fields[k] over the first len(weights) fields."""
+        w = np.asarray(weights, dtype=float)
+        fields = self.fields[:w.size]
+        growth = tuple(
+            OutletGrowth.combine([f.growth[i] for f in fields], w)
+            for i in range(3))
+        constant = w @ [f.constant for f in fields]
+        return JunctionField(fields[0].junction, self.decays[:, :w.size] @ w,
+                             None, growth=growth, constant=constant)
 
 
 def solve_decaying(junction: TruncatedJunction, data: InnerData, rtol=1e-10):

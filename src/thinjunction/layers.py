@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .config import ProblemSpec
 from .corrector import EdgeCorrector
@@ -35,8 +36,17 @@ class BoundaryLayerTerm:
     coeffs: np.ndarray
     tail_norm: float = 0.0
 
+    def __post_init__(self):
+        # the modes with nonzero weight, as arrays for one table per call
+        live = np.flatnonzero(self.coeffs)
+        modes = [self.spectrum.modes[j] for j in live]
+        self._coeffs = self.coeffs[live]
+        self._n = np.array([m.n for m in modes])
+        self._lam = np.array([m.lam for m in modes])
+        self._sin = np.array([m.kind == "sin" for m in modes], dtype=bool)
+
     @classmethod
-    def zero(cls, edge, order, radius, count=1):
+    def zero(cls, edge, order, radius):
         sp = DiskSpectrum(radius, count=1)
         return cls(edge=edge, order=order, spectrum=sp,
                    coeffs=np.zeros(1), tail_norm=0.0)
@@ -55,44 +65,35 @@ class BoundaryLayerTerm:
 
     def values(self, s, xa, xb):
         """Layer values at stretched distance s and transverse points."""
-        s = np.asarray(s, dtype=float)
-        xa = np.asarray(xa, dtype=float)
-        xb = np.asarray(xb, dtype=float)
-        if self.is_zero:
-            return np.zeros(np.broadcast(s, xa).shape)
-        r = np.hypot(xa, xb)
-        t = np.arctan2(xb, xa)
-        V = self.spectrum.values_matrix(np.ravel(r), np.ravel(t))
-        E = np.exp(-np.outer(np.ravel(np.broadcast_to(s, r.shape)),
-                             self.spectrum.rates))
-        out = (V * E) @ self.coeffs
-        return out.reshape(r.shape) if r.shape else float(out[0])
+        shape = np.broadcast(s, xa, xb).shape
+        out = self.gradient(s, xa, xb)[0]
+        return out.reshape(shape) if shape else float(out[0])
 
     def gradient(self, s, xa, xb):
-        """(d/ds, d/dxa, d/dxb) of the layer at the given points."""
-        s = np.asarray(s, dtype=float).ravel()
-        xa = np.asarray(xa, dtype=float).ravel()
-        xb = np.asarray(xb, dtype=float).ravel()
-        if self.is_zero:
-            z = np.zeros(xa.shape)
-            return z, z.copy(), z.copy()
+        """(value, d/ds, d/dxa, d/dxb) of the layer at the given points.
+
+        One Bessel table J_{n-1}, J_n, J_{n+1} of all weighted modes
+        serves the value and the gradient: J_n' and n J_n / (lam r) are
+        the half difference and the half sum of the neighbours.
+        """
+        s, xa, xb = (np.ravel(v).astype(float)
+                     for v in np.broadcast_arrays(s, xa, xb))
         r = np.hypot(xa, xb)
         t = np.arctan2(xb, xa)
-        rates = self.spectrum.rates
-        E = np.exp(-np.outer(s, rates)) * self.coeffs
-        ds = np.zeros(xa.shape)
-        ga = np.zeros(xa.shape)
-        gb = np.zeros(xa.shape)
+        lam = self._lam
+        orders = self._n + np.array([-1, 0, 1])[:, None, None]
+        jm, jn, jp = special.jv(orders, r[:, None] * lam)
+        ang = t[:, None] * self._n
+        trig = np.where(self._sin, np.sin(ang), np.cos(ang))
+        dtrig = np.where(self._sin, np.cos(ang), -np.sin(ang))
+        w = np.exp(-s[:, None] * lam) * self._coeffs
+        radial = w * jn * trig
+        val = radial.sum(axis=1)
+        ds = -(radial @ lam)
+        dr = (w * (jm - jp) * trig) @ (0.5 * lam)
+        dt_over_r = (w * (jm + jp) * dtrig) @ (0.5 * lam)
         ct, st = np.cos(t), np.sin(t)
-        for j, mode in enumerate(self.spectrum.modes):
-            if self.coeffs[j] == 0.0:
-                continue
-            w = E[:, j]
-            ds -= rates[j] * w * mode.values(r, t)
-            dr, dt_over_r = mode.gradient_polar(r, t)
-            ga += w * (ct * dr - st * dt_over_r)
-            gb += w * (st * dr + ct * dt_over_r)
-        return ds, ga, gb
+        return val, ds, ct * dr - st * dt_over_r, st * dr + ct * dt_over_r
 
     def amplitude(self):
         """Certified sup-norm constant: sum |a_p| sup|Theta_p|."""

@@ -61,14 +61,13 @@ class ReferenceSolution:
         lim = margin * self.epsilon * self.spec.ell
         return region_mask(self.ctx, lambda c: np.max(c, axis=1) < lim)
 
-    def norms_against(self, fn=None, mask=None, degree=2):
+    def norms_against(self, fn=None, mask=None):
         """(L2, H1 semi, H1) of the FEM field minus an analytic field.
 
         ``fn(points) -> (values, gradients)``; None measures the FEM
         field itself.
         """
-        return norms(self.ctx, self.u, reference=fn, mask=mask,
-                     degree=degree)
+        return norms(self.ctx, self.u, reference=fn, mask=mask)
 
     def domain_measure(self):
         return float(self.ctx.volumes.sum())

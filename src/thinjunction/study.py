@@ -260,7 +260,7 @@ def _junction_h1(exp: Expansion, ref: ReferenceSolution):
         live = np.repeat(mask > 0, pts.shape[0] // mask.size)
         vals = np.zeros(pts.shape[0])
         grads = np.zeros_like(pts)
-        v, g = nf.evaluate(pts[live] / eps, gradient=True)
+        v, g = nf.evaluate(pts[live] / eps)
         vals[live] = base + eps * v
         grads[live] = g
         return vals, grads

@@ -7,7 +7,6 @@ import pytest
 
 from thinjunction import (
     LateralLoad,
-    ProblemSpec,
     RadiusProfile,
     SourceField,
     load_spec,

@@ -6,6 +6,7 @@ from scipy import special
 
 from thinjunction import DiskSpectrum
 from thinjunction.diskspec import DiskQuadrature, radial_derivative_roots
+from thinjunction.layers import BoundaryLayerTerm
 
 
 def _bisect_first_root_n1():
@@ -72,8 +73,16 @@ def test_modes_satisfy_helmholtz():
 def test_rim_slope_vanishes():
     spec = DiskSpectrum(0.8, count=10)
     th = np.linspace(0, 2 * np.pi, 13)
-    for mode in spec.modes[:8]:
-        dr, _ = mode.gradient_polar(np.full_like(th, 0.8), th)
+    xa, xb = 0.8 * np.cos(th), 0.8 * np.sin(th)
+    for j, mode in enumerate(spec.modes[:8]):
+        assert mode.rim_slope() < 1e-11
+        # the radial derivative of the mode through a one-mode end layer
+        coeffs = np.zeros(len(spec.modes))
+        coeffs[j] = 1.0
+        term = BoundaryLayerTerm(edge=0, order=2, spectrum=spec,
+                                 coeffs=coeffs)
+        _, _, ga, gb = term.gradient(np.zeros_like(th), xa, xb)
+        dr = ga * np.cos(th) + gb * np.sin(th)
         assert np.max(np.abs(dr)) < 1e-11
 
 

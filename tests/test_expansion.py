@@ -1,9 +1,13 @@
-"""Interior residual terms of the assembled expansion."""
+"""The assembled expansion: served values and gradients, residual terms."""
 
 import math
 
 import numpy as np
 
+from evaluate_oracle import evaluate_reference, residual_terms_reference
+from thinjunction.config import TRANSVERSE_AXES
+from thinjunction.corrector import EdgeCorrector
+from thinjunction.fem3d import PointLocator
 from thinjunction.study import predicted_exponent, residual_cloud, slope_band
 
 
@@ -40,3 +44,95 @@ def test_residual_terms_on_the_sample_cloud(exp_rich):
     pred = predicted_exponent("RESID_1", spec)
     lo, hi = slope_band("RESID_1")
     assert pred - lo <= slope <= pred + hi
+
+
+def _cloud(spec, eps, rng, n=60):
+    """Points of the bulge, the matching band, the tube interiors and the
+    end-layer band, at most 0.9 of the radius off the axis."""
+    lo = eps * spec.ell
+    out = [rng.uniform(-lo, lo, (n, 3))]
+    match = 3.0 * spec.ell * eps ** spec.alpha
+    for i in range(3):
+        a, b = TRANSVERSE_AXES[i]
+        for xl, xh in ((lo, match), (match, 0.7), (0.75, 1.0)):
+            x = rng.uniform(xl, xh, n)
+            r = 0.9 * eps * spec.h[i](x) * np.sqrt(rng.uniform(size=n))
+            th = rng.uniform(0.0, 2.0 * np.pi, n)
+            p = np.zeros((n, 3))
+            p[:, i] = x
+            p[:, a] = r * np.cos(th)
+            p[:, b] = r * np.sin(th)
+            out.append(p)
+    return np.vstack(out)
+
+
+def _assert_close(got, want, rtol=1e-12):
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= rtol * (1.0 + np.abs(want)))
+
+
+def test_evaluate_matches_the_term_by_term_oracle(exp_rich):
+    rng = np.random.default_rng(11)
+    for eps in (0.2, 0.1, 0.05):
+        pts = _cloud(exp_rich.spec, eps, rng)
+        for m in (0, 1, 2):
+            vals, grads = exp_rich.evaluate(pts, eps, m=m, gradient=True)
+            want_v, want_g = evaluate_reference(exp_rich, pts, eps, m=m,
+                                                gradient=True)
+            _assert_close(vals, want_v)
+            _assert_close(grads, want_g)
+            _assert_close(exp_rich.evaluate(pts, eps, m=m), want_v)
+
+
+def test_residual_terms_match_the_term_by_term_oracle(exp_rich):
+    for eps in (0.2, 0.1, 0.05):
+        cloud = residual_cloud(exp_rich.spec, eps, n_axial=60)
+        for m in (0, 1, 2):
+            got = exp_rich.residual_terms(cloud, eps, m=m)
+            want = residual_terms_reference(exp_rich, cloud, eps, m=m)
+            assert sorted(got) == sorted(want) == list(range(1, 8))
+            for j in want:
+                _assert_close(got[j], want[j])
+
+
+def test_evaluate_gradient_matches_finite_differences(exp_rich):
+    """Tube and end-layer points beyond the matching zone, where the
+    partial sum is smooth."""
+    spec = exp_rich.spec
+    rng = np.random.default_rng(12)
+    d = 1e-6
+    for eps in (0.2, 0.05):
+        pts = _cloud(spec, eps, rng, n=20)
+        pts = pts[pts.max(axis=1) > 3.0 * spec.ell * eps ** spec.alpha]
+        assert np.any(pts.max(axis=1) > exp_rich.cut_end.lo)
+        _, grads = exp_rich.evaluate(pts, eps, gradient=True)
+        for axis in range(3):
+            step = np.zeros(3)
+            step[axis] = d * eps
+            fd = (exp_rich.evaluate(pts + step, eps)
+                  - exp_rich.evaluate(pts - step, eps)) / (2.0 * d * eps)
+            assert np.all(np.abs(fd - grads[:, axis])
+                          <= 1e-6 * (1.0 + np.abs(grads[:, axis]))), axis
+
+
+def test_one_pass_per_request(exp_rich, monkeypatch):
+    counts = {"locate": 0, "modal_batch": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(PointLocator, "locate",
+                        counted("locate", PointLocator.locate))
+    monkeypatch.setattr(EdgeCorrector, "modal_batch",
+                        counted("modal_batch", EdgeCorrector.modal_batch))
+    rng = np.random.default_rng(13)
+    for eps in (0.2, 0.05):
+        pts = _cloud(exp_rich.spec, eps, rng, n=10)
+        for gradient in (True, False):
+            counts.update(locate=0, modal_batch=0)
+            exp_rich.evaluate(pts, eps, gradient=gradient)
+            assert counts["locate"] == 1
+            assert counts["modal_batch"] <= 2 * 3

@@ -100,7 +100,7 @@ def test_omega_k_zero_data_is_zero(fx_spec):
 def test_germ_matches_values_near_vertex(fx_spec):
     gf = solve_limit(fx_spec)
     for i in range(3):
-        g = gf.germ(i, extra_degree=4)
+        g = gf.germ(i)
         x = np.linspace(0.0, 0.05, 21)
         assert np.max(np.abs(g(x) - gf.value(i, x))) < 1e-9
 

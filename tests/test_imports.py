@@ -1,0 +1,40 @@
+"""Every top-level import of a package module is used.
+
+No linter runs on the package, so this is the check for unused imports.
+``__init__.py`` re-exports names and ``__future__`` imports are
+directives, so both are left out.
+"""
+
+import ast
+import pathlib
+
+import pytest
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "thinjunction"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source):
+    """Names bound by top-level imports that the module never reads."""
+    tree = ast.parse(source)
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [(a.asname or a.name).split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    return sorted(set(bound) - read)
+
+
+def test_the_check_sees_unused_names():
+    src = ("from __future__ import annotations\n"
+           "import os.path\nimport numpy as np\n"
+           "from dataclasses import dataclass, field\n"
+           "x = np.zeros(1)\n@dataclass\nclass A:\n    pass\n")
+    assert unused_imports(src) == ["field", "os"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_unused_top_level_import(path):
+    assert unused_imports(path.read_text()) == []

@@ -66,11 +66,13 @@ class TestOutletGrowth:
         disk = DiskPoly.from_poly2(np.array([[0.0, 0.0], [0.5, 0.0]]))
         g = OutletGrowth(0, [1.0, 2.0, 0.5], disks=(None, disk, None))
         ax, ta, tb = 2.0, 0.3, -0.1
+        value, slope, ga, gb = g.evaluate(ax, ta, tb)
         want = 1.0 + (2.0 + 0.5 * ta) * ax + 0.5 * ax ** 2
-        assert g.value(ax, ta, tb) == pytest.approx(want, rel=1e-14)
+        assert value == pytest.approx(want, rel=1e-14)
         want_slope = (2.0 + 0.5 * ta) + 1.0 * ax
-        assert g.axial_slope(ax, ta, tb) == pytest.approx(want_slope,
-                                                          rel=1e-14)
+        assert slope == pytest.approx(want_slope, rel=1e-14)
+        assert ga == pytest.approx(0.5 * ax, rel=1e-14)
+        assert gb == pytest.approx(0.0, abs=1e-15)
 
     def test_cross_integrals(self):
         disk = DiskPoly.from_poly2(np.array([[0.0], [0.0], [1.0]]))

@@ -64,7 +64,7 @@ def test_gradient_matches_fd(pi2):
     term, _ = pi2
     s = np.array([0.25])
     xa, xb = np.array([0.07]), np.array([-0.04])
-    ds, ga, gb = term.gradient(s, xa, xb)
+    _, ds, ga, gb = term.gradient(s, xa, xb)
     d = 1e-6
     fds = (term.values(s + d, xa, xb) - term.values(s - d, xa, xb)) / (2 * d)
     fga = (term.values(s, xa + d, xb) - term.values(s, xa - d, xb)) / (2 * d)

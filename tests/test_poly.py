@@ -1,7 +1,5 @@
 """Trivariate polynomials and the associated exact integrals."""
 
-import math
-
 import numpy as np
 import pytest
 

@@ -22,7 +22,6 @@ from numpy.polynomial import Polynomial
 
 from .poly import (
     Poly3,
-    box_monomial_integral,
     circle_monomial_integral,
     disk_monomial_integral,
     trig_power_modes,
@@ -272,12 +271,6 @@ class AneurysmShape:
 
     def volume(self):
         return 8.0 * self.ell ** 3
-
-    def monomial_integral(self, powers):
-        return box_monomial_integral(powers, self.ell)
-
-    def poly_integral(self, p: Poly3):
-        return sum(c * box_monomial_integral(pw, self.ell) for pw, c in p.terms())
 
     def to_json(self):
         return {"type": self.kind}

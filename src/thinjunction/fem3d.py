@@ -1,7 +1,8 @@
 """Piecewise-linear finite elements on the tetrahedral meshes.
 
-Vectorized assembly, a Jacobi-preconditioned conjugate-gradient solver
-with constant deflation for pure flux-condition problems,
+Vectorized assembly, a conjugate-gradient solver with a two-level
+preconditioner (Jacobi plus one coarse unknown per tube station) and
+constant deflation for pure flux-condition problems,
 quadrature-based norms, and cross-section utilities (averages, slab
 fluxes, point evaluation).
 """
@@ -12,10 +13,10 @@ import math
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, cg
+from scipy.sparse.linalg import LinearOperator, cg, splu
 from scipy.spatial import cKDTree
 
-from .mesh3d import TetMesh
+from .mesh3d import TetMesh, face_keys
 
 _S5 = math.sqrt(5.0)
 _TET_RULES = {
@@ -72,6 +73,17 @@ _TRI_RULES[4] = _tri_rule_4()
 # ~200 bytes per pair a block's temporaries stay near 13 MB; 2**14 pairs
 # was up to 1.4x slower and 2**17 no faster.
 PAIR_BUDGET = 1 << 16
+
+# Most face steps of PointLocator's walk; one that has neither found
+# its tet nor left the mesh by then is not located.
+WALK_STEPS = 200
+
+# Vertices of the face opposite each vertex of a tet.
+_OPPOSITE = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+
+# Restarts of CG from its own iterate when its recursive residual met
+# rtol but the true residual did not.
+CG_RESTARTS = 3
 
 # Tets per block of FemContext.volume_load.  Under the 14-point rule
 # of the junction load a block's quadrature points take 40 MB.
@@ -159,38 +171,88 @@ class FemContext:
         return self._locator
 
 
-def _solve_spd(a, b, rtol=1e-10, deflate=False):
-    """Jacobi-preconditioned CG; ``deflate`` solves in the mean-zero class."""
+def station_labels(mesh: TetMesh):
+    """Coarse aggregate of every node: one per tube station, then one
+    for the nodes of no station (the bulge)."""
+    labels = np.full(mesh.num_nodes, -1, dtype=np.int64)
+    count = 0
+    for edge in sorted(mesh.stations):
+        for st in mesh.stations[edge]:
+            labels[st.nodes] = count
+            count += 1
+    labels[labels < 0] = count
+    return labels
+
+
+def _solve_spd(a, b, rtol=1e-10, deflate=False, labels=None):
+    """Two-level preconditioned CG; ``deflate`` solves in the mean-zero class.
+
+    The preconditioner is additive, M^-1 r = D^-1 r + P (P^T A P)^-1 P^T r,
+    where column j of P is the indicator of the nodes with ``labels == j``
+    (one aggregate by default).  The coarse matrix is factored once.  In
+    the mean-zero class one coarse dof is pinned, as constants are the
+    kernel, and both operators are wrapped in the mean-zero projection.
+
+    The solve meets ``rtol`` on the true residual ||b - A u|| / ||b||:
+    CG restarts from its iterate while only its recursive residual does,
+    at most ``CG_RESTARTS`` times, and then raises.
+    """
     n = a.shape[0]
     d = a.diagonal()
     d[d == 0.0] = 1.0
     inv = 1.0 / d
+    if labels is None:
+        labels = np.zeros(n, dtype=np.int64)
+    _, agg = np.unique(labels, return_inverse=True)
+    nc = int(agg.max()) + 1 if n else 0
+    pinned = 1 if deflate else 0
+    p = sparse.csr_matrix((np.ones(n), (np.arange(n), agg)),
+                          shape=(n, nc))[:, pinned:]
+    coarse = np.zeros(nc)
+    lu = splu((p.T @ a @ p).tocsc()) if nc > pinned else None
+
+    def two_level(v):
+        if lu is not None:
+            coarse[pinned:] = lu.solve(
+                np.bincount(agg, weights=v, minlength=nc)[pinned:])
+        return inv * v + coarse[agg]
 
     if deflate:
         def project(v):
             return v - v.mean()
 
         op = LinearOperator((n, n), matvec=lambda v: project(a @ project(v)))
-        mop = LinearOperator((n, n), matvec=lambda v: project(inv * project(v)))
+        mop = LinearOperator((n, n),
+                             matvec=lambda v: project(two_level(project(v))))
         rhs = project(b)
     else:
         op, rhs = a, b
-        mop = LinearOperator((n, n), matvec=lambda v: inv * v)
+        mop = LinearOperator((n, n), matvec=two_level)
 
     iters = [0]
 
     def count(_):
         iters[0] += 1
 
-    u, code = cg(op, rhs, rtol=rtol, atol=0.0, maxiter=20000, M=mop,
-                 callback=count)
-    if code != 0:
-        raise RuntimeError(f"conjugate gradients stalled (code {code})")
-    if deflate:
-        u = u - u.mean()
-    resid = float(np.linalg.norm(a @ u - rhs) / max(np.linalg.norm(rhs),
-                                                    1e-300))
-    return u, {"iterations": iters[0], "relative_residual": resid}
+    norm_b = max(float(np.linalg.norm(rhs)), 1e-300)
+    u = np.zeros(n)
+    for restarts in range(1 + CG_RESTARTS):
+        u, code = cg(op, rhs, x0=u, rtol=rtol, atol=0.0, maxiter=20000,
+                     M=mop, callback=count)
+        if code != 0:
+            raise RuntimeError(f"conjugate gradients stalled (code {code})")
+        if deflate:
+            u = project(u)
+        resid = float(np.linalg.norm(a @ u - rhs)) / norm_b
+        if resid <= rtol:
+            break
+    else:
+        raise RuntimeError(
+            f"conjugate gradients reached a true relative residual of "
+            f"{resid:.3e}, above rtol {rtol:.1e}, after {CG_RESTARTS} "
+            f"restarts")
+    return u, {"iterations": iters[0], "relative_residual": resid,
+               "restarts": restarts}
 
 
 def solve_poisson(ctx: FemContext, volume=None, neumann=None, dirichlet=None,
@@ -213,8 +275,10 @@ def solve_poisson(ctx: FemContext, volume=None, neumann=None, dirichlet=None,
     for tag, fn in (neumann or {}).items():
         b += ctx.surface_load(tag, fn, degree=2)
 
+    labels = station_labels(mesh)
     if not dirichlet:
-        u, info = _solve_spd(ctx.matrix, b, rtol=rtol, deflate=True)
+        u, info = _solve_spd(ctx.matrix, b, rtol=rtol, deflate=True,
+                             labels=labels)
         info["load_defect"] = float(b.sum())
         return u, info
 
@@ -232,7 +296,8 @@ def solve_poisson(ctx: FemContext, volume=None, neumann=None, dirichlet=None,
     free = ~fixed
     a = ctx.matrix
     b_f = b[free] - a[free][:, fixed] @ values[fixed]
-    u_f, info = _solve_spd(a[free][:, free].tocsr(), b_f, rtol=rtol)
+    u_f, info = _solve_spd(a[free][:, free].tocsr(), b_f, rtol=rtol,
+                           labels=labels[free])
     u = values.copy()
     u[free] = u_f
     return u, info
@@ -330,6 +395,22 @@ class PointLocator:
         self._adj_ptr = np.concatenate([[0], np.cumsum(counts)])
         self._tree = cKDTree(mesh.nodes)
         self._origin = mesh.nodes[tets[:, 0]]
+        self._sagitta = float(mesh.meta.get("sagitta", 0.0))
+        self._neighbours, self._end_face = self._face_neighbours(mesh)
+
+    @staticmethod
+    def _face_neighbours(mesh):
+        """Tet across each face (-1 on the boundary) and end-face flags."""
+        key = face_keys(mesh.tets[:, _OPPOSITE], mesh.num_nodes).ravel()
+        order = np.argsort(key, kind="stable")
+        twin = np.flatnonzero(key[order][1:] == key[order][:-1])
+        nb = np.full(key.size, -1, dtype=np.int32)
+        nb[order[twin]] = order[twin + 1] // 4
+        nb[order[twin + 1]] = order[twin] // 4
+        ends = [f for tag, f in mesh.boundary.items() if tag.startswith("end")]
+        end_key = face_keys(np.concatenate(ends), mesh.num_nodes) if ends \
+            else np.zeros(0, dtype=np.int64)
+        return nb.reshape(-1, 4), np.isin(key, end_key).reshape(-1, 4)
 
     def locate(self, points, tol=1e-9):
         """(tet index, barycentric coords) per point; -1 when outside.
@@ -418,9 +499,62 @@ class PointLocator:
         lam = np.column_stack([l0[first], local[first]])
         return p_idx[rows[first]], cand[first], gaps[first], lam
 
+    def _walk(self, points, tol=1e-9):
+        """(tet, barycentric coords) of points by walking face neighbours.
+
+        Each walk starts at the lowest-index tet of the point's nearest
+        node and steps across the face with the most negative barycentric
+        among those with a neighbour (a visibility walk).  It ends inside
+        a tet, within ``tol``, with clipped coordinates.  A walk whose
+        negative faces all lie on the boundary has left the mesh: when
+        none of them is an end face and the point is at most the mesh's
+        sagitta beyond each, it keeps that tet with unclipped coordinates,
+        i.e. the tet's linear field.  Otherwise the tet is -1.
+        """
+        npts = len(points)
+        tet = np.full(npts, -1, dtype=np.int64)
+        bary = np.zeros((npts, 4))
+        _, near = self._tree.query(points)
+        live = np.flatnonzero(self._adj_ptr[near + 1] > self._adj_ptr[near])
+        cur = self._adj_tets[self._adj_ptr[near[live]]]
+        for _ in range(WALK_STEPS):
+            if live.size == 0:
+                break
+            local = np.einsum("tkd,td->tk", self._grads[cur, 1:],
+                              points[live] - self._origin[cur])
+            lam = np.column_stack([1.0 - local.sum(axis=1), local])
+            nb = self._neighbours[cur]
+            out = lam < -tol
+            inside = ~out.any(axis=1)
+            tet[live[inside]] = cur[inside]
+            bary[live[inside]] = np.clip(lam[inside], 0.0, None)
+            step = np.where(out & (nb >= 0), lam, np.inf)
+            face = np.argmin(step, axis=1)
+            left = ~inside & np.isinf(step[np.arange(live.size), face])
+            dist = np.where(out, -lam, 0.0) / np.linalg.norm(
+                self._grads[cur], axis=2)
+            gap = (left & ~(out & self._end_face[cur]).any(axis=1)
+                   & (dist.max(axis=1) <= self._sagitta))
+            tet[live[gap]] = cur[gap]
+            bary[live[gap]] = lam[gap]
+            move = ~(inside | left)
+            live = live[move]
+            cur = nb[move, face[move]].astype(np.int64)
+        return tet, bary
+
     def evaluate(self, u, points):
-        """(values, gradients) of the nodal field u at the points."""
+        """(values, gradients) of the nodal field u at the points.
+
+        Points :meth:`locate` misses are walked to (:meth:`_walk`), so a
+        point in the gap between a curved wall and its facets gets the
+        linear field of the tet beside it.  Raises when a point is
+        neither located nor within the sagitta beyond the wall.
+        """
+        points = np.asarray(points, dtype=float)
         tet, lam = self.locate(points)
+        miss = np.flatnonzero(tet < 0)
+        if miss.size:
+            tet[miss], lam[miss] = self._walk(points[miss])
         if np.any(tet < 0):
             raise ValueError("points outside the mesh")
         nodal = u[self._tets[tet]]

@@ -22,7 +22,13 @@ import numpy as np
 
 from .config import TRANSVERSE_AXES, ProblemSpec
 from .cutoffs import SmoothStep
-from .fem3d import FemContext, _solve_spd, station_average, station_profile
+from .fem3d import (
+    FemContext,
+    _solve_spd,
+    station_average,
+    station_labels,
+    station_profile,
+)
 from .mesh3d import build_junction_mesh
 from .poly import (
     Poly3,
@@ -420,7 +426,8 @@ def solve_decaying(junction: TruncatedJunction, data: InnerData, rtol=1e-10):
     pairs with the special fields.
     """
     b = assemble_load(junction, data)
-    u, info = _solve_spd(junction.ctx.matrix, b, rtol=rtol, deflate=True)
+    u, info = _solve_spd(junction.ctx.matrix, b, rtol=rtol, deflate=True,
+                         labels=station_labels(junction.mesh))
     shift = station_average(junction.mesh, u, junction.mesh.stations[0][-1])
     return JunctionField(junction, u - shift, b, info=info)
 
@@ -441,7 +448,8 @@ def solve_special(junction: TruncatedJunction, edge, rtol=1e-10):
     growth[edge] = OutletGrowth(edge, [0.0, 1.0 / (math.pi * re * re)])
     data = InnerData(k=0, growth=tuple(growth))
     b = assemble_load(junction, data)
-    u, info = _solve_spd(junction.ctx.matrix, b, rtol=rtol, deflate=True)
+    u, info = _solve_spd(junction.ctx.matrix, b, rtol=rtol, deflate=True,
+                         labels=station_labels(junction.mesh))
     shift = JunctionField(junction, u, b).plateau(0)
     fld = JunctionField(junction, u - shift, b, growth=tuple(growth),
                         info=dict(info))

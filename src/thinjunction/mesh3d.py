@@ -265,6 +265,7 @@ class _DomainBuilder:
         self.uv_disk, self.disk_tris = disk_layout(rings, segments)
         self.n_disk = self.uv_disk.shape[0]
         self._face_ids = {}
+        self.max_radius = 0.0
         self._build_box()
 
     def _build_box(self):
@@ -305,9 +306,11 @@ class _DomainBuilder:
         ids = self._face_ids[axis][:self.n_disk]
         self.stations[axis] = [Station(float(xs[0]), ids)]
         prev = ids
+        self.max_radius = max(self.max_radius, self.radii[axis])
         for x in xs[1:]:
-            pts = _tube_section(self.uv_disk, axis, float(x),
-                                float(radius_fn(float(x))))
+            radius = float(radius_fn(float(x)))
+            self.max_radius = max(self.max_radius, radius)
+            pts = _tube_section(self.uv_disk, axis, float(x), radius)
             cur = self.pool.add(pts)
             self.tets.append(split_prisms(prev[self.disk_tris],
                                           cur[self.disk_tris]))
@@ -315,6 +318,7 @@ class _DomainBuilder:
             prev = cur
 
     def finish(self, end_planes, meta):
+        meta["sagitta"] = sagitta(self.max_radius, self.segments)
         nodes = self.pool.coords()
         tets = _orient_tets(nodes, np.concatenate(self.tets, axis=0))
         boundary = _classify_boundary(nodes, tets, self.half, end_planes)
@@ -323,17 +327,26 @@ class _DomainBuilder:
                        disk_tris=self.disk_tris, meta=meta)
 
 
-def _boundary_faces(tets):
+def face_keys(faces, num_nodes):
+    """One int64 key per triangle, (a*n + b)*n + c of its sorted vertices."""
+    n = int(num_nodes)
+    assert n < 1 << 21, "face keys overflow int64"
+    s = np.sort(np.asarray(faces, dtype=np.int64), axis=-1)
+    return (s[..., 0] * n + s[..., 1]) * n + s[..., 2]
+
+
+def _boundary_faces(tets, num_nodes):
+    """Faces that belong to one tet only, in the order of ``tets``."""
     faces = np.concatenate([
         tets[:, [1, 2, 3]], tets[:, [0, 3, 2]],
         tets[:, [0, 1, 3]], tets[:, [0, 2, 1]]], axis=0)
-    key = np.sort(faces, axis=1)
-    _, inv, counts = np.unique(key, axis=0, return_inverse=True,
-                               return_counts=True)
+    _, inv, counts = np.unique(face_keys(faces, num_nodes),
+                               return_inverse=True, return_counts=True)
     return faces[counts[inv] == 1]
 
+
 def _classify_boundary(nodes, tets, half, end_planes):
-    faces = _boundary_faces(tets)
+    faces = _boundary_faces(tets, nodes.shape[0])
     cent = nodes[faces].mean(axis=1)
     tags = {}
     assigned = np.zeros(faces.shape[0], dtype=bool)
@@ -347,6 +360,11 @@ def _classify_boundary(nodes, tets, half, end_planes):
         assigned |= lateral
     tags["wall"] = faces[~assigned]
     return tags
+
+
+def sagitta(radius, segments):
+    """Widest gap between a circle and its inscribed ``segments``-gon."""
+    return radius * (1.0 - math.cos(math.pi / segments))
 
 
 def _layout_params(refine):
@@ -424,15 +442,16 @@ def build_tube_mesh(radius, length, axial, refine=1.0, radius_fn=None):
     stations = []
     tets = []
     prev = None
-    for x in xs:
-        ids = pool.add(_tube_section(uv, 0, float(x), float(rfn(float(x)))))
+    radii = [float(rfn(float(x))) for x in xs]
+    for x, r in zip(xs, radii):
+        ids = pool.add(_tube_section(uv, 0, float(x), r))
         stations.append(Station(float(x), ids))
         if prev is not None:
             tets.append(split_prisms(prev[disk_tris], ids[disk_tris]))
         prev = ids
     nodes = pool.coords()
     tets = _orient_tets(nodes, np.concatenate(tets, axis=0))
-    faces = _boundary_faces(tets)
+    faces = _boundary_faces(tets, nodes.shape[0])
     cent = nodes[faces].mean(axis=1)
     tol = 1e-9 * max(1.0, length)
     at_0 = np.abs(cent[:, 0]) < tol
@@ -442,7 +461,8 @@ def build_tube_mesh(radius, length, axial, refine=1.0, radius_fn=None):
     return TetMesh(nodes=nodes, tets=tets.astype(np.int32),
                    boundary=boundary, stations={0: stations},
                    disk_tris=disk_tris,
-                   meta={"radius": radius, "length": length, "axial": axial})
+                   meta={"radius": radius, "length": length, "axial": axial,
+                         "sagitta": sagitta(max(radii), segments)})
 
 
 def export_vtk(mesh: TetMesh, path, fields=None):

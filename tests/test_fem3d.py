@@ -5,9 +5,20 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
+from scipy.sparse.linalg import cg, spsolve
 
 from locator_oracle import locate_reference
-from thinjunction import build_tube_mesh, fem3d
+from thinjunction import (
+    build_junction_mesh,
+    build_thin_mesh,
+    build_tube_mesh,
+    fem3d,
+    solve_reference,
+    with_epsilon,
+)
 from thinjunction.fem3d import (
     FemContext,
     galerkin_residual,
@@ -16,6 +27,7 @@ from thinjunction.fem3d import (
     slab_flux,
     solve_poisson,
     station_average,
+    station_labels,
     station_profile,
 )
 from thinjunction.mesh3d import TetMesh
@@ -143,6 +155,137 @@ class TestSolves:
     def test_missing_dirichlet_tag_rejected(self, ctx):
         with pytest.raises(KeyError):
             solve_poisson(ctx, dirichlet={"no_such_tag": 0.0})
+
+
+def _end_dirichlet_system(ctx):
+    """Stiffness rows and columns of the nodes off the end disks."""
+    mesh = ctx.mesh
+    fixed = np.zeros(mesh.num_nodes, dtype=bool)
+    for tag in mesh.boundary:
+        if tag.startswith("end"):
+            fixed[np.unique(mesh.boundary[tag])] = True
+    free = ~fixed
+    return ctx.matrix[free][:, free].tocsr(), free
+
+
+class TestTwoLevelCG:
+    """Jacobi plus one coarse unknown per tube station, and the contract
+    that the true residual meets rtol."""
+
+    @pytest.fixture(scope="class")
+    def thin_ctx(self, fx_spec):
+        spec = with_epsilon(fx_spec, 0.2)
+        return FemContext(build_thin_mesh(spec, axial=0.05, refine=0.5))
+
+    @pytest.fixture(scope="class")
+    def junction_ctx(self, flat_spec):
+        mesh = build_junction_mesh(flat_spec, R=flat_spec.ell + 3.5,
+                                   refine=0.6)
+        return FemContext(mesh)
+
+    def test_labels_one_per_station_and_one_for_the_bulge(self, thin_ctx):
+        mesh = thin_ctx.mesh
+        labels = station_labels(mesh)
+        stations = [st for sts in mesh.stations.values() for st in sts]
+        assert labels.max() == len(stations)
+        for j, st in enumerate(stations):
+            assert np.all(labels[st.nodes] == j)
+        assert np.bincount(labels).min() > 0
+
+    def test_dirichlet_solve_matches_direct(self, thin_ctx):
+        a, free = _end_dirichlet_system(thin_ctx)
+        b = thin_ctx.volume_load(lambda p: p[:, 0] + np.sin(9.0 * p[:, 1]))
+        b = b[free]
+        u, info = fem3d._solve_spd(
+            a, b, labels=station_labels(thin_ctx.mesh)[free])
+        want = spsolve(a.tocsc(), b)
+        assert np.linalg.norm(u - want) <= 1e-9 * np.linalg.norm(want)
+        assert info["relative_residual"] <= 1e-10
+
+    def test_deflated_junction_solve_matches_direct(self, junction_ctx):
+        a = junction_ctx.matrix
+        b = junction_ctx.volume_load(lambda p: p[:, 0] - p[:, 2] ** 2)
+        b -= b.mean()
+        u, info = fem3d._solve_spd(
+            a, b, deflate=True, labels=station_labels(junction_ctx.mesh))
+        # pin node 0, then move the direct solution into the mean-zero class
+        want = np.zeros(len(b))
+        want[1:] = spsolve(a[1:, 1:].tocsc(), b[1:])
+        want -= want.mean()
+        assert abs(u.mean()) < 1e-14 * np.abs(u).max()
+        assert np.linalg.norm(u - want) <= 1e-9 * np.linalg.norm(want)
+        assert info["relative_residual"] <= 1e-10
+
+    def test_iterations_do_not_grow_with_the_stations(self, monkeypatch,
+                                                      fx_spec):
+        # the paper's leading term is constant on cross-sections: one
+        # coarse unknown per station removes the axial modes that make
+        # Jacobi-CG grow with the number of stations
+        seen = []
+        solve = fem3d._solve_spd
+
+        def record(a, b, *args, **kwargs):
+            u, info = solve(a, b, *args, **kwargs)
+            seen.append((a, b, info["iterations"]))
+            return u, info
+
+        monkeypatch.setattr(fem3d, "_solve_spd", record)
+        for eps in (0.2, 0.1):
+            solve_reference(with_epsilon(fx_spec, eps), refine=0.5)
+        jacobi = []
+        for a, b, _ in seen:
+            count = []
+            _, code = cg(a, b, rtol=1e-10, atol=0.0, maxiter=20000,
+                         M=sparse.diags(1.0 / a.diagonal()),
+                         callback=count.append)
+            assert code == 0
+            jacobi.append(len(count))
+        two_level = [it for _, _, it in seen]
+        assert two_level[1] <= 1.2 * two_level[0]
+        assert jacobi[1] >= 1.5 * jacobi[0]
+        assert 2 * two_level[1] < jacobi[1]
+
+    @staticmethod
+    def _drifting_cg(monkeypatch, drift_calls):
+        """Let CG report success with an iterate off by 1e-6 relative on
+        its first ``drift_calls`` calls, as a drifting recursive residual
+        would."""
+        calls = []
+
+        def drifting(*args, **kwargs):
+            u, code = cg(*args, **kwargs)
+            calls.append(kwargs.get("x0"))
+            if len(calls) <= drift_calls:
+                u = u * (1.0 + 1e-6)
+            return u, code
+
+        monkeypatch.setattr(fem3d, "cg", drifting)
+        return calls
+
+    def test_true_residual_above_rtol_restarts(self, monkeypatch, ctx):
+        a, free = _end_dirichlet_system(ctx)
+        b = ctx.volume_load(lambda p: np.ones(len(p)))[free]
+        calls = self._drifting_cg(monkeypatch, drift_calls=1)
+        u, info = fem3d._solve_spd(a, b)
+        assert len(calls) == 2 and info["restarts"] == 1
+        assert not np.any(calls[0]) and np.any(calls[1])
+        assert info["relative_residual"] <= 1e-10
+        true = np.linalg.norm(b - a @ u) / np.linalg.norm(b)
+        assert true == info["relative_residual"]
+
+    def test_solve_that_never_meets_rtol_raises(self, monkeypatch, ctx):
+        a, free = _end_dirichlet_system(ctx)
+        b = ctx.volume_load(lambda p: np.ones(len(p)))[free]
+        calls = self._drifting_cg(monkeypatch, drift_calls=100)
+        with pytest.raises(RuntimeError, match="true relative residual"):
+            fem3d._solve_spd(a, b)
+        assert len(calls) == 1 + fem3d.CG_RESTARTS
+
+    def test_unlabelled_call_uses_one_aggregate(self):
+        a = sparse.diags([2.0, 3.0, 4.0]).tocsr()
+        u, info = fem3d._solve_spd(a, np.ones(3))
+        assert np.allclose(u, [0.5, 1 / 3, 0.25], rtol=1e-12)
+        assert info["restarts"] == 0
 
 
 class TestEvaluation:
@@ -342,6 +485,109 @@ class TestBatchedLocator:
             assert ref() is None
         finally:
             gc.enable()
+
+
+class TestWalk:
+    """Points the candidate rounds miss: a face walk finds their tet, or
+    gives a point in the gap beside a curved wall its tet's linear field."""
+
+    @pytest.fixture(scope="class")
+    def jloc(self, junction_flat6):
+        return junction_flat6.ctx.locator()
+
+    @staticmethod
+    def _gap_points(mesh, edge, n, depth, seed):
+        """Points at mid-facet angles, ``depth`` sagittas outside the
+        facets of tube ``edge`` (depth <= 1 stays inside the circle)."""
+        rng = np.random.default_rng(seed)
+        segments = mesh.meta.get("segments", 48)
+        st0, st1 = mesh.stations[edge][1], mesh.stations[edge][-2]
+        x = rng.uniform(st0.x, st1.x, n)
+        rim = mesh.nodes[st0.nodes]
+        axes = [a for a in range(3) if a != edge]
+        radius = np.hypot(*rim[:, axes].T).max()
+        th = 2.0 * np.pi * (rng.integers(0, segments, n) + 0.5) / segments
+        r = radius * np.cos(np.pi / segments) + depth * mesh.meta["sagitta"]
+        pts = np.empty((n, 3))
+        pts[:, edge] = x
+        pts[:, axes[0]] = r * np.cos(th)
+        pts[:, axes[1]] = r * np.sin(th)
+        return pts
+
+    def test_wall_gap_gets_the_linear_field(self, ctx, tube):
+        pts = self._gap_points(tube, 0, 200, depth=0.9, seed=21)
+        loc = ctx.locator()
+        assert np.all(loc.locate(pts)[0] == -1)
+        vals, grads = loc.evaluate(linear_field(tube.nodes), pts)
+        assert np.abs(vals - linear_field(pts)).max() < 1e-12
+        assert np.abs(grads - LINEAR_GRAD).max() < 1e-12
+
+    def test_junction_wall_gap_answers(self, jloc, junction_flat6):
+        mesh = junction_flat6.mesh
+        pts = np.vstack([self._gap_points(mesh, e, 100, 0.99, 22 + e)
+                         for e in range(3)])
+        assert np.all(jloc.locate(pts)[0] == -1)
+        vals, _ = jloc.evaluate(linear_field(mesh.nodes), pts)
+        assert np.abs(vals - linear_field(pts)).max() < 1e-12
+
+    def test_beyond_the_sagitta_still_raises(self, ctx, tube):
+        loc = ctx.locator()
+        u = np.zeros(tube.num_nodes)
+        for p in self._gap_points(tube, 0, 20, depth=1.5, seed=23):
+            with pytest.raises(ValueError, match="outside"):
+                loc.evaluate(u, p[None])
+
+    def test_beyond_an_end_face_still_raises(self, ctx, tube):
+        # end disks are flat: a point past one is outside the domain
+        s = tube.meta["sagitta"]
+        pts = np.array([[1.0 + 0.5 * s, 0.1, 0.05], [-0.5 * s, 0.0, 0.2]])
+        for p in pts:
+            with pytest.raises(ValueError, match="outside"):
+                ctx.locator().evaluate(np.zeros(tube.num_nodes), p[None])
+
+    def test_rounds_misses_inside_tets_are_walked_to(self, jloc,
+                                                     junction_flat6):
+        mesh = junction_flat6.mesh
+        pts = _inside_points(mesh, 40000, seed=15)
+        missed = pts[jloc.locate(pts)[0] < 0]
+        assert len(missed) > 5
+        tet, bary = jloc._walk(missed)
+        assert np.all(tet >= 0)
+        x = mesh.nodes[mesh.tets[tet]]
+        assert np.abs(np.einsum("pa,pad->pd", bary, x) - missed).max() < 1e-12
+        vals, _ = jloc.evaluate(linear_field(mesh.nodes), missed)
+        assert np.abs(vals - linear_field(missed)).max() < 1e-12
+
+    def test_answers_do_not_depend_on_the_batch(self, jloc, junction_flat6):
+        mesh = junction_flat6.mesh
+        pts = np.vstack([_inside_points(mesh, 3000, seed=24),
+                         self._gap_points(mesh, 1, 300, 0.5, seed=25)])
+        u = np.sin(mesh.nodes).sum(axis=1)
+        whole = jloc.evaluate(u, pts)
+        for size in (1, 7, 64):
+            parts = [jloc.evaluate(u, pts[i:i + size])
+                     for i in range(0, len(pts), size)]
+            assert np.array_equal(np.concatenate([p[0] for p in parts]),
+                                  whole[0])
+            assert np.array_equal(np.concatenate([p[1] for p in parts]),
+                                  whole[1])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_every_point_inside_a_tet_is_answered(self, jloc,
+                                                  junction_flat6, data):
+        mesh = junction_flat6.mesh
+        tets = data.draw(st.lists(
+            st.integers(0, mesh.num_tets - 1), min_size=1, max_size=32))
+        lam = np.array(data.draw(st.lists(
+            st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+            min_size=len(tets), max_size=len(tets)))) + 1e-12
+        lam /= lam.sum(axis=1, keepdims=True)
+        pts = np.einsum("pa,pad->pd", lam, mesh.nodes[mesh.tets[tets]])
+        vals, _ = jloc.evaluate(linear_field(mesh.nodes), pts)
+        # a point on a shared face or edge may take a neighbour whose
+        # barycentrics are down to -1e-9 and are clipped
+        assert np.abs(vals - linear_field(pts)).max() < 1e-8
 
 
 def test_norms_of_known_field(ctx, tube):

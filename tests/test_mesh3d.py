@@ -3,12 +3,18 @@
 import numpy as np
 import pytest
 
+from boundary_faces_oracle import boundary_faces_reference
 from thinjunction import (
     build_junction_mesh,
     build_thin_mesh,
     build_tube_mesh,
 )
-from thinjunction.mesh3d import export_vtk, graded_stations, snap_stations
+from thinjunction.mesh3d import (
+    _boundary_faces,
+    export_vtk,
+    graded_stations,
+    snap_stations,
+)
 
 
 @pytest.fixture(scope="module")
@@ -168,6 +174,41 @@ class TestThinMesh:
         eps = rich_spec.epsilon
         exact = np.pi * (eps * rich_spec.h[1](1.0)) ** 2
         assert thin.boundary_area("end_1") == pytest.approx(exact, rel=0.06)
+
+
+class TestBoundaryFaces:
+    """The integer-keyed face count against the row-keyed oracle."""
+
+    @pytest.mark.parametrize("name", ["tube", "junction", "thin"])
+    def test_bitwise_equal_to_oracle(self, request, name):
+        mesh = request.getfixturevalue(name)
+        for tets in (mesh.tets, mesh.tets.astype(np.int64)):
+            got = _boundary_faces(tets, mesh.num_nodes)
+            want = boundary_faces_reference(tets)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+    def test_tags_partition_the_boundary_faces(self, thin):
+        faces = _boundary_faces(thin.tets, thin.num_nodes)
+        tagged = np.concatenate(list(thin.boundary.values()))
+        assert len(tagged) == len(faces)
+        key = np.sort(faces, axis=1)
+        assert np.array_equal(np.unique(key, axis=0),
+                              np.unique(np.sort(tagged, axis=1), axis=0))
+
+    def test_key_range_is_checked(self, tube):
+        with pytest.raises(AssertionError, match="overflow"):
+            _boundary_faces(tube.tets, 1 << 21)
+
+    def test_sagitta_recorded(self, tube, junction, thin):
+        # the widest station rim of each mesh sets its sagitta
+        axes = {0: (1, 2), 1: (0, 2), 2: (0, 1)}
+        for mesh in (tube, junction, thin):
+            rim = max(np.hypot(*mesh.nodes[st.nodes][:, axes[e]].T).max()
+                      for e, sts in mesh.stations.items() for st in sts)
+            segments = mesh.meta.get("segments", 48)  # tubes: refine 1
+            assert mesh.meta["sagitta"] == pytest.approx(
+                rim * (1.0 - np.cos(np.pi / segments)), rel=1e-12)
 
 
 class TestStationHelpers:

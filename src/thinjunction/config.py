@@ -126,11 +126,6 @@ class RadiusProfile:
         """End of the constant stretch at x = 0."""
         return float(self.breakpoints[1]) if len(self.pieces) > 1 else 1.0
 
-    @property
-    def plateau1(self):
-        """Start of the constant stretch at x = 1."""
-        return float(self.breakpoints[-2]) if len(self.pieces) > 1 else 0.0
-
     def is_constant(self):
         return len(self.pieces) == 1
 

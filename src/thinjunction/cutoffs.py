@@ -31,9 +31,6 @@ class SmoothStep:
         t = self._t(x)
         return 60.0 * t * (1.0 - t) * (1.0 - 2.0 * t) / self.width ** 2
 
-    def falling(self, x):
-        return 1.0 - self(x)
-
     @property
     def support(self):
         """Interval where the derivatives are nonzero."""

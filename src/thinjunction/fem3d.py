@@ -68,12 +68,6 @@ def _tri_rule_4():
 
 _TRI_RULES[4] = _tri_rule_4()
 
-# Most (point, candidate tet) pairs PointLocator.locate expands at once.
-# Node fans reach ~1,700 tets, so blocks are cut on the pair count.  At
-# ~200 bytes per pair a block's temporaries stay near 13 MB; 2**14 pairs
-# was up to 1.4x slower and 2**17 no faster.
-PAIR_BUDGET = 1 << 16
-
 # Most face steps of PointLocator's walk; one that has neither found
 # its tet nor left the mesh by then is not located.
 WALK_STEPS = 200
@@ -378,7 +372,7 @@ def slab_flux(ctx: FemContext, u, axis, lo, hi):
 
 
 class PointLocator:
-    """Barycentric point location via node adjacency candidates.
+    """Point location by a face walk from the nearest tet centroid.
 
     The locator keeps only the mesh arrays it reads, not the context, so
     a context and its lazily built locator form no reference cycle.
@@ -388,173 +382,102 @@ class PointLocator:
         mesh = ctx.mesh
         self._tets = mesh.tets
         self._grads = ctx.grads
-        tets = mesh.tets.astype(np.int64)
-        order = np.argsort(tets.ravel(), kind="stable")
-        self._adj_tets = order // 4
-        counts = np.bincount(tets.ravel(), minlength=mesh.num_nodes)
-        self._adj_ptr = np.concatenate([[0], np.cumsum(counts)])
-        self._tree = cKDTree(mesh.nodes)
-        self._origin = mesh.nodes[tets[:, 0]]
+        self._origin = mesh.nodes[mesh.tets[:, 0]]
+        self._tree = cKDTree(mesh.nodes[mesh.tets].mean(axis=1))
         self._sagitta = float(mesh.meta.get("sagitta", 0.0))
-        self._neighbours, self._end_face = self._face_neighbours(mesh)
+        faces = mesh.tets[:, _OPPOSITE].reshape(-1, 3)
+        key = face_keys(faces, mesh.num_nodes)
+        self._neighbours = self._face_neighbours(key).reshape(-1, 4)
+        self._end_face = self._tagged(mesh, key, "end").reshape(-1, 4)
+        wall = np.flatnonzero(self._tagged(mesh, key, "lateral"))
+        self._wall_tets = wall // 4
+        self._wall_tree = cKDTree(mesh.nodes[faces[wall]].mean(axis=1))
 
     @staticmethod
-    def _face_neighbours(mesh):
-        """Tet across each face (-1 on the boundary) and end-face flags."""
-        key = face_keys(mesh.tets[:, _OPPOSITE], mesh.num_nodes).ravel()
+    def _face_neighbours(key):
+        """Tet across each face (-1 on the boundary), faces by their keys."""
         order = np.argsort(key, kind="stable")
         twin = np.flatnonzero(key[order][1:] == key[order][:-1])
         nb = np.full(key.size, -1, dtype=np.int32)
         nb[order[twin]] = order[twin + 1] // 4
         nb[order[twin + 1]] = order[twin] // 4
-        ends = [f for tag, f in mesh.boundary.items() if tag.startswith("end")]
-        end_key = face_keys(np.concatenate(ends), mesh.num_nodes) if ends \
-            else np.zeros(0, dtype=np.int64)
-        return nb.reshape(-1, 4), np.isin(key, end_key).reshape(-1, 4)
+        return nb
 
-    def locate(self, points, tol=1e-9):
-        """(tet index, barycentric coords) per point; -1 when outside.
+    @staticmethod
+    def _tagged(mesh, key, prefix):
+        """Flags of the faces on boundary tags that start with ``prefix``."""
+        faces = [f for tag, f in mesh.boundary.items()
+                 if tag.startswith(prefix)]
+        if not faces:
+            return np.zeros(key.size, dtype=bool)
+        return np.isin(key, face_keys(np.concatenate(faces), mesh.num_nodes))
 
-        Rounds query the 1, 8 and 32 nearest nodes of the points still
-        unlocated; a point's candidates are the tets adjacent to those
-        nodes.  A round picks the candidate with the largest smallest
-        barycentric (the smallest tet index among ties) and accepts it
-        within ``tol``.  Points never accepted fall back to their best
-        candidate over all rounds when it is within 1e-6.
-        """
+    def locate(self, points):
+        """(tet index, barycentric coords) per point; -1 when not located.
 
-        points = np.asarray(points, dtype=float)
-        npts = points.shape[0]
-        found = np.full(npts, -1, dtype=np.int64)
-        bary = np.zeros((npts, 4))
-        best_gap = np.full(npts, -np.inf)
-        best_tet = np.full(npts, -1, dtype=np.int64)
-        best_bary = np.zeros((npts, 4))
-        for k in (1, 8, 32):
-            todo = np.flatnonzero(found < 0)
-            if todo.size == 0:
-                break
-            _, near = self._tree.query(points[todo], k=k)
-            near = np.asarray(near).reshape(todo.size, -1)
-            pairs = np.cumsum(
-                (self._adj_ptr[near + 1] - self._adj_ptr[near]).sum(axis=1))
-            lo = 0
-            while lo < todo.size:
-                done = pairs[lo - 1] if lo else 0
-                hi = max(lo + 1, int(np.searchsorted(
-                    pairs, done + PAIR_BUDGET, side="right")))
-                p_idx, tet, gap, lam = self._best_candidates(
-                    points, todo[lo:hi], near[lo:hi])
-                better = gap > best_gap[p_idx]
-                best_gap[p_idx[better]] = gap[better]
-                best_tet[p_idx[better]] = tet[better]
-                best_bary[p_idx[better]] = lam[better]
-                hit = gap >= -tol
-                found[p_idx[hit]] = tet[hit]
-                bary[p_idx[hit]] = np.clip(lam[hit], 0.0, None)
-                lo = hi
-        missing = found < 0
-        if missing.any():
-            ok = best_gap >= -1e-6
-            found[missing & ok] = best_tet[missing & ok]
-            bary[missing & ok] = np.clip(best_bary[missing & ok], 0.0, None)
-        return found, bary
-
-    def _best_candidates(self, points, p_idx, near):
-        """(points, best tet, its smallest barycentric, all four) of a block.
-
-        Candidate pairs are deduplicated by sorting ``row * ntets + tet``
-        keys, which also orders each point's candidates by tet index, so
-        the first maximum of a row is its smallest-index best tet.
-        Points without any candidate are left out.
-        """
-
-        ptr = self._adj_ptr
-        start = ptr[near].ravel()
-        count = ptr[near + 1].ravel() - start
-        ends = np.cumsum(count)
-        offset = np.arange(ends[-1]) + np.repeat(start - ends + count, count)
-        rows = np.repeat(np.arange(near.size) // near.shape[1], count)
-        stride = self._tets.shape[0]
-        key = rows * stride + self._adj_tets[offset]
-        if key.size == 0:
-            return p_idx[:0], key, np.zeros(0), np.zeros((0, 4))
-        key.sort()
-        key = key[np.concatenate(([True], key[1:] != key[:-1]))]
-        rows, cand = np.divmod(key, stride)
-        # inverse edge matrices, contiguous so that the einsum sums in
-        # the order of the per-point loop and matches it bit for bit
-        minv = np.ascontiguousarray(
-            np.swapaxes(self._grads[cand, 1:], 1, 2))
-        local = np.einsum("tdk,td->tk", minv,
-                          points[p_idx[rows]] - self._origin[cand])
-        l1, l2, l3 = local.T
-        l0 = 1.0 - (l1 + l2 + l3)
-        gaps = np.minimum(np.minimum(l0, l1), np.minimum(l2, l3))
-        head = np.concatenate(([True], rows[1:] != rows[:-1]))
-        seg = np.cumsum(head) - 1
-        top = np.maximum.reduceat(gaps, np.flatnonzero(head))
-        tied = np.flatnonzero(gaps == top[seg])
-        first = tied[np.concatenate(([True], seg[tied][1:] != seg[tied][:-1]))]
-        lam = np.column_stack([l0[first], local[first]])
-        return p_idx[rows[first]], cand[first], gaps[first], lam
-
-    def _walk(self, points, tol=1e-9):
-        """(tet, barycentric coords) of points by walking face neighbours.
-
-        Each walk starts at the lowest-index tet of the point's nearest
-        node and steps across the face with the most negative barycentric
+        Each walk starts at the tet whose centroid is nearest the point
+        and steps across the face with the most negative barycentric
         among those with a neighbour (a visibility walk).  It ends inside
-        a tet, within ``tol``, with clipped coordinates.  A walk whose
+        a tet, within 1e-9, with clipped coordinates.  A walk whose
         negative faces all lie on the boundary has left the mesh: when
         none of them is an end face and the point is at most the mesh's
         sagitta beyond each, it keeps that tet with unclipped coordinates,
-        i.e. the tet's linear field.  Otherwise the tet is -1.
+        i.e. the tet's linear field.  A walk that left elsewhere, such as
+        through the box wall beside a tube mouth for a point in the tube's
+        wall gap, restarts once from the tet of the nearest tube wall
+        face.  Otherwise, or when the walk takes more than ``WALK_STEPS``
+        steps, the tet is -1.  The walk depends only on the point, so
+        answers do not depend on the batch.
         """
+        points = np.asarray(points, dtype=float)
         npts = len(points)
         tet = np.full(npts, -1, dtype=np.int64)
         bary = np.zeros((npts, 4))
-        _, near = self._tree.query(points)
-        live = np.flatnonzero(self._adj_ptr[near + 1] > self._adj_ptr[near])
-        cur = self._adj_tets[self._adj_ptr[near[live]]]
+        _, cur = self._tree.query(points)
+        live = np.arange(npts)
+        fresh = np.full(npts, self._wall_tets.size > 0)
         for _ in range(WALK_STEPS):
             if live.size == 0:
                 break
             local = np.einsum("tkd,td->tk", self._grads[cur, 1:],
                               points[live] - self._origin[cur])
             lam = np.column_stack([1.0 - local.sum(axis=1), local])
-            nb = self._neighbours[cur]
-            out = lam < -tol
+            out = lam < -1e-9
             inside = ~out.any(axis=1)
             tet[live[inside]] = cur[inside]
             bary[live[inside]] = np.clip(lam[inside], 0.0, None)
+            nb = self._neighbours[cur]
             step = np.where(out & (nb >= 0), lam, np.inf)
             face = np.argmin(step, axis=1)
-            left = ~inside & np.isinf(step[np.arange(live.size), face])
-            dist = np.where(out, -lam, 0.0) / np.linalg.norm(
-                self._grads[cur], axis=2)
-            gap = (left & ~(out & self._end_face[cur]).any(axis=1)
-                   & (dist.max(axis=1) <= self._sagitta))
-            tet[live[gap]] = cur[gap]
-            bary[live[gap]] = lam[gap]
-            move = ~(inside | left)
-            live = live[move]
-            cur = nb[move, face[move]].astype(np.int64)
+            rows = np.arange(live.size)
+            left = np.flatnonzero(~inside & np.isinf(step[rows, face]))
+            # distances beyond the faces, only for walks that left
+            t, o = cur[left], out[left]
+            dist = np.where(o, -lam[left], 0.0) / np.linalg.norm(
+                self._grads[t], axis=2)
+            ok = (~(o & self._end_face[t]).any(axis=1)
+                  & (dist.max(axis=1) <= self._sagitta))
+            tet[live[left[ok]]] = t[ok]
+            bary[live[left[ok]]] = lam[left[ok]]
+            again = left[~ok & fresh[live[left]]]
+            fresh[live[again]] = False
+            nxt = nb[rows, face].astype(np.int64)
+            nxt[again] = self._wall_tets[
+                self._wall_tree.query(points[live[again]])[1]]
+            move = ~inside
+            move[left] = False
+            move[again] = True
+            live, cur = live[move], nxt[move]
         return tet, bary
 
     def evaluate(self, u, points):
         """(values, gradients) of the nodal field u at the points.
 
-        Points :meth:`locate` misses are walked to (:meth:`_walk`), so a
-        point in the gap between a curved wall and its facets gets the
-        linear field of the tet beside it.  Raises when a point is
-        neither located nor within the sagitta beyond the wall.
+        A point in the gap between a curved wall and its facets gets the
+        linear field of the tet beside it (:meth:`locate`).  Raises when
+        a point is not located.
         """
-        points = np.asarray(points, dtype=float)
         tet, lam = self.locate(points)
-        miss = np.flatnonzero(tet < 0)
-        if miss.size:
-            tet[miss], lam[miss] = self._walk(points[miss])
         if np.any(tet < 0):
             raise ValueError("points outside the mesh")
         nodal = u[self._tets[tet]]

@@ -73,18 +73,19 @@ class EdgeFunction:
     c0 = pi h(0)^2 w'(0) and s(x) = int_0^x rhs,
         w'(x) = (c0 - s(x)) / (pi h(x)^2),
         w''(x) = (-rhs(x) - 2 pi h h' w') / (pi h^2).
-    An optional affine tail ``p + q x`` supports the jump substitution.
+    ``s`` is the interpolated flux antiderivative of the solve, whose
+    breakpoints the edge keeps.  An optional affine tail ``p + q x``
+    supports the jump substitution.
     """
 
-    def __init__(self, h, rhs: EdgeRHS, vertex_value, flux0, deg=64):
+    def __init__(self, h, rhs: EdgeRHS, s: PiecewiseCheb, vertex_value,
+                 flux0, deg=64):
         self.h = h
         self.rhs = rhs
         self.c0 = float(flux0)
-        bp = merge_breakpoints(h.breakpoints, rhs.breakpoints)
-        self._bp = bp
-        self._fhat = PiecewiseCheb.interpolate(rhs, bp, deg)
-        self._s = self._fhat.antiderivative()
-        self._wp = PiecewiseCheb.interpolate(self._deriv_exact, bp, deg)
+        self._bp = s.breakpoints
+        self._s = s
+        self._wp = PiecewiseCheb.interpolate(self._deriv_exact, self._bp, deg)
         self._w = self._wp.antiderivative(start=float(vertex_value))
         self.affine = (0.0, 0.0)
 
@@ -216,8 +217,8 @@ def _solve_continuous(spec, rhs_list, flux_total, deg):
     # w_i(1) = v + c_i A_i - B_i = 0 and sum_i c_i = flux_total
     v = (np.sum(B / A) - flux_total) / np.sum(1.0 / A)
     c = (B - v) / A
-    edges = [EdgeFunction(spec.h[i], rhs_list[i], v, c[i], deg=deg)
-             for i in range(3)]
+    edges = [EdgeFunction(spec.h[i], rhs_list[i], s_funcs[i], v, c[i],
+                          deg=deg) for i in range(3)]
     return edges, v, c
 
 

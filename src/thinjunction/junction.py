@@ -122,9 +122,6 @@ class InnerData:
     fpart: Poly3 = None
     walls: tuple = (None, None, None)
 
-    def has_walls(self):
-        return any(w is not None for w in self.walls)
-
 
 def build_inner_rhs(spec: ProblemSpec, k, omega_taylor, corrector_germs):
     """Corrector data of order k from the lower-order expansion state.
@@ -451,11 +448,11 @@ def solve_special(junction: TruncatedJunction, edge, rtol=1e-10):
     u, info = _solve_spd(junction.ctx.matrix, b, rtol=rtol, deflate=True,
                          labels=station_labels(junction.mesh))
     shift = JunctionField(junction, u, b).plateau(0)
-    fld = JunctionField(junction, u - shift, b, growth=tuple(growth),
+    decay = JunctionField(junction, u - shift, b)
+    fld = JunctionField(junction, decay.decay, b, growth=tuple(growth),
                         info=dict(info))
     fld.info["slopes"] = [fld.far_slope(i) for i in range(3)]
-    fld.info["plateaus"] = [
-        JunctionField(junction, u - shift, b).plateau(i) for i in range(3)]
+    fld.info["plateaus"] = [decay.plateau(i) for i in range(3)]
     return fld
 
 

@@ -464,24 +464,3 @@ def build_tube_mesh(radius, length, axial, refine=1.0, radius_fn=None):
                    meta={"radius": radius, "length": length, "axial": axial,
                          "sagitta": sagitta(max(radii), segments)})
 
-
-def export_vtk(mesh: TetMesh, path, fields=None):
-    """Write the mesh and optional vertex fields as legacy-VTK ASCII."""
-
-    with open(path, "w", encoding="ascii") as out:
-        out.write("# vtk DataFile Version 3.0\nthinjunction field\n")
-        out.write("ASCII\nDATASET UNSTRUCTURED_GRID\n")
-        out.write(f"POINTS {mesh.num_nodes} double\n")
-        np.savetxt(out, mesh.nodes, fmt="%.12g")
-        out.write(f"CELLS {mesh.num_tets} {5 * mesh.num_tets}\n")
-        cells = np.concatenate(
-            [np.full((mesh.num_tets, 1), 4, dtype=np.int64),
-             mesh.tets.astype(np.int64)], axis=1)
-        np.savetxt(out, cells, fmt="%d")
-        out.write(f"CELL_TYPES {mesh.num_tets}\n")
-        np.savetxt(out, np.full(mesh.num_tets, 10, dtype=np.int64), fmt="%d")
-        if fields:
-            out.write(f"POINT_DATA {mesh.num_nodes}\n")
-            for name, values in fields.items():
-                out.write(f"SCALARS {name} double 1\nLOOKUP_TABLE default\n")
-                np.savetxt(out, np.asarray(values, dtype=float), fmt="%.12g")

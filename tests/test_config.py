@@ -48,7 +48,6 @@ class TestRadiusProfile:
         assert h(np.array([0.8]))[0] == pytest.approx(0.45)
         assert not h.is_constant()
         assert h.plateau0 == pytest.approx(0.35)
-        assert h.plateau1 == pytest.approx(0.65)
 
     def test_smooth_bump_is_c2(self):
         h = RadiusProfile.smooth_bump(0.25, 0.45)

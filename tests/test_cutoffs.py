@@ -42,11 +42,6 @@ def test_derivatives_match_finite_differences(step):
     assert np.max(np.abs(step.deriv2(x) - fd2)) < 1e-3
 
 
-def test_falling_complement(step):
-    x = np.linspace(0.0, 1.0, 101)
-    assert np.allclose(step.falling(x), 1.0 - step(x), atol=1e-15)
-
-
 def test_support(step):
     lo, hi = step.support
     assert (lo, hi) == (0.6, 0.9)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse.linalg import cg, spsolve
 
-from locator_oracle import locate_reference
+from locator_oracle import LocatorOracle
 from thinjunction import (
     build_junction_mesh,
     build_thin_mesh,
@@ -347,19 +347,84 @@ class TestEvaluation:
         assert l2_half ** 2 == pytest.approx(0.5 * l2_full ** 2, rel=1e-12)
 
 
-def _assert_same_location(loc, pts):
+_ORACLES = {}
+
+
+def _oracle(mesh):
+    """One node-round oracle per mesh, kept with its mesh."""
+    if id(mesh) not in _ORACLES:
+        _ORACLES[id(mesh)] = (mesh, LocatorOracle(mesh))
+    return _ORACLES[id(mesh)][1]
+
+
+def _linear_coords(mesh, tet, pts):
+    """Unclipped barycentric coordinates of the points in the given tets."""
+    x = mesh.nodes[mesh.tets[tet]]
+    local = np.linalg.solve(np.swapaxes(x[:, 1:] - x[:, :1], 1, 2),
+                            (pts - x[:, 0])[..., None])[..., 0]
+    return np.column_stack([1.0 - local.sum(axis=1), local])
+
+
+def _assert_in_tet_or_gap(mesh, pts, tet):
+    """Each located point lies in its tet within 1e-9, or beyond only
+    boundary faces of it that are no end disk, at most the mesh's
+    sagitta away."""
+    located = np.flatnonzero(tet >= 0)
+    lam = _linear_coords(mesh, tet[located], pts[located])
+    row, vertex = np.nonzero(lam < -1e-9)
+    if row.size == 0:
+        return
+    opposite = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+    faces = np.sort(np.take_along_axis(
+        mesh.tets[tet[located[row]]], opposite[vertex], axis=1), axis=1)
+    walls = {tuple(f) for tag, tris in mesh.boundary.items()
+             if not tag.startswith("end")
+             for f in np.sort(tris, axis=1).tolist()}
+    assert all(tuple(f) in walls for f in faces.tolist())
+    x = mesh.nodes[faces]
+    normal = np.cross(x[:, 1] - x[:, 0], x[:, 2] - x[:, 0])
+    dist = np.abs(np.einsum("fd,fd->f", pts[located[row]] - x[:, 0], normal))
+    assert np.all(dist <= mesh.meta.get("sagitta", 0.0)
+                  * np.linalg.norm(normal, axis=1))
+
+
+def _assert_agrees_with_oracle(loc, mesh, pts):
+    """The walk against the node-round oracle.
+
+    Where the oracle's tet is unique (smallest barycentric > 1e-9) the
+    walk takes the same tet and barycentrics.  Every point the oracle
+    locates is located, and a random nodal field has there the P1 value
+    of the oracle's tet: the linear field of that tet at the point,
+    since the oracle clips the coordinates of the points it accepts
+    within 1e-6 only.
+    """
     tet, bary = loc.locate(pts)
-    ref_tet, ref_bary = locate_reference(loc, pts)
-    assert np.array_equal(tet, ref_tet)
-    assert np.array_equal(bary, ref_bary)
+    ref_tet, ref_bary, ref_gap = _oracle(mesh).locate(pts)
+    unique = ref_gap > 1e-9
+    assert np.array_equal(tet[unique], ref_tet[unique])
+    assert np.abs(bary[unique] - ref_bary[unique]).max(initial=0.0) <= 1e-12
+    found = np.flatnonzero(ref_tet >= 0)
+    assert np.all(tet[found] >= 0)
+    u = np.random.default_rng(0).standard_normal(mesh.num_nodes)
+    nodes = mesh.tets.astype(np.int64)
+    val = np.einsum("pa,pa->p", bary[found], u[nodes[tet[found]]])
+    ref = np.einsum("pa,pa->p",
+                    _linear_coords(mesh, ref_tet[found], pts[found]),
+                    u[nodes[ref_tet[found]]])
+    assert np.abs(val - ref).max(initial=0.0) <= 1e-12
+    _assert_in_tet_or_gap(mesh, pts, tet)
     return tet
 
 
-def _inside_points(mesh, n, seed):
+def _inside_points_with_tets(mesh, n, seed):
     rng = np.random.default_rng(seed)
     t = rng.integers(0, mesh.num_tets, n)
     lam = rng.dirichlet(np.ones(4), n)
-    return np.einsum("pa,pad->pd", lam, mesh.nodes[mesh.tets[t]])
+    return np.einsum("pa,pad->pd", lam, mesh.nodes[mesh.tets[t]]), t
+
+
+def _inside_points(mesh, n, seed):
+    return _inside_points_with_tets(mesh, n, seed)[0]
 
 
 def _interior_face_centroids(mesh):
@@ -369,8 +434,16 @@ def _interior_face_centroids(mesh):
     return mesh.nodes[uniq[count == 2]].mean(axis=1)
 
 
+def _beyond_nearest_nodes(mesh, pts, tet, k):
+    """Points whose tet touches none of their k nearest nodes: the
+    oracle's rounds below k never have that tet as a candidate."""
+    _, near = _oracle(mesh).tree.query(pts, k=k)
+    near = np.asarray(near).reshape(len(pts), -1)
+    return ~(mesh.tets[tet][:, :, None] == near[:, None, :]).any(axis=(1, 2))
+
+
 class TestBatchedLocator:
-    """The batched kernel against the per-point reference, bit for bit."""
+    """The face walk against the node-round oracle."""
 
     @pytest.fixture(scope="class")
     def jloc(self, junction_flat6):
@@ -380,7 +453,7 @@ class TestBatchedLocator:
         rng = np.random.default_rng(11)
         pts = rng.uniform([-0.05, -0.55, -0.55], [1.05, 0.55, 0.55],
                           size=(3000, 3))
-        tet = _assert_same_location(ctx.locator(), pts)
+        tet = _assert_agrees_with_oracle(ctx.locator(), tube, pts)
         assert 0 < (tet >= 0).sum() < len(pts)
 
     def test_random_points_in_junction(self, jloc, junction_flat6):
@@ -389,10 +462,12 @@ class TestBatchedLocator:
         lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
         rng = np.random.default_rng(13)
         box = rng.uniform(lo, np.minimum(hi, 1.5), size=(2000, 3))
-        _assert_same_location(jloc, np.vstack([pts, box]))
+        _assert_agrees_with_oracle(jloc, mesh, np.vstack([pts, box]))
 
     def test_vertices_and_shared_faces_tie_rule(self, ctx, tube, jloc,
                                                 junction_flat6):
+        # a vertex or face centroid lies in several tets; the walk may
+        # take another one than the oracle, with the same P1 value
         for loc, mesh in ((ctx.locator(), tube),
                           (jloc, junction_flat6.mesh)):
             rng = np.random.default_rng(14)
@@ -402,38 +477,32 @@ class TestBatchedLocator:
             verts = rng.choice(mesh.num_nodes, min(mesh.num_nodes, 1000),
                                replace=False)
             pts = np.vstack([mesh.nodes[verts], faces[pick]])
-            tet = _assert_same_location(loc, pts)
+            tet = _assert_agrees_with_oracle(loc, mesh, pts)
             assert np.all(tet >= 0)
 
     def test_points_found_only_by_wider_rounds(self, jloc, junction_flat6):
         mesh = junction_flat6.mesh
-        pts = _inside_points(mesh, 40000, seed=15)
-        tet, _ = jloc.locate(pts)
-        pts, tet = pts[tet >= 0], tet[tet >= 0]
-        late = {}
-        for k in (1, 8):
-            _, near = jloc._tree.query(pts, k=k)
-            near = np.asarray(near).reshape(len(pts), -1)
-            touches = (mesh.tets[tet][:, :, None]
-                       == near[:, None, :]).any(axis=(1, 2))
-            late[k] = ~touches
-        # tets adjacent to none of the nearest 1 (8) nodes: the k = 8
-        # (k = 32) round found them
+        pts, tet = _inside_points_with_tets(mesh, 40000, seed=15)
+        late = {k: _beyond_nearest_nodes(mesh, pts, tet, k) for k in (1, 8)}
+        # the oracle's k = 8 (k = 32) round found these; the walk from
+        # the nearest centroid finds their own tet
         assert late[1].sum() > 20 and late[8].sum() > 5
-        _assert_same_location(jloc, pts[late[1]])
+        got = _assert_agrees_with_oracle(jloc, mesh, pts[late[1]])
+        assert np.array_equal(got, tet[late[1]])
 
     def test_isolated_nodes_defer_to_last_round(self):
-        # nodes without tets give the first two rounds no candidate
+        # nodes without tets give the oracle's first two rounds no
+        # candidate; the walk starts from tet centroids and ignores them
         tet_nodes = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
         rng = np.random.default_rng(16)
         stray = np.vstack([0.2 + 0.01 * rng.standard_normal((20, 3)),
                            5.0 + rng.standard_normal((20, 3))])
         mesh = TetMesh(nodes=np.vstack([tet_nodes, stray]),
-                             tets=np.array([[0, 1, 2, 3]]), boundary={},
-                             stations={}, disk_tris=np.empty((0, 3), int))
+                       tets=np.array([[0, 1, 2, 3]]), boundary={},
+                       stations={}, disk_tris=np.empty((0, 3), int))
         loc = FemContext(mesh).locator()
         pts = np.array([[0.2, 0.2, 0.2], [0.21, 0.19, 0.2], [5.0, 5, 5]])
-        tet = _assert_same_location(loc, pts)
+        tet = _assert_agrees_with_oracle(loc, mesh, pts)
         assert tet.tolist() == [0, 0, -1]
 
     def test_points_just_outside_the_wall_fall_back(self, ctx, tube):
@@ -444,23 +513,17 @@ class TestBatchedLocator:
         normal *= np.sign(np.einsum("fd,fd->f", normal,
                                     cent * [0.0, 1.0, 1.0]))[:, None]
         pts = cent + 1e-7 * normal
-        tet = _assert_same_location(ctx.locator(), pts)
+        tet = _assert_agrees_with_oracle(ctx.locator(), tube, pts)
         assert np.all(tet >= 0)
 
-    def test_far_outside_points_are_not_found(self, ctx, jloc):
+    def test_far_outside_points_are_not_found(self, ctx, tube, jloc,
+                                              junction_flat6):
         far = np.array([[2.5, 2.5, 0.0], [0.5, 3.0, 0.0], [-4.0, -4, -4],
                         [50.0, 50, 50]])
-        for loc in (ctx.locator(), jloc):
-            tet = _assert_same_location(loc, far)
+        for loc, mesh in ((ctx.locator(), tube),
+                          (jloc, junction_flat6.mesh)):
+            tet = _assert_agrees_with_oracle(loc, mesh, far)
             assert np.all(tet == -1)
-
-    @pytest.mark.parametrize("budget", [1, 50, 700])
-    def test_small_pair_budget_splits_blocks(self, monkeypatch, jloc,
-                                             junction_flat6, budget):
-        monkeypatch.setattr(fem3d, "PAIR_BUDGET", budget)
-        pts = _inside_points(junction_flat6.mesh, 1500, seed=17)
-        far = np.array([[40.0, 0.0, 0.0]])
-        _assert_same_location(jloc, np.vstack([pts, far]))
 
     def test_empty_batch(self, ctx):
         tet, bary = ctx.locator().locate(np.empty((0, 3)))
@@ -488,21 +551,22 @@ class TestBatchedLocator:
 
 
 class TestWalk:
-    """Points the candidate rounds miss: a face walk finds their tet, or
-    gives a point in the gap beside a curved wall its tet's linear field."""
+    """Points the node rounds missed are found by the walk, and a point
+    in the gap beside a curved wall gets its tet's linear field."""
 
     @pytest.fixture(scope="class")
     def jloc(self, junction_flat6):
         return junction_flat6.ctx.locator()
 
     @staticmethod
-    def _gap_points(mesh, edge, n, depth, seed):
+    def _gap_points(mesh, edge, n, depth, seed, axial=None):
         """Points at mid-facet angles, ``depth`` sagittas outside the
-        facets of tube ``edge`` (depth <= 1 stays inside the circle)."""
+        facets of tube ``edge`` (depth <= 1 stays inside the circle),
+        spread over the tube or over the ``axial`` range."""
         rng = np.random.default_rng(seed)
         segments = mesh.meta.get("segments", 48)
         st0, st1 = mesh.stations[edge][1], mesh.stations[edge][-2]
-        x = rng.uniform(st0.x, st1.x, n)
+        x = rng.uniform(*(axial or (st0.x, st1.x)), n)
         rim = mesh.nodes[st0.nodes]
         axes = [a for a in range(3) if a != edge]
         radius = np.hypot(*rim[:, axes].T).max()
@@ -517,16 +581,23 @@ class TestWalk:
     def test_wall_gap_gets_the_linear_field(self, ctx, tube):
         pts = self._gap_points(tube, 0, 200, depth=0.9, seed=21)
         loc = ctx.locator()
-        assert np.all(loc.locate(pts)[0] == -1)
+        tet, _ = loc.locate(pts)
+        assert np.all(tet >= 0)
+        _assert_in_tet_or_gap(tube, pts, tet)
         vals, grads = loc.evaluate(linear_field(tube.nodes), pts)
         assert np.abs(vals - linear_field(pts)).max() < 1e-12
         assert np.abs(grads - LINEAR_GRAD).max() < 1e-12
 
     def test_junction_wall_gap_answers(self, jloc, junction_flat6):
+        # beside a tube mouth a walk can leave through the box wall first
         mesh = junction_flat6.mesh
+        ell = mesh.stations[0][0].x
         pts = np.vstack([self._gap_points(mesh, e, 100, 0.99, 22 + e)
-                         for e in range(3)])
-        assert np.all(jloc.locate(pts)[0] == -1)
+                         for e in range(3)]
+                        + [self._gap_points(mesh, e, 300, 0.9, 32 + e,
+                                            axial=(ell, ell + 0.01))
+                           for e in range(3)])
+        _assert_in_tet_or_gap(mesh, pts, jloc.locate(pts)[0])
         vals, _ = jloc.evaluate(linear_field(mesh.nodes), pts)
         assert np.abs(vals - linear_field(pts)).max() < 1e-12
 
@@ -548,12 +619,14 @@ class TestWalk:
     def test_rounds_misses_inside_tets_are_walked_to(self, jloc,
                                                      junction_flat6):
         mesh = junction_flat6.mesh
-        pts = _inside_points(mesh, 40000, seed=15)
-        missed = pts[jloc.locate(pts)[0] < 0]
+        pts, tet = _inside_points_with_tets(mesh, 40000, seed=15)
+        beyond = _beyond_nearest_nodes(mesh, pts, tet, 32)
+        missed, own = pts[beyond], tet[beyond]
         assert len(missed) > 5
-        tet, bary = jloc._walk(missed)
-        assert np.all(tet >= 0)
-        x = mesh.nodes[mesh.tets[tet]]
+        assert np.all(_oracle(mesh).locate(missed)[0] == -1)
+        got, bary = jloc.locate(missed)
+        assert np.array_equal(got, own)
+        x = mesh.nodes[mesh.tets[got]]
         assert np.abs(np.einsum("pa,pad->pd", bary, x) - missed).max() < 1e-12
         vals, _ = jloc.evaluate(linear_field(mesh.nodes), missed)
         assert np.abs(vals - linear_field(missed)).max() < 1e-12
@@ -571,6 +644,14 @@ class TestWalk:
                                   whole[0])
             assert np.array_equal(np.concatenate([p[1] for p in parts]),
                                   whole[1])
+
+    def test_points_inside_tets_are_located_within_tol(self, jloc,
+                                                       junction_flat6):
+        mesh = junction_flat6.mesh
+        pts = _inside_points(mesh, 200_000, seed=26)
+        tet, _ = jloc.locate(pts)
+        assert np.all(tet >= 0)
+        assert _linear_coords(mesh, tet, pts).min() >= -1e-9
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(data=st.data())

@@ -13,7 +13,13 @@ from thinjunction import (
     solve_limit,
     solve_omega_k,
 )
-from thinjunction.graph import assemble_rhs0, weak_residual
+from thinjunction.cheb import PiecewiseCheb, merge_breakpoints
+from thinjunction.graph import (
+    EdgeFunction,
+    _solve_continuous,
+    assemble_rhs0,
+    weak_residual,
+)
 from thinjunction.poly import Poly3
 
 from conftest import make_spec
@@ -54,8 +60,20 @@ def test_limit_weak_residual_random_source(rng):
          RadiusProfile.constant(0.2))
     spec = make_spec(f, h=h)
     gf = solve_limit(spec)
-    res = weak_residual(spec, gf, assemble_rhs0(spec))
+    rhs = assemble_rhs0(spec)
+    res = weak_residual(spec, gf, rhs)
     assert res < 1e-9
+    # The edges reuse the solve's flux antiderivative: an edge built from
+    # a fresh interpolation of its rhs is bitwise the same.
+    _, v, c = _solve_continuous(spec, rhs, 0.0, 64)
+    x = np.linspace(0.0, 1.0, 257)
+    for i, edge in enumerate(gf.edges):
+        bp = merge_breakpoints(h[i].breakpoints, rhs[i].breakpoints)
+        s = PiecewiseCheb.interpolate(rhs[i], bp, 64).antiderivative()
+        fresh = EdgeFunction(h[i], rhs[i], s, v, c[i])
+        for name in ("value", "d1", "d2"):
+            assert np.array_equal(getattr(fresh, name)(x),
+                                  getattr(edge, name)(x))
 
 
 def test_limit_with_lateral_load():

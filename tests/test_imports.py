@@ -1,8 +1,8 @@
-"""Every top-level import of a package module is used.
+"""Every top-level import of a package or test module is used.
 
-No linter runs on the package, so this is the check for unused imports.
-``__init__.py`` re-exports names and ``__future__`` imports are
-directives, so both are left out.
+No linter runs on the repository, so this is the check for unused
+imports.  The package's ``__init__.py`` re-exports names and
+``__future__`` imports are directives, so both are left out.
 """
 
 import ast
@@ -10,8 +10,10 @@ import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "thinjunction"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "thinjunction"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+TEST_MODULES = sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source):
@@ -37,4 +39,9 @@ def test_the_check_sees_unused_names():
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_top_level_import(path):
+    assert unused_imports(path.read_text()) == []
+
+
+@pytest.mark.parametrize("path", TEST_MODULES, ids=lambda p: p.name)
+def test_no_unused_import_in_tests(path):
     assert unused_imports(path.read_text()) == []

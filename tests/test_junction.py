@@ -190,7 +190,6 @@ class TestInnerRhs:
         data, _, _ = order_one_data(flat_spec)
         assert data.k == 1
         assert data.fpart is None
-        assert not data.has_walls()
         gf = solve_limit(flat_spec)
         for i in range(3):
             slope = gf.edges[i].germ().coef[1]

@@ -11,7 +11,6 @@ from thinjunction import (
 )
 from thinjunction.mesh3d import (
     _boundary_faces,
-    export_vtk,
     graded_stations,
     snap_stations,
 )
@@ -235,12 +234,3 @@ class TestStationHelpers:
         out = snap_stations(xs, [-0.5, 1.5])
         assert np.allclose(out, xs)
 
-
-def test_export_vtk(tmp_path, tube):
-    path = tmp_path / "tube.vtk"
-    field = tube.nodes[:, 0]
-    export_vtk(tube, path, fields={"axial": field})
-    text = path.read_text()
-    assert text.startswith("# vtk")
-    assert "axial" in text
-    assert f"POINTS {tube.num_nodes}" in text

@@ -1,8 +1,25 @@
-"""Piecewise Chebyshev series on [0, 1] used by the edge ODE solves."""
+"""Piecewise Chebyshev series on [0, 1] used by the edge ODE solves.
+
+Every Chebyshev-in-x quantity of the package is evaluated by one kernel.
+A :class:`ChebTable` maps each point to the variable t of its interval
+and builds T_0(t) .. T_deg(t) by the three-term recurrence, in blocks of
+``BLOCK`` points.  A :class:`ChebStack` holds many series on one
+breakpoint grid, stacked along trailing axes, and one matrix product per
+block gives all of them.  When an expansion is served, the graph
+profiles of all orders and the correctors' modal coefficients of a tube
+come from one such table per request.  The recurrence holds for |t| > 1
+too, so points outside the grid are extrapolated by the polynomial of
+the end interval.
+"""
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
-from numpy.polynomial.chebyshev import Chebyshev
+from numpy.polynomial import Chebyshev
+
+# points per table block; bounds the table of a large call to a few MB
+BLOCK = 4096
 
 
 def merge_breakpoints(*lists, tol=1e-12):
@@ -13,6 +30,111 @@ def merge_breakpoints(*lists, tol=1e-12):
         if p - keep[-1] > tol:
             keep.append(p)
     return np.asarray(keep)
+
+
+def _recurrence(t, deg):
+    """T_0..T_deg at the points t, one row per degree."""
+    T = np.empty((deg + 1, t.size))
+    T[0] = 1.0
+    if deg:
+        T[1] = t
+    t2 = 2.0 * t
+    rows = list(T)
+    for j in range(2, deg + 1):
+        np.multiply(t2, rows[j - 1], out=rows[j])
+        np.subtract(rows[j], rows[j - 2], out=rows[j])
+    return T
+
+
+class ChebTable:
+    """T_0..T_deg of each point's interval variable on one breakpoint grid.
+
+    Each block's points are sorted by interval, so a block is a table of
+    shape (deg+1, points) whose columns run interval by interval, and a
+    stack is contracted with one product per interval segment.  The
+    table of a call of at most ``BLOCK`` points is built once and shared
+    by every stack contracted against it; a larger call rebuilds its
+    blocks per stack, which keeps its memory bounded.
+    """
+
+    def __init__(self, breakpoints, x, deg):
+        self.breakpoints = np.asarray(breakpoints, dtype=float)
+        self.deg = int(deg)
+        x = np.asarray(x, dtype=float)
+        self.shape = x.shape
+        self.x = x.ravel()
+        self._single = self._block(0) if self.x.size <= BLOCK else None
+
+    def fits(self, stack):
+        return stack.deg <= self.deg and np.array_equal(stack.breakpoints,
+                                                        self.breakpoints)
+
+    def _block(self, lo):
+        """(order, segment bounds, table) of the block starting at lo."""
+        bp = self.breakpoints
+        x = self.x[lo: lo + BLOCK]
+        nint = bp.size - 1
+        idx = np.clip(np.searchsorted(bp, x, side="right") - 1, 0, nint - 1)
+        order = np.argsort(idx, kind="stable")
+        idx = idx[order]
+        # numpy's map of the interval [a, b] onto [-1, 1]
+        a, b = bp[idx], bp[idx + 1]
+        t = (-b - a) / (b - a) + 2.0 / (b - a) * x[order]
+        bounds = np.searchsorted(idx, np.arange(nint + 1))
+        return order, bounds, _recurrence(t, self.deg)
+
+    def blocks(self):
+        """(start, order, segment bounds, table) per block of points."""
+        if self._single is not None:
+            yield (0,) + self._single
+            return
+        for lo in range(0, self.x.size, BLOCK):
+            yield (lo,) + self._block(lo)
+
+
+class ChebStack:
+    """Piecewise Chebyshev series on one breakpoint grid, stacked.
+
+    ``coeffs`` has shape (intervals, deg+1, *shape); evaluating at points
+    of shape S gives an array of shape S + shape.
+    """
+
+    def __init__(self, breakpoints, coeffs):
+        c = np.asarray(coeffs, dtype=float)
+        self.breakpoints = np.asarray(breakpoints, dtype=float)
+        self.deg = c.shape[1] - 1
+        self.shape = c.shape[2:]
+        c = c.reshape(c.shape[:2] + (-1,))
+        self._cols = c.shape[2]
+        # BLAS answers a product with one row or one column by gemv, whose
+        # sums run in an order that depends on the number of rows; with
+        # at least two of each (a zero column here, a doubled lone point
+        # in __call__) every point's value is independent of its batch
+        self._coeffs = np.zeros(c.shape[:2] + (max(self._cols, 2),))
+        self._coeffs[:, :, : self._cols] = c
+
+    def table(self, x):
+        return ChebTable(self.breakpoints, x, self.deg)
+
+    def __call__(self, x, table=None):
+        """Every stacked series at x, read off ``table`` when it fits."""
+        if table is None or not table.fits(self):
+            table = self.table(x)
+        out = np.empty((table.x.size, self._cols))
+        d = self.deg + 1
+        for lo, order, bounds, T in table.blocks():
+            res = np.empty((T.shape[1], self._cols))
+            for j, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+                if b - a == 1:
+                    seg = np.repeat(T[:d, a:b], 2, axis=1)
+                elif b > a:
+                    seg = T[:d, a:b]
+                else:
+                    continue
+                res[a:b] = (seg.T @ self._coeffs[j])[: b - a, : self._cols]
+            out[lo + order] = res
+        out = out.reshape(table.shape + self.shape)
+        return out[()] if out.ndim == 0 else out
 
 
 class PiecewiseCheb:
@@ -29,18 +151,24 @@ class PiecewiseCheb:
                   for j in range(len(bp) - 1)]
         return cls(bp, series)
 
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        scalar = x.ndim == 0
-        x = np.atleast_1d(x)
-        idx = np.clip(np.searchsorted(self.breakpoints, x, side="right") - 1,
-                      0, len(self.series) - 1)
-        out = np.empty_like(x)
+    @property
+    def deg(self):
+        return max(s.coef.size for s in self.series) - 1
+
+    def coeffs(self, deg=None):
+        """(intervals, deg+1) coefficients, zero-padded to ``deg``."""
+        deg = self.deg if deg is None else deg
+        out = np.zeros((len(self.series), deg + 1))
         for j, s in enumerate(self.series):
-            m = idx == j
-            if np.any(m):
-                out[m] = s(x[m])
-        return out[0] if scalar else out
+            out[j, : s.coef.size] = s.coef
+        return out
+
+    @cached_property
+    def _stack(self):
+        return ChebStack(self.breakpoints, self.coeffs())
+
+    def __call__(self, x):
+        return self._stack(x)
 
     def deriv(self, m=1):
         return PiecewiseCheb(self.breakpoints, [s.deriv(m) for s in self.series])

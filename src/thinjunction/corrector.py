@@ -27,9 +27,7 @@ from numpy.polynomial import Polynomial
 
 from .config import ProblemSpec, RadiusProfile, eta
 from .graph import EdgeFunction, EdgeRHS
-from .cheb import merge_breakpoints
-
-_EVAL_CHUNK = 8192
+from .cheb import ChebStack, merge_breakpoints
 
 
 class DiskCompatibilityError(ValueError):
@@ -260,47 +258,37 @@ class EdgeCorrector:
     germ: list
 
     def __post_init__(self):
-        # coefficients of the first and second x-derivative, built once
+        # stacks of u and of its first and second x-derivative, built once
         scl = [2.0 / (xr - xl)
                for xl, xr in zip(self.breakpoints, self.breakpoints[1:])]
-        self._derivs = [self.coeffs] + [
-            [npcheb.chebder(c, d, scl=s, axis=0)
-             for c, s in zip(self.coeffs, scl)]
-            for d in (1, 2)]
+        self._stacks = [ChebStack(self.breakpoints, np.stack(
+            [npcheb.chebder(c, d, scl=s, axis=0) if d else c
+             for c, s in zip(self.coeffs, scl)])) for d in range(3)]
 
     @property
     def shape(self):
         return self.coeffs[0].shape[1:]
 
-    def modal_batch(self, x, deriv=0):
-        """Per-point modal arrays of d^deriv u / dx^deriv, (npts, 2, N, P)."""
+    def modal_batch(self, x, deriv=0, table=None):
+        """Per-point modal arrays of d^deriv u / dx^deriv, (npts, 2, N, P).
+
+        ``table`` is a Chebyshev table of the points, used when it is on
+        this corrector's grid and reaches its degree.
+        """
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        out = np.empty((x.size,) + self.shape)
-        coeffs = self._derivs[deriv]
-        idx = np.clip(np.searchsorted(self.breakpoints, x, side="right") - 1,
-                      0, len(coeffs) - 1)
-        for j in np.unique(idx):
-            sel = np.where(idx == j)[0]
-            xl, xr = self.breakpoints[j], self.breakpoints[j + 1]
-            t = (2.0 * x[sel] - (xl + xr)) / (xr - xl)
-            for lo in range(0, sel.size, _EVAL_CHUNK):
-                piece = sel[lo: lo + _EVAL_CHUNK]
-                v = npcheb.chebval(t[lo: lo + _EVAL_CHUNK], coeffs[j],
-                                   tensor=True)
-                out[piece] = np.moveaxis(v, -1, 0)
-        return out
+        return self._stacks[deriv](x, table)
 
     def modal_at(self, x, deriv=0):
         A = self.modal_batch(float(x), deriv)
         return DiskPoly(A[0, 0], A[0, 1])
 
-    def evaluate(self, x, xa, xb):
+    def evaluate(self, x, xa, xb, table=None):
         """(u, du/dx, du/dxa, du/dxb) at each point, from one modal batch
         per x-derivative order."""
         xa = np.asarray(xa, float).ravel()
         xb = np.asarray(xb, float).ravel()
-        u, ga, gb = _modal_eval(self.modal_batch(x), xa, xb)
-        ux = _modal_eval(self.modal_batch(x, 1), xa, xb)[0]
+        u, ga, gb = _modal_eval(self.modal_batch(x, 0, table), xa, xb)
+        ux = _modal_eval(self.modal_batch(x, 1, table), xa, xb)[0]
         return u, ux, ga, gb
 
     def values(self, x, xa, xb, xderiv=0):

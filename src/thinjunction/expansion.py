@@ -17,7 +17,7 @@ import numpy as np
 from .config import TRANSVERSE_AXES, ProblemSpec
 from .corrector import build_corrector, corrector_rhs
 from .cutoffs import SmoothStep
-from .graph import TransmissionData, solve_limit, solve_omega_k
+from .graph import ProfileStack, TransmissionData, solve_limit, solve_omega_k
 from .junction import (
     FieldStack,
     TruncatedJunction,
@@ -119,6 +119,10 @@ class Expansion:
                     build_pi(spec, i, self.correctors[k][i],
                              omega=self.graph[k].edges[i])
                     for i in range(3))
+        self.profiles = tuple(
+            ProfileStack(self.graph[k].edges[i]
+                         for k in range(self.order + 1))
+            for i in range(3))
         if self.nfields:
             self.inner_stack = FieldStack(
                 self.nfields[k] for k in range(1, self.order + 1))
@@ -192,15 +196,17 @@ class Expansion:
             end = x > self.cut_end.lo
             chid = self.cut_end(x)
             dchid = self.cut_end.deriv(x)
+            # one Chebyshev table serves the profiles and correctors
+            table = self.profiles[i].table(x)
+            w, dw = self.profiles[i].evaluate(x, table)
 
             for k in range(0, m + 1):
                 ek = eps ** k
-                w = self.graph[k].edges[i]
-                core = w.value(x)
-                d_ax = w.d1(x)
+                core = w[:, k]
+                d_ax = dw[:, k]
                 corr = self.correctors.get(k)
                 if corr is not None:
-                    cv, cx, ga, gb = corr[i].evaluate(x, ta, tb)
+                    cv, cx, ga, gb = corr[i].evaluate(x, ta, tb, table)
                     core = core + cv
                     d_ax = d_ax + cx
                     grads[sel, a] += ek * chi * ga / eps
@@ -367,14 +373,15 @@ class Expansion:
                 "Taylor data are not valid there")
         r6 = np.zeros(x.size)
         r7 = np.zeros(x.size)
+        table = self.profiles[i].table(x)
+        w, dw = self.profiles[i].evaluate(x, table)
         for k in range(0, m + 1):
             depth = m - k
-            w = self.graph[k].edges[i]
-            core = w.value(x)
-            dcore = w.d1(x)
+            core = w[:, k]
+            dcore = dw[:, k]
             tay = np.zeros(x.size)
             dtay = np.zeros(x.size)
-            wg = w.germ().coef
+            wg = self.graph[k].edges[i].germ().coef
             for j in range(min(depth, len(wg) - 1) + 1):
                 tay += wg[j] * x ** j
                 if j >= 1:
@@ -382,7 +389,7 @@ class Expansion:
             corr = self.correctors.get(k)
             if corr is not None:
                 c = corr[i]
-                cv, cx, _, _ = c.evaluate(x, ta, tb)
+                cv, cx, _, _ = c.evaluate(x, ta, tb, table)
                 core = core + cv
                 dcore = dcore + cx
                 for j in range(min(depth, len(c.germ) - 1) + 1):

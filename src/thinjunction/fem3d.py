@@ -113,10 +113,15 @@ class FemContext:
             shape=(m.num_nodes, m.num_nodes))
         return a.tocsr()
 
-    def quad_points(self, degree=2):
+    def quad_points(self, degree=2, live=None):
+        """Quadrature points and weights of every tet, or of the tets
+        indexed by ``live``."""
         bary, w = _TET_RULES[degree]
-        pts = np.einsum("qa,tad->tqd", bary, self.mesh.nodes[self.mesh.tets])
-        wts = np.outer(self.volumes, w)
+        tets, vols = self.mesh.tets, self.volumes
+        if live is not None:
+            tets, vols = tets[live], vols[live]
+        pts = np.einsum("qa,tad->tqd", bary, self.mesh.nodes[tets])
+        wts = np.outer(vols, w)
         return pts, wts, bary
 
     def volume_load(self, fn, degree=2):
@@ -311,21 +316,24 @@ def norms(ctx: FemContext, u, reference=None, mask=None):
     """(L2, H1-seminorm, H1) of u minus an optional analytic reference.
 
     ``reference(points) -> (values, gradients)`` is evaluated at the
-    quadrature points; ``mask`` selects tetrahedra (centroid filters).
+    quadrature points; ``mask`` weights the tetrahedra (centroid
+    filters), and only those of nonzero weight are integrated, so the
+    reference is evaluated at their quadrature points alone.
     """
-
-    pts, wts, bary = ctx.quad_points(2)
+    live = None if mask is None else np.flatnonzero(mask)
+    pts, wts, bary = ctx.quad_points(2, live)
     tets = ctx.mesh.tets.astype(np.int64)
-    vals = np.einsum("ta,qa->tq", u[tets], bary)
     grads = ctx.field_gradients(u)
+    if live is not None:
+        tets, grads = tets[live], grads[live]
+        wts = wts * mask[live, None]
+    vals = np.einsum("ta,qa->tq", u[tets], bary)
     if reference is not None:
         rv, rg = reference(pts.reshape(-1, 3))
         vals = vals - rv.reshape(wts.shape)
         grads = grads[:, None, :] - rg.reshape(wts.shape + (3,))
     else:
         grads = np.broadcast_to(grads[:, None, :], wts.shape + (3,))
-    if mask is not None:
-        wts = wts * mask[:, None]
     l2sq = float(np.sum(wts * vals ** 2))
     h1sq = float(np.sum(wts * np.sum(grads ** 2, axis=-1)))
     return math.sqrt(l2sq), math.sqrt(h1sq), math.sqrt(l2sq + h1sq)

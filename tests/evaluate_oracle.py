@@ -1,22 +1,43 @@
 """Term-by-term reference for ``Expansion.evaluate`` and ``residual_terms``.
 
 The former serving path, kept as the oracle the one-pass evaluation must
-match: every order k of the junction part is located and interpolated on
-its own, each corrector is evaluated once for values, once for the axial
-derivative and once for the transverse gradient (rebuilding the
-Chebyshev derivative on every call), and each end layer rebuilds its
-mode table for values and again, mode by mode, for the gradient.  The
-per-term methods it called are copied in as functions of the built
-objects, which it reads but never changes.
+match: each order's graph profile and each corrector go through numpy's
+per-interval Clenshaw sums (``cheb_oracle``), every order k of the
+junction part is located and interpolated on its own, each corrector is
+evaluated once for values, once for the axial derivative and once for
+the transverse gradient (rebuilding the Chebyshev derivative on every
+call), and each end layer rebuilds its mode table for values and again,
+mode by mode, for the gradient.  The per-term methods it called are
+copied in as functions of the built objects, which it reads but never
+changes.
 """
 
 import numpy as np
-from numpy.polynomial import chebyshev as npcheb
 from scipy import special
 
+from cheb_oracle import modal_batch, piecewise_call
 from thinjunction.config import TRANSVERSE_AXES
 
-_EVAL_CHUNK = 8192
+
+# -- graph profiles -----------------------------------------------------------
+
+def edge_value(w, x):
+    p, q = w.affine
+    return piecewise_call(w._w, x) + p + q * np.asarray(x, dtype=float)
+
+
+def _edge_slope(w, x):
+    return (w.c0 - piecewise_call(w._s, x)) / (np.pi * w.h(x) ** 2)
+
+
+def edge_d1(w, x):
+    return _edge_slope(w, x) + w.affine[1]
+
+
+def edge_d2(w, x):
+    h = w.h(x)
+    return (-w.rhs(x) - 2.0 * np.pi * h * w.h.deriv(x) * _edge_slope(w, x)) \
+        / (np.pi * h ** 2)
 
 
 # -- modal kernels of the cross-section correctors --------------------------
@@ -85,25 +106,6 @@ def disk_gradient(d, xa, xb):
     if xa.shape:
         return ga.reshape(xa.shape), gb.reshape(xa.shape)
     return float(ga[0]), float(gb[0])
-
-
-def modal_batch(corr, x, deriv=0):
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty((x.size,) + corr.coeffs[0].shape[1:])
-    idx = np.clip(np.searchsorted(corr.breakpoints, x, side="right") - 1,
-                  0, len(corr.coeffs) - 1)
-    for j in np.unique(idx):
-        sel = np.where(idx == j)[0]
-        xl, xr = corr.breakpoints[j], corr.breakpoints[j + 1]
-        c = corr.coeffs[j]
-        if deriv:
-            c = npcheb.chebder(c, deriv, scl=2.0 / (xr - xl), axis=0)
-        t = (2.0 * x[sel] - (xl + xr)) / (xr - xl)
-        for lo in range(0, sel.size, _EVAL_CHUNK):
-            piece = sel[lo: lo + _EVAL_CHUNK]
-            v = npcheb.chebval(t[lo: lo + _EVAL_CHUNK], c, tensor=True)
-            out[piece] = np.moveaxis(v, -1, 0)
-    return out
 
 
 def corr_values(corr, x, xa, xb, xderiv=0):
@@ -308,14 +310,14 @@ def evaluate_reference(exp, points, epsilon, m=None, gradient=False):
         for k in range(0, m + 1):
             ek = eps ** k
             w = exp.graph[k].edges[i]
-            core = w.value(x)
+            core = edge_value(w, x)
             corr = exp.correctors.get(k)
             corr = corr[i] if corr is not None else None
             if corr is not None:
                 core = core + corr_values(corr, x, ta, tb)
             vals[sel] += ek * chi * core
             if gradient:
-                d_ax = w.d1(x)
+                d_ax = edge_d1(w, x)
                 if corr is not None:
                     d_ax = d_ax + corr_values(corr, x, ta, tb, xderiv=1)
                     ga, gb = corr_transverse_gradient(corr, x, ta, tb)
@@ -381,7 +383,7 @@ def residual_terms_reference(exp, points, epsilon, m=None, which=None):
         if 1 in which:
             acc = np.zeros(sel.size)
             for k in range(max(m - 1, 0), m + 1):
-                term = exp.graph[k].edges[i].d2(x)
+                term = edge_d2(exp.graph[k].edges[i], x)
                 corr = exp.correctors.get(k)
                 if corr is not None:
                     term = term + corr_values(corr[i], x, ta, tb, xderiv=2)
@@ -487,8 +489,8 @@ def _vertex_remainders(exp, i, x, ta, tb, eps, m):
     for k in range(0, m + 1):
         depth = m - k
         w = exp.graph[k].edges[i]
-        core = w.value(x)
-        dcore = w.d1(x)
+        core = edge_value(w, x)
+        dcore = edge_d1(w, x)
         tay = np.zeros(x.size)
         dtay = np.zeros(x.size)
         wg = w.germ().coef

@@ -2,8 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from numpy.polynomial import Chebyshev
 
-from thinjunction.cheb import PiecewiseCheb, gauss_piecewise, merge_breakpoints
+from cheb_oracle import modal_batch, piecewise_call
+from thinjunction.cheb import (
+    BLOCK,
+    ChebStack,
+    PiecewiseCheb,
+    gauss_piecewise,
+    merge_breakpoints,
+)
 
 
 def test_interpolates_smooth_function():
@@ -44,3 +54,94 @@ def test_merge_breakpoints_dedupes():
     merged = merge_breakpoints([0.0, 0.5, 1.0], [0.0, 0.5 + 1e-14, 0.7])
     assert np.allclose(merged, [0.0, 0.5, 0.7, 1.0])
     assert np.all(np.diff(merged) > 0)
+
+
+def _random_piecewise(rng, nint):
+    """Series of decaying random coefficients, degree 0..65, on nint
+    random intervals of [0, 1]."""
+    bp = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 0.95, nint - 1)),
+                         [1.0]])
+    series = []
+    for a, b in zip(bp[:-1], bp[1:]):
+        deg = int(rng.integers(0, 66))
+        coef = rng.standard_normal(deg + 1) * 0.8 ** np.arange(deg + 1)
+        series.append(Chebyshev(coef, domain=[a, b]))
+    return PiecewiseCheb(bp, series)
+
+
+def _close(got, want, rtol=1e-12):
+    assert np.shape(got) == np.shape(want)
+    assert np.all(np.abs(got - want) <= rtol * (1.0 + np.abs(want)))
+
+
+def test_kernel_matches_the_per_interval_oracle():
+    rng = np.random.default_rng(31)
+    for nint in (1, 2, 3, 4):
+        for _ in range(5):
+            f = _random_piecewise(rng, nint)
+            x = np.concatenate([rng.uniform(0.0, 1.0, 200), f.breakpoints,
+                                [0.0, 1.0],
+                                rng.uniform(-0.05, 0.0, 10),
+                                rng.uniform(1.0, 1.05, 10)])
+            _close(f(x), piecewise_call(f, x))
+
+
+def test_kernel_edge_shapes():
+    rng = np.random.default_rng(32)
+    f = _random_piecewise(rng, 3)
+    got = f(0.3)
+    assert np.ndim(got) == 0
+    _close(got, piecewise_call(f, 0.3))
+    assert f(np.empty(0)).shape == (0,)
+    x = rng.uniform(-0.02, 1.02, 3 * BLOCK + 1)
+    _close(f(x), piecewise_call(f, x))
+    grid = rng.uniform(0.0, 1.0, (4, 5))
+    _close(f(grid), piecewise_call(f, grid.ravel()).reshape(4, 5))
+
+
+def test_stack_matches_its_columns():
+    rng = np.random.default_rng(33)
+    bp = [0.0, 0.35, 0.65, 1.0]
+    cols = [PiecewiseCheb.interpolate(fn, bp, deg)
+            for fn, deg in ((np.sin, 64), (np.exp, 40), (np.cos, 10))]
+    stack = ChebStack(bp, np.stack([c.coeffs(64) for c in cols], axis=-1))
+    x = rng.uniform(0.0, 1.0, 300)
+    got = stack(x)
+    assert got.shape == (300, 3)
+    for j, c in enumerate(cols):
+        _close(got[:, j], piecewise_call(c, x))
+    # a table of a higher degree on the same grid serves the stack; one
+    # of another grid or a lower degree is replaced by the stack's own
+    for grid, deg in ((bp, 70), ([0.0, 0.5, 1.0], 64), (bp, 40)):
+        table = ChebStack(grid, np.zeros((len(grid) - 1, deg + 1))).table(x)
+        assert np.array_equal(stack(x, table), got)
+
+
+def test_modal_batch_matches_chebval(exp_rich):
+    rng = np.random.default_rng(34)
+    for corr in exp_rich.correctors[2]:
+        x = np.concatenate([rng.uniform(0.0, 1.0, 100), corr.breakpoints])
+        for deriv in (0, 1, 2):
+            _close(corr.modal_batch(x, deriv), modal_batch(corr, x, deriv))
+
+
+_SPLIT_RNG = np.random.default_rng(35)
+_SPLIT_F = _random_piecewise(_SPLIT_RNG, 4)
+_SPLIT_STACK = ChebStack(_SPLIT_F.breakpoints,
+                         _SPLIT_RNG.standard_normal((4, 40, 3)))
+_SPLIT_X = _SPLIT_RNG.uniform(-0.02, 1.02, BLOCK + 37)
+_SPLIT_WHOLE = (_SPLIT_F(_SPLIT_X), _SPLIT_STACK(_SPLIT_X))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.integers(0, _SPLIT_X.size), st.integers(0, _SPLIT_X.size))
+@example(0, 1)
+@example(1, BLOCK + 1)
+@example(BLOCK, BLOCK + 1)
+def test_splitting_a_batch_gives_the_same_answers(i, j):
+    """One- and three-column stacks, split into up to three batches."""
+    lo, hi = sorted((i, j))
+    spans = ((0, lo), (lo, hi), (hi, _SPLIT_X.size))
+    for fn, whole in zip((_SPLIT_F, _SPLIT_STACK), _SPLIT_WHOLE):
+        parts = [fn(_SPLIT_X[a:b]) for a, b in spans]
+        assert np.array_equal(np.concatenate(parts), whole)

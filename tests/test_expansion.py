@@ -3,8 +3,11 @@
 import math
 
 import numpy as np
+from numpy.polynomial import Chebyshev
+from numpy.polynomial import chebyshev as npcheb
 
 from evaluate_oracle import evaluate_reference, residual_terms_reference
+from thinjunction import cheb
 from thinjunction.config import TRANSVERSE_AXES
 from thinjunction.corrector import EdgeCorrector
 from thinjunction.fem3d import PointLocator
@@ -115,19 +118,20 @@ def test_evaluate_gradient_matches_finite_differences(exp_rich):
                           <= 1e-6 * (1.0 + np.abs(grads[:, axis]))), axis
 
 
+def _counted(counts, name, fn):
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def test_one_pass_per_request(exp_rich, monkeypatch):
     counts = {"locate": 0, "modal_batch": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
     monkeypatch.setattr(PointLocator, "locate",
-                        counted("locate", PointLocator.locate))
+                        _counted(counts, "locate", PointLocator.locate))
     monkeypatch.setattr(EdgeCorrector, "modal_batch",
-                        counted("modal_batch", EdgeCorrector.modal_batch))
+                        _counted(counts, "modal_batch",
+                                 EdgeCorrector.modal_batch))
     rng = np.random.default_rng(13)
     for eps in (0.2, 0.05):
         pts = _cloud(exp_rich.spec, eps, rng, n=10)
@@ -136,3 +140,28 @@ def test_one_pass_per_request(exp_rich, monkeypatch):
             exp_rich.evaluate(pts, eps, gradient=gradient)
             assert counts["locate"] == 1
             assert counts["modal_batch"] <= 2 * 3
+
+
+def test_one_chebyshev_table_per_tube(exp_rich, monkeypatch):
+    """Graph profiles of all orders and the correctors share one table
+    per tube and breakpoint grid; numpy's chebval is never called."""
+    counts = {"tables": 0, "chebval": 0}
+    monkeypatch.setattr(cheb, "_recurrence",
+                        _counted(counts, "tables", cheb._recurrence))
+    monkeypatch.setattr(npcheb, "chebval",
+                        _counted(counts, "chebval", npcheb.chebval))
+    monkeypatch.setattr(Chebyshev, "_val", staticmethod(
+        _counted(counts, "chebval", Chebyshev._val)))
+    grids = 0
+    for i in range(3):
+        bps = [g.edges[i].breakpoints for g in exp_rich.graph.values()]
+        bps += [c[i].breakpoints for c in exp_rich.correctors.values()]
+        grids += len({bp.tobytes() for bp in bps})
+    rng = np.random.default_rng(14)
+    for eps in (0.2, 0.05):
+        pts = _cloud(exp_rich.spec, eps, rng, n=10)
+        for m in (0, 2):
+            counts.update(tables=0, chebval=0)
+            exp_rich.evaluate(pts, eps, m=m, gradient=True)
+            assert counts["chebval"] == 0
+            assert 0 < counts["tables"] <= grids

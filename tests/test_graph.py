@@ -16,6 +16,8 @@ from thinjunction import (
 from thinjunction.cheb import PiecewiseCheb, merge_breakpoints
 from thinjunction.graph import (
     EdgeFunction,
+    EdgeRHS,
+    ProfileStack,
     _solve_continuous,
     assemble_rhs0,
     weak_residual,
@@ -134,3 +136,40 @@ def test_derivs_at_zero_consistent(fx_spec):
                - 2 * gf.value(i, np.array([d]))[0]
                + gf.vertex_values[i]) / d ** 2
         assert ds[2] == pytest.approx(fd2, abs=1e-3)
+
+
+def test_vertex_data_are_kept_from_construction(exp_rich):
+    """Vertex value and slope equal the profile at x = 0, also after the
+    affine shift of the jump substitution, and the stacked profiles
+    match each edge function's own value and slope."""
+    x = np.linspace(0.0, 1.0, 37)
+    for i in range(3):
+        edges = [exp_rich.graph[k].edges[i] for k in sorted(exp_rich.graph)]
+        for e in edges + [edges[-1].with_affine(0.3, -0.2)]:
+            assert e.vertex_value == float(e.value(0.0))
+            assert e.vertex_slope == float(e.d1(0.0))
+        vals, slopes = exp_rich.profiles[i].evaluate(x)
+        for k, e in enumerate(edges):
+            assert np.allclose(vals[:, k], e.value(x), rtol=1e-14, atol=0)
+            assert np.allclose(slopes[:, k], e.d1(x), rtol=1e-14, atol=0)
+    assert any(e.affine != (0.0, 0.0)
+               for g in exp_rich.graph.values() for e in g.edges)
+
+
+def test_profile_stack_keeps_each_breakpoint_grid(fx_spec):
+    """Edge functions on another grid go into a second stack, evaluated
+    on their own table, and every column still matches its function."""
+    base = solve_limit(fx_spec)
+    rhs = [EdgeRHS(fn=r.fn, breakpoints=np.array([0.0, 0.5, 1.0]),
+                   germ0=r.germ0, germ0_valid=r.germ0_valid)
+           for r in assemble_rhs0(fx_spec)]
+    split = solve_limit(fx_spec, rhs_list=rhs)
+    edges = [base.edges[0], split.edges[0],
+             base.edges[0].with_affine(0.1, -0.2)]
+    stack = ProfileStack(edges)
+    assert len(stack._stacks) == 2
+    x = np.linspace(0.0, 1.0, 41)
+    vals, slopes = stack.evaluate(x, stack.table(x))
+    for k, e in enumerate(edges):
+        assert np.allclose(vals[:, k], e.value(x), rtol=1e-14, atol=0)
+        assert np.allclose(slopes[:, k], e.d1(x), rtol=1e-14, atol=0)

@@ -1,9 +1,14 @@
 """Convergence studies: plan handling and the junction-zone target."""
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
+from thinjunction import reference
+from thinjunction.expansion import Expansion
+from thinjunction.reference import solve_reference, with_epsilon
 from thinjunction.study import StudyPlan, run_study
 
 # COR42_JUNC errors of this plan at eps = 0.3 and 0.25, recorded when the
@@ -25,3 +30,32 @@ def test_junction_target_below_inverse_truncation(fx_spec):
     assert errors[:2] == pytest.approx(SEED_JUNC_ERRORS, rel=1e-6)
     assert math.isfinite(errors[2]) and 0.0 < errors[2] < errors[1]
     assert result.status == "ok"
+
+
+def test_whole_domain_targets_share_one_norm_evaluation(fx_spec, monkeypatch):
+    spec = dataclasses.replace(fx_spec, order=0)
+    plan = StudyPlan(spec=spec, epsilons=[0.3, 0.25, 0.2],
+                     targets=["COR42_H1_U0", "COR42_L2_U0",
+                              "COR42_H1_U0_REL", "T0_M"],
+                     axial=0.05, fem_refine=0.4)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return norms(*args, **kwargs)
+
+    norms = reference.norms
+    monkeypatch.setattr(reference, "norms", counted)
+    report = run_study(plan)
+    assert len(calls) == len(plan.epsilons)
+
+    exp = Expansion(spec)
+    for j, eps in enumerate(plan.epsilons):
+        ref = solve_reference(with_epsilon(spec, eps), axial=plan.axial,
+                              refine=plan.fem_refine, rtol=plan.rtol)
+        l2, _h1s, h1 = ref.norms_against(
+            lambda pts: exp.evaluate(pts, eps, m=0, gradient=True))
+        want = {"COR42_H1_U0": h1, "T0_M": h1, "COR42_L2_U0": l2,
+                "COR42_H1_U0_REL": h1 / np.sqrt(ref.domain_measure())}
+        for t in report.targets:
+            assert t.errors[j] == want[t.target], t.target

@@ -3,8 +3,8 @@ joined by a small bulge, with a matched junction layer and sealed ends."""
 
 __version__ = "0.1.0"
 
-from .config import (AneurysmShape, LateralLoad, ProblemSpec, RadiusProfile,
-                     SourceField, load_spec)
+from .config import (LateralLoad, ProblemSpec, RadiusProfile, SourceField,
+                     load_spec)
 from .corrector import (DiskCompatibilityError, build_corrector,
                         corrector_rhs, solve_disk_neumann)
 from .diskspec import DiskSpectrum
@@ -20,9 +20,9 @@ from .study import (StudyPlan, StudyReport, emit, load_plan, run_study,
                     spec_digest)
 
 __all__ = [
-    "AneurysmShape", "DiskCompatibilityError", "DiskSpectrum", "Expansion",
-    "LateralLoad", "ProblemSpec", "RadiusProfile", "RecurrenceError",
-    "ReferenceSolution", "SourceField", "StudyPlan", "StudyReport",
+    "DiskCompatibilityError", "DiskSpectrum", "Expansion", "LateralLoad",
+    "ProblemSpec", "RadiusProfile", "RecurrenceError", "ReferenceSolution",
+    "SourceField", "StudyPlan", "StudyReport",
     "TransmissionData", "TruncatedJunction", "build_corrector",
     "build_inner_rhs", "build_junction_mesh", "build_pi", "build_thin_mesh",
     "build_tube_mesh", "check_solvability", "compute_delta", "compute_dstar",

@@ -4,7 +4,8 @@ The domain consists of three thin cylinders of slowly varying radius
 ``eps*h_i(x_i)`` along the positive coordinate half-axes, joined near the
 origin through a small bulge (box of half-width ``eps*ell``).  All problem
 data live here: radius profiles, the polynomial volume source ``f``, the
-polynomial lateral Neumann loads ``phi_i``, and the bulge geometry.
+polynomial lateral Neumann loads ``phi_i``, the bulge half-width ``ell``
+and the cutoff bands that glue the expansion regions.
 
 Transverse-variable convention used throughout the package: for edge ``i``
 the two cross-section coordinates are the remaining physical axes in
@@ -15,11 +16,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import Polynomial
 
+from .cutoffs import SmoothStep
 from .poly import (
     Poly3,
     circle_monomial_integral,
@@ -258,20 +260,6 @@ class LateralLoad:
 
 
 @dataclass
-class AneurysmShape:
-    """Bulge geometry: the open box (-ell, ell)^3 in stretched coordinates."""
-
-    ell: float
-    kind: str = "box"
-
-    def volume(self):
-        return 8.0 * self.ell ** 3
-
-    def to_json(self):
-        return {"type": self.kind}
-
-
-@dataclass
 class ProblemSpec:
     """Complete problem description (geometry + data + expansion controls)."""
 
@@ -283,7 +271,6 @@ class ProblemSpec:
     h: tuple
     f: SourceField
     phi: tuple
-    aneurysm: AneurysmShape = field(default=None)
 
     def __post_init__(self):
         if not 0.0 < self.ell < 1.0 / 3.0:
@@ -298,8 +285,6 @@ class ProblemSpec:
             raise ValueError("order must be >= 0")
         if len(self.h) != 3 or len(self.phi) != 3:
             raise ValueError("need three radius profiles and three lateral loads")
-        if self.aneurysm is None:
-            self.aneurysm = AneurysmShape(self.ell)
 
     def check_attachable(self):
         """Geometric fit of the tubes on the bulge faces (needed for meshes)."""
@@ -310,6 +295,20 @@ class ProblemSpec:
 
     def h0(self, edge):
         return self.h[edge].value0
+
+    def junction_band(self):
+        """Cutoff of the junction layer along each outlet, in the fast
+        variable: from ell + 1 to ell + 2."""
+        return SmoothStep(self.ell + 1.0, self.ell + 2.0)
+
+    def matching_band(self):
+        """Cutoff of the matching zone in the stretched variable
+        x / epsilon^alpha: from 2 ell to 3 ell."""
+        return SmoothStep(2.0 * self.ell, 3.0 * self.ell)
+
+    def end_band(self):
+        """Cutoff of the end layers in x: from 1 - 2 delta to 1 - delta."""
+        return SmoothStep(1.0 - 2.0 * self.delta_cut, 1.0 - self.delta_cut)
 
     def to_json(self):
         return {
@@ -322,7 +321,7 @@ class ProblemSpec:
             "h": [p.to_json() for p in self.h],
             "f": self.f.to_json(),
             "phi": [p.to_json() for p in self.phi],
-            "aneurysm": self.aneurysm.to_json(),
+            "aneurysm": {"type": "box"},  # the one shape; keeps digests
         }
 
 
@@ -367,6 +366,5 @@ def load_spec(source):
         h=tuple(_radius_from_json(e) for e in doc["h"]),
         f=f,
         phi=tuple(_load_from_json(e) for e in doc["phi"]),
-        aneurysm=AneurysmShape(float(doc["ell"])),
     )
 

@@ -16,7 +16,6 @@ import numpy as np
 
 from .config import TRANSVERSE_AXES, ProblemSpec
 from .corrector import build_corrector, corrector_rhs
-from .cutoffs import SmoothStep
 from .graph import ProfileStack, TransmissionData, solve_limit, solve_omega_k
 from .junction import (
     FieldStack,
@@ -44,13 +43,11 @@ class Expansion:
     """
 
     def __init__(self, spec: ProblemSpec, junction: TruncatedJunction = None,
-                 junction_R=None, junction_refine=None, deg=64):
+                 junction_R=None, junction_refine=None):
         self.spec = spec
         self.order = spec.order
-        self.cut_axial = SmoothStep(2.0 * spec.ell, 3.0 * spec.ell)
-        self.cut_end = SmoothStep(1.0 - 2.0 * spec.delta_cut,
-                                  1.0 - spec.delta_cut)
-        self.deg = deg
+        self.cut_axial = spec.matching_band()
+        self.cut_end = spec.end_band()
         self.graph = {}
         self.correctors = {}
         self.layers = {}
@@ -84,7 +81,7 @@ class Expansion:
 
     def _build(self):
         spec = self.spec
-        self.graph[0] = solve_limit(spec, deg=self.deg)
+        self.graph[0] = solve_limit(spec)
         for k in range(1, self.order + 1):
             if k >= 2:
                 prev = self.correctors.get(k - 2)
@@ -111,7 +108,7 @@ class Expansion:
             rhs = [corrector_rhs(spec, i, k,
                                  self.correctors.get(k, (None,) * 3)[i])
                    for i in range(3)]
-            self.graph[k] = solve_omega_k(spec, rhs, trans, deg=self.deg)
+            self.graph[k] = solve_omega_k(spec, rhs, trans)
             self.nfields[k] = nhat.with_growth(
                 data.growth, constant=self.graph[k].edges[0].vertex_value)
             if k >= 2:

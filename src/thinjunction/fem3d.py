@@ -10,13 +10,14 @@ fluxes, point evaluation).
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, cg, splu
 from scipy.spatial import cKDTree
 
-from .mesh3d import TetMesh, face_keys
+from .mesh3d import END, LATERAL, TetMesh
 
 _S5 = math.sqrt(5.0)
 _TET_RULES = {
@@ -72,7 +73,8 @@ _TRI_RULES[4] = _tri_rule_4()
 # its tet nor left the mesh by then is not located.
 WALK_STEPS = 200
 
-# Vertices of the face opposite each vertex of a tet.
+# Vertices of the face opposite each vertex of a tet; the locator's wall
+# tree sums its face centroids in this order.
 _OPPOSITE = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 
 # Restarts of CG from its own iterate when its recursive residual met
@@ -85,7 +87,8 @@ LOAD_BLOCK = 120_000
 
 
 class FemContext:
-    """Cached geometry and stiffness matrix of one mesh."""
+    """Cached geometry (tet volumes, gradients and centroids) and
+    stiffness matrix of one mesh."""
 
     def __init__(self, mesh: TetMesh):
         self.mesh = mesh
@@ -101,6 +104,10 @@ class FemContext:
         self.grads = grads
         self.matrix = self._stiffness()
         self._locator = None
+
+    @cached_property
+    def centroids(self):
+        return self.mesh.nodes[self.mesh.tets].mean(axis=1)
 
     def _stiffness(self):
         m = self.mesh
@@ -340,8 +347,8 @@ def norms(ctx: FemContext, u, reference=None, mask=None):
 
 
 def region_mask(ctx: FemContext, predicate):
-    cent = ctx.mesh.nodes[ctx.mesh.tets].mean(axis=1)
-    return predicate(cent).astype(float)
+    """Tet weights 1 where ``predicate(centroids)`` holds, else 0."""
+    return predicate(ctx.centroids).astype(float)
 
 
 def station_average(mesh: TetMesh, u, station):
@@ -371,8 +378,8 @@ def station_profile(mesh: TetMesh, u, edge):
 def slab_flux(ctx: FemContext, u, axis, lo, hi):
     """Average axial flux of u across the slab lo < x_axis < hi."""
 
-    cent = ctx.mesh.nodes[ctx.mesh.tets].mean(axis=1)
-    inside = (cent[:, axis] > lo) & (cent[:, axis] < hi)
+    x = ctx.centroids[:, axis]
+    inside = (x > lo) & (x < hi)
     if not inside.any():
         raise ValueError("slab contains no elements")
     g = ctx.field_gradients(u)
@@ -391,34 +398,14 @@ class PointLocator:
         self._tets = mesh.tets
         self._grads = ctx.grads
         self._origin = mesh.nodes[mesh.tets[:, 0]]
-        self._tree = cKDTree(mesh.nodes[mesh.tets].mean(axis=1))
+        self._tree = cKDTree(ctx.centroids)
         self._sagitta = float(mesh.meta.get("sagitta", 0.0))
-        faces = mesh.tets[:, _OPPOSITE].reshape(-1, 3)
-        key = face_keys(faces, mesh.num_nodes)
-        self._neighbours = self._face_neighbours(key).reshape(-1, 4)
-        self._end_face = self._tagged(mesh, key, "end").reshape(-1, 4)
-        wall = np.flatnonzero(self._tagged(mesh, key, "lateral"))
+        self._neighbours = mesh.adjacent
+        self._end_face = mesh.adjacent == END
+        wall = np.flatnonzero(mesh.adjacent == LATERAL)
         self._wall_tets = wall // 4
-        self._wall_tree = cKDTree(mesh.nodes[faces[wall]].mean(axis=1))
-
-    @staticmethod
-    def _face_neighbours(key):
-        """Tet across each face (-1 on the boundary), faces by their keys."""
-        order = np.argsort(key, kind="stable")
-        twin = np.flatnonzero(key[order][1:] == key[order][:-1])
-        nb = np.full(key.size, -1, dtype=np.int32)
-        nb[order[twin]] = order[twin + 1] // 4
-        nb[order[twin + 1]] = order[twin] // 4
-        return nb
-
-    @staticmethod
-    def _tagged(mesh, key, prefix):
-        """Flags of the faces on boundary tags that start with ``prefix``."""
-        faces = [f for tag, f in mesh.boundary.items()
-                 if tag.startswith(prefix)]
-        if not faces:
-            return np.zeros(key.size, dtype=bool)
-        return np.isin(key, face_keys(np.concatenate(faces), mesh.num_nodes))
+        faces = mesh.tets[self._wall_tets[:, None], _OPPOSITE[wall % 4]]
+        self._wall_tree = cKDTree(mesh.nodes[faces].mean(axis=1))
 
     def locate(self, points):
         """(tet index, barycentric coords) per point; -1 when not located.

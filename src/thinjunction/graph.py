@@ -21,6 +21,9 @@ from numpy.polynomial import Polynomial
 from .cheb import ChebStack, PiecewiseCheb, gauss_piecewise, merge_breakpoints
 from .config import ProblemSpec
 
+# Chebyshev degree per smoothness interval of every graph profile.
+DEG = 64
+
 
 @dataclass
 class EdgeRHS:
@@ -80,13 +83,13 @@ class EdgeFunction:
     """
 
     def __init__(self, h, rhs: EdgeRHS, s: PiecewiseCheb, vertex_value,
-                 flux0, deg=64):
+                 flux0):
         self.h = h
         self.rhs = rhs
         self.c0 = float(flux0)
         self._bp = s.breakpoints
         self._s = s
-        self._wp = PiecewiseCheb.interpolate(self._deriv_exact, self._bp, deg)
+        self._wp = PiecewiseCheb.interpolate(self._deriv_exact, self._bp, DEG)
         self._w = self._wp.antiderivative(start=float(vertex_value))
         self.affine = (0.0, 0.0)
         self._set_vertex()
@@ -242,7 +245,7 @@ class GraphFunction:
         return self.edges[edge].derivs_at_zero(qmax)
 
 
-def _solve_continuous(spec, rhs_list, flux_total, deg):
+def _solve_continuous(spec, rhs_list, flux_total):
     """Common-vertex-value problem: continuity at the vertex, w(1) = 0."""
     A = np.empty(3)
     B = np.empty(3)
@@ -250,33 +253,33 @@ def _solve_continuous(spec, rhs_list, flux_total, deg):
     for i in range(3):
         h = spec.h[i]
         bp = merge_breakpoints(h.breakpoints, rhs_list[i].breakpoints)
-        fhat = PiecewiseCheb.interpolate(rhs_list[i], bp, deg)
+        fhat = PiecewiseCheb.interpolate(rhs_list[i], bp, DEG)
         s = fhat.antiderivative()
         inv = PiecewiseCheb.interpolate(
-            lambda x, h=h: 1.0 / (math.pi * h(x) ** 2), bp, deg)
+            lambda x, h=h: 1.0 / (math.pi * h(x) ** 2), bp, DEG)
         sov = PiecewiseCheb.interpolate(
-            lambda x, h=h, s=s: s(x) / (math.pi * h(x) ** 2), bp, deg)
+            lambda x, h=h, s=s: s(x) / (math.pi * h(x) ** 2), bp, DEG)
         A[i] = inv.integral()
         B[i] = sov.integral()
         s_funcs.append(s)
     # w_i(1) = v + c_i A_i - B_i = 0 and sum_i c_i = flux_total
     v = (np.sum(B / A) - flux_total) / np.sum(1.0 / A)
     c = (B - v) / A
-    edges = [EdgeFunction(spec.h[i], rhs_list[i], s_funcs[i], v, c[i],
-                          deg=deg) for i in range(3)]
+    edges = [EdgeFunction(spec.h[i], rhs_list[i], s_funcs[i], v, c[i])
+             for i in range(3)]
     return edges, v, c
 
 
-def solve_limit(spec: ProblemSpec, rhs_list=None, deg=64):
+def solve_limit(spec: ProblemSpec, rhs_list=None):
     """Leading-order graph problem: continuous at the vertex, zero total flux."""
     if rhs_list is None:
         rhs_list = assemble_rhs0(spec)
-    edges, _, _ = _solve_continuous(spec, rhs_list, 0.0, deg)
+    edges, _, _ = _solve_continuous(spec, rhs_list, 0.0)
     return GraphFunction(edges, TransmissionData())
 
 
-def solve_omega_k(spec: ProblemSpec, rhs_list, transmission: TransmissionData,
-                  deg=64):
+def solve_omega_k(spec: ProblemSpec, rhs_list,
+                  transmission: TransmissionData):
     """Correction problem with vertex jumps (0, d2, d3) and total flux d*.
 
     Internally substitutes w_i - jump_i (1 - x_i), which restores vertex
@@ -299,7 +302,7 @@ def solve_omega_k(spec: ProblemSpec, rhs_list, transmission: TransmissionData,
                              germ0=base.germ0, germ0_valid=base.germ0_valid))
     flux = transmission.dstar + sum(
         math.pi * spec.h0(i) ** 2 * jumps[i] for i in (1, 2))
-    edges, _, _ = _solve_continuous(spec, subst, flux, deg)
+    edges, _, _ = _solve_continuous(spec, subst, flux)
     shifted = [edges[0]]
     for i in (1, 2):
         shifted.append(edges[i].with_affine(jumps[i], -jumps[i])

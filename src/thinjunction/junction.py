@@ -21,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import TRANSVERSE_AXES, ProblemSpec
-from .cutoffs import SmoothStep
 from .fem3d import (
     FemContext,
     _solve_spd,
@@ -177,7 +176,7 @@ def check_solvability(spec: ProblemSpec, data: InnerData):
     corrector requires a zero defect.
     """
 
-    step = SmoothStep(spec.ell + 1.0, spec.ell + 2.0)
+    step = spec.junction_band()
     lo, hi = step.support
     xg, wg = _gauss(lo, hi)
     dchi = step.deriv(xg)
@@ -193,7 +192,7 @@ def check_solvability(spec: ProblemSpec, data: InnerData):
             total += j * float(np.sum(wg * xg ** (j - 1) * dchi)) * cross[j]
 
     if data.fpart is not None:
-        total += _box_integral(data.fpart, spec.aneurysm.ell)
+        total += _box_integral(data.fpart, spec.ell)
         for i in range(3):
             prof = _disk_profile(data.fpart, i, spec.h0(i))
             total += _outlet_integral(prof, spec.ell, step)
@@ -256,7 +255,7 @@ class TruncatedJunction:
         self.R = float(self.mesh.meta["R"])
         self.ell = spec.ell
         self.radii = tuple(spec.h0(i) for i in range(3))
-        self.step = SmoothStep(spec.ell + 1.0, spec.ell + 2.0)
+        self.step = spec.junction_band()
 
 
 def _source_values(junction: TruncatedJunction, data: InnerData, pts):
@@ -264,10 +263,8 @@ def _source_values(junction: TruncatedJunction, data: InnerData, pts):
     step = junction.step
     lo, hi = step.support
     out = np.zeros(len(pts))
-    chi_sum = np.zeros(len(pts))
     for i in range(3):
         ax = pts[:, i]
-        chi_sum += step(ax)
         g = data.growth[i]
         if g is None or (np.all(g.coeffs == 0.0)
                          and all(d is None for d in g.disks)):
@@ -280,6 +277,7 @@ def _source_values(junction: TruncatedJunction, data: InnerData, pts):
         gv, gs, _, _ = g.evaluate(axb, pts[band, a], pts[band, b])
         out[band] += gv * step.deriv2(axb) + 2.0 * gs * step.deriv(axb)
     if data.fpart is not None:
+        chi_sum = step(pts[:, 0]) + step(pts[:, 1]) + step(pts[:, 2])
         out += (1.0 - chi_sum) * data.fpart(pts[:, 0], pts[:, 1], pts[:, 2])
     return out
 
@@ -490,5 +488,5 @@ def compute_dstar(spec: ProblemSpec, k):
             total -= spec.ell ** k / math.factorial(k) * val
     fpart = spec.f.poly.total_degree_part(k - 1)
     if fpart.terms():
-        total -= _box_integral(fpart, spec.aneurysm.ell)
+        total -= _box_integral(fpart, spec.ell)
     return total

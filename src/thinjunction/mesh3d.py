@@ -8,6 +8,8 @@ whole mesh is conforming by construction.  The cube interior is filled
 with scaled copies of its surface (onion shells), tubes are extruded
 station by station, and every prism is cut into three tetrahedra with
 the min-vertex rule so neighbouring prisms agree on quad diagonals.
+Node ids, face adjacency and boundary tags are each derived once, when
+the mesh is built.
 """
 
 from __future__ import annotations
@@ -35,6 +37,13 @@ _PRISM_PERMS = np.array([
 _TET_PATTERN_A = np.array([[0, 1, 2, 5], [0, 1, 5, 4], [0, 4, 5, 3]])
 _TET_PATTERN_B = np.array([[0, 1, 2, 4], [0, 4, 2, 5], [0, 4, 5, 3]])
 
+# Vertices of the face opposite each vertex of a tet, ordered so that
+# the face normal points out of the tet.
+_FACES = np.array([[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]])
+
+# Codes in ``TetMesh.adjacent`` of the faces with no tet across them.
+OTHER, END, LATERAL = -1, -2, -3
+
 
 @dataclass
 class Station:
@@ -51,6 +60,11 @@ class TetMesh:
     ``stations[edge]`` lists tube cross-sections in axial order; their
     node arrays follow the layout of ``disk_tris`` so cross-section
     integrals reuse one template triangulation.
+
+    ``adjacent[t, v]`` is the tet across the face of tet ``t`` opposite
+    its vertex ``v``, or on the boundary the code of the face's tag:
+    ``END`` (``end*``), ``LATERAL`` (``lateral*``) or ``OTHER``.  A mesh
+    given no ``adjacent`` derives it from ``tets``, all boundary ``OTHER``.
     """
 
     nodes: np.ndarray
@@ -59,6 +73,11 @@ class TetMesh:
     stations: dict
     disk_tris: np.ndarray
     meta: dict = field(default_factory=dict)
+    adjacent: np.ndarray = None
+
+    def __post_init__(self):
+        if self.adjacent is None:
+            self.adjacent = face_adjacency(self.tets, self.num_nodes)
 
     @property
     def num_nodes(self):
@@ -81,39 +100,6 @@ class TetMesh:
         p = self.nodes[tri]
         n = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
         return float(0.5 * np.linalg.norm(n, axis=1).sum())
-
-
-class _NodePool:
-    """Deduplicating node store keyed by rounded coordinates."""
-
-    def __init__(self):
-        self._chunks = []
-        self._lookup = {}
-        self._count = 0
-
-    def add(self, pts):
-        pts = np.asarray(pts, dtype=float)
-        if pts.ndim == 1:
-            pts = pts[None, :]
-        keys = np.round(pts * _KEY_SCALE).astype(np.int64)
-        ids = np.empty(pts.shape[0], dtype=np.int64)
-        fresh = []
-        for row, key in enumerate(map(tuple, keys)):
-            idx = self._lookup.get(key)
-            if idx is None:
-                idx = self._count
-                self._lookup[key] = idx
-                self._count += 1
-                fresh.append(pts[row])
-            ids[row] = idx
-        if fresh:
-            self._chunks.append(np.array(fresh))
-        return ids
-
-    def coords(self):
-        if not self._chunks:
-            return np.zeros((0, 3))
-        return np.concatenate(self._chunks, axis=0)
 
 
 def split_prisms(bottom, top):
@@ -249,8 +235,21 @@ def snap_stations(xs, forced, tol_frac=0.45):
     return xs
 
 
+def _merge_coincident(pts):
+    """Ids of the points, equal points (to 1e-10) sharing one, numbered
+    in order of first occurrence; and the distinct points in that order."""
+    key = np.round(pts * _KEY_SCALE).astype(np.int64)
+    _, first, inverse = np.unique(key, axis=0, return_index=True,
+                                  return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.size)
+    return rank[inverse.ravel()], pts[first[order]]
+
+
 class _DomainBuilder:
-    """Cube with tagged tube openings, filled and extruded."""
+    """Cube with tagged tube openings, filled and extruded.  Only the
+    cube faces share nodes; every other node is new."""
 
     def __init__(self, half, radii, rings, blend, segments, shells):
         self.half = half
@@ -259,44 +258,45 @@ class _DomainBuilder:
         self.blend = blend
         self.segments = segments
         self.shells = shells
-        self.pool = _NodePool()
+        self.coords = []
+        self.num_nodes = 0
         self.tets = []
         self.stations = {}
         self.uv_disk, self.disk_tris = disk_layout(rings, segments)
         self.n_disk = self.uv_disk.shape[0]
-        self._face_ids = {}
         self.max_radius = 0.0
         self._build_box()
 
+    def _fresh(self, pts):
+        ids = self.num_nodes + np.arange(len(pts))
+        self.coords.append(pts)
+        self.num_nodes += len(pts)
+        return ids
+
     def _build_box(self):
-        surf_tris = []
+        faces = []
         for axis in range(3):
             for sign in (1, -1):
                 radius = self.radii[axis] if sign > 0 else 0.5 * self.half
                 uv, tris = face_layout(self.half, radius, self.rings,
                                        self.blend, self.segments)
-                ids = self.pool.add(_face_to_space(uv, axis, sign, self.half))
-                surf_tris.append(ids[tris])
-                if sign > 0:
-                    self._face_ids[axis] = ids
-        surf_tris = np.concatenate(surf_tris, axis=0)
-        surf_ids = np.unique(surf_tris)
-        local = np.full(int(surf_ids.max()) + 1, -1, dtype=np.int64)
-        local[surf_ids] = np.arange(surf_ids.size)
-        tris_local = local[surf_tris]
-        coords = self.pool.coords()[surf_ids]
-
-        shell_ids = [surf_ids]
+                faces.append(_face_to_space(uv, axis, sign, self.half))
+        ids, surface = _merge_coincident(np.concatenate(faces, axis=0))
+        ids = ids.reshape(6, -1)
+        self._face_ids = ids[::2]
+        # the six faces share one layout, whose triangles use every node
+        surf_tris = ids[:, tris].reshape(-1, 3)
+        shell_ids = [self._fresh(surface)]
         for t in range(1, self.shells):
             tau = 1.0 - t / self.shells
-            shell_ids.append(self.pool.add(coords * tau))
-        center = self.pool.add(np.zeros((1, 3)))[0]
+            shell_ids.append(self._fresh(surface * tau))
+        center = self._fresh(np.zeros((1, 3)))[0]
 
         for t in range(self.shells - 1):
-            bot = shell_ids[t][tris_local]
-            top = shell_ids[t + 1][tris_local]
+            bot = shell_ids[t][surf_tris]
+            top = shell_ids[t + 1][surf_tris]
             self.tets.append(split_prisms(bot, top))
-        inner = shell_ids[-1][tris_local]
+        inner = shell_ids[-1][surf_tris]
         cone = np.concatenate(
             [inner, np.full((inner.shape[0], 1), center, dtype=np.int64)],
             axis=1)
@@ -311,7 +311,7 @@ class _DomainBuilder:
             radius = float(radius_fn(float(x)))
             self.max_radius = max(self.max_radius, radius)
             pts = _tube_section(self.uv_disk, axis, float(x), radius)
-            cur = self.pool.add(pts)
+            cur = self._fresh(pts)
             self.tets.append(split_prisms(prev[self.disk_tris],
                                           cur[self.disk_tris]))
             self.stations[axis].append(Station(float(x), cur))
@@ -319,12 +319,15 @@ class _DomainBuilder:
 
     def finish(self, end_planes, meta):
         meta["sagitta"] = sagitta(self.max_radius, self.segments)
-        nodes = self.pool.coords()
+        nodes = np.concatenate(self.coords, axis=0)
         tets = _orient_tets(nodes, np.concatenate(self.tets, axis=0))
-        boundary = _classify_boundary(nodes, tets, self.half, end_planes)
+        adjacent = face_adjacency(tets, self.num_nodes)
+        boundary = _tag_boundary(nodes, tets, adjacent, self.half,
+                                 end_planes)
         return TetMesh(nodes=nodes, tets=tets.astype(np.int32),
                        boundary=boundary, stations=self.stations,
-                       disk_tris=self.disk_tris, meta=meta)
+                       disk_tris=self.disk_tris, meta=meta,
+                       adjacent=adjacent)
 
 
 def face_keys(faces, num_nodes):
@@ -335,30 +338,44 @@ def face_keys(faces, num_nodes):
     return (s[..., 0] * n + s[..., 1]) * n + s[..., 2]
 
 
-def _boundary_faces(tets, num_nodes):
-    """Faces that belong to one tet only, in the order of ``tets``."""
-    faces = np.concatenate([
-        tets[:, [1, 2, 3]], tets[:, [0, 3, 2]],
-        tets[:, [0, 1, 3]], tets[:, [0, 2, 1]]], axis=0)
-    _, inv, counts = np.unique(face_keys(faces, num_nodes),
-                               return_inverse=True, return_counts=True)
-    return faces[counts[inv] == 1]
+def face_adjacency(tets, num_nodes):
+    """Tet across each face of each tet, ``OTHER`` where there is none.
+
+    Faces are matched by their keys; column ``v`` is the face opposite
+    vertex ``v``.
+    """
+    key = face_keys(tets[:, _FACES], num_nodes).ravel()
+    order = np.argsort(key, kind="stable")
+    twin = np.flatnonzero(key[order][1:] == key[order][:-1])
+    adjacent = np.full(key.size, OTHER, dtype=np.int32)
+    adjacent[order[twin]] = order[twin + 1] // 4
+    adjacent[order[twin + 1]] = order[twin] // 4
+    return adjacent.reshape(-1, 4)
 
 
-def _classify_boundary(nodes, tets, half, end_planes):
-    faces = _boundary_faces(tets, nodes.shape[0])
+def _boundary_faces(tets, adjacent):
+    """Outward faces with no tet across, in the order of their slots in
+    ``adjacent.T``: by face of ``_FACES``, then by tet."""
+    side, tet = np.nonzero(adjacent.T < 0)
+    return tets[tet[:, None], _FACES[side]]
+
+
+def _tag_boundary(nodes, tets, adjacent, half, end_planes):
+    """Boundary tags of a box mesh; writes their codes into ``adjacent``."""
+    faces = _boundary_faces(tets, adjacent)
     cent = nodes[faces].mean(axis=1)
+    code = np.full(faces.shape[0], OTHER, dtype=adjacent.dtype)
     tags = {}
-    assigned = np.zeros(faces.shape[0], dtype=bool)
     tol = 1e-9 * max(1.0, half)
     for axis, x_end in end_planes.items():
         on_end = np.abs(cent[:, axis] - x_end) < tol
         tags[f"end_{axis}"] = faces[on_end]
-        assigned |= on_end
-        lateral = (~assigned) & (cent[:, axis] > half + tol)
+        code[on_end] = END
+        lateral = (code == OTHER) & (cent[:, axis] > half + tol)
         tags[f"lateral_{axis}"] = faces[lateral]
-        assigned |= lateral
-    tags["wall"] = faces[~assigned]
+        code[lateral] = LATERAL
+    tags["wall"] = faces[code == OTHER]
+    adjacent.T[adjacent.T < 0] = code
     return tags
 
 
@@ -392,12 +409,13 @@ def build_junction_mesh(spec: ProblemSpec, R=None, refine=None):
         refine = max(1.0, ((R - ell) / 6.0) ** 1.5)
     segments, rings, blend, shells = _layout_params(refine)
     radii = [spec.h0(i) for i in range(3)]
+    band = spec.junction_band()
     builder = _DomainBuilder(ell, radii, rings, blend, segments, shells)
     for axis in range(3):
         fine = radii[axis] / 5.0 / refine
         xs = graded_stations(ell, R, fine, ell + 2.5,
                              cap=radii[axis] / refine)
-        xs = snap_stations(xs, [ell + 1.0, ell + 2.0, ell + 2.5])
+        xs = snap_stations(xs, [band.lo, band.hi, ell + 2.5])
         builder.extrude_tube(axis, xs, lambda _x, r=radii[axis]: r)
     meta = {"R": R, "refine": refine, "segments": segments,
             "rings": rings, "blend": blend, "shells": shells}
@@ -413,16 +431,15 @@ def build_thin_mesh(spec: ProblemSpec, axial=0.02, refine=1.0):
     segments, rings, blend, shells = _layout_params(refine)
     radii = [eps * spec.h0(i) for i in range(3)]
     builder = _DomainBuilder(half, radii, rings, blend, segments, shells)
-    alpha_lo = 2.0 * ell * eps ** spec.alpha
-    alpha_hi = 3.0 * ell * eps ** spec.alpha
+    match, end = spec.matching_band(), spec.end_band()
+    forced = [match.lo * eps ** spec.alpha, match.hi * eps ** spec.alpha,
+              end.lo, end.hi]
     for axis in range(3):
         fine = radii[axis] / 5.0 / refine
         xs = graded_stations(half, 1.0, fine, half + 10.0 * fine,
                              cap=axial / refine)
-        forced = [alpha_lo, alpha_hi, 1.0 - 2.0 * spec.delta_cut,
-                  1.0 - spec.delta_cut]
-        forced += [float(b) for b in spec.h[axis].breakpoints[1:-1]]
-        xs = snap_stations(xs, sorted(forced))
+        kinks = [float(b) for b in spec.h[axis].breakpoints[1:-1]]
+        xs = snap_stations(xs, sorted(forced + kinks))
         builder.extrude_tube(
             axis, xs, lambda x, a=axis: eps * spec.h[a](x))
     meta = {"epsilon": eps, "axial": axial, "refine": refine,
@@ -435,32 +452,29 @@ def build_tube_mesh(radius, length, axial, refine=1.0, radius_fn=None):
 
     segments, rings, _, _ = _layout_params(refine)
     uv, disk_tris = disk_layout(rings, segments)
-    pool = _NodePool()
     xs = np.arange(0.0, length + 0.5 * axial, axial)
     xs[-1] = length
     rfn = radius_fn if radius_fn is not None else (lambda _x: radius)
-    stations = []
-    tets = []
-    prev = None
     radii = [float(rfn(float(x))) for x in xs]
-    for x, r in zip(xs, radii):
-        ids = pool.add(_tube_section(uv, 0, float(x), r))
-        stations.append(Station(float(x), ids))
-        if prev is not None:
-            tets.append(split_prisms(prev[disk_tris], ids[disk_tris]))
-        prev = ids
-    nodes = pool.coords()
-    tets = _orient_tets(nodes, np.concatenate(tets, axis=0))
-    faces = _boundary_faces(tets, nodes.shape[0])
+    nodes = np.concatenate([_tube_section(uv, 0, float(x), r)
+                            for x, r in zip(xs, radii)], axis=0)
+    ids = np.arange(len(nodes)).reshape(len(xs), -1)
+    stations = [Station(float(x), i) for x, i in zip(xs, ids)]
+    tets = _orient_tets(nodes, np.concatenate(
+        [split_prisms(a[disk_tris], b[disk_tris])
+         for a, b in zip(ids[:-1], ids[1:])], axis=0))
+    adjacent = face_adjacency(tets, nodes.shape[0])
+    faces = _boundary_faces(tets, adjacent)
     cent = nodes[faces].mean(axis=1)
     tol = 1e-9 * max(1.0, length)
     at_0 = np.abs(cent[:, 0]) < tol
     at_l = np.abs(cent[:, 0] - length) < tol
+    adjacent.T[adjacent.T < 0] = np.where(at_0 | at_l, END, LATERAL)
     boundary = {"end_a": faces[at_0], "end_b": faces[at_l],
                 "lateral_0": faces[~(at_0 | at_l)]}
     return TetMesh(nodes=nodes, tets=tets.astype(np.int32),
                    boundary=boundary, stations={0: stations},
                    disk_tris=disk_tris,
                    meta={"radius": radius, "length": length, "axial": axial,
-                         "sagitta": sagitta(max(radii), segments)})
-
+                         "sagitta": sagitta(max(radii), segments)},
+                   adjacent=adjacent)

@@ -32,8 +32,9 @@ class ReferenceSolution:
         return self.spec.epsilon
 
     def observation_interval(self):
-        """Axial interval on which tube stations are compared."""
-        lo = 3.0 * self.spec.ell * self.epsilon ** self.spec.alpha
+        """Axial interval on which tube stations are compared: beyond the
+        matching band."""
+        lo = self.spec.matching_band().hi * self.epsilon ** self.spec.alpha
         return lo, 1.0
 
     def station_values(self, edge, interval=None):

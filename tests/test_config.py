@@ -184,6 +184,13 @@ class TestProblemSpec:
         with pytest.raises(ValueError, match="schema"):
             load_spec({"schema": 2})
 
+    def test_bulge_shape_is_the_box(self, flat_spec):
+        doc = flat_spec.to_json()
+        assert doc["aneurysm"] == {"type": "box"}
+        doc["aneurysm"] = {"type": "sphere"}
+        with pytest.raises(ValueError, match="box"):
+            load_spec(doc)
+
     def test_digest_tracks_content(self, flat_spec, fx_spec):
         assert spec_digest(flat_spec) != spec_digest(fx_spec)
         assert spec_digest(flat_spec) == spec_digest(flat_spec)

@@ -10,12 +10,16 @@ from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse.linalg import cg, spsolve
 
+from conftest import make_spec
 from locator_oracle import LocatorOracle
 from thinjunction import (
+    LateralLoad,
+    SourceField,
     build_junction_mesh,
     build_thin_mesh,
     build_tube_mesh,
     fem3d,
+    solve_limit,
     solve_reference,
     with_epsilon,
 )
@@ -31,6 +35,7 @@ from thinjunction.fem3d import (
     station_profile,
 )
 from thinjunction.mesh3d import TetMesh
+from thinjunction.poly import Poly3
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +160,22 @@ class TestSolves:
     def test_missing_dirichlet_tag_rejected(self, ctx):
         with pytest.raises(KeyError):
             solve_poisson(ctx, dirichlet={"no_such_tag": 0.0})
+
+    def test_wall_flux_follows_the_limit_profile(self):
+        # a load on the wall of tube 1 only, no volume source: the
+        # station means follow the order-0 graph profile to 0.10 of its
+        # peak; a flipped flux sign would put them 1.9 off
+        phi = (LateralLoad.zero(), LateralLoad(Poly3.constant(0.5)),
+               LateralLoad.zero())
+        spec = make_spec(SourceField(Poly3.zero()), order=0, phi=phi,
+                         epsilon=0.2)
+        ref = solve_reference(spec, axial=0.04, refine=0.7)
+        edges = solve_limit(spec).edges
+        peak = max(np.abs(e.value(np.linspace(0.0, 1.0, 201))).max()
+                   for e in edges)
+        for i, edge in enumerate(edges):
+            xs, means = ref.station_values(i, ref.observation_interval())
+            assert np.abs(means - edge.value(xs)).max() < 0.2 * peak
 
 
 def _end_dirichlet_system(ctx):

@@ -15,6 +15,7 @@ from thinjunction import (
 )
 from thinjunction.cheb import PiecewiseCheb, merge_breakpoints
 from thinjunction.graph import (
+    DEG,
     EdgeFunction,
     EdgeRHS,
     ProfileStack,
@@ -67,11 +68,11 @@ def test_limit_weak_residual_random_source(rng):
     assert res < 1e-9
     # The edges reuse the solve's flux antiderivative: an edge built from
     # a fresh interpolation of its rhs is bitwise the same.
-    _, v, c = _solve_continuous(spec, rhs, 0.0, 64)
+    _, v, c = _solve_continuous(spec, rhs, 0.0)
     x = np.linspace(0.0, 1.0, 257)
     for i, edge in enumerate(gf.edges):
         bp = merge_breakpoints(h[i].breakpoints, rhs[i].breakpoints)
-        s = PiecewiseCheb.interpolate(rhs[i], bp, 64).antiderivative()
+        s = PiecewiseCheb.interpolate(rhs[i], bp, DEG).antiderivative()
         fresh = EdgeFunction(h[i], rhs[i], s, v, c[i])
         for name in ("value", "d1", "d2"):
             assert np.array_equal(getattr(fresh, name)(x),

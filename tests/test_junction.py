@@ -1,5 +1,6 @@
 """Junction correctors: flux budgets, special fields, transmission jumps."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,10 +8,12 @@ import pytest
 
 from delta_oracle import delta_reference
 from thinjunction import (
+    Expansion,
     build_inner_rhs,
     check_solvability,
     compute_delta,
     compute_dstar,
+    load_spec,
     solve_decaying,
     solve_limit,
     solve_special,
@@ -36,6 +39,21 @@ class TestFluxBudget:
         want = 3.0 * 0.3 * math.pi * 0.0625 - 0.6 ** 3
         assert compute_dstar(flat_spec, 1) == pytest.approx(want,
                                                             abs=1e-14)
+
+    def test_bulge_width_follows_a_replaced_ell(self, flat_spec):
+        # a spec copied with another ell budgets its own bulge, as the
+        # same spec loaded from its document does
+        spec = dataclasses.replace(flat_spec, ell=0.28)
+        loaded = load_spec(spec.to_json())
+        want = 3.0 * 0.28 * math.pi * 0.0625 - 0.56 ** 3
+        gf = solve_limit(flat_spec)
+        taylor = [{0: gf.edges[i].germ().coef, 1: np.zeros(4)}
+                  for i in range(3)]
+        data = build_inner_rhs(flat_spec, 2, taylor, [{}, {}, {}])
+        for s in (spec, loaded):
+            assert compute_dstar(s, 1) == pytest.approx(want, abs=1e-14)
+        assert check_solvability(spec, data) == check_solvability(loaded,
+                                                                  data)
 
     def test_dstar_negative_order_rejected(self, flat_spec):
         with pytest.raises(ValueError):
@@ -207,6 +225,18 @@ class TestInnerRhs:
         got = data.walls[1](0.0, 0.2, -0.1)
         want = rich_spec.phi[1].poly(0.0, 0.2, -0.1)
         assert got == pytest.approx(want, abs=1e-14)
+
+    def test_constant_source_balances_at_order_two(self, flat_spec):
+        # the interior part (1 - sum of cutoffs) f enters the exact
+        # flux budget and the assembled load alike
+        spec = dataclasses.replace(flat_spec, order=2)
+        exp = Expansion(spec, junction_R=spec.ell + 4.0,
+                        junction_refine=0.7)
+        assert exp.inner[2].fpart is not None
+        assert abs(exp.solvability[2]) < 1e-12
+        load = exp.nfields[2].load
+        # 2.9e-4 of the load's l1 norm here; 0.24 without the cutoffs
+        assert abs(exp.nfields[2].load_defect) < 1e-3 * np.abs(load).sum()
 
     def test_constant_source_enters_interior_part(self, flat_spec):
         gf = solve_limit(flat_spec)

@@ -4,13 +4,19 @@ import numpy as np
 import pytest
 
 from boundary_faces_oracle import boundary_faces_reference
+from node_pool_oracle import NodePool, pool_numbering
 from thinjunction import (
     build_junction_mesh,
     build_thin_mesh,
     build_tube_mesh,
 )
 from thinjunction.mesh3d import (
+    END,
+    LATERAL,
+    OTHER,
+    TetMesh,
     _boundary_faces,
+    face_adjacency,
     graded_stations,
     snap_stations,
 )
@@ -176,19 +182,48 @@ class TestThinMesh:
 
 
 class TestBoundaryFaces:
-    """The integer-keyed face count against the row-keyed oracle."""
+    """The faces with no tet across, by the builder's face matching,
+    against the row-keyed oracle."""
 
     @pytest.mark.parametrize("name", ["tube", "junction", "thin"])
     def test_bitwise_equal_to_oracle(self, request, name):
         mesh = request.getfixturevalue(name)
         for tets in (mesh.tets, mesh.tets.astype(np.int64)):
-            got = _boundary_faces(tets, mesh.num_nodes)
             want = boundary_faces_reference(tets)
-            assert got.dtype == want.dtype
-            assert np.array_equal(got, want)
+            for adjacent in (mesh.adjacent,
+                             face_adjacency(tets, mesh.num_nodes)):
+                got = _boundary_faces(tets, adjacent)
+                assert got.dtype == want.dtype
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("name", ["tube", "junction", "thin"])
+    def test_adjacency_pairs_faces_and_codes_tags(self, request, name):
+        mesh = request.getfixturevalue(name)
+        adj = mesh.adjacent
+        assert adj.shape == (mesh.num_tets, 4) and adj.dtype == np.int32
+        # an interior face is seen from both of its tets
+        t, v = np.nonzero(adj >= 0)
+        back = adj[adj[t, v]]
+        assert np.all((back == t[:, None]).sum(axis=1) == 1)
+        assert set(np.unique(adj[adj < 0]).tolist()) <= {END, LATERAL, OTHER}
+        faces = np.sort(_boundary_faces(mesh.tets, adj), axis=1)
+        code = adj.T[adj.T < 0]
+        for prefix, want in (("end", END), ("lateral", LATERAL),
+                             ("wall", OTHER)):
+            tagged = [f for tag, f in mesh.boundary.items()
+                      if tag.startswith(prefix)]
+            tagged = np.sort(np.concatenate(tagged), axis=1) if tagged \
+                else np.empty((0, 3), int)
+            assert np.array_equal(np.unique(faces[code == want], axis=0),
+                                  np.unique(tagged, axis=0)), prefix
+
+    def test_mesh_built_directly_gets_its_adjacency(self, tube):
+        mesh = TetMesh(nodes=tube.nodes, tets=tube.tets, boundary={},
+                       stations={}, disk_tris=tube.disk_tris)
+        assert np.array_equal(mesh.adjacent, np.maximum(tube.adjacent, OTHER))
 
     def test_tags_partition_the_boundary_faces(self, thin):
-        faces = _boundary_faces(thin.tets, thin.num_nodes)
+        faces = _boundary_faces(thin.tets, thin.adjacent)
         tagged = np.concatenate(list(thin.boundary.values()))
         assert len(tagged) == len(faces)
         key = np.sort(faces, axis=1)
@@ -197,7 +232,7 @@ class TestBoundaryFaces:
 
     def test_key_range_is_checked(self, tube):
         with pytest.raises(AssertionError, match="overflow"):
-            _boundary_faces(tube.tets, 1 << 21)
+            face_adjacency(tube.tets, 1 << 21)
 
     def test_sagitta_recorded(self, tube, junction, thin):
         # the widest station rim of each mesh sets its sagitta
@@ -208,6 +243,37 @@ class TestBoundaryFaces:
             segments = mesh.meta.get("segments", 48)  # tubes: refine 1
             assert mesh.meta["sagitta"] == pytest.approx(
                 rim * (1.0 - np.cos(np.pi / segments)), rel=1e-12)
+
+
+class TestNodeNumbering:
+    """One merge of the cube faces' points, fresh ids for the rest,
+    against the dictionary-keyed pool."""
+
+    def test_box_meshes_match_the_pool(self, junction, thin, flat_spec,
+                                       rich_spec):
+        eps = rich_spec.epsilon
+        cases = ((junction, flat_spec.ell,
+                  [flat_spec.h0(i) for i in range(3)]),
+                 (thin, eps * rich_spec.ell,
+                  [eps * rich_spec.h0(i) for i in range(3)]))
+        for mesh, half, radii in cases:
+            faces, stations, coords = pool_numbering(mesh, half, radii)
+            assert coords.dtype == mesh.nodes.dtype
+            assert np.array_equal(coords, mesh.nodes)
+            for axis in range(3):
+                first, *rest = mesh.stations[axis]
+                assert np.array_equal(first.nodes,
+                                      faces[2 * axis][:first.nodes.size])
+                assert len(rest) == len(stations[axis])
+                for st, ids in zip(rest, stations[axis]):
+                    assert st.nodes.dtype == ids.dtype
+                    assert np.array_equal(st.nodes, ids)
+
+    def test_tube_matches_the_pool(self, tube):
+        pool = NodePool()
+        for st in tube.stations[0]:
+            assert np.array_equal(pool.add(tube.nodes[st.nodes]), st.nodes)
+        assert np.array_equal(pool.coords(), tube.nodes)
 
 
 class TestStationHelpers:

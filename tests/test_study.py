@@ -32,6 +32,32 @@ def test_junction_target_below_inverse_truncation(fx_spec):
     assert result.status == "ok"
 
 
+def test_tube_target_matches_direct_norms(fx_spec):
+    # COR42_CYL: worst H1 distance, over the tubes beyond the matching
+    # band, to the order-0 graph profile of each tube
+    spec = dataclasses.replace(fx_spec, order=0)
+    plan = StudyPlan(spec=spec, epsilons=[0.3, 0.25, 0.2],
+                     targets=["COR42_CYL"], axial=0.05, fem_refine=0.4)
+    (result,) = run_study(plan).targets
+    edges = Expansion(spec).graph[0].edges
+    for j, eps in enumerate(plan.epsilons):
+        ref = solve_reference(with_epsilon(spec, eps), axial=plan.axial,
+                              refine=plan.fem_refine, rtol=plan.rtol)
+        cent = ref.mesh.nodes[ref.mesh.tets].mean(axis=1)
+        lo = 3.0 * spec.ell * eps ** spec.alpha
+        worst = 0.0
+        for i, edge in enumerate(edges):
+            def fn(pts, i=i, edge=edge):
+                grads = np.zeros_like(pts)
+                grads[:, i] = edge.d1(pts[:, i])
+                return edge.value(pts[:, i]), grads
+
+            x = cent[:, i]
+            mask = (x > eps * spec.ell) & (x > lo) & (x < 1.0)
+            worst = max(worst, ref.norms_against(fn, mask=mask * 1.0)[2])
+        assert result.errors[j] == pytest.approx(worst, rel=1e-9)
+
+
 def test_whole_domain_targets_share_one_norm_evaluation(fx_spec, monkeypatch):
     spec = dataclasses.replace(fx_spec, order=0)
     plan = StudyPlan(spec=spec, epsilons=[0.3, 0.25, 0.2],

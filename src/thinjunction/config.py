@@ -301,6 +301,13 @@ class ProblemSpec:
         variable: from ell + 1 to ell + 2."""
         return SmoothStep(self.ell + 1.0, self.ell + 2.0)
 
+    def far_field_start(self):
+        """Start of the far field along each outlet, in the fast
+        variable: ell + 2.5, past the junction band.  The junction mesh
+        keeps its fine stations up to this plane, and far-field slopes
+        of junction fields are fitted from it on."""
+        return self.ell + 2.5
+
     def matching_band(self):
         """Cutoff of the matching zone in the stretched variable
         x / epsilon^alpha: from 2 ell to 3 ell."""

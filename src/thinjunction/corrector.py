@@ -71,10 +71,6 @@ class DiskPoly:
                 out.sin[: p + 1, p] += w * b
         return out
 
-    @property
-    def shape(self):
-        return self.cos.shape
-
     def padded(self, nmax, pmax):
         cos = np.zeros((nmax + 1, pmax + 1))
         sin = np.zeros((nmax + 1, pmax + 1))
@@ -101,12 +97,6 @@ class DiskPoly:
 
     def scale(self, s):
         return DiskPoly(self.cos * s, self.sin * s)
-
-    def __neg__(self):
-        return self.scale(-1.0)
-
-    def __sub__(self, other):
-        return self + (-other)
 
     def laplacian(self):
         """Transverse Laplacian, again in modal form."""
@@ -445,7 +435,9 @@ def corrector_rhs(spec: ProblemSpec, edge, k, corr: EdgeCorrector | None):
         if use_eta:
             out = out - eta(k, h.deriv(x)) * phi.circle_integral(x, hx)
         if corr is not None:
-            out = out + h.deriv(x) * corr.circle_integral_xderiv(x)
+            # the rim integral comes back at least 1-d; keep x's shape
+            out = out + h.deriv(x) * corr.circle_integral_xderiv(
+                x).reshape(x.shape)
         return out
 
     h0 = spec.h0(edge)

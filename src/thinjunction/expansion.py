@@ -151,6 +151,33 @@ class Expansion:
         edge = np.where(peak > lim, edge, -1)
         return edge
 
+    def _tubes(self, pts, eps, edge):
+        """Per tube: (edge, rows, x, scaled transverse coordinates, and
+        the stretched axial coordinate x / eps^alpha)."""
+        for i in range(3):
+            sel = np.flatnonzero(edge == i)
+            if sel.size == 0:
+                continue
+            a, b = TRANSVERSE_AXES[i]
+            x = pts[sel, i]
+            yield (i, sel, x, pts[sel, a] / eps, pts[sel, b] / eps,
+                   x / eps ** self.spec.alpha)
+
+    def _tube_terms(self, i, x, ta, tb, m):
+        """w_k + u_k, its axial slope and the transverse gradient of u_k
+        on tube i for k = 0..m, one column per order, all read off one
+        Chebyshev table."""
+        table = self.profiles[i].table(x)
+        core, d_ax = self.profiles[i].evaluate(x, table)
+        ga = np.zeros_like(core)
+        gb = np.zeros_like(core)
+        for k in range(2, m + 1):
+            cv, cx, ga[:, k], gb[:, k] = self.correctors[k][i].evaluate(
+                x, ta, tb, table)
+            core[:, k] += cv
+            d_ax[:, k] += cx
+        return core, d_ax, ga, gb
+
     # -- partial sum -----------------------------------------------------
 
     def _inner_sum(self, eps, m):
@@ -177,14 +204,8 @@ class Expansion:
         weight = np.ones(n)
         wslope = np.zeros(n)
 
-        for i in range(3):
-            sel = np.flatnonzero(edge == i)
-            if sel.size == 0:
-                continue
+        for i, sel, x, ta, tb, zeta in self._tubes(pts, eps, edge):
             a, b = TRANSVERSE_AXES[i]
-            x = pts[sel, i]
-            ta, tb = pts[sel, a] / eps, pts[sel, b] / eps
-            zeta = x / eps ** alpha
             chi = self.cut_axial(zeta)
             dchi = self.cut_axial.deriv(zeta)
             weight[sel] = 1.0 - chi
@@ -193,33 +214,24 @@ class Expansion:
             end = x > self.cut_end.lo
             chid = self.cut_end(x)
             dchid = self.cut_end.deriv(x)
-            # one Chebyshev table serves the profiles and correctors
-            table = self.profiles[i].table(x)
-            w, dw = self.profiles[i].evaluate(x, table)
+            core, d_ax, ga, gb = self._tube_terms(i, x, ta, tb, m)
 
             for k in range(0, m + 1):
                 ek = eps ** k
-                core = w[:, k]
-                d_ax = dw[:, k]
-                corr = self.correctors.get(k)
-                if corr is not None:
-                    cv, cx, ga, gb = corr[i].evaluate(x, ta, tb, table)
-                    core = core + cv
-                    d_ax = d_ax + cx
-                    grads[sel, a] += ek * chi * ga / eps
-                    grads[sel, b] += ek * chi * gb / eps
-                vals[sel] += ek * chi * core
-                grads[sel, i] += ek * (eps ** (-alpha) * dchi * core
-                                       + chi * d_ax)
+                vals[sel] += ek * chi * core[:, k]
+                grads[sel, i] += ek * (eps ** (-alpha) * dchi * core[:, k]
+                                       + chi * d_ax[:, k])
+                grads[sel, a] += ek * chi * ga[:, k] / eps
+                grads[sel, b] += ek * chi * gb[:, k] / eps
                 layer = self.layers.get(k)
                 if layer is not None and not layer[i].is_zero and end.any():
-                    lv, ds, ga, gb = layer[i].gradient(
+                    lv, ds, la, lb = layer[i].gradient(
                         (1.0 - x[end]) / eps, ta[end], tb[end])
                     c, dc = chid[end], dchid[end]
                     vals[sel[end]] += ek * c * lv
                     grads[sel[end], i] += ek * (dc * lv - c * ds / eps)
-                    grads[sel[end], a] += ek * c * ga / eps
-                    grads[sel[end], b] += ek * c * gb / eps
+                    grads[sel[end], a] += ek * c * la / eps
+                    grads[sel[end], b] += ek * c * lb / eps
 
         live = np.flatnonzero(weight > 0.0)
         if live.size:
@@ -257,18 +269,14 @@ class Expansion:
         alpha = self.spec.alpha
         out = {j: np.zeros(len(pts)) for j in which}
         edge = self._split(pts, eps)
+        weight = np.ones(len(pts))
+        inner = self._inner_sum(eps, m) if 2 in which and m >= 1 else None
 
-        for i in range(3):
-            sel = np.flatnonzero(edge == i)
-            if sel.size == 0:
-                continue
-            a, b = TRANSVERSE_AXES[i]
-            x = pts[sel, i]
-            ta, tb = pts[sel, a] / eps, pts[sel, b] / eps
-            zeta = x / eps ** alpha
+        for i, sel, x, ta, tb, zeta in self._tubes(pts, eps, edge):
             chi = self.cut_axial(zeta)
             dchi = self.cut_axial.deriv(zeta)
             d2chi = self.cut_axial.deriv2(zeta)
+            weight[sel] = 1.0 - chi
 
             if 1 in which:
                 acc = np.zeros(sel.size)
@@ -279,10 +287,6 @@ class Expansion:
                         term = term + corr[i].values(x, ta, tb, xderiv=2)
                     acc += eps ** k * term
                 out[1][sel] += chi * acc
-
-            if 2 in which:
-                self._matching_commutator(out[2], sel, i, x, ta, tb, eps,
-                                          m, dchi, d2chi)
 
             if 3 in which:
                 chid = self.cut_end(x)
@@ -309,25 +313,27 @@ class Expansion:
                     taylor += eps ** q * sl(x, ta, tb)
                 out[4][sel] += chi * (fref - taylor)
 
+            # the matching cutoff band, where its derivatives act
+            band = (dchi != 0.0) | (d2chi != 0.0)
+            if not band.any():
+                continue
+            rows, x, ta, tb = sel[band], x[band], ta[band], tb[band]
+            d1 = eps ** (-alpha) * dchi[band]
+            d2 = eps ** (-2.0 * alpha) * d2chi[band]
+            if inner is not None:
+                dval, val = self._matching_mismatch(inner, i, x, ta, tb, eps,
+                                                    m)
+                out[2][rows] += -2.0 / eps * d1 * dval - d2 * val
             if 6 in which or 7 in which:
-                band = (dchi != 0.0) | (d2chi != 0.0)
-                if band.any():
-                    r6, r7 = self._vertex_remainders(
-                        i, x[band], ta[band], tb[band], eps, m)
-                    if 6 in which:
-                        out[6][sel[band]] += (2.0 * eps ** (-alpha)
-                                              * dchi[band] * r6)
-                    if 7 in which:
-                        out[7][sel[band]] += (eps ** (-2.0 * alpha)
-                                              * d2chi[band] * r7)
+                core, d_ax, _, _ = self._tube_terms(i, x, ta, tb, m)
+                r6, r7 = self._vertex_remainders(i, x, ta, tb, eps, m,
+                                                 core, d_ax)
+                if 6 in which:
+                    out[6][rows] += 2.0 * d1 * r6
+                if 7 in which:
+                    out[7][rows] += d2 * r7
 
         if 5 in which:
-            weight = np.ones(len(pts))
-            tube = edge >= 0
-            if tube.any():
-                zeta = pts[tube, :][np.arange(tube.sum()), edge[tube]] \
-                    / eps ** alpha
-                weight[tube] = 1.0 - self.cut_axial(zeta)
             live = weight > 0
             if live.any():
                 p = pts[live]
@@ -337,32 +343,23 @@ class Expansion:
                                                            p[:, 2]))
         return out
 
-    def _matching_commutator(self, target, sel, i, x, ta, tb, eps, m,
-                             dchi, d2chi):
-        band = (dchi != 0.0) | (d2chi != 0.0)
-        if m == 0 or not band.any():
-            return
-        alpha = self.spec.alpha
-        xi_ax = x[band] / eps
-        pts_xi = np.zeros((band.sum(), 3))
-        pts_xi[:, i] = xi_ax
+    def _matching_mismatch(self, inner, i, x, ta, tb, eps, m):
+        """Axial slope and value of the inner sum minus its tube limit
+        (constant, jump and outlet growth) at tube points, in the fast
+        variables."""
         a, b = TRANSVERSE_AXES[i]
-        pts_xi[:, a] = ta[band]
-        pts_xi[:, b] = tb[band]
-        step = self.junction.step
-        chi_j = step(xi_ax)
-        dchi_j = step.deriv(xi_ax)
-        inner = self._inner_sum(eps, m)
-        dec, dgrad = self.junction.ctx.locator().evaluate(inner.decay, pts_xi)
+        xi = np.empty((x.size, 3))
+        xi[:, i] = x / eps
+        xi[:, a] = ta
+        xi[:, b] = tb
+        val, grad = inner.evaluate(xi)
+        psi, dpsi, _, _ = inner.growth[i].evaluate(xi[:, i], ta, tb)
         delta = sum(eps ** k * self.trans[k].jumps[i] for k in range(1, m + 1))
-        psi, dpsi, _, _ = inner.growth[i].evaluate(xi_ax, ta[band], tb[band])
-        val = dec - delta + (chi_j - 1.0) * psi
-        dval = dgrad[:, i] + dchi_j * psi + (chi_j - 1.0) * dpsi
-        target[sel[band]] += (-2.0 * eps ** (-1.0 - alpha) * dchi[band] * dval
-                              - eps ** (-2.0 * alpha) * d2chi[band] * val)
+        return grad[:, i] - dpsi, val - inner.constant - delta - psi
 
-    def _vertex_remainders(self, i, x, ta, tb, eps, m):
-        """Taylor remainders of the tube terms about the vertex."""
+    def _vertex_remainders(self, i, x, ta, tb, eps, m, core, dcore):
+        """Taylor remainders about the vertex of the tube terms ``core``
+        (w_k + u_k per column) and their axial slopes ``dcore``."""
         valid = self.spec.h[i].plateau0
         if x.size and float(x.max()) > valid + 1e-12:
             raise RecurrenceError(
@@ -370,12 +367,8 @@ class Expansion:
                 "Taylor data are not valid there")
         r6 = np.zeros(x.size)
         r7 = np.zeros(x.size)
-        table = self.profiles[i].table(x)
-        w, dw = self.profiles[i].evaluate(x, table)
         for k in range(0, m + 1):
             depth = m - k
-            core = w[:, k]
-            dcore = dw[:, k]
             tay = np.zeros(x.size)
             dtay = np.zeros(x.size)
             wg = self.graph[k].edges[i].germ().coef
@@ -386,14 +379,11 @@ class Expansion:
             corr = self.correctors.get(k)
             if corr is not None:
                 c = corr[i]
-                cv, cx, _, _ = c.evaluate(x, ta, tb, table)
-                core = core + cv
-                dcore = dcore + cx
                 for j in range(min(depth, len(c.germ) - 1) + 1):
                     gv = c.germ[j].evaluate(ta, tb)
                     tay += gv * x ** j
                     if j >= 1:
                         dtay += j * gv * x ** (j - 1)
-            r6 += eps ** k * (dcore - dtay)
-            r7 += eps ** k * (core - tay)
+            r6 += eps ** k * (dcore[:, k] - dtay)
+            r7 += eps ** k * (core[:, k] - tay)
         return r6, r7

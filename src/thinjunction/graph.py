@@ -126,9 +126,6 @@ class EdgeFunction:
         return (-self.rhs(x) - 2.0 * math.pi * h * self.h.deriv(x)
                 * self._deriv_exact(x)) / (math.pi * h ** 2)
 
-    def __call__(self, x):
-        return self.value(x)
-
     def germ(self):
         """Exact Taylor polynomial at x = 0 (valid while h is constant there).
 
@@ -219,9 +216,6 @@ class GraphFunction:
 
     def d1(self, edge, x):
         return self.edges[edge].d1(x)
-
-    def d2(self, edge, x):
-        return self.edges[edge].d2(x)
 
     @property
     def vertex_values(self):

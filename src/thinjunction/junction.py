@@ -64,10 +64,6 @@ class OutletGrowth:
         if len(self.disks) != len(self.coeffs):
             raise ValueError("one disk slot per power")
 
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1
-
     def evaluate(self, ax, ta, tb):
         """(value, d/dax, d/dta, d/dtb) at each point.
 
@@ -328,9 +324,9 @@ class JunctionField:
                              growth=growth, constant=constant,
                              info=self.info)
 
-    def _growth_at(self, pts):
+    def _add_growth(self, pts, vals, grads=None):
+        """Add the cut-off outlet growths (and their gradients) at pts."""
         step = self.junction.step
-        out = np.zeros(len(pts))
         for i in range(3):
             g = self.growth[i]
             if g is None:
@@ -340,14 +336,19 @@ class JunctionField:
             if not live.any():
                 continue
             a, b = TRANSVERSE_AXES[i]
-            out[live] += step(ax[live]) * g.evaluate(
-                ax[live], pts[live, a], pts[live, b])[0]
-        return out
+            axl = ax[live]
+            gv, gs, ga, gb = g.evaluate(axl, pts[live, a], pts[live, b])
+            chi = step(axl)
+            vals[live] += chi * gv
+            if grads is not None:
+                grads[live, i] += step.deriv(axl) * gv + chi * gs
+                grads[live, a] += chi * ga
+                grads[live, b] += chi * gb
 
     def nodal_total(self):
         if self._total is None:
-            self._total = (self.decay + self.constant
-                           + self._growth_at(self.junction.mesh.nodes))
+            self._total = self.decay + self.constant
+            self._add_growth(self.junction.mesh.nodes, self._total)
         return self._total
 
     def station_means(self, edge):
@@ -361,7 +362,7 @@ class JunctionField:
     def far_slope(self, edge, start=None):
         xs, means = self.station_means(edge)
         if start is None:
-            start = self.junction.ell + 2.5
+            start = self.junction.spec.far_field_start()
         keep = xs >= start
         fit = np.polyfit(xs[keep], means[keep], 1)
         return float(fit[0])
@@ -371,23 +372,7 @@ class JunctionField:
         points = np.asarray(points, dtype=float)
         vals, grads = self.junction.ctx.locator().evaluate(self.decay, points)
         vals += self.constant
-        step = self.junction.step
-        for i in range(3):
-            g = self.growth[i]
-            if g is None:
-                continue
-            ax = points[:, i]
-            live = ax > step.lo
-            if not live.any():
-                continue
-            a, b = TRANSVERSE_AXES[i]
-            axl = ax[live]
-            gv, gs, ga, gb = g.evaluate(axl, points[live, a], points[live, b])
-            chi = step(axl)
-            vals[live] += chi * gv
-            grads[live, i] += step.deriv(axl) * gv + chi * gs
-            grads[live, a] += chi * ga
-            grads[live, b] += chi * gb
+        self._add_growth(points, vals, grads)
         return vals, grads
 
 

@@ -410,12 +410,12 @@ def build_junction_mesh(spec: ProblemSpec, R=None, refine=None):
     segments, rings, blend, shells = _layout_params(refine)
     radii = [spec.h0(i) for i in range(3)]
     band = spec.junction_band()
+    far = spec.far_field_start()
     builder = _DomainBuilder(ell, radii, rings, blend, segments, shells)
     for axis in range(3):
         fine = radii[axis] / 5.0 / refine
-        xs = graded_stations(ell, R, fine, ell + 2.5,
-                             cap=radii[axis] / refine)
-        xs = snap_stations(xs, [band.lo, band.hi, ell + 2.5])
+        xs = graded_stations(ell, R, fine, far, cap=radii[axis] / refine)
+        xs = snap_stations(xs, [band.lo, band.hi, far])
         builder.extrude_tube(axis, xs, lambda _x, r=radii[axis]: r)
     meta = {"R": R, "refine": refine, "segments": segments,
             "rings": rings, "blend": blend, "shells": shells}

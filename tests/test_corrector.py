@@ -189,3 +189,27 @@ class TestEdgeCorrector:
         xa, xb = disk_points(0.25, 10, rng)
         vals = corr.values(np.full(xa.size, 0.4), xa, xb)
         assert np.max(np.abs(vals)) < 1e-11
+
+
+@pytest.mark.parametrize("edge", [0, 2])
+def test_order_four_corrector_from_order_two(exp_rich, rng, edge):
+    """u4 is built from u2 (``prev``) on the constant-radius edges and
+    solves -lap u4 = f-slice_2 + omega2'' + d^2 u2/dx^2.  An order-2
+    expansion keeps germs of depth 4, so u4 reaches depth 2."""
+    spec = exp_rich.spec
+    omega = exp_rich.graph[2].edges[edge]
+    u2 = exp_rich.correctors[2][edge]
+    u4 = build_corrector(spec, edge, 4, omega=omega, prev=u2, jmax=2)
+    fslice = spec.f.transverse_taylor(edge, 2)
+    xa, xb = disk_points(spec.h0(edge), 20, rng)
+    for x in (0.2, 0.5, 0.77):
+        xs = np.full(xa.size, x)
+        lap = u4.modal_at(x).laplacian().evaluate(xa, xb)
+        want = -(fslice(xs, xa, xb) + float(omega.d2(np.array([x]))[0])
+                 + u2.values(xs, xa, xb, xderiv=2))
+        assert np.max(np.abs(lap - want)) < 1e-9
+    assert len(u4.germ) == 3
+    for x in (1e-3, 0.02):
+        direct = u4.values(np.full(xa.size, x), xa, xb)
+        germ = sum(u4.germ[j].evaluate(xa, xb) * x ** j for j in range(3))
+        assert np.max(np.abs(direct - germ)) < 1e-9

@@ -9,7 +9,7 @@ import pytest
 from thinjunction import reference
 from thinjunction.expansion import Expansion
 from thinjunction.reference import solve_reference, with_epsilon
-from thinjunction.study import StudyPlan, run_study
+from thinjunction.study import StudyPlan, residual_cloud, run_study
 
 # COR42_JUNC errors of this plan at eps = 0.3 and 0.25, recorded when the
 # junction field was still evaluated over the whole thin domain (which
@@ -85,3 +85,25 @@ def test_whole_domain_targets_share_one_norm_evaluation(fx_spec, monkeypatch):
                 "COR42_H1_U0_REL": h1 / np.sqrt(ref.domain_measure())}
         for t in report.targets:
             assert t.errors[j] == want[t.target], t.target
+
+
+def test_residual_targets_through_the_study(rich_spec, exp_rich):
+    # the plan builds its own expansion with the settings of exp_rich
+    epsilons = [0.2, 0.1, 0.05]
+    targets = [f"RESID_{j}" for j in range(1, 8)]
+    plan = StudyPlan(spec=rich_spec, epsilons=epsilons, targets=targets,
+                     junction_R=rich_spec.ell + 4.0, junction_refine=0.7)
+    report = run_study(plan)
+    assert [r.target for r in report.targets] == targets
+    for r in report.targets:
+        assert r.region == "sample-cloud"
+        if r.target == "RESID_1":
+            assert r.status == "ok" and r.passed
+            assert r.predicted == rich_spec.order - 1.0
+        else:
+            assert r.status == "reported" and r.passed
+            assert r.predicted is None
+    for n, eps in enumerate(epsilons):
+        terms = exp_rich.residual_terms(residual_cloud(rich_spec, eps), eps)
+        for j, r in enumerate(report.targets, start=1):
+            assert r.errors[n] == float(np.max(np.abs(terms[j])))

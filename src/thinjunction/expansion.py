@@ -180,6 +180,13 @@ class Expansion:
 
     # -- partial sum -----------------------------------------------------
 
+    def _partial_order(self, m):
+        """The partial sum order m, the built order by default."""
+        m = self.order if m is None else int(m)
+        if m > self.order:
+            raise ValueError("partial sum order exceeds the built order")
+        return m
+
     def _inner_sum(self, eps, m):
         """sum_{k=1..m} eps^k N_k as one junction field."""
         return self.inner_stack.combine(eps ** np.arange(1, m + 1))
@@ -192,9 +199,7 @@ class Expansion:
         """
         pts = np.asarray(points, dtype=float)
         eps = float(epsilon)
-        m = self.order if m is None else int(m)
-        if m > self.order:
-            raise ValueError("partial sum order exceeds the built order")
+        m = self._partial_order(m)
         alpha = self.spec.alpha
         n = len(pts)
         vals = np.zeros(n)
@@ -264,7 +269,7 @@ class Expansion:
         """
         pts = np.asarray(points, dtype=float)
         eps = float(epsilon)
-        m = self.order if m is None else int(m)
+        m = self._partial_order(m)
         which = tuple(range(1, 8)) if which is None else tuple(which)
         alpha = self.spec.alpha
         out = {j: np.zeros(len(pts)) for j in which}

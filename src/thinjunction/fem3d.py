@@ -131,19 +131,23 @@ class FemContext:
         wts = np.outer(vols, w)
         return pts, wts, bary
 
-    def volume_load(self, fn, degree=2):
-        """Load vector of ``fn(points)``, assembled in blocks of tets.
+    def volume_load(self, fn, degree=2, live=None):
+        """Load vector of ``fn(points)`` over every tet, or over the tets
+        indexed by ``live`` in increasing order, assembled in blocks.
 
         Blocks are added in tet order, so the sum at each node runs in
-        the same order as one unblocked ``add.at``.
+        the same order as one unblocked ``add.at``; a tet left out of
+        ``live`` where ``fn`` is zero changes no bit of the load.
         """
         bary, w = _TET_RULES[degree]
-        tets = self.mesh.tets.astype(np.int64)
+        tets, vols = self.mesh.tets.astype(np.int64), self.volumes
+        if live is not None:
+            tets, vols = tets[live], vols[live]
         b = np.zeros(self.mesh.num_nodes)
         for start in range(0, len(tets), LOAD_BLOCK):
             block = tets[start:start + LOAD_BLOCK]
             pts = np.einsum("qa,tad->tqd", bary, self.mesh.nodes[block])
-            wts = np.outer(self.volumes[start:start + LOAD_BLOCK], w)
+            wts = np.outer(vols[start:start + LOAD_BLOCK], w)
             vals = fn(pts.reshape(-1, 3)).reshape(wts.shape)
             np.add.at(b, block, np.einsum("tq,qa->ta", wts * vals, bary))
         return b

@@ -108,6 +108,12 @@ class OutletGrowth:
         return np.array(out)
 
 
+def _has_growth(g):
+    """Whether an outlet growth (or None) is nonzero."""
+    return g is not None and (np.any(g.coeffs != 0.0)
+                              or any(d is not None for d in g.disks))
+
+
 @dataclass
 class InnerData:
     """Interior and wall data of one corrector order on the junction."""
@@ -252,6 +258,14 @@ class TruncatedJunction:
         self.ell = spec.ell
         self.radii = tuple(spec.h0(i) for i in range(3))
         self.step = spec.junction_band()
+        # the tets a cut-off source reaches: those whose extent on axis i
+        # cuts the open band, and those wholly past it on some axis,
+        # where 1 - sum chi is exactly 0
+        lo, hi = self.step.support
+        x = self.mesh.nodes[self.mesh.tets]
+        low, high = x.min(axis=1), x.max(axis=1)
+        self.band_tets = (high > lo) & (low < hi)
+        self.past_band = (low >= hi).any(axis=1)
 
 
 def _source_values(junction: TruncatedJunction, data: InnerData, pts):
@@ -262,8 +276,7 @@ def _source_values(junction: TruncatedJunction, data: InnerData, pts):
     for i in range(3):
         ax = pts[:, i]
         g = data.growth[i]
-        if g is None or (np.all(g.coeffs == 0.0)
-                         and all(d is None for d in g.disks)):
+        if not _has_growth(g):
             continue
         band = (ax > lo) & (ax < hi)
         if not band.any():
@@ -279,10 +292,19 @@ def _source_values(junction: TruncatedJunction, data: InnerData, pts):
 
 
 def assemble_load(junction: TruncatedJunction, data: InnerData):
-    """Weak-form load vector of one corrector order."""
+    """Weak-form load vector of one corrector order.
+
+    The interior data are integrated over the tets where they can be
+    nonzero only: the band of each outlet with growth and, with an
+    interior part, every tet not wholly past the band.
+    """
     ctx = junction.ctx
+    grows = [_has_growth(g) for g in data.growth]
+    live = junction.band_tets[:, grows].any(axis=1)
+    if data.fpart is not None:
+        live |= ~junction.past_band
     b = ctx.volume_load(lambda pts: _source_values(junction, data, pts),
-                        degree=5)
+                        degree=5, live=np.flatnonzero(live))
     for i in range(3):
         wall = data.walls[i]
         if wall is None:

@@ -34,7 +34,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from . import __version__
 from .config import TRANSVERSE_AXES, ProblemSpec, load_spec
@@ -287,14 +287,22 @@ def _energy_error(target, exp, ref, whole):
 
 
 def _fit(epsilons, errors):
+    """Least-squares slope of log error against log epsilon and its 95%
+    Student t interval, in the closed form of ``scipy.stats.linregress``."""
     errs = np.asarray(errors, dtype=float)
     if np.any(errs <= 0.0) or np.max(errs) < 1e-250:
         return None, None, "degenerate"
-    fit = stats.linregress(np.log(epsilons), np.log(errs))
-    half = stats.t.ppf(0.975, len(epsilons) - 2) * fit.stderr \
-        if len(epsilons) > 2 else np.inf
-    return float(fit.slope), (float(fit.slope - half),
-                              float(fit.slope + half)), "ok"
+    n = len(epsilons)
+    ssxm, ssxym, _, ssym = np.cov(np.log(epsilons), np.log(errs),
+                                  bias=1).flat
+    slope = ssxym / ssxm
+    half = np.inf
+    if n > 2:
+        with np.errstate(invalid="ignore"):
+            r = np.clip(ssxym / np.sqrt(ssxm * ssym), -1.0, 1.0)
+        stderr = np.sqrt((1.0 - r ** 2) * ssym / ssxm / (n - 2))
+        half = special.stdtrit(n - 2, 0.975) * stderr
+    return float(slope), (float(slope - half), float(slope + half)), "ok"
 
 
 def run_study(plan: StudyPlan) -> StudyReport:

@@ -1,8 +1,10 @@
 """The assembled expansion: served values and gradients, residual terms."""
 
+import dataclasses
 import math
 
 import numpy as np
+import pytest
 from numpy.polynomial import Chebyshev
 from numpy.polynomial import chebyshev as npcheb
 
@@ -10,6 +12,7 @@ from evaluate_oracle import evaluate_reference, residual_terms_reference
 from thinjunction import cheb
 from thinjunction.config import TRANSVERSE_AXES
 from thinjunction.corrector import EdgeCorrector
+from thinjunction.expansion import Expansion
 from thinjunction.fem3d import PointLocator
 from thinjunction.study import predicted_exponent, residual_cloud, slope_band
 
@@ -47,6 +50,15 @@ def test_residual_terms_on_the_sample_cloud(exp_rich):
     pred = predicted_exponent("RESID_1", spec)
     lo, hi = slope_band("RESID_1")
     assert pred - lo <= slope <= pred + hi
+
+
+def test_orders_above_the_built_order_are_rejected(flat_spec):
+    exp = Expansion(dataclasses.replace(flat_spec, order=0))
+    cloud = residual_cloud(exp.spec, 0.1)
+    with pytest.raises(ValueError, match="exceeds the built order"):
+        exp.evaluate(cloud, 0.1, m=1)
+    with pytest.raises(ValueError, match="exceeds the built order"):
+        exp.residual_terms(cloud, 0.1, m=1)
 
 
 def _cloud(spec, eps, rng, n=60):

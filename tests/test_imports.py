@@ -1,4 +1,5 @@
-"""Every top-level import of a package or test module is used.
+"""Every top-level import of a package or test module is used, and
+importing the package loads no module it does not need.
 
 No linter runs on the repository, so this is the check for unused
 imports.  The package's ``__init__.py`` re-exports names and
@@ -7,6 +8,8 @@ imports.  The package's ``__init__.py`` re-exports names and
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -45,3 +48,14 @@ def test_no_unused_top_level_import(path):
 @pytest.mark.parametrize("path", TEST_MODULES, ids=lambda p: p.name)
 def test_no_unused_import_in_tests(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_package_import_leaves_scipy_stats_out():
+    # scipy.stats takes about half a second to import and nothing in
+    # the package needs it
+    code = ("import sys, thinjunction; "
+            "print('scipy.stats' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         cwd=SRC.parent).stdout
+    assert out.strip() == "False"

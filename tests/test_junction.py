@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from delta_oracle import delta_reference
+from load_oracle import load_reference
 from thinjunction import (
     Expansion,
     build_inner_rhs,
@@ -18,6 +19,7 @@ from thinjunction import (
     solve_limit,
     solve_special,
 )
+from thinjunction import junction as jn
 from thinjunction.junction import InnerData, OutletGrowth, assemble_load
 from thinjunction.poly import Poly3
 from thinjunction.corrector import DiskPoly
@@ -28,6 +30,25 @@ def order_one_data(spec):
     taylor = [{0: gf.edges[i].germ().coef} for i in range(3)]
     germs = [{}, {}, {}]
     return build_inner_rhs(spec, 1, taylor, germs), taylor, germs
+
+
+def fpart_data(spec):
+    """Order-2 data with an interior part: the order-0 germs only."""
+    gf = solve_limit(spec)
+    taylor = [{0: gf.edges[i].germ().coef, 1: np.zeros(4)}
+              for i in range(3)]
+    return build_inner_rhs(spec, 2, taylor, [{}, {}, {}])
+
+
+def wall_data(spec):
+    """A constant wall trace on outlet 0 balanced by linear growth."""
+    c = 0.05
+    kappa = 3.0 * c / spec.h0(0)
+    wall = Poly3.from_terms([((0, 0, 0), c)])
+    growth = (OutletGrowth(0, [0.0, kappa]),
+              OutletGrowth(1, [0.0, 0.0]),
+              OutletGrowth(2, [0.0, 0.0]))
+    return InnerData(k=2, growth=growth, walls=(wall, None, None))
 
 
 class TestFluxBudget:
@@ -148,10 +169,7 @@ class TestTransmission:
 
     def test_jumps_match_quadrature_pairing(self, flat_spec, exp_fx, exp_rich,
                                             junction_flat6, specials_flat6):
-        gf = solve_limit(flat_spec)
-        taylor = [{0: gf.edges[i].germ().coef, 1: np.zeros(4)}
-                  for i in range(3)]
-        with_fpart = build_inner_rhs(flat_spec, 2, taylor, [{}, {}, {}])
+        with_fpart = fpart_data(flat_spec)
         flat = (junction_flat6, specials_flat6)
         rich = (exp_rich.junction, exp_rich.specials())
         cases = [(flat, exp_fx.inner[1]), (flat, with_fpart),
@@ -170,17 +188,9 @@ class TestTransmission:
 
     def test_wall_term_sign_consistent(self, flat_spec, junction_flat6,
                                        specials_flat6):
-        # a constant wall trace on outlet 0 balanced by linear growth:
         # kappa * pi h^2 equals the weighted wall integral, which makes
         # the data solvable and pins the sign of the surface pairing
-        c = 0.05
-        h0 = flat_spec.h0(0)
-        kappa = 3.0 * c / h0
-        wall = Poly3.from_terms([((0, 0, 0), c)])
-        growth = (OutletGrowth(0, [0.0, kappa]),
-                  OutletGrowth(1, [0.0, 0.0]),
-                  OutletGrowth(2, [0.0, 0.0]))
-        data = InnerData(k=2, growth=growth, walls=(wall, None, None))
+        data = wall_data(flat_spec)
         assert abs(check_solvability(flat_spec, data)) < 1e-12
 
         # the polygonal lateral surface carries an O(1/segments^2)
@@ -197,6 +207,39 @@ class TestTransmission:
         # both jumps pull the same way and are genuinely nonzero
         assert jumps[0] == pytest.approx(jumps[1], rel=1e-6)
         assert abs(jumps[0]) > 1e-4
+
+
+class TestLoadAssembly:
+    def test_load_matches_the_full_mesh_oracle(
+            self, flat_spec, exp_fx, exp_rich, junction_flat6,
+            specials_flat6):
+        # the band tets carry every nonzero of the source, and a tet
+        # left out only drops an exact 0.0 from its nodes' sums
+        cases = [(junction_flat6, exp_fx.inner[1]),
+                 (junction_flat6, fpart_data(flat_spec)),
+                 (exp_rich.junction, exp_rich.inner[1]),
+                 (exp_rich.junction, exp_rich.inner[2]),
+                 (junction_flat6, wall_data(flat_spec))]
+        cases += [(junction_flat6, InnerData(k=0, growth=s.growth))
+                  for s in specials_flat6]
+        for junction, data in cases:
+            want = load_reference(junction, data)
+            assert np.array_equal(assemble_load(junction, data), want)
+
+    def test_special_load_reads_the_band_only(self, exp_rich, monkeypatch):
+        junction = exp_rich.junction
+        special = exp_rich.specials()[0]
+        evaluated = []
+
+        def counting(junction, data, pts):
+            evaluated.append(len(pts))
+            return source_values(junction, data, pts)
+
+        source_values = jn._source_values
+        monkeypatch.setattr(jn, "_source_values", counting)
+        b = assemble_load(junction, InnerData(k=0, growth=special.growth))
+        assert np.array_equal(b, special.load)
+        assert 0 < sum(evaluated) < 0.3 * 14 * junction.mesh.num_tets
 
 
 class TestInnerRhs:

@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from thinjunction import reference
 from thinjunction.expansion import Expansion
 from thinjunction.reference import solve_reference, with_epsilon
-from thinjunction.study import StudyPlan, residual_cloud, run_study
+from thinjunction.study import StudyPlan, _fit, residual_cloud, run_study
 
 # COR42_JUNC errors of this plan at eps = 0.3 and 0.25, recorded when the
 # junction field was still evaluated over the whole thin domain (which
@@ -107,3 +108,25 @@ def test_residual_targets_through_the_study(rich_spec, exp_rich):
         terms = exp_rich.residual_terms(residual_cloud(rich_spec, eps), eps)
         for j, r in enumerate(report.targets, start=1):
             assert r.errors[n] == float(np.max(np.abs(terms[j])))
+
+
+def test_fit_matches_scipy_stats():
+    # the closed-form slope and interval against linregress and the
+    # Student t quantile they replace, bit for bit
+    rng = np.random.default_rng(2017)
+    for _ in range(400):
+        n = int(rng.integers(3, 7))
+        # lists, as a study plan holds them
+        eps = sorted(rng.uniform(0.01, 0.5, n), reverse=True)
+        errs = list(np.exp(rng.normal(0.0, 2.0, n))
+                    * np.array(eps) ** rng.uniform(0, 3))
+        fit = stats.linregress(np.log(eps), np.log(errs))
+        half = stats.t.ppf(0.975, n - 2) * fit.stderr
+        want = (float(fit.slope), (float(fit.slope - half),
+                                   float(fit.slope + half)), "ok")
+        assert _fit(eps, errs) == want
+    slope, band, status = _fit([0.2, 0.1], [4e-2, 1e-2])
+    assert status == "ok" and slope == pytest.approx(2.0)
+    assert band == (-np.inf, np.inf)
+    assert _fit([0.2, 0.1, 0.05], [1e-2, 0.0, 1e-3]) == (None, None,
+                                                         "degenerate")

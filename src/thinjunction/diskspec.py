@@ -70,15 +70,22 @@ class DiskMode:
         angular = 2.0 * math.pi if self.n == 0 else math.pi
         return radial * angular
 
-    def values(self, r, theta):
+    def radial(self, r):
+        """The radial factor J_n(lam r), 1 for the flat mode."""
         r = np.asarray(r, dtype=float)
-        theta = np.asarray(theta, dtype=float)
         if self.kind == "const":
-            return np.ones(np.broadcast(r, theta).shape)
-        radial = special.jv(self.n, self.lam * r)
-        if self.kind == "cos":
-            return radial * np.cos(self.n * theta)
-        return radial * np.sin(self.n * theta)
+            return np.ones(r.shape)
+        return special.jv(self.n, self.lam * r)
+
+    def angular(self, theta):
+        """The angular factor cos(n t) or sin(n t), 1 for the flat mode."""
+        theta = np.asarray(theta, dtype=float)
+        if self.kind == "sin":
+            return np.sin(self.n * theta)
+        return np.cos(self.n * theta)
+
+    def values(self, r, theta):
+        return self.radial(r) * self.angular(theta)
 
     def rim_slope(self):
         """|J_n'| at the rim; a direct check of the lateral condition."""
@@ -88,23 +95,26 @@ class DiskMode:
 
 
 class DiskQuadrature:
-    """Tensor rule on the disk: Gauss-Legendre radially, uniform angles."""
+    """Tensor rule on the disk: Gauss-Legendre radially, uniform angles.
+
+    The points run radius by radius: at each of the ``nr`` radii
+    ``radii`` come the ``ntheta`` angles ``angles``, all with the weight
+    ``radial_w`` of that radius.
+    """
 
     def __init__(self, radius, nr=64, ntheta=128):
         self.radius = float(radius)
+        self.nr, self.ntheta = int(nr), int(ntheta)
         gx, gw = legendre.leggauss(nr)
         s = 0.5 * (gx + 1.0)
         ws = 0.5 * gw
-        r = self.radius * s
+        self.radii = self.radius * s
         wr = self.radius ** 2 * ws * s  # weight r dr mapped from [0,1]
-        th = 2.0 * math.pi * np.arange(ntheta) / ntheta
-        wt = 2.0 * math.pi / ntheta
-        self.r = np.repeat(r, ntheta)
-        self.theta = np.tile(th, nr)
-        self.w = np.repeat(wr * wt, ntheta)
-
-    def integrate(self, values):
-        return float(self.w @ np.asarray(values, dtype=float))
+        self.angles = 2.0 * math.pi * np.arange(ntheta) / ntheta
+        self.radial_w = wr * (2.0 * math.pi / ntheta)
+        self.r = np.repeat(self.radii, ntheta)
+        self.theta = np.tile(self.angles, nr)
+        self.w = np.repeat(self.radial_w, ntheta)
 
 
 class DiskSpectrum:
@@ -175,11 +185,20 @@ class DiskSpectrum:
         return np.column_stack([m.values(r, theta) for m in self.modes])
 
     def project(self, values, quad: DiskQuadrature):
-        """L2 coefficients of sampled data against each mode."""
-        vals = np.asarray(values, dtype=float)
+        """L2 coefficients of sampled data against each mode.
+
+        The rule is a tensor product, so the data are summed over the
+        angles once per harmonic and kind, and each mode contracts those
+        sums with its radial factor at the ``nr`` radii.
+        """
+        vals = np.asarray(values, dtype=float).reshape(quad.nr, quad.ntheta)
+        sums = {}
         out = np.empty(self.count)
         for j, m in enumerate(self.modes):
-            out[j] = quad.integrate(vals * m.values(quad.r, quad.theta)) / m.norm2
+            key = (m.n, m.kind == "sin")
+            if key not in sums:
+                sums[key] = quad.radial_w * (vals @ m.angular(quad.angles))
+            out[j] = m.radial(quad.radii) @ sums[key] / m.norm2
         return out
 
     def gram_matrix(self, quad: DiskQuadrature):

@@ -17,7 +17,7 @@ from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, cg, splu
 from scipy.spatial import cKDTree
 
-from .mesh3d import END, LATERAL, TetMesh
+from .mesh3d import END, LATERAL, TetMesh, tet_geometry
 
 _S5 = math.sqrt(5.0)
 _TET_RULES = {
@@ -92,16 +92,9 @@ class FemContext:
 
     def __init__(self, mesh: TetMesh):
         self.mesh = mesh
-        x = mesh.nodes[mesh.tets]
-        edges = x[:, 1:] - x[:, :1]
-        self.volumes = np.linalg.det(edges) / 6.0
+        self.volumes, self.grads = tet_geometry(mesh.nodes, mesh.tets)
         if np.any(self.volumes <= 0):
             raise ValueError("mesh has non-positive tetrahedra")
-        minv = np.linalg.inv(edges)
-        grads = np.empty((mesh.num_tets, 4, 3))
-        grads[:, 1:, :] = np.swapaxes(minv, 1, 2)
-        grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
-        self.grads = grads
         self.matrix = self._stiffness()
         self._locator = None
 
@@ -111,8 +104,8 @@ class FemContext:
 
     def _stiffness(self):
         m = self.mesh
-        local = np.einsum("tad,tbd,t->tab", self.grads, self.grads,
-                          self.volumes)
+        local = self.grads @ self.grads.transpose(0, 2, 1)
+        local *= self.volumes[:, None, None]
         rows = np.repeat(m.tets, 4, axis=1).ravel()
         cols = np.tile(m.tets, (1, 4)).ravel()
         a = sparse.coo_matrix(
@@ -127,7 +120,7 @@ class FemContext:
         tets, vols = self.mesh.tets, self.volumes
         if live is not None:
             tets, vols = tets[live], vols[live]
-        pts = np.einsum("qa,tad->tqd", bary, self.mesh.nodes[tets])
+        pts = np.matmul(bary, self.mesh.nodes[tets])
         wts = np.outer(vols, w)
         return pts, wts, bary
 
@@ -146,17 +139,17 @@ class FemContext:
         b = np.zeros(self.mesh.num_nodes)
         for start in range(0, len(tets), LOAD_BLOCK):
             block = tets[start:start + LOAD_BLOCK]
-            pts = np.einsum("qa,tad->tqd", bary, self.mesh.nodes[block])
+            pts = np.matmul(bary, self.mesh.nodes[block])
             wts = np.outer(vols[start:start + LOAD_BLOCK], w)
             vals = fn(pts.reshape(-1, 3)).reshape(wts.shape)
-            np.add.at(b, block, np.einsum("tq,qa->ta", wts * vals, bary))
+            np.add.at(b, block, (wts * vals) @ bary)
         return b
 
     def surface_quad(self, tag, degree=2):
         tris = self.mesh.boundary[tag]
         p = self.mesh.nodes[tris]
         bary, w = _TRI_RULES[degree]
-        pts = np.einsum("qa,fad->fqd", bary, p)
+        pts = np.matmul(bary, p)
         areas = 0.5 * np.linalg.norm(
             np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0]), axis=1)
         return tris, pts, np.outer(areas, w), bary
@@ -167,8 +160,7 @@ class FemContext:
         if tris.size == 0:
             return b
         vals = fn(pts.reshape(-1, 3)).reshape(wts.shape)
-        contrib = np.einsum("fq,qa->fa", wts * vals, bary)
-        np.add.at(b, tris.astype(np.int64), contrib)
+        np.add.at(b, tris.astype(np.int64), (wts * vals) @ bary)
         return b
 
     def field_gradients(self, u):
@@ -338,15 +330,15 @@ def norms(ctx: FemContext, u, reference=None, mask=None):
     if live is not None:
         tets, grads = tets[live], grads[live]
         wts = wts * mask[live, None]
-    vals = np.einsum("ta,qa->tq", u[tets], bary)
+    vals = u[tets] @ bary.T
     if reference is not None:
         rv, rg = reference(pts.reshape(-1, 3))
         vals = vals - rv.reshape(wts.shape)
         grads = grads[:, None, :] - rg.reshape(wts.shape + (3,))
     else:
         grads = np.broadcast_to(grads[:, None, :], wts.shape + (3,))
-    l2sq = float(np.sum(wts * vals ** 2))
-    h1sq = float(np.sum(wts * np.sum(grads ** 2, axis=-1)))
+    l2sq = float(np.vdot(wts, vals * vals))
+    h1sq = float(np.sum(wts.ravel() @ (grads * grads).reshape(-1, 3)))
     return math.sqrt(l2sq), math.sqrt(h1sq), math.sqrt(l2sq + h1sq)
 
 
@@ -355,28 +347,31 @@ def region_mask(ctx: FemContext, predicate):
     return predicate(ctx.centroids).astype(float)
 
 
+def station_means(mesh: TetMesh, u, stations):
+    """Cross-section means of a vertex field over tube stations, from one
+    gather of all their disk triangles."""
+
+    tri = np.stack([st.nodes for st in stations])[:, mesh.disk_tris]
+    p = mesh.nodes[tri]
+    v1 = p[..., 1, :] - p[..., 0, :]
+    v2 = p[..., 2, :] - p[..., 0, :]
+    areas = 0.5 * np.linalg.norm(np.cross(v1, v2), axis=-1)
+    means = u[tri.astype(np.int64)].mean(axis=-1)
+    return (areas * means).sum(axis=1) / areas.sum(axis=1)
+
+
 def station_average(mesh: TetMesh, u, station):
     """Cross-section mean of a vertex field over one tube station."""
 
-    pts = mesh.nodes[station.nodes]
-    tri = station.nodes[mesh.disk_tris]
-    p = pts[mesh.disk_tris]
-    v1 = p[:, 1] - p[:, 0]
-    v2 = p[:, 2] - p[:, 0]
-    areas = 0.5 * np.linalg.norm(np.cross(v1, v2), axis=1)
-    means = u[tri.astype(np.int64)].mean(axis=1)
-    total = areas.sum()
-    return float((areas * means).sum() / total)
+    return float(station_means(mesh, u, [station])[0])
 
 
 def station_profile(mesh: TetMesh, u, edge):
     """Axial positions and cross-section means along one tube."""
 
-    xs, means = [], []
-    for st in mesh.stations[edge]:
-        xs.append(st.x)
-        means.append(station_average(mesh, u, st))
-    return np.array(xs), np.array(means)
+    stations = mesh.stations[edge]
+    return (np.array([st.x for st in stations]),
+            station_means(mesh, u, stations))
 
 
 def slab_flux(ctx: FemContext, u, axis, lo, hi):

@@ -88,9 +88,7 @@ class TetMesh:
         return self.tets.shape[0]
 
     def tet_volumes(self):
-        x = self.nodes[self.tets]
-        m = x[:, 1:] - x[:, :1]
-        return np.linalg.det(m) / 6.0
+        return tet_geometry(self.nodes, self.tets, gradients=False)[0]
 
     def volume(self):
         return float(self.tet_volumes().sum())
@@ -118,10 +116,30 @@ def split_prisms(bottom, top):
     return tets.reshape(-1, 4)
 
 
+def tet_geometry(nodes, tets, gradients=True):
+    """Signed volumes of tets and, if asked, the gradients of their four
+    barycentric coordinates, shape (tets, 4, 3).
+
+    In closed form from the edge vectors e_k = x_k - x_0: six times the
+    volume is the triple product e_1 . (e_2 x e_3), and the gradients of
+    the coordinates 1-3 are the cofactor rows (e_2 x e_3, e_3 x e_1,
+    e_1 x e_2) over it; that of coordinate 0 is minus their sum.
+    """
+    x = nodes.T[:, tets.T]  # coordinate, vertex, tet
+    e = x[:, 1:] - x[:, :1]
+    if not gradients:
+        det = np.sum(e[:, 0] * np.cross(e[:, 1], e[:, 2], axis=0), axis=0)
+        return det / 6.0, None
+    cof = np.cross(e[:, [1, 2, 0]], e[:, [2, 0, 1]], axis=0)
+    det = np.sum(e[:, 0] * cof[:, 0], axis=0)
+    grads = np.empty((tets.shape[0], 4, 3))
+    grads[:, 1:] = (cof / det).T
+    grads[:, 0] = -grads[:, 1:].sum(axis=1)
+    return det / 6.0, grads
+
+
 def _orient_tets(nodes, tets):
-    x = nodes[tets]
-    vol = np.linalg.det(x[:, 1:] - x[:, :1])
-    flip = vol < 0
+    flip = tet_geometry(nodes, tets, gradients=False)[0] < 0
     if np.any(flip):
         tets = tets.copy()
         tets[flip, 0], tets[flip, 1] = tets[flip, 1], tets[flip, 0]

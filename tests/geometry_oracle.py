@@ -1,0 +1,58 @@
+"""Former per-tet kernels of the mesh and FEM layers.
+
+Volumes by batched LAPACK ``det``, barycentric gradients by ``inv``, the
+local stiffness by a three-operand ``einsum``, quadrature points by
+``einsum``, orientation by the sign of ``det``, and one cross-section
+mean per station.  Kept as the oracles that the closed-form geometry
+and the matrix-product contractions must match to rounding, and the
+orientation and the stacked station means bit for bit.
+"""
+
+import numpy as np
+from scipy import sparse
+
+
+def geometry_reference(mesh):
+    """(volumes, gradients) of every tet from ``det`` and ``inv``."""
+    x = mesh.nodes[mesh.tets]
+    edges = x[:, 1:] - x[:, :1]
+    volumes = np.linalg.det(edges) / 6.0
+    grads = np.empty((mesh.num_tets, 4, 3))
+    grads[:, 1:, :] = np.swapaxes(np.linalg.inv(edges), 1, 2)
+    grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
+    return volumes, grads
+
+
+def stiffness_reference(mesh, volumes, grads):
+    local = np.einsum("tad,tbd,t->tab", grads, grads, volumes)
+    rows = np.repeat(mesh.tets, 4, axis=1).ravel()
+    cols = np.tile(mesh.tets, (1, 4)).ravel()
+    a = sparse.coo_matrix(
+        (local.ravel(), (rows.astype(np.int64), cols.astype(np.int64))),
+        shape=(mesh.num_nodes, mesh.num_nodes))
+    return a.tocsr()
+
+
+def quad_points_reference(mesh, bary):
+    return np.einsum("qa,tad->tqd", bary, mesh.nodes[mesh.tets])
+
+
+def orient_reference(nodes, tets):
+    x = nodes[tets]
+    flip = np.linalg.det(x[:, 1:] - x[:, :1]) < 0
+    if np.any(flip):
+        tets = tets.copy()
+        tets[flip, 0], tets[flip, 1] = tets[flip, 1], tets[flip, 0]
+    return tets
+
+
+def station_average_reference(mesh, u, station):
+    """Cross-section mean of a vertex field over one tube station."""
+    pts = mesh.nodes[station.nodes]
+    tri = station.nodes[mesh.disk_tris]
+    p = pts[mesh.disk_tris]
+    v1 = p[:, 1] - p[:, 0]
+    v2 = p[:, 2] - p[:, 0]
+    areas = 0.5 * np.linalg.norm(np.cross(v1, v2), axis=1)
+    means = u[tri.astype(np.int64)].mean(axis=1)
+    return float((areas * means).sum() / areas.sum())

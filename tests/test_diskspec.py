@@ -97,6 +97,28 @@ def test_projection_recovers_coefficients():
     assert np.allclose(got, coeffs, atol=1e-10)
 
 
+def _project_per_mode(spec, values, quad):
+    # the former projection: every mode evaluated at every tensor point
+    return np.array([quad.w @ (values * m.values(quad.r, quad.theta))
+                     / m.norm2 for m in spec.modes])
+
+
+@pytest.mark.parametrize("spec", [
+    DiskSpectrum(1.0, count=40),
+    DiskSpectrum.for_harmonics(0.25, [0, 1, 3], depth=40),
+], ids=["count", "harmonics"])
+def test_separable_projection_matches_the_per_mode_sums(spec):
+    # the radii and angle counts build_pi picks for these spectra
+    nr = max(64, int(0.6 * spec.max_root) + 32)
+    quad = DiskQuadrature(spec.radius, nr=nr, ntheta=128)
+    xa = quad.r * np.cos(quad.theta) / spec.radius
+    xb = quad.r * np.sin(quad.theta) / spec.radius
+    vals = np.exp(xa) * (1.0 + xb ** 3) - 0.4 * xa * xb + np.cos(3.0 * xb)
+    want = _project_per_mode(spec, vals, quad)
+    got = spec.project(vals, quad)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_for_harmonics_selection():
     spec = DiskSpectrum.for_harmonics(0.5, [0, 2], depth=4)
     assert {m.n for m in spec.modes} <= {0, 2}

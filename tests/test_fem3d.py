@@ -11,6 +11,7 @@ from scipy import sparse
 from scipy.sparse.linalg import cg, spsolve
 
 from conftest import make_spec
+from geometry_oracle import station_average_reference
 from locator_oracle import LocatorOracle
 from thinjunction import (
     LateralLoad,
@@ -348,6 +349,19 @@ class TestEvaluation:
         assert np.all(np.diff(xs) > 0)
         got = station_average(tube, u, tube.stations[0][3])
         assert means[3] == pytest.approx(got, abs=1e-15)
+
+    def test_station_profile_is_the_per_station_loop(self, fx_spec,
+                                                     exp_rich):
+        thin = build_thin_mesh(with_epsilon(fx_spec, 0.2), axial=0.05,
+                               refine=0.5)
+        for mesh in (thin, exp_rich.junction.mesh):
+            x = mesh.nodes
+            u = np.sin(3.0 * x[:, 0]) + x[:, 1] * x[:, 2] - x[:, 2]
+            for edge, stations in mesh.stations.items():
+                _, means = station_profile(mesh, u, edge)
+                want = [station_average_reference(mesh, u, st)
+                        for st in stations]
+                assert np.array_equal(means, want)
 
     def test_slab_flux_linear_exact(self, ctx, tube):
         u = 3.0 * tube.nodes[:, 0]

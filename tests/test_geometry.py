@@ -1,0 +1,94 @@
+"""Closed-form tet geometry and matrix-product quadrature against the
+former det/inv/einsum kernels kept in ``geometry_oracle``."""
+
+import numpy as np
+import pytest
+
+import thinjunction.mesh3d as mesh3d
+from geometry_oracle import (
+    geometry_reference,
+    orient_reference,
+    quad_points_reference,
+    stiffness_reference,
+)
+from thinjunction import (
+    build_junction_mesh,
+    build_thin_mesh,
+    build_tube_mesh,
+    with_epsilon,
+)
+from thinjunction.fem3d import FemContext
+from thinjunction.mesh3d import TetMesh
+
+REL = 1e-13
+
+
+def rel_err(got, want):
+    return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
+
+
+@pytest.fixture(scope="module", params=["thin", "junction", "tube"])
+def case(request, rich_spec, exp_rich):
+    """A context and a function that builds its mesh again."""
+    if request.param == "thin":
+        def build():
+            return build_thin_mesh(with_epsilon(rich_spec, 0.2), axial=0.05,
+                                   refine=0.5)
+        return FemContext(build()), build
+    if request.param == "junction":
+        def build():
+            return build_junction_mesh(rich_spec, R=rich_spec.ell + 4.0,
+                                       refine=0.7)
+        return exp_rich.junction.ctx, build
+
+    def build():
+        return build_tube_mesh(radius=0.5, length=1.0, axial=0.125,
+                               radius_fn=lambda x: 0.5 + 0.2 * x * x)
+    return FemContext(build()), build
+
+
+def test_volumes_and_gradients_match_det_and_inv(case):
+    ctx, _ = case
+    volumes, grads = geometry_reference(ctx.mesh)
+    assert rel_err(ctx.volumes, volumes) <= REL
+    assert rel_err(ctx.mesh.tet_volumes(), volumes) <= REL
+    assert rel_err(ctx.grads, grads) <= REL
+
+
+def test_stiffness_matches_the_einsum(case):
+    ctx, _ = case
+    want = stiffness_reference(ctx.mesh, *geometry_reference(ctx.mesh))
+    assert np.array_equal(ctx.matrix.indptr, want.indptr)
+    assert np.array_equal(ctx.matrix.indices, want.indices)
+    assert rel_err(ctx.matrix.data, want.data) <= REL
+
+
+@pytest.mark.parametrize("degree", [2, 5])
+def test_quadrature_points_match_the_einsum(case, degree):
+    ctx, _ = case
+    pts, _, bary = ctx.quad_points(degree)
+    assert rel_err(pts, quad_points_reference(ctx.mesh, bary)) <= REL
+
+
+def test_orientation_matches_the_det_sign(case, monkeypatch):
+    ctx, build = case
+    monkeypatch.setattr(mesh3d, "_orient_tets", orient_reference)
+    want = build()
+    mesh = ctx.mesh
+    assert np.array_equal(mesh.nodes, want.nodes)
+    assert np.array_equal(mesh.tets, want.tets)
+    assert np.array_equal(mesh.adjacent, want.adjacent)
+    assert mesh.boundary.keys() == want.boundary.keys()
+    for tag in want.boundary:
+        assert np.array_equal(mesh.boundary[tag], want.boundary[tag])
+
+
+def test_flipped_tet_is_rejected():
+    tube = build_tube_mesh(radius=0.5, length=1.0, axial=0.25)
+    tets = tube.tets.copy()
+    tets[5, [0, 1]] = tets[5, [1, 0]]
+    flipped = TetMesh(nodes=tube.nodes, tets=tets, boundary=tube.boundary,
+                      stations=tube.stations, disk_tris=tube.disk_tris)
+    assert flipped.tet_volumes()[5] < 0.0
+    with pytest.raises(ValueError, match="non-positive"):
+        FemContext(flipped)

@@ -214,7 +214,8 @@ class TestLoadAssembly:
             self, flat_spec, exp_fx, exp_rich, junction_flat6,
             specials_flat6):
         # the band tets carry every nonzero of the source, and a tet
-        # left out only drops an exact 0.0 from its nodes' sums
+        # left out only drops an exact 0.0 from its nodes' sums; the
+        # former einsum contractions agree to rounding
         cases = [(junction_flat6, exp_fx.inner[1]),
                  (junction_flat6, fpart_data(flat_spec)),
                  (exp_rich.junction, exp_rich.inner[1]),
@@ -223,8 +224,12 @@ class TestLoadAssembly:
         cases += [(junction_flat6, InnerData(k=0, growth=s.growth))
                   for s in specials_flat6]
         for junction, data in cases:
-            want = load_reference(junction, data)
-            assert np.array_equal(assemble_load(junction, data), want)
+            got = assemble_load(junction, data)
+            assert np.array_equal(got, load_reference(junction, data))
+            former = load_reference(junction, data, kernel="einsum")
+            scale = np.max(np.abs(former))
+            assert scale > 0.0
+            assert np.max(np.abs(got - former)) <= 1e-14 * scale
 
     def test_special_load_reads_the_band_only(self, exp_rich, monkeypatch):
         junction = exp_rich.junction

@@ -449,4 +449,4 @@ def corrector_rhs(spec: ProblemSpec, edge, k, corr: EdgeCorrector | None):
         gcoef[pi] += c * disk_monomial_integral(pa, pb, h0)
     bp = corr.breakpoints if corr is not None else h.breakpoints
     return EdgeRHS(fn=fn, breakpoints=np.asarray(bp, dtype=float).copy(),
-                   germ0=Polynomial(gcoef), germ0_valid=h.plateau0)
+                   germ0=Polynomial(gcoef))

@@ -29,16 +29,15 @@ DEG = 64
 class EdgeRHS:
     """Right-hand side of one edge ODE, with its smoothness breakpoints.
 
-    ``germ0`` is a plain polynomial that coincides with ``fn`` on
-    [0, germ0_valid); it exists because the radius is constant near the
-    vertex and all problem data are polynomial, and it is what the
-    vertex Taylor data of the solution are computed from.
+    ``germ0`` is a plain polynomial that coincides with ``fn`` on the
+    plateau [0, h.plateau0) of the radius; it exists because the radius
+    is constant near the vertex and all problem data are polynomial, and
+    it is what the vertex Taylor data of the solution are computed from.
     """
 
     fn: callable
     breakpoints: np.ndarray
     germ0: Polynomial
-    germ0_valid: float
 
     def __call__(self, x):
         return self.fn(np.asarray(x, dtype=float))
@@ -65,7 +64,7 @@ def assemble_rhs0(spec: ProblemSpec):
                 gcoef[pi_] += c * circle_monomial_integral(pa, pb, h0)
             germ = germ - Polynomial(gcoef)
         out.append(EdgeRHS(fn=fn, breakpoints=h.breakpoints.copy(),
-                           germ0=germ, germ0_valid=h.plateau0))
+                           germ0=germ))
     return out
 
 
@@ -293,7 +292,7 @@ def solve_omega_k(spec: ProblemSpec, rhs_list,
             return base(x) - 2.0 * math.pi * j * h(x) * h.deriv(x)
 
         subst.append(EdgeRHS(fn=fn, breakpoints=base.breakpoints,
-                             germ0=base.germ0, germ0_valid=base.germ0_valid))
+                             germ0=base.germ0))
     flux = transmission.dstar + sum(
         math.pi * spec.h0(i) ** 2 * jumps[i] for i in (1, 2))
     edges, _, _ = _solve_continuous(spec, subst, flux)

@@ -2,20 +2,21 @@
 
 A study sweeps a decreasing list of slenderness values, measures one or
 more error quantities against the matched expansion, fits a log-log
-slope, and compares it with the predicted exponent.  Targets:
+slope, and compares it with the predicted exponent.  Each target is one
+record of ``TARGETS``:
 
-==================  ====================================================
-T0_M                H1 distance to the full partial sum, whole domain
-COR42_H1_U0         H1 distance to the order-0 sum, whole domain
-COR42_H1_U0_REL     the same scaled by the square root of the measure
-COR42_L2_U0         L2 distance to the order-0 sum, whole domain
-COR42_H1_U1         H1 distance to the order-1 sum, whole domain
-COR42_CYL           worst H1 distance to the limit profile, outer tubes
-COR42_JUNC          H1 distance to the first junction sum, bulge zone
-COR43_POINTWISE     worst station gap to the limit profile
-COR44_POINTWISE     worst station gap to the two-term axis profile
-RESID_1 .. RESID_7  sampled sup of one interior residual term
-==================  ====================================================
+==================  ============  =============================================
+T0_M                whole         H1 distance to the full partial sum
+COR42_H1_U0         whole         H1 distance to the order-0 sum
+COR42_H1_U0_REL     whole         the same divided by the root of the measure
+COR42_L2_U0         whole         L2 distance to the order-0 sum
+COR42_H1_U1         whole         H1 distance to the order-1 sum
+COR42_CYL           outer-tubes   worst H1 distance to the limit profile
+COR42_JUNC          bulge         H1 distance to the first junction sum
+COR43_POINTWISE     stations      worst station gap to the limit profile
+COR44_POINTWISE     stations      worst station gap to the 2-term axis profile
+RESID_1 .. RESID_7  sample-cloud  sampled sup of one interior residual term
+==================  ============  =============================================
 
 Pointwise and residual targets have two-sided pass bands around the
 predicted slope; energy norms use a one-sided bound because the proven
@@ -31,7 +32,7 @@ import hashlib
 import io
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 from scipy import special
@@ -43,23 +44,65 @@ from .reference import ReferenceSolution, solve_reference, with_epsilon
 
 NODE_BUDGET = 2_000_000
 
-_ENERGY_TARGETS = ("T0_M", "COR42_H1_U0", "COR42_H1_U0_REL", "COR42_L2_U0",
-                   "COR42_H1_U1", "COR42_CYL", "COR42_JUNC")
-_POINTWISE_TARGETS = ("COR43_POINTWISE", "COR44_POINTWISE")
-_RESIDUAL_TARGETS = tuple(f"RESID_{j}" for j in range(1, 8))
-ALL_TARGETS = _ENERGY_TARGETS + _POINTWISE_TARGETS + _RESIDUAL_TARGETS
-
-_REGIONS = {
-    "T0_M": "whole", "COR42_H1_U0": "whole", "COR42_H1_U0_REL": "whole",
-    "COR42_L2_U0": "whole", "COR42_H1_U1": "whole",
-    "COR42_CYL": "outer-tubes", "COR42_JUNC": "bulge",
-    "COR43_POINTWISE": "stations", "COR44_POINTWISE": "stations",
-    **{t: "sample-cloud" for t in _RESIDUAL_TARGETS},
-}
-
 
 class StudyError(ValueError):
     """Invalid plan or target/data mismatch."""
+
+
+# Plan restrictions in the order a plan checks them: what a target that
+# needs one says when the spec fails it, and the test of the spec.
+RESTRICTIONS = {
+    "requires constant radii": lambda s: all(h.is_constant() for h in s.h),
+    "requires zero wall load": lambda s: all(p.is_zero() for p in s.phi),
+    "requires a source depending on a single coordinate": lambda s: len(
+        {ax for pw, _ in s.f.poly.terms() for ax in range(3) if pw[ax]}) < 2,
+}
+
+
+@dataclass(frozen=True)
+class Target:
+    """One estimate: its ``region``, the partial-sum ``order`` compared
+    against (None: the built one), the lowest expansion order it needs,
+    the slope ``exponent(spec)`` (None: report-only) and its (lower,
+    upper or None) pass ``band``, and the ``RESTRICTIONS`` it imposes.
+    ``norm`` ("h1", "l2", "h1/measure") and residual ``term`` pick what
+    a whole-domain or sample-cloud target reads."""
+
+    region: str
+    order: int = 0
+    min_order: int = 0
+    exponent: callable = None
+    band: tuple = (0.3, None)
+    restrictions: tuple = ()
+    norm: str = "h1"
+    term: int = None
+
+
+_POINTWISE = dict(region="stations", band=(0.4, 0.4))
+_RESIDUAL = dict(region="sample-cloud", order=None, min_order=2)
+
+TARGETS = {
+    "T0_M": Target("whole", order=None,
+                   exponent=lambda s: s.alpha * (s.order - 0.5) + 0.5),
+    "COR42_H1_U0": Target("whole", exponent=lambda s: 1.0 + 0.5 * s.alpha),
+    "COR42_H1_U0_REL": Target("whole", norm="h1/measure", band=(0.15, None),
+                              exponent=lambda s: 0.5 * s.alpha),
+    "COR42_L2_U0": Target("whole", norm="l2",
+                          exponent=lambda s: 1.5 * s.alpha + 0.5),
+    "COR42_H1_U1": Target("whole", order=1, min_order=1,
+                          exponent=lambda s: 1.0 + s.alpha),
+    "COR42_CYL": Target("outer-tubes", exponent=lambda s: 2.0),
+    "COR42_JUNC": Target("bulge", order=1, min_order=1,
+                         exponent=lambda s: 2.5),
+    "COR43_POINTWISE": Target(**_POINTWISE, exponent=lambda s: 1.0,
+                              restrictions=("requires constant radii",)),
+    "COR44_POINTWISE": Target(**_POINTWISE, order=1, min_order=1,
+                              exponent=lambda s: 2.0,
+                              restrictions=tuple(RESTRICTIONS)),
+    "RESID_1": Target(**_RESIDUAL, term=1, band=(0.3, 0.3),
+                      exponent=lambda s: s.order - 1.0),
+    **{f"RESID_{j}": Target(**_RESIDUAL, term=j) for j in range(2, 8)},
+}
 
 
 @dataclass
@@ -80,37 +123,29 @@ class StudyPlan:
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise StudyError("slenderness list must be strictly decreasing")
         self.epsilons = eps
-        bad = [t for t in self.targets if t not in ALL_TARGETS]
+        # a tuple, so that an unhashable entry is unknown, not a TypeError
+        bad = [t for t in self.targets if t not in tuple(TARGETS)]
         if bad:
             raise StudyError(f"unknown targets: {bad}")
+        twice = [t for n, t in enumerate(self.targets)
+                 if t in self.targets[:n]]
+        if twice:
+            raise StudyError(f"targets listed twice: {twice}")
         self._check_restrictions()
 
     def _check_restrictions(self):
         spec = self.spec
-        point = [t for t in self.targets if t in _POINTWISE_TARGETS]
-        if point and not all(spec.h[i].is_constant() for i in range(3)):
-            raise StudyError(f"{point[0]} requires constant radii")
-        if "COR44_POINTWISE" in self.targets:
-            if not all(p.is_zero() for p in spec.phi):
-                raise StudyError("COR44_POINTWISE requires zero wall load")
-            used = {ax for pw, _ in spec.f.poly.terms()
-                    for ax in range(3) if pw[ax] > 0}
-            if len(used) > 1:
-                raise StudyError(
-                    "COR44_POINTWISE requires a source depending on a "
-                    "single coordinate")
-        order = spec.order
-        need = {"COR42_H1_U1": 1, "COR42_JUNC": 1, "COR44_POINTWISE": 1,
-                "COR43_POINTWISE": 0}
+        for text, holds in RESTRICTIONS.items():
+            for t in self.targets:
+                if text in TARGETS[t].restrictions and not holds(spec):
+                    raise StudyError(f"{t} {text}")
         for t in self.targets:
-            if t.startswith("RESID"):
-                need[t] = 2
-        for t, n in need.items():
-            if t in self.targets and order < n:
+            n = TARGETS[t].min_order
+            if spec.order < n:
                 raise StudyError(f"{t} needs expansion order >= {n}")
 
     def needs_fem(self):
-        return any(not t.startswith("RESID") for t in self.targets)
+        return any(TARGETS[t].region != "sample-cloud" for t in self.targets)
 
 
 @dataclass
@@ -161,34 +196,6 @@ def spec_digest(spec: ProblemSpec) -> str:
     return hashlib.sha256(payload).hexdigest()
 
 
-def predicted_exponent(target, spec):
-    alpha = spec.alpha
-    table = {
-        "T0_M": alpha * (spec.order - 0.5) + 0.5,
-        "COR42_H1_U0": 1.0 + 0.5 * alpha,
-        "COR42_H1_U0_REL": 0.5 * alpha,
-        "COR42_L2_U0": 1.5 * alpha + 0.5,
-        "COR42_H1_U1": 1.0 + alpha,
-        "COR42_CYL": 2.0,
-        "COR42_JUNC": 2.5,
-        "COR43_POINTWISE": 1.0,
-        "COR44_POINTWISE": 2.0,
-        "RESID_1": spec.order - 1.0,
-    }
-    return table.get(target)
-
-
-def slope_band(target):
-    """(lower margin, upper margin or None) around the prediction."""
-    if target in _POINTWISE_TARGETS:
-        return 0.4, 0.4
-    if target == "RESID_1":
-        return 0.3, 0.3
-    if target == "COR42_H1_U0_REL":
-        return 0.15, None
-    return 0.3, None
-
-
 def estimate_nodes(spec, epsilon, axial, refine):
     """Crude node count forecast for the thin mesh."""
     eps = float(epsilon)
@@ -219,13 +226,12 @@ def residual_cloud(spec, epsilon, n_axial=160, n_radial=5, n_angle=8):
 
 def _station_gap(exp: Expansion, ref: ReferenceSolution, order):
     worst = 0.0
-    eps = ref.epsilon
     for i in range(3):
         xs, means = ref.station_values(i, ref.observation_interval())
         vals, _ = exp.profiles[i].evaluate(xs)
         model = np.zeros_like(xs)
         for k in range(order + 1):
-            model += eps ** k * vals[:, k]
+            model += ref.epsilon ** k * vals[:, k]
         worst = max(worst, float(np.max(np.abs(means - model))))
     return worst
 
@@ -235,53 +241,52 @@ def _tube_profile_h1(exp: Expansion, ref: ReferenceSolution):
     lo, _hi = ref.observation_interval()
     for i in range(3):
         def fn(pts, i=i):
-            vals, slopes = exp.profiles[i].evaluate(pts[:, i])
+            # one evaluation per distinct axial position of the points
+            xs, at = np.unique(pts[:, i], return_inverse=True)
+            vals, slopes = exp.profiles[i].evaluate(xs)
             grads = np.zeros_like(pts)
-            grads[:, i] = slopes[:, 0]
-            return vals[:, 0], grads
+            grads[:, i] = slopes[at, 0]
+            return vals[at, 0], grads
 
         mask = ref.tube_mask(i, (lo, 1.0))
-        _l2, _h1s, h1 = ref.norms_against(fn, mask=mask)
-        worst = max(worst, h1)
+        worst = max(worst, ref.norms_against(fn, mask=mask)[2])
     return worst
 
 
 def _junction_h1(exp: Expansion, ref: ReferenceSolution):
     eps = ref.epsilon
     base = exp.graph[0].edges[0].vertex_value
-    nf = exp.nfields[1]
-
-    mask = ref.bulge_mask(margin=2.0)
 
     def fn(pts):
         # only the masked tets are integrated; quadrature points of the
         # others may lie beyond the truncated junction (x > R eps)
-        v, g = nf.evaluate(pts / eps)
+        v, g = exp.nfields[1].evaluate(pts / eps)
         return base + eps * v, g
 
-    _l2, _h1s, h1 = ref.norms_against(fn, mask=mask)
-    return h1
+    return ref.norms_against(fn, mask=ref.bulge_mask(margin=2.0))[2]
 
 
-def _energy_error(target, exp, ref, whole):
-    """Energy error of one target; ``whole`` keeps the whole-domain norms
-    per partial-sum order, so targets of one order share one evaluation."""
-    eps = ref.epsilon
-    if target == "COR42_CYL":
+def _target_error(target, exp, ref, whole, terms):
+    """Error of one target at one slenderness.  ``whole`` keeps the
+    whole-domain norms per partial-sum order, shared by the targets of
+    that order, and ``terms`` the residual terms on the sample cloud."""
+    region = target.region
+    if region == "sample-cloud":
+        return float(np.max(np.abs(terms[target.term])))
+    if region == "stations":
+        return _station_gap(exp, ref, target.order)
+    if region == "outer-tubes":
         return _tube_profile_h1(exp, ref)
-    if target == "COR42_JUNC":
+    if region == "bulge":
         return _junction_h1(exp, ref)
-    order = {"T0_M": exp.order, "COR42_H1_U1": 1}.get(target, 0)
-
-    def fn(pts):
-        return exp.evaluate(pts, eps, m=order, gradient=True)
-
+    order = exp.order if target.order is None else target.order
     if order not in whole:
-        whole[order] = ref.norms_against(fn)
+        whole[order] = ref.norms_against(lambda pts: exp.evaluate(
+            pts, ref.epsilon, m=order, gradient=True))
     l2, _h1s, h1 = whole[order]
-    if target == "COR42_L2_U0":
+    if target.norm == "l2":
         return l2
-    if target == "COR42_H1_U0_REL":
+    if target.norm == "h1/measure":
         return h1 / np.sqrt(ref.domain_measure())
     return h1
 
@@ -319,44 +324,37 @@ def run_study(plan: StudyPlan) -> StudyReport:
 
     table = {t: [] for t in plan.targets}
     timing = {t: [] for t in plan.targets}
+    term_keys = [TARGETS[t].term for t in plan.targets
+                 if TARGETS[t].region == "sample-cloud"]
     for eps in plan.epsilons:
         ref = None
         if plan.needs_fem():
             ref = solve_reference(with_epsilon(spec, eps), axial=plan.axial,
                                   refine=plan.fem_refine, rtol=plan.rtol)
         whole = {}
-        cloud = None
-        res_vals = {}
-        res_js = [int(t.split("_")[1]) for t in plan.targets
-                  if t.startswith("RESID")]
-        if res_js:
-            cloud = residual_cloud(spec, eps)
-            res_vals = exp.residual_terms(cloud, eps, which=res_js)
+        terms = {}
+        if term_keys:
+            terms = exp.residual_terms(residual_cloud(spec, eps), eps,
+                                       which=term_keys)
         for t in plan.targets:
             t0 = time.perf_counter()
-            if t.startswith("RESID"):
-                err = float(np.max(np.abs(res_vals[int(t.split("_")[1])])))
-            elif t in _POINTWISE_TARGETS:
-                order = 1 if t == "COR44_POINTWISE" else 0
-                err = _station_gap(exp, ref, order)
-            else:
-                err = _energy_error(t, exp, ref, whole)
-            table[t].append(err)
+            table[t].append(_target_error(TARGETS[t], exp, ref, whole, terms))
             timing[t].append(int(1000 * (time.perf_counter() - t0)))
 
     for t in plan.targets:
+        target = TARGETS[t]
         slope, ci, status = _fit(plan.epsilons, table[t])
-        pred = predicted_exponent(t, spec)
+        pred = None if target.exponent is None else target.exponent(spec)
         if status == "degenerate":
             passed = True
         elif pred is None:
             status = "reported"
             passed = True
         else:
-            lo, hi = slope_band(t)
+            lo, hi = target.band
             passed = slope >= pred - lo and (hi is None or slope <= pred + hi)
         report.targets.append(TargetResult(
-            target=t, region=_REGIONS[t], predicted=pred, slope=slope,
+            target=t, region=target.region, predicted=pred, slope=slope,
             ci95=ci, passed=bool(passed), status=status,
             epsilons=list(plan.epsilons), errors=table[t],
             wall_ms=timing[t]))
@@ -394,8 +392,10 @@ def load_plan(source) -> StudyPlan:
         with open(source, "r", encoding="utf-8") as fh:
             source = json.load(fh)
     data = dict(source)
-    spec = load_spec(data.pop("spec"))
-    kwargs = {k: data[k] for k in ("junction_R", "junction_refine", "axial",
-                                   "fem_refine", "rtol") if k in data}
-    return StudyPlan(spec=spec, epsilons=data["epsilons"],
-                     targets=data["targets"], **kwargs)
+    unknown = sorted(set(data) - {f.name for f in fields(StudyPlan)})
+    if unknown:
+        raise StudyError(f"unknown plan keys: {unknown}")
+    missing = [k for k in ("spec", "epsilons", "targets") if k not in data]
+    if missing:
+        raise StudyError(f"missing plan keys: {missing}")
+    return StudyPlan(**{**data, "spec": load_spec(data["spec"])})

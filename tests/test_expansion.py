@@ -14,7 +14,7 @@ from thinjunction.config import TRANSVERSE_AXES
 from thinjunction.corrector import EdgeCorrector
 from thinjunction.expansion import Expansion
 from thinjunction.fem3d import PointLocator
-from thinjunction.study import predicted_exponent, residual_cloud, slope_band
+from thinjunction.study import TARGETS, residual_cloud
 
 
 def _bands(exp, pts, eps):
@@ -47,8 +47,8 @@ def test_residual_terms_on_the_sample_cloud(exp_rich):
 
     assert sup[0.05] < sup[0.1]
     slope = math.log(sup[0.1] / sup[0.05]) / math.log(0.1 / 0.05)
-    pred = predicted_exponent("RESID_1", spec)
-    lo, hi = slope_band("RESID_1")
+    pred = TARGETS["RESID_1"].exponent(spec)
+    lo, hi = TARGETS["RESID_1"].band
     assert pred - lo <= slope <= pred + hi
 
 

@@ -109,8 +109,7 @@ def test_omega_k_jump_and_flux_conditions(fx_spec):
 
 def test_omega_k_zero_data_is_zero(fx_spec):
     zero_rhs = [type(r)(fn=lambda x: np.zeros_like(np.asarray(x, float)),
-                        breakpoints=r.breakpoints, germ0=r.germ0 * 0.0,
-                        germ0_valid=r.germ0_valid)
+                        breakpoints=r.breakpoints, germ0=r.germ0 * 0.0)
                 for r in assemble_rhs0(fx_spec)]
     gf = solve_omega_k(fx_spec, zero_rhs, TransmissionData())
     x = np.linspace(0, 1, 11)
@@ -162,7 +161,7 @@ def test_profile_stack_keeps_each_breakpoint_grid(fx_spec):
     on their own table, and every column still matches its function."""
     base = solve_limit(fx_spec)
     rhs = [EdgeRHS(fn=r.fn, breakpoints=np.array([0.0, 0.5, 1.0]),
-                   germ0=r.germ0, germ0_valid=r.germ0_valid)
+                   germ0=r.germ0)
            for r in assemble_rhs0(fx_spec)]
     split = solve_limit(fx_spec, rhs_list=rhs)
     edges = [base.edges[0], split.edges[0],

@@ -1,16 +1,56 @@
-"""Convergence studies: plan handling and the junction-zone target."""
+"""Convergence studies: plan handling, the target table and the
+junction-zone target."""
 
 import dataclasses
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
 from scipy import stats
 
-from thinjunction import reference
+import study_oracle
+from thinjunction import reference, study
+from thinjunction.config import LateralLoad, RadiusProfile, SourceField
 from thinjunction.expansion import Expansion
+from thinjunction.poly import Poly3
 from thinjunction.reference import solve_reference, with_epsilon
-from thinjunction.study import StudyPlan, _fit, residual_cloud, run_study
+from thinjunction.study import (RESTRICTIONS, TARGETS, StudyError, StudyPlan,
+                                _tube_profile_h1, _fit, load_plan,
+                                residual_cloud, run_study)
+
+EPSILONS = [0.3, 0.25, 0.2]
+
+
+def _restricted_specs(fx_spec):
+    """fx_spec and every combination of a bumped radius, a wall load and
+    a source of two coordinates, each failing one plan restriction."""
+    bumped = (fx_spec.h[0], RadiusProfile.smooth_bump(0.25, 0.2),
+              fx_spec.h[2])
+    wall = (LateralLoad.zero(), LateralLoad(Poly3.constant(0.05)),
+            LateralLoad.zero())
+    two = Poly3.from_terms([((1, 0, 0), 1.0), ((0, 2, 0), 0.5)])
+    out = []
+    for radius, load, source in itertools.product((False, True), repeat=3):
+        spec = fx_spec
+        if radius:
+            spec = dataclasses.replace(spec, h=bumped)
+        if load:
+            spec = dataclasses.replace(spec, phi=wall)
+        if source:
+            spec = dataclasses.replace(spec, f=SourceField(two))
+        out.append(spec)
+    return out
+
+
+def _raised(check):
+    try:
+        check()
+    except StudyError as err:
+        return str(err)
+    return None
+
 
 # COR42_JUNC errors of this plan at eps = 0.3 and 0.25, recorded when the
 # junction field was still evaluated over the whole thin domain (which
@@ -130,3 +170,136 @@ def test_fit_matches_scipy_stats():
     assert band == (-np.inf, np.inf)
     assert _fit([0.2, 0.1, 0.05], [1e-2, 0.0, 1e-3]) == (None, None,
                                                          "degenerate")
+
+
+def test_target_table_matches_the_former_policy(fx_spec):
+    assert list(TARGETS) == list(study_oracle.ALL_TARGETS)
+    for alpha, order in itertools.product((0.7, 0.8, 0.95), range(5)):
+        spec = dataclasses.replace(fx_spec, alpha=alpha, order=order)
+        for name, target in TARGETS.items():
+            assert target.region == study_oracle._REGIONS[name]
+            want = study_oracle.predicted_exponent(name, spec)
+            got = None if target.exponent is None else target.exponent(spec)
+            assert got == want and type(got) is type(want), name
+            assert target.band == study_oracle.slope_band(name)
+            assert set(target.restrictions) <= set(RESTRICTIONS)
+            # fx_spec meets every restriction, so the former check
+            # raises for the expansion order alone
+            fails = _raised(lambda: study_oracle.check_restrictions(
+                spec, [name])) is not None
+            assert fails == (order < target.min_order), (name, order)
+
+
+def test_restrictions_raise_the_former_messages(fx_spec):
+    for base in _restricted_specs(fx_spec):
+        for order in range(5):
+            spec = dataclasses.replace(base, order=order)
+            for name in TARGETS:
+                want = _raised(lambda: study_oracle.check_restrictions(
+                    spec, [name]))
+                got = _raised(lambda: StudyPlan(spec, EPSILONS, [name]))
+                assert got == want, (name, order)
+
+
+def test_a_plan_names_its_first_offending_target(fx_spec):
+    """Two targets raise the former message, except when both need a
+    higher expansion order: then the plan names the first it lists."""
+    for base in _restricted_specs(fx_spec):
+        for order in range(3):
+            spec = dataclasses.replace(base, order=order)
+            for pair in itertools.permutations(TARGETS, 2):
+                want = _raised(lambda: study_oracle.check_restrictions(
+                    spec, list(pair)))
+                got = _raised(lambda: StudyPlan(spec, EPSILONS, list(pair)))
+                short = [t for t in pair if order < TARGETS[t].min_order]
+                if want is not None and "needs" in want and len(short) == 2:
+                    n = TARGETS[short[0]].min_order
+                    want = f"{short[0]} needs expansion order >= {n}"
+                assert got == want, pair
+
+
+def test_module_docstring_lists_every_target():
+    rows = {}
+    for line in study.__doc__.splitlines():
+        row = re.match(r"([A-Z]\w*)(?: \.\. \w+_(\d+))?\s{2,}(\S+)\s", line)
+        if row is None:
+            continue
+        name, last, region = row.groups()
+        if last is None:
+            rows[name] = region
+        else:
+            stem, first = name.rsplit("_", 1)
+            for j in range(int(first), int(last) + 1):
+                rows[f"{stem}_{j}"] = region
+    assert rows == {n: t.region for n, t in TARGETS.items()}
+
+
+def test_plan_rejects_unknown_targets(fx_spec):
+    for targets in (["T0_M", "COR45"], [["T0_M"]], "T0_M"):
+        with pytest.raises(StudyError, match="unknown targets"):
+            StudyPlan(fx_spec, EPSILONS, targets)
+
+
+def test_plan_rejects_a_target_listed_twice(fx_spec):
+    with pytest.raises(StudyError, match=re.escape(
+            "targets listed twice: ['COR43_POINTWISE']")):
+        StudyPlan(fx_spec, EPSILONS, ["COR43_POINTWISE", "COR43_POINTWISE"])
+
+
+def _plan_doc(fx_spec, **extra):
+    return {"spec": fx_spec.to_json(), "epsilons": EPSILONS,
+            "targets": ["COR43_POINTWISE"], **extra}
+
+
+def test_load_plan_rejects_unknown_keys(fx_spec):
+    assert load_plan(_plan_doc(fx_spec, fem_refine=0.5)).fem_refine == 0.5
+    with pytest.raises(StudyError, match=re.escape(
+            "unknown plan keys: ['fem_refin']")):
+        load_plan(_plan_doc(fx_spec, fem_refin=0.5))
+
+
+@pytest.mark.parametrize("key", ["spec", "epsilons", "targets"])
+def test_load_plan_rejects_missing_keys(fx_spec, key):
+    doc = _plan_doc(fx_spec)
+    del doc[key]
+    with pytest.raises(StudyError, match=re.escape(
+            f"missing plan keys: ['{key}']")):
+        load_plan(doc)
+
+
+def test_tube_profile_is_evaluated_once_per_axial_position(fx_spec,
+                                                           monkeypatch):
+    # COR42_CYL evaluates the limit profile at the distinct axial
+    # positions of the quadrature points and gathers: the profile values
+    # do not depend on the batch, so this is bitwise the per-point pass
+    spec = dataclasses.replace(fx_spec, order=0)
+    exp = Expansion(spec)
+    ref = solve_reference(with_epsilon(spec, 0.25), axial=0.05, refine=0.4)
+    lo, _hi = ref.observation_interval()
+    worst = 0.0
+    for i in range(3):
+        def fn(pts, i=i):
+            vals, slopes = exp.profiles[i].evaluate(pts[:, i])
+            grads = np.zeros_like(pts)
+            grads[:, i] = slopes[:, 0]
+            return vals[:, 0], grads
+
+        mask = ref.tube_mask(i, (lo, 1.0))
+        pts, _, _ = ref.ctx.quad_points(2, np.flatnonzero(mask))
+        x = pts.reshape(-1, 3)[:, i]
+        xs, at = np.unique(x, return_inverse=True)
+        assert len(xs) < len(x) // 10
+        per_point = exp.profiles[i].evaluate(x)
+        for whole, distinct in zip(per_point, exp.profiles[i].evaluate(xs)):
+            assert np.array_equal(distinct[at], whole)
+        worst = max(worst, ref.norms_against(fn, mask=mask)[2])
+    seen = []
+
+    def counted(self, x, *args, **kwargs):
+        seen.append(len(x))
+        return evaluate(self, x, *args, **kwargs)
+
+    evaluate = type(exp.profiles[0]).evaluate
+    monkeypatch.setattr(type(exp.profiles[0]), "evaluate", counted)
+    assert _tube_profile_h1(exp, ref) == worst
+    assert len(seen) == 3 and max(seen) < len(x) // 10

@@ -22,12 +22,12 @@ from numpy.polynomial import Chebyshev
 BLOCK = 4096
 
 
-def merge_breakpoints(*lists, tol=1e-12):
+def merge_breakpoints(*lists):
     pts = np.concatenate([np.asarray(l, dtype=float) for l in lists])
     pts = np.sort(pts)
     keep = [pts[0]]
     for p in pts[1:]:
-        if p - keep[-1] > tol:
+        if p - keep[-1] > 1e-12:
             keep.append(p)
     return np.asarray(keep)
 
@@ -191,9 +191,9 @@ class PiecewiseCheb:
         return total
 
 
-def gauss_piecewise(fn, breakpoints, n=48):
-    """Composite Gauss-Legendre integral of ``fn`` over the breakpoint span."""
-    nodes, weights = np.polynomial.legendre.leggauss(n)
+def gauss_piecewise(fn, breakpoints):
+    """Composite 48-point Gauss-Legendre integral of ``fn`` on the span."""
+    nodes, weights = np.polynomial.legendre.leggauss(48)
     bp = np.asarray(breakpoints, dtype=float)
     total = 0.0
     for a, b in zip(bp[:-1], bp[1:]):

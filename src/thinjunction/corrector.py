@@ -180,11 +180,11 @@ def disk_compatibility_defect(g: DiskPoly, bc, h):
     return g.mean_integral(h) - 2.0 * math.pi * h * float(np.asarray(bc)[0])
 
 
-def solve_disk_neumann(g: DiskPoly, bc, bs, h, tol=1e-8):
+def solve_disk_neumann(g: DiskPoly, bc, bs, h):
     """Solve -lap u = g on r < h with -du/dr = b on r = h and <u> = 0.
 
     ``bc``/``bs`` hold the rim harmonics of b.  The pair (g, b) must be
-    flux-balanced; the defect is checked against ``tol`` scaled by the
+    flux-balanced; the defect is checked against 1e-8 scaled by the
     data size.  Everything is exact modal algebra, no discretization.
     """
     g = g.trimmed()
@@ -198,10 +198,10 @@ def solve_disk_neumann(g: DiskPoly, bc, bs, h, tol=1e-8):
     defect = disk_compatibility_defect(g, bc, h)
     scale = max(1.0, abs(g.mean_integral(h)),
                 2.0 * math.pi * h * abs(float(bc[0])))
-    if abs(defect) > tol * scale:
+    if abs(defect) > 1e-8 * scale:
         raise DiskCompatibilityError(
             f"disk problem data violate the flux balance by {defect:.3e} "
-            f"(tolerance {tol * scale:.3e})")
+            f"(tolerance {1e-8 * scale:.3e})")
 
     u = DiskPoly.zeros(N, P)
     for n in range(gN + 1):
@@ -314,7 +314,7 @@ def _poly_coef(poly: Polynomial, j):
 
 
 def corrector_germ(spec: ProblemSpec, edge, k, omega_germ: Polynomial,
-                   prev_germ, jmax, tol=1e-8):
+                   prev_germ, jmax):
     """Exact x-power slices of u_k about the vertex end of a branch.
 
     Valid on the initial interval where the radius is constant: there the
@@ -346,16 +346,15 @@ def corrector_germ(spec: ProblemSpec, edge, k, omega_germ: Polynomial,
             bc, bs = btrace.trace_fourier(h0)
         else:
             bc, bs = np.zeros(1), np.zeros(1)
-        out.append(solve_disk_neumann(g, bc, bs, h0, tol))
+        out.append(solve_disk_neumann(g, bc, bs, h0))
     return out
 
 
 def build_corrector(spec: ProblemSpec, edge, k, omega: EdgeFunction,
-                    prev: EdgeCorrector | None = None, jmax=4, nodes=33,
-                    tol=1e-8):
+                    prev: EdgeCorrector | None = None, jmax=4):
     """Construct u_k on one branch from omega_{k-2} and u_{k-2}.
 
-    Solves the cross-section problem exactly at Chebyshev stations of
+    Solves the cross-section problem exactly at 33 Chebyshev stations of
     every smoothness interval and fits the modal coefficients, so that
     axial derivatives of u_k are coefficient operations.
     """
@@ -366,7 +365,7 @@ def build_corrector(spec: ProblemSpec, edge, k, omega: EdgeFunction,
     fslice = spec.f.transverse_taylor(edge, k - 2)
     bp = merge_breakpoints(h.breakpoints, omega.breakpoints,
                            prev.breakpoints if prev is not None else [])
-    tpts = npcheb.chebpts1(nodes)
+    tpts = npcheb.chebpts1(33)
     nb = phi.max_harmonic
     if prev is not None:
         nb = max(nb, prev.shape[1] - 1)
@@ -399,7 +398,7 @@ def build_corrector(spec: ProblemSpec, edge, k, omega: EdgeFunction,
                     a, b = phi.circle_modes(x, hx, nb)
                     bc += e * a
                     bs += e * b
-            piece.append(solve_disk_neumann(g, bc, bs, hx, tol))
+            piece.append(solve_disk_neumann(g, bc, bs, hx))
         solutions.append(piece)
 
     N = max(u.cos.shape[0] for piece in solutions for u in piece) - 1
@@ -408,11 +407,11 @@ def build_corrector(spec: ProblemSpec, edge, k, omega: EdgeFunction,
     for piece in solutions:
         Y = np.stack([np.stack([u.padded(N, P).cos, u.padded(N, P).sin])
                       for u in piece])
-        c = npcheb.chebfit(tpts, Y.reshape(nodes, -1), nodes - 1)
-        coeffs.append(c.reshape(nodes, 2, N + 1, P + 1))
+        c = npcheb.chebfit(tpts, Y.reshape(tpts.size, -1), tpts.size - 1)
+        coeffs.append(c.reshape(tpts.size, 2, N + 1, P + 1))
 
     prev_g = prev.germ if prev is not None else None
-    germ = corrector_germ(spec, edge, k, omega.germ(), prev_g, jmax, tol)
+    germ = corrector_germ(spec, edge, k, omega.germ(), prev_g, jmax)
     return EdgeCorrector(edge=edge, order=k, h=h, breakpoints=bp,
                          coeffs=coeffs, germ=germ)
 

@@ -303,19 +303,8 @@ def solve_omega_k(spec: ProblemSpec, rhs_list,
     return GraphFunction(shifted, transmission)
 
 
-def _test_basis(qs_hat=(1, 2, 3), n_bubble=9):
-    """30 vertex-continuous test functions vanishing at the outer ends."""
-    basis = []
-    for q in qs_hat:
-        basis.append(("hat", q))
-    for i in range(3):
-        for q in range(1, n_bubble + 1):
-            basis.append(("bubble", (i, q)))
-    return basis
-
-
 def weak_residual(spec: ProblemSpec, gf: GraphFunction, rhs_list,
-                  transmission: TransmissionData = None, nquad=48):
+                  transmission: TransmissionData = None):
     """Max defect of the weak identity over a 30-function test basis.
 
     The substituted solution u_i = w_i - jump_i (1 - x_i) is tested against
@@ -338,8 +327,11 @@ def weak_residual(spec: ProblemSpec, gf: GraphFunction, rhs_list,
             return base
         return base - 2.0 * math.pi * jumps[i] * spec.h[i](x) * spec.h[i].deriv(x)
 
+    # vertex-continuous test functions vanishing at the outer ends
+    hats = [("hat", q) for q in (1, 2, 3)]
+    bubbles = [("bubble", (i, q)) for i in range(3) for q in range(1, 10)]
     worst = 0.0
-    for kind, p in _test_basis():
+    for kind, p in hats + bubbles:
         lhs = 0.0
         rhs_val = 0.0
         for i in range(3):
@@ -358,9 +350,9 @@ def weak_residual(spec: ProblemSpec, gf: GraphFunction, rhs_list,
                 continue
             lhs += gauss_piecewise(
                 lambda x, i=i, h=h, dpsi=dpsi:
-                math.pi * h(x) ** 2 * u_prime(i, x) * dpsi(x), bp, nquad)
+                math.pi * h(x) ** 2 * u_prime(i, x) * dpsi(x), bp)
             rhs_val += gauss_piecewise(
-                lambda x, i=i, psi=psi: phi_data(i, x) * psi(x), bp, nquad)
+                lambda x, i=i, psi=psi: phi_data(i, x) * psi(x), bp)
         if kind == "hat":
             rhs_val -= flux  # psi(0) = 1 for every hat function
         worst = max(worst, abs(lhs - rhs_val))

@@ -36,11 +36,8 @@ from .poly import (
     disk_monomial_integral,
 )
 
-_GAUSS_N = 16
-
-
-def _gauss(lo, hi, n=_GAUSS_N):
-    x, w = np.polynomial.legendre.leggauss(n)
+def _gauss(lo, hi):
+    x, w = np.polynomial.legendre.leggauss(16)
     mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
     return mid + half * x, half * w
 
@@ -266,6 +263,7 @@ class TruncatedJunction:
         low, high = x.min(axis=1), x.max(axis=1)
         self.band_tets = (high > lo) & (low < hi)
         self.past_band = (low >= hi).any(axis=1)
+        self.labels = station_labels(self.mesh)
 
 
 def _source_values(junction: TruncatedJunction, data: InnerData, pts):
@@ -373,19 +371,13 @@ class JunctionField:
             self._add_growth(self.junction.mesh.nodes, self._total)
         return self._total
 
-    def station_means(self, edge):
-        return station_profile(self.junction.mesh, self.nodal_total(), edge)
+    def plateau(self, edge):
+        return _plateau(self.junction, self.nodal_total(), edge)
 
-    def plateau(self, edge, window=1.5):
-        xs, means = self.station_means(edge)
-        keep = xs >= self.junction.R - window
-        return float(means[keep].mean())
-
-    def far_slope(self, edge, start=None):
-        xs, means = self.station_means(edge)
-        if start is None:
-            start = self.junction.spec.far_field_start()
-        keep = xs >= start
+    def far_slope(self, edge):
+        xs, means = station_profile(self.junction.mesh, self.nodal_total(),
+                                    edge)
+        keep = xs >= self.junction.spec.far_field_start()
         fit = np.polyfit(xs[keep], means[keep], 1)
         return float(fit[0])
 
@@ -421,20 +413,32 @@ class FieldStack:
                              None, growth=growth, constant=constant)
 
 
-def solve_decaying(junction: TruncatedJunction, data: InnerData, rtol=1e-10):
+def _plateau(junction: TruncatedJunction, u, edge):
+    """Mean of the station means of u over the last 1.5 of an outlet."""
+    xs, means = station_profile(junction.mesh, u, edge)
+    return float(means[xs >= junction.R - 1.5].mean())
+
+
+def _solve_load(junction: TruncatedJunction, data: InnerData):
+    """(field, load, info) of the mean-zero solve for the load of data."""
+    b = assemble_load(junction, data)
+    u, info = _solve_spd(junction.ctx.matrix, b, deflate=True,
+                         labels=junction.labels)
+    return u, b, info
+
+
+def solve_decaying(junction: TruncatedJunction, data: InnerData):
     """Decaying corrector field, zeroed on the first outlet's end disk.
 
     The field keeps the load it solves for, which :func:`compute_delta`
     pairs with the special fields.
     """
-    b = assemble_load(junction, data)
-    u, info = _solve_spd(junction.ctx.matrix, b, rtol=rtol, deflate=True,
-                         labels=station_labels(junction.mesh))
+    u, b, info = _solve_load(junction, data)
     shift = station_average(junction.mesh, u, junction.mesh.stations[0][-1])
     return JunctionField(junction, u - shift, b, info=info)
 
 
-def solve_special(junction: TruncatedJunction, edge, rtol=1e-10):
+def solve_special(junction: TruncatedJunction, edge):
     """Harmonic field draining outlet ``edge`` into outlet 0.
 
     Grows like -t/(pi r_0^2) along outlet 0 and +t/(pi r_edge^2) along
@@ -448,16 +452,11 @@ def solve_special(junction: TruncatedJunction, edge, rtol=1e-10):
     growth = [None, None, None]
     growth[0] = OutletGrowth(0, [0.0, -1.0 / (math.pi * r0 * r0)])
     growth[edge] = OutletGrowth(edge, [0.0, 1.0 / (math.pi * re * re)])
-    data = InnerData(k=0, growth=tuple(growth))
-    b = assemble_load(junction, data)
-    u, info = _solve_spd(junction.ctx.matrix, b, rtol=rtol, deflate=True,
-                         labels=station_labels(junction.mesh))
-    shift = JunctionField(junction, u, b).plateau(0)
-    decay = JunctionField(junction, u - shift, b)
-    fld = JunctionField(junction, decay.decay, b, growth=tuple(growth),
-                        info=dict(info))
+    u, b, info = _solve_load(junction, InnerData(k=0, growth=tuple(growth)))
+    decay = u - _plateau(junction, u, 0)
+    fld = JunctionField(junction, decay, b, growth=tuple(growth), info=info)
     fld.info["slopes"] = [fld.far_slope(i) for i in range(3)]
-    fld.info["plateaus"] = [decay.plateau(i) for i in range(3)]
+    fld.info["plateaus"] = [_plateau(junction, decay, i) for i in range(3)]
     return fld
 
 

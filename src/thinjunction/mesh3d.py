@@ -221,21 +221,20 @@ def _tube_section(uv_disk, axis, x, radius):
     return out
 
 
-def graded_stations(start, end, fine, fine_until, growth=1.3, cap=None):
-    """Axial stations: uniform ``fine`` spacing, then geometric growth."""
+def graded_stations(start, end, fine, fine_until, cap):
+    """Axial stations: ``fine`` spacing, then steps growing 30% to ``cap``."""
 
-    cap = cap if cap is not None else 5.0 * fine
     xs = [start]
     step = fine
     while xs[-1] < end - 0.5 * step:
         if xs[-1] >= fine_until:
-            step = min(step * growth, cap)
+            step = min(step * 1.3, cap)
         xs.append(min(xs[-1] + step, end))
     xs[-1] = end
     return np.array(xs)
 
 
-def snap_stations(xs, forced, tol_frac=0.45):
+def snap_stations(xs, forced):
     """Move the nearest station onto each forced plane within the span."""
 
     xs = np.array(xs, dtype=float)
@@ -246,7 +245,7 @@ def snap_stations(xs, forced, tol_frac=0.45):
         if k == 0 or k == xs.size - 1:
             continue
         gap = min(xs[k + 1] - xs[k], xs[k] - xs[k - 1])
-        if abs(xs[k] - xf) <= tol_frac * gap:
+        if abs(xs[k] - xf) <= 0.45 * gap:
             xs[k] = xf
         else:
             xs = np.sort(np.append(xs, xf))

@@ -57,9 +57,9 @@ class ReferenceSolution:
 
         return region_mask(self.ctx, pred)
 
-    def bulge_mask(self, margin=2.0):
-        """Tetrahedra of the junction zone |x_i| < margin * eps * ell."""
-        lim = margin * self.epsilon * self.spec.ell
+    def bulge_mask(self):
+        """Tetrahedra of the junction zone |x_i| < 2 eps ell."""
+        lim = 2.0 * self.epsilon * self.spec.ell
         return region_mask(self.ctx, lambda c: np.max(c, axis=1) < lim)
 
     def norms_against(self, fn=None, mask=None):
@@ -74,8 +74,8 @@ class ReferenceSolution:
         return float(self.ctx.volumes.sum())
 
 
-def solve_reference(spec: ProblemSpec, axial=None, refine=1.0,
-                    rtol=1e-10) -> ReferenceSolution:
+def solve_reference(spec: ProblemSpec, axial=None,
+                    refine=1.0) -> ReferenceSolution:
     """Solve the thin-domain problem with end constraints and wall load."""
     eps = spec.epsilon
     if axial is None:
@@ -100,5 +100,5 @@ def solve_reference(spec: ProblemSpec, axial=None, refine=1.0,
 
     dirichlet = {f"end_{i}": 0.0 for i in range(3)}
     u, info = solve_poisson(ctx, volume=volume, neumann=neumann,
-                            dirichlet=dirichlet, rtol=rtol)
+                            dirichlet=dirichlet)
     return ReferenceSolution(spec, mesh, ctx, u, info)

@@ -31,6 +31,7 @@ import csv
 import hashlib
 import io
 import json
+import numbers
 import time
 from dataclasses import dataclass, field, fields
 
@@ -43,6 +44,9 @@ from .expansion import Expansion
 from .reference import ReferenceSolution, solve_reference, with_epsilon
 
 NODE_BUDGET = 2_000_000
+
+# Axial positions per tube of the residual cloud, by 5 radii and 8 angles.
+CLOUD_AXIAL = 160
 
 
 class StudyError(ValueError):
@@ -114,15 +118,30 @@ class StudyPlan:
     junction_refine: float = None
     axial: float = None
     fem_refine: float = 1.0
-    rtol: float = 1e-10
 
     def __post_init__(self):
+        if not isinstance(self.epsilons, (list, tuple)) or not all(
+                _is_number(e) and 0.0 < e < 1.0 for e in self.epsilons):
+            raise StudyError(f"epsilons must be a list of numbers in (0, 1), "
+                             f"not {self.epsilons!r}")
         eps = [float(e) for e in self.epsilons]
         if len(eps) < 3:
             raise StudyError("need at least three slenderness values")
         if any(b >= a for a, b in zip(eps, eps[1:])):
             raise StudyError("slenderness list must be strictly decreasing")
         self.epsilons = eps
+        _check_positive("fem_refine", self.fem_refine)
+        for name in ("axial", "junction_refine"):
+            if getattr(self, name) is not None:
+                _check_positive(name, getattr(self, name))
+        short = self.spec.ell + 3.0
+        if self.junction_R is not None and not (
+                _is_number(self.junction_R) and self.junction_R > short):
+            raise StudyError(f"junction_R must be a number greater than "
+                             f"ell + 3 = {short:g}, not {self.junction_R!r}")
+        if not isinstance(self.targets, (list, tuple)):
+            raise StudyError(f"unknown targets: {self.targets!r} is not a "
+                             f"list of target names")
         # a tuple, so that an unhashable entry is unknown, not a TypeError
         bad = [t for t in self.targets if t not in tuple(TARGETS)]
         if bad:
@@ -146,6 +165,15 @@ class StudyPlan:
 
     def needs_fem(self):
         return any(TARGETS[t].region != "sample-cloud" for t in self.targets)
+
+
+def _is_number(value):
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _check_positive(name, value):
+    if not (_is_number(value) and value > 0.0):
+        raise StudyError(f"{name} must be a positive number, not {value!r}")
 
 
 @dataclass
@@ -205,15 +233,15 @@ def estimate_nodes(spec, epsilon, axial, refine):
     return int(per_disk * stations)
 
 
-def residual_cloud(spec, epsilon, n_axial=160, n_radial=5, n_angle=8):
+def residual_cloud(spec, epsilon):
     """Deterministic sample points covering all three tubes."""
     eps = float(epsilon)
     pts = []
     for i in range(3):
         a, b = TRANSVERSE_AXES[i]
-        xs = np.linspace(eps * spec.ell * 1.01, 0.995, n_axial)
-        rr = np.linspace(0.0, 0.92, n_radial)
-        th = np.linspace(0.0, 2.0 * np.pi, n_angle, endpoint=False)
+        xs = np.linspace(eps * spec.ell * 1.01, 0.995, CLOUD_AXIAL)
+        rr = np.linspace(0.0, 0.92, 5)
+        th = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
         x, r, t = (g.ravel() for g in np.meshgrid(xs, rr, th, indexing="ij"))
         h = spec.h[i](x)
         p = np.zeros((x.size, 3))
@@ -263,7 +291,7 @@ def _junction_h1(exp: Expansion, ref: ReferenceSolution):
         v, g = exp.nfields[1].evaluate(pts / eps)
         return base + eps * v, g
 
-    return ref.norms_against(fn, mask=ref.bulge_mask(margin=2.0))[2]
+    return ref.norms_against(fn, mask=ref.bulge_mask())[2]
 
 
 def _target_error(target, exp, ref, whole, terms):
@@ -330,7 +358,7 @@ def run_study(plan: StudyPlan) -> StudyReport:
         ref = None
         if plan.needs_fem():
             ref = solve_reference(with_epsilon(spec, eps), axial=plan.axial,
-                                  refine=plan.fem_refine, rtol=plan.rtol)
+                                  refine=plan.fem_refine)
         whole = {}
         terms = {}
         if term_keys:

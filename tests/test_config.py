@@ -1,10 +1,15 @@
 """Problem data: radius profiles, sources, lateral loads, validation."""
 
+import ast
+import importlib
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
 
+import thinjunction
 from thinjunction import (
     LateralLoad,
     RadiusProfile,
@@ -199,3 +204,32 @@ class TestProblemSpec:
 def test_transverse_axes_complete():
     for edge, (a, b) in TRANSVERSE_AXES.items():
         assert sorted((edge, a, b)) == [0, 1, 2]
+
+
+def _settings_table():
+    """(module, name, value) per row of the README's settings table."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split(
+        "## Numerical settings", 1)[1].split("\n## ", 1)[0]
+    return [(m, n, ast.literal_eval(v)) for m, n, v in re.findall(
+        r"^\| `(\w+)\.(\w+)` \| `([^`]+)` \|", section, re.M)]
+
+
+def test_readme_lists_every_numerical_setting():
+    rows = _settings_table()
+    for module, name, value in rows:
+        got = getattr(importlib.import_module(f"thinjunction.{module}"),
+                      name)
+        assert got == value and type(got) is type(value), (module, name)
+    # every public module constant set to a number has a row
+    listed = {(m, n) for m, n, _ in rows}
+    src = pathlib.Path(thinjunction.__file__).parent
+    for path in src.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (isinstance(node, ast.Assign) and len(node.targets) == 1
+                    and isinstance(node.targets[0], ast.Name)
+                    and isinstance(node.value, ast.Constant)
+                    and type(node.value.value) in (int, float)):
+                name = node.targets[0].id
+                if name.isupper() and not name.startswith("_"):
+                    assert (path.stem, name) in listed, (path.stem, name)

@@ -83,7 +83,7 @@ def test_tube_target_matches_direct_norms(fx_spec):
     edges = Expansion(spec).graph[0].edges
     for j, eps in enumerate(plan.epsilons):
         ref = solve_reference(with_epsilon(spec, eps), axial=plan.axial,
-                              refine=plan.fem_refine, rtol=plan.rtol)
+                              refine=plan.fem_refine)
         cent = ref.mesh.nodes[ref.mesh.tets].mean(axis=1)
         lo = 3.0 * spec.ell * eps ** spec.alpha
         worst = 0.0
@@ -119,7 +119,7 @@ def test_whole_domain_targets_share_one_norm_evaluation(fx_spec, monkeypatch):
     exp = Expansion(spec)
     for j, eps in enumerate(plan.epsilons):
         ref = solve_reference(with_epsilon(spec, eps), axial=plan.axial,
-                              refine=plan.fem_refine, rtol=plan.rtol)
+                              refine=plan.fem_refine)
         l2, _h1s, h1 = ref.norms_against(
             lambda pts: exp.evaluate(pts, eps, m=0, gradient=True))
         want = {"COR42_H1_U0": h1, "T0_M": h1, "COR42_L2_U0": l2,
@@ -256,6 +256,39 @@ def test_load_plan_rejects_unknown_keys(fx_spec):
     with pytest.raises(StudyError, match=re.escape(
             "unknown plan keys: ['fem_refin']")):
         load_plan(_plan_doc(fx_spec, fem_refin=0.5))
+    # the CG tolerance is fem3d.CG_RTOL, not a plan setting
+    with pytest.raises(StudyError, match=re.escape(
+            "unknown plan keys: ['rtol']")):
+        load_plan(_plan_doc(fx_spec, rtol=1e-10))
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("epsilons", "0.3", "epsilons must be a list of numbers in (0, 1)"),
+    ("epsilons", [0.3, 0.2, -0.1], "epsilons must be a list of numbers"),
+    ("epsilons", [2.0, 1.5, 1.2], "epsilons must be a list of numbers"),
+    ("epsilons", [0.3, "0.2", 0.1], "epsilons must be a list of numbers"),
+    ("targets", "COR42_CYL", "'COR42_CYL' is not a list of target names"),
+    ("fem_refine", -1, "fem_refine must be a positive number, not -1"),
+    ("fem_refine", "0.5", "fem_refine must be a positive number, not '0.5'"),
+    ("fem_refine", True, "fem_refine must be a positive number, not True"),
+    ("fem_refine", None, "fem_refine must be a positive number, not None"),
+    ("axial", -0.1, "axial must be a positive number, not -0.1"),
+    ("junction_refine", "0.7", "junction_refine must be a positive number"),
+    ("junction_R", 1.0, "junction_R must be a number greater than "
+                        "ell + 3 = 3.3, not 1.0"),
+    ("junction_R", "4.3", "junction_R must be a number greater than"),
+])
+def test_load_plan_rejects_bad_values(fx_spec, key, value, message):
+    with pytest.raises(StudyError, match=re.escape(message)):
+        load_plan(_plan_doc(fx_spec, **{key: value}))
+
+
+def test_load_plan_accepts_values_in_range(fx_spec):
+    plan = load_plan(_plan_doc(fx_spec, epsilons=(0.5, 0.25, 0.125),
+                               fem_refine=1, axial=0.05, junction_refine=0.7,
+                               junction_R=fx_spec.ell + 3.1))
+    assert plan.epsilons == [0.5, 0.25, 0.125]
+    assert (plan.fem_refine, plan.junction_R) == (1, fx_spec.ell + 3.1)
 
 
 @pytest.mark.parametrize("key", ["spec", "epsilons", "targets"])

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -345,8 +346,28 @@ def _load_from_json(entry):
         [(t["powers"], t["coef"]) for t in entry["terms"]])
 
 
+def is_number(value):
+    """A real number that is not a boolean."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _number(key, value):
+    if not is_number(value):
+        raise ValueError(f"{key} must be a number, not {value!r}")
+    return float(value)
+
+
+# the keys of a problem document, as ``ProblemSpec.to_json`` writes them
+_SPEC_KEYS = {"schema", "epsilon", "ell", "alpha", "delta_cut", "order", "h",
+              "f", "phi", "aneurysm"}
+
+
 def load_spec(source):
-    """Build a ProblemSpec from a JSON file path, JSON text, or a dict."""
+    """Build a ProblemSpec from a JSON file path, JSON text, or a dict.
+
+    Unknown keys, numbers given as strings or booleans and a non-integer
+    order raise ``ValueError`` naming the key.
+    """
     if isinstance(source, dict):
         doc = source
     else:
@@ -359,19 +380,24 @@ def load_spec(source):
         doc = json.loads(text)
     if doc.get("schema") != 1:
         raise ValueError("unsupported problem-file schema")
+    unknown = sorted(set(doc) - _SPEC_KEYS)
+    if unknown:
+        raise ValueError(f"unknown problem keys: {unknown}")
+    order = doc.get("order", 2)
+    if not isinstance(order, numbers.Integral) or isinstance(order, bool):
+        raise ValueError(f"order must be an integer, not {order!r}")
     f = SourceField.from_terms(
         [(t["powers"], t["coef"]) for t in doc["f"]["terms"]])
     aneurysm = doc.get("aneurysm", {"type": "box"})
     if aneurysm.get("type", "box") != "box":
         raise ValueError("only the box bulge shape is supported")
     return ProblemSpec(
-        epsilon=float(doc["epsilon"]),
-        ell=float(doc["ell"]),
-        alpha=float(doc["alpha"]),
-        delta_cut=float(doc.get("delta_cut", 0.1)),
-        order=int(doc.get("order", 2)),
+        epsilon=_number("epsilon", doc["epsilon"]),
+        ell=_number("ell", doc["ell"]),
+        alpha=_number("alpha", doc["alpha"]),
+        delta_cut=_number("delta_cut", doc.get("delta_cut", 0.1)),
+        order=int(order),
         h=tuple(_radius_from_json(e) for e in doc["h"]),
         f=f,
         phi=tuple(_load_from_json(e) for e in doc["phi"]),
     )
-

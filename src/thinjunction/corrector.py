@@ -272,17 +272,23 @@ class EdgeCorrector:
         A = self.modal_batch(float(x), deriv)
         return DiskPoly(A[0, 0], A[0, 1])
 
-    def evaluate(self, x, xa, xb, table=None):
+    def _gathered(self, x, deriv, table, at):
+        A = self.modal_batch(x, deriv, table)
+        return A if at is None else A[at]
+
+    def evaluate(self, x, xa, xb, table=None, at=None):
         """(u, du/dx, du/dxa, du/dxb) at each point, from one modal batch
-        per x-derivative order."""
+        per x-derivative order.  Given ``at``, x holds distinct axial
+        positions and point p lies at x[at[p]]: the modal arrays are
+        built per position and gathered per point."""
         xa = np.asarray(xa, float).ravel()
         xb = np.asarray(xb, float).ravel()
-        u, ga, gb = _modal_eval(self.modal_batch(x, 0, table), xa, xb)
-        ux = _modal_eval(self.modal_batch(x, 1, table), xa, xb)[0]
+        u, ga, gb = _modal_eval(self._gathered(x, 0, table, at), xa, xb)
+        ux = _modal_eval(self._gathered(x, 1, table, at), xa, xb)[0]
         return u, ux, ga, gb
 
-    def values(self, x, xa, xb, xderiv=0):
-        return _modal_eval(self.modal_batch(x, xderiv),
+    def values(self, x, xa, xb, xderiv=0, at=None):
+        return _modal_eval(self._gathered(x, xderiv, None, at),
                            np.asarray(xa, float).ravel(),
                            np.asarray(xb, float).ravel())[0]
 

@@ -34,6 +34,20 @@ class RecurrenceError(RuntimeError):
     """Internal inconsistency while building the expansion terms."""
 
 
+def _distinct(x):
+    """The distinct values of x and the index that gathers them back, as
+    ``np.unique(x, return_inverse=True)`` gives them (NaNs aside), in
+    half its time on the few dozen points of a served request."""
+    order = np.argsort(x)
+    xs = x[order]
+    new = np.empty(x.size, bool)
+    new[:1] = True
+    np.not_equal(xs[1:], xs[:-1], out=new[1:])
+    at = np.empty(x.size, np.intp)
+    at[order] = np.cumsum(new) - 1
+    return xs[new], at
+
+
 class Expansion:
     """All expansion terms of one problem up to ``spec.order``.
 
@@ -152,28 +166,33 @@ class Expansion:
         return edge
 
     def _tubes(self, pts, eps, edge):
-        """Per tube: (edge, rows, x, scaled transverse coordinates, and
-        the stretched axial coordinate x / eps^alpha)."""
+        """Per tube: (edge, rows, the distinct axial positions of the rows
+        and the index that gathers them back, and the scaled transverse
+        coordinates)."""
         for i in range(3):
             sel = np.flatnonzero(edge == i)
             if sel.size == 0:
                 continue
             a, b = TRANSVERSE_AXES[i]
-            x = pts[sel, i]
-            yield (i, sel, x, pts[sel, a] / eps, pts[sel, b] / eps,
-                   x / eps ** self.spec.alpha)
+            # every factor of x alone is elementwise or a Chebyshev stack,
+            # whose values do not depend on the batch: evaluated once per
+            # distinct x and gathered, it is bitwise the per-point value
+            xu, at = _distinct(pts[sel, i])
+            yield i, sel, xu, at, pts[sel, a] / eps, pts[sel, b] / eps
 
-    def _tube_terms(self, i, x, ta, tb, m):
+    def _tube_terms(self, i, xu, at, ta, tb, m):
         """w_k + u_k, its axial slope and the transverse gradient of u_k
-        on tube i for k = 0..m, one column per order, all read off one
-        Chebyshev table."""
-        table = self.profiles[i].table(x)
-        core, d_ax = self.profiles[i].evaluate(x, table)
+        at the points of tube i for k = 0..m, one column per order, all
+        read off one Chebyshev table of the distinct positions xu, from
+        which ``at`` gathers the points."""
+        table = self.profiles[i].table(xu)
+        core, d_ax = self.profiles[i].evaluate(xu, table)
+        core, d_ax = core[at], d_ax[at]
         ga = np.zeros_like(core)
         gb = np.zeros_like(core)
         for k in range(2, m + 1):
             cv, cx, ga[:, k], gb[:, k] = self.correctors[k][i].evaluate(
-                x, ta, tb, table)
+                xu, ta, tb, table, at)
             core[:, k] += cv
             d_ax[:, k] += cx
         return core, d_ax, ga, gb
@@ -209,34 +228,48 @@ class Expansion:
         weight = np.ones(n)
         wslope = np.zeros(n)
 
-        for i, sel, x, ta, tb, zeta in self._tubes(pts, eps, edge):
+        for i, sel, xu, at, ta, tb in self._tubes(pts, eps, edge):
             a, b = TRANSVERSE_AXES[i]
-            chi = self.cut_axial(zeta)
-            dchi = self.cut_axial.deriv(zeta)
+            zeta = xu / eps ** alpha
+            chi = self.cut_axial(zeta)[at]
+            dchi = self.cut_axial.deriv(zeta)[at]
             weight[sel] = 1.0 - chi
             wslope[sel] = -dchi * eps ** (-alpha)
-            # the end layers live where the end cutoff is nonzero
-            end = x > self.cut_end.lo
-            chid = self.cut_end(x)
-            dchid = self.cut_end.deriv(x)
-            core, d_ax, ga, gb = self._tube_terms(i, x, ta, tb, m)
+            core, d_ax, ga, gb = self._tube_terms(i, xu, at, ta, tb, m)
 
-            for k in range(0, m + 1):
+            # each tube's sums are written once; orders below 2 have no
+            # corrector, so no transverse gradient
+            val = np.zeros(sel.size)
+            dx = np.zeros(sel.size)
+            da = np.zeros(sel.size)
+            db = np.zeros(sel.size)
+            for k in range(m + 1):
                 ek = eps ** k
-                vals[sel] += ek * chi * core[:, k]
-                grads[sel, i] += ek * (eps ** (-alpha) * dchi * core[:, k]
-                                       + chi * d_ax[:, k])
-                grads[sel, a] += ek * chi * ga[:, k] / eps
-                grads[sel, b] += ek * chi * gb[:, k] / eps
+                val += ek * chi * core[:, k]
+                dx += ek * (eps ** (-alpha) * dchi * core[:, k]
+                            + chi * d_ax[:, k])
+                if k >= 2:
+                    da += ek * chi * ga[:, k] / eps
+                    db += ek * chi * gb[:, k] / eps
                 layer = self.layers.get(k)
-                if layer is not None and not layer[i].is_zero and end.any():
+                if layer is None or layer[i].is_zero:
+                    continue
+                # the end layers live where the end cutoff is nonzero
+                end = (xu > self.cut_end.lo)[at]
+                if end.any():
+                    ends = at[end]
                     lv, ds, la, lb = layer[i].gradient(
-                        (1.0 - x[end]) / eps, ta[end], tb[end])
-                    c, dc = chid[end], dchid[end]
-                    vals[sel[end]] += ek * c * lv
-                    grads[sel[end], i] += ek * (dc * lv - c * ds / eps)
-                    grads[sel[end], a] += ek * c * la / eps
-                    grads[sel[end], b] += ek * c * lb / eps
+                        (1.0 - xu[ends]) / eps, ta[end], tb[end])
+                    c = self.cut_end(xu)[ends]
+                    dc = self.cut_end.deriv(xu)[ends]
+                    val[end] += ek * c * lv
+                    dx[end] += ek * (dc * lv - c * ds / eps)
+                    da[end] += ek * c * la / eps
+                    db[end] += ek * c * lb / eps
+            vals[sel] = val
+            grads[sel, i] = dx
+            grads[sel, a] = da
+            grads[sel, b] = db
 
         live = np.flatnonzero(weight > 0.0)
         if live.size:
@@ -277,26 +310,28 @@ class Expansion:
         weight = np.ones(len(pts))
         inner = self._inner_sum(eps, m) if 2 in which and m >= 1 else None
 
-        for i, sel, x, ta, tb, zeta in self._tubes(pts, eps, edge):
-            chi = self.cut_axial(zeta)
-            dchi = self.cut_axial.deriv(zeta)
-            d2chi = self.cut_axial.deriv2(zeta)
+        for i, sel, xu, at, ta, tb in self._tubes(pts, eps, edge):
+            x = xu[at]
+            zeta = xu / eps ** alpha
+            chi = self.cut_axial(zeta)[at]
+            dchi = self.cut_axial.deriv(zeta)[at]
+            d2chi = self.cut_axial.deriv2(zeta)[at]
             weight[sel] = 1.0 - chi
 
             if 1 in which:
                 acc = np.zeros(sel.size)
                 for k in range(max(m - 1, 0), m + 1):
-                    term = self.graph[k].edges[i].d2(x)
+                    term = self.graph[k].edges[i].d2(xu)[at]
                     corr = self.correctors.get(k)
                     if corr is not None:
-                        term = term + corr[i].values(x, ta, tb, xderiv=2)
+                        term = term + corr[i].values(xu, ta, tb, xderiv=2,
+                                                     at=at)
                     acc += eps ** k * term
                 out[1][sel] += chi * acc
 
             if 3 in which:
-                chid = self.cut_end(x)
-                dchid = self.cut_end.deriv(x)
-                d2chid = self.cut_end.deriv2(x)
+                dchid = self.cut_end.deriv(xu)[at]
+                d2chid = self.cut_end.deriv2(xu)[at]
                 band = (dchid != 0.0) | (d2chid != 0.0)
                 if band.any():
                     s = (1.0 - x[band]) / eps
@@ -330,7 +365,8 @@ class Expansion:
                                                     m)
                 out[2][rows] += -2.0 / eps * d1 * dval - d2 * val
             if 6 in which or 7 in which:
-                core, d_ax, _, _ = self._tube_terms(i, x, ta, tb, m)
+                core, d_ax, _, _ = self._tube_terms(i, xu, at[band], ta, tb,
+                                                    m)
                 r6, r7 = self._vertex_remainders(i, x, ta, tb, eps, m,
                                                  core, d_ax)
                 if 6 in which:

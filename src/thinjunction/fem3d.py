@@ -17,7 +17,7 @@ from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, cg, splu
 from scipy.spatial import cKDTree
 
-from .mesh3d import END, LATERAL, TetMesh, tet_geometry
+from .mesh3d import END, LATERAL, TetMesh
 
 _S5 = math.sqrt(5.0)
 _TET_RULES = {
@@ -91,12 +91,12 @@ LOAD_BLOCK = 120_000
 
 
 class FemContext:
-    """Cached geometry (tet volumes, gradients and centroids) and
-    stiffness matrix of one mesh."""
+    """Geometry (the mesh's tet volumes and gradients, and centroids)
+    and stiffness matrix of one mesh."""
 
     def __init__(self, mesh: TetMesh):
         self.mesh = mesh
-        self.volumes, self.grads = tet_geometry(mesh.nodes, mesh.tets)
+        self.volumes, self.grads = mesh.volumes, mesh.grads
         if np.any(self.volumes <= 0):
             raise ValueError("mesh has non-positive tetrahedra")
         self.matrix = self._stiffness()

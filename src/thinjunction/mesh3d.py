@@ -65,6 +65,9 @@ class TetMesh:
     its vertex ``v``, or on the boundary the code of the face's tag:
     ``END`` (``end*``), ``LATERAL`` (``lateral*``) or ``OTHER``.  A mesh
     given no ``adjacent`` derives it from ``tets``, all boundary ``OTHER``.
+
+    ``volumes`` and ``grads`` are the signed tet volumes and barycentric
+    gradients of ``tet_geometry``, measured once when the mesh is made.
     """
 
     nodes: np.ndarray
@@ -74,10 +77,13 @@ class TetMesh:
     disk_tris: np.ndarray
     meta: dict = field(default_factory=dict)
     adjacent: np.ndarray = None
+    volumes: np.ndarray = field(init=False)
+    grads: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.adjacent is None:
             self.adjacent = face_adjacency(self.tets, self.num_nodes)
+        self.volumes, self.grads = tet_geometry(self.nodes, self.tets)
 
     @property
     def num_nodes(self):
@@ -88,7 +94,7 @@ class TetMesh:
         return self.tets.shape[0]
 
     def tet_volumes(self):
-        return tet_geometry(self.nodes, self.tets, gradients=False)[0]
+        return self.volumes
 
     def volume(self):
         return float(self.tet_volumes().sum())
@@ -123,19 +129,29 @@ def tet_geometry(nodes, tets, gradients=True):
     In closed form from the edge vectors e_k = x_k - x_0: six times the
     volume is the triple product e_1 . (e_2 x e_3), and the gradients of
     the coordinates 1-3 are the cofactor rows (e_2 x e_3, e_3 x e_1,
-    e_1 x e_2) over it; that of coordinate 0 is minus their sum.
+    e_1 x e_2) over it; that of coordinate 0 is minus their sum.  Each
+    component is one product-difference over all tets at once.
     """
-    x = nodes.T[:, tets.T]  # coordinate, vertex, tet
-    e = x[:, 1:] - x[:, :1]
+    n = tets.shape[0]
+    x = np.take(nodes.T, tets.T, axis=1)
+    e = x[:, 1:] - x[:, :1]  # coordinate, edge, tet
+    rows = 3 if gradients else 1
+    cof = np.empty((3, rows, n))  # coordinate, cofactor row, tet
+    tmp = np.empty(n)
+    for j in range(rows):
+        a, b = e[:, (j + 1) % 3], e[:, (j + 2) % 3]
+        for k in range(3):
+            k1, k2 = (k + 1) % 3, (k + 2) % 3
+            np.multiply(a[k1], b[k2], out=cof[k, j])
+            np.multiply(a[k2], b[k1], out=tmp)
+            cof[k, j] -= tmp
+    det = e[0, 0] * cof[0, 0] + e[1, 0] * cof[1, 0] + e[2, 0] * cof[2, 0]
     if not gradients:
-        det = np.sum(e[:, 0] * np.cross(e[:, 1], e[:, 2], axis=0), axis=0)
         return det / 6.0, None
-    cof = np.cross(e[:, [1, 2, 0]], e[:, [2, 0, 1]], axis=0)
-    det = np.sum(e[:, 0] * cof[:, 0], axis=0)
-    grads = np.empty((tets.shape[0], 4, 3))
-    grads[:, 1:] = (cof / det).T
-    grads[:, 0] = -grads[:, 1:].sum(axis=1)
-    return det / 6.0, grads
+    grads = np.empty((4, 3, n))
+    np.divide(cof.transpose(1, 0, 2), det, out=grads[1:])
+    np.negative(grads[1] + grads[2] + grads[3], out=grads[0])
+    return det / 6.0, np.ascontiguousarray(grads.transpose(2, 0, 1))
 
 
 def _orient_tets(nodes, tets):

@@ -74,12 +74,17 @@ class ReferenceSolution:
         return float(self.ctx.volumes.sum())
 
 
+def default_axial(epsilon):
+    """Axial station spacing of a reference mesh given none."""
+    return max(0.01, 0.1 * epsilon)
+
+
 def solve_reference(spec: ProblemSpec, axial=None,
                     refine=1.0) -> ReferenceSolution:
     """Solve the thin-domain problem with end constraints and wall load."""
     eps = spec.epsilon
     if axial is None:
-        axial = max(0.01, 0.1 * eps)
+        axial = default_axial(eps)
     mesh = build_thin_mesh(spec, axial=axial, refine=refine)
     ctx = FemContext(mesh)
 

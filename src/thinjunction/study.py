@@ -31,7 +31,6 @@ import csv
 import hashlib
 import io
 import json
-import numbers
 import time
 from dataclasses import dataclass, field, fields
 
@@ -39,9 +38,14 @@ import numpy as np
 from scipy import special
 
 from . import __version__
-from .config import TRANSVERSE_AXES, ProblemSpec, load_spec
+from .config import TRANSVERSE_AXES, ProblemSpec, is_number, load_spec
 from .expansion import Expansion
-from .reference import ReferenceSolution, solve_reference, with_epsilon
+from .reference import (
+    ReferenceSolution,
+    default_axial,
+    solve_reference,
+    with_epsilon,
+)
 
 NODE_BUDGET = 2_000_000
 
@@ -121,7 +125,7 @@ class StudyPlan:
 
     def __post_init__(self):
         if not isinstance(self.epsilons, (list, tuple)) or not all(
-                _is_number(e) and 0.0 < e < 1.0 for e in self.epsilons):
+                is_number(e) and 0.0 < e < 1.0 for e in self.epsilons):
             raise StudyError(f"epsilons must be a list of numbers in (0, 1), "
                              f"not {self.epsilons!r}")
         eps = [float(e) for e in self.epsilons]
@@ -136,7 +140,7 @@ class StudyPlan:
                 _check_positive(name, getattr(self, name))
         short = self.spec.ell + 3.0
         if self.junction_R is not None and not (
-                _is_number(self.junction_R) and self.junction_R > short):
+                is_number(self.junction_R) and self.junction_R > short):
             raise StudyError(f"junction_R must be a number greater than "
                              f"ell + 3 = {short:g}, not {self.junction_R!r}")
         if not isinstance(self.targets, (list, tuple)):
@@ -167,12 +171,8 @@ class StudyPlan:
         return any(TARGETS[t].region != "sample-cloud" for t in self.targets)
 
 
-def _is_number(value):
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
 def _check_positive(name, value):
-    if not (_is_number(value) and value > 0.0):
+    if not (is_number(value) and value > 0.0):
         raise StudyError(f"{name} must be a positive number, not {value!r}")
 
 
@@ -227,7 +227,7 @@ def spec_digest(spec: ProblemSpec) -> str:
 def estimate_nodes(spec, epsilon, axial, refine):
     """Crude node count forecast for the thin mesh."""
     eps = float(epsilon)
-    ax = axial if axial is not None else max(0.01, 0.1 * eps)
+    ax = axial if axial is not None else default_axial(eps)
     per_disk = 24.0 * (6.0 * refine) * (7.0 * refine) / 2.0
     stations = 3.0 * (1.0 / (ax / refine) + 10.0)
     return int(per_disk * stations)

@@ -10,6 +10,12 @@ call), and each end layer rebuilds its mode table for values and again,
 mode by mode, for the gradient.  The per-term methods it called are
 copied in as functions of the built objects, which it reads but never
 changes.
+
+``evaluate_per_point`` and ``residual_terms_per_point`` keep the
+one-pass serving path as it was before the distinct-axial-position
+pass: the same kernels, with every axial factor (cut-offs, Chebyshev
+table, profiles, corrector modal arrays) evaluated at every point.
+The distinct-position pass must match them bit for bit.
 """
 
 import numpy as np
@@ -17,6 +23,7 @@ from scipy import special
 
 from cheb_oracle import modal_batch, piecewise_call
 from thinjunction.config import TRANSVERSE_AXES
+from thinjunction.corrector import _modal_eval
 
 
 # -- graph profiles -----------------------------------------------------------
@@ -511,3 +518,163 @@ def _vertex_remainders(exp, i, x, ta, tb, eps, m):
         r6 += eps ** k * (dcore - dtay)
         r7 += eps ** k * (core - tay)
     return r6, r7
+
+
+# -- the one-pass path with per-point axial factors ---------------------------
+
+def _tubes_per_point(exp, pts, eps, edge):
+    for i in range(3):
+        sel = np.flatnonzero(edge == i)
+        if sel.size == 0:
+            continue
+        a, b = TRANSVERSE_AXES[i]
+        x = pts[sel, i]
+        yield (i, sel, x, pts[sel, a] / eps, pts[sel, b] / eps,
+               x / eps ** exp.spec.alpha)
+
+
+def _tube_terms_per_point(exp, i, x, ta, tb, m):
+    table = exp.profiles[i].table(x)
+    core, d_ax = exp.profiles[i].evaluate(x, table)
+    ga = np.zeros_like(core)
+    gb = np.zeros_like(core)
+    for k in range(2, m + 1):
+        corr = exp.correctors[k][i]
+        cv, ga[:, k], gb[:, k] = _modal_eval(corr.modal_batch(x, 0, table),
+                                             ta, tb)
+        cx = _modal_eval(corr.modal_batch(x, 1, table), ta, tb)[0]
+        core[:, k] += cv
+        d_ax[:, k] += cx
+    return core, d_ax, ga, gb
+
+
+def evaluate_per_point(exp, points, epsilon, m=None):
+    """(values, gradients) of ``Expansion.evaluate``, axial factors per
+    point."""
+    pts = np.asarray(points, dtype=float)
+    eps = float(epsilon)
+    m = exp._partial_order(m)
+    alpha = exp.spec.alpha
+    n = len(pts)
+    vals = np.zeros(n)
+    grads = np.zeros((n, 3))
+    edge = exp._split(pts, eps)
+    weight = np.ones(n)
+    wslope = np.zeros(n)
+
+    for i, sel, x, ta, tb, zeta in _tubes_per_point(exp, pts, eps, edge):
+        a, b = TRANSVERSE_AXES[i]
+        chi = exp.cut_axial(zeta)
+        dchi = exp.cut_axial.deriv(zeta)
+        weight[sel] = 1.0 - chi
+        wslope[sel] = -dchi * eps ** (-alpha)
+        end = x > exp.cut_end.lo
+        chid = exp.cut_end(x)
+        dchid = exp.cut_end.deriv(x)
+        core, d_ax, ga, gb = _tube_terms_per_point(exp, i, x, ta, tb, m)
+        for k in range(0, m + 1):
+            ek = eps ** k
+            vals[sel] += ek * chi * core[:, k]
+            grads[sel, i] += ek * (eps ** (-alpha) * dchi * core[:, k]
+                                   + chi * d_ax[:, k])
+            grads[sel, a] += ek * chi * ga[:, k] / eps
+            grads[sel, b] += ek * chi * gb[:, k] / eps
+            layer = exp.layers.get(k)
+            if layer is not None and not layer[i].is_zero and end.any():
+                lv, ds, la, lb = layer[i].gradient(
+                    (1.0 - x[end]) / eps, ta[end], tb[end])
+                c, dc = chid[end], dchid[end]
+                vals[sel[end]] += ek * c * lv
+                grads[sel[end], i] += ek * (dc * lv - c * ds / eps)
+                grads[sel[end], a] += ek * c * la / eps
+                grads[sel[end], b] += ek * c * lb / eps
+
+    live = np.flatnonzero(weight > 0.0)
+    if live.size:
+        tube = edge[live] >= 0
+        rows = live[tube]
+        nv = np.full(live.size, exp.graph[0].edges[0].vertex_value)
+        ng = np.zeros((live.size, 3))
+        if m >= 1:
+            inner, inner_grad = exp._inner_sum(eps, m).evaluate(
+                pts[live] / eps)
+            nv += inner
+            ng = inner_grad / eps
+        vals[live] += weight[live] * nv
+        grads[live] += weight[live, None] * ng
+        grads[rows, edge[rows]] += wslope[rows] * nv[tube]
+    return vals, grads
+
+
+def residual_terms_per_point(exp, points, epsilon, m=None):
+    """All seven terms of ``Expansion.residual_terms``, axial factors per
+    point."""
+    pts = np.asarray(points, dtype=float)
+    eps = float(epsilon)
+    m = exp._partial_order(m)
+    alpha = exp.spec.alpha
+    out = {j: np.zeros(len(pts)) for j in range(1, 8)}
+    edge = exp._split(pts, eps)
+    weight = np.ones(len(pts))
+    inner = exp._inner_sum(eps, m) if m >= 1 else None
+
+    for i, sel, x, ta, tb, zeta in _tubes_per_point(exp, pts, eps, edge):
+        chi = exp.cut_axial(zeta)
+        dchi = exp.cut_axial.deriv(zeta)
+        d2chi = exp.cut_axial.deriv2(zeta)
+        weight[sel] = 1.0 - chi
+
+        acc = np.zeros(sel.size)
+        for k in range(max(m - 1, 0), m + 1):
+            term = exp.graph[k].edges[i].d2(x)
+            corr = exp.correctors.get(k)
+            if corr is not None:
+                term = term + _modal_eval(corr[i].modal_batch(x, 2), ta,
+                                          tb)[0]
+            acc += eps ** k * term
+        out[1][sel] += chi * acc
+
+        dchid = exp.cut_end.deriv(x)
+        d2chid = exp.cut_end.deriv2(x)
+        band = (dchid != 0.0) | (d2chid != 0.0)
+        if band.any():
+            s = (1.0 - x[band]) / eps
+            acc = np.zeros(band.sum())
+            for k in range(2, m + 1):
+                lay = exp.layers[k][i]
+                if lay.is_zero:
+                    continue
+                lv, ds, _, _ = lay.gradient(s, ta[band], tb[band])
+                acc += eps ** k * (-2.0 / eps * dchid[band] * ds
+                                   + d2chid[band] * lv)
+            out[3][sel[band]] += acc
+
+        fref = exp.spec.f(pts[sel, 0], pts[sel, 1], pts[sel, 2])
+        taylor = np.zeros(sel.size)
+        for q in range(0, m - 1):
+            sl = exp.spec.f.transverse_taylor(i, q)
+            taylor += eps ** q * sl(x, ta, tb)
+        out[4][sel] += chi * (fref - taylor)
+
+        band = (dchi != 0.0) | (d2chi != 0.0)
+        if not band.any():
+            continue
+        rows, x, ta, tb = sel[band], x[band], ta[band], tb[band]
+        d1 = eps ** (-alpha) * dchi[band]
+        d2 = eps ** (-2.0 * alpha) * d2chi[band]
+        if inner is not None:
+            dval, val = exp._matching_mismatch(inner, i, x, ta, tb, eps, m)
+            out[2][rows] += -2.0 / eps * d1 * dval - d2 * val
+        core, d_ax, _, _ = _tube_terms_per_point(exp, i, x, ta, tb, m)
+        r6, r7 = exp._vertex_remainders(i, x, ta, tb, eps, m, core, d_ax)
+        out[6][rows] += 2.0 * d1 * r6
+        out[7][rows] += d2 * r7
+
+    live = weight > 0
+    if live.any():
+        p = pts[live]
+        fv = exp.spec.f(p[:, 0], p[:, 1], p[:, 2])
+        trunc = exp.spec.f.poly.total_degree_truncate(m - 2)
+        out[5][live] += weight[live] * (fv - trunc(p[:, 0], p[:, 1],
+                                                   p[:, 2]))
+    return out

@@ -2,10 +2,12 @@
 
 Volumes by batched LAPACK ``det``, barycentric gradients by ``inv``, the
 local stiffness by a three-operand ``einsum``, quadrature points by
-``einsum``, orientation by the sign of ``det``, and one cross-section
-mean per station.  Kept as the oracles that the closed-form geometry
-and the matrix-product contractions must match to rounding, and the
-orientation and the stacked station means bit for bit.
+``einsum``, orientation by the sign of ``det``, one cross-section mean
+per station, and the closed-form geometry by ``np.cross`` over all
+cofactor rows at once.  Kept as the oracles that the closed-form
+geometry and the matrix-product contractions must match to rounding,
+and the orientation, the stacked station means and the component-wise
+closed-form kernel bit for bit.
 """
 
 import numpy as np
@@ -21,6 +23,19 @@ def geometry_reference(mesh):
     grads[:, 1:, :] = np.swapaxes(np.linalg.inv(edges), 1, 2)
     grads[:, 0, :] = -grads[:, 1:, :].sum(axis=1)
     return volumes, grads
+
+
+def cross_geometry_reference(nodes, tets):
+    """(volumes, gradients) by the former closed-form kernel: the three
+    cofactor rows from one ``np.cross`` of the permuted edge vectors."""
+    x = nodes.T[:, tets.T]  # coordinate, vertex, tet
+    e = x[:, 1:] - x[:, :1]
+    cof = np.cross(e[:, [1, 2, 0]], e[:, [2, 0, 1]], axis=0)
+    det = np.sum(e[:, 0] * cof[:, 0], axis=0)
+    grads = np.empty((tets.shape[0], 4, 3))
+    grads[:, 1:] = (cof / det).T
+    grads[:, 0] = -grads[:, 1:].sum(axis=1)
+    return det / 6.0, grads
 
 
 def stiffness_reference(mesh, volumes, grads):

@@ -196,6 +196,37 @@ class TestProblemSpec:
         with pytest.raises(ValueError, match="box"):
             load_spec(doc)
 
+    def test_fractional_order_is_rejected(self, flat_spec):
+        doc = dict(flat_spec.to_json(), order=2.5)
+        with pytest.raises(ValueError, match="order must be an integer"):
+            load_spec(doc)
+
+    def test_boolean_order_is_rejected(self, flat_spec):
+        doc = dict(flat_spec.to_json(), order=True)
+        with pytest.raises(ValueError, match="order must be an integer"):
+            load_spec(doc)
+
+    @pytest.mark.parametrize("key", ["alpha", "epsilon", "ell", "delta_cut"])
+    def test_number_given_as_a_string_is_rejected(self, flat_spec, key):
+        doc = flat_spec.to_json()
+        doc[key] = str(doc[key])
+        with pytest.raises(ValueError, match=f"{key} must be a number"):
+            load_spec(doc)
+
+    def test_number_given_as_a_boolean_is_rejected(self, flat_spec):
+        doc = dict(flat_spec.to_json(), delta_cut=True)
+        with pytest.raises(ValueError, match="delta_cut must be a number"):
+            load_spec(doc)
+
+    def test_unknown_key_is_rejected(self, flat_spec):
+        doc = dict(flat_spec.to_json(), epsilom=0.1)
+        with pytest.raises(ValueError, match="epsilom"):
+            load_spec(doc)
+
+    def test_integer_order_loads(self, flat_spec):
+        spec = load_spec(dict(flat_spec.to_json(), order=3))
+        assert spec.order == 3 and isinstance(spec.order, int)
+
     def test_digest_tracks_content(self, flat_spec, fx_spec):
         assert spec_digest(flat_spec) != spec_digest(fx_spec)
         assert spec_digest(flat_spec) == spec_digest(flat_spec)

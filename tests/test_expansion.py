@@ -8,12 +8,17 @@ import pytest
 from numpy.polynomial import Chebyshev
 from numpy.polynomial import chebyshev as npcheb
 
-from evaluate_oracle import evaluate_reference, residual_terms_reference
-from thinjunction import cheb, study
+from evaluate_oracle import (
+    evaluate_per_point,
+    evaluate_reference,
+    residual_terms_per_point,
+    residual_terms_reference,
+)
+from thinjunction import build_thin_mesh, cheb, study, with_epsilon
 from thinjunction.config import TRANSVERSE_AXES
 from thinjunction.corrector import EdgeCorrector
-from thinjunction.expansion import Expansion
-from thinjunction.fem3d import PointLocator
+from thinjunction.expansion import Expansion, _distinct
+from thinjunction.fem3d import FemContext, PointLocator
 from thinjunction.study import TARGETS, residual_cloud
 
 
@@ -112,6 +117,69 @@ def test_residual_terms_match_the_term_by_term_oracle(exp_rich,
                 _assert_close(got[j], want[j])
 
 
+def _same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _tube_x(pts):
+    return pts[np.arange(len(pts)), np.argmax(pts, axis=1)]
+
+
+@pytest.fixture(scope="module")
+def mesh_clouds(rich_spec):
+    """Per slenderness: the quadrature points of a coarse thin mesh, which
+    repeat few axial positions, and the residual sample cloud."""
+    out = {}
+    for eps in (0.2, 0.1):
+        mesh = build_thin_mesh(with_epsilon(rich_spec, eps), axial=0.05,
+                               refine=0.5)
+        quad = FemContext(mesh).quad_points(2)[0].reshape(-1, 3)
+        out[eps] = np.vstack([quad, residual_cloud(rich_spec, eps)])
+    return out
+
+
+def test_mesh_clouds_repeat_axial_positions_in_both_bands(exp_rich,
+                                                          mesh_clouds):
+    for eps, pts in mesh_clouds.items():
+        axial, end = _bands(exp_rich, pts, eps)
+        assert axial.any() and end.any()
+        assert np.unique(_tube_x(pts)).size < len(pts) / 10
+
+
+def test_distinct_positions_are_those_of_np_unique(mesh_clouds):
+    rng = np.random.default_rng(5)
+    clouds = [_tube_x(pts) for pts in mesh_clouds.values()]
+    clouds += [rng.random(64), rng.random(1), np.empty(0),
+               rng.integers(0, 4, 50) / 3.0]
+    for x in clouds:
+        xu, at = _distinct(x)
+        want_u, want_at = np.unique(x, return_inverse=True)
+        assert _same_bits(xu, want_u)
+        assert np.array_equal(at, want_at)
+        assert _same_bits(xu[at], x)
+
+
+def test_evaluate_matches_the_per_point_pass_bitwise(exp_rich, mesh_clouds):
+    for eps, pts in mesh_clouds.items():
+        for m in (0, 1, 2):
+            vals, grads = exp_rich.evaluate(pts, eps, m=m, gradient=True)
+            want_v, want_g = evaluate_per_point(exp_rich, pts, eps, m=m)
+            assert _same_bits(vals, want_v)
+            assert _same_bits(grads, want_g)
+            assert _same_bits(exp_rich.evaluate(pts, eps, m=m), want_v)
+
+
+def test_residual_terms_match_the_per_point_pass_bitwise(exp_rich,
+                                                        mesh_clouds):
+    for eps, pts in mesh_clouds.items():
+        for m in (0, 1, 2):
+            got = exp_rich.residual_terms(pts, eps, m=m)
+            want = residual_terms_per_point(exp_rich, pts, eps, m=m)
+            assert sorted(got) == sorted(want)
+            for j in want:
+                assert _same_bits(got[j], want[j]), j
+
+
 def test_evaluate_gradient_matches_finite_differences(exp_rich):
     """Tube and end-layer points beyond the matching zone, where the
     partial sum is smooth."""
@@ -158,10 +226,17 @@ def test_one_pass_per_request(exp_rich, monkeypatch):
 
 def test_one_chebyshev_table_per_tube(exp_rich, monkeypatch):
     """Graph profiles of all orders and the correctors share one table
-    per tube and breakpoint grid; numpy's chebval is never called."""
-    counts = {"tables": 0, "chebval": 0}
-    monkeypatch.setattr(cheb, "_recurrence",
-                        _counted(counts, "tables", cheb._recurrence))
+    per tube and breakpoint grid, with one column per distinct axial
+    position of the tube's points; numpy's chebval is never called."""
+    counts = {"chebval": 0}
+    columns = []
+    recurrence = cheb._recurrence
+
+    def counted_recurrence(t, deg):
+        columns.append(t.size)
+        return recurrence(t, deg)
+
+    monkeypatch.setattr(cheb, "_recurrence", counted_recurrence)
     monkeypatch.setattr(npcheb, "chebval",
                         _counted(counts, "chebval", npcheb.chebval))
     monkeypatch.setattr(Chebyshev, "_val", staticmethod(
@@ -174,8 +249,24 @@ def test_one_chebyshev_table_per_tube(exp_rich, monkeypatch):
     rng = np.random.default_rng(14)
     for eps in (0.2, 0.05):
         pts = _cloud(exp_rich.spec, eps, rng, n=10)
+        # every point again, turned about its tube axis: each axial
+        # position is shared by two points
+        turned = pts.copy()
+        for i in range(3):
+            a, b = TRANSVERSE_AXES[i]
+            rows = np.argmax(pts, axis=1) == i
+            turned[rows, a], turned[rows, b] = -pts[rows, b], pts[rows, a]
+        pts = np.vstack([pts, turned])
+        edge = exp_rich._split(pts, eps)
+        distinct = set()
+        for i in range(3):
+            n = np.unique(pts[edge == i, i]).size
+            assert 2 * n == np.sum(edge == i)
+            distinct.add(n)
         for m in (0, 2):
-            counts.update(tables=0, chebval=0)
+            counts.update(chebval=0)
+            columns.clear()
             exp_rich.evaluate(pts, eps, m=m, gradient=True)
             assert counts["chebval"] == 0
-            assert 0 < counts["tables"] <= grids
+            assert 0 < len(columns) <= grids
+            assert set(columns) <= distinct

@@ -6,6 +6,7 @@ import pytest
 
 import thinjunction.mesh3d as mesh3d
 from geometry_oracle import (
+    cross_geometry_reference,
     geometry_reference,
     orient_reference,
     quad_points_reference,
@@ -18,9 +19,13 @@ from thinjunction import (
     with_epsilon,
 )
 from thinjunction.fem3d import FemContext
-from thinjunction.mesh3d import TetMesh
+from thinjunction.mesh3d import TetMesh, split_prisms, tet_geometry
 
 REL = 1e-13
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 def rel_err(got, want):
@@ -53,6 +58,14 @@ def test_volumes_and_gradients_match_det_and_inv(case):
     assert rel_err(ctx.volumes, volumes) <= REL
     assert rel_err(ctx.mesh.tet_volumes(), volumes) <= REL
     assert rel_err(ctx.grads, grads) <= REL
+
+
+def test_geometry_matches_the_cross_kernel_bitwise(case):
+    ctx, _ = case
+    volumes, grads = cross_geometry_reference(ctx.mesh.nodes, ctx.mesh.tets)
+    assert same_bits(ctx.volumes, volumes)
+    assert same_bits(ctx.grads, grads)
+    assert ctx.volumes is ctx.mesh.volumes and ctx.grads is ctx.mesh.grads
 
 
 def test_stiffness_matches_the_einsum(case):
@@ -92,3 +105,44 @@ def test_flipped_tet_is_rejected():
     assert flipped.tet_volumes()[5] < 0.0
     with pytest.raises(ValueError, match="non-positive"):
         FemContext(flipped)
+
+
+def test_flipped_tets_get_the_geometry_of_their_orientation(monkeypatch):
+    """Tets built inverted are oriented, and the geometry the mesh
+    carries is that of the oriented tets, bit for bit."""
+    def flipping(bottom, top):
+        tets = split_prisms(bottom, top)
+        tets[::3, [0, 1]] = tets[::3, [1, 0]]
+        return tets
+
+    monkeypatch.setattr(mesh3d, "split_prisms", flipping)
+    mesh = build_tube_mesh(radius=0.5, length=1.0, axial=0.125,
+                           radius_fn=lambda x: 0.5 + 0.2 * x * x)
+    assert np.all(mesh.volumes > 0.0)
+    volumes, grads = cross_geometry_reference(mesh.nodes, mesh.tets)
+    assert same_bits(mesh.volumes, volumes)
+    assert same_bits(mesh.grads, grads)
+    assert same_bits(mesh.tet_volumes(), volumes)
+    want = geometry_reference(mesh)
+    assert rel_err(mesh.volumes, want[0]) <= REL
+    assert rel_err(mesh.grads, want[1]) <= REL
+
+
+def test_one_geometry_pass_per_thin_mesh(rich_spec, monkeypatch):
+    """A thin mesh is measured once, by the orientation's volume-only
+    pass and then one pass with gradients, and its FEM context reuses
+    that geometry instead of measuring again."""
+    calls = []
+
+    def counted(nodes, tets, gradients=True):
+        calls.append((tets.shape[0], gradients))
+        return tet_geometry(nodes, tets, gradients)
+
+    monkeypatch.setattr(mesh3d, "tet_geometry", counted)
+    mesh = build_thin_mesh(with_epsilon(rich_spec, 0.2), axial=0.05,
+                           refine=0.5)
+    n = mesh.num_tets
+    assert calls == [(n, False), (n, True)]
+    ctx = FemContext(mesh)
+    assert len(calls) == 2
+    assert ctx.volumes is mesh.volumes and ctx.grads is mesh.grads

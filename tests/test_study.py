@@ -15,10 +15,11 @@ from thinjunction import reference, study
 from thinjunction.config import LateralLoad, RadiusProfile, SourceField
 from thinjunction.expansion import Expansion
 from thinjunction.poly import Poly3
-from thinjunction.reference import solve_reference, with_epsilon
+from thinjunction.reference import (default_axial, solve_reference,
+                                    with_epsilon)
 from thinjunction.study import (RESTRICTIONS, TARGETS, StudyError, StudyPlan,
-                                _tube_profile_h1, _fit, load_plan,
-                                residual_cloud, run_study)
+                                _tube_profile_h1, _fit, estimate_nodes,
+                                load_plan, residual_cloud, run_study)
 
 EPSILONS = [0.3, 0.25, 0.2]
 
@@ -336,3 +337,11 @@ def test_tube_profile_is_evaluated_once_per_axial_position(fx_spec,
     monkeypatch.setattr(type(exp.profiles[0]), "evaluate", counted)
     assert _tube_profile_h1(exp, ref) == worst
     assert len(seen) == 3 and max(seen) < len(x) // 10
+
+
+def test_node_forecast_and_mesh_share_the_default_spacing(fx_spec):
+    eps = 0.25
+    ref = solve_reference(with_epsilon(fx_spec, eps), refine=0.4)
+    assert ref.mesh.meta["axial"] == default_axial(eps)
+    assert estimate_nodes(fx_spec, eps, None, 0.4) == estimate_nodes(
+        fx_spec, eps, default_axial(eps), 0.4)

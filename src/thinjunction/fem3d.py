@@ -1,10 +1,9 @@
 """Piecewise-linear finite elements on the tetrahedral meshes.
 
-Vectorized assembly, a conjugate-gradient solver with a two-level
-preconditioner (Jacobi plus one coarse unknown per tube station) and
-constant deflation for pure flux-condition problems,
-quadrature-based norms, and cross-section utilities (averages, slab
-fluxes, point evaluation).
+Vectorized assembly, a conjugate-gradient solver for symmetric
+positive definite systems with a two-level preconditioner (Jacobi plus
+one coarse unknown per tube station), quadrature-based norms, and
+cross-section utilities (averages, slab fluxes, point evaluation).
 """
 
 from __future__ import annotations
@@ -190,14 +189,12 @@ def station_labels(mesh: TetMesh):
     return labels
 
 
-def _solve_spd(a, b, deflate=False, labels=None):
-    """Two-level preconditioned CG; ``deflate`` solves in the mean-zero class.
+def _solve_spd(a, b, labels=None):
+    """Two-level preconditioned CG for the symmetric positive definite ``a``.
 
     The preconditioner is additive, M^-1 r = D^-1 r + P (P^T A P)^-1 P^T r,
     where column j of P is the indicator of the nodes with ``labels == j``
-    (one aggregate by default).  The coarse matrix is factored once.  In
-    the mean-zero class one coarse dof is pinned, as constants are the
-    kernel, and both operators are wrapped in the mean-zero projection.
+    (one aggregate by default).  The coarse matrix is factored once.
 
     The solve meets ``CG_RTOL`` on the true residual ||b - A u|| / ||b||:
     CG restarts from its iterate while only its recursive residual does,
@@ -211,45 +208,27 @@ def _solve_spd(a, b, deflate=False, labels=None):
         labels = np.zeros(n, dtype=np.int64)
     _, agg = np.unique(labels, return_inverse=True)
     nc = int(agg.max()) + 1 if n else 0
-    pinned = 1 if deflate else 0
-    p = sparse.csr_matrix((np.ones(n), (np.arange(n), agg)),
-                          shape=(n, nc))[:, pinned:]
-    coarse = np.zeros(nc)
-    lu = splu((p.T @ a @ p).tocsc()) if nc > pinned else None
+    p = sparse.csr_matrix((np.ones(n), (np.arange(n), agg)), shape=(n, nc))
+    lu = splu((p.T @ a @ p).tocsc()) if nc else None
 
     def two_level(v):
-        if lu is not None:
-            coarse[pinned:] = lu.solve(
-                np.bincount(agg, weights=v, minlength=nc)[pinned:])
+        coarse = lu.solve(np.bincount(agg, weights=v, minlength=nc))
         return inv * v + coarse[agg]
 
-    if deflate:
-        def project(v):
-            return v - v.mean()
-
-        op = LinearOperator((n, n), matvec=lambda v: project(a @ project(v)))
-        mop = LinearOperator((n, n),
-                             matvec=lambda v: project(two_level(project(v))))
-        rhs = project(b)
-    else:
-        op, rhs = a, b
-        mop = LinearOperator((n, n), matvec=two_level)
-
+    mop = LinearOperator((n, n), matvec=two_level)
     iters = [0]
 
     def count(_):
         iters[0] += 1
 
-    norm_b = max(float(np.linalg.norm(rhs)), 1e-300)
+    norm_b = max(float(np.linalg.norm(b)), 1e-300)
     u = np.zeros(n)
     for restarts in range(1 + CG_RESTARTS):
-        u, code = cg(op, rhs, x0=u, rtol=CG_RTOL, atol=0.0, maxiter=20000,
+        u, code = cg(a, b, x0=u, rtol=CG_RTOL, atol=0.0, maxiter=20000,
                      M=mop, callback=count)
         if code != 0:
             raise RuntimeError(f"conjugate gradients stalled (code {code})")
-        if deflate:
-            u = project(u)
-        resid = float(np.linalg.norm(a @ u - rhs)) / norm_b
+        resid = float(np.linalg.norm(a @ u - b)) / norm_b
         if resid <= CG_RTOL:
             break
     else:
@@ -260,31 +239,22 @@ def _solve_spd(a, b, deflate=False, labels=None):
                "restarts": restarts}
 
 
-def solve_poisson(ctx: FemContext, volume=None, neumann=None, dirichlet=None,
-                  load=None):
+def solve_poisson(ctx: FemContext, volume=None, neumann=None, dirichlet=None):
     """Galerkin solve of -div grad u = volume with the given conditions.
 
     ``neumann`` maps boundary tags to the outward normal derivative of
     the solution; ``dirichlet`` maps tags to boundary values (callable
-    on points or scalar).  Without any Dirichlet tag the compatible
-    system is solved in the mean-zero class.  ``load`` adds a
-    preassembled right-hand-side vector.
+    on points or scalar).  At least one Dirichlet tag is required, since
+    flux conditions alone fix u only up to a constant.
     """
-
+    if not dirichlet:
+        raise ValueError("solve_poisson needs at least one Dirichlet tag")
     mesh = ctx.mesh
     b = np.zeros(mesh.num_nodes)
     if volume is not None:
         b += ctx.volume_load(volume, degree=2)
-    if load is not None:
-        b = b + load
     for tag, fn in (neumann or {}).items():
         b += ctx.surface_load(tag, fn, degree=2)
-
-    labels = station_labels(mesh)
-    if not dirichlet:
-        u, info = _solve_spd(ctx.matrix, b, deflate=True, labels=labels)
-        info["load_defect"] = float(b.sum())
-        return u, info
 
     fixed = np.zeros(mesh.num_nodes, dtype=bool)
     values = np.zeros(mesh.num_nodes)
@@ -300,7 +270,8 @@ def solve_poisson(ctx: FemContext, volume=None, neumann=None, dirichlet=None,
     free = ~fixed
     a = ctx.matrix
     b_f = b[free] - a[free][:, fixed] @ values[fixed]
-    u_f, info = _solve_spd(a[free][:, free].tocsr(), b_f, labels=labels[free])
+    u_f, info = _solve_spd(a[free][:, free].tocsr(), b_f,
+                           labels=station_labels(mesh)[free])
     u = values.copy()
     u[free] = u_f
     return u, info

@@ -2,8 +2,9 @@
 
 The junction (box bulge plus three half-infinite outlet tubes) is
 truncated at outlet length ``R`` and discretized with linear elements.
-Decaying fields are solved with natural end conditions and a
-constant-deflated iteration.  The module provides
+Decaying fields are solved with natural end conditions: the load is
+projected to zero sum and one node is pinned, and each field is then
+normalised on the outlets.  The module provides
 
 * the two special harmonic fields with prescribed linear growth, used to
   read off transmission jumps through a bilinear pairing,
@@ -420,10 +421,16 @@ def _plateau(junction: TruncatedJunction, u, edge):
 
 
 def _solve_load(junction: TruncatedJunction, data: InnerData):
-    """(field, load, info) of the mean-zero solve for the load of data."""
+    """(field, load, info) of the solve for the load of data.
+
+    Flux conditions alone fix the field up to a constant, so the load is
+    projected to zero sum and node 0 is pinned to 0; the callers remove
+    the constant by their own normalisation.  The raw load is returned.
+    """
     b = assemble_load(junction, data)
-    u, info = _solve_spd(junction.ctx.matrix, b, deflate=True,
-                         labels=junction.labels)
+    u = np.zeros_like(b)
+    u[1:], info = _solve_spd(junction.ctx.matrix[1:, 1:], (b - b.mean())[1:],
+                             labels=junction.labels[1:])
     return u, b, info
 
 

@@ -93,11 +93,8 @@ class TetMesh:
     def num_tets(self):
         return self.tets.shape[0]
 
-    def tet_volumes(self):
-        return self.volumes
-
     def volume(self):
-        return float(self.tet_volumes().sum())
+        return float(self.volumes.sum())
 
     def boundary_area(self, tag):
         tri = self.boundary[tag]

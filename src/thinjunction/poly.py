@@ -64,20 +64,6 @@ class Poly3:
         t = self.terms()
         return max((sum(pw) for pw, _ in t), default=0)
 
-    def __add__(self, other):
-        a, b = self.coef, other.coef
-        shape = tuple(max(sa, sb) for sa, sb in zip(a.shape, b.shape))
-        out = np.zeros(shape)
-        out[: a.shape[0], : a.shape[1], : a.shape[2]] += a
-        out[: b.shape[0], : b.shape[1], : b.shape[2]] += b
-        return Poly3(out)
-
-    def __neg__(self):
-        return Poly3(-self.coef)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def scale(self, s):
         return Poly3(self.coef * float(s))
 

@@ -13,15 +13,20 @@ from scipy.sparse.linalg import cg, spsolve
 from conftest import make_spec
 from geometry_oracle import station_average_reference
 from locator_oracle import LocatorOracle
+from solver_oracle import solve_load_reference, solve_spd_reference
 from thinjunction import (
     LateralLoad,
     SourceField,
-    build_junction_mesh,
+    TruncatedJunction,
     build_thin_mesh,
     build_tube_mesh,
+    compute_delta,
     fem3d,
+    junction,
+    solve_decaying,
     solve_limit,
     solve_reference,
+    solve_special,
     with_epsilon,
 )
 from thinjunction.fem3d import (
@@ -122,41 +127,24 @@ class TestSolves:
         rate = np.log2(errs[0] / errs[1])
         assert 1.6 < rate < 2.4
 
-    def test_pure_neumann_axial_profile(self, ctx, tube):
-        # -u'' = x - 1/2 with zero end flux has the cubic solution below
-        u, info = solve_poisson(
-            ctx, volume=lambda pts: pts[:, 0] - 0.5)
-        assert abs(info["load_defect"]) < 1e-10
-
-        def ref(pts):
-            x = pts[:, 0]
-            vals = -x ** 3 / 6.0 + x ** 2 / 4.0 - 1.0 / 24.0
-            g = np.zeros_like(pts)
-            g[:, 0] = -x ** 2 / 2.0 + x / 2.0
-            return vals, g
-
-        l2, _, h1 = norms(ctx, u, reference=ref)
-        l2_scale, _, h1_scale = norms(ctx, u)
-        assert l2 / l2_scale < 0.02
-        assert h1 / h1_scale < 0.15  # first-order gradient accuracy
-
-    def test_pure_neumann_solution_mean_zero(self, ctx):
-        u, _ = solve_poisson(ctx, volume=lambda pts: pts[:, 0] - 0.5)
-        # the compatible solve pins the nodal mean of the vector
-        assert abs(u.mean()) < 1e-12
-        weights = ctx.volume_load(lambda pts: np.ones(pts.shape[0]))
-        assert abs(weights @ u) < 1e-4 * ctx.mesh.volume()
-
-    def test_galerkin_residual_small(self, ctx):
+    def test_galerkin_residual_small(self, ctx, tube):
+        # a Dirichlet solve leaves a residual only on the fixed rows, where
+        # it is the reaction; a load that carries the reaction leaves none
+        u, _ = solve_poisson(ctx, volume=lambda pts: pts[:, 0] - 0.5,
+                             dirichlet={"end_a": 0.0})
         b = ctx.volume_load(lambda pts: pts[:, 0] - 0.5)
-        u, _ = solve_poisson(ctx, load=b)
-        res = galerkin_residual(ctx, u, b)
-        assert res < 1e-8 * max(1.0, float(np.linalg.norm(b)))
+        scale = float(np.linalg.norm(b))
+        assert galerkin_residual(ctx, u, b) > 1e-3 * scale
+        fixed = np.unique(tube.boundary["end_a"])
+        b[fixed] = (ctx.matrix @ u)[fixed]
+        assert galerkin_residual(ctx, u, b) < 1e-8 * max(1.0, scale)
 
-    def test_incompatible_neumann_reported(self, ctx):
-        u, info = solve_poisson(
-            ctx, volume=lambda pts: np.ones(pts.shape[0]))
-        assert abs(info["load_defect"]) > 0.1
+    def test_solve_without_dirichlet_tag_rejected(self, ctx):
+        # flux conditions alone fix the solution only up to a constant
+        for dirichlet in (None, {}):
+            with pytest.raises(ValueError, match="Dirichlet"):
+                solve_poisson(ctx, volume=lambda pts: pts[:, 0] - 0.5,
+                              dirichlet=dirichlet)
 
     def test_missing_dirichlet_tag_rejected(self, ctx):
         with pytest.raises(KeyError):
@@ -200,10 +188,8 @@ class TestTwoLevelCG:
         return FemContext(build_thin_mesh(spec, axial=0.05, refine=0.5))
 
     @pytest.fixture(scope="class")
-    def junction_ctx(self, flat_spec):
-        mesh = build_junction_mesh(flat_spec, R=flat_spec.ell + 3.5,
-                                   refine=0.6)
-        return FemContext(mesh)
+    def junction_flat(self, flat_spec):
+        return TruncatedJunction(flat_spec, R=flat_spec.ell + 3.5, refine=0.6)
 
     def test_labels_one_per_station_and_one_for_the_bulge(self, thin_ctx):
         mesh = thin_ctx.mesh
@@ -224,19 +210,25 @@ class TestTwoLevelCG:
         assert np.linalg.norm(u - want) <= 1e-9 * np.linalg.norm(want)
         assert info["relative_residual"] <= 1e-10
 
-    def test_deflated_junction_solve_matches_direct(self, junction_ctx):
-        a = junction_ctx.matrix
-        b = junction_ctx.volume_load(lambda p: p[:, 0] - p[:, 2] ** 2)
-        b -= b.mean()
-        u, info = fem3d._solve_spd(
-            a, b, deflate=True, labels=station_labels(junction_ctx.mesh))
-        # pin node 0, then move the direct solution into the mean-zero class
+    def test_junction_load_solve_matches_direct(self, monkeypatch,
+                                                junction_flat):
+        # a load whose sum is not zero: the solve projects it to zero sum
+        # and pins node 0, and returns the raw load
+        a = junction_flat.ctx.matrix
+        b = junction_flat.ctx.volume_load(lambda p: p[:, 0] - p[:, 2] ** 2)
+        assert abs(b.sum()) > 0.1 * np.abs(b).sum()
+        monkeypatch.setattr(junction, "assemble_load", lambda *_: b)
+        u, load, info = junction._solve_load(junction_flat, None)
+        assert load is b
+        projected = b - b.mean()
         want = np.zeros(len(b))
-        want[1:] = spsolve(a[1:, 1:].tocsc(), b[1:])
-        want -= want.mean()
-        assert abs(u.mean()) < 1e-14 * np.abs(u).max()
+        want[1:] = spsolve(a[1:, 1:].tocsc(), projected[1:])
+        assert u[0] == 0.0
         assert np.linalg.norm(u - want) <= 1e-9 * np.linalg.norm(want)
         assert info["relative_residual"] <= 1e-10
+        # the pinned row holds too, since constants are the kernel of A
+        true = np.linalg.norm(a @ u - projected) / np.linalg.norm(projected)
+        assert true <= 1e-9
 
     def test_iterations_do_not_grow_with_the_stations(self, monkeypatch,
                                                       fx_spec):
@@ -308,6 +300,43 @@ class TestTwoLevelCG:
         u, info = fem3d._solve_spd(a, np.ones(3))
         assert np.allclose(u, [0.5, 1 / 3, 0.25], rtol=1e-12)
         assert info["restarts"] == 0
+
+
+class TestOneSolvePath:
+    """Junction and thin-domain solves against the former solver, which
+    kept a mean-zero formulation for the junction (tests/solver_oracle.py)."""
+
+    @staticmethod
+    def _rel(got, want):
+        return np.abs(got - want).max() / np.abs(want).max()
+
+    def test_junction_fields_match_the_deflated_solve(self, monkeypatch,
+                                                      exp_rich):
+        jn = exp_rich.junction
+        data = exp_rich.inner[2]
+        load = junction.assemble_load(jn, data)
+        # the projection has work to do: the load does not sum to zero
+        assert abs(load.sum()) > 1e-6 * np.abs(load).sum()
+        fields = [solve_decaying(jn, data),
+                  solve_special(jn, 1), solve_special(jn, 2)]
+        monkeypatch.setattr(junction, "_solve_load", solve_load_reference)
+        former = [solve_decaying(jn, data),
+                  solve_special(jn, 1), solve_special(jn, 2)]
+        for got, want in zip(fields, former):
+            assert np.array_equal(got.load, want.load)
+            assert self._rel(got.decay, want.decay) <= 1e-9
+            assert got.info["iterations"] <= want.info["iterations"] + 2
+        jumps = compute_delta(load, fields[1:])
+        assert self._rel(jumps, compute_delta(load, former[1:])) <= 1e-9
+
+    def test_reference_solve_is_the_former_dirichlet_path(self, monkeypatch,
+                                                          fx_spec):
+        spec = with_epsilon(fx_spec, 0.2)
+        got = solve_reference(spec, axial=0.05, refine=0.5)
+        monkeypatch.setattr(fem3d, "_solve_spd", solve_spd_reference)
+        want = solve_reference(spec, axial=0.05, refine=0.5)
+        assert got.u.tobytes() == want.u.tobytes()
+        assert got.info == want.info
 
 
 class TestEvaluation:

@@ -48,11 +48,8 @@ def test_total_degree_split(rng):
 
 def test_arithmetic(rng):
     a = Poly3.from_terms([((1, 0, 0), 1.0)])
-    b = Poly3.from_terms([((0, 1, 0), 2.0)])
     x, y, z = rng.uniform(-1, 1, size=(3, 5))
-    assert np.allclose((a + b)(x, y, z), x + 2 * y, atol=1e-14)
-    assert np.allclose((a - b)(x, y, z), x - 2 * y, atol=1e-14)
-    assert np.allclose((-a).scale(3.0)(x, y, z), -3 * x, atol=1e-14)
+    assert np.allclose(a.scale(-3.0)(x, y, z), -3 * x, atol=1e-14)
     assert Poly3.zero().total_degree == 0
     assert Poly3.constant(2.5)(x, y, z) == pytest.approx(2.5)
 

@@ -16,7 +16,7 @@ from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, cg, splu
 from scipy.spatial import cKDTree
 
-from .mesh3d import END, LATERAL, TetMesh
+from .mesh3d import _EDGES, END, LATERAL, TetMesh, tet_blocks, tet_edges
 
 _S5 = math.sqrt(5.0)
 _TET_RULES = {
@@ -84,14 +84,11 @@ CG_RTOL = 1e-10
 # CG_RTOL but the true residual did not.
 CG_RESTARTS = 3
 
-# Tets per block of FemContext.volume_load.  Under the 14-point rule
-# of the junction load a block's quadrature points take 40 MB.
-LOAD_BLOCK = 120_000
-
 
 class FemContext:
     """Geometry (the mesh's tet volumes and gradients, and centroids)
-    and stiffness matrix of one mesh."""
+    and stiffness matrix of one mesh.  Every pass over the tets runs in
+    blocks of ``mesh3d.BLOCK_POINTS`` points (``mesh3d.tet_blocks``)."""
 
     def __init__(self, mesh: TetMesh):
         self.mesh = mesh
@@ -103,22 +100,46 @@ class FemContext:
 
     @cached_property
     def centroids(self):
-        return self.mesh.nodes[self.mesh.tets].mean(axis=1)
+        tets, out = self.mesh.tets, np.empty((self.mesh.num_tets, 3))
+        for blk in tet_blocks(self.mesh.num_tets):
+            out[blk] = self.mesh.nodes[tets[blk]].mean(axis=1)
+        return out
 
     def _stiffness(self):
+        """The stiffness matrix in CSR form on the pattern of the mesh's
+        edges: one sum per edge, shared by its two symmetric entries, and
+        one per node, each a ``bincount`` of the local matrices summed
+        block by block."""
         m = self.mesh
-        local = self.grads @ self.grads.transpose(0, 2, 1)
-        local *= self.volumes[:, None, None]
-        rows = np.repeat(m.tets, 4, axis=1).ravel()
-        cols = np.tile(m.tets, (1, 4)).ravel()
-        a = sparse.coo_matrix(
-            (local.ravel(), (rows.astype(np.int64), cols.astype(np.int64))),
-            shape=(m.num_nodes, m.num_nodes))
-        return a.tocsr()
+        n = m.num_nodes
+        edges, tet_edge = tet_edges(m.tets, n)
+        off, diag = np.zeros(len(edges)), np.zeros(n)
+        pairs = [*_EDGES, *zip(range(4), range(4))]
+        for blk in tet_blocks(m.num_tets):
+            # vertex, coordinate, tet: each product runs over the block
+            g = np.ascontiguousarray(self.grads[blk].transpose(1, 2, 0))
+            local = [(g[a, 0] * g[b, 0] + g[a, 1] * g[b, 1]
+                      + g[a, 2] * g[b, 2]) * self.volumes[blk]
+                     for a, b in pairs]
+            off += np.bincount(tet_edge[blk].T.ravel(),
+                               np.concatenate(local[:6]), minlength=len(edges))
+            diag += np.bincount(m.tets[blk].T.ravel(),
+                                np.concatenate(local[6:]), minlength=n)
+        # entries (a, b) and (b, a) per edge and (i, i) per node, in
+        # row-major order
+        nodes = np.arange(n)
+        rows = np.concatenate([edges[:, 0], edges[:, 1], nodes])
+        cols = np.concatenate([edges[:, 1], edges[:, 0], nodes])
+        order = np.argsort(rows * n + cols)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+        data = np.concatenate([off, off, diag])[order]
+        return sparse.csr_matrix(
+            (data, cols[order].astype(np.int32), indptr), shape=(n, n))
 
     def quad_points(self, degree=2, live=None):
         """Quadrature points and weights of every tet, or of the tets
-        indexed by ``live``."""
+        that ``live`` indexes or slices."""
         bary, w = _TET_RULES[degree]
         tets, vols = self.mesh.tets, self.volumes
         if live is not None:
@@ -135,17 +156,14 @@ class FemContext:
         the same order as one unblocked ``add.at``; a tet left out of
         ``live`` where ``fn`` is zero changes no bit of the load.
         """
-        bary, w = _TET_RULES[degree]
-        tets, vols = self.mesh.tets.astype(np.int64), self.volumes
-        if live is not None:
-            tets, vols = tets[live], vols[live]
+        bary = _TET_RULES[degree][0]
+        count = self.mesh.num_tets if live is None else len(live)
         b = np.zeros(self.mesh.num_nodes)
-        for start in range(0, len(tets), LOAD_BLOCK):
-            block = tets[start:start + LOAD_BLOCK]
-            pts = np.matmul(bary, self.mesh.nodes[block])
-            wts = np.outer(vols[start:start + LOAD_BLOCK], w)
+        for blk in tet_blocks(count, len(bary)):
+            sel = blk if live is None else live[blk]
+            pts, wts, _ = self.quad_points(degree, sel)
             vals = fn(pts.reshape(-1, 3)).reshape(wts.shape)
-            np.add.at(b, block, (wts * vals) @ bary)
+            np.add.at(b, self.mesh.tets[sel], (wts * vals) @ bary)
         return b
 
     def surface_quad(self, tag, degree=2):
@@ -166,9 +184,11 @@ class FemContext:
         np.add.at(b, tris.astype(np.int64), (wts * vals) @ bary)
         return b
 
-    def field_gradients(self, u):
-        return np.einsum("tad,ta->td", self.grads,
-                         u[self.mesh.tets.astype(np.int64)])
+    def field_gradients(self, u, live=slice(None)):
+        """Gradient of the nodal field u on every tet, or on the tets
+        that ``live`` indexes or slices."""
+        return np.einsum("tad,ta->td", self.grads[live],
+                         u[self.mesh.tets[live]])
 
     def locator(self):
         if self._locator is None:
@@ -268,9 +288,9 @@ def solve_poisson(ctx: FemContext, volume=None, neumann=None, dirichlet=None):
     if not fixed.any():
         raise ValueError("dirichlet tags matched no boundary nodes")
     free = ~fixed
-    a = ctx.matrix
-    b_f = b[free] - a[free][:, fixed] @ values[fixed]
-    u_f, info = _solve_spd(a[free][:, free].tocsr(), b_f,
+    rows = ctx.matrix[free]
+    b_f = b[free] - rows[:, fixed] @ values[fixed]
+    u_f, info = _solve_spd(rows[:, free].tocsr(), b_f,
                            labels=station_labels(mesh)[free])
     u = values.copy()
     u[free] = u_f
@@ -291,26 +311,32 @@ def norms(ctx: FemContext, u, reference=None, mask=None):
     """(L2, H1-seminorm, H1) of u minus an optional analytic reference.
 
     ``reference(points) -> (values, gradients)`` is evaluated at the
-    quadrature points; ``mask`` weights the tetrahedra (centroid
-    filters), and only those of nonzero weight are integrated, so the
-    reference is evaluated at their quadrature points alone.
+    quadrature points, one block of tets at a time; ``mask`` weights the
+    tetrahedra (centroid filters), and only those of nonzero weight are
+    integrated, so the reference is evaluated at their quadrature points
+    alone.  The squared errors at every point are kept and summed once,
+    so the norms do not depend on the block size.
     """
     live = None if mask is None else np.flatnonzero(mask)
-    pts, wts, bary = ctx.quad_points(2, live)
-    tets = ctx.mesh.tets.astype(np.int64)
-    grads = ctx.field_gradients(u)
+    tets, (bary, w) = ctx.mesh.tets, _TET_RULES[2]
+    wts = np.outer(ctx.volumes if live is None else ctx.volumes[live], w)
     if live is not None:
-        tets, grads = tets[live], grads[live]
-        wts = wts * mask[live, None]
-    vals = u[tets] @ bary.T
-    if reference is not None:
-        rv, rg = reference(pts.reshape(-1, 3))
-        vals = vals - rv.reshape(wts.shape)
-        grads = grads[:, None, :] - rg.reshape(wts.shape + (3,))
-    else:
-        grads = np.broadcast_to(grads[:, None, :], wts.shape + (3,))
-    l2sq = float(np.vdot(wts, vals * vals))
-    h1sq = float(np.sum(wts.ravel() @ (grads * grads).reshape(-1, 3)))
+        wts *= mask[live, None]
+    vals_sq = np.empty(wts.shape)
+    grads_sq = np.empty(wts.shape + (3,))
+    for blk in tet_blocks(len(wts), len(w)):
+        sel = blk if live is None else live[blk]
+        vals = u[tets[sel]] @ bary.T
+        grads = ctx.field_gradients(u, sel)[:, None, :]
+        if reference is not None:
+            pts = np.matmul(bary, ctx.mesh.nodes[tets[sel]])
+            rv, rg = reference(pts.reshape(-1, 3))
+            vals = vals - rv.reshape(vals.shape)
+            grads = grads - rg.reshape(vals.shape + (3,))
+        np.multiply(vals, vals, out=vals_sq[blk])
+        np.multiply(grads, grads, out=grads_sq[blk])
+    l2sq = float(np.vdot(wts, vals_sq))
+    h1sq = float(np.sum(wts.ravel() @ grads_sq.reshape(-1, 3)))
     return math.sqrt(l2sq), math.sqrt(h1sq), math.sqrt(l2sq + h1sq)
 
 

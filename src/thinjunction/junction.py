@@ -29,7 +29,7 @@ from .fem3d import (
     station_labels,
     station_profile,
 )
-from .mesh3d import build_junction_mesh
+from .mesh3d import build_junction_mesh, tet_blocks
 from .poly import (
     Poly3,
     box_monomial_integral,
@@ -260,10 +260,14 @@ class TruncatedJunction:
         # cuts the open band, and those wholly past it on some axis,
         # where 1 - sum chi is exactly 0
         lo, hi = self.step.support
-        x = self.mesh.nodes[self.mesh.tets]
-        low, high = x.min(axis=1), x.max(axis=1)
-        self.band_tets = (high > lo) & (low < hi)
-        self.past_band = (low >= hi).any(axis=1)
+        n = self.mesh.num_tets
+        self.band_tets = np.empty((n, 3), dtype=bool)
+        self.past_band = np.empty(n, dtype=bool)
+        for blk in tet_blocks(n):
+            x = self.mesh.nodes[self.mesh.tets[blk]]
+            low, high = x.min(axis=1), x.max(axis=1)
+            self.band_tets[blk] = (high > lo) & (low < hi)
+            self.past_band[blk] = (low >= hi).any(axis=1)
         self.labels = station_labels(self.mesh)
 
 

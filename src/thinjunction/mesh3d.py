@@ -41,8 +41,16 @@ _TET_PATTERN_B = np.array([[0, 1, 2, 4], [0, 4, 2, 5], [0, 4, 5, 3]])
 # the face normal points out of the tet.
 _FACES = np.array([[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]])
 
+# Vertex pairs of the six edges of a tet.
+_EDGES = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])
+
 # Codes in ``TetMesh.adjacent`` of the faces with no tet across them.
 OTHER, END, LATERAL = -1, -2, -3
+
+# Points per block of every pass over a mesh's tets: quadrature points
+# of a load or a norm, tet vertices of a geometry, face or edge pass.
+# A pass holds its output and one block of transients.
+BLOCK_POINTS = 32_768
 
 
 @dataclass
@@ -119,6 +127,19 @@ def split_prisms(bottom, top):
     return tets.reshape(-1, 4)
 
 
+def tet_blocks(count, per_tet=4):
+    """Slices that cut ``count`` tets into blocks of ``BLOCK_POINTS``
+    points at ``per_tet`` points per tet.
+
+    A block holds two tets at least, and a lone last tet joins the block
+    before it: the contractions of a one-tet block would be matrix-vector
+    products, rounded differently from the matrix products of the others.
+    """
+    step = max(2, BLOCK_POINTS // per_tet)
+    starts = list(range(0, max(count - 1, 1), step)) if count else []
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [count])]
+
+
 def tet_geometry(nodes, tets, gradients=True):
     """Signed volumes of tets and, if asked, the gradients of their four
     barycentric coordinates, shape (tets, 4, 3).
@@ -127,28 +148,33 @@ def tet_geometry(nodes, tets, gradients=True):
     volume is the triple product e_1 . (e_2 x e_3), and the gradients of
     the coordinates 1-3 are the cofactor rows (e_2 x e_3, e_3 x e_1,
     e_1 x e_2) over it; that of coordinate 0 is minus their sum.  Each
-    component is one product-difference over all tets at once.
+    component is one product-difference over a block of tets at once.
     """
     n = tets.shape[0]
-    x = np.take(nodes.T, tets.T, axis=1)
-    e = x[:, 1:] - x[:, :1]  # coordinate, edge, tet
+    volumes = np.empty(n)
+    grads = np.empty((n, 4, 3)) if gradients else None
     rows = 3 if gradients else 1
-    cof = np.empty((3, rows, n))  # coordinate, cofactor row, tet
-    tmp = np.empty(n)
-    for j in range(rows):
-        a, b = e[:, (j + 1) % 3], e[:, (j + 2) % 3]
-        for k in range(3):
-            k1, k2 = (k + 1) % 3, (k + 2) % 3
-            np.multiply(a[k1], b[k2], out=cof[k, j])
-            np.multiply(a[k2], b[k1], out=tmp)
-            cof[k, j] -= tmp
-    det = e[0, 0] * cof[0, 0] + e[1, 0] * cof[1, 0] + e[2, 0] * cof[2, 0]
-    if not gradients:
-        return det / 6.0, None
-    grads = np.empty((4, 3, n))
-    np.divide(cof.transpose(1, 0, 2), det, out=grads[1:])
-    np.negative(grads[1] + grads[2] + grads[3], out=grads[0])
-    return det / 6.0, np.ascontiguousarray(grads.transpose(2, 0, 1))
+    for blk in tet_blocks(n):
+        x = np.take(nodes.T, tets[blk].T, axis=1)
+        e = x[:, 1:] - x[:, :1]  # coordinate, edge, tet
+        m = e.shape[2]
+        cof = np.empty((3, rows, m))  # coordinate, cofactor row, tet
+        tmp = np.empty(m)
+        for j in range(rows):
+            a, b = e[:, (j + 1) % 3], e[:, (j + 2) % 3]
+            for k in range(3):
+                k1, k2 = (k + 1) % 3, (k + 2) % 3
+                np.multiply(a[k1], b[k2], out=cof[k, j])
+                np.multiply(a[k2], b[k1], out=tmp)
+                cof[k, j] -= tmp
+        det = (e[0, 0] * cof[0, 0] + e[1, 0] * cof[1, 0]
+               + e[2, 0] * cof[2, 0])
+        volumes[blk] = det / 6.0
+        if gradients:
+            g = grads[blk].transpose(1, 2, 0)  # vertex, coordinate, tet
+            np.divide(cof.transpose(1, 0, 2), det, out=g[1:])
+            np.negative(g[1] + g[2] + g[3], out=g[0])
+    return volumes, grads
 
 
 def _orient_tets(nodes, tets):
@@ -371,16 +397,40 @@ def face_keys(faces, num_nodes):
 def face_adjacency(tets, num_nodes):
     """Tet across each face of each tet, ``OTHER`` where there is none.
 
-    Faces are matched by their keys; column ``v`` is the face opposite
-    vertex ``v``.
+    Faces are matched by their keys, built block by block; column ``v``
+    is the face opposite vertex ``v``.
     """
-    key = face_keys(tets[:, _FACES], num_nodes).ravel()
+    key = np.empty((tets.shape[0], 4), dtype=np.int64)
+    for blk in tet_blocks(tets.shape[0]):
+        key[blk] = face_keys(tets[blk][:, _FACES], num_nodes)
+    key = key.ravel()
     order = np.argsort(key, kind="stable")
-    twin = np.flatnonzero(key[order][1:] == key[order][:-1])
-    adjacent = np.full(key.size, OTHER, dtype=np.int32)
+    key = key[order]
+    twin = np.flatnonzero(key[1:] == key[:-1])
+    adjacent = np.full(order.size, OTHER, dtype=np.int32)
     adjacent[order[twin]] = order[twin + 1] // 4
     adjacent[order[twin + 1]] = order[twin] // 4
     return adjacent.reshape(-1, 4)
+
+
+def tet_edges(tets, num_nodes):
+    """The mesh's edges as rows (a, b), a < b, in increasing order, and
+    the row of each tet's six edges (``_EDGES``) in that list."""
+    n = int(num_nodes)
+    key = np.empty((tets.shape[0], 6), dtype=np.int64)
+    for blk in tet_blocks(tets.shape[0]):
+        pair = tets[blk][:, _EDGES]
+        key[blk] = pair.min(axis=2).astype(np.int64) * n + pair.max(axis=2)
+    key = key.ravel()
+    order = np.argsort(key)
+    key = key[order]
+    first = np.empty(key.size, dtype=bool)
+    first[:1] = True
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    index = np.empty(key.size, dtype=np.int32)
+    index[order] = np.cumsum(first, dtype=np.int32) - 1
+    edges = np.stack(np.divmod(key[first], n), axis=1)
+    return edges, index.reshape(-1, 6)
 
 
 def _boundary_faces(tets, adjacent):

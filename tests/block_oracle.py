@@ -1,0 +1,74 @@
+"""Former whole-mesh passes over the tets, kept as the oracles of the
+blocked passes: each must match its oracle bit for bit at any block
+size.
+
+``norms_reference`` is the former ``fem3d.norms``: every quadrature
+point of every (masked) tet at once, one reference call.
+``face_adjacency_reference`` builds all face keys at once,
+``tet_edges_reference`` numbers the edges by ``np.unique``, and
+``volume_load_reference`` integrates every (live) tet in one ``add.at``.
+"""
+
+import math
+
+import numpy as np
+
+from thinjunction.fem3d import _TET_RULES
+from thinjunction.mesh3d import _FACES, OTHER, face_keys
+
+# Vertex pairs of the six edges of a tet.
+_EDGES = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])
+
+
+def norms_reference(ctx, u, reference=None, mask=None):
+    live = None if mask is None else np.flatnonzero(mask)
+    bary, w = _TET_RULES[2]
+    tets = ctx.mesh.tets.astype(np.int64)
+    vols = ctx.volumes
+    grads = np.einsum("tad,ta->td", ctx.grads, u[tets])
+    if live is not None:
+        tets, vols, grads = tets[live], vols[live], grads[live]
+    pts = np.matmul(bary, ctx.mesh.nodes[tets])
+    wts = np.outer(vols, w)
+    if live is not None:
+        wts = wts * mask[live, None]
+    vals = u[tets] @ bary.T
+    if reference is not None:
+        rv, rg = reference(pts.reshape(-1, 3))
+        vals = vals - rv.reshape(wts.shape)
+        grads = grads[:, None, :] - rg.reshape(wts.shape + (3,))
+    else:
+        grads = np.broadcast_to(grads[:, None, :], wts.shape + (3,))
+    l2sq = float(np.vdot(wts, vals * vals))
+    h1sq = float(np.sum(wts.ravel() @ (grads * grads).reshape(-1, 3)))
+    return math.sqrt(l2sq), math.sqrt(h1sq), math.sqrt(l2sq + h1sq)
+
+
+def face_adjacency_reference(tets, num_nodes):
+    key = face_keys(tets[:, _FACES], num_nodes).ravel()
+    order = np.argsort(key, kind="stable")
+    twin = np.flatnonzero(key[order][1:] == key[order][:-1])
+    adjacent = np.full(key.size, OTHER, dtype=np.int32)
+    adjacent[order[twin]] = order[twin + 1] // 4
+    adjacent[order[twin + 1]] = order[twin] // 4
+    return adjacent.reshape(-1, 4)
+
+
+def tet_edges_reference(tets, num_nodes):
+    pair = np.sort(tets[:, _EDGES].astype(np.int64), axis=2)
+    key = pair[..., 0] * num_nodes + pair[..., 1]
+    uniq, index = np.unique(key, return_inverse=True)
+    return np.stack(np.divmod(uniq, num_nodes), axis=1), index.reshape(-1, 6)
+
+
+def volume_load_reference(ctx, fn, degree, live=None):
+    bary, w = _TET_RULES[degree]
+    tets, vols = ctx.mesh.tets.astype(np.int64), ctx.volumes
+    if live is not None:
+        tets, vols = tets[live], vols[live]
+    pts = np.matmul(bary, ctx.mesh.nodes[tets])
+    wts = np.outer(vols, w)
+    vals = fn(pts.reshape(-1, 3)).reshape(wts.shape)
+    b = np.zeros(ctx.mesh.num_nodes)
+    np.add.at(b, tets, (wts * vals) @ bary)
+    return b

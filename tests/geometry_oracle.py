@@ -1,10 +1,10 @@
 """Former per-tet kernels of the mesh and FEM layers.
 
 Volumes by batched LAPACK ``det``, barycentric gradients by ``inv``, the
-local stiffness by a three-operand ``einsum``, quadrature points by
-``einsum``, orientation by the sign of ``det``, one cross-section mean
-per station, and the closed-form geometry by ``np.cross`` over all
-cofactor rows at once.  Kept as the oracles that the closed-form
+local stiffness by a three-operand ``einsum``, the stiffness matrix from
+COO triplets, quadrature points by ``einsum``, orientation by the sign
+of ``det``, one cross-section mean per station, and the closed-form
+geometry by ``np.cross`` over all cofactor rows at once.  Kept as the oracles that the closed-form
 geometry and the matrix-product contractions must match to rounding,
 and the orientation, the stacked station means and the component-wise
 closed-form kernel bit for bit.
@@ -45,6 +45,20 @@ def stiffness_reference(mesh, volumes, grads):
     a = sparse.coo_matrix(
         (local.ravel(), (rows.astype(np.int64), cols.astype(np.int64))),
         shape=(mesh.num_nodes, mesh.num_nodes))
+    return a.tocsr()
+
+
+def coo_stiffness(ctx):
+    """The former assembly: the 16 local entries of every tet as COO
+    triplets, summed by ``tocsr``."""
+    m = ctx.mesh
+    local = ctx.grads @ ctx.grads.transpose(0, 2, 1)
+    local *= ctx.volumes[:, None, None]
+    rows = np.repeat(m.tets, 4, axis=1).ravel()
+    cols = np.tile(m.tets, (1, 4)).ravel()
+    a = sparse.coo_matrix(
+        (local.ravel(), (rows.astype(np.int64), cols.astype(np.int64))),
+        shape=(m.num_nodes, m.num_nodes))
     return a.tocsr()
 
 

@@ -227,6 +227,19 @@ class TestProblemSpec:
         spec = load_spec(dict(flat_spec.to_json(), order=3))
         assert spec.order == 3 and isinstance(spec.order, int)
 
+    def test_order_four_on_a_varying_radius_is_rejected(self):
+        # the field_queries spec: edge 1 has a bumped radius, on which the
+        # order-4 disk data miss their flux balance (a build error after
+        # seconds of work), so the spec is refused when it is loaded
+        plan = pathlib.Path(__file__).resolve().parents[1] / "bench" / \
+            "plans" / "field_queries.json"
+        doc = json.loads(plan.read_text(encoding="utf-8"))["spec"]
+        assert load_spec(dict(doc, order=3)).order == 3
+        with pytest.raises(ValueError, match=r"order 4 .*edges \[1\]"):
+            load_spec(dict(doc, order=4))
+        spec = load_spec(dict(doc, order=4, h=[0.25, 0.25, 0.25]))
+        assert spec.order == 4 and all(h.is_constant() for h in spec.h)
+
     def test_digest_tracks_content(self, flat_spec, fx_spec):
         assert spec_digest(flat_spec) != spec_digest(fx_spec)
         assert spec_digest(flat_spec) == spec_digest(flat_spec)

@@ -6,6 +6,7 @@ import pytest
 
 import thinjunction.mesh3d as mesh3d
 from geometry_oracle import (
+    coo_stiffness,
     cross_geometry_reference,
     geometry_reference,
     orient_reference,
@@ -74,6 +75,23 @@ def test_stiffness_matches_the_einsum(case):
     assert np.array_equal(ctx.matrix.indptr, want.indptr)
     assert np.array_equal(ctx.matrix.indices, want.indices)
     assert rel_err(ctx.matrix.data, want.data) <= REL
+
+
+def test_stiffness_is_the_coo_assembly_and_symmetric(case):
+    """The edge-pattern assembly has the CSR pattern of the former COO
+    triplets and their sums to 1e-15 of the largest entry, and it equals
+    its transpose bit for bit, which the COO sums did not."""
+    ctx, _ = case
+    a, want = ctx.matrix, coo_stiffness(ctx)
+    assert np.array_equal(a.indptr, want.indptr)
+    assert np.array_equal(a.indices, want.indices)
+    assert np.max(np.abs(a.data - want.data)) <= 1e-15 * np.max(
+        np.abs(want.data))
+    at = a.T.tocsr()
+    at.sort_indices()
+    assert np.array_equal(at.indptr, a.indptr)
+    assert np.array_equal(at.indices, a.indices)
+    assert same_bits(at.data, a.data)
 
 
 @pytest.mark.parametrize("degree", [2, 5])

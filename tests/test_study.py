@@ -194,7 +194,13 @@ def test_target_table_matches_the_former_policy(fx_spec):
 def test_restrictions_raise_the_former_messages(fx_spec):
     for base in _restricted_specs(fx_spec):
         for order in range(5):
-            spec = dataclasses.replace(base, order=order)
+            try:
+                spec = dataclasses.replace(base, order=order)
+            except ValueError as err:
+                # the spec itself refuses order 4 on a varying radius
+                assert order == 4 and not base.h[1].is_constant()
+                assert "needs constant radii" in str(err)
+                continue
             for name in TARGETS:
                 want = _raised(lambda: study_oracle.check_restrictions(
                     spec, [name]))

@@ -4,9 +4,10 @@ Volumes by batched LAPACK ``det``, barycentric gradients by ``inv``, the
 local stiffness by a three-operand ``einsum``, the stiffness matrix from
 COO triplets, quadrature points by ``einsum``, orientation by the sign
 of ``det``, one cross-section mean per station, and the closed-form
-geometry by ``np.cross`` over all cofactor rows at once.  Kept as the oracles that the closed-form
-geometry and the matrix-product contractions must match to rounding,
-and the orientation, the stacked station means and the component-wise
+geometry by ``np.cross`` over all cofactor rows at once.  Kept as the
+oracles that the closed-form geometry, the matrix-product contractions
+and the edge-pattern stiffness must match to rounding, and the
+orientation, the stacked station means and the component-wise
 closed-form kernel bit for bit.
 """
 

@@ -183,7 +183,7 @@ class TestBlocks:
 def test_context_and_norms_hold_a_block_not_the_mesh(fx_spec):
     """Peak memory of FemContext and of a norm above their starting live
     set, on a 77,184-tet thin mesh (9.4 blocks of 4-point quadrature):
-    13.5 and 15.5 MB, against 47.1 and 37.7 MB for the COO assembly and
+    13.7 and 15.5 MB, against 47.1 and 37.7 MB for the COO assembly and
     the whole-mesh norm they replace."""
     spec = dataclasses.replace(fx_spec, order=0, epsilon=0.2)
     mesh = build_thin_mesh(spec, axial=0.02, refine=0.7)

@@ -25,8 +25,8 @@ from .config import TRANSVERSE_AXES, ProblemSpec
 from .fem3d import (
     FemContext,
     _solve_spd,
+    coarse_labels,
     station_average,
-    station_labels,
     station_profile,
 )
 from .mesh3d import build_junction_mesh, tet_blocks
@@ -268,7 +268,7 @@ class TruncatedJunction:
             low, high = x.min(axis=1), x.max(axis=1)
             self.band_tets[blk] = (high > lo) & (low < hi)
             self.past_band[blk] = (low >= hi).any(axis=1)
-        self.labels = station_labels(self.mesh)
+        self.labels = coarse_labels(self.mesh)
 
 
 def _source_values(junction: TruncatedJunction, data: InnerData, pts):

@@ -387,11 +387,14 @@ class _DomainBuilder:
 
 
 def face_keys(faces, num_nodes):
-    """One int64 key per triangle, (a*n + b)*n + c of its sorted vertices."""
+    """One int64 key per triangle, (lo*n + mid)*n + hi of its vertices."""
     n = int(num_nodes)
     assert n < 1 << 21, "face keys overflow int64"
-    s = np.sort(np.asarray(faces, dtype=np.int64), axis=-1)
-    return (s[..., 0] * n + s[..., 1]) * n + s[..., 2]
+    f = np.asarray(faces, dtype=np.int64)
+    a, b, c = f[..., 0], f[..., 1], f[..., 2]
+    lo = np.minimum(np.minimum(a, b), c)
+    hi = np.maximum(np.maximum(a, b), c)
+    return (lo * n + (a + b + c - lo - hi)) * n + hi
 
 
 def face_adjacency(tets, num_nodes):

@@ -4,7 +4,8 @@ size.
 
 ``norms_reference`` is the former ``fem3d.norms``: every quadrature
 point of every (masked) tet at once, one reference call.
-``face_adjacency_reference`` builds all face keys at once,
+``face_keys_reference`` sorts each triangle's vertices, and
+``face_adjacency_reference`` builds all face keys at once with it,
 ``tet_edges_reference`` numbers the edges by ``np.unique``, and
 ``volume_load_reference`` integrates every (live) tet in one ``add.at``.
 """
@@ -14,7 +15,7 @@ import math
 import numpy as np
 
 from thinjunction.fem3d import _TET_RULES
-from thinjunction.mesh3d import _FACES, OTHER, face_keys
+from thinjunction.mesh3d import _FACES, OTHER
 
 # Vertex pairs of the six edges of a tet.
 _EDGES = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])
@@ -44,8 +45,13 @@ def norms_reference(ctx, u, reference=None, mask=None):
     return math.sqrt(l2sq), math.sqrt(h1sq), math.sqrt(l2sq + h1sq)
 
 
+def face_keys_reference(faces, num_nodes):
+    s = np.sort(np.asarray(faces, dtype=np.int64), axis=-1)
+    return (s[..., 0] * num_nodes + s[..., 1]) * num_nodes + s[..., 2]
+
+
 def face_adjacency_reference(tets, num_nodes):
-    key = face_keys(tets[:, _FACES], num_nodes).ravel()
+    key = face_keys_reference(tets[:, _FACES], num_nodes).ravel()
     order = np.argsort(key, kind="stable")
     twin = np.flatnonzero(key[order][1:] == key[order][:-1])
     adjacent = np.full(key.size, OTHER, dtype=np.int32)

@@ -8,6 +8,8 @@ path the package keeps, which must match it bit for bit.
 ``solve_load_reference`` is the former ``junction._solve_load`` on top
 of it; the package's project-and-pin solve must match it to rounding
 once the constant both leave free is removed.
+``station_labels_reference`` is the former coarse labelling, one
+aggregate per tube station and a single one for the whole bulge.
 """
 
 import numpy as np
@@ -16,6 +18,17 @@ from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from thinjunction.fem3d import CG_RESTARTS, CG_RTOL
 from thinjunction.junction import assemble_load
+
+
+def station_labels_reference(mesh):
+    labels = np.full(mesh.num_nodes, -1, dtype=np.int64)
+    count = 0
+    for edge in sorted(mesh.stations):
+        for st in mesh.stations[edge]:
+            labels[st.nodes] = count
+            count += 1
+    labels[labels < 0] = count
+    return labels
 
 
 def solve_spd_reference(a, b, deflate=False, labels=None):

@@ -14,6 +14,7 @@ from scipy.sparse.linalg import cg, spsolve
 
 from block_oracle import (
     face_adjacency_reference,
+    face_keys_reference,
     norms_reference,
     tet_edges_reference,
     volume_load_reference,
@@ -21,7 +22,11 @@ from block_oracle import (
 from conftest import make_spec
 from geometry_oracle import cross_geometry_reference, station_average_reference
 from locator_oracle import LocatorOracle
-from solver_oracle import solve_load_reference, solve_spd_reference
+from solver_oracle import (
+    solve_load_reference,
+    solve_spd_reference,
+    station_labels_reference,
+)
 from thinjunction import (
     LateralLoad,
     SourceField,
@@ -40,16 +45,16 @@ from thinjunction import (
 )
 from thinjunction.fem3d import (
     FemContext,
+    coarse_labels,
     galerkin_residual,
     norms,
     region_mask,
     slab_flux,
     solve_poisson,
     station_average,
-    station_labels,
     station_profile,
 )
-from thinjunction.mesh3d import TetMesh
+from thinjunction.mesh3d import TetMesh, _layout_params
 from thinjunction.poly import Poly3
 
 
@@ -169,6 +174,20 @@ class TestBlocks:
                              tet_edges_reference(tube.tets, tube.num_nodes)):
             assert np.array_equal(got, want)
 
+    def test_face_keys_are_the_sorted_keys(self, tube):
+        faces = tube.tets[:, mesh3d._FACES]
+        assert np.array_equal(mesh3d.face_keys(faces, tube.num_nodes),
+                              face_keys_reference(faces, tube.num_nodes))
+        # every vertex order, with ids up to the largest a key can hold
+        n = (1 << 21) - 1
+        rng = np.random.default_rng(8)
+        tri = rng.integers(0, n, size=(500, 3))
+        tri[:50, 1] = tri[:50, 0]
+        for perm in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1),
+                     (2, 1, 0)):
+            got = mesh3d.face_keys(tri[:, perm], n)
+            assert np.array_equal(got, face_keys_reference(tri, n))
+
     def test_volume_load_and_centroids(self, tube):
         ctx = FemContext(tube)
         live = np.flatnonzero(np.arange(tube.num_tets) % 5 != 1)
@@ -286,8 +305,9 @@ def _end_dirichlet_system(ctx):
 
 
 class TestTwoLevelCG:
-    """Jacobi plus one coarse unknown per tube station, and the contract
-    that the true residual meets rtol."""
+    """Jacobi plus a coarse space of one unknown per tube station and one
+    per bulge shell, cube face and face quadrant, and the contract that
+    the true residual meets rtol."""
 
     @pytest.fixture(scope="class")
     def thin_ctx(self, fx_spec):
@@ -298,21 +318,68 @@ class TestTwoLevelCG:
     def junction_flat(self, flat_spec):
         return TruncatedJunction(flat_spec, R=flat_spec.ell + 3.5, refine=0.6)
 
-    def test_labels_one_per_station_and_one_for_the_bulge(self, thin_ctx):
-        mesh = thin_ctx.mesh
-        labels = station_labels(mesh)
-        stations = [st for sts in mesh.stations.values() for st in sts]
-        assert labels.max() == len(stations)
-        for j, st in enumerate(stations):
-            assert np.all(labels[st.nodes] == j)
-        assert np.bincount(labels).min() > 0
+    def test_labels_one_per_station_and_per_bulge_shell_face_quadrant(
+            self, thin_ctx, junction_flat, tube):
+        for mesh in (thin_ctx.mesh, junction_flat.mesh):
+            labels = coarse_labels(mesh)
+            stations = [st for edge in sorted(mesh.stations)
+                        for st in mesh.stations[edge]]
+            for j, st in enumerate(stations):
+                assert np.all(labels[st.nodes] == j)
+            bulge = np.flatnonzero(labels >= len(stations))
+            x = mesh.nodes[bulge]
+            size = np.abs(x).max(axis=1)
+            shells = np.unique(size)
+            # the builder's scaled copies of the cube surface and the centre
+            assert len(shells) == _layout_params(mesh.meta["refine"])[3] + 1
+            cells = set()
+            for label, p, s in zip(labels[bulge], x, size):
+                axis = int(np.argmax(np.abs(p)))
+                others = [p[(axis + k) % 3] < 0 for k in (1, 2)]
+                cells.add((label, s, axis, p[axis] < 0, *others))
+            # each label is one (shell, face, quadrant) and each of those,
+            # one label; the centre is a shell of its own
+            assert len(cells) == len({c[1:] for c in cells})
+            assert len(cells) == len(np.unique(labels[bulge]))
+            assert len(cells) == 24 * (len(shells) - 1) + 1
+            assert np.bincount(labels).min() > 0
+        # a mesh of tube stations only keeps its station labels
+        assert np.array_equal(coarse_labels(tube),
+                              station_labels_reference(tube))
+
+    def test_bulge_aggregates_cut_the_iterations(self, monkeypatch, thin_ctx,
+                                                 junction_flat):
+        # against the former single bulge aggregate, on a Dirichlet thin
+        # system and on a pinned junction load solve
+        a, free = _end_dirichlet_system(thin_ctx)
+        b = thin_ctx.volume_load(lambda p: p[:, 0] + np.sin(9.0 * p[:, 1]))
+        b = b[free]
+        u, info = fem3d._solve_spd(
+            a, b, labels=coarse_labels(thin_ctx.mesh)[free])
+        _, former = fem3d._solve_spd(
+            a, b, labels=station_labels_reference(thin_ctx.mesh)[free])
+        want = spsolve(a.tocsc(), b)
+        assert np.linalg.norm(u - want) <= 1e-9 * np.linalg.norm(want)
+        assert info["iterations"] <= 0.75 * former["iterations"]
+
+        a = junction_flat.ctx.matrix
+        b = junction_flat.ctx.volume_load(lambda p: p[:, 0] - p[:, 2] ** 2)
+        monkeypatch.setattr(junction, "assemble_load", lambda *_: b)
+        u, _, info = junction._solve_load(junction_flat, None)
+        projected = (b - b.mean())[1:]
+        _, former = fem3d._solve_spd(
+            a[1:, 1:], projected,
+            labels=station_labels_reference(junction_flat.mesh)[1:])
+        want = spsolve(a[1:, 1:].tocsc(), projected)
+        assert np.linalg.norm(u[1:] - want) <= 1e-9 * np.linalg.norm(want)
+        assert info["iterations"] <= 0.75 * former["iterations"]
 
     def test_dirichlet_solve_matches_direct(self, thin_ctx):
         a, free = _end_dirichlet_system(thin_ctx)
         b = thin_ctx.volume_load(lambda p: p[:, 0] + np.sin(9.0 * p[:, 1]))
         b = b[free]
         u, info = fem3d._solve_spd(
-            a, b, labels=station_labels(thin_ctx.mesh)[free])
+            a, b, labels=coarse_labels(thin_ctx.mesh)[free])
         want = spsolve(a.tocsc(), b)
         assert np.linalg.norm(u - want) <= 1e-9 * np.linalg.norm(want)
         assert info["relative_residual"] <= 1e-10

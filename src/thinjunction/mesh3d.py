@@ -9,7 +9,8 @@ with scaled copies of its surface (onion shells), tubes are extruded
 station by station, and every prism is cut into three tetrahedra with
 the min-vertex rule so neighbouring prisms agree on quad diagonals.
 Node ids, face adjacency and boundary tags are each derived once, when
-the mesh is built.
+the mesh is built, and the layout that fixes the order of the
+tetrahedra is recorded with it, for ``LayoutSeed``.
 """
 
 from __future__ import annotations
@@ -321,6 +322,9 @@ class _DomainBuilder:
         self.uv_disk, self.disk_tris = disk_layout(rings, segments)
         self.n_disk = self.uv_disk.shape[0]
         self.max_radius = 0.0
+        self.face_radii = []
+        self.tube_tets = {}
+        self.station_r = {}
         self._build_box()
 
     def _fresh(self, pts):
@@ -334,6 +338,7 @@ class _DomainBuilder:
         for axis in range(3):
             for sign in (1, -1):
                 radius = self.radii[axis] if sign > 0 else 0.5 * self.half
+                self.face_radii.append(radius)
                 uv, tris = face_layout(self.half, radius, self.rings,
                                        self.blend, self.segments)
                 faces.append(_face_to_space(uv, axis, sign, self.half))
@@ -361,10 +366,13 @@ class _DomainBuilder:
     def extrude_tube(self, axis, xs, radius_fn):
         ids = self._face_ids[axis][:self.n_disk]
         self.stations[axis] = [Station(float(xs[0]), ids)]
+        self.tube_tets[axis] = sum(len(t) for t in self.tets)
+        self.station_r[axis] = [self.radii[axis]]
         prev = ids
         self.max_radius = max(self.max_radius, self.radii[axis])
         for x in xs[1:]:
             radius = float(radius_fn(float(x)))
+            self.station_r[axis].append(radius)
             self.max_radius = max(self.max_radius, radius)
             pts = _tube_section(self.uv_disk, axis, float(x), radius)
             cur = self._fresh(pts)
@@ -374,7 +382,14 @@ class _DomainBuilder:
             prev = cur
 
     def finish(self, end_planes, meta):
-        meta["sagitta"] = sagitta(self.max_radius, self.segments)
+        """The mesh, with the layout that ``LayoutSeed`` reads in its
+        ``meta``."""
+        meta.update(
+            segments=self.segments, rings=self.rings, blend=self.blend,
+            shells=self.shells, half=self.half,
+            face_radii=list(self.face_radii),
+            sagitta=sagitta(self.max_radius, self.segments),
+            **_tube_layout(self.stations, self.station_r, self.tube_tets))
         nodes = np.concatenate(self.coords, axis=0)
         tets = _orient_tets(nodes, np.concatenate(self.tets, axis=0))
         adjacent = face_adjacency(tets, self.num_nodes)
@@ -384,6 +399,196 @@ class _DomainBuilder:
                        boundary=boundary, stations=self.stations,
                        disk_tris=self.disk_tris, meta=meta,
                        adjacent=adjacent)
+
+
+def _tube_layout(stations, radii, first_tets):
+    """The tubes' part of a mesh's layout: per tube, its first tet and
+    the axial positions and radii of its stations."""
+    return {"tube_tets": dict(first_tets),
+            "station_x": {a: np.array([st.x for st in sts])
+                          for a, sts in stations.items()},
+            "station_r": {a: np.array(radii[a], dtype=float)
+                          for a in stations}}
+
+
+# In-plane axes of each face and tube axis, as rows.
+_TRANSVERSE = np.array([TRANSVERSE_AXES[a] for a in range(3)])
+
+
+class LayoutSeed:
+    """The tet at the middle of the prism that holds each point, found
+    by arithmetic on the layout a builder records in ``TetMesh.meta``.
+
+    The builders append tets in a fixed order: a box mesh the prisms of
+    its onion shells (shell by shell, face by face, triangle by triangle
+    of the face layout), then the cone from the innermost shell to the
+    centre (one tet per triangle), then each tube's prisms station by
+    station; a tube mesh has its stations alone.  Each prism is three
+    consecutive tets, the middle one a face step from the other two.
+
+    Every cell boundary of that layout is flat, so a point's cell is
+    exact up to rounding on a boundary.  A point of a box mesh takes the
+    face of its largest |coordinate|.  That coordinate, its max-norm,
+    gives its shell, since the shells are scaled copies of the cube
+    surface; past the half-width on a face with a tube, it gives the
+    station interval along that tube instead.  (This places a tube
+    point exactly where the tube's radius is below its distance from
+    the centre, as everywhere in a junction mesh, whose radii are
+    h_i(0) < ell.)  The point's position on the face layout, by
+    projection along the ray from the centre, or in the tube's unit
+    disk, at the radius interpolated in the interval, then gives its
+    triangle: the angle gives the segment between two of the layout's
+    rays, and the count of the chords and quad diagonals between those
+    rays' nodes that the point lies beyond gives the ring band and the
+    quad's triangle.  One pass does this for all points: one
+    ``searchsorted`` of a key that orders the shells and intervals of
+    all faces, and one product with the coefficients of those lines.
+    A point outside the mesh gets the cell its clipped indices give;
+    the walk of ``fem3d.PointLocator`` goes on from any seed.
+    """
+
+    def __init__(self, meta):
+        segments, rings = meta["segments"], meta["rings"]
+        self.bulge = "shells" in meta
+        bands = rings + meta["blend"] if self.bulge else rings
+        layouts = [face_layout(meta["half"], r, rings, meta["blend"],
+                               segments)[0]
+                   for r in meta["face_radii"]] if self.bulge else []
+        disk = len(layouts) * segments  # the tubes' first row of lines
+        layouts.append(disk_layout(rings, segments)[0])
+        self.lines = np.concatenate(
+            [_cell_lines(pts, segments, bands) for pts in layouts])
+        # segment of the angle phi in [-pi, pi] by the whole part of
+        # (phi + pi) segments / 2 pi: ray 0 is at angle 0
+        self.turn = 0.5 * segments / math.pi
+        self.segment = (np.arange(segments + 1) + segments // 2) % segments
+        # triangle tri_a + tri_b * segment by the count of lines crossed:
+        # none in the fan, 2k - 1 past chord k, 2k past its diagonal
+        count = np.arange(2 * bands - 1)
+        self.tri_a = np.where(count % 2 == 1, segments * count,
+                              segments * (count - 1) + 1)
+        self.tri_a[0] = 0
+        self.tri_b = np.where(count > 0, 2, 1)
+        # Cell rows (start key, first tet, tets per triangle, first row
+        # of lines, and r0, x0, slope of the radius r0 + (x - x0) slope
+        # that scales a point into its layout), after a placeholder, so
+        # that the count of rows starting below a key is the key's row.
+        rows = [(-np.inf, 0, 0, 0, 1.0, 0.0, 0.0)]
+        interval_tets = 3 * segments * (2 * rings - 1)
+        if self.bulge:
+            span = 4.0 * (1.0 + max(float(x[-1])
+                                    for x in meta["station_x"].values()))
+            self.block = span * np.arange(6)
+            self.transverse = _TRANSVERSE[np.arange(6) % 3]
+            rows += _box_rows(meta, span, bands, interval_tets, disk)
+        else:
+            self.axis = min(meta["station_x"])
+            self.transverse = _TRANSVERSE[self.axis]
+            rows += _interval_rows(meta, self.axis, 0.0, -np.inf,
+                                   interval_tets, disk)
+        rows = np.array(rows)
+        self.keys = rows[1:, 0]
+        self.cell = rows[:, 1:4].astype(np.intp)
+        self.radius = rows[:, 4:]
+        self.floor = 1e-12 * min(
+            1.0, *(r.min() for r in meta["station_r"].values()))
+
+    @classmethod
+    def of(cls, mesh):
+        """The seed of a mesh that a builder made, else None."""
+        return cls(mesh.meta) if "station_x" in mesh.meta else None
+
+    def __call__(self, points):
+        """Seed tet of each point, shape (points,)."""
+        points = np.asarray(points, dtype=float)
+        if self.bulge:
+            # the face of the largest of the six coordinates +-x_i, in
+            # the order +x, +y, +z, -x, -y, -z; the largest is the norm
+            both = np.concatenate((points, -points), axis=1)
+            face = both.argmax(axis=1)
+            flat = both.ravel()
+            at = np.arange(0, flat.size, 6)
+            x = flat[at + face]
+            row = self.keys.searchsorted(x + self.block[face], "left")
+            uv = flat[at[:, None] + self.transverse[face]]
+        else:
+            x = points[:, self.axis]
+            row = self.keys.searchsorted(x, "left")
+            uv = points[:, self.transverse]
+        cell, radius = self.cell[row], self.radius[row]
+        radius = radius[:, 0] + (x - radius[:, 1]) * radius[:, 2]
+        uv /= np.maximum(radius, self.floor)[:, None]
+        phi = np.arctan2(uv[:, 1], uv[:, 0]) + math.pi
+        seg = self.segment[(phi * self.turn).astype(np.intp)]
+        lines = np.einsum("nd,ndk->nk", uv, self.lines[cell[:, 2] + seg])
+        crossed = (lines > 1.0).sum(axis=1)
+        tri = self.tri_a[crossed] + self.tri_b[crossed] * seg
+        return cell[:, 0] + cell[:, 1] * tri
+
+
+def _box_rows(meta, span, bands, interval_tets, disk):
+    """Cell rows of a box mesh, keyed by face * span + max-norm: per face
+    of ``LayoutSeed``'s order, its cone tets, its shells from the inside
+    out, and on a face with a tube that tube's station intervals."""
+    segments, shells = meta["segments"], meta["shells"]
+    half = float(meta["half"])
+    face_tris = segments * (2 * bands - 1)
+    rows = []
+    for b in range(6):
+        axis = b % 3
+        face = 2 * axis + (b >= 3)  # the builder's order: +x, -x, +y, ...
+        lines = face * segments
+        start = (b - 0.5) * span if b else -np.inf
+        rows.append((start, (shells - 1) * 18 * face_tris + face * face_tris,
+                     1, lines, 0.0, 0.0, 1.0 / half))
+        for t in range(shells - 2, -1, -1):
+            rows.append((b * span + (1.0 - (t + 1) / shells) * half,
+                         t * 18 * face_tris + 3 * face * face_tris + 1,
+                         3, lines, 0.0, 0.0, 1.0 / half))
+        if b < 3 and axis in meta["station_x"]:
+            rows += _interval_rows(meta, axis, b * span,
+                                   b * span + meta["station_x"][axis][0],
+                                   interval_tets, disk)
+    return rows
+
+
+def _interval_rows(meta, axis, offset, first_key, interval_tets, disk):
+    """Cell rows of the station intervals of one tube, keyed by
+    x + offset; the first starts at ``first_key``."""
+    x, r = meta["station_x"][axis], meta["station_r"][axis]
+    slope = np.diff(r) / np.diff(x)
+    first = meta["tube_tets"][axis] + 1
+    keys = np.concatenate([[first_key], x[1:-1] + offset])
+    return [(keys[k], first + k * interval_tets, 3, disk, r[k], x[k],
+             slope[k]) for k in range(len(x) - 1)]
+
+
+def _cell_lines(pts, segments, bands):
+    """Coefficients (cu, cv) per ray m of the lines of a polar layout's
+    cells between rays m and m + 1, such that a point (u, v) of that
+    wedge is beyond a line where cu u + cv v > 1: the chord between the
+    two rays' nodes of ring k, then the diagonal of the band quad from
+    ring k on ray m to ring k + 1 on ray m + 1, for k = 1 ... bands - 1.
+    Rings past the layout's last have no lines, coefficients 0.
+
+    The point is alpha ray_m + beta ray_m+1, and it is beyond the line
+    through the nodes at radii rho_a on ray m and rho_b on ray m + 1
+    where alpha / rho_a + beta / rho_b > 1.
+    """
+    rings = (len(pts) - 1) // segments
+    rho = np.hypot(*pts[1:].T).reshape(rings, segments)
+    ray = pts[1:1 + segments] / rho[0][:, None]
+    ray = np.vstack([ray, ray[:1]]) / math.sin(2.0 * math.pi / segments)
+    c0, s0 = ray[:-1].T
+    c1, s1 = ray[1:].T
+    inv = 1.0 / rho
+    out = np.zeros((segments, 2, 2 * (bands - 1)))
+    for k in range(1, min(bands, rings)):
+        for col, kb in ((2 * k - 2, k), (2 * k - 1, k + 1)):
+            ia, ib = inv[k - 1], np.roll(inv[kb - 1], -1)
+            out[:, 0, col] = s1 * ia - s0 * ib
+            out[:, 1, col] = c0 * ib - c1 * ia
+    return out
 
 
 def face_keys(faces, num_nodes):
@@ -500,9 +705,7 @@ def build_junction_mesh(spec: ProblemSpec, R=None, refine=None):
         xs = graded_stations(ell, R, fine, far, cap=radii[axis] / refine)
         xs = snap_stations(xs, [band.lo, band.hi, far])
         builder.extrude_tube(axis, xs, lambda _x, r=radii[axis]: r)
-    meta = {"R": R, "refine": refine, "segments": segments,
-            "rings": rings, "blend": blend, "shells": shells}
-    return builder.finish({0: R, 1: R, 2: R}, meta)
+    return builder.finish({0: R, 1: R, 2: R}, {"R": R, "refine": refine})
 
 
 def build_thin_mesh(spec: ProblemSpec, axial=0.02, refine=1.0):
@@ -525,8 +728,7 @@ def build_thin_mesh(spec: ProblemSpec, axial=0.02, refine=1.0):
         xs = snap_stations(xs, sorted(forced + kinks))
         builder.extrude_tube(
             axis, xs, lambda x, a=axis: eps * spec.h[a](x))
-    meta = {"epsilon": eps, "axial": axial, "refine": refine,
-            "segments": segments, "rings": rings, "blend": blend}
+    meta = {"epsilon": eps, "axial": axial, "refine": refine}
     return builder.finish({0: 1.0, 1: 1.0, 2: 1.0}, meta)
 
 
@@ -555,9 +757,10 @@ def build_tube_mesh(radius, length, axial, refine=1.0, radius_fn=None):
     adjacent.T[adjacent.T < 0] = np.where(at_0 | at_l, END, LATERAL)
     boundary = {"end_a": faces[at_0], "end_b": faces[at_l],
                 "lateral_0": faces[~(at_0 | at_l)]}
+    meta = {"radius": radius, "length": length, "axial": axial,
+            "segments": segments, "rings": rings,
+            "sagitta": sagitta(max(radii), segments),
+            **_tube_layout({0: stations}, {0: radii}, {0: 0})}
     return TetMesh(nodes=nodes, tets=tets.astype(np.int32),
                    boundary=boundary, stations={0: stations},
-                   disk_tris=disk_tris,
-                   meta={"radius": radius, "length": length, "axial": axial,
-                         "sagitta": sagitta(max(radii), segments)},
-                   adjacent=adjacent)
+                   disk_tris=disk_tris, meta=meta, adjacent=adjacent)

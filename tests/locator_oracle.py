@@ -1,17 +1,28 @@
-"""Per-point reference for ``PointLocator.locate``.
+"""References for ``PointLocator.locate``.
 
-The node-round locator the face walk replaced, one point at a time.  It
-builds its own KD-tree of the mesh nodes and node-to-tet adjacency.
+``LocatorOracle`` is the node-round locator the face walk replaced, one
+point at a time.  It builds its own KD-tree of the mesh nodes and
+node-to-tet adjacency.
 Rounds query the 1, 8 and 32 nearest nodes of the points still
 unlocated; a point's candidates are the tets adjacent to those nodes.
 A round picks the candidate with the largest smallest barycentric (the
 smallest tet index among ties) and accepts it within ``tol``.  Points
 never accepted fall back to their best candidate over all rounds when
 it is within 1e-6.
+
+``KdWalkOracle`` is the face walk as it was seeded before the builders
+recorded their layout: each walk starts at the tet whose centroid is
+nearest the point, from a KD-tree of all the centroids.  The walk, the
+sagitta rule and the wall-tree restart are those of ``PointLocator``.
 """
 
 import numpy as np
 from scipy.spatial import cKDTree
+
+from thinjunction.mesh3d import END, LATERAL
+
+WALK_STEPS = 200
+_OPPOSITE = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 
 
 class LocatorOracle:
@@ -72,3 +83,59 @@ class LocatorOracle:
             found[missing & ok] = best_tet[missing & ok]
             bary[missing & ok] = np.clip(best_bary[missing & ok], 0.0, None)
         return found, bary, best_gap
+
+
+class KdWalkOracle:
+    def __init__(self, mesh):
+        self._grads = mesh.grads
+        self._origin = mesh.nodes[mesh.tets[:, 0]]
+        self._tree = cKDTree(mesh.nodes[mesh.tets].mean(axis=1))
+        self._sagitta = float(mesh.meta.get("sagitta", 0.0))
+        self._neighbours = mesh.adjacent
+        self._end_face = mesh.adjacent == END
+        wall = np.flatnonzero(mesh.adjacent == LATERAL)
+        self._wall_tets = wall // 4
+        faces = mesh.tets[self._wall_tets[:, None], _OPPOSITE[wall % 4]]
+        self._wall_tree = cKDTree(mesh.nodes[faces].mean(axis=1))
+
+    def locate(self, points):
+        """(tet, barycentrics) per point; the tet is -1 when not located."""
+        points = np.asarray(points, dtype=float)
+        npts = len(points)
+        tet = np.full(npts, -1, dtype=np.int64)
+        bary = np.zeros((npts, 4))
+        _, cur = self._tree.query(points)
+        live = np.arange(npts)
+        fresh = np.full(npts, self._wall_tets.size > 0)
+        for _ in range(WALK_STEPS):
+            if live.size == 0:
+                break
+            local = np.einsum("tkd,td->tk", self._grads[cur, 1:],
+                              points[live] - self._origin[cur])
+            lam = np.column_stack([1.0 - local.sum(axis=1), local])
+            out = lam < -1e-9
+            inside = ~out.any(axis=1)
+            tet[live[inside]] = cur[inside]
+            bary[live[inside]] = np.clip(lam[inside], 0.0, None)
+            nb = self._neighbours[cur]
+            step = np.where(out & (nb >= 0), lam, np.inf)
+            face = np.argmin(step, axis=1)
+            rows = np.arange(live.size)
+            left = np.flatnonzero(~inside & np.isinf(step[rows, face]))
+            t, o = cur[left], out[left]
+            dist = np.where(o, -lam[left], 0.0) / np.linalg.norm(
+                self._grads[t], axis=2)
+            ok = (~(o & self._end_face[t]).any(axis=1)
+                  & (dist.max(axis=1) <= self._sagitta))
+            tet[live[left[ok]]] = t[ok]
+            bary[live[left[ok]]] = lam[left[ok]]
+            again = left[~ok & fresh[live[left]]]
+            fresh[live[again]] = False
+            nxt = nb[rows, face].astype(np.int64)
+            nxt[again] = self._wall_tets[
+                self._wall_tree.query(points[live[again]])[1]]
+            move = ~inside
+            move[left] = False
+            move[again] = True
+            live, cur = live[move], nxt[move]
+        return tet, bary

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 from scipy.sparse.linalg import cg, spsolve
+from scipy.spatial import cKDTree
 
 from block_oracle import (
     face_adjacency_reference,
@@ -21,7 +22,7 @@ from block_oracle import (
 )
 from conftest import make_spec
 from geometry_oracle import cross_geometry_reference, station_average_reference
-from locator_oracle import LocatorOracle
+from locator_oracle import KdWalkOracle, LocatorOracle
 from solver_oracle import (
     solve_load_reference,
     solve_spd_reference,
@@ -54,7 +55,7 @@ from thinjunction.fem3d import (
     station_average,
     station_profile,
 )
-from thinjunction.mesh3d import TetMesh, _layout_params
+from thinjunction.mesh3d import LayoutSeed, TetMesh, _layout_params
 from thinjunction.poly import Poly3
 
 
@@ -889,6 +890,89 @@ class TestWalk:
         # a point on a shared face or edge may take a neighbour whose
         # barycentrics are down to -1e-9 and are clipped
         assert np.abs(vals - linear_field(pts)).max() < 1e-8
+
+
+def _assert_seeds_in_prisms(mesh, pts, own):
+    """The layout seed of each point is the middle tet of the prism of
+    its tet ``own``: three consecutive tets that span six nodes, the
+    seed t with t % 3 == 1; or a cone tet of a box mesh (the one with
+    the centre node), a prism alone."""
+    seed = LayoutSeed(mesh.meta)(pts)
+    tets = mesh.tets.astype(np.int64)
+    centre = (np.flatnonzero(~mesh.nodes.any(axis=1))
+              if "shells" in mesh.meta else [])
+    cone = np.isin(tets[seed], centre).any(axis=1)
+    assert np.array_equal(own[cone], seed[cone])
+    mid = seed[~cone]
+    assert np.all(mid % 3 == 1)
+    prism = np.sort(tets[mid[:, None] + [-1, 0, 1]].reshape(len(mid), -1))
+    assert np.all((np.diff(prism, axis=1) > 0).sum(axis=1) == 5)
+    assert np.all(np.abs(own[~cone] - mid) <= 1)
+
+
+class TestLayoutSeed:
+    """The walk from the layout seed against the walk from the nearest
+    centroid it replaced (``KdWalkOracle``), on 200,000 points inside
+    tets and on wall-gap points.
+
+    A wall-gap point can lie beyond the coplanar wall facets of two
+    neighbouring prisms and within the other faces of a tet of each, so
+    either walk may keep either tet, whose linear fields differ there;
+    the walk from the layout seed keeps a tet of the point's own prism.
+    """
+
+    @pytest.fixture(scope="class", params=["junction", "tube"])
+    def case(self, request, junction_flat6, tube):
+        if request.param == "junction":
+            mesh = junction_flat6.mesh
+            gap = np.vstack([TestWalk._gap_points(mesh, e, 100, 0.9, 40 + e)
+                             for e in range(3)])
+            loc = junction_flat6.ctx.locator()
+        else:
+            mesh = tube
+            gap = TestWalk._gap_points(tube, 0, 200, 0.9, 43)
+            loc = FemContext(tube).locator()
+        pts, own = _inside_points_with_tets(mesh, 200_000, seed=44)
+        return mesh, loc, pts, own, gap
+
+    def test_tets_and_values_match_the_kd_walk(self, case):
+        mesh, loc, pts, _, gap = case
+        tet, bary = loc.locate(np.vstack([pts, gap]))
+        ref_tet, ref_bary = KdWalkOracle(mesh).locate(np.vstack([pts, gap]))
+        assert np.all(tet >= 0) and np.all(ref_tet >= 0)
+        _assert_in_tet_or_gap(mesh, gap, tet[len(pts):])
+        tet, bary = tet[:len(pts)], bary[:len(pts)]
+        ref_tet, ref_bary = ref_tet[:len(pts)], ref_bary[:len(pts)]
+        unique = _linear_coords(mesh, ref_tet, pts).min(axis=1) > 1e-9
+        assert unique.mean() > 0.99
+        assert np.array_equal(tet[unique], ref_tet[unique])
+        u = np.random.default_rng(45).standard_normal(mesh.num_nodes)
+        nodes = mesh.tets.astype(np.int64)
+        val = np.einsum("pa,pa->p", bary, u[nodes[tet]])
+        ref = np.einsum("pa,pa->p", ref_bary, u[nodes[ref_tet]])
+        assert np.abs(val - ref).max() <= 1e-12
+
+    def test_every_seed_lies_in_its_points_prism(self, case):
+        # a gap point's prism is that of the tet the walk keeps
+        mesh, loc, pts, own, gap = case
+        inside = _linear_coords(mesh, own, pts).min(axis=1) > 1e-9
+        _assert_seeds_in_prisms(
+            mesh, np.vstack([pts[inside], gap]),
+            np.concatenate([own[inside], loc.locate(gap)[0]]))
+
+    def test_built_meshes_build_no_centroid_tree(self, junction_flat6, tube,
+                                                 rich_spec):
+        thin = build_thin_mesh(rich_spec, axial=0.05, refine=0.8)
+        for ctx in (junction_flat6.ctx, FemContext(tube), FemContext(thin)):
+            loc = ctx.locator()
+            loc.locate(_inside_points(ctx.mesh, 100, seed=46))
+            trees = [v for v in vars(loc).values() if isinstance(v, cKDTree)]
+            assert trees == [loc._wall_tree]
+            assert "centroids" not in ctx.__dict__
+        # a thin mesh's radius varies along a tube: its seeds too are exact
+        pts, own = _inside_points_with_tets(thin, 20_000, seed=47)
+        inside = _linear_coords(thin, own, pts).min(axis=1) > 1e-9
+        _assert_seeds_in_prisms(thin, pts[inside], own[inside])
 
 
 def test_norms_of_known_field(ctx, tube):

@@ -214,9 +214,13 @@ class Expansion:
         """Glued partial sum of order m (and gradient) at physical points.
 
         Each term is evaluated once with its gradient; ``gradient`` only
-        picks whether the gradients are returned.
+        picks whether the gradients are returned.  A non-finite point
+        raises ``ValueError`` before any term runs.
         """
         pts = np.asarray(points, dtype=float)
+        if not np.isfinite(pts).all():
+            row = int(np.argmin(np.isfinite(pts).all(axis=1)))
+            raise ValueError(f"point {row} is not finite: {pts[row]}")
         eps = float(epsilon)
         m = self._partial_order(m)
         alpha = self.spec.alpha

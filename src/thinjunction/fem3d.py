@@ -15,10 +15,8 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, cg, splu
-from scipy.spatial import cKDTree
 
-from .mesh3d import (_EDGES, END, LATERAL, LayoutSeed, TetMesh, tet_blocks,
-                     tet_edges)
+from .mesh3d import _EDGES, END, LayoutSeed, TetMesh, tet_blocks, tet_edges
 
 _S5 = math.sqrt(5.0)
 _TET_RULES = {
@@ -74,10 +72,6 @@ _TRI_RULES[4] = _tri_rule_4()
 # its tet nor left the mesh by then is not located.
 WALK_STEPS = 200
 
-# Vertices of the face opposite each vertex of a tet; the locator's wall
-# tree sums its face centroids in this order.
-_OPPOSITE = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
-
 # True relative residual ||b - A u|| / ||b|| every CG solve meets.  At
 # this stop, changing only the rounding path moves study errors by up to
 # 3.1e-10 relative and slopes by up to 1.4e-9 (the stiffness summation
@@ -93,7 +87,8 @@ CG_RESTARTS = 3
 class FemContext:
     """Geometry (the mesh's tet volumes and gradients, and centroids)
     and stiffness matrix of one mesh.  Every pass over the tets runs in
-    blocks of ``mesh3d.BLOCK_POINTS`` points (``mesh3d.tet_blocks``)."""
+    blocks of ``mesh3d.BLOCK_POINTS`` points (``mesh3d.tet_blocks``).
+    The builders orient every tet; a non-positive volume is refused."""
 
     def __init__(self, mesh: TetMesh):
         self.mesh = mesh
@@ -105,8 +100,8 @@ class FemContext:
 
     @cached_property
     def centroids(self):
-        """Tet centroids, computed on first use: by ``region_mask``,
-        ``slab_flux`` and the locator of a mesh without a layout."""
+        """Tet centroids, computed on first use, by ``region_mask`` and
+        ``slab_flux``."""
         tets, out = self.mesh.tets, np.empty((self.mesh.num_tets, 3))
         for blk in tet_blocks(self.mesh.num_tets):
             out[blk] = self.mesh.nodes[tets[blk]].mean(axis=1)
@@ -411,12 +406,11 @@ def slab_flux(ctx: FemContext, u, axis, lo, hi):
 class PointLocator:
     """Point location by a face walk from a seed tet.
 
-    On a mesh that ``mesh3d`` built, a point's seed is the middle tet of
-    the prism that holds it, from the layout the builder recorded
-    (``mesh3d.LayoutSeed``), so the walk takes at most one step inside
-    the mesh.  Only a mesh made from nodes and tets alone has no layout;
-    its seed is the tet whose centroid is nearest, from a KD-tree of the
-    centroids built for it alone.
+    A point's seed is the middle tet of the prism that holds it, from
+    the layout the mesh's builder recorded (``mesh3d.LayoutSeed``), so
+    the walk takes at most one step inside the mesh.  A mesh made from
+    nodes and tets alone has no layout, and its locator raises
+    ``ValueError``.
 
     The locator keeps only the mesh arrays it reads, not the context, so
     a context and its lazily built locator form no reference cycle.
@@ -427,15 +421,10 @@ class PointLocator:
         self._tets = mesh.tets
         self._grads = ctx.grads
         self._origin = mesh.nodes[mesh.tets[:, 0]]
-        self._seed = LayoutSeed.of(mesh)
-        self._tree = cKDTree(ctx.centroids) if self._seed is None else None
-        self._sagitta = float(mesh.meta.get("sagitta", 0.0))
+        self._seed = LayoutSeed(mesh.meta)
+        self._sagitta = float(mesh.meta["sagitta"])
         self._neighbours = mesh.adjacent
         self._end_face = mesh.adjacent == END
-        wall = np.flatnonzero(mesh.adjacent == LATERAL)
-        self._wall_tets = wall // 4
-        faces = mesh.tets[self._wall_tets[:, None], _OPPOSITE[wall % 4]]
-        self._wall_tree = cKDTree(mesh.nodes[faces].mean(axis=1))
 
     def locate(self, points):
         """(tet index, barycentric coords) per point; -1 when not located.
@@ -447,21 +436,18 @@ class PointLocator:
         negative faces all lie on the boundary has left the mesh: when
         none of them is an end face and the point is at most the mesh's
         sagitta beyond each, it keeps that tet with unclipped coordinates,
-        i.e. the tet's linear field.  A walk that left elsewhere, such as
-        through the box wall beside a tube mouth for a point in the tube's
-        wall gap, restarts once from the tet of the nearest tube wall
-        face.  Otherwise, or when the walk takes more than ``WALK_STEPS``
-        steps, the tet is -1.  The walk depends only on the point, so
-        answers do not depend on the batch.
+        i.e. the tet's linear field.  A point in the gap between a tube's
+        circular wall and its facets is seeded in its own prism, and so
+        gets a tet of that prism.  Otherwise, or when the walk takes more
+        than ``WALK_STEPS`` steps, the tet is -1.  The walk depends only
+        on the point, so answers do not depend on the batch.
         """
         points = np.asarray(points, dtype=float)
         npts = len(points)
         tet = np.full(npts, -1, dtype=np.int64)
         bary = np.zeros((npts, 4))
-        cur = (self._seed(points) if self._seed is not None
-               else self._tree.query(points)[1])
+        cur = self._seed(points)
         live = np.arange(npts)
-        fresh = np.full(npts, self._wall_tets.size > 0)
         for _ in range(WALK_STEPS):
             if live.size == 0:
                 break
@@ -488,15 +474,9 @@ class PointLocator:
                   & (dist.max(axis=1) <= self._sagitta))
             tet[live[left[ok]]] = t[ok]
             bary[live[left[ok]]] = lam[left[ok]]
-            again = left[~ok & fresh[live[left]]]
-            fresh[live[again]] = False
-            nxt = nb[rows, face].astype(np.int64)
-            nxt[again] = self._wall_tets[
-                self._wall_tree.query(points[live[again]])[1]]
             move = ~inside
             move[left] = False
-            move[again] = True
-            live, cur = live[move], nxt[move]
+            live, cur = live[move], nb[rows, face][move].astype(np.int64)
         return tet, bary
 
     def evaluate(self, u, points):

@@ -7,7 +7,8 @@ tube openings share their triangulation with the cube surface and the
 whole mesh is conforming by construction.  The cube interior is filled
 with scaled copies of its surface (onion shells), tubes are extruded
 station by station, and every prism is cut into three tetrahedra with
-the min-vertex rule so neighbouring prisms agree on quad diagonals.
+the min-vertex rule so neighbouring prisms agree on quad diagonals,
+each positively oriented by its layout triangle and its extrusion.
 Node ids, face adjacency and boundary tags are each derived once, when
 the mesh is built, and the layout that fixes the order of the
 tetrahedra is recorded with it, for ``LayoutSeed``.
@@ -35,8 +36,12 @@ _PRISM_PERMS = np.array([
     [5, 3, 4, 2, 0, 1],
 ], dtype=np.int64)
 
-_TET_PATTERN_A = np.array([[0, 1, 2, 5], [0, 1, 5, 4], [0, 4, 5, 3]])
-_TET_PATTERN_B = np.array([[0, 1, 2, 4], [0, 4, 2, 5], [0, 4, 5, 3]])
+# Tets of a relabelled prism by 2 * reversed + (pattern A, the quad
+# diagonals through slot 1); a reversed tet swaps its first two vertices.
+_TET_PATTERNS = np.array([[[0, 1, 2, 4], [0, 4, 2, 5], [0, 4, 5, 3]],
+                          [[0, 1, 2, 5], [0, 1, 5, 4], [0, 4, 5, 3]]])
+_TET_PATTERNS = np.concatenate(
+    [_TET_PATTERNS, _TET_PATTERNS[..., [1, 0, 2, 3]]]).reshape(4, 12)
 
 # Vertices of the face opposite each vertex of a tet, ordered so that
 # the face normal points out of the tet.
@@ -112,20 +117,33 @@ class TetMesh:
         return float(0.5 * np.linalg.norm(n, axis=1).sum())
 
 
-def split_prisms(bottom, top):
-    """Cut prisms into tets, consistently across shared quad faces.
+def split_prisms(bottom, top, orient):
+    """Cut prisms into positively oriented tets, consistently across
+    shared quad faces.
 
     Every quad face receives the diagonal through its smallest global
-    vertex id, which neighbouring prisms pick identically.
+    vertex id, which neighbouring prisms pick identically.  ``orient``
+    is +1 per prism whose bottom winds counter-clockwise seen from its
+    top, else -1; a pattern tet has that sign, or the other when the
+    smallest vertex is on top, and is reversed where negative.
     """
 
     prisms = np.concatenate([bottom, top], axis=1).astype(np.int64)
-    order = _PRISM_PERMS[np.argmin(prisms, axis=1)]
-    v = np.take_along_axis(prisms, order, axis=1)
+    low = np.argmin(prisms, axis=1)
+    v = np.take_along_axis(prisms, _PRISM_PERMS[low], axis=1)
     use_a = np.minimum(v[:, 1], v[:, 5]) < np.minimum(v[:, 2], v[:, 4])
-    tets = np.where(use_a[:, None, None],
-                    v[:, _TET_PATTERN_A], v[:, _TET_PATTERN_B])
-    return tets.reshape(-1, 4)
+    negative = (low >= 3) != (np.asarray(orient) < 0)
+    pattern = _TET_PATTERNS[2 * negative + use_a]
+    return v[np.arange(len(v))[:, None], pattern].reshape(-1, 4)
+
+
+def _prism_signs(tris, segments, axis, direction):
+    """``split_prisms``' orient over a ``_ring_triangles`` layout in the
+    plane TRANSVERSE_AXES[axis] = (a, b) extruded along direction *
+    e_axis: the fan (first) winds counter-clockwise in (a, b), the bands
+    clockwise, and e_a x e_b = (-1)^axis e_axis."""
+    wind = np.where(np.arange(len(tris)) < segments, 1, -1)
+    return wind * (-1) ** axis * direction
 
 
 def tet_blocks(count, per_tet=4):
@@ -141,8 +159,8 @@ def tet_blocks(count, per_tet=4):
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [count])]
 
 
-def tet_geometry(nodes, tets, gradients=True):
-    """Signed volumes of tets and, if asked, the gradients of their four
+def tet_geometry(nodes, tets):
+    """Signed volumes of tets and the gradients of their four
     barycentric coordinates, shape (tets, 4, 3).
 
     In closed form from the edge vectors e_k = x_k - x_0: six times the
@@ -153,15 +171,14 @@ def tet_geometry(nodes, tets, gradients=True):
     """
     n = tets.shape[0]
     volumes = np.empty(n)
-    grads = np.empty((n, 4, 3)) if gradients else None
-    rows = 3 if gradients else 1
+    grads = np.empty((n, 4, 3))
     for blk in tet_blocks(n):
         x = np.take(nodes.T, tets[blk].T, axis=1)
         e = x[:, 1:] - x[:, :1]  # coordinate, edge, tet
         m = e.shape[2]
-        cof = np.empty((3, rows, m))  # coordinate, cofactor row, tet
+        cof = np.empty((3, 3, m))  # coordinate, cofactor row, tet
         tmp = np.empty(m)
-        for j in range(rows):
+        for j in range(3):
             a, b = e[:, (j + 1) % 3], e[:, (j + 2) % 3]
             for k in range(3):
                 k1, k2 = (k + 1) % 3, (k + 2) % 3
@@ -171,19 +188,10 @@ def tet_geometry(nodes, tets, gradients=True):
         det = (e[0, 0] * cof[0, 0] + e[1, 0] * cof[1, 0]
                + e[2, 0] * cof[2, 0])
         volumes[blk] = det / 6.0
-        if gradients:
-            g = grads[blk].transpose(1, 2, 0)  # vertex, coordinate, tet
-            np.divide(cof.transpose(1, 0, 2), det, out=g[1:])
-            np.negative(g[1] + g[2] + g[3], out=g[0])
+        g = grads[blk].transpose(1, 2, 0)  # vertex, coordinate, tet
+        np.divide(cof.transpose(1, 0, 2), det, out=g[1:])
+        np.negative(g[1] + g[2] + g[3], out=g[0])
     return volumes, grads
-
-
-def _orient_tets(nodes, tets):
-    flip = tet_geometry(nodes, tets, gradients=False)[0] < 0
-    if np.any(flip):
-        tets = tets.copy()
-        tets[flip, 0], tets[flip, 1] = tets[flip, 1], tets[flip, 0]
-    return tets
 
 
 def disk_layout(rings, segments):
@@ -334,7 +342,7 @@ class _DomainBuilder:
         return ids
 
     def _build_box(self):
-        faces = []
+        faces, orient = [], []
         for axis in range(3):
             for sign in (1, -1):
                 radius = self.radii[axis] if sign > 0 else 0.5 * self.half
@@ -342,6 +350,9 @@ class _DomainBuilder:
                 uv, tris = face_layout(self.half, radius, self.rings,
                                        self.blend, self.segments)
                 faces.append(_face_to_space(uv, axis, sign, self.half))
+                # shells and cone go inward, against sign * e_axis
+                orient.append(_prism_signs(tris, self.segments, axis, -sign))
+        orient = np.concatenate(orient)
         ids, surface = _merge_coincident(np.concatenate(faces, axis=0))
         ids = ids.reshape(6, -1)
         self._face_ids = ids[::2]
@@ -356,8 +367,10 @@ class _DomainBuilder:
         for t in range(self.shells - 1):
             bot = shell_ids[t][surf_tris]
             top = shell_ids[t + 1][surf_tris]
-            self.tets.append(split_prisms(bot, top))
+            self.tets.append(split_prisms(bot, top, orient))
+        # the cone extrudes the innermost shell inward, as the shells do
         inner = shell_ids[-1][surf_tris]
+        inner = np.where((orient < 0)[:, None], inner[:, [1, 0, 2]], inner)
         cone = np.concatenate(
             [inner, np.full((inner.shape[0], 1), center, dtype=np.int64)],
             axis=1)
@@ -369,6 +382,7 @@ class _DomainBuilder:
         self.tube_tets[axis] = sum(len(t) for t in self.tets)
         self.station_r[axis] = [self.radii[axis]]
         prev = ids
+        orient = _prism_signs(self.disk_tris, self.segments, axis, 1)
         self.max_radius = max(self.max_radius, self.radii[axis])
         for x in xs[1:]:
             radius = float(radius_fn(float(x)))
@@ -377,7 +391,7 @@ class _DomainBuilder:
             pts = _tube_section(self.uv_disk, axis, float(x), radius)
             cur = self._fresh(pts)
             self.tets.append(split_prisms(prev[self.disk_tris],
-                                          cur[self.disk_tris]))
+                                          cur[self.disk_tris], orient))
             self.stations[axis].append(Station(float(x), cur))
             prev = cur
 
@@ -391,7 +405,7 @@ class _DomainBuilder:
             sagitta=sagitta(self.max_radius, self.segments),
             **_tube_layout(self.stations, self.station_r, self.tube_tets))
         nodes = np.concatenate(self.coords, axis=0)
-        tets = _orient_tets(nodes, np.concatenate(self.tets, axis=0))
+        tets = np.concatenate(self.tets, axis=0)
         adjacent = face_adjacency(tets, self.num_nodes)
         boundary = _tag_boundary(nodes, tets, adjacent, self.half,
                                  end_planes)
@@ -448,6 +462,8 @@ class LayoutSeed:
     """
 
     def __init__(self, meta):
+        if "station_x" not in meta:
+            raise ValueError("the mesh has no builder's layout to seed from")
         segments, rings = meta["segments"], meta["rings"]
         self.bulge = "shells" in meta
         bands = rings + meta["blend"] if self.bulge else rings
@@ -492,11 +508,6 @@ class LayoutSeed:
         self.radius = rows[:, 4:]
         self.floor = 1e-12 * min(
             1.0, *(r.min() for r in meta["station_r"].values()))
-
-    @classmethod
-    def of(cls, mesh):
-        """The seed of a mesh that a builder made, else None."""
-        return cls(mesh.meta) if "station_x" in mesh.meta else None
 
     def __call__(self, points):
         """Seed tet of each point, shape (points,)."""
@@ -745,9 +756,9 @@ def build_tube_mesh(radius, length, axial, refine=1.0, radius_fn=None):
                             for x, r in zip(xs, radii)], axis=0)
     ids = np.arange(len(nodes)).reshape(len(xs), -1)
     stations = [Station(float(x), i) for x, i in zip(xs, ids)]
-    tets = _orient_tets(nodes, np.concatenate(
-        [split_prisms(a[disk_tris], b[disk_tris])
-         for a, b in zip(ids[:-1], ids[1:])], axis=0))
+    orient = _prism_signs(disk_tris, segments, 0, 1)
+    tets = np.concatenate([split_prisms(a[disk_tris], b[disk_tris], orient)
+                           for a, b in zip(ids[:-1], ids[1:])], axis=0)
     adjacent = face_adjacency(tets, nodes.shape[0])
     faces = _boundary_faces(tets, adjacent)
     cent = nodes[faces].mean(axis=1)

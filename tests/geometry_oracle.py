@@ -2,12 +2,13 @@
 
 Volumes by batched LAPACK ``det``, barycentric gradients by ``inv``, the
 local stiffness by a three-operand ``einsum``, the stiffness matrix from
-COO triplets, quadrature points by ``einsum``, orientation by the sign
-of ``det``, one cross-section mean per station, and the closed-form
-geometry by ``np.cross`` over all cofactor rows at once.  Kept as the
-oracles that the closed-form geometry, the matrix-product contractions
-and the edge-pattern stiffness must match to rounding, and the
-orientation, the stacked station means and the component-wise
+COO triplets, quadrature points by ``einsum``, the prism split before
+it oriented its tets, orientation by the sign of ``det``, one
+cross-section mean per station, and the closed-form geometry by
+``np.cross`` over all cofactor rows at once.  Kept as the oracles that
+the closed-form geometry, the matrix-product contractions and the
+edge-pattern stiffness must match to rounding, and the orientation at
+build time, the stacked station means and the component-wise
 closed-form kernel bit for bit.
 """
 
@@ -65,6 +66,30 @@ def coo_stiffness(ctx):
 
 def quad_points_reference(mesh, bary):
     return np.einsum("qa,tad->tqd", bary, mesh.nodes[mesh.tets])
+
+
+_PRISM_PERMS = np.array([
+    [0, 1, 2, 3, 4, 5],
+    [1, 2, 0, 4, 5, 3],
+    [2, 0, 1, 5, 3, 4],
+    [3, 4, 5, 0, 1, 2],
+    [4, 5, 3, 1, 2, 0],
+    [5, 3, 4, 2, 0, 1],
+])
+_TET_PATTERN_A = np.array([[0, 1, 2, 5], [0, 1, 5, 4], [0, 4, 5, 3]])
+_TET_PATTERN_B = np.array([[0, 1, 2, 4], [0, 4, 2, 5], [0, 4, 5, 3]])
+
+
+def unoriented_split_prisms(bottom, top):
+    """Three tets per prism (b0, b1, b2, t0, t1, t2) by the min-vertex
+    rule, of either sign: the split that ``orient_reference`` followed."""
+    prisms = np.concatenate([bottom, top], axis=1).astype(np.int64)
+    order = _PRISM_PERMS[np.argmin(prisms, axis=1)]
+    v = np.take_along_axis(prisms, order, axis=1)
+    use_a = np.minimum(v[:, 1], v[:, 5]) < np.minimum(v[:, 2], v[:, 4])
+    tets = np.where(use_a[:, None, None],
+                    v[:, _TET_PATTERN_A], v[:, _TET_PATTERN_B])
+    return tets.reshape(-1, 4)
 
 
 def orient_reference(nodes, tets):

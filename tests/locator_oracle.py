@@ -12,8 +12,10 @@ it is within 1e-6.
 
 ``KdWalkOracle`` is the face walk as it was seeded before the builders
 recorded their layout: each walk starts at the tet whose centroid is
-nearest the point, from a KD-tree of all the centroids.  The walk, the
-sagitta rule and the wall-tree restart are those of ``PointLocator``.
+nearest the point, from a KD-tree of all the centroids.  The walk and
+the sagitta rule are those of ``PointLocator``; a walk that leaves the
+mesh elsewhere restarts once from the tet of the nearest tube wall
+face, as the walks from a centroid did beside a tube mouth.
 """
 
 import numpy as np

@@ -66,6 +66,19 @@ def test_orders_above_the_built_order_are_rejected(flat_spec):
         exp.residual_terms(cloud, 0.1, m=1)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_points_are_rejected(exp_fx, bad):
+    """A NaN or infinite coordinate raises ``ValueError`` naming the
+    first such row, before any term runs: the locator's layout seed
+    would take a NaN for an index, and an infinity would give NaN."""
+    pts = np.full((5, 3), 0.01)
+    pts[2, 1] = pts[4, 0] = bad
+    for gradient in (False, True):
+        with pytest.raises(ValueError, match="point 2 is not finite"):
+            exp_fx.evaluate(pts, 0.1, gradient=gradient)
+    assert np.isfinite(exp_fx.evaluate(pts[:2], 0.1)).all()
+
+
 def _cloud(spec, eps, rng, n=60):
     """Points of the bulge, the matching band, the tube interiors and the
     end-layer band, at most 0.9 of the radius off the axis."""

@@ -164,8 +164,6 @@ class TestBlocks:
         want = cross_geometry_reference(tube.nodes, tube.tets)
         assert volumes.tobytes() == want[0].tobytes()
         assert grads.tobytes() == want[1].tobytes()
-        only = mesh3d.tet_geometry(tube.nodes, tube.tets, gradients=False)
-        assert only[1] is None and only[0].tobytes() == want[0].tobytes()
 
     def test_face_adjacency_and_edges(self, tube):
         assert np.array_equal(
@@ -705,26 +703,18 @@ class TestBatchedLocator:
         mesh = junction_flat6.mesh
         pts, tet = _inside_points_with_tets(mesh, 40000, seed=15)
         late = {k: _beyond_nearest_nodes(mesh, pts, tet, k) for k in (1, 8)}
-        # the oracle's k = 8 (k = 32) round found these; the walk from
-        # the nearest centroid finds their own tet
+        # the oracle's k = 8 (k = 32) round found these; the walk finds
+        # their own tet
         assert late[1].sum() > 20 and late[8].sum() > 5
         got = _assert_agrees_with_oracle(jloc, mesh, pts[late[1]])
         assert np.array_equal(got, tet[late[1]])
 
-    def test_isolated_nodes_defer_to_last_round(self):
-        # nodes without tets give the oracle's first two rounds no
-        # candidate; the walk starts from tet centroids and ignores them
-        tet_nodes = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        rng = np.random.default_rng(16)
-        stray = np.vstack([0.2 + 0.01 * rng.standard_normal((20, 3)),
-                           5.0 + rng.standard_normal((20, 3))])
-        mesh = TetMesh(nodes=np.vstack([tet_nodes, stray]),
-                       tets=np.array([[0, 1, 2, 3]]), boundary={},
-                       stations={}, disk_tris=np.empty((0, 3), int))
-        loc = FemContext(mesh).locator()
-        pts = np.array([[0.2, 0.2, 0.2], [0.21, 0.19, 0.2], [5.0, 5, 5]])
-        tet = _assert_agrees_with_oracle(loc, mesh, pts)
-        assert tet.tolist() == [0, 0, -1]
+    def test_mesh_without_a_layout_is_refused(self, tube):
+        # only the layout a builder records seeds the walk
+        mesh = TetMesh(nodes=tube.nodes, tets=tube.tets, boundary={},
+                       stations={}, disk_tris=tube.disk_tris)
+        with pytest.raises(ValueError, match="layout"):
+            FemContext(mesh).locator()
 
     def test_points_just_outside_the_wall_fall_back(self, ctx, tube):
         p = tube.nodes[tube.boundary["lateral_0"]]
@@ -810,7 +800,8 @@ class TestWalk:
         assert np.abs(grads - LINEAR_GRAD).max() < 1e-12
 
     def test_junction_wall_gap_answers(self, jloc, junction_flat6):
-        # beside a tube mouth a walk can leave through the box wall first
+        # beside a tube mouth the box wall meets the tube wall; a gap
+        # point there is seeded in its own tube prism
         mesh = junction_flat6.mesh
         ell = mesh.stations[0][0].x
         pts = np.vstack([self._gap_points(mesh, e, 100, 0.99, 22 + e)
@@ -912,8 +903,10 @@ def _assert_seeds_in_prisms(mesh, pts, own):
 
 class TestLayoutSeed:
     """The walk from the layout seed against the walk from the nearest
-    centroid it replaced (``KdWalkOracle``), on 200,000 points inside
-    tets and on wall-gap points.
+    centroid with the wall-tree restart that it replaced
+    (``KdWalkOracle``), on 200,000 points inside tets and on wall-gap
+    points, on a junction mesh also at the tube mouths, where the walk
+    from a centroid could leave through the box wall.
 
     A wall-gap point can lie beyond the coplanar wall facets of two
     neighbouring prisms and within the other faces of a tet of each, so
@@ -925,8 +918,12 @@ class TestLayoutSeed:
     def case(self, request, junction_flat6, tube):
         if request.param == "junction":
             mesh = junction_flat6.mesh
+            ell = mesh.stations[0][0].x
             gap = np.vstack([TestWalk._gap_points(mesh, e, 100, 0.9, 40 + e)
-                             for e in range(3)])
+                             for e in range(3)]
+                            + [TestWalk._gap_points(mesh, e, 100, 0.9, 48 + e,
+                                                    axial=(ell, ell + 0.01))
+                               for e in range(3)])
             loc = junction_flat6.ctx.locator()
         else:
             mesh = tube
@@ -966,8 +963,7 @@ class TestLayoutSeed:
         for ctx in (junction_flat6.ctx, FemContext(tube), FemContext(thin)):
             loc = ctx.locator()
             loc.locate(_inside_points(ctx.mesh, 100, seed=46))
-            trees = [v for v in vars(loc).values() if isinstance(v, cKDTree)]
-            assert trees == [loc._wall_tree]
+            assert not any(isinstance(v, cKDTree) for v in vars(loc).values())
             assert "centroids" not in ctx.__dict__
         # a thin mesh's radius varies along a tube: its seeds too are exact
         pts, own = _inside_points_with_tets(thin, 20_000, seed=47)

@@ -1,6 +1,8 @@
 """Closed-form tet geometry and matrix-product quadrature against the
 former det/inv/einsum kernels kept in ``geometry_oracle``."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from geometry_oracle import (
     orient_reference,
     quad_points_reference,
     stiffness_reference,
+    unoriented_split_prisms,
 )
 from thinjunction import (
     build_junction_mesh,
@@ -20,7 +23,12 @@ from thinjunction import (
     with_epsilon,
 )
 from thinjunction.fem3d import FemContext
-from thinjunction.mesh3d import TetMesh, split_prisms, tet_geometry
+from thinjunction.mesh3d import (
+    TetMesh,
+    face_adjacency,
+    split_prisms,
+    tet_geometry,
+)
 
 REL = 1e-13
 
@@ -102,9 +110,26 @@ def test_quadrature_points_match_the_einsum(case, degree):
 
 
 def test_orientation_matches_the_det_sign(case, monkeypatch):
+    """The tets built oriented, and the adjacency and boundary derived
+    from them, are those of the former construction: the unoriented
+    split and cone, then, before the adjacency, a swap of the first two
+    vertices of every tet whose ``det`` is negative."""
     ctx, build = case
-    monkeypatch.setattr(mesh3d, "_orient_tets", orient_reference)
+    flipped = []
+
+    def by_det(tets, num_nodes):
+        oriented = orient_reference(ctx.mesh.nodes, tets)
+        flipped.append(int((oriented != tets).any(axis=1).sum()))
+        tets[:] = oriented
+        return face_adjacency(tets, num_nodes)
+
+    monkeypatch.setattr(mesh3d, "split_prisms", lambda bottom, top, _:
+                        unoriented_split_prisms(bottom, top))
+    monkeypatch.setattr(mesh3d, "_prism_signs",
+                        lambda tris, *_: np.ones(len(tris), dtype=int))
+    monkeypatch.setattr(mesh3d, "face_adjacency", by_det)
     want = build()
+    assert len(flipped) == 1 and flipped[0] > want.num_tets // 4
     mesh = ctx.mesh
     assert np.array_equal(mesh.nodes, want.nodes)
     assert np.array_equal(mesh.tets, want.tets)
@@ -112,6 +137,21 @@ def test_orientation_matches_the_det_sign(case, monkeypatch):
     assert mesh.boundary.keys() == want.boundary.keys()
     for tag in want.boundary:
         assert np.array_equal(mesh.boundary[tag], want.boundary[tag])
+
+
+def test_split_prisms_orients_either_way_up():
+    """Every tet is positive wherever the smallest of the six ids lies,
+    also on top, which the builders never give (their bottom ids come
+    first), and for a prism given upside down with its orient -1."""
+    ids = np.array(list(itertools.permutations(range(6))))
+    ids += 6 * np.arange(len(ids))[:, None]
+    corners = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 0],
+                        [0.1, 0.2, 1], [1.1, 0.2, 1], [0.1, 1.2, 1]])
+    nodes = np.empty((ids.size, 3))
+    nodes[ids] = corners
+    for tets in (split_prisms(ids[:, :3], ids[:, 3:], 1),
+                 split_prisms(ids[:, 3:], ids[:, :3], -1)):
+        assert np.all(tet_geometry(nodes, tets)[0] > 0)
 
 
 def test_flipped_tet_is_rejected():
@@ -125,41 +165,22 @@ def test_flipped_tet_is_rejected():
         FemContext(flipped)
 
 
-def test_flipped_tets_get_the_geometry_of_their_orientation(monkeypatch):
-    """Tets built inverted are oriented, and the geometry the mesh
-    carries is that of the oriented tets, bit for bit."""
-    def flipping(bottom, top):
-        tets = split_prisms(bottom, top)
-        tets[::3, [0, 1]] = tets[::3, [1, 0]]
-        return tets
-
-    monkeypatch.setattr(mesh3d, "split_prisms", flipping)
-    mesh = build_tube_mesh(radius=0.5, length=1.0, axial=0.125,
-                           radius_fn=lambda x: 0.5 + 0.2 * x * x)
-    assert np.all(mesh.volumes > 0.0)
-    volumes, grads = cross_geometry_reference(mesh.nodes, mesh.tets)
-    assert same_bits(mesh.volumes, volumes)
-    assert same_bits(mesh.grads, grads)
-    want = geometry_reference(mesh)
-    assert rel_err(mesh.volumes, want[0]) <= REL
-    assert rel_err(mesh.grads, want[1]) <= REL
-
-
 def test_one_geometry_pass_per_thin_mesh(rich_spec, monkeypatch):
-    """A thin mesh is measured once, by the orientation's volume-only
-    pass and then one pass with gradients, and its FEM context reuses
-    that geometry instead of measuring again."""
+    """A thin mesh is measured once, by one pass with gradients (its
+    tets are built oriented), and its FEM context reuses that geometry
+    instead of measuring again."""
     calls = []
 
-    def counted(nodes, tets, gradients=True):
-        calls.append((tets.shape[0], gradients))
-        return tet_geometry(nodes, tets, gradients)
+    def counted(nodes, tets):
+        out = tet_geometry(nodes, tets)
+        calls.append((tets.shape[0], out[1] is not None))
+        return out
 
     monkeypatch.setattr(mesh3d, "tet_geometry", counted)
     mesh = build_thin_mesh(with_epsilon(rich_spec, 0.2), axial=0.05,
                            refine=0.5)
     n = mesh.num_tets
-    assert calls == [(n, False), (n, True)]
+    assert calls == [(n, True)]
     ctx = FemContext(mesh)
-    assert len(calls) == 2
+    assert len(calls) == 1
     assert ctx.volumes is mesh.volumes and ctx.grads is mesh.grads

@@ -59,9 +59,16 @@ class RadiusProfile:
         self.breakpoints = np.asarray(breakpoints, dtype=float)
         self.pieces = [Polynomial(np.atleast_1d(np.asarray(p, dtype=float)))
                        for p in pieces]
+        # the power coefficients of h, h' and h'' per piece, zero-padded
+        # to one width, one row per power: (width, pieces) each
+        self._coef = []
+        for polys in (self.pieces, [p.deriv() for p in self.pieces],
+                      [p.deriv(2) for p in self.pieces]):
+            c = np.zeros((max(p.coef.size for p in polys), len(polys)))
+            for j, p in enumerate(polys):
+                c[: p.coef.size, j] = p.coef
+            self._coef.append(c)
         self._validate()
-        self._d1 = [p.deriv() for p in self.pieces]
-        self._d2 = [p.deriv(2) for p in self.pieces]
 
     @classmethod
     def constant(cls, h0):
@@ -93,28 +100,30 @@ class RadiusProfile:
             if p.degree() > 0 and np.any(np.abs(p.coef[1:]) > 1e-14):
                 raise ValueError(f"profile must be constant near the {side}")
         xs = np.linspace(0.0, 1.0, 257)
-        if np.min(self._eval_list(self.pieces, xs)) <= 0.0:
+        if np.min(self(xs)) <= 0.0:
             raise ValueError("radius must stay positive")
 
-    def _eval_list(self, polys, x):
+    def _horner(self, coef, x):
+        """The pieces with power coefficients ``coef`` at x, each point
+        by its own piece, the end pieces extended outwards.  Horner's
+        scheme runs the operations of numpy's ``polyval`` (a zero-padded
+        power adds exact zeros), so at a finite x every value is bitwise
+        the piece's ``Polynomial`` value."""
         x = np.asarray(x, dtype=float)
-        idx = np.clip(np.searchsorted(self.breakpoints, x, side="right") - 1,
-                      0, len(polys) - 1)
-        out = np.empty_like(x, dtype=float)
-        for j, p in enumerate(polys):
-            m = idx == j
-            if np.any(m):
-                out[m] = p(x[m])
+        c = coef[:, np.searchsorted(self.breakpoints[1:-1], x, side="right")]
+        out = c[-1]
+        for row in c[-2::-1]:
+            out = row + out * x
         return out
 
     def __call__(self, x):
-        return self._eval_list(self.pieces, x)
+        return self._horner(self._coef[0], x)
 
     def deriv(self, x):
-        return self._eval_list(self._d1, x)
+        return self._horner(self._coef[1], x)
 
     def deriv2(self, x):
-        return self._eval_list(self._d2, x)
+        return self._horner(self._coef[2], x)
 
     @property
     def value0(self):

@@ -132,7 +132,7 @@ class DiskPoly:
         return 2.0 * math.pi * h * float(tc[0])
 
     def _batch(self):
-        return np.stack([self.cos, self.sin])[None, :, :, :]
+        return np.stack([self.cos, self.sin])[None, None]
 
     def evaluate(self, xa, xb):
         return self.gradient(xa, xb)[0]
@@ -140,8 +140,9 @@ class DiskPoly:
     def gradient(self, xa, xb):
         """(value, d/dxa, d/dxb) at the given points."""
         xa = np.asarray(xa, dtype=float)
-        out = _modal_eval(self._batch(), xa.ravel(),
-                          np.asarray(xb, float).ravel())
+        val, ga, gb = _modal_eval(self._batch(), xa.ravel(),
+                                  np.asarray(xb, float).ravel())
+        out = val[0], ga, gb
         if xa.shape:
             return tuple(v.reshape(xa.shape) for v in out)
         return tuple(float(v[0]) for v in out)
@@ -151,25 +152,29 @@ class DiskPoly:
 
 
 def _modal_eval(A, xa, xb):
-    """Value and Cartesian transverse gradient of modal arrays at (xa, xb).
+    """Values of modal fields at (xa, xb), and the Cartesian transverse
+    gradient of the first.
 
-    ``A`` is (npts, 2, N, P), one array per point, or (1, 2, N, P), one
-    polynomial for every point.  One set of polar, trig and power tables
-    serves both: the harmonics are summed first into radial coefficients
-    of the value and of the angular derivative.
+    ``A`` is (npts, F, 2, N, P), F fields (as u and du/dx) with one
+    array per point, or (1, F, 2, N, P), F polynomials for every point.
+    One set of polar, trig and power tables serves all: the harmonics
+    are summed first into radial coefficients of the values and of the
+    first field's angular derivative.  Returns (values (F, npts),
+    d/dxa, d/dxb); each field's values are those it has alone.
     """
     r, t = np.hypot(xa, xb), np.arctan2(xb, xa)
-    N, P = A.shape[2], A.shape[3]
+    N, P = A.shape[3], A.shape[4]
     n = np.arange(N)
     ang = t[:, None] * n
     cosm, sinm = np.cos(ang)[:, None], np.sin(ang)[:, None]
     rp = r[:, None] ** np.arange(P)
     # r^(p-1); its p = 0 column only ever meets the factor p = 0
     rp1 = np.concatenate([np.ones((r.size, 1)), rp[:, :-1]], axis=1)
-    radial = (cosm @ A[:, 0] + sinm @ A[:, 1])[:, 0]
-    angular = ((n * cosm) @ A[:, 1] - (n * sinm) @ A[:, 0])[:, 0]
-    val = np.einsum("kp,kp->k", radial, rp)
-    ur = np.einsum("kp,kp->k", radial * np.arange(P), rp1)
+    radial = (cosm[:, None] @ A[:, :, 0]
+              + sinm[:, None] @ A[:, :, 1])[:, :, 0]
+    angular = ((n * cosm) @ A[:, 0, 1] - (n * sinm) @ A[:, 0, 0])[:, 0]
+    val = np.einsum("kfp,kp->fk", radial, rp)
+    ur = np.einsum("kp,kp->k", radial[:, 0] * np.arange(P), rp1)
     ut = np.einsum("kp,kp->k", angular, rp1)
     ct, st = np.cos(t), np.sin(t)
     return val, ct * ur - st * ut, st * ur + ct * ut
@@ -248,49 +253,56 @@ class EdgeCorrector:
     germ: list
 
     def __post_init__(self):
-        # stacks of u and of its first and second x-derivative, built once
-        scl = [2.0 / (xr - xl)
-               for xl, xr in zip(self.breakpoints, self.breakpoints[1:])]
-        self._stacks = [ChebStack(self.breakpoints, np.stack(
-            [npcheb.chebder(c, d, scl=s, axis=0) if d else c
-             for c, s in zip(self.coeffs, scl)])) for d in range(3)]
+        # (intervals, deg+1, 2, N, P) stacks of u and its x-derivatives;
+        # u and du/dx, padded with a zero top row, are joined by column
+        bp = self.breakpoints
+        d = [np.stack([npcheb.chebder(c, m, scl=2.0 / (xr - xl), axis=0)
+                       if m else c
+                       for c, xl, xr in zip(self.coeffs, bp, bp[1:])])
+             for m in range(3)]
+        ux = np.zeros_like(d[0])
+        ux[:, :-1] = d[1]
+        self._joined = ChebStack(bp, np.stack([d[0], ux], axis=2))
+        self._second = ChebStack(bp, d[2])
 
     @property
     def shape(self):
         return self.coeffs[0].shape[1:]
 
     def modal_batch(self, x, deriv=0, table=None):
-        """Per-point modal arrays of d^deriv u / dx^deriv, (npts, 2, N, P).
+        """Per-point modal arrays of d^deriv u / dx^deriv, (npts, 2, N, P);
+        ``deriv=(0, 1)`` gives those of u and du/dx from one contraction,
+        (npts, 2, 2, N, P).
 
         ``table`` is a Chebyshev table of the points, used when it is on
         this corrector's grid and reaches its degree.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        return self._stacks[deriv](x, table)
+        if deriv == 2:
+            return self._second(x, table)
+        both = self._joined(x, table)
+        return both if deriv == (0, 1) else both[:, deriv]
 
     def modal_at(self, x, deriv=0):
         A = self.modal_batch(float(x), deriv)
         return DiskPoly(A[0, 0], A[0, 1])
 
-    def _gathered(self, x, deriv, table, at):
-        A = self.modal_batch(x, deriv, table)
-        return A if at is None else A[at]
-
     def evaluate(self, x, xa, xb, table=None, at=None):
         """(u, du/dx, du/dxa, du/dxb) at each point, from one modal batch
-        per x-derivative order.  Given ``at``, x holds distinct axial
-        positions and point p lies at x[at[p]]: the modal arrays are
-        built per position and gathered per point."""
-        xa = np.asarray(xa, float).ravel()
-        xb = np.asarray(xb, float).ravel()
-        u, ga, gb = _modal_eval(self._gathered(x, 0, table, at), xa, xb)
-        ux = _modal_eval(self._gathered(x, 1, table, at), xa, xb)[0]
+        of u and du/dx and one modal pass.  Given ``at``, x holds
+        distinct axial positions and point p lies at x[at[p]]: the modal
+        arrays are built per position and gathered per point."""
+        A = self.modal_batch(x, (0, 1), table)
+        (u, ux), ga, gb = _modal_eval(A if at is None else A[at],
+                                      np.asarray(xa, float).ravel(),
+                                      np.asarray(xb, float).ravel())
         return u, ux, ga, gb
 
     def values(self, x, xa, xb, xderiv=0, at=None):
-        return _modal_eval(self._gathered(x, xderiv, None, at),
+        A = self.modal_batch(x, xderiv)
+        return _modal_eval((A if at is None else A[at])[:, None],
                            np.asarray(xa, float).ravel(),
-                           np.asarray(xb, float).ravel())[0]
+                           np.asarray(xb, float).ravel())[0][0]
 
     def trace_fourier(self, x, xderiv=0):
         """Rim harmonics of d^xderiv u/dx^xderiv at each x (vectorized)."""

@@ -19,13 +19,23 @@ class SmoothStep:
         return np.clip((np.asarray(x, dtype=float) - self.lo) / self.width,
                        0.0, 1.0)
 
-    def __call__(self, x):
-        t = self._t(x)
+    @staticmethod
+    def _ramp(t):
         return t ** 3 * (10.0 + t * (-15.0 + 6.0 * t))
 
-    def deriv(self, x):
-        t = self._t(x)
+    def _slope(self, t):
         return 30.0 * t ** 2 * (1.0 - t) ** 2 / self.width
+
+    def __call__(self, x):
+        return self._ramp(self._t(x))
+
+    def deriv(self, x):
+        return self._slope(self._t(x))
+
+    def value_slope(self, x):
+        """(ramp, slope) at x from one clipped variable."""
+        t = self._t(x)
+        return self._ramp(t), self._slope(t)
 
     def deriv2(self, x):
         t = self._t(x)

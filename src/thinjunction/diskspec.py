@@ -18,21 +18,34 @@ from functools import cached_property
 import numpy as np
 from numpy.polynomial import legendre
 from scipy import special
-from scipy.optimize import brentq
 
 
 def _polish_root(n, x0):
-    """Tighten a positive root of J_n' with a bracketed local solve."""
-
-    def fun(x):
-        return special.jvp(n, x)
-
+    """Tighten a positive root of J_n' by Newton steps on J_n', with J_n''
+    from ``special.jvp``, inside the narrowest of a few brackets about
+    x0 that holds a sign change; a step that leaves the bracket is
+    replaced by its midpoint."""
     for w in (1e-10, 1e-8, 1e-6, 1e-4):
-        a = x0 * (1.0 - w)
-        b = x0 * (1.0 + w)
-        if fun(a) * fun(b) < 0.0:
-            return brentq(fun, a, b, xtol=1e-15, rtol=8.9e-16)
-    return x0
+        a, b = x0 * (1.0 - w), x0 * (1.0 + w)
+        fa = special.jvp(n, a)
+        if fa * special.jvp(n, b) < 0.0:
+            break
+    else:
+        return x0
+    x = x0
+    for _ in range(64):
+        f = special.jvp(n, x)
+        if f == 0.0:
+            return x
+        if (f < 0.0) == (fa < 0.0):
+            a = x
+        else:
+            b = x
+        step = f / special.jvp(n, x, 2)
+        if abs(step) <= 4.0 * np.spacing(x):
+            return min(max(x - step, a), b)
+        x = x - step if a < x - step < b else 0.5 * (a + b)
+    return x
 
 
 def radial_derivative_roots(n, count):

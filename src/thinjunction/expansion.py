@@ -234,42 +234,38 @@ class Expansion:
 
         for i, sel, xu, at, ta, tb in self._tubes(pts, eps, edge):
             a, b = TRANSVERSE_AXES[i]
-            zeta = xu / eps ** alpha
-            chi = self.cut_axial(zeta)[at]
-            dchi = self.cut_axial.deriv(zeta)[at]
+            chi, dchi = self.cut_axial.value_slope(xu / eps ** alpha)
+            chi, dchi = chi[at], dchi[at]
             weight[sel] = 1.0 - chi
             wslope[sel] = -dchi * eps ** (-alpha)
-            core, d_ax, ga, gb = self._tube_terms(i, xu, at, ta, tb, m)
-
-            # each tube's sums are written once; orders below 2 have no
-            # corrector, so no transverse gradient
-            val = np.zeros(sel.size)
-            dx = np.zeros(sel.size)
-            da = np.zeros(sel.size)
-            db = np.zeros(sel.size)
-            for k in range(m + 1):
-                ek = eps ** k
-                val += ek * chi * core[:, k]
-                dx += ek * (eps ** (-alpha) * dchi * core[:, k]
-                            + chi * d_ax[:, k])
-                if k >= 2:
-                    da += ek * chi * ga[:, k] / eps
-                    db += ek * chi * gb[:, k] / eps
-                layer = self.layers.get(k)
-                if layer is None or layer[i].is_zero:
+            # the orders' terms, their axial slopes and transverse
+            # gradients, each summed with the weights eps^k, order by
+            # order (a sum over the short order axis would run a loop
+            # per point)
+            ek = eps ** np.arange(m + 1)
+            terms = np.stack(self._tube_terms(i, xu, at, ta, tb, m))
+            sums = terms[:, :, 0] * ek[0]
+            for k in range(1, m + 1):
+                sums += terms[:, :, k] * ek[k]
+            u, ux, ua, ub = sums
+            val = chi * u
+            dx = eps ** (-alpha) * dchi * u + chi * ux
+            da = chi * ua / eps
+            db = chi * ub / eps
+            # the end layers live where the end cutoff is nonzero
+            end = (xu > self.cut_end.lo)[at]
+            ends = at[end]
+            for k in range(2, m + 1):
+                layer = self.layers[k][i]
+                if layer.is_zero or not ends.size:
                     continue
-                # the end layers live where the end cutoff is nonzero
-                end = (xu > self.cut_end.lo)[at]
-                if end.any():
-                    ends = at[end]
-                    lv, ds, la, lb = layer[i].gradient(
-                        (1.0 - xu[ends]) / eps, ta[end], tb[end])
-                    c = self.cut_end(xu)[ends]
-                    dc = self.cut_end.deriv(xu)[ends]
-                    val[end] += ek * c * lv
-                    dx[end] += ek * (dc * lv - c * ds / eps)
-                    da[end] += ek * c * la / eps
-                    db[end] += ek * c * lb / eps
+                lv, ds, la, lb = layer.gradient(
+                    (1.0 - xu[ends]) / eps, ta[end], tb[end])
+                c, dc = self.cut_end.value_slope(xu[ends])
+                val[end] += ek[k] * c * lv
+                dx[end] += ek[k] * (dc * lv - c * ds / eps)
+                da[end] += ek[k] * c * la / eps
+                db[end] += ek[k] * c * lb / eps
             vals[sel] = val
             grads[sel, i] = dx
             grads[sel, a] = da

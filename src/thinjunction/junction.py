@@ -363,10 +363,10 @@ class JunctionField:
             a, b = TRANSVERSE_AXES[i]
             axl = ax[live]
             gv, gs, ga, gb = g.evaluate(axl, pts[live, a], pts[live, b])
-            chi = step(axl)
+            chi, dchi = step.value_slope(axl)
             vals[live] += chi * gv
             if grads is not None:
-                grads[live, i] += step.deriv(axl) * gv + chi * gs
+                grads[live, i] += dchi * gv + chi * gs
                 grads[live, a] += chi * ga
                 grads[live, b] += chi * gb
 

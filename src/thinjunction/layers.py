@@ -48,6 +48,16 @@ class BoundaryLayerTerm:
         self._n = np.array([m.n for m in modes])
         self._lam = np.array([m.lam for m in modes])
         self._sin = np.array([m.kind == "sin" for m in modes], dtype=bool)
+        # J_{n-1}, J_n, J_{n+1} of every mode from one Bessel value per
+        # distinct |order| and frequency: a cos and a sin mode share
+        # theirs, and J_{-1} = -J_1 (bitwise in scipy's jv)
+        orders = self._n + np.array([-1, 0, 1])[:, None]
+        lam = np.broadcast_to(self._lam, orders.shape)
+        keys, at = np.unique(np.stack([np.abs(orders), lam]).reshape(2, -1),
+                             axis=1, return_inverse=True)
+        self._bessel_order, self._bessel_lam = keys
+        self._bessel_at = at.reshape(orders.shape)
+        self._bessel_sign = np.where(orders < 0, -1.0, 1.0)
 
     @classmethod
     def zero(cls, edge, order, radius):
@@ -85,8 +95,9 @@ class BoundaryLayerTerm:
         r = np.hypot(xa, xb)
         t = np.arctan2(xb, xa)
         lam = self._lam
-        orders = self._n + np.array([-1, 0, 1])[:, None, None]
-        jm, jn, jp = special.jv(orders, r[:, None] * lam)
+        bessel = special.jv(self._bessel_order, r[:, None] * self._bessel_lam)
+        jm, jn, jp = bessel[:, self._bessel_at].transpose(1, 0, 2) \
+            * self._bessel_sign[:, None]
         ang = t[:, None] * self._n
         trig = np.where(self._sin, np.sin(ang), np.cos(ang))
         dtrig = np.where(self._sin, np.cos(ang), -np.sin(ang))

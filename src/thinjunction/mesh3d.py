@@ -457,8 +457,9 @@ class LayoutSeed:
     quad's triangle.  One pass does this for all points: one
     ``searchsorted`` of a key that orders the shells and intervals of
     all faces, and one product with the coefficients of those lines.
-    A point outside the mesh gets the cell its clipped indices give;
-    the walk of ``fem3d.PointLocator`` goes on from any seed.
+    A point outside the mesh gets the cell its clipped indices give, its
+    max-norm clipped to its face's rows; the walk of
+    ``fem3d.PointLocator`` goes on from any seed.
     """
 
     def __init__(self, meta):
@@ -495,6 +496,9 @@ class LayoutSeed:
             span = 4.0 * (1.0 + max(float(x[-1])
                                     for x in meta["station_x"].values()))
             self.block = span * np.arange(6)
+            # every station is below span / 4, so each face's rows have
+            # keys below face * span + span / 4
+            self.reach = 0.25 * span
             self.transverse = _TRANSVERSE[np.arange(6) % 3]
             rows += _box_rows(meta, span, bands, interval_tets, disk)
         else:
@@ -519,7 +523,9 @@ class LayoutSeed:
             face = both.argmax(axis=1)
             flat = both.ravel()
             at = np.arange(0, flat.size, 6)
-            x = flat[at + face]
+            # clipped to the face's own rows: a point far past a tube end
+            # is seeded beyond that end, not in the next face's cells
+            x = np.minimum(flat[at + face], self.reach)
             row = self.keys.searchsorted(x + self.block[face], "left")
             uv = flat[at[:, None] + self.transverse[face]]
         else:

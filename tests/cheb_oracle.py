@@ -5,13 +5,27 @@ The former evaluation paths, kept as the oracle of the stacked kernel in
 numpy ``Chebyshev`` on its own points, and a corrector's modal arrays
 come from ``chebval`` over each interval's coefficients, with the
 Chebyshev derivative rebuilt on every call.  Both read the built
-objects and never change them.
+objects and never change them.  The three-term recurrence that built
+the kernel's table before the doubling one is kept as its oracle.
 """
 
 import numpy as np
 from numpy.polynomial import chebyshev as npcheb
 
 _EVAL_CHUNK = 8192
+
+
+def three_term_table(t, deg):
+    """T_0..T_deg at the points t, one row per degree, by the three-term
+    recurrence T_{j} = 2 t T_{j-1} - T_{j-2}."""
+    T = np.empty((deg + 1, t.size))
+    T[0] = 1.0
+    if deg:
+        T[1] = t
+    t2 = 2.0 * t
+    for j in range(2, deg + 1):
+        T[j] = t2 * T[j - 1] - T[j - 2]
+    return T
 
 
 def piecewise_call(pc, x):

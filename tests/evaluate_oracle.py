@@ -540,9 +540,8 @@ def _tube_terms_per_point(exp, i, x, ta, tb, m):
     gb = np.zeros_like(core)
     for k in range(2, m + 1):
         corr = exp.correctors[k][i]
-        cv, ga[:, k], gb[:, k] = _modal_eval(corr.modal_batch(x, 0, table),
-                                             ta, tb)
-        cx = _modal_eval(corr.modal_batch(x, 1, table), ta, tb)[0]
+        (cv, cx), ga[:, k], gb[:, k] = _modal_eval(
+            corr.modal_batch(x, (0, 1), table), ta, tb)
         core[:, k] += cv
         d_ax[:, k] += cx
     return core, d_ax, ga, gb
@@ -571,23 +570,26 @@ def evaluate_per_point(exp, points, epsilon, m=None):
         end = x > exp.cut_end.lo
         chid = exp.cut_end(x)
         dchid = exp.cut_end.deriv(x)
-        core, d_ax, ga, gb = _tube_terms_per_point(exp, i, x, ta, tb, m)
-        for k in range(0, m + 1):
-            ek = eps ** k
-            vals[sel] += ek * chi * core[:, k]
-            grads[sel, i] += ek * (eps ** (-alpha) * dchi * core[:, k]
-                                   + chi * d_ax[:, k])
-            grads[sel, a] += ek * chi * ga[:, k] / eps
-            grads[sel, b] += ek * chi * gb[:, k] / eps
-            layer = exp.layers.get(k)
-            if layer is not None and not layer[i].is_zero and end.any():
+        ek = eps ** np.arange(m + 1)
+        terms = np.stack(_tube_terms_per_point(exp, i, x, ta, tb, m))
+        sums = terms[:, :, 0] * ek[0]
+        for k in range(1, m + 1):
+            sums += terms[:, :, k] * ek[k]
+        u, ux, ua, ub = sums
+        vals[sel] = chi * u
+        grads[sel, i] = eps ** (-alpha) * dchi * u + chi * ux
+        grads[sel, a] = chi * ua / eps
+        grads[sel, b] = chi * ub / eps
+        for k in range(2, m + 1):
+            layer = exp.layers[k]
+            if not layer[i].is_zero and end.any():
                 lv, ds, la, lb = layer[i].gradient(
                     (1.0 - x[end]) / eps, ta[end], tb[end])
                 c, dc = chid[end], dchid[end]
-                vals[sel[end]] += ek * c * lv
-                grads[sel[end], i] += ek * (dc * lv - c * ds / eps)
-                grads[sel[end], a] += ek * c * la / eps
-                grads[sel[end], b] += ek * c * lb / eps
+                vals[sel[end]] += ek[k] * c * lv
+                grads[sel[end], i] += ek[k] * (dc * lv - c * ds / eps)
+                grads[sel[end], a] += ek[k] * c * la / eps
+                grads[sel[end], b] += ek[k] * c * lb / eps
 
     live = np.flatnonzero(weight > 0.0)
     if live.size:
@@ -629,8 +631,8 @@ def residual_terms_per_point(exp, points, epsilon, m=None):
             term = exp.graph[k].edges[i].d2(x)
             corr = exp.correctors.get(k)
             if corr is not None:
-                term = term + _modal_eval(corr[i].modal_batch(x, 2), ta,
-                                          tb)[0]
+                term = term + _modal_eval(
+                    corr[i].modal_batch(x, 2)[:, None], ta, tb)[0][0]
             acc += eps ** k * term
         out[1][sel] += chi * acc
 

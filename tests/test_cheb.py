@@ -6,11 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.polynomial import Chebyshev
 
-from cheb_oracle import modal_batch, piecewise_call
+from cheb_oracle import modal_batch, piecewise_call, three_term_table
 from thinjunction.cheb import (
     BLOCK,
     ChebStack,
     PiecewiseCheb,
+    _recurrence,
     gauss_piecewise,
     merge_breakpoints,
 )
@@ -97,6 +98,20 @@ def test_kernel_edge_shapes():
     _close(f(x), piecewise_call(f, x))
     grid = rng.uniform(0.0, 1.0, (4, 5))
     _close(f(grid), piecewise_call(f, grid.ravel()).reshape(4, 5))
+
+
+@pytest.mark.parametrize("deg", [0, 1, 2, 3, 7, 8, 9, 32, 33, 64, 65, 100])
+def test_doubling_table_matches_the_three_term_recurrence(deg):
+    """Inside [-1, 1], at its ends and at extrapolated points up to
+    |t| = 1.5, where the rows grow like (1.5 + 1.12)^deg."""
+    rng = np.random.default_rng(36)
+    t = np.concatenate([rng.uniform(-1.0, 1.0, 300), [-1.0, 0.0, 1.0],
+                        rng.uniform(-1.5, -1.0, 50),
+                        rng.uniform(1.0, 1.5, 50)])
+    got = _recurrence(t, deg)
+    assert got.shape == (deg + 1, t.size)
+    _close(got, three_term_table(t, deg))
+    assert np.array_equal(_recurrence(t[:7], deg), got[:, :7])
 
 
 def test_stack_matches_its_columns():

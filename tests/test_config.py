@@ -73,6 +73,27 @@ class TestRadiusProfile:
             assert h.deriv(np.array([left]))[0] == pytest.approx(
                 h.deriv(np.array([right]))[0], abs=1e-9)
 
+    @pytest.mark.parametrize("h", [
+        RadiusProfile.constant(0.25),
+        RadiusProfile.smooth_bump(0.25, 0.45),
+        RadiusProfile.smooth_bump(0.3, 0.2, a=0.1, b=0.8),
+    ], ids=["constant", "bump", "wide-bump"])
+    def test_horner_pass_equals_each_pieces_polynomial_bitwise(self, h):
+        """Values, slopes and curvatures of the stacked Horner pass
+        against numpy's ``Polynomial`` of each point's piece, at the
+        breakpoints, the ends, between them and just outside."""
+        bp = h.breakpoints
+        rng = np.random.default_rng(37)
+        x = np.concatenate([bp, np.nextafter(bp, -1.0), np.nextafter(bp, 2.0),
+                            rng.uniform(0.0, 1.0, 200), [-0.01, 1.01]])
+        piece = np.clip(np.searchsorted(bp, x, side="right") - 1, 0,
+                        len(h.pieces) - 1)
+        for got, d in ((h(x), 0), (h.deriv(x), 1), (h.deriv2(x), 2)):
+            want = np.array([h.pieces[j].deriv(d)(v) if d else
+                             h.pieces[j](v) for j, v in zip(piece, x)])
+            assert np.array_equal(got, want), d
+        assert np.ndim(h(0.5)) == 0
+
     def test_validation(self):
         with pytest.raises(ValueError, match="discontinuous"):
             RadiusProfile([0.0, 0.5, 1.0], [[0.2], [0.3]])

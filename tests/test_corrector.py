@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from thinjunction import DiskCompatibilityError, build_corrector, solve_disk_neumann
-from thinjunction.corrector import DiskPoly
+from thinjunction.corrector import DiskPoly, _modal_eval
 from thinjunction.graph import solve_limit
 
 from fd_disk import richardson_pair
@@ -213,3 +213,24 @@ def test_order_four_corrector_from_order_two(exp_rich, rng, edge):
         direct = u4.values(np.full(xa.size, x), xa, xb)
         germ = sum(u4.germ[j].evaluate(xa, xb) * x ** j for j in range(3))
         assert np.max(np.abs(direct - germ)) < 1e-9
+
+
+def test_joined_modal_pass_equals_one_pass_per_field(exp_rich, rng):
+    """u, its transverse gradient and du/dx from one contraction of the
+    joined stack and one modal pass, against a pass over u and one
+    over du/dx, each from its own array."""
+    for corr in exp_rich.correctors[2]:
+        x = np.concatenate([rng.uniform(0.0, 1.0, 30), corr.breakpoints])
+        xa, xb = disk_points(corr.h.value0, x.size, rng)
+        A = corr.modal_batch(x, (0, 1))
+        assert A.shape == (x.size, 2) + corr.shape
+        (u, ux), ga, gb = _modal_eval(A, xa, xb)
+        for d, want in ((0, u), (1, ux)):
+            alone = np.ascontiguousarray(corr.modal_batch(x, d))
+            assert np.array_equal(alone, A[:, d])
+            v, da, db = _modal_eval(alone[:, None], xa, xb)
+            assert np.array_equal(v[0], want)
+            if d == 0:
+                assert np.array_equal(da, ga) and np.array_equal(db, gb)
+        assert all(np.array_equal(a, b) for a, b in zip(
+            corr.evaluate(x, xa, xb), (u, ux, ga, gb)))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy import special
+from scipy.optimize import brentq
 
 from thinjunction import DiskSpectrum
 from thinjunction.diskspec import DiskQuadrature, radial_derivative_roots
@@ -30,6 +31,30 @@ def test_first_root_matches_bisection():
     lam = radial_derivative_roots(1, 1)[0]
     assert lam == pytest.approx(_bisect_first_root_n1(), abs=1e-12)
     assert lam == pytest.approx(1.8411837813, abs=1e-8)
+
+
+def _brentq_polish(n, x0):
+    """The former polish: brentq on J_n' in the same brackets."""
+    def fun(x):
+        return special.jvp(n, x)
+
+    for w in (1e-10, 1e-8, 1e-6, 1e-4):
+        a = x0 * (1.0 - w)
+        b = x0 * (1.0 + w)
+        if fun(a) * fun(b) < 0.0:
+            return brentq(fun, a, b, xtol=1e-15, rtol=8.9e-16)
+    return x0
+
+
+def test_newton_polish_matches_brentq_within_two_ulp():
+    # every root the package builds: DiskSpectrum(count) takes count
+    # roots of each n <= count, for_harmonics MODE_DEPTH = 40 per
+    # harmonic, and no spectrum goes past 40 of either
+    for n in range(41):
+        got = radial_derivative_roots(n, 40)
+        want = np.array([_brentq_polish(n, x)
+                         for x in special.jnp_zeros(n, 40)])
+        assert np.all(np.abs(got - want) <= 2.0 * np.spacing(want)), n
 
 
 def test_roots_interlace_and_increase():

@@ -957,6 +957,44 @@ class TestLayoutSeed:
             mesh, np.vstack([pts[inside], gap]),
             np.concatenate([own[inside], loc.locate(gap)[0]]))
 
+    def test_clipping_to_the_face_leaves_the_seeds_as_they_were(self, case):
+        # with an unbounded reach the seed is that of the unclipped key
+        mesh, _, pts, _, gap = case
+        seed = LayoutSeed(mesh.meta)
+        pts = np.vstack([pts, gap])
+        got = seed(pts)
+        seed.reach = np.inf
+        assert np.array_equal(got, seed(pts))
+
+    def test_far_points_are_refused_within_a_few_steps(self, junction_flat6,
+                                                       monkeypatch):
+        """A point far past a tube end, or far beyond a box face, is
+        seeded on its own face (a coordinate past half the key span of
+        a face once keyed the next face's cells) and its walk leaves
+        the mesh at once."""
+        mesh = junction_flat6.mesh
+        pts = np.array([[20.0, 0.0, 0.0], [1e6, 3.0, 2.0], [-1e6, 0.0, 0.0],
+                        [50.0, 50.0, 50.0], [0.0, -30.0, 1.0]])
+        seed = LayoutSeed(mesh.meta)(pts)
+        centroid = mesh.nodes[mesh.tets[seed]].mean(axis=1)
+        face = np.argmax(np.hstack([pts, -pts]), axis=1)
+        assert np.array_equal(
+            np.argmax(np.hstack([centroid, -centroid]), axis=1), face)
+        loc = junction_flat6.ctx.locator()
+        steps = []
+        adjacent = mesh.adjacent
+
+        class Counted:
+            def take(self, *args, **kwargs):
+                steps.append(1)
+                return adjacent.take(*args, **kwargs)
+
+        monkeypatch.setattr(loc, "_neighbours", Counted())
+        for p in pts:
+            steps.clear()
+            assert loc.locate(p[None])[0][0] == -1
+            assert len(steps) <= 3, p
+
     def test_built_meshes_build_no_centroid_tree(self, junction_flat6, tube,
                                                  rich_spec):
         thin = build_thin_mesh(rich_spec, axial=0.05, refine=0.8)

@@ -50,12 +50,22 @@ def test_no_unused_import_in_tests(path):
     assert unused_imports(path.read_text()) == []
 
 
-def test_package_import_leaves_scipy_stats_out():
-    # scipy.stats takes about half a second to import and nothing in
-    # the package needs it
+def _loaded_by_package_import(module):
     code = ("import sys, thinjunction; "
-            "print('scipy.stats' in sys.modules)")
+            f"print({module!r} in sys.modules)")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          capture_output=True, text=True,
                          cwd=SRC.parent).stdout
-    assert out.strip() == "False"
+    return out.strip() == "True"
+
+
+def test_package_import_leaves_scipy_stats_out():
+    # scipy.stats takes about half a second to import and nothing in
+    # the package needs it
+    assert not _loaded_by_package_import("scipy.stats")
+
+
+def test_package_import_leaves_scipy_optimize_out():
+    # scipy.optimize takes about 0.2 s to import; the disk roots are
+    # polished by Newton steps instead of its brentq
+    assert not _loaded_by_package_import("scipy.optimize")

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import special
 
 from thinjunction import build_corrector, build_pi, layers
 from thinjunction.diskspec import DiskSpectrum
@@ -98,6 +99,46 @@ def test_single_mode_decay_is_exact():
     v0 = term.values(np.zeros(1), xa, xb)[0]
     vs = term.values(np.full(1, star), xa, xb)[0]
     assert abs(vs / v0) == pytest.approx(np.exp(-lam * star), abs=1e-12)
+
+
+def _gradient_with_a_bessel_row_per_mode(term, s, xa, xb):
+    """The layer gradient from J_{n-1}, J_n and J_{n+1} of every mode,
+    one Bessel call per order and mode."""
+    r, t = np.hypot(xa, xb), np.arctan2(xb, xa)
+    lam = term._lam
+    orders = term._n + np.array([-1, 0, 1])[:, None, None]
+    jm, jn, jp = special.jv(orders, r[:, None] * lam)
+    ang = t[:, None] * term._n
+    trig = np.where(term._sin, np.sin(ang), np.cos(ang))
+    dtrig = np.where(term._sin, np.cos(ang), -np.sin(ang))
+    w = np.exp(-s[:, None] * lam) * term._coeffs
+    radial = w * jn * trig
+    dr = (w * (jm - jp) * trig) @ (0.5 * lam)
+    dt_over_r = (w * (jm + jp) * dtrig) @ (0.5 * lam)
+    ct, st = np.cos(t), np.sin(t)
+    return (radial.sum(axis=1), -(radial @ lam), ct * dr - st * dt_over_r,
+            st * dr + ct * dt_over_r)
+
+
+def test_shared_bessel_values_change_no_bit(rng):
+    """Cos and sin modes of one root share their Bessel values, and
+    J_{-1} is -J_1: the gradient is bitwise the one with a Bessel row
+    per order and mode, on the axis too."""
+    spectrum = DiskSpectrum.for_harmonics(0.25, [0, 1, 2, 5], depth=12)
+    coeffs = rng.standard_normal(len(spectrum.modes))
+    coeffs[0] = 0.0
+    term = BoundaryLayerTerm(edge=1, order=2, spectrum=spectrum,
+                             coeffs=coeffs)
+    assert term._bessel_order.size < 3 * term._n.size
+    r = 0.25 * np.sqrt(rng.uniform(0.0, 1.0, 40))
+    t = rng.uniform(0.0, 2.0 * np.pi, 40)
+    xa, xb = r * np.cos(t), r * np.sin(t)
+    xa[0] = xb[0] = 0.0
+    s = rng.uniform(0.0, 3.0, 40)
+    for got, want in zip(term.gradient(s, xa, xb),
+                         _gradient_with_a_bessel_row_per_mode(term, s, xa,
+                                                               xb)):
+        assert np.array_equal(got, want)
 
 
 def test_nonvanishing_axial_end_rejected(rich_spec):

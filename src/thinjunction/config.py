@@ -374,13 +374,14 @@ def _number(key, value):
 # the keys of a problem document, as ``ProblemSpec.to_json`` writes them
 _SPEC_KEYS = {"schema", "epsilon", "ell", "alpha", "delta_cut", "order", "h",
               "f", "phi", "aneurysm"}
+_REQUIRED_KEYS = ("epsilon", "ell", "alpha", "h", "f", "phi")
 
 
 def load_spec(source):
     """Build a ProblemSpec from a JSON file path, JSON text, or a dict.
 
-    Unknown keys, numbers given as strings or booleans and a non-integer
-    order raise ``ValueError`` naming the key.
+    Unknown or missing keys, numbers given as strings or booleans and a
+    non-integer order raise ``ValueError`` naming the key.
     """
     if isinstance(source, dict):
         doc = source
@@ -397,6 +398,11 @@ def load_spec(source):
     unknown = sorted(set(doc) - _SPEC_KEYS)
     if unknown:
         raise ValueError(f"unknown problem keys: {unknown}")
+    missing = [k for k in _REQUIRED_KEYS if k not in doc]
+    if "f" in doc and "terms" not in doc["f"]:
+        missing.append("f.terms")
+    if missing:
+        raise ValueError(f"missing problem keys: {missing}")
     order = doc.get("order", 2)
     if not isinstance(order, numbers.Integral) or isinstance(order, bool):
         raise ValueError(f"order must be an integer, not {order!r}")

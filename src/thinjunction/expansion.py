@@ -18,7 +18,7 @@ from .config import TRANSVERSE_AXES, ProblemSpec
 from .corrector import build_corrector, corrector_rhs
 from .graph import ProfileStack, TransmissionData, solve_limit, solve_omega_k
 from .junction import (
-    FieldStack,
+    JunctionField,
     TruncatedJunction,
     build_inner_rhs,
     check_solvability,
@@ -135,8 +135,8 @@ class Expansion:
                          for k in range(self.order + 1))
             for i in range(3))
         if self.nfields:
-            self.inner_stack = FieldStack(
-                self.nfields[k] for k in range(1, self.order + 1))
+            self.inner_field = JunctionField.stack(
+                [self.nfields[k] for k in range(1, self.order + 1)])
 
     def _data_scale(self, k):
         scale = 1.0
@@ -206,10 +206,6 @@ class Expansion:
             raise ValueError("partial sum order exceeds the built order")
         return m
 
-    def _inner_sum(self, eps, m):
-        """sum_{k=1..m} eps^k N_k as one junction field."""
-        return self.inner_stack.combine(eps ** np.arange(1, m + 1))
-
     def evaluate(self, points, epsilon, m=None, gradient=False):
         """Glued partial sum of order m (and gradient) at physical points.
 
@@ -278,8 +274,8 @@ class Expansion:
             nv = np.full(live.size, self.graph[0].edges[0].vertex_value)
             ng = np.zeros((live.size, 3))
             if m >= 1:
-                inner, inner_grad = self._inner_sum(eps, m).evaluate(
-                    pts[live] / eps)
+                inner, inner_grad = self.inner_field.evaluate(
+                    pts[live] / eps, eps ** np.arange(1, m + 1))
                 nv += inner
                 ng = inner_grad / eps
             vals[live] += weight[live] * nv
@@ -308,13 +304,12 @@ class Expansion:
         out = {j: np.zeros(len(pts)) for j in which}
         edge = self._split(pts, eps)
         weight = np.ones(len(pts))
-        inner = self._inner_sum(eps, m) if 2 in which and m >= 1 else None
 
         for i, sel, xu, at, ta, tb in self._tubes(pts, eps, edge):
             x = xu[at]
             zeta = xu / eps ** alpha
-            chi = self.cut_axial(zeta)[at]
-            dchi = self.cut_axial.deriv(zeta)[at]
+            chi, dchi = self.cut_axial.value_slope(zeta)
+            chi, dchi = chi[at], dchi[at]
             d2chi = self.cut_axial.deriv2(zeta)[at]
             weight[sel] = 1.0 - chi
 
@@ -360,9 +355,8 @@ class Expansion:
             rows, x, ta, tb = sel[band], x[band], ta[band], tb[band]
             d1 = eps ** (-alpha) * dchi[band]
             d2 = eps ** (-2.0 * alpha) * d2chi[band]
-            if inner is not None:
-                dval, val = self._matching_mismatch(inner, i, x, ta, tb, eps,
-                                                    m)
+            if 2 in which and m >= 1:
+                dval, val = self._matching_mismatch(i, x, ta, tb, eps, m)
                 out[2][rows] += -2.0 / eps * d1 * dval - d2 * val
             if 6 in which or 7 in which:
                 core, d_ax, _, _ = self._tube_terms(i, xu, at[band], ta, tb,
@@ -384,19 +378,23 @@ class Expansion:
                                                            p[:, 2]))
         return out
 
-    def _matching_mismatch(self, inner, i, x, ta, tb, eps, m):
-        """Axial slope and value of the inner sum minus its tube limit
-        (constant, jump and outlet growth) at tube points, in the fast
-        variables."""
+    def _matching_mismatch(self, i, x, ta, tb, eps, m):
+        """Axial slope and value of the inner sum sum_{k=1..m} eps^k N_k
+        minus its tube limit (constant, jump and outlet growth) at tube
+        points, in the fast variables."""
         a, b = TRANSVERSE_AXES[i]
         xi = np.empty((x.size, 3))
         xi[:, i] = x / eps
         xi[:, a] = ta
         xi[:, b] = tb
-        val, grad = inner.evaluate(xi)
-        psi, dpsi, _, _ = inner.growth[i].evaluate(xi[:, i], ta, tb)
-        delta = sum(eps ** k * self.trans[k].jumps[i] for k in range(1, m + 1))
-        return grad[:, i] - dpsi, val - inner.constant - delta - psi
+        ek = eps ** np.arange(1, m + 1)
+        val, grad = self.inner_field.evaluate(xi, ek)
+        psi, dpsi, _, _ = self.inner_field.outlet_growth(i, xi[:, i], ta, tb,
+                                                         ek)
+        limit = sum(eps ** k * (self.nfields[k].constant
+                                + self.trans[k].jumps[i])
+                    for k in range(1, m + 1))
+        return grad[:, i] - dpsi, val - limit - psi
 
     def _vertex_remainders(self, i, x, ta, tb, eps, m, core, dcore):
         """Taylor remainders about the vertex of the tube terms ``core``

@@ -486,8 +486,10 @@ class PointLocator:
             live, cur = live[move], nb[rows, face][move].astype(np.int64)
         return tet, bary
 
-    def evaluate(self, u, points):
-        """(values, gradients) of the nodal field u at the points.
+    def evaluate(self, u, points, weights=None):
+        """(values, gradients) of the nodal field u at the points; with K
+        weights, of sum_k weights[k] u[:, k], contracted on the nodes of
+        the located tets only.
 
         A point in the gap between a curved wall and its facets gets the
         linear field of the tet beside it (:meth:`locate`).  Raises when
@@ -497,5 +499,7 @@ class PointLocator:
         if np.any(tet < 0):
             raise ValueError("points outside the mesh")
         nodal = u[self._tets[tet]]
+        if weights is not None:
+            nodal = np.einsum("pak,k->pa", nodal, weights)
         return (np.einsum("pa,pa->p", nodal, lam),
                 np.einsum("pad,pa->pd", self._grads[tet], nodal))

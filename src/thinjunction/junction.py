@@ -81,19 +81,6 @@ class OutletGrowth:
             gb = gb * ax + db
         return val, slope, ga, gb
 
-    @staticmethod
-    def combine(growths, weights):
-        """The growth sum_k weights[k] growths[k] of one outlet."""
-        coeffs = np.zeros(max(g.coeffs.size for g in growths))
-        disks = [None] * coeffs.size
-        for g, w in zip(growths, weights):
-            coeffs[:g.coeffs.size] += w * g.coeffs
-            for j, d in enumerate(g.disks):
-                if d is not None:
-                    d = d.scale(w)
-                    disks[j] = d if disks[j] is None else disks[j] + d
-        return OutletGrowth(growths[0].edge, coeffs, tuple(disks))
-
     def cross_integrals(self, radius):
         """Disk integral of each power's cross-section profile."""
         area = math.pi * radius * radius
@@ -323,10 +310,12 @@ def assemble_load(junction: TruncatedJunction, data: InnerData):
 
 
 class JunctionField:
-    """A solved junction field: decaying nodal part plus analytic growth.
+    """Solved junction fields: decaying nodal part plus analytic growth.
 
-    ``load`` is the assembled load vector the decaying part solves for;
-    a weighted sum of solved fields (:class:`FieldStack`) has none.
+    A solved field keeps the assembled ``load`` its decaying part solves
+    for.  A stack of K solved fields (:meth:`stack`) has none: its
+    ``decay``, ``constant`` and each outlet's ``growth`` hold one column
+    or entry per field, and it serves their weighted sums.
     """
 
     def __init__(self, junction: TruncatedJunction, decay, load, growth=None,
@@ -335,9 +324,17 @@ class JunctionField:
         self.decay = decay
         self.load = load
         self.growth = growth if growth is not None else (None, None, None)
-        self.constant = float(constant)
+        self.constant = constant
         self.info = info or {}
         self._total = None
+
+    @classmethod
+    def stack(cls, fields):
+        """The solved fields as the columns of one field."""
+        return cls(fields[0].junction,
+                   np.column_stack([f.decay for f in fields]), None,
+                   growth=tuple(zip(*(f.growth for f in fields))),
+                   constant=np.array([f.constant for f in fields]))
 
     @property
     def load_defect(self):
@@ -349,20 +346,29 @@ class JunctionField:
                              growth=growth, constant=constant,
                              info=self.info)
 
-    def _add_growth(self, pts, vals, grads=None):
+    def outlet_growth(self, i, ax, ta, tb, weights=None):
+        """(value, d/dax, d/dta, d/dtb) of the growth on outlet i; of a
+        stack, of sum_k weights[k] times the growth of its column k."""
+        pairs = ([(1.0, self.growth[i])] if weights is None
+                 else zip(weights, self.growth[i]))
+        out = np.zeros((4,) + ax.shape)
+        for w, g in pairs:
+            if g is not None:
+                out += w * np.array(g.evaluate(ax, ta, tb))
+        return out
+
+    def _add_growth(self, pts, vals, grads=None, weights=None):
         """Add the cut-off outlet growths (and their gradients) at pts."""
         step = self.junction.step
         for i in range(3):
-            g = self.growth[i]
-            if g is None:
-                continue
             ax = pts[:, i]
             live = ax > step.lo
             if not live.any():
                 continue
             a, b = TRANSVERSE_AXES[i]
             axl = ax[live]
-            gv, gs, ga, gb = g.evaluate(axl, pts[live, a], pts[live, b])
+            gv, gs, ga, gb = self.outlet_growth(i, axl, pts[live, a],
+                                                pts[live, b], weights)
             chi, dchi = step.value_slope(axl)
             vals[live] += chi * gv
             if grads is not None:
@@ -386,36 +392,20 @@ class JunctionField:
         fit = np.polyfit(xs[keep], means[keep], 1)
         return float(fit[0])
 
-    def evaluate(self, points):
-        """(values, gradients) of the whole field at junction points."""
+    def evaluate(self, points, weights=None):
+        """(values, gradients) of the whole field at junction points; of a
+        stack, of sum_k weights[k] times its column k, with one location
+        and one gather of the points for all those columns."""
         points = np.asarray(points, dtype=float)
-        vals, grads = self.junction.ctx.locator().evaluate(self.decay, points)
-        vals += self.constant
-        self._add_growth(points, vals, grads)
+        decay, constant = self.decay, self.constant
+        if weights is not None:
+            k = len(weights)
+            decay, constant = decay[:, :k], weights @ constant[:k]
+        vals, grads = self.junction.ctx.locator().evaluate(decay, points,
+                                                           weights)
+        vals += constant
+        self._add_growth(points, vals, grads, weights)
         return vals, grads
-
-
-class FieldStack:
-    """Solved junction fields whose weighted sums are served as one field.
-
-    The decaying parts are stacked once as columns; the outlet growths
-    and the constants are linear in the weights.
-    """
-
-    def __init__(self, fields):
-        self.fields = tuple(fields)
-        self.decays = np.column_stack([f.decay for f in self.fields])
-
-    def combine(self, weights):
-        """sum_k weights[k] fields[k] over the first len(weights) fields."""
-        w = np.asarray(weights, dtype=float)
-        fields = self.fields[:w.size]
-        growth = tuple(
-            OutletGrowth.combine([f.growth[i] for f in fields], w)
-            for i in range(3))
-        constant = w @ [f.constant for f in fields]
-        return JunctionField(fields[0].junction, self.decays[:, :w.size] @ w,
-                             None, growth=growth, constant=constant)
 
 
 def _plateau(junction: TruncatedJunction, u, edge):

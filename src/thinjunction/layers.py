@@ -61,7 +61,7 @@ class BoundaryLayerTerm:
 
     @classmethod
     def zero(cls, edge, order, radius):
-        sp = DiskSpectrum(radius, count=1)
+        sp = DiskSpectrum.for_harmonics(radius, (), 0)
         return cls(edge=edge, order=order, spectrum=sp,
                    coeffs=np.zeros(1), tail_norm=0.0)
 

@@ -598,8 +598,8 @@ def evaluate_per_point(exp, points, epsilon, m=None):
         nv = np.full(live.size, exp.graph[0].edges[0].vertex_value)
         ng = np.zeros((live.size, 3))
         if m >= 1:
-            inner, inner_grad = exp._inner_sum(eps, m).evaluate(
-                pts[live] / eps)
+            inner, inner_grad = exp.inner_field.evaluate(
+                pts[live] / eps, eps ** np.arange(1, m + 1))
             nv += inner
             ng = inner_grad / eps
         vals[live] += weight[live] * nv
@@ -618,7 +618,6 @@ def residual_terms_per_point(exp, points, epsilon, m=None):
     out = {j: np.zeros(len(pts)) for j in range(1, 8)}
     edge = exp._split(pts, eps)
     weight = np.ones(len(pts))
-    inner = exp._inner_sum(eps, m) if m >= 1 else None
 
     for i, sel, x, ta, tb, zeta in _tubes_per_point(exp, pts, eps, edge):
         chi = exp.cut_axial(zeta)
@@ -664,8 +663,8 @@ def residual_terms_per_point(exp, points, epsilon, m=None):
         rows, x, ta, tb = sel[band], x[band], ta[band], tb[band]
         d1 = eps ** (-alpha) * dchi[band]
         d2 = eps ** (-2.0 * alpha) * d2chi[band]
-        if inner is not None:
-            dval, val = exp._matching_mismatch(inner, i, x, ta, tb, eps, m)
+        if m >= 1:
+            dval, val = exp._matching_mismatch(i, x, ta, tb, eps, m)
             out[2][rows] += -2.0 / eps * d1 * dval - d2 * val
         core, d_ax, _, _ = _tube_terms_per_point(exp, i, x, ta, tb, m)
         r6, r7 = exp._vertex_remainders(i, x, ta, tb, eps, m, core, d_ax)

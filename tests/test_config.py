@@ -244,6 +244,18 @@ class TestProblemSpec:
         with pytest.raises(ValueError, match="epsilom"):
             load_spec(doc)
 
+    @pytest.mark.parametrize("key", ["epsilon", "ell", "alpha", "h", "f",
+                                     "phi", "f.terms"])
+    def test_missing_key_is_named(self, flat_spec, key):
+        doc = flat_spec.to_json()
+        if key == "f.terms":
+            doc["f"] = {k: v for k, v in doc["f"].items() if k != "terms"}
+        else:
+            del doc[key]
+        with pytest.raises(ValueError,
+                           match=re.escape(f"missing problem keys: ['{key}']")):
+            load_spec(doc)
+
     def test_integer_order_loads(self, flat_spec):
         spec = load_spec(dict(flat_spec.to_json(), order=3))
         assert spec.order == 3 and isinstance(spec.order, int)

@@ -19,6 +19,7 @@ from thinjunction.config import TRANSVERSE_AXES
 from thinjunction.corrector import EdgeCorrector
 from thinjunction.expansion import Expansion, _distinct
 from thinjunction.fem3d import FemContext, PointLocator
+from thinjunction.junction import JunctionField
 from thinjunction.study import TARGETS, residual_cloud
 
 
@@ -221,21 +222,27 @@ def _counted(counts, name, fn):
 
 
 def test_one_pass_per_request(exp_rich, monkeypatch):
-    counts = {"locate": 0, "modal_batch": 0}
+    """The junction part of every order is served from one location of
+    the points, and no junction field is built for a request."""
+    counts = {"locate": 0, "modal_batch": 0, "field": 0}
     monkeypatch.setattr(PointLocator, "locate",
                         _counted(counts, "locate", PointLocator.locate))
     monkeypatch.setattr(EdgeCorrector, "modal_batch",
                         _counted(counts, "modal_batch",
                                  EdgeCorrector.modal_batch))
+    monkeypatch.setattr(JunctionField, "__init__",
+                        _counted(counts, "field", JunctionField.__init__))
     rng = np.random.default_rng(13)
     for eps in (0.2, 0.05):
         pts = _cloud(exp_rich.spec, eps, rng, n=10)
-        for gradient in (True, False):
-            counts.update(locate=0, modal_batch=0)
-            exp_rich.evaluate(pts, eps, gradient=gradient)
-            assert counts["locate"] == 1
-            # u and du/dx of a tube's corrector come from one batch
-            assert counts["modal_batch"] <= 3
+        for m in (0, 1, 2):
+            for gradient in (True, False):
+                counts.update(locate=0, modal_batch=0, field=0)
+                exp_rich.evaluate(pts, eps, m=m, gradient=gradient)
+                assert counts["locate"] == min(m, 1)
+                assert counts["field"] == 0
+                # u and du/dx of a tube's corrector come from one batch
+                assert counts["modal_batch"] <= 3
 
 
 def test_one_chebyshev_table_per_tube(exp_rich, monkeypatch):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from thinjunction import build_corrector, build_pi, layers
+from thinjunction import build_corrector, build_pi, diskspec, layers
 from thinjunction.diskspec import DiskSpectrum
 from thinjunction.layers import BoundaryLayerTerm
 from thinjunction.graph import solve_limit
@@ -23,6 +23,18 @@ def test_zero_orders_have_zero_layers(rich_spec):
     assert term.decay_rate == np.inf
     assert term.values(np.array([0.3]), np.array([0.1]),
                        np.array([0.0]))[0] == 0.0
+
+
+def test_zero_layer_searches_no_roots(monkeypatch):
+    """A zero layer's single flat mode needs no J_n' root."""
+    calls = []
+    roots = diskspec.radial_derivative_roots
+    monkeypatch.setattr(diskspec, "radial_derivative_roots",
+                        lambda *args: calls.append(args) or roots(*args))
+    term = BoundaryLayerTerm.zero(1, 2, 0.25)
+    assert calls == []
+    assert term.is_zero
+    assert term.spectrum.modes == DiskSpectrum(0.25, count=1).modes
 
 
 def test_trace_cancellation(pi2, rich_spec, rng, monkeypatch):

@@ -78,9 +78,11 @@ class ChebTable:
         self._single = self._block(0) if self.x.size <= BLOCK else None
 
     def fits(self, stack):
+        bp = stack.breakpoints
         return stack.deg <= self.deg and (
-            stack.breakpoints is self.breakpoints
-            or np.array_equal(stack.breakpoints, self.breakpoints))
+            bp is self.breakpoints
+            or bp.shape == self.breakpoints.shape
+            and bool((bp == self.breakpoints).all()))
 
     def _block(self, lo):
         """(order, segment bounds, table) of the block starting at lo."""

@@ -287,17 +287,6 @@ class EdgeCorrector:
         A = self.modal_batch(float(x), deriv)
         return DiskPoly(A[0, 0], A[0, 1])
 
-    def evaluate(self, x, xa, xb, table=None, at=None):
-        """(u, du/dx, du/dxa, du/dxb) at each point, from one modal batch
-        of u and du/dx and one modal pass.  Given ``at``, x holds
-        distinct axial positions and point p lies at x[at[p]]: the modal
-        arrays are built per position and gathered per point."""
-        A = self.modal_batch(x, (0, 1), table)
-        (u, ux), ga, gb = _modal_eval(A if at is None else A[at],
-                                      np.asarray(xa, float).ravel(),
-                                      np.asarray(xb, float).ravel())
-        return u, ux, ga, gb
-
     def values(self, x, xa, xb, xderiv=0, at=None):
         A = self.modal_batch(x, xderiv)
         return _modal_eval((A if at is None else A[at])[:, None],

@@ -16,8 +16,9 @@ class SmoothStep:
         self.width = self.hi - self.lo
 
     def _t(self, x):
-        return np.clip((np.asarray(x, dtype=float) - self.lo) / self.width,
-                       0.0, 1.0)
+        # np.clip's values, without its dispatch cost on small arrays
+        return np.minimum(np.maximum(
+            (np.asarray(x, dtype=float) - self.lo) / self.width, 0.0), 1.0)
 
     @staticmethod
     def _ramp(t):

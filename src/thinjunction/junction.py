@@ -81,6 +81,23 @@ class OutletGrowth:
             gb = gb * ax + db
         return val, slope, ga, gb
 
+    @staticmethod
+    def combine(growths, weights):
+        """The growth sum_k weights[k] growths[k] of one outlet as one
+        polynomial, None where every growth is None."""
+        pairs = [(w, g) for w, g in zip(weights, growths) if g is not None]
+        if not pairs:
+            return None
+        coeffs = np.zeros(max(g.coeffs.size for _, g in pairs))
+        disks = [None] * coeffs.size
+        for w, g in pairs:
+            coeffs[:g.coeffs.size] += w * g.coeffs
+            for j, d in enumerate(g.disks):
+                if d is not None:
+                    d = d.scale(w)
+                    disks[j] = d if disks[j] is None else disks[j] + d
+        return OutletGrowth(pairs[0][1].edge, coeffs, tuple(disks))
+
     def cross_integrals(self, radius):
         """Disk integral of each power's cross-section profile."""
         area = math.pi * radius * radius
@@ -348,14 +365,14 @@ class JunctionField:
 
     def outlet_growth(self, i, ax, ta, tb, weights=None):
         """(value, d/dax, d/dta, d/dtb) of the growth on outlet i; of a
-        stack, of sum_k weights[k] times the growth of its column k."""
-        pairs = ([(1.0, self.growth[i])] if weights is None
-                 else zip(weights, self.growth[i]))
-        out = np.zeros((4,) + ax.shape)
-        for w, g in pairs:
-            if g is not None:
-                out += w * np.array(g.evaluate(ax, ta, tb))
-        return out
+        stack, of sum_k weights[k] times the growth of its column k,
+        summed into one polynomial before one Horner pass."""
+        g = self.growth[i]
+        if weights is not None:
+            g = OutletGrowth.combine(g, weights)
+        if g is None:
+            return (np.zeros_like(ax),) * 4
+        return g.evaluate(ax, ta, tb)
 
     def _add_growth(self, pts, vals, grads=None, weights=None):
         """Add the cut-off outlet growths (and their gradients) at pts."""

@@ -23,6 +23,18 @@ from .diskspec import DiskQuadrature, DiskSpectrum
 # algebraically (a test trace of 2.5e-3 cancels to 4.4e-5, 1.2e-5 at 120).
 MODE_DEPTH = 40
 
+# Truncation of an end layer's mode series, relative to its amplitude
+# A = sum_p |a_p|.  At stretched distance s >= 0 a point keeps the
+# shortest prefix of the modes, in order of frequency, whose dropped
+# tail sum |a_p| (1 + lam_p) exp(-lam_p s) is at most TAIL_RTOL * A, and
+# at least the slowest mode, so that far from the end the layer keeps
+# its leading exponential instead of reading zero.  A mode
+# J_n(lam r) trig(n t) is at most 1 in size and its transverse gradient
+# at most lam (|J_n| <= 1 for real arguments, Watson), so the value and
+# each derivative move by at most TAIL_RTOL * A, the rounding of a sum
+# of size A.
+TAIL_RTOL = 1e-16
+
 
 @dataclass
 class BoundaryLayerTerm:
@@ -41,13 +53,19 @@ class BoundaryLayerTerm:
     tail_norm: float = 0.0
 
     def __post_init__(self):
-        # the modes with nonzero weight, as arrays for one table per call
+        # the modes with nonzero weight in order of frequency, as arrays
+        # for one table per call
         live = np.flatnonzero(self.coeffs)
+        live = live[np.argsort(self.spectrum.rates[live], kind="stable")]
         modes = [self.spectrum.modes[j] for j in live]
         self._coeffs = self.coeffs[live]
         self._n = np.array([m.n for m in modes])
         self._lam = np.array([m.lam for m in modes])
+        self._half_lam = 0.5 * self._lam
         self._sin = np.array([m.kind == "sin" for m in modes], dtype=bool)
+        # each mode's share of the tail bound, |a_p| (1 + lam_p)
+        self._bound = np.abs(self._coeffs) * (1.0 + self._lam)
+        self._amplitude = float(np.abs(self._coeffs).sum())
         # J_{n-1}, J_n, J_{n+1} of every mode from one Bessel value per
         # distinct |order| and frequency: a cos and a sin mode share
         # theirs, and J_{-1} = -J_1 (bitwise in scipy's jv)
@@ -58,6 +76,11 @@ class BoundaryLayerTerm:
         self._bessel_order, self._bessel_lam = keys
         self._bessel_at = at.reshape(orders.shape)
         self._bessel_sign = np.where(orders < 0, -1.0, 1.0)
+        # the first mode that reads each Bessel value: a point that keeps
+        # K modes needs the values whose first reader comes before K
+        self._first_use = np.full(keys.shape[1], self._n.size)
+        np.minimum.at(self._first_use, self._bessel_at,
+                      np.broadcast_to(np.arange(self._n.size), orders.shape))
 
     @classmethod
     def zero(cls, edge, order, radius):
@@ -67,7 +90,7 @@ class BoundaryLayerTerm:
 
     @property
     def is_zero(self):
-        return not np.any(self.coeffs)
+        return not self._lam.size
 
     @property
     def decay_rate(self):
@@ -79,46 +102,64 @@ class BoundaryLayerTerm:
 
     def values(self, s, xa, xb):
         """Layer values at stretched distance s and transverse points."""
-        shape = np.broadcast(s, xa, xb).shape
+        s, xa, xb = np.broadcast_arrays(s, xa, xb)
         out = self.gradient(s, xa, xb)[0]
-        return out.reshape(shape) if shape else float(out[0])
+        return out.reshape(s.shape) if s.shape else float(out[0])
+
+    def kept(self, decay):
+        """Per point (row of ``decay``, the factors exp(-lam_p s) of the
+        modes), which modes the series keeps: the shortest nonempty
+        prefix whose dropped tail bound is at most ``TAIL_RTOL`` times
+        the amplitude."""
+        tail = np.cumsum((decay * self._bound)[:, ::-1], axis=1)[:, ::-1]
+        kept = tail > TAIL_RTOL * self._amplitude
+        kept[:, :1] = True
+        return kept
 
     def gradient(self, s, xa, xb):
-        """(value, d/ds, d/dxa, d/dxb) of the layer at the given points.
+        """(value, d/ds, d/dxa, d/dxb) of the layer at the points given
+        by arrays s, xa, xb of one shape, flattened.
 
-        One Bessel table J_{n-1}, J_n, J_{n+1} of all weighted modes
-        serves the value and the gradient: J_n' and n J_n / (lam r) are
-        the half difference and the half sum of the neighbours.
+        Each point sums the modes it keeps (:meth:`kept`); what the rest
+        would add is at most ``TAIL_RTOL`` times the amplitude in the
+        value and in each derivative.  One Bessel table J_{n-1}, J_n,
+        J_{n+1} of the kept modes serves the value and the gradient: J_n'
+        and n J_n / (lam r) are the half difference and the half sum of
+        the neighbours.  Each sum runs over every mode, a dropped one as
+        zero, in one order for every point, so a point's answer does not
+        depend on the batch it comes in.
         """
-        s, xa, xb = (np.ravel(v).astype(float)
-                     for v in np.broadcast_arrays(s, xa, xb))
+        s, xa, xb = (np.asarray(v, dtype=float).ravel() for v in (s, xa, xb))
         r = np.hypot(xa, xb)
         t = np.arctan2(xb, xa)
         lam = self._lam
-        bessel = special.jv(self._bessel_order, r[:, None] * self._bessel_lam)
+        decay = np.exp(-s[:, None] * lam)
+        kept = self.kept(decay)
+        # J only at the (point, value) pairs that a kept mode reads
+        p, q = np.nonzero(self._first_use < kept.sum(axis=1)[:, None])
+        bessel = np.zeros((s.size, self._bessel_lam.size))
+        bessel[p, q] = special.jv(self._bessel_order[q],
+                                  r[p] * self._bessel_lam[q])
         jm, jn, jp = bessel[:, self._bessel_at].transpose(1, 0, 2) \
             * self._bessel_sign[:, None]
         ang = t[:, None] * self._n
-        trig = np.where(self._sin, np.sin(ang), np.cos(ang))
-        dtrig = np.where(self._sin, np.cos(ang), -np.sin(ang))
-        w = np.exp(-s[:, None] * lam) * self._coeffs
+        cos, sin = np.cos(ang), np.sin(ang)
+        trig = np.where(self._sin, sin, cos)
+        dtrig = np.where(self._sin, cos, -sin)
+        w = np.where(kept, decay * self._coeffs, 0.0)
         radial = w * jn * trig
         val = radial.sum(axis=1)
-        ds = -(radial @ lam)
-        dr = (w * (jm - jp) * trig) @ (0.5 * lam)
-        dt_over_r = (w * (jm + jp) * dtrig) @ (0.5 * lam)
+        ds = -(radial * lam).sum(axis=1)
+        dr = (w * (jm - jp) * trig * self._half_lam).sum(axis=1)
+        dt_over_r = (w * (jm + jp) * dtrig * self._half_lam).sum(axis=1)
         ct, st = np.cos(t), np.sin(t)
         return val, ds, ct * dr - st * dt_over_r, st * dr + ct * dt_over_r
 
     def amplitude(self):
-        """Certified sup-norm constant: sum |a_p| sup|Theta_p|."""
-        total = 0.0
-        for a, mode in zip(self.coeffs, self.spectrum.modes):
-            if a == 0.0:
-                continue
-            rr = np.linspace(0.0, mode.radius, 257)
-            total += abs(a) * np.max(np.abs(mode.values(rr, 0.0 * rr)))
-        return total
+        """Certified sup-norm constant sum |a_p| sup|Theta_p|, with
+        sup|Theta_p| <= 1 from the radial factor alone: |J_n(x)| <= 1 for
+        real x (Watson, A Treatise on the Theory of Bessel Functions)."""
+        return self._amplitude
 
     def decay_certificate(self, s):
         """(certified bound, observed sup over disk samples) at distance s."""

@@ -166,11 +166,22 @@ def test_distinct_positions_are_those_of_np_unique(mesh_clouds):
     clouds += [rng.random(64), rng.random(1), np.empty(0),
                rng.integers(0, 4, 50) / 3.0]
     for x in clouds:
-        xu, at = _distinct(x)
+        xu, at, bounds = _distinct(x, np.array([0, x.size]))
         want_u, want_at = np.unique(x, return_inverse=True)
         assert _same_bits(xu, want_u)
         assert np.array_equal(at, want_at)
         assert _same_bits(xu[at], x)
+        assert list(bounds) == [0, xu.size]
+    # the clouds as consecutive groups, empty ones among them: each
+    # group's values and indices are those of its own np.unique
+    x = np.concatenate(clouds)
+    cut = np.cumsum([0] + [c.size for c in clouds])
+    xu, at, bounds = _distinct(x, cut)
+    for j, c in enumerate(clouds):
+        want_u, want_at = np.unique(c, return_inverse=True)
+        assert _same_bits(xu[bounds[j]:bounds[j + 1]], want_u)
+        assert np.array_equal(at[cut[j]:cut[j + 1]] - bounds[j], want_at)
+    assert _same_bits(xu[at], x)
 
 
 def test_evaluate_matches_the_per_point_pass_bitwise(exp_rich, mesh_clouds):
@@ -192,6 +203,26 @@ def test_residual_terms_match_the_per_point_pass_bitwise(exp_rich,
             assert sorted(got) == sorted(want)
             for j in want:
                 assert _same_bits(got[j], want[j]), j
+
+
+def test_each_row_is_its_single_point_batch_bitwise(exp_rich):
+    """A point's value and gradient do not depend on the batch it comes
+    in: every row of a batch is bitwise its own one-point batch, in the
+    bulge, the matching band, the tube interiors and the end band of all
+    three tubes, and on a tube axis."""
+    rng = np.random.default_rng(15)
+    for eps in (0.2, 0.05):
+        pts = _cloud(exp_rich.spec, eps, rng, n=24)
+        pts[-1, 1:] = 0.0
+        axial, end = _bands(exp_rich, pts, eps)
+        edge = exp_rich._split(pts, eps)
+        assert axial.any() and end.any() and set(edge) == {-1, 0, 1, 2}
+        for m in (0, 1, 2):
+            vals, grads = exp_rich.evaluate(pts, eps, m=m, gradient=True)
+            for j, p in enumerate(pts):
+                v, g = exp_rich.evaluate(p[None], eps, m=m, gradient=True)
+                assert _same_bits(vals[j:j + 1], v), (eps, m, j)
+                assert _same_bits(grads[j:j + 1], g), (eps, m, j)
 
 
 def test_evaluate_gradient_matches_finite_differences(exp_rich):

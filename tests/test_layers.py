@@ -9,6 +9,8 @@ from thinjunction.diskspec import DiskSpectrum
 from thinjunction.layers import BoundaryLayerTerm
 from thinjunction.graph import solve_limit
 
+from evaluate_oracle import layer_gradient, layer_values
+
 
 @pytest.fixture(scope="module")
 def pi2(rich_spec):
@@ -88,15 +90,71 @@ def test_gradient_matches_fd(pi2):
     assert gb[0] == pytest.approx(fgb[0], abs=1e-7)
 
 
+def _sin_layer():
+    """A layer of one sin mode, 0.8 on the first sin mode of harmonic 1:
+    zero on the ray t = 0."""
+    spectrum = DiskSpectrum.for_harmonics(1.0, [1], depth=2)
+    coeffs = np.zeros(len(spectrum.modes))
+    coeffs[2] = 0.8
+    assert spectrum.modes[2].kind == "sin"
+    return BoundaryLayerTerm(edge=0, order=2, spectrum=spectrum,
+                             coeffs=coeffs)
+
+
 def test_decay_certificate(pi2):
     term, _ = pi2
-    for s in (0.5, 1.0, 2.0):
-        bound, observed = term.decay_certificate(s)
-        assert observed <= bound + 1e-12
-    b1, _ = term.decay_certificate(1.0)
-    b2, _ = term.decay_certificate(2.0)
-    # One extra unit of distance costs at least one decay-rate factor.
-    assert b2 <= b1 * np.exp(-term.decay_rate) + 1e-15
+    sin = _sin_layer()
+    # sup |Theta_p| <= 1 from the radial factor: a sin mode counts too
+    assert sin.amplitude() == 0.8
+    for layer in (term, sin):
+        for s in (0.5, 1.0, 2.0):
+            bound, observed = layer.decay_certificate(s)
+            assert 0.0 < observed <= bound + 1e-12
+        b1, _ = layer.decay_certificate(1.0)
+        b2, _ = layer.decay_certificate(2.0)
+        # One extra unit of distance costs at least one decay-rate factor.
+        assert b2 <= b1 * np.exp(-layer.decay_rate) + 1e-15
+
+
+def _mixed_layer(rng):
+    """Cos and sin modes of harmonics 0, 1, 2 and 5 with random weights."""
+    spectrum = DiskSpectrum.for_harmonics(0.25, [0, 1, 2, 5], depth=12)
+    coeffs = rng.standard_normal(len(spectrum.modes)) \
+        * np.exp(-0.1 * np.arange(len(spectrum.modes)))
+    coeffs[0] = 0.0
+    return BoundaryLayerTerm(edge=1, order=2, spectrum=spectrum,
+                             coeffs=coeffs)
+
+
+@pytest.mark.parametrize("tol", [layers.TAIL_RTOL, 1e-8, 1e-3])
+def test_truncation_stays_within_its_stated_bound(pi2, rng, monkeypatch,
+                                                   tol):
+    """The kept modes' value and each derivative differ from the full
+    series by at most tol times the amplitude, plus the rounding of the
+    full sums, at random s >= 0 and disk points, at s = 0 and on the
+    axis, for cos and sin modes."""
+    monkeypatch.setattr(layers, "TAIL_RTOL", tol)
+    dropped = 0
+    for term in (pi2[0], _sin_layer(), _mixed_layer(rng)):
+        h = term.spectrum.radius
+        n = 400
+        r = h * np.sqrt(rng.uniform(0.0, 1.0, n))
+        t = rng.uniform(0.0, 2.0 * np.pi, n)
+        xa, xb = r * np.cos(t), r * np.sin(t)
+        xa[:2] = xb[:2] = 0.0
+        s = rng.exponential(0.6 / term.decay_rate * 10.0, n)
+        s[::3] = 0.0
+        got = term.gradient(s, xa, xb)
+        want = (layer_values(term, s, xa, xb),) + layer_gradient(
+            term, s, xa, xb)
+        decay = np.exp(-s[:, None] * term._lam)
+        # the full sums' rounding: a few ulps of their terms' sizes
+        size = (np.abs(term._coeffs) * (1.0 + term._lam) * decay).sum(1)
+        slack = tol * term.amplitude() + 64 * np.finfo(float).eps * size
+        for g, w in zip(got, want):
+            assert np.all(np.abs(g - w) <= slack)
+        dropped += int((~term.kept(decay)).sum())
+    assert dropped > 0
 
 
 def test_single_mode_decay_is_exact():
@@ -114,28 +172,31 @@ def test_single_mode_decay_is_exact():
 
 
 def _gradient_with_a_bessel_row_per_mode(term, s, xa, xb):
-    """The layer gradient from J_{n-1}, J_n and J_{n+1} of every mode,
-    one Bessel call per order and mode."""
+    """The layer gradient from J_{n-1}, J_n and J_{n+1} of every kept
+    mode, one Bessel call per order and mode, and zeros for the rest."""
     r, t = np.hypot(xa, xb), np.arctan2(xb, xa)
     lam = term._lam
+    decay = np.exp(-s[:, None] * lam)
+    kept = term.kept(decay)
     orders = term._n + np.array([-1, 0, 1])[:, None, None]
-    jm, jn, jp = special.jv(orders, r[:, None] * lam)
+    jm, jn, jp = np.where(kept, special.jv(orders, r[:, None] * lam), 0.0)
     ang = t[:, None] * term._n
     trig = np.where(term._sin, np.sin(ang), np.cos(ang))
     dtrig = np.where(term._sin, np.cos(ang), -np.sin(ang))
-    w = np.exp(-s[:, None] * lam) * term._coeffs
+    w = np.where(kept, decay * term._coeffs, 0.0)
     radial = w * jn * trig
-    dr = (w * (jm - jp) * trig) @ (0.5 * lam)
-    dt_over_r = (w * (jm + jp) * dtrig) @ (0.5 * lam)
+    dr = (w * (jm - jp) * trig * (0.5 * lam)).sum(axis=1)
+    dt_over_r = (w * (jm + jp) * dtrig * (0.5 * lam)).sum(axis=1)
     ct, st = np.cos(t), np.sin(t)
-    return (radial.sum(axis=1), -(radial @ lam), ct * dr - st * dt_over_r,
-            st * dr + ct * dt_over_r)
+    return (radial.sum(axis=1), -(radial * lam).sum(axis=1),
+            ct * dr - st * dt_over_r, st * dr + ct * dt_over_r)
 
 
 def test_shared_bessel_values_change_no_bit(rng):
-    """Cos and sin modes of one root share their Bessel values, and
-    J_{-1} is -J_1: the gradient is bitwise the one with a Bessel row
-    per order and mode, on the axis too."""
+    """Cos and sin modes of one root share their Bessel values, J_{-1}
+    is -J_1, and a Bessel value that no kept mode reads is not computed:
+    the gradient is bitwise the one with a Bessel row per order and kept
+    mode, on the axis too."""
     spectrum = DiskSpectrum.for_harmonics(0.25, [0, 1, 2, 5], depth=12)
     coeffs = rng.standard_normal(len(spectrum.modes))
     coeffs[0] = 0.0

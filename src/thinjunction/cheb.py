@@ -8,14 +8,16 @@ T_{m+j} = 2 T_m T_j - T_{m-j} gives the rows T_{m+1} .. T_{2m} in one
 vectorised pass, so degree 65 takes 7 passes where the three-term
 recurrence takes 64 steps.  On the few dozen distinct positions of a
 served request each step costs mostly its ufunc calls, so the passes
-are what count.  A :class:`ChebStack` holds many series on one
-breakpoint grid, stacked along trailing axes, and one matrix product per
-block gives all of them.  When an expansion is served, the graph
-profiles of all orders and the correctors' modal coefficients of a tube
-come from one such table per request.  The identity holds for |t| > 1
-too, so points outside the grid are extrapolated by the polynomial of
-the end interval.  Every step is elementwise, so a point's row does not
-depend on its batch.
+are what count.  A :class:`ChebStack` holds many series stacked along
+trailing axes, and one matrix product per interval of a block gives all
+of them.  Its grid may be several breakpoint grids whose intervals are
+numbered in turn, each point looked up on its own grid: when an
+expansion is served, the graph profiles of all orders and the
+correctors' modal coefficients of all three tubes come from one table
+and one contraction per request.  The identity holds for |t| > 1 too,
+so points outside a grid are extrapolated by the polynomial of the end
+interval.  Every step is elementwise, so a point's row does not depend
+on its batch.
 """
 from __future__ import annotations
 
@@ -55,69 +57,79 @@ def _recurrence(t, deg):
     return T
 
 
-class ChebTable:
-    """T_0..T_deg of each point's interval variable on one breakpoint grid.
+class _Grids:
+    """One breakpoint grid, or several whose intervals are numbered in
+    turn: numpy's map of each interval [a, b] onto [-1, 1], each grid's
+    inner breakpoints and the number of its first interval."""
 
-    Each block's points are sorted by interval, so a block is a table of
+    def __init__(self, breakpoints):
+        if np.ndim(breakpoints[0]) == 0:
+            breakpoints = [breakpoints]
+        grids = [np.asarray(bp, dtype=float) for bp in breakpoints]
+        a = np.concatenate([bp[:-1] for bp in grids])
+        b = np.concatenate([bp[1:] for bp in grids])
+        self.offset, self.scale = (-b - a) / (b - a), 2.0 / (b - a)
+        self.inner = [bp[1:-1] for bp in grids]
+        self.first = np.cumsum([0] + [bp.size - 1 for bp in grids]).tolist()
+
+
+class ChebTable:
+    """T_0..T_deg of each point's interval variable on breakpoint grids.
+
+    The points x[cut[g]:cut[g + 1]] lie on grid g of ``grids``.  Each
+    block's points are sorted by interval, so a block is a table of
     shape (deg+1, points) whose columns run interval by interval, and a
-    stack is contracted with one product per interval segment.  The
-    table of a call of at most ``BLOCK`` points is built once and shared
-    by every stack contracted against it; a larger call rebuilds its
-    blocks per stack, which keeps its memory bounded.
+    stack is contracted with one product per interval segment.
     """
 
-    def __init__(self, breakpoints, x, deg):
-        self.breakpoints = np.asarray(breakpoints, dtype=float)
+    def __init__(self, grids, x, deg, cut=None):
+        self.grids = grids
         self.deg = int(deg)
-        # numpy's map of each interval [a, b] onto [-1, 1]
-        a, b = self.breakpoints[:-1], self.breakpoints[1:]
-        self._offset, self._scale = (-b - a) / (b - a), 2.0 / (b - a)
         x = np.asarray(x, dtype=float)
         self.shape = x.shape
         self.x = x.ravel()
-        self._single = self._block(0) if self.x.size <= BLOCK else None
-
-    def fits(self, stack):
-        bp = stack.breakpoints
-        return stack.deg <= self.deg and (
-            bp is self.breakpoints
-            or bp.shape == self.breakpoints.shape
-            and bool((bp == self.breakpoints).all()))
+        self._cut = [0, self.x.size] if cut is None else list(cut)
 
     def _block(self, lo):
         """(order, segment bounds, table) of the block starting at lo."""
-        bp = self.breakpoints
+        g = self.grids
         x = self.x[lo: lo + BLOCK]
-        nint = bp.size - 1
-        # the interval of each point, the end ones extended outwards;
+        nint = g.first[-1]
+        # the interval of each point on its own grid, the end ones
+        # extended outwards, numbered after the earlier grids' intervals
+        idx = np.empty(x.size, np.intp)
+        for inner, first, a, b in zip(g.inner, g.first, self._cut[:-1],
+                                      self._cut[1:]):
+            a, b = max(a - lo, 0), min(b - lo, x.size)
+            if b > a:
+                idx[a:b] = np.searchsorted(inner, x[a:b],
+                                           side="right") + first
         # a stable sort of keys of 16 bits or fewer is a radix sort
-        idx = np.searchsorted(bp[1:-1], x, side="right")
         order = np.argsort(idx.astype(np.min_scalar_type(nint)),
                            kind="stable")
         idx = idx[order]
-        t = self._offset[idx] + self._scale[idx] * x[order]
+        t = g.offset[idx] + g.scale[idx] * x[order]
         bounds = np.searchsorted(idx, np.arange(nint + 1)).tolist()
         return order, bounds, _recurrence(t, self.deg)
 
     def blocks(self):
         """(start, order, segment bounds, table) per block of points."""
-        if self._single is not None:
-            yield (0,) + self._single
-            return
         for lo in range(0, self.x.size, BLOCK):
             yield (lo,) + self._block(lo)
 
 
 class ChebStack:
-    """Piecewise Chebyshev series on one breakpoint grid, stacked.
+    """Piecewise Chebyshev series on breakpoint grids, stacked.
 
-    ``coeffs`` has shape (intervals, deg+1, *shape); evaluating at points
-    of shape S gives an array of shape S + shape.
+    ``breakpoints`` is one grid, or several whose intervals are numbered
+    in turn.  ``coeffs`` has shape (intervals, deg+1, *shape); evaluating
+    at points of shape S gives an array of shape S + shape.
     """
 
     def __init__(self, breakpoints, coeffs):
         c = np.asarray(coeffs, dtype=float)
-        self.breakpoints = np.asarray(breakpoints, dtype=float)
+        self._grids = _Grids(breakpoints)
+        self.coeffs = c
         self.deg = c.shape[1] - 1
         self.shape = c.shape[2:]
         c = c.reshape(c.shape[:2] + (-1,))
@@ -129,22 +141,18 @@ class ChebStack:
         self._coeffs = np.zeros(c.shape[:2] + (max(self._cols, 2),))
         self._coeffs[:, :, : self._cols] = c
 
-    def table(self, x):
-        return ChebTable(self.breakpoints, x, self.deg)
-
-    def __call__(self, x, table=None):
-        """Every stacked series at x, read off ``table`` when it fits."""
-        if table is None or not table.fits(self):
-            table = self.table(x)
+    def __call__(self, x, cut=None):
+        """Every stacked series at x; on several grids, the points
+        x[cut[g]:cut[g + 1]] are on grid g."""
+        table = ChebTable(self._grids, x, self.deg, cut)
         out = np.empty((table.x.size, self._cols))
-        d = self.deg + 1
         for lo, order, bounds, T in table.blocks():
             res = np.empty((T.shape[1], self._cols))
             for j, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
                 if b - a == 1:
-                    seg = np.repeat(T[:d, a:b], 2, axis=1)
+                    seg = np.repeat(T[:, a:b], 2, axis=1)
                 elif b > a:
-                    seg = T[:d, a:b]
+                    seg = T[:, a:b]
                 else:
                     continue
                 res[a:b] = (seg.T @ self._coeffs[j])[: b - a, : self._cols]

@@ -269,18 +269,15 @@ class EdgeCorrector:
     def shape(self):
         return self.coeffs[0].shape[1:]
 
-    def modal_batch(self, x, deriv=0, table=None):
+    def modal_batch(self, x, deriv=0):
         """Per-point modal arrays of d^deriv u / dx^deriv, (npts, 2, N, P);
         ``deriv=(0, 1)`` gives those of u and du/dx from one contraction,
         (npts, 2, 2, N, P).
-
-        ``table`` is a Chebyshev table of the points, used when it is on
-        this corrector's grid and reaches its degree.
         """
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if deriv == 2:
-            return self._second(x, table)
-        both = self._joined(x, table)
+            return self._second(x)
+        both = self._joined(x)
         return both if deriv == (0, 1) else both[:, deriv]
 
     def modal_at(self, x, deriv=0):

@@ -12,11 +12,14 @@ domain for any slenderness value.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from .cheb import ChebStack
 from .config import TRANSVERSE_AXES, ProblemSpec
 from .corrector import _modal_eval, build_corrector, corrector_rhs
-from .graph import ProfileStack, TransmissionData, solve_limit, solve_omega_k
+from .graph import TransmissionData, solve_limit, solve_omega_k
 from .junction import (
     JunctionField,
     TruncatedJunction,
@@ -174,17 +177,62 @@ class Expansion:
                     build_pi(spec, i, self.correctors[k][i],
                              omega=self.graph[k].edges[i])
                     for i in range(3))
+        self._build_stack()
+        if self.nfields:
+            self.inner_field = JunctionField.stack(
+                [self.nfields[k] for k in range(1, self.order + 1)])
+
+    def _build_stack(self):
+        """One Chebyshev stack of every tube term that is a function of x
+        alone, on the three tubes' grids in turn.  Its columns are the
+        profile w_k and the flux antiderivative s_k of every order, then
+        for k >= 2 the joined modal coefficients of u_k and du/dx,
+        zero-padded to the order's (N, P) and to the highest degree.
+        Every function of tube i must be on its radius' breakpoints."""
+        grids = [self.spec.h[i].breakpoints for i in range(3)]
+        edges = [[self.graph[k].edges[i] for k in range(self.order + 1)]
+                 for i in range(3)]
+        joined = {k: [c._joined.coeffs for c in corr]
+                  for k, corr in self.correctors.items()}
         # the common (N, P) of each order's three correctors
         self._modal_shape = {
             k: tuple(np.max([c.shape[1:] for c in corr], axis=0).tolist())
             for k, corr in self.correctors.items()}
-        self.profiles = tuple(
-            ProfileStack(self.graph[k].edges[i]
-                         for k in range(self.order + 1))
-            for i in range(3))
-        if self.nfields:
-            self.inner_field = JunctionField.stack(
-                [self.nfields[k] for k in range(1, self.order + 1)])
+        for i, grid in enumerate(grids):
+            parts = [(f"order-{k} profile", e.breakpoints)
+                     for k, e in enumerate(edges[i])]
+            parts += [(f"order-{k} corrector", corr[i].breakpoints)
+                      for k, corr in self.correctors.items()]
+            for what, bp in parts:
+                if not np.array_equal(bp, grid):
+                    raise RecurrenceError(
+                        f"the {what} of tube {i} is not on the breakpoints "
+                        f"of its radius")
+        deg = max([f.deg for row in edges for e in row for f in (e._w, e._s)]
+                  + [c.shape[1] - 1 for cs in joined.values() for c in cs])
+        first = np.cumsum([0] + [grid.size - 1 for grid in grids])
+        nint, nk = first[-1], self.order + 1
+        prof = np.zeros((nint, deg + 1, 2, nk))
+        for i, row in enumerate(edges):
+            for k, e in enumerate(row):
+                prof[first[i]:first[i + 1], :, 0, k] = e._w.coeffs(deg)
+                prof[first[i]:first[i + 1], :, 1, k] = e._s.coeffs(deg)
+        blocks = [prof.reshape(nint, deg + 1, -1)]
+        self._modal_cols = {}
+        ncols = 2 * nk
+        for k, cs in joined.items():
+            A = np.zeros((nint, deg + 1, 2, 2) + self._modal_shape[k])
+            for i, c in enumerate(cs):
+                _, d, _, _, n, p = c.shape
+                A[first[i]:first[i + 1], :d, :, :, :n, :p] = c
+            blocks.append(A.reshape(nint, deg + 1, -1))
+            self._modal_cols[k] = slice(ncols, ncols + A[0, 0].size)
+            ncols += A[0, 0].size
+        self._stack = ChebStack(grids, np.concatenate(blocks, axis=2))
+        # per tube and order, the affine tail p + q x and the flux c_k
+        self._p, self._q, self._c0 = np.array(
+            [[(e.affine[0], e.affine[1], e.c0) for e in row]
+             for row in edges]).transpose(2, 0, 1)
 
     def _data_scale(self, k):
         scale = 1.0
@@ -213,37 +261,51 @@ class Expansion:
         edge = np.where(peak > lim, edge, -1)
         return edge
 
+    def _profiles(self, xu, xcut):
+        """The stack's columns at the positions xu, tube i's being
+        xu[xcut[i]:xcut[i + 1]], and there the profiles w_k with their
+        slopes (c_k - s_k) / (pi h^2) + q_k, each (positions, orders)."""
+        out = self._stack(xu, xcut)
+        nk = self.order + 1
+        tube = np.repeat(np.arange(3), np.diff(xcut))
+        hx = np.empty(xu.size)
+        for i in range(3):
+            lo, hi = xcut[i], xcut[i + 1]
+            if hi > lo:
+                hx[lo:hi] = self.spec.h[i](xu[lo:hi])
+        q = self._q[tube]
+        values = out[:, :nk] + self._p[tube] + q * xu[:, None]
+        slopes = (self._c0[tube] - out[:, nk:2 * nk]) \
+            / (math.pi * hx[:, None] ** 2) + q
+        return out, values, slopes
+
+    def tube_profiles(self, i, x):
+        """Values and slopes of the graph profiles w_k of every order on
+        tube i at the axial positions x, each (points, orders)."""
+        x = np.asarray(x, dtype=float)
+        return self._profiles(x, np.where(np.arange(4) > i, x.size, 0))[1:]
+
     def _tube_terms(self, g, m, pick=None):
         """w_k + u_k, its axial slope and the two components of the
         transverse gradient of u_k, stacked, at the tube rows of ``g``
         (or its rows ``pick``), one column per built order, filled for
-        k = 0..m.  Each tube reads its profiles and its correctors' modal
-        arrays off one Chebyshev table of its distinct positions.  The
-        modal arrays of an order's three correctors, zero-padded to one
-        shape and gathered per row, go through one modal pass: the
-        padding adds exact zeros to its sums, which leaves them bitwise
-        where the kernel keeps their order (one harmonic and at most four
-        powers, as in the test and benchmark specs) and moves them by
+        k = 0..m.  One table per request: the profiles of every order
+        and the correctors' modal arrays of all three tubes come from one
+        Chebyshev table of the distinct positions and one contraction.
+        An order's modal arrays, zero-padded to one shape in the stack
+        and gathered per row, go through one modal pass: the padding
+        adds exact zeros to its sums, which leaves them bitwise where
+        the kernel keeps their order (one harmonic and at most four
+        powers, as in the benchmark specs) and may move them by
         rounding otherwise."""
         at, ta, tb = ((g.at, g.ta, g.tb) if pick is None
                       else (g.at[pick], g.ta[pick], g.tb[pick]))
-        core = np.empty((g.xu.size, self.order + 1))
-        d_ax = np.empty_like(core)
-        modal = {k: np.zeros((g.xu.size, 2, 2) + self._modal_shape[k])
-                 for k in range(2, m + 1)}
-        for i in range(3):
-            span = g.positions(i)
-            xu = g.xu[span]
-            if not xu.size:
-                continue
-            table = self.profiles[i].table(xu)
-            core[span], d_ax[span] = self.profiles[i].evaluate(xu, table)
-            for k, A in modal.items():
-                B = self.correctors[k][i].modal_batch(xu, (0, 1), table)
-                A[span, :, :, :B.shape[3], :B.shape[4]] = B
+        out, core, d_ax = self._profiles(g.xu, g.xcut)
         terms = np.zeros((4, at.size, self.order + 1))
         terms[0], terms[1] = core[at], d_ax[at]
-        for k, A in modal.items():
+        for k in range(2, m + 1):
+            A = out[:, self._modal_cols[k]].reshape(
+                (-1, 2, 2) + self._modal_shape[k])
             (cv, cx), terms[2, :, k], terms[3, :, k] = _modal_eval(A[at],
                                                                    ta, tb)
             terms[0, :, k] += cv

@@ -468,21 +468,24 @@ class PointLocator:
             inside = ~out.any(axis=1)
             tet[live[inside]] = cur[inside]
             bary[live[inside]] = np.clip(lam[inside], 0.0, None)
+            if inside.all():
+                break
             nb = self._neighbours.take(cur, axis=0)
             step = np.where(out & (nb >= 0), lam, np.inf)
             face = np.argmin(step, axis=1)
             rows = np.arange(live.size)
             left = np.flatnonzero(~inside & np.isinf(step[rows, face]))
-            # distances beyond the faces, only for walks that left
-            t, o = cur[left], out[left]
-            dist = np.where(o, -lam[left], 0.0) / np.linalg.norm(
-                self._grads[t], axis=2)
-            ok = (~(o & self._end_face[t]).any(axis=1)
-                  & (dist.max(axis=1) <= self._sagitta))
-            tet[live[left[ok]]] = t[ok]
-            bary[live[left[ok]]] = lam[left[ok]]
             move = ~inside
-            move[left] = False
+            if left.size:
+                # distances beyond the faces, only for walks that left
+                t, o = cur[left], out[left]
+                dist = np.where(o, -lam[left], 0.0) / np.linalg.norm(
+                    self._grads[t], axis=2)
+                ok = (~(o & self._end_face[t]).any(axis=1)
+                      & (dist.max(axis=1) <= self._sagitta))
+                tet[live[left[ok]]] = t[ok]
+                bary[live[left[ok]]] = lam[left[ok]]
+                move[left] = False
             live, cur = live[move], nb[rows, face][move].astype(np.int64)
         return tet, bary
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .cheb import ChebStack, PiecewiseCheb, gauss_piecewise, merge_breakpoints
+from .cheb import PiecewiseCheb, gauss_piecewise, merge_breakpoints
 from .config import ProblemSpec
 
 # Chebyshev degree per smoothness interval of every graph profile.
@@ -142,52 +142,6 @@ class EdgeFunction:
         g = self.germ()
         return [float(g.deriv(q)(0.0)) if q <= g.degree() else 0.0
                 for q in range(qmax + 1)]
-
-
-class ProfileStack:
-    """Values and slopes of several edge functions of one tube at once.
-
-    The interpolated value w and flux antiderivative s of every function
-    are stacked, one stack per distinct breakpoint grid, so one
-    Chebyshev table gives all of them; the affine tails and c0 enter per
-    column and h is evaluated once.
-    """
-
-    def __init__(self, edges):
-        edges = list(edges)
-        self.h = edges[0].h
-        self._c0 = np.array([e.c0 for e in edges])
-        self._p = np.array([e.affine[0] for e in edges])
-        self._q = np.array([e.affine[1] for e in edges])
-        groups = {}
-        for j, e in enumerate(edges):
-            groups.setdefault(e.breakpoints.tobytes(), []).append(j)
-        self._stacks = []
-        for cols in groups.values():
-            members = [edges[j] for j in cols]
-            deg = max(f.deg for e in members for f in (e._w, e._s))
-            coeffs = np.stack([np.stack([e._w.coeffs(deg), e._s.coeffs(deg)],
-                                        axis=-1) for e in members], axis=2)
-            self._stacks.append(
-                (cols, ChebStack(members[0].breakpoints, coeffs)))
-
-    def table(self, x):
-        """Chebyshev table of the first function's grid at x."""
-        return self._stacks[0][1].table(x)
-
-    def evaluate(self, x, table=None):
-        """(values, slopes) at the points x, each (points, functions)."""
-        x = np.asarray(x, dtype=float)
-        w = np.empty((x.size, self._c0.size))
-        s = np.empty_like(w)
-        for cols, stack in self._stacks:
-            out = stack(x, table)
-            w[:, cols] = out[:, :, 0]
-            s[:, cols] = out[:, :, 1]
-        values = w + self._p + self._q * x[:, None]
-        slopes = (self._c0 - s) / (math.pi * self.h(x)[:, None] ** 2) \
-            + self._q
-        return values, slopes
 
 
 @dataclass

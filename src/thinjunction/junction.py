@@ -61,6 +61,10 @@ class OutletGrowth:
             self.disks = (None,) * len(self.coeffs)
         if len(self.disks) != len(self.coeffs):
             raise ValueError("one disk slot per power")
+        # an all-zero cross-section profile adds exact zeros
+        self.disks = tuple(None if d is None or not (d.cos.any()
+                                                     or d.sin.any()) else d
+                           for d in self.disks)
 
     def evaluate(self, ax, ta, tb):
         """(value, d/dax, d/dta, d/dtb) at each point.

@@ -256,7 +256,7 @@ def _station_gap(exp: Expansion, ref: ReferenceSolution, order):
     worst = 0.0
     for i in range(3):
         xs, means = ref.station_values(i, ref.observation_interval())
-        vals, _ = exp.profiles[i].evaluate(xs)
+        vals, _ = exp.tube_profiles(i, xs)
         model = np.zeros_like(xs)
         for k in range(order + 1):
             model += ref.epsilon ** k * vals[:, k]
@@ -271,7 +271,7 @@ def _tube_profile_h1(exp: Expansion, ref: ReferenceSolution):
         def fn(pts, i=i):
             # one evaluation per distinct axial position of the points
             xs, at = np.unique(pts[:, i], return_inverse=True)
-            vals, slopes = exp.profiles[i].evaluate(xs)
+            vals, slopes = exp.tube_profiles(i, xs)
             grads = np.zeros_like(pts)
             grads[:, i] = slopes[at, 0]
             return vals[at, 0], grads

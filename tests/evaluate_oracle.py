@@ -14,14 +14,19 @@ changes.
 ``evaluate_per_point`` and ``residual_terms_per_point`` keep the
 one-pass serving path as it was before the distinct-axial-position
 pass: the same kernels, with every axial factor (cut-offs, Chebyshev
-table, profiles, corrector modal arrays) evaluated at every point.
-The distinct-position pass must match them bit for bit.
+table, profiles, corrector modal arrays) evaluated at every point, and
+with one Chebyshev stack of profiles and one of each corrector's modal
+arrays per tube, each tube's modal arrays unpadded.  The served pass,
+one table and one contraction for all three tubes, must match them bit
+for bit where the modal kernel's sums keep their order (one harmonic,
+at most four powers), and within rounding otherwise.
 """
 
 import numpy as np
 from scipy import special
 
 from cheb_oracle import modal_batch, piecewise_call
+from thinjunction.cheb import ChebStack
 from thinjunction.config import TRANSVERSE_AXES
 from thinjunction.corrector import _modal_eval
 
@@ -533,15 +538,32 @@ def _tubes_per_point(exp, pts, eps, edge):
                x / eps ** exp.spec.alpha)
 
 
+def tube_profiles_per_tube(exp, i, x):
+    """Values and slopes of tube i's graph profiles of every order, each
+    (points, orders), from one Chebyshev stack of the tube's w_k and s_k,
+    as the tube's own stack served them before the three tubes shared
+    one."""
+    edges = [exp.graph[k].edges[i] for k in range(exp.order + 1)]
+    deg = max(f.deg for e in edges for f in (e._w, e._s))
+    stack = ChebStack(edges[0].breakpoints, np.stack(
+        [np.stack([e._w.coeffs(deg), e._s.coeffs(deg)], axis=-1)
+         for e in edges], axis=2))
+    out = stack(x)
+    p, q, c0 = (np.array(v) for v in zip(*[e.affine + (e.c0,)
+                                           for e in edges]))
+    values = out[:, :, 0] + p + q * x[:, None]
+    slopes = (c0 - out[:, :, 1]) / (np.pi * edges[0].h(x)[:, None] ** 2) \
+        + q
+    return values, slopes
+
+
 def _tube_terms_per_point(exp, i, x, ta, tb, m):
-    table = exp.profiles[i].table(x)
-    core, d_ax = exp.profiles[i].evaluate(x, table)
+    core, d_ax = tube_profiles_per_tube(exp, i, x)
     ga = np.zeros_like(core)
     gb = np.zeros_like(core)
     for k in range(2, m + 1):
         corr = exp.correctors[k][i]
-        (cv, cx), ga[:, k], gb[:, k] = _modal_eval(
-            corr.modal_batch(x, (0, 1), table), ta, tb)
+        (cv, cx), ga[:, k], gb[:, k] = _modal_eval(corr._joined(x), ta, tb)
         core[:, k] += cv
         d_ax[:, k] += cx
     return core, d_ax, ga, gb

@@ -125,11 +125,26 @@ def test_stack_matches_its_columns():
     assert got.shape == (300, 3)
     for j, c in enumerate(cols):
         _close(got[:, j], piecewise_call(c, x))
-    # a table of a higher degree on the same grid serves the stack; one
-    # of another grid or a lower degree is replaced by the stack's own
-    for grid, deg in ((bp, 70), ([0.0, 0.5, 1.0], 64), (bp, 40)):
-        table = ChebStack(grid, np.zeros((len(grid) - 1, deg + 1))).table(x)
-        assert np.array_equal(stack(x, table), got)
+
+
+def test_stack_on_several_grids_matches_each_grid_bitwise():
+    """A stack on grids whose intervals are numbered in turn looks each
+    point up on its own grid, extrapolating by that grid's end
+    intervals: each run of points reads bitwise what its grid's own
+    stack gives, also where a run is empty or a block of ``BLOCK``
+    points spans the runs."""
+    rng = np.random.default_rng(37)
+    grids = [[0.0, 0.35, 0.65, 1.0], [0.0, 1.0], [0.0, 0.5, 1.0],
+             [0.0, 0.2, 1.0]]
+    coeffs = [rng.standard_normal((len(g) - 1, 41, 2, 3)) for g in grids]
+    joined = ChebStack(grids, np.concatenate(coeffs))
+    sizes = (BLOCK - 5, 0, 12, BLOCK + 3)
+    x = rng.uniform(-0.05, 1.05, sum(sizes))
+    cut = np.cumsum((0,) + sizes)
+    got = joined(x, cut)
+    assert got.shape == (x.size, 2, 3)
+    for g, c, a, b in zip(grids, coeffs, cut[:-1], cut[1:]):
+        assert np.array_equal(got[a:b], ChebStack(g, c)(x[a:b]))
 
 
 def test_modal_batch_matches_chebval(exp_rich):

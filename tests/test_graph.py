@@ -1,5 +1,6 @@
 """One-dimensional vertex problems on the three-edge graph."""
 
+import copy
 import math
 
 import numpy as np
@@ -14,11 +15,11 @@ from thinjunction import (
     solve_omega_k,
 )
 from thinjunction.cheb import PiecewiseCheb, merge_breakpoints
+from thinjunction.expansion import RecurrenceError
 from thinjunction.graph import (
     DEG,
     EdgeFunction,
     EdgeRHS,
-    ProfileStack,
     _solve_continuous,
     assemble_rhs0,
     weak_residual,
@@ -148,7 +149,7 @@ def test_vertex_data_are_kept_from_construction(exp_rich):
         for e in edges + [edges[-1].with_affine(0.3, -0.2)]:
             assert e.vertex_value == float(e.value(0.0))
             assert e.vertex_slope == float(e.d1(0.0))
-        vals, slopes = exp_rich.profiles[i].evaluate(x)
+        vals, slopes = exp_rich.tube_profiles(i, x)
         for k, e in enumerate(edges):
             assert np.allclose(vals[:, k], e.value(x), rtol=1e-14, atol=0)
             assert np.allclose(slopes[:, k], e.d1(x), rtol=1e-14, atol=0)
@@ -156,20 +157,17 @@ def test_vertex_data_are_kept_from_construction(exp_rich):
                for g in exp_rich.graph.values() for e in g.edges)
 
 
-def test_profile_stack_keeps_each_breakpoint_grid(fx_spec):
-    """Edge functions on another grid go into a second stack, evaluated
-    on their own table, and every column still matches its function."""
-    base = solve_limit(fx_spec)
+def test_profiles_off_their_radius_grid_are_refused(fx_spec, exp_fx):
+    """The served stack numbers each tube's intervals by its radius'
+    breakpoints, so a profile on another grid is refused when the stack
+    is built."""
     rhs = [EdgeRHS(fn=r.fn, breakpoints=np.array([0.0, 0.5, 1.0]),
                    germ0=r.germ0)
            for r in assemble_rhs0(fx_spec)]
-    split = solve_limit(fx_spec, rhs_list=rhs)
-    edges = [base.edges[0], split.edges[0],
-             base.edges[0].with_affine(0.1, -0.2)]
-    stack = ProfileStack(edges)
-    assert len(stack._stacks) == 2
-    x = np.linspace(0.0, 1.0, 41)
-    vals, slopes = stack.evaluate(x, stack.table(x))
-    for k, e in enumerate(edges):
-        assert np.allclose(vals[:, k], e.value(x), rtol=1e-14, atol=0)
-        assert np.allclose(slopes[:, k], e.d1(x), rtol=1e-14, atol=0)
+    exp = copy.copy(exp_fx)
+    exp.graph = dict(exp_fx.graph)
+    exp._build_stack()
+    exp.graph[0] = solve_limit(fx_spec, rhs_list=rhs)
+    with pytest.raises(RecurrenceError,
+                       match="order-0 profile of tube 0 is not on"):
+        exp._build_stack()

@@ -144,9 +144,18 @@ class ChebStack:
     def __call__(self, x, cut=None):
         """Every stacked series at x; on several grids, the points
         x[cut[g]:cut[g + 1]] are on grid g."""
+        return self.at(x, cut)[0]
+
+    def at(self, x, cut=None):
+        """(values, intervals): every stacked series at x, as a call
+        gives them, and the interval of each point, numbered in turn over
+        the grids, the end ones extended outwards."""
         table = ChebTable(self._grids, x, self.deg, cut)
         out = np.empty((table.x.size, self._cols))
+        interval = np.empty(table.x.size, np.intp)
         for lo, order, bounds, T in table.blocks():
+            interval[lo + order] = np.repeat(np.arange(len(bounds) - 1),
+                                             np.diff(bounds))
             res = np.empty((T.shape[1], self._cols))
             for j, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
                 if b - a == 1:
@@ -158,7 +167,8 @@ class ChebStack:
                 res[a:b] = (seg.T @ self._coeffs[j])[: b - a, : self._cols]
             out[lo + order] = res
         out = out.reshape(table.shape + self.shape)
-        return out[()] if out.ndim == 0 else out
+        return (out[()] if out.ndim == 0 else out,
+                interval.reshape(table.shape))
 
 
 class PiecewiseCheb:

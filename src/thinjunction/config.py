@@ -52,6 +52,17 @@ def eta(k, hprime):
     return c * np.abs(hprime) ** k
 
 
+def horner(c, x):
+    """The power series with coefficient rows ``c`` (constant first, each
+    row per point) at x by Horner's scheme.  It runs the operations of
+    numpy's ``polyval`` (a zero-padded power adds exact zeros), so at a
+    finite x every value is bitwise the ``Polynomial`` value."""
+    out = c[-1]
+    for row in c[-2::-1]:
+        out = row + out * x
+    return out
+
+
 class RadiusProfile:
     """Piecewise-polynomial radius h(x) on [0, 1], C^1, constant near the ends."""
 
@@ -103,18 +114,20 @@ class RadiusProfile:
         if np.min(self(xs)) <= 0.0:
             raise ValueError("radius must stay positive")
 
+    def power_coeffs(self, width=None):
+        """The power coefficients of h, one row per power and one column
+        per piece, zero-padded to ``width`` rows."""
+        c = self._coef[0]
+        width = c.shape[0] if width is None else width
+        return np.pad(c, ((0, width - c.shape[0]), (0, 0)))
+
     def _horner(self, coef, x):
         """The pieces with power coefficients ``coef`` at x, each point
-        by its own piece, the end pieces extended outwards.  Horner's
-        scheme runs the operations of numpy's ``polyval`` (a zero-padded
-        power adds exact zeros), so at a finite x every value is bitwise
-        the piece's ``Polynomial`` value."""
+        by its own piece, the end pieces extended outwards."""
         x = np.asarray(x, dtype=float)
-        c = coef[:, np.searchsorted(self.breakpoints[1:-1], x, side="right")]
-        out = c[-1]
-        for row in c[-2::-1]:
-            out = row + out * x
-        return out
+        return horner(
+            coef[:, np.searchsorted(self.breakpoints[1:-1], x, side="right")],
+            x)
 
     def __call__(self, x):
         return self._horner(self._coef[0], x)

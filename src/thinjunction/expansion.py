@@ -17,7 +17,7 @@ import math
 import numpy as np
 
 from .cheb import ChebStack
-from .config import TRANSVERSE_AXES, ProblemSpec
+from .config import TRANSVERSE_AXES, ProblemSpec, horner
 from .corrector import _modal_eval, build_corrector, corrector_rhs
 from .graph import TransmissionData, solve_limit, solve_omega_k
 from .junction import (
@@ -229,6 +229,10 @@ class Expansion:
             self._modal_cols[k] = slice(ncols, ncols + A[0, 0].size)
             ncols += A[0, 0].size
         self._stack = ChebStack(grids, np.concatenate(blocks, axis=2))
+        # the radii's power coefficients, one column per stack interval
+        width = max(self.spec.h[i].power_coeffs().shape[0] for i in range(3))
+        self._h_pieces = np.concatenate(
+            [self.spec.h[i].power_coeffs(width) for i in range(3)], axis=1)
         # per tube and order, the affine tail p + q x and the flux c_k
         self._p, self._q, self._c0 = np.array(
             [[(e.affine[0], e.affine[1], e.c0) for e in row]
@@ -265,19 +269,21 @@ class Expansion:
         """The stack's columns at the positions xu, tube i's being
         xu[xcut[i]:xcut[i + 1]], and there the profiles w_k with their
         slopes (c_k - s_k) / (pi h^2) + q_k, each (positions, orders)."""
-        out = self._stack(xu, xcut)
+        out, interval = self._stack.at(xu, xcut)
         nk = self.order + 1
         tube = np.repeat(np.arange(3), np.diff(xcut))
-        hx = np.empty(xu.size)
-        for i in range(3):
-            lo, hi = xcut[i], xcut[i + 1]
-            if hi > lo:
-                hx[lo:hi] = self.spec.h[i](xu[lo:hi])
+        hx = self._radii(xu, interval)
         q = self._q[tube]
         values = out[:, :nk] + self._p[tube] + q * xu[:, None]
         slopes = (self._c0[tube] - out[:, nk:2 * nk]) \
             / (math.pi * hx[:, None] ** 2) + q
         return out, values, slopes
+
+    def _radii(self, xu, interval):
+        """The radius h at the positions xu, each of the stack's
+        ``interval`` (its tube's piece), in one Horner pass over the
+        three tubes' stacked pieces: bitwise each tube's own pass."""
+        return horner(self._h_pieces[:, interval], xu)
 
     def tube_profiles(self, i, x):
         """Values and slopes of the graph profiles w_k of every order on

@@ -134,17 +134,8 @@ class FemContext:
                                np.concatenate(local[:6]), minlength=len(edges))
             diag += np.bincount(m.tets[blk].T.ravel(),
                                 np.concatenate(local[6:]), minlength=n)
-        # entries (a, b) and (b, a) per edge and (i, i) per node, in
-        # row-major order
-        nodes = np.arange(n)
-        rows = np.concatenate([edges[:, 0], edges[:, 1], nodes])
-        cols = np.concatenate([edges[:, 1], edges[:, 0], nodes])
-        order = np.argsort(rows * n + cols)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
-        data = np.concatenate([off, off, diag])[order]
-        return sparse.csr_matrix(
-            (data, cols[order].astype(np.int32), indptr), shape=(n, n))
+        del tet_edge  # six numbers a tet, not needed to place the entries
+        return edge_csr(edges, off, diag)
 
     def quad_points(self, degree=2, live=None):
         """Quadrature points and weights of every tet, or of the tets
@@ -207,6 +198,34 @@ class FemContext:
         return self._locator
 
 
+def edge_csr(edges, off, diag):
+    """The symmetric CSR matrix with ``off`` at (a, b) and (b, a) of each
+    edge row (a, b) of ``edges`` (a < b, sorted by a, then b) and ``diag``
+    on its diagonal.
+
+    Row r holds its edges (a, r) by a, then (r, r), then its edges (r, b)
+    by b.  The edge list is the upper part row by row, and its transpose
+    (scipy's counting pass) the lower part: the entries are placed
+    without a sort.
+    """
+    n = diag.size
+    counts = np.ones((n, 3), dtype=np.int64)
+    counts[:, 0] = np.bincount(edges[:, 1], minlength=n)
+    counts[:, 2] = np.bincount(edges[:, 0], minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts[:, 2], out=indptr[1:])
+    lower = sparse.csr_matrix((off, edges[:, 1], indptr),
+                              shape=(n, n)).T.tocsr()
+    part = np.repeat(np.tile(np.arange(3, dtype=np.int8), n), counts.ravel())
+    np.cumsum(counts.sum(axis=1), out=indptr[1:])
+    data, cols = np.empty(part.size), np.empty(part.size, dtype=np.int32)
+    for k, (d, c) in enumerate(((lower.data, lower.indices),
+                                (diag, np.arange(n)), (off, edges[:, 1]))):
+        at = part == k
+        data[at], cols[at] = d, c
+    return sparse.csr_matrix((data, cols, indptr), shape=(n, n))
+
+
 def coarse_labels(mesh: TetMesh):
     """Coarse aggregate of every node: one per tube station, then one
     per (shell, cube face, quadrant of that face) for the nodes of no
@@ -229,6 +248,28 @@ def coarse_labels(mesh: TetMesh):
     cell = (shell * 3 + axis) * 8 + signs @ [4, 1, 2]
     labels[bulge] = count + np.unique(cell, return_inverse=True)[1]
     return labels
+
+
+def submatrix(a, keep):
+    """``a[keep][:, keep]`` of a CSR matrix for a boolean mask, in one
+    pass over its entries: each kept row's entries in kept columns, in
+    their order, their columns renumbered.  The arrays are bitwise
+    scipy's row and then column fancy indexing, without the matrix of
+    kept rows between them."""
+    size = np.diff(a.indptr)
+    inside = np.repeat(keep, size)
+    inside &= keep.take(a.indices)
+    # kept entries per row, one reduceat over the rows with entries
+    counts = np.zeros(keep.size, dtype=a.indptr.dtype)
+    filled = size > 0
+    counts[filled] = np.add.reduceat(inside, a.indptr[:-1][filled],
+                                     dtype=a.indptr.dtype)
+    indptr = np.zeros(np.count_nonzero(keep) + 1, dtype=a.indptr.dtype)
+    np.cumsum(counts[keep], out=indptr[1:])
+    number = np.cumsum(keep, dtype=a.indices.dtype) - 1
+    return sparse.csr_matrix(
+        (a.data[inside], number.take(a.indices[inside]), indptr),
+        shape=(indptr.size - 1,) * 2)
 
 
 def _solve_spd(a, b, labels=None):
@@ -315,9 +356,10 @@ def solve_poisson(ctx: FemContext, volume=None, neumann=None, dirichlet=None):
     if not fixed.any():
         raise ValueError("dirichlet tags matched no boundary nodes")
     free = ~fixed
-    rows = ctx.matrix[free]
-    b_f = b[free] - rows[:, fixed] @ values[fixed]
-    u_f, info = _solve_spd(rows[:, free].tocsr(), b_f,
+    # values is zero off the fixed nodes, so each row's product adds the
+    # products of its fixed columns in order, and exact zeros between
+    b_f = (b - ctx.matrix @ values)[free]
+    u_f, info = _solve_spd(submatrix(ctx.matrix, free), b_f,
                            labels=coarse_labels(mesh)[free])
     u = values.copy()
     u[free] = u_f
@@ -334,6 +376,16 @@ def galerkin_residual(ctx: FemContext, u, b):
     return worst
 
 
+def _point_sums(wts, err, out):
+    """Each tet's sum of ``wts * err`` over its points, point by point
+    in order, by elementwise products: no matrix-vector product, whose
+    rounding would depend on the rows of the block."""
+    err = np.broadcast_to(err, wts.shape)
+    np.multiply(wts[:, 0], err[:, 0], out=out)
+    for q in range(1, wts.shape[1]):
+        out += wts[:, q] * err[:, q]
+
+
 def norms(ctx: FemContext, u, reference=None, mask=None):
     """(L2, H1-seminorm, H1) of u minus an optional analytic reference.
 
@@ -341,17 +393,17 @@ def norms(ctx: FemContext, u, reference=None, mask=None):
     quadrature points, one block of tets at a time; ``mask`` weights the
     tetrahedra (centroid filters), and only those of nonzero weight are
     integrated, so the reference is evaluated at their quadrature points
-    alone.  The squared errors at every point are kept and summed once,
-    so the norms do not depend on the block size.
+    alone.  Each tet's weighted squared errors are summed over its four
+    points into one L2 and one H1 number per tet, and those are summed
+    once at the end, so the pass keeps two numbers per tet (and a mask's
+    live index) and one block, and the norms do not depend on the block
+    size, bit for bit.
     """
     live = None if mask is None else np.flatnonzero(mask)
     tets, (bary, w) = ctx.mesh.tets, _TET_RULES[2]
-    wts = np.outer(ctx.volumes if live is None else ctx.volumes[live], w)
-    if live is not None:
-        wts *= mask[live, None]
-    vals_sq = np.empty(wts.shape)
-    grads_sq = np.empty(wts.shape + (3,))
-    for blk in tet_blocks(len(wts), len(w)):
+    count = ctx.mesh.num_tets if live is None else live.size
+    l2, h1 = np.empty(count), np.empty(count)
+    for blk in tet_blocks(count, len(w)):
         sel = blk if live is None else live[blk]
         vals = np.take(u, tets[sel]) @ bary.T
         grads = ctx.field_gradients(u, sel)[:, None, :]
@@ -360,10 +412,14 @@ def norms(ctx: FemContext, u, reference=None, mask=None):
             rv, rg = reference(pts.reshape(-1, 3))
             vals = vals - rv.reshape(vals.shape)
             grads = grads - rg.reshape(vals.shape + (3,))
-        np.multiply(vals, vals, out=vals_sq[blk])
-        np.multiply(grads, grads, out=grads_sq[blk])
-    l2sq = float(np.vdot(wts, vals_sq))
-    h1sq = float(np.sum(wts.ravel() @ grads_sq.reshape(-1, 3)))
+        wts = np.outer(ctx.volumes[sel], w)
+        if live is not None:
+            wts *= mask[sel, None]
+        grads *= grads
+        _point_sums(wts, vals * vals, l2[blk])
+        _point_sums(wts, grads[..., 0] + grads[..., 1] + grads[..., 2],
+                    h1[blk])
+    l2sq, h1sq = float(l2.sum()), float(h1.sum())
     return math.sqrt(l2sq), math.sqrt(h1sq), math.sqrt(l2sq + h1sq)
 
 

@@ -28,6 +28,7 @@ from .fem3d import (
     coarse_labels,
     station_average,
     station_profile,
+    submatrix,
 )
 from .mesh3d import build_junction_mesh, tet_blocks
 from .poly import (
@@ -444,8 +445,10 @@ def _solve_load(junction: TruncatedJunction, data: InnerData):
     """
     b = assemble_load(junction, data)
     u = np.zeros_like(b)
-    u[1:], info = _solve_spd(junction.ctx.matrix[1:, 1:], (b - b.mean())[1:],
-                             labels=junction.labels[1:])
+    free = np.ones(b.size, dtype=bool)
+    free[0] = False
+    u[1:], info = _solve_spd(submatrix(junction.ctx.matrix, free),
+                             (b - b.mean())[1:], labels=junction.labels[1:])
     return u, b, info
 
 

@@ -640,21 +640,35 @@ def face_adjacency(tets, num_nodes):
 
 def tet_edges(tets, num_nodes):
     """The mesh's edges as rows (a, b), a < b, in increasing order, and
-    the row of each tet's six edges (``_EDGES``) in that list."""
+    the row of each tet's six edges (``_EDGES``) in that list.
+
+    The keys a*n + b are int32 where every key fits, which halves the
+    keys and their sorted copy; the sorted keys' buffer then takes the
+    edge numbers.  While it sorts, the pass holds the keys twice and the
+    sort's int64 order: 96 bytes per tet with int32 keys."""
     n = int(num_nodes)
-    key = np.empty((tets.shape[0], 6), dtype=np.int64)
+    kind = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
+    key = np.empty((tets.shape[0], 6), dtype=kind)
     for blk in tet_blocks(tets.shape[0]):
         pair = tets[blk][:, _EDGES]
-        key[blk] = pair.min(axis=2).astype(np.int64) * n + pair.max(axis=2)
+        key[blk] = pair.min(axis=2).astype(kind) * kind(n) + pair.max(axis=2)
     key = key.ravel()
     order = np.argsort(key)
     key = key[order]
     first = np.empty(key.size, dtype=bool)
     first[:1] = True
     np.not_equal(key[1:], key[:-1], out=first[1:])
+    unique = key[first]
+    # the edge number of each sorted key, counted in place
+    key[:] = first
+    del first
+    np.cumsum(key, out=key)
+    key -= 1
     index = np.empty(key.size, dtype=np.int32)
-    index[order] = np.cumsum(first, dtype=np.int32) - 1
-    edges = np.stack(np.divmod(key[first], n), axis=1)
+    index[order] = key
+    del key, order
+    edges = np.empty((unique.size, 2), dtype=np.int64)
+    np.divmod(unique, kind(n), out=(edges[:, 0], edges[:, 1]))
     return edges, index.reshape(-1, 6)
 
 

@@ -2,8 +2,11 @@
 blocked passes: each must match its oracle bit for bit at any block
 size.
 
-``norms_reference`` is the former ``fem3d.norms``: every quadrature
-point of every (masked) tet at once, one reference call.
+``norms_reference`` integrates every quadrature point of every (masked)
+tet at once, from one reference call, and sums each tet's four points
+in order and then the tets, as ``fem3d.norms`` does block by block;
+``norms_vdot_reference`` is the former ``fem3d.norms``, one ``vdot``
+over every point, which it matches to rounding.
 ``face_keys_reference`` sorts each triangle's vertices, and
 ``face_adjacency_reference`` builds all face keys at once with it,
 ``tet_edges_reference`` numbers the edges by ``np.unique``, and
@@ -21,7 +24,9 @@ from thinjunction.mesh3d import _FACES, OTHER
 _EDGES = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])
 
 
-def norms_reference(ctx, u, reference=None, mask=None):
+def _norm_terms(ctx, u, reference, mask):
+    """Weights, errors and gradient errors at every quadrature point of
+    every (masked) tet at once, from one reference call."""
     live = None if mask is None else np.flatnonzero(mask)
     bary, w = _TET_RULES[2]
     tets = ctx.mesh.tets.astype(np.int64)
@@ -40,6 +45,24 @@ def norms_reference(ctx, u, reference=None, mask=None):
         grads = grads[:, None, :] - rg.reshape(wts.shape + (3,))
     else:
         grads = np.broadcast_to(grads[:, None, :], wts.shape + (3,))
+    return wts, vals, grads
+
+
+def norms_reference(ctx, u, reference=None, mask=None):
+    wts, vals, grads = _norm_terms(ctx, u, reference, mask)
+    e = vals * vals
+    g = grads * grads
+    g = g[..., 0] + g[..., 1] + g[..., 2]
+    l2 = wts[:, 0] * e[:, 0] + wts[:, 1] * e[:, 1] + wts[:, 2] * e[:, 2] \
+        + wts[:, 3] * e[:, 3]
+    h1 = wts[:, 0] * g[:, 0] + wts[:, 1] * g[:, 1] + wts[:, 2] * g[:, 2] \
+        + wts[:, 3] * g[:, 3]
+    l2sq, h1sq = float(l2.sum()), float(h1.sum())
+    return math.sqrt(l2sq), math.sqrt(h1sq), math.sqrt(l2sq + h1sq)
+
+
+def norms_vdot_reference(ctx, u, reference=None, mask=None):
+    wts, vals, grads = _norm_terms(ctx, u, reference, mask)
     l2sq = float(np.vdot(wts, vals * vals))
     h1sq = float(np.sum(wts.ravel() @ (grads * grads).reshape(-1, 3)))
     return math.sqrt(l2sq), math.sqrt(h1sq), math.sqrt(l2sq + h1sq)

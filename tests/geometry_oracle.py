@@ -2,14 +2,15 @@
 
 Volumes by batched LAPACK ``det``, barycentric gradients by ``inv``, the
 local stiffness by a three-operand ``einsum``, the stiffness matrix from
-COO triplets, quadrature points by ``einsum``, the prism split before
-it oriented its tets, orientation by the sign of ``det``, one
-cross-section mean per station, and the closed-form geometry by
-``np.cross`` over all cofactor rows at once.  Kept as the oracles that
+COO triplets, the edge-pattern entries placed by an argsort, quadrature
+points by ``einsum``, the prism split before it oriented its tets,
+orientation by the sign of ``det``, one cross-section mean per station,
+and the closed-form geometry by ``np.cross`` over all cofactor rows at
+once.  Kept as the oracles that
 the closed-form geometry, the matrix-product contractions and the
 edge-pattern stiffness must match to rounding, and the orientation at
-build time, the stacked station means and the component-wise
-closed-form kernel bit for bit.
+build time, the stacked station means, the component-wise closed-form
+kernel and the sort-free placement of the entries bit for bit.
 """
 
 import numpy as np
@@ -62,6 +63,22 @@ def coo_stiffness(ctx):
         (local.ravel(), (rows.astype(np.int64), cols.astype(np.int64))),
         shape=(m.num_nodes, m.num_nodes))
     return a.tocsr()
+
+
+def edge_csr_reference(edges, off, diag):
+    """The former placement of the edge-pattern entries: (a, b) and
+    (b, a) per edge and (i, i) per node, put in row-major order by one
+    argsort over every nonzero."""
+    n = diag.size
+    nodes = np.arange(n)
+    rows = np.concatenate([edges[:, 0], edges[:, 1], nodes])
+    cols = np.concatenate([edges[:, 1], edges[:, 0], nodes])
+    order = np.argsort(rows * n + cols)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=indptr[1:])
+    data = np.concatenate([off, off, diag])[order]
+    return sparse.csr_matrix(
+        (data, cols[order].astype(np.int32), indptr), shape=(n, n))
 
 
 def quad_points_reference(mesh, bary):

@@ -21,7 +21,7 @@ from thinjunction import (
     study,
     with_epsilon,
 )
-from thinjunction.config import TRANSVERSE_AXES
+from thinjunction.config import TRANSVERSE_AXES, RadiusProfile
 from thinjunction.corrector import EdgeCorrector
 from thinjunction.expansion import Expansion, _distinct
 from thinjunction.fem3d import FemContext, PointLocator
@@ -363,3 +363,27 @@ def test_one_chebyshev_table_per_request(exp_rich, monkeypatch):
             exp_rich.evaluate(pts, eps, m=m, gradient=True)
             assert counts["chebval"] == 0
             assert columns == [distinct]
+
+
+def test_one_radius_pass_per_request(exp_rich, monkeypatch):
+    """The radius h of the three tubes comes from one Horner pass over
+    their stacked pieces, read through the stack's interval index: each
+    value is bitwise its tube's own ``RadiusProfile`` pass, also on the
+    smooth-bump tube at and beside its breakpoints and beyond its ends,
+    and a request calls no radius profile."""
+    bump = exp_rich.spec.h[1]
+    assert len(bump.pieces) == 3
+    bp = bump.breakpoints
+    x = np.concatenate([bp, np.nextafter(bp, -np.inf),
+                        np.nextafter(bp, np.inf), np.linspace(-0.2, 1.2, 701)])
+    for i in range(3):
+        _, interval = exp_rich._stack.at(x, np.where(np.arange(4) > i,
+                                                     x.size, 0))
+        got = exp_rich._radii(x, interval)
+        assert got.tobytes() == exp_rich.spec.h[i](x).tobytes()
+    pts = _cloud(exp_rich.spec, 0.1, np.random.default_rng(15), n=50)
+    counts = {"horner": 0}
+    monkeypatch.setattr(RadiusProfile, "_horner",
+                        _counted(counts, "horner", RadiusProfile._horner))
+    exp_rich.evaluate(pts, 0.1, m=2, gradient=True)
+    assert counts["horner"] == 0

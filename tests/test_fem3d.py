@@ -17,6 +17,7 @@ from block_oracle import (
     face_adjacency_reference,
     face_keys_reference,
     norms_reference,
+    norms_vdot_reference,
     tet_edges_reference,
     volume_load_reference,
 )
@@ -152,10 +153,12 @@ class TestBlocks:
             return _wavy_reference(pts)
 
         for m in (None, mask):
-            assert norms(ctx, field, None, m) == norms_reference(
-                ctx, field, None, m)
-            assert norms(ctx, field, reference, m) == norms_reference(
-                ctx, field, _wavy_reference, m)
+            for fn, ref in ((None, None), (reference, _wavy_reference)):
+                got = norms(ctx, field, fn, m)
+                assert got == norms_reference(ctx, field, ref, m)
+                # the former whole-array vdot sums, to rounding
+                want = norms_vdot_reference(ctx, field, ref, m)
+                assert np.allclose(got, want, rtol=1e-13, atol=0.0)
         # the callback sees one block of two or three tets at a time
         assert max(seen) <= 12 and len(seen) > ctx.mesh.num_tets // 3
 
@@ -169,9 +172,14 @@ class TestBlocks:
         assert np.array_equal(
             mesh3d.face_adjacency(tube.tets, tube.num_nodes),
             face_adjacency_reference(tube.tets, tube.num_nodes))
-        for got, want in zip(mesh3d.tet_edges(tube.tets, tube.num_nodes),
-                             tet_edges_reference(tube.tets, tube.num_nodes)):
-            assert np.array_equal(got, want)
+        # int32 keys, and int64 ones on ids spread so that a*n + b
+        # passes 2**31
+        spread = 50_000 // tube.num_nodes + 1
+        for tets, n in ((tube.tets, tube.num_nodes),
+                        (tube.tets * spread, tube.num_nodes * spread)):
+            for got, want in zip(mesh3d.tet_edges(tets, n),
+                                 tet_edges_reference(tets, n)):
+                assert np.array_equal(got, want)
 
     def test_face_keys_are_the_sorted_keys(self, tube):
         faces = tube.tets[:, mesh3d._FACES]
@@ -198,27 +206,36 @@ class TestBlocks:
                               tube.nodes[tube.tets].mean(axis=1))
 
 
-def test_context_and_norms_hold_a_block_not_the_mesh(fx_spec):
-    """Peak memory of FemContext and of a norm above their starting live
-    set, on a 77,184-tet thin mesh (9.4 blocks of 4-point quadrature):
-    13.7 and 15.5 MB, against 47.1 and 37.7 MB for the COO assembly and
-    the whole-mesh norm they replace."""
+def test_context_and_norms_hold_a_block_not_the_mesh(monkeypatch, fx_spec):
+    """Peak memory of FemContext and of a masked norm with a reference
+    callback, above their starting live set, on a 39,528-tet thin mesh
+    in blocks of 2,048 points: at most one block's transients (256 bytes
+    a point) plus a few numbers per tet.  A norm keeps two sums and the
+    live index per tet, and the context's edge sort holds its int64 order
+    and two copies of the int32 keys, 12 numbers per tet.  The pass that
+    kept the weights and squared errors at every quadrature point took
+    about 21 numbers per tet, and the argsort build of the matrix 22."""
     spec = dataclasses.replace(fx_spec, order=0, epsilon=0.2)
-    mesh = build_thin_mesh(spec, axial=0.02, refine=0.7)
-    assert mesh.num_tets == 77_184
+    mesh = build_thin_mesh(spec, axial=0.05, refine=0.5)
+    assert mesh.num_tets == 39_528
+    monkeypatch.setattr(mesh3d, "BLOCK_POINTS", 2048)
+    block = 256 * mesh3d.BLOCK_POINTS
     u = np.sin(mesh.nodes[:, 0])
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
         ctx = FemContext(mesh)
-        context_mb = (tracemalloc.get_traced_memory()[1] - base) / 2 ** 20
+        context = tracemalloc.get_traced_memory()[1] - base
+        mask = region_mask(ctx, lambda c: c[:, 0] < 0.6) * 0.5
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        norms(ctx, u, _wavy_reference)
-        norms_mb = (tracemalloc.get_traced_memory()[1] - base) / 2 ** 20
+        norms(ctx, u, _wavy_reference, mask)
+        norm = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert context_mb <= 20.0 and norms_mb <= 20.0, (context_mb, norms_mb)
+    tets = mesh.num_tets
+    assert context <= block + 14 * 8 * tets, context / tets
+    assert norm <= block + 4 * 8 * tets, norm / tets
 
 
 class TestSolves:
@@ -492,6 +509,47 @@ class TestOneSolvePath:
         want = solve_reference(spec, axial=0.05, refine=0.5)
         assert got.u.tobytes() == want.u.tobytes()
         assert got.info == want.info
+
+    def test_systems_are_the_fancy_index_restrictions(self, monkeypatch,
+                                                      ctx, tube, exp_rich):
+        """The systems handed to CG, bitwise: a Dirichlet solve with
+        nonzero boundary values against the former free rows by fancy
+        indexing, their fixed columns' coupling and their free columns,
+        and a junction solve against ``matrix[1:, 1:]``."""
+        seen = []
+
+        def record(a, b, labels=None):
+            seen.append((a, b))
+            return solve_spd(a, b, labels=labels)
+
+        solve_spd = fem3d._solve_spd
+        monkeypatch.setattr(fem3d, "_solve_spd", record)
+        monkeypatch.setattr(junction, "_solve_spd", record)
+
+        def volume(p):
+            return np.sin(3.0 * p[:, 0])
+
+        solve_poisson(ctx, volume=volume,
+                      dirichlet={"end_a": linear_field, "end_b": 0.5})
+        fixed = np.zeros(tube.num_nodes, dtype=bool)
+        values = np.zeros(tube.num_nodes)
+        for tag, v in (("end_a", None), ("end_b", 0.5)):
+            ids = np.unique(tube.boundary[tag])
+            fixed[ids] = True
+            values[ids] = linear_field(tube.nodes[ids]) if v is None else v
+        free = ~fixed
+        rows = ctx.matrix[free]
+        want = (rows[:, free].tocsr(), ctx.volume_load(volume)[free]
+                - rows[:, fixed] @ values[fixed])
+        jn = exp_rich.junction
+        junction._solve_load(jn, exp_rich.inner[2])
+        load = junction.assemble_load(jn, exp_rich.inner[2])
+        assert len(seen) == 2
+        for (a, b), (a_want, b_want) in zip(seen, [
+                want, (jn.ctx.matrix[1:, 1:], (load - load.mean())[1:])]):
+            for k in ("data", "indices", "indptr"):
+                assert getattr(a, k).tobytes() == getattr(a_want, k).tobytes()
+            assert b.tobytes() == b_want.tobytes()
 
 
 class TestEvaluation:

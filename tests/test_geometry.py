@@ -5,11 +5,14 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 import thinjunction.mesh3d as mesh3d
+import thinjunction.fem3d as fem3d
 from geometry_oracle import (
     coo_stiffness,
     cross_geometry_reference,
+    edge_csr_reference,
     geometry_reference,
     orient_reference,
     quad_points_reference,
@@ -100,6 +103,61 @@ def test_stiffness_is_the_coo_assembly_and_symmetric(case):
     assert np.array_equal(at.indptr, a.indptr)
     assert np.array_equal(at.indices, a.indices)
     assert same_bits(at.data, a.data)
+
+
+def same_csr(got, want):
+    return got.shape == want.shape and all(
+        getattr(got, k).dtype == getattr(want, k).dtype
+        and same_bits(getattr(got, k), getattr(want, k))
+        for k in ("data", "indices", "indptr"))
+
+
+def test_stiffness_is_the_argsort_placement_bitwise(case, monkeypatch):
+    """The entries placed row by row without a sort are bitwise the
+    former argsort over every nonzero: values, columns and row
+    pointers, with their dtypes."""
+    ctx, _ = case
+    monkeypatch.setattr(fem3d, "edge_csr", edge_csr_reference)
+    assert same_csr(ctx.matrix, FemContext(ctx.mesh).matrix)
+
+
+def test_edge_placement_with_empty_rows():
+    """Nodes with no edge above, none below or none at all."""
+    rng = np.random.default_rng(4)
+    n = 40
+    pairs = np.sort(rng.integers(0, n - 3, size=(150, 2)), axis=1)
+    pairs = pairs[pairs[:, 0] < pairs[:, 1]]
+    edges = np.unique(pairs[:, 0] * n + pairs[:, 1])
+    edges = np.stack(np.divmod(edges, n), axis=1)
+    off, diag = rng.standard_normal(len(edges)), rng.standard_normal(n)
+    for e, o in ((edges, off), (edges[:0], off[:0])):
+        assert same_csr(fem3d.edge_csr(e, o, diag),
+                        edge_csr_reference(e, o, diag))
+
+
+def test_submatrix_is_the_two_fancy_index_passes(case):
+    """The one-pass restriction against scipy's row pass and then column
+    pass, bitwise: the Dirichlet split, the junction's pinned node 0 and
+    random masks, also one that drops every node."""
+    ctx, _ = case
+    a = ctx.matrix
+    n = a.shape[0]
+    rng = np.random.default_rng(5)
+    for keep in (rng.random(n) < 0.8, rng.random(n) < 0.3,
+                 np.arange(n) > 0, np.zeros(n, dtype=bool)):
+        assert same_csr(fem3d.submatrix(a, keep), a[keep][:, keep])
+    assert same_csr(fem3d.submatrix(a, np.arange(n) > 0), a[1:, 1:])
+
+
+def test_submatrix_with_empty_rows():
+    rng = np.random.default_rng(6)
+    # rows with no entry among the others and at the end
+    a = sparse.random(60, 60, density=0.04, format="csr", random_state=6)
+    a = sparse.vstack([a[:55], sparse.csr_matrix((5, 60))], format="csr")
+    assert np.sum(np.diff(a.indptr[:56]) == 0) >= 4
+    for _ in range(5):
+        keep = rng.random(60) < 0.6
+        assert same_csr(fem3d.submatrix(a, keep), a[keep][:, keep])
 
 
 @pytest.mark.parametrize("degree", [2, 5])

@@ -1,8 +1,8 @@
 """Piecewise Chebyshev series on [0, 1] used by the edge ODE solves.
 
-Every Chebyshev-in-x quantity of the package is evaluated by one kernel.
-A :class:`ChebTable` maps each point to the variable t of its interval
-and builds T_0(t) .. T_deg(t), in blocks of ``BLOCK`` points, by
+Every Chebyshev-in-x quantity of the package is evaluated by one kernel,
+:meth:`ChebStack.at`.  It maps each point to the variable t of its
+interval and builds T_0(t) .. T_deg(t), in blocks of ``BLOCK`` points, by
 doubling: given the rows T_0 .. T_m, the product identity
 T_{m+j} = 2 T_m T_j - T_{m-j} gives the rows T_{m+1} .. T_{2m} in one
 vectorised pass, so degree 65 takes 7 passes where the three-term
@@ -57,67 +57,6 @@ def _recurrence(t, deg):
     return T
 
 
-class _Grids:
-    """One breakpoint grid, or several whose intervals are numbered in
-    turn: numpy's map of each interval [a, b] onto [-1, 1], each grid's
-    inner breakpoints and the number of its first interval."""
-
-    def __init__(self, breakpoints):
-        if np.ndim(breakpoints[0]) == 0:
-            breakpoints = [breakpoints]
-        grids = [np.asarray(bp, dtype=float) for bp in breakpoints]
-        a = np.concatenate([bp[:-1] for bp in grids])
-        b = np.concatenate([bp[1:] for bp in grids])
-        self.offset, self.scale = (-b - a) / (b - a), 2.0 / (b - a)
-        self.inner = [bp[1:-1] for bp in grids]
-        self.first = np.cumsum([0] + [bp.size - 1 for bp in grids]).tolist()
-
-
-class ChebTable:
-    """T_0..T_deg of each point's interval variable on breakpoint grids.
-
-    The points x[cut[g]:cut[g + 1]] lie on grid g of ``grids``.  Each
-    block's points are sorted by interval, so a block is a table of
-    shape (deg+1, points) whose columns run interval by interval, and a
-    stack is contracted with one product per interval segment.
-    """
-
-    def __init__(self, grids, x, deg, cut=None):
-        self.grids = grids
-        self.deg = int(deg)
-        x = np.asarray(x, dtype=float)
-        self.shape = x.shape
-        self.x = x.ravel()
-        self._cut = [0, self.x.size] if cut is None else list(cut)
-
-    def _block(self, lo):
-        """(order, segment bounds, table) of the block starting at lo."""
-        g = self.grids
-        x = self.x[lo: lo + BLOCK]
-        nint = g.first[-1]
-        # the interval of each point on its own grid, the end ones
-        # extended outwards, numbered after the earlier grids' intervals
-        idx = np.empty(x.size, np.intp)
-        for inner, first, a, b in zip(g.inner, g.first, self._cut[:-1],
-                                      self._cut[1:]):
-            a, b = max(a - lo, 0), min(b - lo, x.size)
-            if b > a:
-                idx[a:b] = np.searchsorted(inner, x[a:b],
-                                           side="right") + first
-        # a stable sort of keys of 16 bits or fewer is a radix sort
-        order = np.argsort(idx.astype(np.min_scalar_type(nint)),
-                           kind="stable")
-        idx = idx[order]
-        t = g.offset[idx] + g.scale[idx] * x[order]
-        bounds = np.searchsorted(idx, np.arange(nint + 1)).tolist()
-        return order, bounds, _recurrence(t, self.deg)
-
-    def blocks(self):
-        """(start, order, segment bounds, table) per block of points."""
-        for lo in range(0, self.x.size, BLOCK):
-            yield (lo,) + self._block(lo)
-
-
 class ChebStack:
     """Piecewise Chebyshev series on breakpoint grids, stacked.
 
@@ -127,8 +66,17 @@ class ChebStack:
     """
 
     def __init__(self, breakpoints, coeffs):
+        if np.ndim(breakpoints[0]) == 0:
+            breakpoints = [breakpoints]
+        grids = [np.asarray(bp, dtype=float) for bp in breakpoints]
+        a = np.concatenate([bp[:-1] for bp in grids])
+        b = np.concatenate([bp[1:] for bp in grids])
+        # numpy's map of each interval [a, b] onto [-1, 1], each grid's
+        # inner breakpoints and the number of its first interval
+        self._offset, self._scale = (-b - a) / (b - a), 2.0 / (b - a)
+        self._inner = [bp[1:-1] for bp in grids]
+        self._first = np.cumsum([0] + [bp.size - 1 for bp in grids]).tolist()
         c = np.asarray(coeffs, dtype=float)
-        self._grids = _Grids(breakpoints)
         self.coeffs = c
         self.deg = c.shape[1] - 1
         self.shape = c.shape[2:]
@@ -137,7 +85,7 @@ class ChebStack:
         # BLAS answers a product with one row or one column by gemv, whose
         # sums run in an order that depends on the number of rows; with
         # at least two of each (a zero column here, a doubled lone point
-        # in __call__) every point's value is independent of its batch
+        # in ``at``) every point's value is independent of its batch
         self._coeffs = np.zeros(c.shape[:2] + (max(self._cols, 2),))
         self._coeffs[:, :, : self._cols] = c
 
@@ -149,14 +97,38 @@ class ChebStack:
     def at(self, x, cut=None):
         """(values, intervals): every stacked series at x, as a call
         gives them, and the interval of each point, numbered in turn over
-        the grids, the end ones extended outwards."""
-        table = ChebTable(self._grids, x, self.deg, cut)
-        out = np.empty((table.x.size, self._cols))
-        interval = np.empty(table.x.size, np.intp)
-        for lo, order, bounds, T in table.blocks():
-            interval[lo + order] = np.repeat(np.arange(len(bounds) - 1),
-                                             np.diff(bounds))
-            res = np.empty((T.shape[1], self._cols))
+        the grids, the end ones extended outwards.
+
+        Each block of ``BLOCK`` points is sorted by interval, so its
+        table T_0..T_deg has columns that run interval by interval, and
+        the stack is contracted with one product per interval segment.
+        """
+        x = np.asarray(x, dtype=float)
+        shape, x = x.shape, x.ravel()
+        cut = [0, x.size] if cut is None else list(cut)
+        nint = self._first[-1]
+        out = np.empty((x.size, self._cols))
+        interval = np.empty(x.size, np.intp)
+        for lo in range(0, x.size, BLOCK):
+            xb = x[lo: lo + BLOCK]
+            # the interval of each point on its own grid, the end ones
+            # extended outwards, numbered after the earlier grids' intervals
+            idx = np.empty(xb.size, np.intp)
+            for inner, first, a, b in zip(self._inner, self._first, cut[:-1],
+                                          cut[1:]):
+                a, b = max(a - lo, 0), min(b - lo, xb.size)
+                if b > a:
+                    idx[a:b] = np.searchsorted(inner, xb[a:b],
+                                               side="right") + first
+            # a stable sort of keys of 16 bits or fewer is a radix sort
+            order = np.argsort(idx.astype(np.min_scalar_type(nint)),
+                               kind="stable")
+            idx = idx[order]
+            interval[lo + order] = idx
+            T = _recurrence(self._offset[idx] + self._scale[idx] * xb[order],
+                            self.deg)
+            bounds = np.searchsorted(idx, np.arange(nint + 1)).tolist()
+            res = np.empty((xb.size, self._cols))
             for j, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
                 if b - a == 1:
                     seg = np.repeat(T[:, a:b], 2, axis=1)
@@ -166,9 +138,8 @@ class ChebStack:
                     continue
                 res[a:b] = (seg.T @ self._coeffs[j])[: b - a, : self._cols]
             out[lo + order] = res
-        out = out.reshape(table.shape + self.shape)
-        return (out[()] if out.ndim == 0 else out,
-                interval.reshape(table.shape))
+        out = out.reshape(shape + self.shape)
+        return out[()] if out.ndim == 0 else out, interval.reshape(shape)
 
 
 class PiecewiseCheb:

@@ -360,17 +360,36 @@ class ProblemSpec:
         }
 
 
-def _radius_from_json(entry):
-    if isinstance(entry, (int, float)):
-        return RadiusProfile.constant(float(entry))
-    return RadiusProfile(entry["breakpoints"], entry["pieces"])
+def _radius_from_json(key, entry):
+    if not isinstance(entry, dict):
+        return RadiusProfile.constant(_number(key, entry))
+    return RadiusProfile(
+        _numbers(f"{key}.breakpoints", entry["breakpoints"]),
+        [_numbers(f"{key}.pieces[{j}]", piece)
+         for j, piece in enumerate(entry["pieces"])])
 
 
-def _load_from_json(entry):
-    if entry in (None, 0, 0.0):
+def _terms_from_json(key, terms):
+    """(powers, coef) of each polynomial term, its values checked."""
+    out = []
+    for j, t in enumerate(terms):
+        pw = t["powers"]
+        if not (isinstance(pw, list) and len(pw) == 3 and all(
+                isinstance(p, numbers.Integral) and not isinstance(p, bool)
+                and p >= 0 for p in pw)):
+            raise ValueError(f"{key}[{j}].powers must be three nonnegative "
+                             f"integers, not {pw!r}")
+        out.append((pw, _number(f"{key}[{j}].coef", t["coef"])))
+    return out
+
+
+def _load_from_json(key, entry):
+    if entry is None or (is_number(entry) and entry == 0):
         return LateralLoad.zero()
-    return LateralLoad.from_terms(
-        [(t["powers"], t["coef"]) for t in entry["terms"]])
+    if not isinstance(entry, dict):
+        raise ValueError(f"{key} must be null or a polynomial, not {entry!r}")
+    return LateralLoad.from_terms(_terms_from_json(f"{key}.terms",
+                                                   entry["terms"]))
 
 
 def is_number(value):
@@ -384,6 +403,12 @@ def _number(key, value):
     return float(value)
 
 
+def _numbers(key, values):
+    if not isinstance(values, list):
+        raise ValueError(f"{key} must be a list of numbers, not {values!r}")
+    return [_number(f"{key}[{j}]", v) for j, v in enumerate(values)]
+
+
 # the keys of a problem document, as ``ProblemSpec.to_json`` writes them
 _SPEC_KEYS = {"schema", "epsilon", "ell", "alpha", "delta_cut", "order", "h",
               "f", "phi", "aneurysm"}
@@ -393,8 +418,10 @@ _REQUIRED_KEYS = ("epsilon", "ell", "alpha", "h", "f", "phi")
 def load_spec(source):
     """Build a ProblemSpec from a JSON file path, JSON text, or a dict.
 
-    Unknown or missing keys, numbers given as strings or booleans and a
-    non-integer order raise ``ValueError`` naming the key.
+    Unknown or missing keys, numbers given as strings or booleans (also
+    inside ``h``, ``f`` and ``phi``), term powers that are not three
+    nonnegative integers and a non-integer order raise ``ValueError``
+    naming the key, as ``h[0]`` or ``f.terms[0].coef``.
     """
     if isinstance(source, dict):
         doc = source
@@ -419,8 +446,7 @@ def load_spec(source):
     order = doc.get("order", 2)
     if not isinstance(order, numbers.Integral) or isinstance(order, bool):
         raise ValueError(f"order must be an integer, not {order!r}")
-    f = SourceField.from_terms(
-        [(t["powers"], t["coef"]) for t in doc["f"]["terms"]])
+    f = SourceField.from_terms(_terms_from_json("f.terms", doc["f"]["terms"]))
     aneurysm = doc.get("aneurysm", {"type": "box"})
     if aneurysm.get("type", "box") != "box":
         raise ValueError("only the box bulge shape is supported")
@@ -430,7 +456,9 @@ def load_spec(source):
         alpha=_number("alpha", doc["alpha"]),
         delta_cut=_number("delta_cut", doc.get("delta_cut", 0.1)),
         order=int(order),
-        h=tuple(_radius_from_json(e) for e in doc["h"]),
+        h=tuple(_radius_from_json(f"h[{i}]", e)
+                for i, e in enumerate(doc["h"])),
         f=f,
-        phi=tuple(_load_from_json(e) for e in doc["phi"]),
+        phi=tuple(_load_from_json(f"phi[{i}]", e)
+                  for i, e in enumerate(doc["phi"])),
     )

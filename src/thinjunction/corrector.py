@@ -157,27 +157,44 @@ def _modal_eval(A, xa, xb):
 
     ``A`` is (npts, F, 2, N, P), F fields (as u and du/dx) with one
     array per point, or (1, F, 2, N, P), F polynomials for every point.
-    One set of polar, trig and power tables serves all: the harmonics
-    are summed first into radial coefficients of the values and of the
-    first field's angular derivative.  Returns (values (F, npts),
-    d/dxa, d/dxb); each field's values are those it has alone.
+    The harmonics are summed first, n = 0, 1, .. in turn, into radial
+    coefficients of the values and of the first field's angular
+    derivative, and those are summed over the powers by
+    :func:`_power_sum`.  Every sum is elementwise in a fixed order, so
+    arrays zero-padded in N or P give bitwise the same answer.  Returns
+    (values (F, npts), d/dxa, d/dxb); each field's values are those it
+    has alone.
     """
     r, t = np.hypot(xa, xb), np.arctan2(xb, xa)
     N, P = A.shape[3], A.shape[4]
-    n = np.arange(N)
-    ang = t[:, None] * n
-    cosm, sinm = np.cos(ang)[:, None], np.sin(ang)[:, None]
+    # n = 0 has cos = 1 and sin = 0, and no angular derivative
+    radial, angular = A[:, :, 0, 0], 0.0
+    for n in range(1, N):
+        c, s = np.cos(n * t)[:, None], np.sin(n * t)[:, None]
+        radial = (radial + c[:, None] * A[:, :, 0, n]
+                  + s[:, None] * A[:, :, 1, n])
+        angular = angular + n * (c * A[:, 0, 1, n] - s * A[:, 0, 0, n])
     rp = r[:, None] ** np.arange(P)
     # r^(p-1); its p = 0 column only ever meets the factor p = 0
     rp1 = np.concatenate([np.ones((r.size, 1)), rp[:, :-1]], axis=1)
-    radial = (cosm[:, None] @ A[:, :, 0]
-              + sinm[:, None] @ A[:, :, 1])[:, :, 0]
-    angular = ((n * cosm) @ A[:, 0, 1] - (n * sinm) @ A[:, 0, 0])[:, 0]
-    val = np.einsum("kfp,kp->fk", radial, rp)
-    ur = np.einsum("kp,kp->k", radial[:, 0] * np.arange(P), rp1)
-    ut = np.einsum("kp,kp->k", angular, rp1)
+    val = _power_sum(radial, rp[:, None]).T
+    ur = _power_sum(radial[:, 0] * np.arange(P), rp1)
     ct, st = np.cos(t), np.sin(t)
+    if N == 1:
+        return val, ct * ur, st * ur
+    ut = _power_sum(angular, rp1)
     return val, ct * ur - st * ut, st * ur + ct * ut
+
+
+def _power_sum(c, w):
+    """sum_p c[..., p] w[..., p] by elementwise products: the even and
+    the odd p in two running sums, added last (numpy's einsum order for
+    up to seven terms).  Zero terms appended leave it bitwise as it is,
+    where a matrix product may regroup the sum."""
+    out = [c[..., q] * w[..., q] for q in range(min(2, c.shape[-1]))]
+    for p in range(2, c.shape[-1]):
+        out[p % 2] += c[..., p] * w[..., p]
+    return out[0] if len(out) == 1 else out[0] + out[1]
 
 
 def disk_compatibility_defect(g: DiskPoly, bc, h):

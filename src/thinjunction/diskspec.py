@@ -6,8 +6,8 @@ half-infinite circular cylinder produces disk eigenfunctions
 ``J_n(lam r) cos(n t)`` and ``J_n(lam r) sin(n t)`` whose radial
 derivative vanishes on the rim, each paired with an axial decay rate
 equal to its frequency ``lam``.  This module enumerates those pairs for
-a disk of given radius, with closed-form norms and a tensor quadrature
-used to project end traces onto the basis.
+a disk of given radius and given angular orders, with closed-form norms
+and a tensor quadrature used to project end traces onto the basis.
 """
 from __future__ import annotations
 
@@ -131,53 +131,27 @@ class DiskQuadrature:
 
 
 class DiskSpectrum:
-    """The first ``count`` Neumann modes of a disk, ordered by frequency."""
+    """The Neumann modes of a disk of the given angular orders, ``depth``
+    radial modes each, ordered by frequency after the flat mode.
 
-    def __init__(self, radius, count=40):
-        self.radius = float(radius)
-        self.count = int(count)
-        self.modes = self._build(self.radius, self.count)
+    Suited to projecting data with known harmonic content: the radial
+    series then converges to depth instead of being diluted across unused
+    angular orders.  Each order n >= 1 gives a cos and a sin mode per
+    root of J_n'.
+    """
 
-    @staticmethod
-    def _build(radius, count):
-        modes = [DiskMode(0, "const", 0.0, radius)]
-        candidates = []
-        # J_n' roots grow with n at least linearly, so n < count suffices
-        # to capture the `count` smallest frequencies.
-        per_n = max(4, count)
-        for n in range(count + 1):
-            for root in radial_derivative_roots(n, per_n):
-                candidates.append((root, n))
-        candidates.sort()
-        for root, n in candidates:
-            if len(modes) >= count:
-                break
-            modes.append(DiskMode(n, "cos", root, radius))
-            if n >= 1 and len(modes) < count:
-                modes.append(DiskMode(n, "sin", root, radius))
-        return modes[:count]
-
-    @classmethod
-    def for_harmonics(cls, radius, harmonics, depth):
-        """Spectrum restricted to the given angular orders, ``depth`` radial
-        modes each.  Suited to projecting data with known harmonic content:
-        the radial series then converges to depth instead of being diluted
-        across unused angular orders."""
-        self = cls.__new__(cls)
+    def __init__(self, radius, harmonics, depth):
         self.radius = float(radius)
         entries = []
         for n in sorted(set(int(n) for n in harmonics)):
             for root in radial_derivative_roots(n, depth):
                 entries.append((root, n))
         entries.sort()
-        modes = [DiskMode(0, "const", 0.0, self.radius)]
+        self.modes = [DiskMode(0, "const", 0.0, self.radius)]
         for root, n in entries:
-            modes.append(DiskMode(n, "cos", root, self.radius))
+            self.modes.append(DiskMode(n, "cos", root, self.radius))
             if n >= 1:
-                modes.append(DiskMode(n, "sin", root, self.radius))
-        self.modes = modes
-        self.count = len(modes)
-        return self
+                self.modes.append(DiskMode(n, "sin", root, self.radius))
 
     @property
     def max_root(self):
@@ -188,13 +162,8 @@ class DiskSpectrum:
         """Decay rates of all modes (0 first, then increasing)."""
         return np.array([m.lam for m in self.modes])
 
-    @property
-    def slowest_rate(self):
-        """Smallest positive decay rate (sets the tail thickness)."""
-        return float(self.modes[1].lam)
-
     def values_matrix(self, r, theta):
-        """Mode values at points, shape (npoints, count)."""
+        """Mode values at points, shape (npoints, modes)."""
         return np.column_stack([m.values(r, theta) for m in self.modes])
 
     def project(self, values, quad: DiskQuadrature):
@@ -206,7 +175,7 @@ class DiskSpectrum:
         """
         vals = np.asarray(values, dtype=float).reshape(quad.nr, quad.ntheta)
         sums = {}
-        out = np.empty(self.count)
+        out = np.empty(len(self.modes))
         for j, m in enumerate(self.modes):
             key = (m.n, m.kind == "sin")
             if key not in sums:

@@ -147,7 +147,7 @@ class Expansion:
             if k >= 2:
                 prev = self.correctors.get(k - 2)
                 self.correctors[k] = tuple(
-                    build_corrector(spec, i, k, self.graph[k - 2].edges[i],
+                    build_corrector(spec, i, k, self.graph[k - 2][i],
                                     prev=None if prev is None else prev[i],
                                     jmax=self._germ_depth(k))
                     for i in range(3))
@@ -171,11 +171,11 @@ class Expansion:
                    for i in range(3)]
             self.graph[k] = solve_omega_k(spec, rhs, trans)
             self.nfields[k] = nhat.with_growth(
-                data.growth, constant=self.graph[k].edges[0].vertex_value)
+                data.growth, constant=self.graph[k][0].vertex_value)
             if k >= 2:
                 self.layers[k] = tuple(
                     build_pi(spec, i, self.correctors[k][i],
-                             omega=self.graph[k].edges[i])
+                             omega=self.graph[k][i])
                     for i in range(3))
         self._build_stack()
         if self.nfields:
@@ -190,7 +190,7 @@ class Expansion:
         zero-padded to the order's (N, P) and to the highest degree.
         Every function of tube i must be on its radius' breakpoints."""
         grids = [self.spec.h[i].breakpoints for i in range(3)]
-        edges = [[self.graph[k].edges[i] for k in range(self.order + 1)]
+        edges = [[self.graph[k][i] for k in range(self.order + 1)]
                  for i in range(3)]
         joined = {k: [c._joined.coeffs for c in corr]
                   for k, corr in self.correctors.items()}
@@ -247,7 +247,7 @@ class Expansion:
 
     def _omega_taylor(self):
         return [
-            {m: gf.edges[i].germ().coef for m, gf in self.graph.items()}
+            {m: edges[i].germ().coef for m, edges in self.graph.items()}
             for i in range(3)]
 
     def _corrector_germs(self):
@@ -300,10 +300,8 @@ class Expansion:
         Chebyshev table of the distinct positions and one contraction.
         An order's modal arrays, zero-padded to one shape in the stack
         and gathered per row, go through one modal pass: the padding
-        adds exact zeros to its sums, which leaves them bitwise where
-        the kernel keeps their order (one harmonic and at most four
-        powers, as in the benchmark specs) and may move them by
-        rounding otherwise."""
+        adds exact zeros at the ends of its fixed-order sums, which
+        leaves them bitwise."""
         at, ta, tb = ((g.at, g.ta, g.tb) if pick is None
                       else (g.at[pick], g.ta[pick], g.tb[pick]))
         out, core, d_ax = self._profiles(g.xu, g.xcut)
@@ -401,7 +399,7 @@ class Expansion:
         if live.size:
             tube = edge[live] >= 0
             rows = live[tube]
-            nv = np.full(live.size, self.graph[0].edges[0].vertex_value)
+            nv = np.full(live.size, self.graph[0][0].vertex_value)
             ng = np.zeros((live.size, 3))
             if m >= 1:
                 inner, inner_grad = self.inner_field.evaluate(
@@ -458,7 +456,7 @@ class Expansion:
             if 1 in which:
                 acc = np.zeros(sel.size)
                 for k in range(max(m - 1, 0), m + 1):
-                    term = self.graph[k].edges[i].d2(xu)[at]
+                    term = self.graph[k][i].d2(xu)[at]
                     corr = self.correctors.get(k)
                     if corr is not None:
                         term = term + corr[i].values(xu, ta, tb, xderiv=2,
@@ -550,7 +548,7 @@ class Expansion:
             depth = m - k
             tay = np.zeros(x.size)
             dtay = np.zeros(x.size)
-            wg = self.graph[k].edges[i].germ().coef
+            wg = self.graph[k][i].germ().coef
             for j in range(min(depth, len(wg) - 1) + 1):
                 tay += wg[j] * x ** j
                 if j >= 1:

@@ -157,41 +157,6 @@ class TransmissionData:
         return (0.0, self.delta2, self.delta3)
 
 
-class GraphFunction:
-    """Solution of one graph problem; per-edge values and derivatives."""
-
-    def __init__(self, edges, transmission: TransmissionData):
-        self.edges = list(edges)
-        self.transmission = transmission
-
-    def value(self, edge, x):
-        return self.edges[edge].value(x)
-
-    def d1(self, edge, x):
-        return self.edges[edge].d1(x)
-
-    @property
-    def vertex_values(self):
-        return tuple(e.vertex_value for e in self.edges)
-
-    @property
-    def vertex_slopes(self):
-        return tuple(e.vertex_slope for e in self.edges)
-
-    def flux_total(self, spec):
-        return sum(math.pi * spec.h0(i) ** 2 * self.edges[i].vertex_slope
-                   for i in range(3))
-
-    def end_values(self):
-        return tuple(float(e.value(1.0)) for e in self.edges)
-
-    def germ(self, edge):
-        return self.edges[edge].germ()
-
-    def derivs_at_zero(self, edge, qmax):
-        return self.edges[edge].derivs_at_zero(qmax)
-
-
 def _solve_continuous(spec, rhs_list, flux_total):
     """Common-vertex-value problem: continuity at the vertex, w(1) = 0."""
     A = np.empty(3)
@@ -218,16 +183,17 @@ def _solve_continuous(spec, rhs_list, flux_total):
 
 
 def solve_limit(spec: ProblemSpec, rhs_list=None):
-    """Leading-order graph problem: continuous at the vertex, zero total flux."""
+    """Leading-order graph problem: continuous at the vertex, zero total
+    flux.  Returns the three edges' :class:`EdgeFunction`."""
     if rhs_list is None:
         rhs_list = assemble_rhs0(spec)
-    edges, _, _ = _solve_continuous(spec, rhs_list, 0.0)
-    return GraphFunction(edges, TransmissionData())
+    return tuple(_solve_continuous(spec, rhs_list, 0.0)[0])
 
 
 def solve_omega_k(spec: ProblemSpec, rhs_list,
                   transmission: TransmissionData):
-    """Correction problem with vertex jumps (0, d2, d3) and total flux d*.
+    """Correction problem with vertex jumps (0, d2, d3) and total flux d*;
+    returns the three edges' :class:`EdgeFunction`.
 
     Internally substitutes w_i - jump_i (1 - x_i), which restores vertex
     continuity, shifts the edge data by -2 pi jump_i h h', and shifts the
@@ -250,15 +216,12 @@ def solve_omega_k(spec: ProblemSpec, rhs_list,
     flux = transmission.dstar + sum(
         math.pi * spec.h0(i) ** 2 * jumps[i] for i in (1, 2))
     edges, _, _ = _solve_continuous(spec, subst, flux)
-    shifted = [edges[0]]
-    for i in (1, 2):
-        shifted.append(edges[i].with_affine(jumps[i], -jumps[i])
-                       if jumps[i] != 0.0 else edges[i])
-    return GraphFunction(shifted, transmission)
+    return tuple(e.with_affine(j, -j) if j != 0.0 else e
+                 for e, j in zip(edges, jumps))
 
 
-def weak_residual(spec: ProblemSpec, gf: GraphFunction, rhs_list,
-                  transmission: TransmissionData = None):
+def weak_residual(spec: ProblemSpec, edges, rhs_list,
+                  transmission: TransmissionData):
     """Max defect of the weak identity over a 30-function test basis.
 
     The substituted solution u_i = w_i - jump_i (1 - x_i) is tested against
@@ -266,14 +229,12 @@ def weak_residual(spec: ProblemSpec, gf: GraphFunction, rhs_list,
                                  - (d* + sum pi h_i(0)^2 jump_i) psi(0)
     with Phi_i the substituted edge data.
     """
-    if transmission is None:
-        transmission = gf.transmission
     jumps = transmission.jumps
     flux = transmission.dstar + sum(
         math.pi * spec.h0(i) ** 2 * jumps[i] for i in (1, 2))
 
     def u_prime(i, x):
-        return gf.d1(i, x) + jumps[i]
+        return edges[i].d1(x) + jumps[i]
 
     def phi_data(i, x):
         base = rhs_list[i](x)

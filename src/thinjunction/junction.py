@@ -358,11 +358,6 @@ class JunctionField:
                    growth=tuple(zip(*(f.growth for f in fields))),
                    constant=np.array([f.constant for f in fields]))
 
-    @property
-    def load_defect(self):
-        """Net load; nonzero when the data violate the flux balance."""
-        return float(self.load.sum())
-
     def with_growth(self, growth, constant=0.0):
         return JunctionField(self.junction, self.decay, self.load,
                              growth=growth, constant=constant,

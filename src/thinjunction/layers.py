@@ -84,7 +84,7 @@ class BoundaryLayerTerm:
 
     @classmethod
     def zero(cls, edge, order, radius):
-        sp = DiskSpectrum.for_harmonics(radius, (), 0)
+        sp = DiskSpectrum(radius, (), 0)
         return cls(edge=edge, order=order, spectrum=sp,
                    coeffs=np.zeros(1), tail_norm=0.0)
 
@@ -198,7 +198,7 @@ def build_pi(spec: ProblemSpec, edge, corr: EdgeCorrector | None,
         return BoundaryLayerTerm.zero(edge, corr.order, h1)
     present = np.where((np.abs(trace.cos) > 0).any(axis=1)
                        | (np.abs(trace.sin) > 0).any(axis=1))[0]
-    spectrum = DiskSpectrum.for_harmonics(h1, present, depth=MODE_DEPTH)
+    spectrum = DiskSpectrum(h1, present, depth=MODE_DEPTH)
     # enough radial points to resolve the most oscillatory retained mode
     nr = max(64, int(0.6 * spectrum.max_root) + 32)
     ntheta = max(128, 4 * (int(present.max()) + 1))

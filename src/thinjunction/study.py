@@ -283,7 +283,7 @@ def _tube_profile_h1(exp: Expansion, ref: ReferenceSolution):
 
 def _junction_h1(exp: Expansion, ref: ReferenceSolution):
     eps = ref.epsilon
-    base = exp.graph[0].edges[0].vertex_value
+    base = exp.graph[0][0].vertex_value
 
     def fn(pts):
         # only the masked tets are integrated; quadrature points of the

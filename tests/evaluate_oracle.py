@@ -321,7 +321,7 @@ def evaluate_reference(exp, points, epsilon, m=None, gradient=False):
 
         for k in range(0, m + 1):
             ek = eps ** k
-            w = exp.graph[k].edges[i]
+            w = exp.graph[k][i]
             core = edge_value(w, x)
             corr = exp.correctors.get(k)
             corr = corr[i] if corr is not None else None
@@ -351,7 +351,7 @@ def evaluate_reference(exp, points, epsilon, m=None, gradient=False):
     live = np.flatnonzero(weight > 0.0)
     if live.size:
         xi = pts[live] / eps
-        base = exp.graph[0].edges[0].vertex_value
+        base = exp.graph[0][0].vertex_value
         vals[live] += weight[live] * base
         if gradient:
             tube_live = edge[live] >= 0
@@ -395,7 +395,7 @@ def residual_terms_reference(exp, points, epsilon, m=None, which=None):
         if 1 in which:
             acc = np.zeros(sel.size)
             for k in range(max(m - 1, 0), m + 1):
-                term = edge_d2(exp.graph[k].edges[i], x)
+                term = edge_d2(exp.graph[k][i], x)
                 corr = exp.correctors.get(k)
                 if corr is not None:
                     term = term + corr_values(corr[i], x, ta, tb, xderiv=2)
@@ -500,7 +500,7 @@ def _vertex_remainders(exp, i, x, ta, tb, eps, m):
     r7 = np.zeros(x.size)
     for k in range(0, m + 1):
         depth = m - k
-        w = exp.graph[k].edges[i]
+        w = exp.graph[k][i]
         core = edge_value(w, x)
         dcore = edge_d1(w, x)
         tay = np.zeros(x.size)
@@ -543,7 +543,7 @@ def tube_profiles_per_tube(exp, i, x):
     (points, orders), from one Chebyshev stack of the tube's w_k and s_k,
     as the tube's own stack served them before the three tubes shared
     one."""
-    edges = [exp.graph[k].edges[i] for k in range(exp.order + 1)]
+    edges = [exp.graph[k][i] for k in range(exp.order + 1)]
     deg = max(f.deg for e in edges for f in (e._w, e._s))
     stack = ChebStack(edges[0].breakpoints, np.stack(
         [np.stack([e._w.coeffs(deg), e._s.coeffs(deg)], axis=-1)
@@ -617,7 +617,7 @@ def evaluate_per_point(exp, points, epsilon, m=None):
     if live.size:
         tube = edge[live] >= 0
         rows = live[tube]
-        nv = np.full(live.size, exp.graph[0].edges[0].vertex_value)
+        nv = np.full(live.size, exp.graph[0][0].vertex_value)
         ng = np.zeros((live.size, 3))
         if m >= 1:
             inner, inner_grad = exp.inner_field.evaluate(
@@ -649,7 +649,7 @@ def residual_terms_per_point(exp, points, epsilon, m=None):
 
         acc = np.zeros(sel.size)
         for k in range(max(m - 1, 0), m + 1):
-            term = exp.graph[k].edges[i].d2(x)
+            term = exp.graph[k][i].d2(x)
             corr = exp.correctors.get(k)
             if corr is not None:
                 term = term + _modal_eval(

@@ -239,6 +239,30 @@ class TestProblemSpec:
         with pytest.raises(ValueError, match="delta_cut must be a number"):
             load_spec(doc)
 
+    @pytest.mark.parametrize("path, value", [
+        ("h[0]", True), ("h[0]", "0.25"), ("f.terms[0].coef", "2.0"),
+        ("f.terms[0].coef", True), ("f.terms[0].powers", [1.5, 0, 0]),
+        ("phi[0]", False)])
+    def test_nested_value_of_the_wrong_type_is_named(self, fx_spec, path,
+                                                     value):
+        doc = fx_spec.to_json()
+        key, rest = path.split("[", 1)
+        if key == "f.terms":
+            doc["f"]["terms"][0][rest.split(".")[1]] = value
+        else:
+            doc[key][0] = value
+        with pytest.raises(ValueError, match=re.escape(path)):
+            load_spec(doc)
+
+    def test_radius_breakpoint_given_as_a_string_is_rejected(self,
+                                                              rich_spec):
+        doc = rich_spec.to_json()
+        i = next(i for i, h in enumerate(doc["h"]) if isinstance(h, dict))
+        doc["h"][i]["breakpoints"][1] = str(doc["h"][i]["breakpoints"][1])
+        with pytest.raises(ValueError,
+                           match=re.escape(f"h[{i}].breakpoints[1]")):
+            load_spec(doc)
+
     def test_unknown_key_is_rejected(self, flat_spec):
         doc = dict(flat_spec.to_json(), epsilom=0.1)
         with pytest.raises(ValueError, match="epsilom"):

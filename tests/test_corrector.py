@@ -120,7 +120,7 @@ class TestSolveDiskNeumann:
 @pytest.fixture(scope="module")
 def rich_corr(rich_spec):
     gf = solve_limit(rich_spec)
-    return build_corrector(rich_spec, 1, 2, omega=gf.edges[1]), gf
+    return build_corrector(rich_spec, 1, 2, omega=gf[1]), gf
 
 
 class TestEdgeCorrector:
@@ -134,7 +134,7 @@ class TestEdgeCorrector:
             xa, xb = disk_points(hx, 20, rng)
             lap = corr.modal_at(x).laplacian().evaluate(xa, xb)
             want = -(fslice(np.full(xa.size, x), xa, xb)
-                     + float(gf.edges[1].d2(np.array([x]))[0]))
+                     + float(gf[1].d2(np.array([x]))[0]))
             assert np.max(np.abs(lap - want)) < 1e-9
 
     def test_wall_condition(self, rich_corr, rich_spec):
@@ -146,7 +146,7 @@ class TestEdgeCorrector:
         for x in (0.3, 0.5, 0.62):
             hx = float(h(np.array([x]))[0])
             hp = float(h.deriv(np.array([x]))[0])
-            w1 = float(gf.edges[1].d1(np.array([x]))[0])
+            w1 = float(gf[1].d1(np.array([x]))[0])
             xa, xb = hx * np.cos(th), hx * np.sin(th)
             _, ga, gb = corr.modal_at(x).gradient(xa, xb)
             radial = ga * np.cos(th) + gb * np.sin(th)
@@ -185,7 +185,7 @@ class TestEdgeCorrector:
         # On the first edge the mean part of the source balances omega0''
         # exactly, the radius is flat and the load vanishes: u2 = 0.
         gf = solve_limit(rich_spec)
-        corr = build_corrector(rich_spec, 0, 2, omega=gf.edges[0])
+        corr = build_corrector(rich_spec, 0, 2, omega=gf[0])
         xa, xb = disk_points(0.25, 10, rng)
         vals = corr.values(np.full(xa.size, 0.4), xa, xb)
         assert np.max(np.abs(vals)) < 1e-11
@@ -197,7 +197,7 @@ def test_order_four_corrector_from_order_two(exp_rich, rng, edge):
     solves -lap u4 = f-slice_2 + omega2'' + d^2 u2/dx^2.  An order-2
     expansion keeps germs of depth 4, so u4 reaches depth 2."""
     spec = exp_rich.spec
-    omega = exp_rich.graph[2].edges[edge]
+    omega = exp_rich.graph[2][edge]
     u2 = exp_rich.correctors[2][edge]
     u4 = build_corrector(spec, edge, 4, omega=omega, prev=u2, jmax=2)
     fslice = spec.f.transverse_taylor(edge, 2)
@@ -213,6 +213,22 @@ def test_order_four_corrector_from_order_two(exp_rich, rng, edge):
         direct = u4.values(np.full(xa.size, x), xa, xb)
         germ = sum(u4.germ[j].evaluate(xa, xb) * x ** j for j in range(3))
         assert np.max(np.abs(direct - germ)) < 1e-9
+
+
+def test_zero_padding_leaves_the_modal_pass_bitwise(rng):
+    """Modal arrays zero-padded in harmonics and powers, as the served
+    pass pads an order's three tubes to one shape, give bitwise the
+    values and gradient of the arrays alone, per point and shared."""
+    for N in range(1, 5):
+        for P in range(1, 8):
+            xa, xb = disk_points(0.3, 23, rng)
+            for rows in (23, 1):
+                A = rng.standard_normal((rows, 2, 2, N, P))
+                padded = np.zeros((rows, 2, 2, N + 2, P + 3))
+                padded[..., :N, :P] = A
+                for got, want in zip(_modal_eval(padded, xa, xb),
+                                     _modal_eval(A, xa, xb)):
+                    assert np.array_equal(got, want), (N, P, rows)
 
 
 def test_joined_modal_pass_equals_one_pass_per_field(exp_rich, rng):

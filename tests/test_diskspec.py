@@ -47,9 +47,8 @@ def _brentq_polish(n, x0):
 
 
 def test_newton_polish_matches_brentq_within_two_ulp():
-    # every root the package builds: DiskSpectrum(count) takes count
-    # roots of each n <= count, for_harmonics MODE_DEPTH = 40 per
-    # harmonic, and no spectrum goes past 40 of either
+    # every root the package builds: a spectrum takes MODE_DEPTH = 40
+    # roots per harmonic, and no end trace has a harmonic past 40
     for n in range(41):
         got = radial_derivative_roots(n, 40)
         want = np.array([_brentq_polish(n, x)
@@ -67,7 +66,7 @@ def test_roots_interlace_and_increase():
 
 
 def test_gram_matrix_orthonormal():
-    spec = DiskSpectrum(1.0, count=24)
+    spec = DiskSpectrum(1.0, range(8), 2)
     quad = DiskQuadrature(1.0)
     g = spec.gram_matrix(quad)
     off = g - np.diag(np.diag(g))
@@ -76,7 +75,7 @@ def test_gram_matrix_orthonormal():
 
 
 def test_modes_satisfy_helmholtz():
-    spec = DiskSpectrum(0.8, count=10)
+    spec = DiskSpectrum(0.8, range(5), 1)
     pts = [(0.31, 0.12), (-0.2, 0.45), (0.1, -0.5)]
     d = 1e-4
     for mode in spec.modes[:6]:
@@ -96,7 +95,7 @@ def test_modes_satisfy_helmholtz():
 
 
 def test_rim_slope_vanishes():
-    spec = DiskSpectrum(0.8, count=10)
+    spec = DiskSpectrum(0.8, range(5), 1)
     th = np.linspace(0, 2 * np.pi, 13)
     xa, xb = 0.8 * np.cos(th), 0.8 * np.sin(th)
     for j, mode in enumerate(spec.modes[:8]):
@@ -112,7 +111,7 @@ def test_rim_slope_vanishes():
 
 
 def test_projection_recovers_coefficients():
-    spec = DiskSpectrum(1.0, count=12)
+    spec = DiskSpectrum(1.0, range(5), 2)
     quad = DiskQuadrature(1.0)
     coeffs = np.zeros(len(spec.modes))
     coeffs[0] = 0.7
@@ -129,8 +128,9 @@ def _project_per_mode(spec, values, quad):
 
 
 @pytest.mark.parametrize("spec", [
-    DiskSpectrum(1.0, count=40),
-    DiskSpectrum.for_harmonics(0.25, [0, 1, 3], depth=40),
+    # "count": the eight harmonics 0..7 at depth 5, 76 modes
+    DiskSpectrum(1.0, range(8), depth=5),
+    DiskSpectrum(0.25, [0, 1, 3], depth=40),
 ], ids=["count", "harmonics"])
 def test_separable_projection_matches_the_per_mode_sums(spec):
     # the radii and angle counts build_pi picks for these spectra
@@ -145,11 +145,10 @@ def test_separable_projection_matches_the_per_mode_sums(spec):
 
 
 def test_for_harmonics_selection():
-    spec = DiskSpectrum.for_harmonics(0.5, [0, 2], depth=4)
+    spec = DiskSpectrum(0.5, [0, 2], depth=4)
     assert {m.n for m in spec.modes} <= {0, 2}
     assert np.all(np.diff(spec.rates) >= -1e-12)
-    assert spec.slowest_rate == pytest.approx(np.min(spec.rates[1:]))
+    assert spec.rates[1] == pytest.approx(np.min(spec.rates[1:]))
     # Rates scale inversely with the radius.
-    wide = DiskSpectrum.for_harmonics(1.0, [0, 2], depth=4)
-    assert spec.slowest_rate == pytest.approx(2.0 * wide.slowest_rate,
-                                              rel=1e-12)
+    wide = DiskSpectrum(1.0, [0, 2], depth=4)
+    assert spec.rates[1] == pytest.approx(2.0 * wide.rates[1], rel=1e-12)

@@ -249,9 +249,9 @@ def exp_harmonics(rich_spec, exp_rich):
 
 def test_several_harmonics_stay_within_rounding_of_the_per_tube_pass(
         exp_harmonics):
-    """With two or more harmonics the modal kernel's sums regroup over
-    the zero padding, so the one contraction for all three tubes may
-    differ from the per-tube pass, by rounding only."""
+    """With two or more harmonics the one contraction for all three
+    tubes zero-pads two tubes' modal arrays; it stays within rounding of
+    the per-tube pass."""
     assert [c.shape[1] for c in exp_harmonics.correctors[2]] == [1, 2, 3]
     rng = np.random.default_rng(16)
     for eps in (0.2, 0.05):

@@ -301,7 +301,7 @@ class TestSolves:
         spec = make_spec(SourceField(Poly3.zero()), order=0, phi=phi,
                          epsilon=0.2)
         ref = solve_reference(spec, axial=0.04, refine=0.7)
-        edges = solve_limit(spec).edges
+        edges = solve_limit(spec)
         peak = max(np.abs(e.value(np.linspace(0.0, 1.0, 201))).max()
                    for e in edges)
         for i, edge in enumerate(edges):

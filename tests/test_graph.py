@@ -42,18 +42,20 @@ def test_limit_closed_form(unit_radius_spec):
     x = np.linspace(0.0, 1.0, 401)
     w1 = -x ** 3 / 6.0 + x / 9.0 + 1.0 / 18.0
     w23 = (1.0 - x) / 18.0
-    assert np.max(np.abs(gf.value(0, x) - w1)) < 1e-10
-    assert np.max(np.abs(gf.value(1, x) - w23)) < 1e-10
-    assert np.max(np.abs(gf.value(2, x) - w23)) < 1e-10
+    assert np.max(np.abs(gf[0].value(x) - w1)) < 1e-10
+    assert np.max(np.abs(gf[1].value(x) - w23)) < 1e-10
+    assert np.max(np.abs(gf[2].value(x) - w23)) < 1e-10
 
 
 def test_limit_vertex_continuity_and_flux(unit_radius_spec):
     gf = solve_limit(unit_radius_spec)
-    v = gf.vertex_values
+    v = [e.vertex_value for e in gf]
     assert v[0] == pytest.approx(v[1], abs=1e-12)
     assert v[0] == pytest.approx(v[2], abs=1e-12)
-    assert gf.flux_total(unit_radius_spec) == pytest.approx(0.0, abs=1e-10)
-    assert np.allclose(gf.end_values(), 0.0, atol=1e-12)
+    flux = sum(math.pi * unit_radius_spec.h0(i) ** 2 * gf[i].vertex_slope
+               for i in range(3))
+    assert flux == pytest.approx(0.0, abs=1e-10)
+    assert np.allclose([e.value(1.0) for e in gf], 0.0, atol=1e-12)
 
 
 def test_limit_weak_residual_random_source(rng):
@@ -65,13 +67,13 @@ def test_limit_weak_residual_random_source(rng):
     spec = make_spec(f, h=h)
     gf = solve_limit(spec)
     rhs = assemble_rhs0(spec)
-    res = weak_residual(spec, gf, rhs)
+    res = weak_residual(spec, gf, rhs, TransmissionData())
     assert res < 1e-9
     # The edges reuse the solve's flux antiderivative: an edge built from
     # a fresh interpolation of its rhs is bitwise the same.
     _, v, c = _solve_continuous(spec, rhs, 0.0)
     x = np.linspace(0.0, 1.0, 257)
-    for i, edge in enumerate(gf.edges):
+    for i, edge in enumerate(gf):
         bp = merge_breakpoints(h[i].breakpoints, rhs[i].breakpoints)
         s = PiecewiseCheb.interpolate(rhs[i], bp, DEG).antiderivative()
         fresh = EdgeFunction(h[i], rhs[i], s, v, c[i])
@@ -86,23 +88,24 @@ def test_limit_with_lateral_load():
            LateralLoad.zero())
     spec = make_spec(f, phi=phi)
     gf = solve_limit(spec)
-    res = weak_residual(spec, gf, assemble_rhs0(spec))
+    res = weak_residual(spec, gf, assemble_rhs0(spec),
+                        TransmissionData())
     assert res < 1e-9
     # The load drains energy: the solution differs from the no-load one.
     base = solve_limit(make_spec(f))
     x = np.linspace(0, 1, 11)
-    assert np.max(np.abs(gf.value(0, x) - base.value(0, x))) > 1e-3
+    assert np.max(np.abs(gf[0].value(x) - base[0].value(x))) > 1e-3
 
 
 def test_omega_k_jump_and_flux_conditions(fx_spec):
     trans = TransmissionData(delta2=0.03, delta3=-0.02, dstar=0.05)
     rhs = assemble_rhs0(fx_spec)
     gf = solve_omega_k(fx_spec, rhs, trans)
-    v = gf.vertex_values
+    v = [e.vertex_value for e in gf]
     assert v[1] - v[0] == pytest.approx(0.03, abs=1e-11)
     assert v[2] - v[0] == pytest.approx(-0.02, abs=1e-11)
     # Total vertex flux matches the prescribed defect.
-    total = sum(math.pi * fx_spec.h0(i) ** 2 * gf.vertex_slopes[i]
+    total = sum(math.pi * fx_spec.h0(i) ** 2 * gf[i].vertex_slope
                 for i in range(3))
     assert total == pytest.approx(0.05, abs=1e-10)
     assert weak_residual(fx_spec, gf, rhs, trans) < 1e-9
@@ -115,27 +118,27 @@ def test_omega_k_zero_data_is_zero(fx_spec):
     gf = solve_omega_k(fx_spec, zero_rhs, TransmissionData())
     x = np.linspace(0, 1, 11)
     for i in range(3):
-        assert np.max(np.abs(gf.value(i, x))) < 1e-12
+        assert np.max(np.abs(gf[i].value(x))) < 1e-12
 
 
 def test_germ_matches_values_near_vertex(fx_spec):
     gf = solve_limit(fx_spec)
     for i in range(3):
-        g = gf.germ(i)
+        g = gf[i].germ()
         x = np.linspace(0.0, 0.05, 21)
-        assert np.max(np.abs(g(x) - gf.value(i, x))) < 1e-9
+        assert np.max(np.abs(g(x) - gf[i].value(x))) < 1e-9
 
 
 def test_derivs_at_zero_consistent(fx_spec):
     gf = solve_limit(fx_spec)
     for i in range(3):
-        ds = gf.derivs_at_zero(i, 3)
-        assert ds[0] == pytest.approx(gf.vertex_values[i], abs=1e-12)
-        assert ds[1] == pytest.approx(gf.vertex_slopes[i], abs=1e-12)
+        ds = gf[i].derivs_at_zero(3)
+        assert ds[0] == pytest.approx(gf[i].vertex_value, abs=1e-12)
+        assert ds[1] == pytest.approx(gf[i].vertex_slope, abs=1e-12)
         d = 1e-4
-        fd2 = (gf.value(i, np.array([2 * d]))[0]
-               - 2 * gf.value(i, np.array([d]))[0]
-               + gf.vertex_values[i]) / d ** 2
+        fd2 = (gf[i].value(np.array([2 * d]))[0]
+               - 2 * gf[i].value(np.array([d]))[0]
+               + gf[i].vertex_value) / d ** 2
         assert ds[2] == pytest.approx(fd2, abs=1e-3)
 
 
@@ -145,7 +148,7 @@ def test_vertex_data_are_kept_from_construction(exp_rich):
     match each edge function's own value and slope."""
     x = np.linspace(0.0, 1.0, 37)
     for i in range(3):
-        edges = [exp_rich.graph[k].edges[i] for k in sorted(exp_rich.graph)]
+        edges = [exp_rich.graph[k][i] for k in sorted(exp_rich.graph)]
         for e in edges + [edges[-1].with_affine(0.3, -0.2)]:
             assert e.vertex_value == float(e.value(0.0))
             assert e.vertex_slope == float(e.d1(0.0))
@@ -154,7 +157,7 @@ def test_vertex_data_are_kept_from_construction(exp_rich):
             assert np.allclose(vals[:, k], e.value(x), rtol=1e-14, atol=0)
             assert np.allclose(slopes[:, k], e.d1(x), rtol=1e-14, atol=0)
     assert any(e.affine != (0.0, 0.0)
-               for g in exp_rich.graph.values() for e in g.edges)
+               for g in exp_rich.graph.values() for e in g)
 
 
 def test_profiles_off_their_radius_grid_are_refused(fx_spec, exp_fx):

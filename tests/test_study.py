@@ -81,7 +81,7 @@ def test_tube_target_matches_direct_norms(fx_spec):
     plan = StudyPlan(spec=spec, epsilons=[0.3, 0.25, 0.2],
                      targets=["COR42_CYL"], axial=0.05, fem_refine=0.4)
     (result,) = run_study(plan).targets
-    edges = Expansion(spec).graph[0].edges
+    edges = Expansion(spec).graph[0]
     for j, eps in enumerate(plan.epsilons):
         ref = solve_reference(with_epsilon(spec, eps), axial=plan.axial,
                               refine=plan.fem_refine)

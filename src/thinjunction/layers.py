@@ -140,8 +140,11 @@ class BoundaryLayerTerm:
         bessel = np.zeros((s.size, self._bessel_lam.size))
         bessel[p, q] = special.jv(self._bessel_order[q],
                                   r[p] * self._bessel_lam[q])
-        jm, jn, jp = bessel[:, self._bessel_at].transpose(1, 0, 2) \
-            * self._bessel_sign[:, None]
+        # np.take keeps the point axis outermost: fancy indexing would
+        # lay the points innermost, and numpy then sums a large batch's
+        # modes in another order than a small one's
+        jm, jn, jp = np.take(bessel, self._bessel_at, axis=1).transpose(
+            1, 0, 2) * self._bessel_sign[:, None]
         ang = t[:, None] * self._n
         cos, sin = np.cos(ang), np.sin(ang)
         trig = np.where(self._sin, sin, cos)

@@ -125,16 +125,17 @@ def split_prisms(bottom, top, orient):
     vertex id, which neighbouring prisms pick identically.  ``orient``
     is +1 per prism whose bottom winds counter-clockwise seen from its
     top, else -1; a pattern tet has that sign, or the other when the
-    smallest vertex is on top, and is reversed where negative.
+    smallest vertex is on top, and is reversed where negative.  The
+    tets are int32, as a mesh keeps them.
     """
 
-    prisms = np.concatenate([bottom, top], axis=1).astype(np.int64)
+    prisms = np.concatenate([bottom, top], axis=1).astype(np.int32)
     low = np.argmin(prisms, axis=1)
     v = np.take_along_axis(prisms, _PRISM_PERMS[low], axis=1)
     use_a = np.minimum(v[:, 1], v[:, 5]) < np.minimum(v[:, 2], v[:, 4])
     negative = (low >= 3) != (np.asarray(orient) < 0)
     pattern = _TET_PATTERNS[2 * negative + use_a]
-    return v[np.arange(len(v))[:, None], pattern].reshape(-1, 4)
+    return np.take_along_axis(v, pattern, axis=1).reshape(-1, 4)
 
 
 def _prism_signs(tris, segments, axis, direction):
@@ -260,12 +261,15 @@ def _face_to_space(uv, axis, sign, half):
     return out
 
 
-def _tube_section(uv_disk, axis, x, radius):
+def _tube_sections(uv_disk, axis, xs, radii):
+    """The disk nodes of tube stations at axial positions xs with radii,
+    shape (stations, disk nodes, 3)."""
     a, b = TRANSVERSE_AXES[axis]
-    out = np.empty((uv_disk.shape[0], 3))
-    out[:, axis] = x
-    out[:, a] = uv_disk[:, 0] * radius
-    out[:, b] = uv_disk[:, 1] * radius
+    r = np.asarray(radii, dtype=float)[:, None]
+    out = np.empty((r.size, uv_disk.shape[0], 3))
+    out[:, :, axis] = np.asarray(xs, dtype=float)[:, None]
+    out[:, :, a] = uv_disk[:, 0] * r
+    out[:, :, b] = uv_disk[:, 1] * r
     return out
 
 
@@ -377,23 +381,24 @@ class _DomainBuilder:
         self.tets.append(cone)
 
     def extrude_tube(self, axis, xs, radius_fn):
+        """Stations at xs[1:] beyond the face's disk at xs[0], all at
+        once: their nodes station by station, and their prisms' tets
+        station by station from one ``split_prisms``."""
         ids = self._face_ids[axis][:self.n_disk]
-        self.stations[axis] = [Station(float(xs[0]), ids)]
+        xs = np.asarray(xs, dtype=float)
+        radii = [float(radius_fn(float(x))) for x in xs[1:]]
         self.tube_tets[axis] = sum(len(t) for t in self.tets)
-        self.station_r[axis] = [self.radii[axis]]
-        prev = ids
+        self.station_r[axis] = [self.radii[axis]] + radii
+        self.max_radius = max(self.max_radius, *self.station_r[axis])
+        pts = _tube_sections(self.uv_disk, axis, xs[1:], radii)
+        rings = self._fresh(pts.reshape(-1, 3)).reshape(len(radii), -1)
+        self.stations[axis] = [Station(float(xs[0]), ids)] + [
+            Station(float(x), cur) for x, cur in zip(xs[1:], rings)]
+        tris = np.concatenate([ids[None], rings])[:, self.disk_tris]
         orient = _prism_signs(self.disk_tris, self.segments, axis, 1)
-        self.max_radius = max(self.max_radius, self.radii[axis])
-        for x in xs[1:]:
-            radius = float(radius_fn(float(x)))
-            self.station_r[axis].append(radius)
-            self.max_radius = max(self.max_radius, radius)
-            pts = _tube_section(self.uv_disk, axis, float(x), radius)
-            cur = self._fresh(pts)
-            self.tets.append(split_prisms(prev[self.disk_tris],
-                                          cur[self.disk_tris], orient))
-            self.stations[axis].append(Station(float(x), cur))
-            prev = cur
+        self.tets.append(split_prisms(tris[:-1].reshape(-1, 3),
+                                      tris[1:].reshape(-1, 3),
+                                      np.tile(orient, len(radii))))
 
     def finish(self, end_planes, meta):
         """The mesh, with the layout that ``LayoutSeed`` reads in its
@@ -404,12 +409,15 @@ class _DomainBuilder:
             face_radii=list(self.face_radii),
             sagitta=sagitta(self.max_radius, self.segments),
             **_tube_layout(self.stations, self.station_r, self.tube_tets))
+        # the builder's pieces go as they are joined
         nodes = np.concatenate(self.coords, axis=0)
-        tets = np.concatenate(self.tets, axis=0)
+        tets = np.concatenate(self.tets, axis=0, dtype=np.int32)
+        self.coords.clear()
+        self.tets.clear()
         adjacent = face_adjacency(tets, self.num_nodes)
         boundary = _tag_boundary(nodes, tets, adjacent, self.half,
                                  end_planes)
-        return TetMesh(nodes=nodes, tets=tets.astype(np.int32),
+        return TetMesh(nodes=nodes, tets=tets,
                        boundary=boundary, stations=self.stations,
                        disk_tris=self.disk_tris, meta=meta,
                        adjacent=adjacent)
@@ -619,22 +627,38 @@ def face_keys(faces, num_nodes):
     return (lo * n + (a + b + c - lo - hi)) * n + hi
 
 
+def _run_starts(key, order):
+    """Whether each key of the sorted order ``key[order]`` starts a run
+    of equal keys, compared block by block through ``order``, so that
+    no sorted copy of the keys is made."""
+    first = np.empty(order.size, dtype=bool)
+    first[:1] = True
+    for lo in range(1, order.size, BLOCK_POINTS):
+        hi = min(lo + BLOCK_POINTS, order.size)
+        np.not_equal(key.take(order[lo:hi]), key.take(order[lo - 1:hi - 1]),
+                     out=first[lo:hi])
+    return first
+
+
 def face_adjacency(tets, num_nodes):
     """Tet across each face of each tet, ``OTHER`` where there is none.
 
     Faces are matched by their keys, built block by block; column ``v``
-    is the face opposite vertex ``v``.
+    is the face opposite vertex ``v``.  The pass holds the int64 keys
+    and their sort order, 16 bytes a face, and the adjacency.
     """
     key = np.empty((tets.shape[0], 4), dtype=np.int64)
     for blk in tet_blocks(tets.shape[0]):
         key[blk] = face_keys(tets[blk][:, _FACES], num_nodes)
     key = key.ravel()
     order = np.argsort(key, kind="stable")
-    key = key[order]
-    twin = np.flatnonzero(key[1:] == key[:-1])
+    # sorted positions whose key repeats at the next position
+    twin = np.flatnonzero(~_run_starts(key, order)[1:])
+    del key
     adjacent = np.full(order.size, OTHER, dtype=np.int32)
-    adjacent[order[twin]] = order[twin + 1] // 4
-    adjacent[order[twin + 1]] = order[twin] // 4
+    first, second = order[twin], order[twin + 1]
+    adjacent[first] = second // 4
+    adjacent[second] = first // 4
     return adjacent.reshape(-1, 4)
 
 
@@ -642,10 +666,11 @@ def tet_edges(tets, num_nodes):
     """The mesh's edges as rows (a, b), a < b, in increasing order, and
     the row of each tet's six edges (``_EDGES``) in that list.
 
-    The keys a*n + b are int32 where every key fits, which halves the
-    keys and their sorted copy; the sorted keys' buffer then takes the
-    edge numbers.  While it sorts, the pass holds the keys twice and the
-    sort's int64 order: 96 bytes per tet with int32 keys."""
+    The keys a*n + b are int32 where every key fits.  The pass holds the
+    keys and their int64 sort order, but no sorted copy of the keys: the
+    edge numbers are counted block by block through the order.  With
+    int32 keys that is 72 bytes per tet, then 72 with the output.
+    """
     n = int(num_nodes)
     kind = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
     key = np.empty((tets.shape[0], 6), dtype=kind)
@@ -654,19 +679,18 @@ def tet_edges(tets, num_nodes):
         key[blk] = pair.min(axis=2).astype(kind) * kind(n) + pair.max(axis=2)
     key = key.ravel()
     order = np.argsort(key)
-    key = key[order]
-    first = np.empty(key.size, dtype=bool)
-    first[:1] = True
-    np.not_equal(key[1:], key[:-1], out=first[1:])
-    unique = key[first]
-    # the edge number of each sorted key, counted in place
-    key[:] = first
-    del first
-    np.cumsum(key, out=key)
-    key -= 1
-    index = np.empty(key.size, dtype=np.int32)
-    index[order] = key
-    del key, order
+    first = _run_starts(key, order)
+    unique = key[order[first]]
+    del key
+    index = np.empty(order.size, dtype=np.int32)
+    count = 0
+    for lo in range(0, order.size, BLOCK_POINTS):
+        blk = slice(lo, lo + BLOCK_POINTS)
+        number = np.cumsum(first[blk], dtype=np.int32)
+        number += count - 1
+        index[order[blk]] = number
+        count = int(number[-1]) + 1
+    del order, first
     edges = np.empty((unique.size, 2), dtype=np.int64)
     np.divmod(unique, kind(n), out=(edges[:, 0], edges[:, 1]))
     return edges, index.reshape(-1, 6)
@@ -680,8 +704,9 @@ def _boundary_faces(tets, adjacent):
 
 
 def _tag_boundary(nodes, tets, adjacent, half, end_planes):
-    """Boundary tags of a box mesh; writes their codes into ``adjacent``."""
-    faces = _boundary_faces(tets, adjacent)
+    """Boundary tags of a box mesh, int64 node ids; writes their codes
+    into ``adjacent``."""
+    faces = _boundary_faces(tets, adjacent).astype(np.int64)
     cent = nodes[faces].mean(axis=1)
     code = np.full(faces.shape[0], OTHER, dtype=adjacent.dtype)
     tags = {}
@@ -772,15 +797,15 @@ def build_tube_mesh(radius, length, axial, refine=1.0, radius_fn=None):
     xs[-1] = length
     rfn = radius_fn if radius_fn is not None else (lambda _x: radius)
     radii = [float(rfn(float(x))) for x in xs]
-    nodes = np.concatenate([_tube_section(uv, 0, float(x), r)
-                            for x, r in zip(xs, radii)], axis=0)
+    nodes = _tube_sections(uv, 0, xs, radii).reshape(-1, 3)
     ids = np.arange(len(nodes)).reshape(len(xs), -1)
     stations = [Station(float(x), i) for x, i in zip(xs, ids)]
     orient = _prism_signs(disk_tris, segments, 0, 1)
-    tets = np.concatenate([split_prisms(a[disk_tris], b[disk_tris], orient)
-                           for a, b in zip(ids[:-1], ids[1:])], axis=0)
+    tris = ids[:, disk_tris]
+    tets = split_prisms(tris[:-1].reshape(-1, 3), tris[1:].reshape(-1, 3),
+                        np.tile(orient, len(xs) - 1))
     adjacent = face_adjacency(tets, nodes.shape[0])
-    faces = _boundary_faces(tets, adjacent)
+    faces = _boundary_faces(tets, adjacent).astype(np.int64)
     cent = nodes[faces].mean(axis=1)
     tol = 1e-9 * max(1.0, length)
     at_0 = np.abs(cent[:, 0]) < tol
@@ -792,6 +817,6 @@ def build_tube_mesh(radius, length, axial, refine=1.0, radius_fn=None):
             "segments": segments, "rings": rings,
             "sagitta": sagitta(max(radii), segments),
             **_tube_layout({0: stations}, {0: radii}, {0: 0})}
-    return TetMesh(nodes=nodes, tets=tets.astype(np.int32),
+    return TetMesh(nodes=nodes, tets=tets,
                    boundary=boundary, stations={0: stations},
                    disk_tris=disk_tris, meta=meta, adjacent=adjacent)

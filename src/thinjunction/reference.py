@@ -62,13 +62,23 @@ class ReferenceSolution:
         lim = 2.0 * self.epsilon * self.spec.ell
         return region_mask(self.ctx, lambda c: np.max(c, axis=1) < lim)
 
-    def norms_against(self, fn=None, mask=None):
+    def norms_against(self, fn=None, mask=None, parts=None):
         """(L2, H1 semi, H1) of the FEM field minus an analytic field.
 
         ``fn(points) -> (values, gradients)``; None measures the FEM
-        field itself.
+        field itself.  With ``parts``, one triple per part from the one
+        pass (``fem3d.norms``).
         """
-        return norms(self.ctx, self.u, reference=fn, mask=mask)
+        return norms(self.ctx, self.u, reference=fn, mask=mask, parts=parts)
+
+    def record(self):
+        """The solve's record: mesh size, CG iterations and restarts, and
+        the true relative residual it reached."""
+        return {"epsilon": self.epsilon, "nodes": int(self.mesh.num_nodes),
+                "tets": int(self.mesh.num_tets),
+                "cg_iterations": int(self.info["iterations"]),
+                "cg_restarts": int(self.info["restarts"]),
+                "relative_residual": float(self.info["relative_residual"])}
 
     def domain_measure(self):
         return float(self.ctx.volumes.sum())

@@ -196,6 +196,8 @@ class StudyReport:
     version: str
     targets: list = field(default_factory=list)
     notes: list = field(default_factory=list)
+    # per slenderness, the reference solve's ``ReferenceSolution.record``
+    references: list = field(default_factory=list)
 
     @property
     def passed(self):
@@ -207,6 +209,7 @@ class StudyReport:
             "version": self.version,
             "passed": self.passed,
             "notes": list(self.notes),
+            "references": [dict(r) for r in self.references],
             "targets": [{
                 "target": t.target, "region": t.region,
                 "predicted": t.predicted, "slope": t.slope,
@@ -264,23 +267,6 @@ def _station_gap(exp: Expansion, ref: ReferenceSolution, order):
     return worst
 
 
-def _tube_profile_h1(exp: Expansion, ref: ReferenceSolution):
-    worst = 0.0
-    lo, _hi = ref.observation_interval()
-    for i in range(3):
-        def fn(pts, i=i):
-            # one evaluation per distinct axial position of the points
-            xs, at = np.unique(pts[:, i], return_inverse=True)
-            vals, slopes = exp.tube_profiles(i, xs)
-            grads = np.zeros_like(pts)
-            grads[:, i] = slopes[at, 0]
-            return vals[at, 0], grads
-
-        mask = ref.tube_mask(i, (lo, 1.0))
-        worst = max(worst, ref.norms_against(fn, mask=mask)[2])
-    return worst
-
-
 def _junction_h1(exp: Expansion, ref: ReferenceSolution):
     eps = ref.epsilon
     base = exp.graph[0][0].vertex_value
@@ -294,24 +280,55 @@ def _junction_h1(exp: Expansion, ref: ReferenceSolution):
     return ref.norms_against(fn, mask=ref.bulge_mask())[2]
 
 
+class _WholePasses:
+    """The whole-domain norm passes at one slenderness, one per partial
+    sum order, each shared by the targets of that order.  With ``tubes``
+    the order-0 pass also sums each tube's tets beyond the matching band
+    (``observation_interval``) for COR42_CYL: those whose vertices all
+    lie past the band's edge, so that at their quadrature points the
+    order-0 sum is the limit profile w_0 exactly (chi = 1, its slope 0,
+    and no corrector or end layer exists below order 2).  Where a station
+    lies on the edge, as the thin-mesh builder places one unless another
+    forced plane takes it, these are all the tets of the tube mask."""
+
+    def __init__(self, exp, ref, tubes):
+        self.exp, self.ref, self.tubes = exp, ref, tubes
+        self._done = {}
+
+    def __call__(self, order):
+        """[(L2, H1 semi, H1) of the whole domain], then, for order 0
+        with ``tubes``, one triple per tube."""
+        if order not in self._done:
+            exp, ref, parts = self.exp, self.ref, [None]
+            if order == 0 and self.tubes:
+                lo, _hi = ref.observation_interval()
+                x, tets = ref.mesh.nodes, ref.mesh.tets
+                for i in range(3):
+                    part = ref.tube_mask(i, (lo, 1.0)) > 0.0
+                    at = np.flatnonzero(part)
+                    part[at] = x[:, i].take(tets[at]).min(axis=1) >= lo
+                    parts.append(part)
+            self._done[order] = ref.norms_against(
+                lambda pts: exp.evaluate(pts, ref.epsilon, m=order,
+                                         gradient=True), parts=parts)
+        return self._done[order]
+
+
 def _target_error(target, exp, ref, whole, terms):
-    """Error of one target at one slenderness.  ``whole`` keeps the
-    whole-domain norms per partial-sum order, shared by the targets of
-    that order, and ``terms`` the residual terms on the sample cloud."""
+    """Error of one target at one slenderness.  ``whole`` gives the
+    whole-domain norm passes (``_WholePasses``) and ``terms`` the
+    residual terms on the sample cloud."""
     region = target.region
     if region == "sample-cloud":
         return float(np.max(np.abs(terms[target.term])))
     if region == "stations":
         return _station_gap(exp, ref, target.order)
     if region == "outer-tubes":
-        return _tube_profile_h1(exp, ref)
+        return max(h1 for _l2, _h1s, h1 in whole(0)[1:])
     if region == "bulge":
         return _junction_h1(exp, ref)
-    order = exp.order if target.order is None else target.order
-    if order not in whole:
-        whole[order] = ref.norms_against(lambda pts: exp.evaluate(
-            pts, ref.epsilon, m=order, gradient=True))
-    l2, _h1s, h1 = whole[order]
+    l2, _h1s, h1 = whole(exp.order if target.order is None
+                         else target.order)[0]
     if target.norm == "l2":
         return l2
     if target.norm == "h1/measure":
@@ -354,12 +371,15 @@ def run_study(plan: StudyPlan) -> StudyReport:
     timing = {t: [] for t in plan.targets}
     term_keys = [TARGETS[t].term for t in plan.targets
                  if TARGETS[t].region == "sample-cloud"]
+    tubes = any(TARGETS[t].region == "outer-tubes" for t in plan.targets)
     for eps in plan.epsilons:
-        ref = None
+        # the previous slenderness' solve goes before the next is built
+        ref = whole = None
         if plan.needs_fem():
             ref = solve_reference(with_epsilon(spec, eps), axial=plan.axial,
                                   refine=plan.fem_refine)
-        whole = {}
+            report.references.append(ref.record())
+        whole = _WholePasses(exp, ref, tubes)
         terms = {}
         if term_keys:
             terms = exp.residual_terms(residual_cloud(spec, eps), eps,

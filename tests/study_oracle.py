@@ -1,10 +1,16 @@
-"""The former per-name target policy of ``thinjunction.study``.
+"""Former code of ``thinjunction.study``, kept as oracles.
 
 Before the ``TARGETS`` table, a target's region, predicted exponent,
 pass band and plan restrictions were written out name by name in these
 functions.  ``test_study.py`` checks that the table gives the same
 values and raises the same messages for every target.
+
+``tube_profile_h1`` is the former COR42_CYL pass: one masked norm pass
+per tube against the limit profile w_0, which the study now reads off
+its one order-0 whole-domain pass.
 """
+
+import numpy as np
 
 from thinjunction.study import StudyError
 
@@ -74,3 +80,23 @@ def slope_band(target):
     if target == "COR42_H1_U0_REL":
         return 0.15, None
     return 0.3, None
+
+
+def tube_profile_h1(exp, ref, masks=None):
+    """Worst H1 distance, over the tubes beyond the matching band, to the
+    order-0 graph profile: three masked passes, each evaluating the
+    profile once per distinct axial position of its points.  ``masks``
+    replaces the tube masks ``ref.tube_mask(i, (lo, 1))``."""
+    worst = 0.0
+    lo, _hi = ref.observation_interval()
+    for i in range(3):
+        def fn(pts, i=i):
+            xs, at = np.unique(pts[:, i], return_inverse=True)
+            vals, slopes = exp.tube_profiles(i, xs)
+            grads = np.zeros_like(pts)
+            grads[:, i] = slopes[at, 0]
+            return vals[at, 0], grads
+
+        mask = ref.tube_mask(i, (lo, 1.0)) if masks is None else masks[i]
+        worst = max(worst, ref.norms_against(fn, mask=mask)[2])
+    return worst

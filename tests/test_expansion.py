@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from thinjunction import (
     LateralLoad,
     build_thin_mesh,
     cheb,
+    expansion,
     study,
     with_epsilon,
 )
@@ -387,3 +389,86 @@ def test_one_radius_pass_per_request(exp_rich, monkeypatch):
                         _counted(counts, "horner", RadiusProfile._horner))
     exp_rich.evaluate(pts, 0.1, m=2, gradient=True)
     assert counts["horner"] == 0
+
+
+def _mixed_cloud(spec, eps, rng, n):
+    """``_cloud`` in random order, so that every block of a call mixes
+    the bulge, the matching band, the tube interiors and the end bands."""
+    return rng.permutation(_cloud(spec, eps, rng, n=n))
+
+
+def test_a_call_of_several_blocks_is_its_blocks_and_its_rows_bitwise(
+        exp_rich, monkeypatch):
+    """A call of more points than ``EVAL_BLOCK`` is served block by block
+    into its outputs: bitwise its per-block calls and its one-point
+    batches, at orders 0, 1 and 2, the last block a short one."""
+    monkeypatch.setattr(expansion, "EVAL_BLOCK", 17)
+    rng = np.random.default_rng(18)
+    for eps in (0.2, 0.05):
+        pts = _mixed_cloud(exp_rich.spec, eps, rng, n=8)
+        axial, end = _bands(exp_rich, pts, eps)
+        assert axial.any() and end.any() and len(pts) % 17
+        blocks = range(0, len(pts), 17)
+        for m in (0, 1, 2):
+            vals, grads = exp_rich.evaluate(pts, eps, m=m, gradient=True)
+            parts = [exp_rich.evaluate(pts[lo:lo + 17], eps, m=m,
+                                       gradient=True) for lo in blocks]
+            assert _same_bits(vals, np.concatenate([v for v, _ in parts]))
+            assert _same_bits(grads, np.concatenate([g for _, g in parts]))
+            for j, p in enumerate(pts):
+                v, g = exp_rich.evaluate(p[None], eps, m=m, gradient=True)
+                assert _same_bits(vals[j:j + 1], v), (eps, m, j)
+                assert _same_bits(grads[j:j + 1], g), (eps, m, j)
+
+
+def test_the_public_evaluate_is_entered_once_per_call(exp_rich,
+                                                      monkeypatch):
+    """The blocks go through the internal block pass, never back through
+    ``Expansion.evaluate``, which a caller may wrap and count per call."""
+    monkeypatch.setattr(expansion, "EVAL_BLOCK", 17)
+    counts = {"evaluate": 0, "block": 0}
+    monkeypatch.setattr(Expansion, "evaluate", _counted(
+        counts, "evaluate", Expansion.evaluate))
+    monkeypatch.setattr(Expansion, "_evaluate_block", _counted(
+        counts, "block", Expansion._evaluate_block))
+    pts = _mixed_cloud(exp_rich.spec, 0.1, np.random.default_rng(19), n=8)
+    for m in (0, 1, 2):
+        counts.update(evaluate=0, block=0)
+        exp_rich.evaluate(pts, 0.1, m=m, gradient=True)
+        assert counts == {"evaluate": 1, "block": -(-len(pts) // 17)}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_a_non_finite_point_in_a_later_block_is_named_by_its_row(
+        exp_fx, monkeypatch, bad):
+    monkeypatch.setattr(expansion, "EVAL_BLOCK", 4)
+    counts = {"block": 0}
+    monkeypatch.setattr(Expansion, "_evaluate_block", _counted(
+        counts, "block", Expansion._evaluate_block))
+    pts = np.full((13, 3), 0.01)
+    pts[9, 2] = pts[11, 0] = bad
+    with pytest.raises(ValueError, match="point 9 is not finite"):
+        exp_fx.evaluate(pts, 0.1, gradient=True)
+    assert counts["block"] == 0
+
+
+def test_a_large_call_holds_the_transients_of_one_block(exp_rich):
+    """Beyond its outputs (32 bytes a point), an order-1 call of 100,000
+    points peaks within 10% of a call of 20,000: both hold one block's
+    transients."""
+    rng = np.random.default_rng(20)
+    pts = _mixed_cloud(exp_rich.spec, 0.1, rng, n=10_000)
+    assert len(pts) == 100_000
+    exp_rich.evaluate(pts[:100], 0.1, m=1, gradient=True)
+    peaks = []
+    for n in (20_000, 100_000):
+        tracemalloc.start()
+        try:
+            out = exp_rich.evaluate(pts[:n], 0.1, m=1, gradient=True)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert kept >= 32 * n
+        peaks.append(peak - kept)
+        del out
+    assert peaks[1] <= 1.1 * peaks[0], peaks

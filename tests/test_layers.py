@@ -220,3 +220,20 @@ def test_nonvanishing_axial_end_rejected(rich_spec):
     shifted = gf[1].with_affine(0.0, 0.05)  # now omega(1) != 0
     with pytest.raises(ValueError, match="vanish at the end"):
         build_pi(rich_spec, 1, corr, omega=shifted)
+
+
+def test_each_point_of_a_large_batch_is_its_single_point_batch():
+    """A point's layer terms do not depend on the batch it comes in, also
+    in a batch of thousands of points, where numpy would sum modes laid
+    out point-innermost in another order than a small batch's."""
+    rng = np.random.default_rng(21)
+    term = _mixed_layer(rng)
+    n = 6000
+    r = 0.25 * np.sqrt(rng.uniform(0.0, 1.0, n))
+    t = rng.uniform(0.0, 2.0 * np.pi, n)
+    xa, xb = r * np.cos(t), r * np.sin(t)
+    s = rng.uniform(0.0, 0.05, n)
+    got = np.stack(term.gradient(s, xa, xb), axis=1)
+    for j in range(n):
+        one = term.gradient(s[j:j + 1], xa[j:j + 1], xb[j:j + 1])
+        assert np.array_equal(got[j], np.concatenate(one)), j

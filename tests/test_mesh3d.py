@@ -9,6 +9,8 @@ from thinjunction import (
     build_junction_mesh,
     build_thin_mesh,
     build_tube_mesh,
+    mesh3d,
+    with_epsilon,
 )
 from thinjunction.mesh3d import (
     END,
@@ -300,3 +302,41 @@ class TestStationHelpers:
         out = snap_stations(xs, [-0.5, 1.5])
         assert np.allclose(out, xs)
 
+
+
+@pytest.mark.parametrize("build", ["thin", "junction", "tube"])
+def test_each_tube_is_split_in_one_call_as_station_by_station(
+        flat_spec, monkeypatch, build):
+    """A builder cuts all the prisms of a tube in one ``split_prisms``
+    call; its tets are bitwise those of one call per pair of
+    neighbouring stations, in station order, the former extrusion."""
+    calls = []
+
+    def counted(bottom, top, orient):
+        calls.append(len(bottom))
+        return split(bottom, top, orient)
+
+    split = mesh3d.split_prisms
+    with monkeypatch.context() as patched:
+        patched.setattr(mesh3d, "split_prisms", counted)
+        if build == "thin":
+            mesh = build_thin_mesh(with_epsilon(flat_spec, 0.2), axial=0.05,
+                                   refine=0.5)
+        elif build == "junction":
+            mesh = build_junction_mesh(flat_spec, R=flat_spec.ell + 3.5,
+                                       refine=0.7)
+        else:
+            mesh = build_tube_mesh(radius=0.5, length=2.0, axial=0.25,
+                                   radius_fn=lambda x: 0.5 + 0.1 * x)
+    meta = mesh.meta
+    shells = meta.get("shells", 1)
+    assert len(calls) == shells - 1 + len(mesh.stations)
+    assert mesh.tets.dtype == np.int32
+    for axis, stations in mesh.stations.items():
+        orient = mesh3d._prism_signs(mesh.disk_tris, meta["segments"], axis,
+                                     1)
+        want = np.concatenate([
+            split(a.nodes[mesh.disk_tris], b.nodes[mesh.disk_tris], orient)
+            for a, b in zip(stations[:-1], stations[1:])])
+        first = meta["tube_tets"][axis]
+        assert np.array_equal(mesh.tets[first:first + len(want)], want)

@@ -3,6 +3,7 @@ junction-zone target."""
 
 import dataclasses
 import itertools
+import json
 import math
 import re
 
@@ -11,15 +12,15 @@ import pytest
 from scipy import stats
 
 import study_oracle
-from thinjunction import reference, study
+from thinjunction import fem3d, reference, study
 from thinjunction.config import LateralLoad, RadiusProfile, SourceField
 from thinjunction.expansion import Expansion
 from thinjunction.poly import Poly3
 from thinjunction.reference import (default_axial, solve_reference,
                                     with_epsilon)
 from thinjunction.study import (RESTRICTIONS, TARGETS, StudyError, StudyPlan,
-                                _tube_profile_h1, _fit, estimate_nodes,
-                                load_plan, residual_cloud, run_study)
+                                StudyReport, _fit, estimate_nodes, load_plan,
+                                residual_cloud, run_study)
 
 EPSILONS = [0.3, 0.25, 0.2]
 
@@ -309,21 +310,16 @@ def test_load_plan_rejects_missing_keys(fx_spec, key):
 
 def test_tube_profile_is_evaluated_once_per_axial_position(fx_spec,
                                                            monkeypatch):
-    # COR42_CYL evaluates the limit profile at the distinct axial
-    # positions of the quadrature points and gathers: the profile values
-    # do not depend on the batch, so this is bitwise the per-point pass
+    # COR42_CYL is read off the order-0 whole-domain pass, which
+    # evaluates the profiles at the distinct axial positions of each
+    # block's tube points and gathers, as the former masked passes did
+    # (study_oracle.tube_profile_h1): the profile values do not depend on
+    # the batch, so this is bitwise the per-point pass
     spec = dataclasses.replace(fx_spec, order=0)
     exp = Expansion(spec)
     ref = solve_reference(with_epsilon(spec, 0.25), axial=0.05, refine=0.4)
     lo, _hi = ref.observation_interval()
-    worst = 0.0
     for i in range(3):
-        def fn(pts, i=i):
-            vals, slopes = exp.tube_profiles(i, pts[:, i])
-            grads = np.zeros_like(pts)
-            grads[:, i] = slopes[:, 0]
-            return vals[:, 0], grads
-
         mask = ref.tube_mask(i, (lo, 1.0))
         pts, _, _ = ref.ctx.quad_points(2, np.flatnonzero(mask))
         x = pts.reshape(-1, 3)[:, i]
@@ -332,17 +328,110 @@ def test_tube_profile_is_evaluated_once_per_axial_position(fx_spec,
         per_point = exp.tube_profiles(i, x)
         for whole, distinct in zip(per_point, exp.tube_profiles(i, xs)):
             assert np.array_equal(distinct[at], whole)
-        worst = max(worst, ref.norms_against(fn, mask=mask)[2])
+    worst = study_oracle.tube_profile_h1(exp, ref)
     seen = []
 
-    def counted(self, i, x):
-        seen.append(len(x))
-        return tube_profiles(self, i, x)
+    def counted(self, xu, xcut):
+        seen.append(len(xu))
+        return profiles(self, xu, xcut)
 
-    tube_profiles = Expansion.tube_profiles
-    monkeypatch.setattr(Expansion, "tube_profiles", counted)
-    assert _tube_profile_h1(exp, ref) == worst
-    assert len(seen) == 3 and max(seen) < len(x) // 10
+    def refused(*args):
+        raise AssertionError("the tube target evaluates the profiles per "
+                             "tube")
+
+    profiles = Expansion._profiles
+    monkeypatch.setattr(Expansion, "_profiles", counted)
+    monkeypatch.setattr(Expansion, "tube_profiles", refused)
+    passes = study._WholePasses(exp, ref, tubes=True)
+    assert study._target_error(TARGETS["COR42_CYL"], exp, ref, passes,
+                               {}) == worst
+    assert 0 < sum(seen) < 4 * ref.mesh.num_tets // 10
+
+
+def _captured_study(plan, monkeypatch):
+    """run_study of the plan, its expansion, and its norm passes per
+    slenderness."""
+    built, calls = [], []
+
+    def expansion(*args, **kwargs):
+        built.append(Expansion(*args, **kwargs))
+        return built[-1]
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("parts"))
+        return norms(*args, **kwargs)
+
+    norms = reference.norms
+    with monkeypatch.context() as patched:
+        patched.setattr(study, "Expansion", expansion)
+        patched.setattr(reference, "norms", counted)
+        report = run_study(plan)
+    (exp,) = built
+    return report, exp, calls
+
+
+@pytest.mark.parametrize("order, targets", [
+    (0, ["COR42_H1_U0", "COR42_CYL", "COR42_L2_U0"]),
+    (1, ["T0_M", "COR42_CYL"]),
+])
+def test_tube_target_is_read_off_the_order_0_pass(fx_spec, monkeypatch,
+                                                  order, targets):
+    # one norm pass per slenderness and partial-sum order serves every
+    # whole-domain target and COR42_CYL, bitwise the three masked passes
+    # of the oracle; the order-1 plan runs the order-0 pass for the tube
+    # target alone
+    spec = dataclasses.replace(fx_spec, order=order)
+    plan = StudyPlan(spec=spec, epsilons=[0.3, 0.25, 0.2], targets=targets,
+                     axial=0.05, fem_refine=0.4, junction_R=spec.ell + 4.0,
+                     junction_refine=0.5)
+    report, exp, calls = _captured_study(plan, monkeypatch)
+    assert len(calls) == (order + 1) * len(plan.epsilons)
+    (cyl,) = [t for t in report.targets if t.target == "COR42_CYL"]
+    for j, eps in enumerate(plan.epsilons):
+        ref = solve_reference(with_epsilon(spec, eps), axial=plan.axial,
+                              refine=plan.fem_refine)
+        assert cyl.errors[j] == study_oracle.tube_profile_h1(exp, ref)
+        assert report.references[j] == ref.record()
+
+
+def test_tube_target_keeps_to_tets_wholly_past_the_band(fx_spec):
+    # at eps = 0.81 the end band's plane takes the station nearest the
+    # matching band's edge, so some tube tets straddle that edge; the
+    # tube target sums only the tets whose vertices all lie past it,
+    # where the order-0 sum is w_0, bitwise the masked passes over them
+    spec = dataclasses.replace(fx_spec, order=0)
+    exp = Expansion(spec)
+    ref = solve_reference(with_epsilon(spec, 0.81), axial=0.05, refine=0.4)
+    lo, _hi = ref.observation_interval()
+    x = ref.mesh.nodes[ref.mesh.tets]
+    masks, straddle = [], 0
+    for i in range(3):
+        mask = ref.tube_mask(i, (lo, 1.0)) > 0.0
+        past = x[:, :, i].min(axis=1) >= lo
+        straddle += int((mask & ~past).sum())
+        masks.append((mask & past) * 1.0)
+    assert straddle > 0
+    passes = study._WholePasses(exp, ref, tubes=True)
+    got = study._target_error(TARGETS["COR42_CYL"], exp, ref, passes, {})
+    assert got == study_oracle.tube_profile_h1(exp, ref, masks)
+
+
+def test_report_carries_each_reference_record(fx_spec):
+    spec = dataclasses.replace(fx_spec, order=0)
+    plan = StudyPlan(spec=spec, epsilons=[0.3, 0.25, 0.2],
+                     targets=["COR42_H1_U0"], axial=0.05, fem_refine=0.4)
+    report = run_study(plan)
+    rows = report.to_json()["references"]
+    assert [r["epsilon"] for r in rows] == plan.epsilons
+    for row in rows:
+        assert set(row) == {"epsilon", "nodes", "tets", "cg_iterations",
+                            "cg_restarts", "relative_residual"}
+        assert row["nodes"] > 0 and row["tets"] > row["nodes"]
+        assert row["cg_iterations"] > 0 and row["cg_restarts"] >= 0
+        assert 0.0 < row["relative_residual"] <= fem3d.CG_RTOL
+    assert json.loads(study.emit(report))["references"] == rows
+    # a report of no solve lists no record
+    assert StudyReport("", "").to_json()["references"] == []
 
 
 def test_node_forecast_and_mesh_share_the_default_spacing(fx_spec):

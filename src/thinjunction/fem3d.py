@@ -376,7 +376,7 @@ def _point_sums(wts, err, out):
         out += wts[:, q] * err[:, q]
 
 
-def norms(ctx: FemContext, u, reference=None, mask=None, parts=None):
+def norms(ctx: FemContext, u, reference=None, mask=None, per_tet=False):
     """(L2, H1-seminorm, H1) of u minus an optional analytic reference.
 
     ``reference(points) -> (values, gradients)`` is evaluated at the
@@ -389,10 +389,10 @@ def norms(ctx: FemContext, u, reference=None, mask=None, parts=None):
     live index) and one block, and the norms do not depend on the block
     size, bit for bit.
 
-    ``parts`` asks for a list of triples from the one pass instead: per
-    part, None for all the integrated tets, or a 0/1 tet mask within
-    them, whose triple sums that mask's per-tet numbers in tet order,
-    bitwise the triple of a pass with that ``mask``.
+    ``per_tet`` returns those numbers instead, the squared L2 and H1
+    errors of the integrated tets in tet order; ``norm_triple`` of them
+    is the triple, and of a subset of them, in tet order, bitwise the
+    triple of a pass masked to that subset.
     """
     live = None if mask is None else np.flatnonzero(mask)
     tets, (bary, w) = ctx.mesh.tets, _TET_RULES[2]
@@ -414,21 +414,10 @@ def norms(ctx: FemContext, u, reference=None, mask=None, parts=None):
         _point_sums(wts, vals * vals, l2[blk])
         _point_sums(wts, grads[..., 0] + grads[..., 1] + grads[..., 2],
                     h1[blk])
-    if parts is None:
-        return _norm_triple(l2, h1)
-    out = []
-    for part in parts:
-        if part is None:
-            out.append(_norm_triple(l2, h1))
-            continue
-        # the part's tets among the integrated ones, in tet order
-        keep = np.asarray(part, dtype=bool)
-        at = np.flatnonzero(keep if live is None else keep[live])
-        out.append(_norm_triple(l2[at], h1[at]))
-    return out
+    return (l2, h1) if per_tet else norm_triple(l2, h1)
 
 
-def _norm_triple(l2, h1):
+def norm_triple(l2, h1):
     """(L2, H1-seminorm, H1) from per-tet squared L2 and H1 numbers."""
     l2sq, h1sq = float(l2.sum()), float(h1.sum())
     return math.sqrt(l2sq), math.sqrt(h1sq), math.sqrt(l2sq + h1sq)

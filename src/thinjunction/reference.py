@@ -62,14 +62,15 @@ class ReferenceSolution:
         lim = 2.0 * self.epsilon * self.spec.ell
         return region_mask(self.ctx, lambda c: np.max(c, axis=1) < lim)
 
-    def norms_against(self, fn=None, mask=None, parts=None):
+    def norms_against(self, fn=None, mask=None, per_tet=False):
         """(L2, H1 semi, H1) of the FEM field minus an analytic field.
 
         ``fn(points) -> (values, gradients)``; None measures the FEM
-        field itself.  With ``parts``, one triple per part from the one
-        pass (``fem3d.norms``).
+        field itself.  ``per_tet`` returns the squared L2 and H1 errors
+        of the integrated tets instead (``fem3d.norms``).
         """
-        return norms(self.ctx, self.u, reference=fn, mask=mask, parts=parts)
+        return norms(self.ctx, self.u, reference=fn, mask=mask,
+                     per_tet=per_tet)
 
     def record(self):
         """The solve's record: mesh size, CG iterations and restarts, and

@@ -40,6 +40,7 @@ from scipy import special
 from . import __version__
 from .config import TRANSVERSE_AXES, ProblemSpec, is_number, load_spec
 from .expansion import Expansion
+from .fem3d import norm_triple
 from .reference import (
     ReferenceSolution,
     default_axial,
@@ -187,6 +188,9 @@ class TargetResult:
     status: str
     epsilons: list
     errors: list
+    # per slenderness, the ms spent in this target; a pass shared by
+    # several targets (a whole-domain pass, which also reads COR42_CYL
+    # off the order-0 one) is charged to the first of them in the plan
     wall_ms: list
 
 
@@ -280,38 +284,93 @@ def _junction_h1(exp: Expansion, ref: ReferenceSolution):
     return ref.norms_against(fn, mask=ref.bulge_mask())[2]
 
 
+def _profile_field(exp: Expansion, i):
+    """The limit profile w_0 of tube i as a field, evaluated once per
+    distinct axial position of the points."""
+
+    def fn(pts):
+        xs, at = np.unique(pts[:, i], return_inverse=True)
+        vals, slopes = exp.tube_profiles(i, xs)
+        grads = np.zeros_like(pts)
+        grads[:, i] = slopes[at, 0]
+        return vals[at, 0], grads
+
+    return fn
+
+
 class _WholePasses:
     """The whole-domain norm passes at one slenderness, one per partial
-    sum order, each shared by the targets of that order.  With ``tubes``
-    the order-0 pass also sums each tube's tets beyond the matching band
-    (``observation_interval``) for COR42_CYL: those whose vertices all
-    lie past the band's edge, so that at their quadrature points the
-    order-0 sum is the limit profile w_0 exactly (chi = 1, its slope 0,
-    and no corrector or end layer exists below order 2).  Where a station
-    lies on the edge, as the thin-mesh builder places one unless another
-    forced plane takes it, these are all the tets of the tube mask."""
+    sum order in ``orders``, each shared by the targets of that order,
+    and the tube target COR42_CYL when ``tubes``.
 
-    def __init__(self, exp, ref, tubes):
-        self.exp, self.ref, self.tubes = exp, ref, tubes
+    COR42_CYL is the worst H1 distance, over each tube's tets beyond the
+    matching band (``tube_mask(i, (lo, 1))``), to the limit profile w_0.
+    Where the order-0 pass runs, a tube tet whose vertices all lie past
+    the band's edge takes its numbers from it: at its quadrature points
+    the order-0 sum is w_0 exactly (chi = 1, its slope 0, and no
+    corrector or end layer exists below order 2).  The other tube tets,
+    all of them without an order-0 pass and else those that straddle the
+    edge (where a forced plane of the end band takes the edge's station),
+    go through one masked pass against w_0 per tube.  Each tube's numbers
+    are summed in tet order, so the target is bitwise that of masked
+    passes against w_0 alone."""
+
+    def __init__(self, exp, ref, orders, tubes):
+        self.exp, self.ref = exp, ref
+        self.orders, self.tubes = orders, tubes
         self._done = {}
+        self._tube = None
 
     def __call__(self, order):
-        """[(L2, H1 semi, H1) of the whole domain], then, for order 0
-        with ``tubes``, one triple per tube."""
+        """(L2, H1 semi, H1) of the whole domain."""
         if order not in self._done:
-            exp, ref, parts = self.exp, self.ref, [None]
-            if order == 0 and self.tubes:
-                lo, _hi = ref.observation_interval()
-                x, tets = ref.mesh.nodes, ref.mesh.tets
-                for i in range(3):
-                    part = ref.tube_mask(i, (lo, 1.0)) > 0.0
-                    at = np.flatnonzero(part)
-                    part[at] = x[:, i].take(tets[at]).min(axis=1) >= lo
-                    parts.append(part)
-            self._done[order] = ref.norms_against(
+            exp, ref = self.exp, self.ref
+            keep = order == 0 and self.tubes
+            out = ref.norms_against(
                 lambda pts: exp.evaluate(pts, ref.epsilon, m=order,
-                                         gradient=True), parts=parts)
+                                         gradient=True), per_tet=keep)
+            if keep:
+                # the tube target is read now, so the per-tet numbers go
+                self._tube = self._tube_h1(*out)
+                out = norm_triple(*out)
+            self._done[order] = out
         return self._done[order]
+
+    def tube_h1(self):
+        """COR42_CYL at this slenderness."""
+        if self._tube is None:
+            if 0 in self.orders:
+                self(0)
+            else:
+                self._tube = self._tube_h1()
+        return self._tube
+
+    def _tube_h1(self, l2=None, h1=None):
+        """COR42_CYL from the order-0 pass's per-tet numbers, if given."""
+        ref = self.ref
+        lo, _hi = ref.observation_interval()
+        x, tets = ref.mesh.nodes, ref.mesh.tets
+        worst = 0.0
+        for i in range(3):
+            at = np.flatnonzero(ref.tube_mask(i, (lo, 1.0)))
+            if l2 is None:
+                redo = np.ones(at.size, dtype=bool)
+                tl2, th1 = np.empty(at.size), np.empty(at.size)
+            else:
+                redo = x[:, i].take(tets[at]).min(axis=1) < lo
+                tl2, th1 = l2[at], h1[at]
+            if redo.any():
+                mask = np.zeros(len(tets))
+                mask[at[redo]] = 1.0
+                tl2[redo], th1[redo] = ref.norms_against(
+                    _profile_field(self.exp, i), mask=mask, per_tet=True)
+            worst = max(worst, norm_triple(tl2, th1)[2])
+        return worst
+
+
+def _order(target, exp):
+    """Partial-sum order of a whole-domain target."""
+    return exp.order if target.order is None else target.order
 
 
 def _target_error(target, exp, ref, whole, terms):
@@ -324,11 +383,10 @@ def _target_error(target, exp, ref, whole, terms):
     if region == "stations":
         return _station_gap(exp, ref, target.order)
     if region == "outer-tubes":
-        return max(h1 for _l2, _h1s, h1 in whole(0)[1:])
+        return whole.tube_h1()
     if region == "bulge":
         return _junction_h1(exp, ref)
-    l2, _h1s, h1 = whole(exp.order if target.order is None
-                         else target.order)[0]
+    l2, _h1s, h1 = whole(_order(target, exp))
     if target.norm == "l2":
         return l2
     if target.norm == "h1/measure":
@@ -372,6 +430,8 @@ def run_study(plan: StudyPlan) -> StudyReport:
     term_keys = [TARGETS[t].term for t in plan.targets
                  if TARGETS[t].region == "sample-cloud"]
     tubes = any(TARGETS[t].region == "outer-tubes" for t in plan.targets)
+    orders = {_order(TARGETS[t], exp) for t in plan.targets
+              if TARGETS[t].region == "whole"}
     for eps in plan.epsilons:
         # the previous slenderness' solve goes before the next is built
         ref = whole = None
@@ -379,7 +439,7 @@ def run_study(plan: StudyPlan) -> StudyReport:
             ref = solve_reference(with_epsilon(spec, eps), axial=plan.axial,
                                   refine=plan.fem_refine)
             report.references.append(ref.record())
-        whole = _WholePasses(exp, ref, tubes)
+        whole = _WholePasses(exp, ref, orders, tubes)
         terms = {}
         if term_keys:
             terms = exp.residual_terms(residual_cloud(spec, eps), eps,

@@ -7,7 +7,7 @@ values and raises the same messages for every target.
 
 ``tube_profile_h1`` is the former COR42_CYL pass: one masked norm pass
 per tube against the limit profile w_0, which the study now reads off
-its one order-0 whole-domain pass.
+its order-0 whole-domain pass where the plan runs one.
 """
 
 import numpy as np
@@ -82,11 +82,10 @@ def slope_band(target):
     return 0.3, None
 
 
-def tube_profile_h1(exp, ref, masks=None):
+def tube_profile_h1(exp, ref):
     """Worst H1 distance, over the tubes beyond the matching band, to the
     order-0 graph profile: three masked passes, each evaluating the
-    profile once per distinct axial position of its points.  ``masks``
-    replaces the tube masks ``ref.tube_mask(i, (lo, 1))``."""
+    profile once per distinct axial position of its points."""
     worst = 0.0
     lo, _hi = ref.observation_interval()
     for i in range(3):
@@ -97,6 +96,6 @@ def tube_profile_h1(exp, ref, masks=None):
             grads[:, i] = slopes[at, 0]
             return vals[at, 0], grads
 
-        mask = ref.tube_mask(i, (lo, 1.0)) if masks is None else masks[i]
+        mask = ref.tube_mask(i, (lo, 1.0))
         worst = max(worst, ref.norms_against(fn, mask=mask)[2])
     return worst

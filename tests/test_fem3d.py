@@ -48,6 +48,7 @@ from thinjunction import (
 from thinjunction.fem3d import (
     FemContext,
     coarse_labels,
+    norm_triple,
     norms,
     region_mask,
     slab_flux,
@@ -1081,3 +1082,20 @@ def test_norms_of_known_field(ctx, tube):
     assert l2 ** 2 == pytest.approx(area / 3.0, rel=1e-12)
     assert semi ** 2 == pytest.approx(area, rel=1e-12)
     assert h1 ** 2 == pytest.approx(l2 ** 2 + semi ** 2, rel=1e-12)
+
+
+def test_per_tet_norms_sum_to_the_masked_triples(ctx, tube):
+    # the per-tet numbers of one pass, summed over a tet subset in tet
+    # order, are bitwise the triple of a pass masked to that subset
+    u = np.sin(tube.nodes[:, 0])
+    l2, h1 = norms(ctx, u, _wavy_reference, per_tet=True)
+    assert l2.shape == h1.shape == (tube.num_tets,)
+    assert norm_triple(l2, h1) == norms(ctx, u, _wavy_reference)
+    keep = ctx.centroids[:, 0] < 0.6
+    at = np.flatnonzero(keep)
+    assert 0 < at.size < tube.num_tets
+    assert norm_triple(l2[at], h1[at]) == norms(
+        ctx, u, _wavy_reference, mask=keep * 1.0)
+    part = norms(ctx, u, _wavy_reference, mask=keep * 1.0, per_tet=True)
+    assert np.array_equal(part[0], l2[at])
+    assert np.array_equal(part[1], h1[at])

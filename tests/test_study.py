@@ -342,50 +342,61 @@ def test_tube_profile_is_evaluated_once_per_axial_position(fx_spec,
     profiles = Expansion._profiles
     monkeypatch.setattr(Expansion, "_profiles", counted)
     monkeypatch.setattr(Expansion, "tube_profiles", refused)
-    passes = study._WholePasses(exp, ref, tubes=True)
+    passes = study._WholePasses(exp, ref, {0}, tubes=True)
     assert study._target_error(TARGETS["COR42_CYL"], exp, ref, passes,
                                {}) == worst
     assert 0 < sum(seen) < 4 * ref.mesh.num_tets // 10
 
 
+def _norm_calls(monkeypatch):
+    """The norm passes of the study, each as (masked, per_tet)."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append((kwargs.get("mask") is not None,
+                      kwargs.get("per_tet", False)))
+        return norms(*args, **kwargs)
+
+    norms = reference.norms
+    monkeypatch.setattr(reference, "norms", counted)
+    return calls
+
+
 def _captured_study(plan, monkeypatch):
-    """run_study of the plan, its expansion, and its norm passes per
-    slenderness."""
-    built, calls = [], []
+    """run_study of the plan, its expansion, and its norm passes."""
+    built = []
 
     def expansion(*args, **kwargs):
         built.append(Expansion(*args, **kwargs))
         return built[-1]
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("parts"))
-        return norms(*args, **kwargs)
-
-    norms = reference.norms
     with monkeypatch.context() as patched:
         patched.setattr(study, "Expansion", expansion)
-        patched.setattr(reference, "norms", counted)
+        calls = _norm_calls(patched)
         report = run_study(plan)
     (exp,) = built
     return report, exp, calls
 
 
-@pytest.mark.parametrize("order, targets", [
-    (0, ["COR42_H1_U0", "COR42_CYL", "COR42_L2_U0"]),
-    (1, ["T0_M", "COR42_CYL"]),
+@pytest.mark.parametrize("order, targets, passes", [
+    # the order-0 pass serves the whole-domain targets and COR42_CYL
+    (0, ["COR42_H1_U0", "COR42_CYL", "COR42_L2_U0"], [(False, True)]),
+    # without an order-0 whole-domain target, the tube target runs one
+    # masked pass per tube against w_0 alone
+    (0, ["COR42_CYL"], [(True, True)] * 3),
+    (1, ["COR42_CYL", "T0_M"], [(True, True)] * 3 + [(False, False)]),
 ])
 def test_tube_target_is_read_off_the_order_0_pass(fx_spec, monkeypatch,
-                                                  order, targets):
+                                                  order, targets, passes):
     # one norm pass per slenderness and partial-sum order serves every
-    # whole-domain target and COR42_CYL, bitwise the three masked passes
-    # of the oracle; the order-1 plan runs the order-0 pass for the tube
-    # target alone
+    # whole-domain target, and COR42_CYL where that order is 0; the tube
+    # target is bitwise the three masked passes of the oracle either way
     spec = dataclasses.replace(fx_spec, order=order)
     plan = StudyPlan(spec=spec, epsilons=[0.3, 0.25, 0.2], targets=targets,
                      axial=0.05, fem_refine=0.4, junction_R=spec.ell + 4.0,
                      junction_refine=0.5)
     report, exp, calls = _captured_study(plan, monkeypatch)
-    assert len(calls) == (order + 1) * len(plan.epsilons)
+    assert calls == passes * len(plan.epsilons)
     (cyl,) = [t for t in report.targets if t.target == "COR42_CYL"]
     for j, eps in enumerate(plan.epsilons):
         ref = solve_reference(with_epsilon(spec, eps), axial=plan.axial,
@@ -394,26 +405,29 @@ def test_tube_target_is_read_off_the_order_0_pass(fx_spec, monkeypatch,
         assert report.references[j] == ref.record()
 
 
-def test_tube_target_keeps_to_tets_wholly_past_the_band(fx_spec):
+def test_tube_target_redoes_the_tets_that_straddle_the_band(fx_spec,
+                                                           monkeypatch):
     # at eps = 0.81 the end band's plane takes the station nearest the
-    # matching band's edge, so some tube tets straddle that edge; the
-    # tube target sums only the tets whose vertices all lie past it,
-    # where the order-0 sum is w_0, bitwise the masked passes over them
+    # matching band's edge, so some tube tets straddle that edge, where
+    # the order-0 sum is not w_0; they go through a masked pass against
+    # w_0, and the target is bitwise the oracle's masked passes
     spec = dataclasses.replace(fx_spec, order=0)
     exp = Expansion(spec)
     ref = solve_reference(with_epsilon(spec, 0.81), axial=0.05, refine=0.4)
     lo, _hi = ref.observation_interval()
     x = ref.mesh.nodes[ref.mesh.tets]
-    masks, straddle = [], 0
+    straddle = []
     for i in range(3):
         mask = ref.tube_mask(i, (lo, 1.0)) > 0.0
-        past = x[:, :, i].min(axis=1) >= lo
-        straddle += int((mask & ~past).sum())
-        masks.append((mask & past) * 1.0)
-    assert straddle > 0
-    passes = study._WholePasses(exp, ref, tubes=True)
+        straddle.append(int((mask & (x[:, :, i].min(axis=1) < lo)).sum()))
+    assert sum(straddle) > 0
+    want = study_oracle.tube_profile_h1(exp, ref)
+    calls = _norm_calls(monkeypatch)
+    passes = study._WholePasses(exp, ref, {0}, tubes=True)
     got = study._target_error(TARGETS["COR42_CYL"], exp, ref, passes, {})
-    assert got == study_oracle.tube_profile_h1(exp, ref, masks)
+    assert got == want
+    assert calls == [(False, True)] + [(True, True)] * sum(
+        n > 0 for n in straddle)
 
 
 def test_report_carries_each_reference_record(fx_spec):

@@ -341,6 +341,13 @@ class ProblemSpec:
         x / epsilon^alpha: from 2 ell to 3 ell."""
         return SmoothStep(2.0 * self.ell, 3.0 * self.ell)
 
+    def matching_planes(self):
+        """The matching band's ends in x at this slenderness.  The thin
+        mesh has a station on each, and tube estimates are observed past
+        the second (``ReferenceSolution.observation_interval``)."""
+        band, scale = self.matching_band(), self.epsilon ** self.alpha
+        return band.lo * scale, band.hi * scale
+
     def end_band(self):
         """Cutoff of the end layers in x: from 1 - 2 delta to 1 - delta."""
         return SmoothStep(1.0 - 2.0 * self.delta_cut, 1.0 - self.delta_cut)

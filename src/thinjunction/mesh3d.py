@@ -287,20 +287,30 @@ def graded_stations(start, end, fine, fine_until, cap):
 
 
 def snap_stations(xs, forced):
-    """Move the nearest station onto each forced plane within the span."""
+    """A station on each forced plane strictly inside the span.
+
+    The nearest station moves onto the plane if it lies within 0.45 of
+    its smaller neighbouring gap; otherwise a station is inserted.  The
+    two ends and a station on a forced plane are pinned: a later plane
+    never moves them but is inserted beside them, so every forced plane
+    keeps its own station, however close two of them lie.
+    """
 
     xs = np.array(xs, dtype=float)
+    pinned = np.zeros(xs.size, dtype=bool)
+    pinned[[0, -1]] = True
     for xf in forced:
         if xf <= xs[0] or xf >= xs[-1]:
             continue
         k = int(np.argmin(np.abs(xs - xf)))
-        if k == 0 or k == xs.size - 1:
-            continue
-        gap = min(xs[k + 1] - xs[k], xs[k] - xs[k - 1])
-        if abs(xs[k] - xf) <= 0.45 * gap:
+        if not pinned[k] and abs(xs[k] - xf) <= 0.45 * min(
+                xs[k + 1] - xs[k], xs[k] - xs[k - 1]):
             xs[k] = xf
-        else:
-            xs = np.sort(np.append(xs, xf))
+            pinned[k] = True
+        elif xs[k] != xf:
+            at = int(np.searchsorted(xs, xf))
+            xs = np.insert(xs, at, xf)
+            pinned = np.insert(pinned, at, True)
     return xs
 
 
@@ -765,7 +775,13 @@ def build_junction_mesh(spec: ProblemSpec, R=None, refine=None):
 
 
 def build_thin_mesh(spec: ProblemSpec, axial=0.02, refine=1.0):
-    """Mesh the physical domain: scaled cube bulge plus three tubes."""
+    """Mesh the physical domain: scaled cube bulge plus three tubes.
+
+    Each tube has a station on every plane of ``thin_stations``, so no
+    tet straddles a band's end or a radius breakpoint: a tube tet lies
+    wholly on one side of the matching band's edge, where tube
+    estimates start (``ReferenceSolution.observation_interval``).
+    """
 
     spec.check_attachable()
     eps, ell = spec.epsilon, spec.ell
@@ -773,19 +789,27 @@ def build_thin_mesh(spec: ProblemSpec, axial=0.02, refine=1.0):
     segments, rings, blend, shells = _layout_params(refine)
     radii = [eps * spec.h0(i) for i in range(3)]
     builder = _DomainBuilder(half, radii, rings, blend, segments, shells)
-    match, end = spec.matching_band(), spec.end_band()
-    forced = [match.lo * eps ** spec.alpha, match.hi * eps ** spec.alpha,
-              end.lo, end.hi]
     for axis in range(3):
-        fine = radii[axis] / 5.0 / refine
-        xs = graded_stations(half, 1.0, fine, half + 10.0 * fine,
-                             cap=axial / refine)
-        kinks = [float(b) for b in spec.h[axis].breakpoints[1:-1]]
-        xs = snap_stations(xs, sorted(forced + kinks))
-        builder.extrude_tube(
-            axis, xs, lambda x, a=axis: eps * spec.h[a](x))
+        builder.extrude_tube(axis, thin_stations(spec, axis, axial, refine),
+                             lambda x, a=axis: eps * spec.h[a](x))
     meta = {"epsilon": eps, "axial": axial, "refine": refine}
     return builder.finish({0: 1.0, 1: 1.0, 2: 1.0}, meta)
+
+
+def thin_stations(spec: ProblemSpec, axis, axial=0.02, refine=1.0):
+    """Axial stations of one tube of the thin mesh: graded from the bulge
+    face, with a station on each plane where the data have a kink (the
+    matching and end bands' ends, the radius breakpoints)."""
+
+    eps = spec.epsilon
+    half = eps * spec.ell
+    fine = eps * spec.h0(axis) / 5.0 / refine
+    xs = graded_stations(half, 1.0, fine, half + 10.0 * fine,
+                         cap=axial / refine)
+    end = spec.end_band()
+    forced = [*spec.matching_planes(), end.lo, end.hi,
+              *(float(b) for b in spec.h[axis].breakpoints[1:-1])]
+    return snap_stations(xs, sorted(forced))
 
 
 def build_tube_mesh(radius, length, axial, refine=1.0, radius_fn=None):

@@ -33,29 +33,23 @@ class ReferenceSolution:
 
     def observation_interval(self):
         """Axial interval on which tube stations are compared: beyond the
-        matching band."""
-        lo = self.spec.matching_band().hi * self.epsilon ** self.spec.alpha
-        return lo, 1.0
+        matching band, whose edge is a station of every tube."""
+        return self.spec.matching_planes()[1], 1.0
 
-    def station_values(self, edge, interval=None):
-        """Axial positions and cross-section means along one tube."""
-        lo, hi = interval if interval is not None else (0.0, 1.0)
+    def station_values(self, edge):
+        """Axial positions and cross-section means of one tube's stations
+        in the observation interval."""
+        lo, hi = self.observation_interval()
         xs, means = station_profile(self.mesh, self.u, edge)
         keep = (xs >= lo) & (xs <= hi)
         return xs[keep], means[keep]
 
-    def tube_mask(self, edge, interval=None):
-        """Tetrahedra of one tube, optionally restricted axially."""
-        lim = self.epsilon * self.spec.ell
-
-        def pred(c):
-            keep = c[:, edge] > lim
-            if interval is not None:
-                keep &= (c[:, edge] > interval[0]) & (c[:, edge]
-                                                      < interval[1])
-            return keep
-
-        return region_mask(self.ctx, pred)
+    def tube_mask(self, edge):
+        """Tetrahedra of one tube whose centroids lie in the observation
+        interval (which starts past the bulge: 3 ell eps^alpha > eps ell)."""
+        lo, hi = self.observation_interval()
+        return region_mask(self.ctx, lambda c: (c[:, edge] > lo)
+                           & (c[:, edge] < hi))
 
     def bulge_mask(self):
         """Tetrahedra of the junction zone |x_i| < 2 eps ell."""

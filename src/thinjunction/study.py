@@ -262,7 +262,7 @@ def residual_cloud(spec, epsilon):
 def _station_gap(exp: Expansion, ref: ReferenceSolution, order):
     worst = 0.0
     for i in range(3):
-        xs, means = ref.station_values(i, ref.observation_interval())
+        xs, means = ref.station_values(i)
         vals, _ = exp.tube_profiles(i, xs)
         model = np.zeros_like(xs)
         for k in range(order + 1):
@@ -284,40 +284,22 @@ def _junction_h1(exp: Expansion, ref: ReferenceSolution):
     return ref.norms_against(fn, mask=ref.bulge_mask())[2]
 
 
-def _profile_field(exp: Expansion, i):
-    """The limit profile w_0 of tube i as a field, evaluated once per
-    distinct axial position of the points."""
-
-    def fn(pts):
-        xs, at = np.unique(pts[:, i], return_inverse=True)
-        vals, slopes = exp.tube_profiles(i, xs)
-        grads = np.zeros_like(pts)
-        grads[:, i] = slopes[at, 0]
-        return vals[at, 0], grads
-
-    return fn
-
-
 class _WholePasses:
     """The whole-domain norm passes at one slenderness, one per partial
-    sum order in ``orders``, each shared by the targets of that order,
-    and the tube target COR42_CYL when ``tubes``.
+    sum order, each shared by the targets of that order; with ``tubes``
+    the order-0 pass also gives the tube target COR42_CYL.
 
     COR42_CYL is the worst H1 distance, over each tube's tets beyond the
-    matching band (``tube_mask(i, (lo, 1))``), to the limit profile w_0.
-    Where the order-0 pass runs, a tube tet whose vertices all lie past
-    the band's edge takes its numbers from it: at its quadrature points
-    the order-0 sum is w_0 exactly (chi = 1, its slope 0, and no
-    corrector or end layer exists below order 2).  The other tube tets,
-    all of them without an order-0 pass and else those that straddle the
-    edge (where a forced plane of the end band takes the edge's station),
-    go through one masked pass against w_0 per tube.  Each tube's numbers
-    are summed in tet order, so the target is bitwise that of masked
-    passes against w_0 alone."""
+    matching band (``tube_mask``), to the limit profile w_0.  The band's
+    edge is a station of every tube (``mesh3d.thin_stations``), so these
+    tets lie wholly past it, and at their quadrature points the order-0
+    sum is w_0 exactly (chi = 1, its slope 0, and no corrector or end
+    layer exists below order 2).  The target is therefore ``norm_triple``
+    of the order-0 pass's per-tet numbers over each tube mask: summed in
+    tet order, bitwise a masked pass against w_0 alone."""
 
-    def __init__(self, exp, ref, orders, tubes):
-        self.exp, self.ref = exp, ref
-        self.orders, self.tubes = orders, tubes
+    def __init__(self, exp, ref, tubes):
+        self.exp, self.ref, self.tubes = exp, ref, tubes
         self._done = {}
         self._tube = None
 
@@ -331,41 +313,18 @@ class _WholePasses:
                                          gradient=True), per_tet=keep)
             if keep:
                 # the tube target is read now, so the per-tet numbers go
-                self._tube = self._tube_h1(*out)
-                out = norm_triple(*out)
+                l2, h1 = out
+                self._tube = max(
+                    norm_triple(l2[at], h1[at])[2]
+                    for at in (ref.tube_mask(i) > 0.0 for i in range(3)))
+                out = norm_triple(l2, h1)
             self._done[order] = out
         return self._done[order]
 
     def tube_h1(self):
         """COR42_CYL at this slenderness."""
-        if self._tube is None:
-            if 0 in self.orders:
-                self(0)
-            else:
-                self._tube = self._tube_h1()
+        self(0)
         return self._tube
-
-    def _tube_h1(self, l2=None, h1=None):
-        """COR42_CYL from the order-0 pass's per-tet numbers, if given."""
-        ref = self.ref
-        lo, _hi = ref.observation_interval()
-        x, tets = ref.mesh.nodes, ref.mesh.tets
-        worst = 0.0
-        for i in range(3):
-            at = np.flatnonzero(ref.tube_mask(i, (lo, 1.0)))
-            if l2 is None:
-                redo = np.ones(at.size, dtype=bool)
-                tl2, th1 = np.empty(at.size), np.empty(at.size)
-            else:
-                redo = x[:, i].take(tets[at]).min(axis=1) < lo
-                tl2, th1 = l2[at], h1[at]
-            if redo.any():
-                mask = np.zeros(len(tets))
-                mask[at[redo]] = 1.0
-                tl2[redo], th1[redo] = ref.norms_against(
-                    _profile_field(self.exp, i), mask=mask, per_tet=True)
-            worst = max(worst, norm_triple(tl2, th1)[2])
-        return worst
 
 
 def _order(target, exp):
@@ -430,8 +389,6 @@ def run_study(plan: StudyPlan) -> StudyReport:
     term_keys = [TARGETS[t].term for t in plan.targets
                  if TARGETS[t].region == "sample-cloud"]
     tubes = any(TARGETS[t].region == "outer-tubes" for t in plan.targets)
-    orders = {_order(TARGETS[t], exp) for t in plan.targets
-              if TARGETS[t].region == "whole"}
     for eps in plan.epsilons:
         # the previous slenderness' solve goes before the next is built
         ref = whole = None
@@ -439,7 +396,7 @@ def run_study(plan: StudyPlan) -> StudyReport:
             ref = solve_reference(with_epsilon(spec, eps), axial=plan.axial,
                                   refine=plan.fem_refine)
             report.references.append(ref.record())
-        whole = _WholePasses(exp, ref, orders, tubes)
+        whole = _WholePasses(exp, ref, tubes)
         terms = {}
         if term_keys:
             terms = exp.residual_terms(residual_cloud(spec, eps), eps,

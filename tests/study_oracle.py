@@ -7,7 +7,7 @@ values and raises the same messages for every target.
 
 ``tube_profile_h1`` is the former COR42_CYL pass: one masked norm pass
 per tube against the limit profile w_0, which the study now reads off
-its order-0 whole-domain pass where the plan runs one.
+its order-0 whole-domain pass.
 """
 
 import numpy as np
@@ -84,10 +84,13 @@ def slope_band(target):
 
 def tube_profile_h1(exp, ref):
     """Worst H1 distance, over the tubes beyond the matching band, to the
-    order-0 graph profile: three masked passes, each evaluating the
+    order-0 graph profile: three masked passes, each over the tube's tets
+    whose centroids lie past eps ell and 3 ell eps^alpha, evaluating the
     profile once per distinct axial position of its points."""
+    spec, eps = ref.spec, ref.epsilon
+    lo = 3.0 * spec.ell * eps ** spec.alpha
+    cent = ref.mesh.nodes[ref.mesh.tets].mean(axis=1)
     worst = 0.0
-    lo, _hi = ref.observation_interval()
     for i in range(3):
         def fn(pts, i=i):
             xs, at = np.unique(pts[:, i], return_inverse=True)
@@ -96,6 +99,7 @@ def tube_profile_h1(exp, ref):
             grads[:, i] = slopes[at, 0]
             return vals[at, 0], grads
 
-        mask = ref.tube_mask(i, (lo, 1.0))
-        worst = max(worst, ref.norms_against(fn, mask=mask)[2])
+        x = cent[:, i]
+        mask = (x > eps * spec.ell) & (x > lo) & (x < 1.0)
+        worst = max(worst, ref.norms_against(fn, mask=mask * 1.0)[2])
     return worst

@@ -312,7 +312,7 @@ class TestSolves:
         peak = max(np.abs(e.value(np.linspace(0.0, 1.0, 201))).max()
                    for e in edges)
         for i, edge in enumerate(edges):
-            xs, means = ref.station_values(i, ref.observation_interval())
+            xs, means = ref.station_values(i)
             assert np.abs(means - edge.value(xs)).max() < 0.2 * peak
 
 

@@ -21,7 +21,9 @@ from thinjunction.mesh3d import (
     face_adjacency,
     graded_stations,
     snap_stations,
+    thin_stations,
 )
+from thinjunction.reference import default_axial
 
 
 @pytest.fixture(scope="module")
@@ -301,6 +303,82 @@ class TestStationHelpers:
         xs = np.linspace(0.0, 1.0, 5)
         out = snap_stations(xs, [-0.5, 1.5])
         assert np.allclose(out, xs)
+
+    def test_snap_keeps_two_planes_closer_than_half_a_gap(self):
+        # 0.36 lies nearer the station moved onto 0.33 than to 0.4: it is
+        # inserted beside it, not moved onto it
+        xs = np.linspace(0.0, 1.0, 11)
+        out = snap_stations(xs, [0.33, 0.36])
+        assert 0.33 in out and 0.36 in out
+        assert out[0] == 0.0 and out[-1] == 1.0
+        assert np.all(np.diff(out) > 0)
+
+
+def _thin_planes(spec, axis):
+    """The planes where the thin domain's data have a kink along a tube:
+    the matching band's ends 2 ell eps^alpha and 3 ell eps^alpha, the
+    end band's 1 - 2 delta and 1 - delta, and the radius breakpoints."""
+    scale = spec.epsilon ** spec.alpha
+    return [2.0 * spec.ell * scale, 3.0 * spec.ell * scale,
+            1.0 - 2.0 * spec.delta_cut, 1.0 - spec.delta_cut,
+            *spec.h[axis].breakpoints[1:-1]]
+
+
+def _station_xs(mesh, axis):
+    return np.array([st.x for st in mesh.stations[axis]])
+
+
+def _assert_a_station_on_each_plane(xs, planes):
+    assert np.all(np.diff(xs) > 0.0)
+    inside = [x for x in planes if xs[0] < x < xs[-1]]
+    assert inside and all(x in xs for x in inside)
+
+
+# eps at which the former snap lost a plane: rich at 0.3, 0.5 and 0.65
+# (a radius breakpoint took an end of the matching band), fx at 0.85
+# (the end band took the matching band's edge)
+_CROWDED = [("rich_spec", 0.3), ("rich_spec", 0.5), ("rich_spec", 0.65),
+            ("fx_spec", 0.85)]
+
+
+@pytest.mark.parametrize("refine", [0.4, 0.7, 1.0])
+@pytest.mark.parametrize("name", ["fx_spec", "rich_spec"])
+def test_each_forced_plane_is_a_station_over_an_eps_grid(request, name,
+                                                         refine):
+    spec = request.getfixturevalue(name)
+    for eps in np.round(np.arange(0.1, 0.996, 0.005), 3):
+        at = with_epsilon(spec, eps)
+        for axial in (default_axial(eps), 0.05):
+            for axis in range(3):
+                xs = thin_stations(at, axis, axial, refine)
+                assert xs[0] == eps * spec.ell and xs[-1] == 1.0
+                _assert_a_station_on_each_plane(xs, _thin_planes(at, axis))
+
+
+@pytest.mark.parametrize("refine", [0.4, 0.7, 1.0])
+@pytest.mark.parametrize("name, eps", _CROWDED)
+def test_no_tube_tet_straddles_a_forced_plane(request, name, eps, refine):
+    spec = with_epsilon(request.getfixturevalue(name), eps)
+    mesh = build_thin_mesh(spec, axial=default_axial(eps), refine=refine)
+    assert mesh.volumes.min() > 0.0
+    x = mesh.nodes[mesh.tets]
+    for axis in range(3):
+        planes = _thin_planes(spec, axis)
+        _assert_a_station_on_each_plane(_station_xs(mesh, axis), planes)
+        lo, hi = x[:, :, axis].min(axis=1), x[:, :, axis].max(axis=1)
+        for plane in planes:
+            assert not np.any((lo < plane) & (hi > plane))
+
+
+@pytest.mark.parametrize("refine", [0.4, 0.7, 1.0])
+@pytest.mark.parametrize("R", [4.3, 6.3])
+def test_each_junction_plane_is_a_station(rich_spec, R, refine):
+    mesh = build_junction_mesh(rich_spec, R=R, refine=refine)
+    assert mesh.volumes.min() > 0.0
+    ell = rich_spec.ell
+    for axis in range(3):
+        _assert_a_station_on_each_plane(
+            _station_xs(mesh, axis), [ell + 1.0, ell + 2.0, ell + 2.5])
 
 
 

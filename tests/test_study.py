@@ -318,9 +318,8 @@ def test_tube_profile_is_evaluated_once_per_axial_position(fx_spec,
     spec = dataclasses.replace(fx_spec, order=0)
     exp = Expansion(spec)
     ref = solve_reference(with_epsilon(spec, 0.25), axial=0.05, refine=0.4)
-    lo, _hi = ref.observation_interval()
     for i in range(3):
-        mask = ref.tube_mask(i, (lo, 1.0))
+        mask = ref.tube_mask(i)
         pts, _, _ = ref.ctx.quad_points(2, np.flatnonzero(mask))
         x = pts.reshape(-1, 3)[:, i]
         xs, at = np.unique(x, return_inverse=True)
@@ -342,7 +341,7 @@ def test_tube_profile_is_evaluated_once_per_axial_position(fx_spec,
     profiles = Expansion._profiles
     monkeypatch.setattr(Expansion, "_profiles", counted)
     monkeypatch.setattr(Expansion, "tube_profiles", refused)
-    passes = study._WholePasses(exp, ref, {0}, tubes=True)
+    passes = study._WholePasses(exp, ref, tubes=True)
     assert study._target_error(TARGETS["COR42_CYL"], exp, ref, passes,
                                {}) == worst
     assert 0 < sum(seen) < 4 * ref.mesh.num_tets // 10
@@ -381,16 +380,17 @@ def _captured_study(plan, monkeypatch):
 @pytest.mark.parametrize("order, targets, passes", [
     # the order-0 pass serves the whole-domain targets and COR42_CYL
     (0, ["COR42_H1_U0", "COR42_CYL", "COR42_L2_U0"], [(False, True)]),
-    # without an order-0 whole-domain target, the tube target runs one
-    # masked pass per tube against w_0 alone
-    (0, ["COR42_CYL"], [(True, True)] * 3),
-    (1, ["COR42_CYL", "T0_M"], [(True, True)] * 3 + [(False, False)]),
+    # without an order-0 whole-domain target, COR42_CYL runs that pass
+    # alone, and no masked one
+    (0, ["COR42_CYL"], [(False, True)]),
+    (1, ["COR42_CYL", "T0_M"], [(False, True), (False, False)]),
 ])
 def test_tube_target_is_read_off_the_order_0_pass(fx_spec, monkeypatch,
                                                   order, targets, passes):
     # one norm pass per slenderness and partial-sum order serves every
-    # whole-domain target, and COR42_CYL where that order is 0; the tube
-    # target is bitwise the three masked passes of the oracle either way
+    # whole-domain target, and COR42_CYL is read off the order-0 one,
+    # which runs whether or not a whole-domain target needs it; the tube
+    # target is bitwise the three masked passes of the oracle
     spec = dataclasses.replace(fx_spec, order=order)
     plan = StudyPlan(spec=spec, epsilons=[0.3, 0.25, 0.2], targets=targets,
                      axial=0.05, fem_refine=0.4, junction_R=spec.ell + 4.0,
@@ -405,29 +405,31 @@ def test_tube_target_is_read_off_the_order_0_pass(fx_spec, monkeypatch,
         assert report.references[j] == ref.record()
 
 
-def test_tube_target_redoes_the_tets_that_straddle_the_band(fx_spec,
-                                                           monkeypatch):
-    # at eps = 0.81 the end band's plane takes the station nearest the
-    # matching band's edge, so some tube tets straddle that edge, where
-    # the order-0 sum is not w_0; they go through a masked pass against
-    # w_0, and the target is bitwise the oracle's masked passes
+def test_tube_target_is_one_pass_where_forced_planes_crowd(fx_spec,
+                                                          monkeypatch):
+    # at eps = 0.81 the station nearest the end band's plane 0.8 is the
+    # one on the matching band's edge; it stays there and 0.8 gets its
+    # own station beside it, so no tube tet straddles the edge, and
+    # COR42_CYL is the one per-tet order-0 pass, bitwise the oracle's
+    # masked passes against w_0
+    eps = 0.81
     spec = dataclasses.replace(fx_spec, order=0)
     exp = Expansion(spec)
-    ref = solve_reference(with_epsilon(spec, 0.81), axial=0.05, refine=0.4)
-    lo, _hi = ref.observation_interval()
+    ref = solve_reference(with_epsilon(spec, eps), axial=0.05, refine=0.4)
+    lo = 3.0 * spec.ell * eps ** spec.alpha
     x = ref.mesh.nodes[ref.mesh.tets]
-    straddle = []
     for i in range(3):
-        mask = ref.tube_mask(i, (lo, 1.0)) > 0.0
-        straddle.append(int((mask & (x[:, :, i].min(axis=1) < lo)).sum()))
-    assert sum(straddle) > 0
+        xs = [st.x for st in ref.mesh.stations[i]]
+        assert xs.index(0.8) == xs.index(lo) + 1
+        across = (x[:, :, i].min(axis=1) < lo) & (x[:, :, i].max(axis=1)
+                                                  > lo)
+        assert not across.any()
     want = study_oracle.tube_profile_h1(exp, ref)
     calls = _norm_calls(monkeypatch)
-    passes = study._WholePasses(exp, ref, {0}, tubes=True)
+    passes = study._WholePasses(exp, ref, tubes=True)
     got = study._target_error(TARGETS["COR42_CYL"], exp, ref, passes, {})
     assert got == want
-    assert calls == [(False, True)] + [(True, True)] * sum(
-        n > 0 for n in straddle)
+    assert calls == [(False, True)]
 
 
 def test_report_carries_each_reference_record(fx_spec):

@@ -16,7 +16,8 @@ import numpy as np
 from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
-from .mesh3d import _EDGES, END, LayoutSeed, TetMesh, tet_blocks, tet_edges
+from .mesh3d import _EDGES, BLOCK_POINTS, END, LayoutSeed, TetMesh, \
+    tet_blocks, tet_edges, tet_geometry, tet_gradients
 
 _S5 = math.sqrt(5.0)
 _TET_RULES = {
@@ -85,14 +86,18 @@ CG_RESTARTS = 3
 
 
 class FemContext:
-    """Geometry (the mesh's tet volumes and gradients, and centroids)
-    and stiffness matrix of one mesh.  Every pass over the tets runs in
-    blocks of ``mesh3d.BLOCK_POINTS`` points (``mesh3d.tet_blocks``).
-    The builders orient every tet; a non-positive volume is refused."""
+    """Geometry (the mesh's tet volumes, and centroids) and stiffness
+    matrix of one mesh.  Every pass over the tets runs in blocks of
+    ``mesh3d.BLOCK_POINTS`` points (``mesh3d.tet_blocks``), and the passes
+    that read barycentric gradients (the stiffness and
+    ``field_gradients``) compute them per block with
+    ``mesh3d.tet_gradients``: neither the mesh nor the context keeps a
+    (tets, 4, 3) array.  The builders orient every tet; a non-positive
+    volume is refused."""
 
     def __init__(self, mesh: TetMesh):
         self.mesh = mesh
-        self.volumes, self.grads = mesh.volumes, mesh.grads
+        self.volumes = mesh.volumes
         if np.any(self.volumes <= 0):
             raise ValueError("mesh has non-positive tetrahedra")
         self.matrix = self._stiffness()
@@ -119,23 +124,40 @@ class FemContext:
         edges: one sum per edge, shared by its two symmetric entries, and
         one per node, each a ``bincount`` of the local matrices summed
         block by block."""
-        m = self.mesh
-        n = m.num_nodes
-        edges, tet_edge = tet_edges(m.tets, n)
-        off, diag = np.zeros(len(edges)), np.zeros(n)
-        pairs = [*_EDGES, *zip(range(4), range(4))]
-        for blk in tet_blocks(m.num_tets):
-            # vertex, coordinate, tet: each product runs over the block
-            g = np.ascontiguousarray(self.grads[blk].transpose(1, 2, 0))
-            local = [(g[a, 0] * g[b, 0] + g[a, 1] * g[b, 1]
-                      + g[a, 2] * g[b, 2]) * self.volumes[blk]
-                     for a, b in pairs]
-            off += np.bincount(tet_edge[blk].T.ravel(),
-                               np.concatenate(local[:6]), minlength=len(edges))
-            diag += np.bincount(m.tets[blk].T.ravel(),
-                                np.concatenate(local[6:]), minlength=n)
+        edges, tet_edge = tet_edges(self.mesh.tets, self.mesh.num_nodes)
+        off, diag = self._local_sums(tet_edge, len(edges))
         del tet_edge  # six numbers a tet, not needed to place the entries
         return edge_csr(edges, off, diag)
+
+    def _local_sums(self, tet_edge, num_edges):
+        """Sums per edge and per node of the local entries g_a . g_b |T|.
+        Each block's gradients are written in the (vertex, coordinate,
+        tet) layout that the products run over, into buffers that the
+        next block reuses."""
+        m = self.mesh
+        off, diag = np.zeros(num_edges), np.zeros(m.num_nodes)
+        pairs = [*_EDGES, *zip(range(4), range(4))]
+        blocks = tet_blocks(m.num_tets)
+        size = max((b.stop - b.start for b in blocks), default=0)
+        g_buf, local_buf = np.empty((4, 3, size)), np.empty((10, size))
+        tmp_buf = np.empty(size)
+        for blk in blocks:
+            k = blk.stop - blk.start
+            g, local, tmp = g_buf[..., :k], local_buf[:, :k], tmp_buf[:k]
+            tet_gradients(m.nodes, m.tets[blk], g)
+            vol = self.volumes[blk]
+            # the coordinates summed in order, then times the volume
+            for row, (a, b) in zip(local, pairs):
+                np.multiply(g[a, 0], g[b, 0], out=row)
+                for d in (1, 2):
+                    np.multiply(g[a, d], g[b, d], out=tmp)
+                    row += tmp
+                row *= vol
+            off += np.bincount(tet_edge[blk].T.ravel(), local[:6].ravel(),
+                               minlength=num_edges)
+            diag += np.bincount(m.tets[blk].T.ravel(), local[6:].ravel(),
+                                minlength=m.num_nodes)
+        return off, diag
 
     def quad_points(self, degree=2, live=None):
         """Quadrature points and weights of every tet, or of the tets
@@ -188,9 +210,18 @@ class FemContext:
 
     def field_gradients(self, u, live=slice(None)):
         """Gradient of the nodal field u on every tet, or on the tets
-        that ``live`` indexes or slices."""
-        return np.einsum("tad,ta->td", self.grads[live],
-                         np.take(u, self.mesh.tets[live]))
+        that ``live`` indexes or slices, from barycentric gradients
+        computed block by block: bitwise the contraction
+        ``einsum("tad,ta->td")`` of ``tet_geometry``'s gradients with u,
+        which sums each component's four terms in the same order."""
+        tets = self.mesh.tets[live]
+        out = np.empty((len(tets), 3))
+        for blk in tet_blocks(len(tets)):
+            t = tets[blk]
+            g = np.empty((4, 3, len(t)))
+            tet_gradients(self.mesh.nodes, t, g)
+            out[blk] = np.einsum("adt,at->td", g, np.take(u, t.T))
+        return out
 
     def locator(self):
         if self._locator is None:
@@ -206,23 +237,31 @@ def edge_csr(edges, off, diag):
     Row r holds its edges (a, r) by a, then (r, r), then its edges (r, b)
     by b.  The edge list is the upper part row by row, and its transpose
     (scipy's counting pass) the lower part: the entries are placed
-    without a sort.
+    without a sort.  Entry j of a part's row r goes to j plus that row's
+    shift, placed in blocks of rows: besides the output and the lower
+    part, no array is as long as the entries.
     """
     n = diag.size
-    counts = np.ones((n, 3), dtype=np.int64)
-    counts[:, 0] = np.bincount(edges[:, 1], minlength=n)
-    counts[:, 2] = np.bincount(edges[:, 0], minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts[:, 2], out=indptr[1:])
-    lower = sparse.csr_matrix((off, edges[:, 1], indptr),
+    rows = np.arange(n)
+    upper = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(edges[:, 0], minlength=n), out=upper[1:])
+    lower = sparse.csr_matrix((off, edges[:, 1], upper),
                               shape=(n, n)).T.tocsr()
-    part = np.repeat(np.tile(np.arange(3, dtype=np.int8), n), counts.ravel())
-    np.cumsum(counts.sum(axis=1), out=indptr[1:])
-    data, cols = np.empty(part.size), np.empty(part.size, dtype=np.int32)
-    for k, (d, c) in enumerate(((lower.data, lower.indices),
-                                (diag, np.arange(n)), (off, edges[:, 1]))):
-        at = part == k
-        data[at], cols[at] = d, c
+    indptr = lower.indptr + upper + np.arange(n + 1)
+    data = np.empty(indptr[-1])
+    cols = np.empty(indptr[-1], dtype=np.int32)
+    at = lower.indptr[1:] + upper[:-1] + rows
+    data[at], cols[at] = diag, rows
+    parts = ((lower.data, lower.indices, lower.indptr, indptr[:-1]),
+             (off, edges[:, 1], upper, at + 1))
+    step = BLOCK_POINTS // 16  # rows of about 15 entries each
+    for r0 in range(0, n, step):
+        r1 = min(r0 + step, n)
+        for d, c, ptr, start in parts:
+            lo, hi = ptr[r0], ptr[r1]
+            at = np.repeat(start[r0:r1] - ptr[r0:r1], np.diff(ptr[r0:r1 + 1]))
+            at += np.arange(lo, hi)
+            data[at], cols[at] = d[lo:hi], c[lo:hi]
     return sparse.csr_matrix((data, cols, indptr), shape=(n, n))
 
 
@@ -258,7 +297,9 @@ def submatrix(a, keep):
     kept rows between them."""
     size = np.diff(a.indptr)
     inside = np.repeat(keep, size)
-    inside &= keep.take(a.indices)
+    # fancy indexing, not ``take``: take would first copy the int32
+    # column indices as intp, 8 bytes an entry
+    inside &= keep[a.indices]
     # kept entries per row, one reduceat over the rows with entries
     counts = np.zeros(keep.size, dtype=a.indptr.dtype)
     filled = size > 0
@@ -268,7 +309,7 @@ def submatrix(a, keep):
     np.cumsum(counts[keep], out=indptr[1:])
     number = np.cumsum(keep, dtype=a.indices.dtype) - 1
     return sparse.csr_matrix(
-        (a.data[inside], number.take(a.indices[inside]), indptr),
+        (a.data[inside], number[a.indices[inside]], indptr),
         shape=(indptr.size - 1,) * 2)
 
 
@@ -294,10 +335,17 @@ def _solve_spd(a, b, labels=None):
     _, agg = np.unique(labels, return_inverse=True)
     nc = int(agg.max()) + 1 if n else 0
     p = sparse.csr_matrix((np.ones(n), (np.arange(n), agg)), shape=(n, nc))
-    lu = splu((p.T @ a @ p).tocsc()) if nc else None
     # P^T as CSR sums each aggregate in node order, as a weighted
     # bincount does, about four times faster
     pt = p.T.tocsr()
+    lu = None
+    if nc:
+        # P^T A P as two CSR products, each summing in increasing node
+        # order (the rows of the first sorted), bitwise the CSC products
+        # of p.T @ a @ p, without their CSC copy of A
+        pta = pt @ a
+        pta.sort_indices()
+        lu = splu((pta @ p).tocsc())
 
     def two_level(v):
         coarse = lu.solve(pt @ v)
@@ -476,13 +524,18 @@ class PointLocator:
     ``ValueError``.
 
     The locator keeps only the mesh arrays it reads, not the context, so
-    a context and its lazily built locator form no reference cycle.
+    a context and its lazily built locator form no reference cycle.  It
+    computes the barycentric gradients of every tet once, when it is
+    built (``mesh3d.tet_geometry``), and holds them: a walk reads the
+    gradients of scattered tets, one step at a time.  Only a junction's
+    locator is built in a study or a served request, so no thin mesh
+    pays for that array.
     """
 
     def __init__(self, ctx: FemContext):
         mesh = ctx.mesh
         self._tets = mesh.tets
-        self._grads = ctx.grads
+        self._grads = tet_geometry(mesh.nodes, mesh.tets)[1]
         self._origin = mesh.nodes[mesh.tets[:, 0]]
         self._seed = LayoutSeed(mesh.meta)
         self._sagitta = float(mesh.meta["sagitta"])

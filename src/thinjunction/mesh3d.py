@@ -80,8 +80,10 @@ class TetMesh:
     ``END`` (``end*``), ``LATERAL`` (``lateral*``) or ``OTHER``.  A mesh
     given no ``adjacent`` derives it from ``tets``, all boundary ``OTHER``.
 
-    ``volumes`` and ``grads`` are the signed tet volumes and barycentric
-    gradients of ``tet_geometry``, measured once when the mesh is made.
+    ``volumes`` are the signed tet volumes, measured once when the mesh
+    is made by ``tet_volumes``.  The mesh keeps no barycentric gradients:
+    a pass that reads them computes them block by block
+    (``tet_gradients``).
     """
 
     nodes: np.ndarray
@@ -92,12 +94,11 @@ class TetMesh:
     meta: dict = field(default_factory=dict)
     adjacent: np.ndarray = None
     volumes: np.ndarray = field(init=False)
-    grads: np.ndarray = field(init=False)
 
     def __post_init__(self):
         if self.adjacent is None:
             self.adjacent = face_adjacency(self.tets, self.num_nodes)
-        self.volumes, self.grads = tet_geometry(self.nodes, self.tets)
+        self.volumes = tet_volumes(self.nodes, self.tets)
 
     @property
     def num_nodes(self):
@@ -160,38 +161,76 @@ def tet_blocks(count, per_tet=4):
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [count])]
 
 
-def tet_geometry(nodes, tets):
-    """Signed volumes of tets and the gradients of their four
-    barycentric coordinates, shape (tets, 4, 3).
+def _edge_vectors(nodes, tets):
+    """Edge vectors e_k = x_k - x_0 of tets, shape (coordinate, edge, tet)."""
+    x = np.take(nodes.T, tets.T, axis=1)
+    return x[:, 1:] - x[:, :1]
 
-    In closed form from the edge vectors e_k = x_k - x_0: six times the
-    volume is the triple product e_1 . (e_2 x e_3), and the gradients of
-    the coordinates 1-3 are the cofactor rows (e_2 x e_3, e_3 x e_1,
-    e_1 x e_2) over it; that of coordinate 0 is minus their sum.  Each
-    component is one product-difference over a block of tets at once.
+
+def _cross(a, b, out, tmp):
+    """The components of a x b into ``out``, each one product-difference
+    over the tets at once."""
+    for k in range(3):
+        k1, k2 = (k + 1) % 3, (k + 2) % 3
+        np.multiply(a[k1], b[k2], out=out[k])
+        np.multiply(a[k2], b[k1], out=tmp)
+        out[k] -= tmp
+
+
+def _triple(e, cof):
+    """Six times the signed volumes: e_1 . cof, for the cofactor row
+    ``cof`` = e_2 x e_3."""
+    return e[0, 0] * cof[0] + e[1, 0] * cof[1] + e[2, 0] * cof[2]
+
+
+def tet_volumes(nodes, tets):
+    """Signed volumes of tets, the triple product e_1 . (e_2 x e_3) / 6 of
+    the edge vectors e_k = x_k - x_0, in ``tet_gradients``' arithmetic
+    and so bitwise ``tet_geometry``'s volumes, without the gradients."""
+    n = tets.shape[0]
+    volumes = np.empty(n)
+    for blk in tet_blocks(n):
+        e = _edge_vectors(nodes, tets[blk])
+        cof = np.empty((3, e.shape[2]))
+        _cross(e[:, 1], e[:, 2], cof, np.empty(e.shape[2]))
+        np.divide(_triple(e, cof), 6.0, out=volumes[blk])
+    return volumes
+
+
+def tet_gradients(nodes, tets, out):
+    """Gradients of the four barycentric coordinates of a block of tets
+    into ``out``, shape (vertex, coordinate, tet); returns six times the
+    signed volumes.
+
+    In closed form from the edge vectors e_k = x_k - x_0: the gradients
+    of the coordinates 1-3 are the cofactor rows (e_2 x e_3, e_3 x e_1,
+    e_1 x e_2) over the triple product e_1 . (e_2 x e_3); that of
+    coordinate 0 is minus their sum.  Each component is one
+    product-difference over the block at once, elementwise, so a tet's
+    gradients do not depend on the block it comes in.
     """
+    e = _edge_vectors(nodes, tets)
+    tmp = np.empty(e.shape[2])
+    for j in range(3):
+        _cross(e[:, (j + 1) % 3], e[:, (j + 2) % 3], out[1 + j], tmp)
+    det = _triple(e, out[1])
+    out[1:] /= det
+    np.add(out[1], out[2], out=out[0])
+    out[0] += out[3]
+    np.negative(out[0], out=out[0])
+    return det
+
+
+def tet_geometry(nodes, tets):
+    """Signed volumes of tets and their barycentric gradients, shape
+    (tets, 4, 3), from ``tet_gradients`` block by block."""
     n = tets.shape[0]
     volumes = np.empty(n)
     grads = np.empty((n, 4, 3))
     for blk in tet_blocks(n):
-        x = np.take(nodes.T, tets[blk].T, axis=1)
-        e = x[:, 1:] - x[:, :1]  # coordinate, edge, tet
-        m = e.shape[2]
-        cof = np.empty((3, 3, m))  # coordinate, cofactor row, tet
-        tmp = np.empty(m)
-        for j in range(3):
-            a, b = e[:, (j + 1) % 3], e[:, (j + 2) % 3]
-            for k in range(3):
-                k1, k2 = (k + 1) % 3, (k + 2) % 3
-                np.multiply(a[k1], b[k2], out=cof[k, j])
-                np.multiply(a[k2], b[k1], out=tmp)
-                cof[k, j] -= tmp
-        det = (e[0, 0] * cof[0, 0] + e[1, 0] * cof[1, 0]
-               + e[2, 0] * cof[2, 0])
-        volumes[blk] = det / 6.0
-        g = grads[blk].transpose(1, 2, 0)  # vertex, coordinate, tet
-        np.divide(cof.transpose(1, 0, 2), det, out=g[1:])
-        np.negative(g[1] + g[2] + g[3], out=g[0])
+        g = np.empty((4, 3, blk.stop - blk.start))
+        np.divide(tet_gradients(nodes, tets[blk], g), 6.0, out=volumes[blk])
+        grads[blk] = g.transpose(2, 0, 1)
     return volumes, grads
 
 
@@ -676,33 +715,45 @@ def tet_edges(tets, num_nodes):
     """The mesh's edges as rows (a, b), a < b, in increasing order, and
     the row of each tet's six edges (``_EDGES``) in that list.
 
-    The keys a*n + b are int32 where every key fits.  The pass holds the
-    keys and their int64 sort order, but no sorted copy of the keys: the
-    edge numbers are counted block by block through the order.  With
-    int32 keys that is 72 bytes per tet, then 72 with the output.
+    Each of the S = 6 * tets edge slots gets one int64 key, its edge key
+    a*n + b shifted left past the slot's number, which fills the low
+    bits.  One in-place sort of these keys orders the edges and carries
+    each slot with its edge, so no argsort order is made (an argsort of
+    the edge keys takes about twice as long), and equal edges are
+    numbered block by block through the sorted keys.  The pass holds the
+    keys and the slots' edge numbers, 72 bytes per tet.  The edge rows
+    are int32 where node ids fit.
     """
     n = int(num_nodes)
-    kind = np.int32 if n * n <= np.iinfo(np.int32).max else np.int64
-    key = np.empty((tets.shape[0], 6), dtype=kind)
+    size = 6 * tets.shape[0]
+    bits = max(size - 1, 1).bit_length()
+    assert (n * n) << bits < 1 << 63, "edge keys overflow int64"
+    key = np.empty((tets.shape[0], 6), dtype=np.int64)
     for blk in tet_blocks(tets.shape[0]):
-        pair = tets[blk][:, _EDGES]
-        key[blk] = pair.min(axis=2).astype(kind) * kind(n) + pair.max(axis=2)
+        pair = tets[blk][:, _EDGES].astype(np.int64)
+        edge = pair.min(axis=2) * n + pair.max(axis=2)
+        slot = np.arange(6 * blk.start, 6 * blk.stop).reshape(-1, 6)
+        np.bitwise_or(edge << bits, slot, out=key[blk])
     key = key.ravel()
-    order = np.argsort(key)
-    first = _run_starts(key, order)
-    unique = key[order[first]]
-    del key
-    index = np.empty(order.size, dtype=np.int32)
-    count = 0
-    for lo in range(0, order.size, BLOCK_POINTS):
+    key.sort()
+    index = np.empty(size, dtype=np.int32)
+    unique, count, last = [], 0, -1
+    for lo in range(0, size, BLOCK_POINTS):
         blk = slice(lo, lo + BLOCK_POINTS)
-        number = np.cumsum(first[blk], dtype=np.int32)
+        edge = key[blk] >> bits
+        first = np.empty(edge.size, dtype=bool)
+        first[0] = edge[0] != last
+        np.not_equal(edge[1:], edge[:-1], out=first[1:])
+        number = np.cumsum(first, dtype=np.int32)
         number += count - 1
-        index[order[blk]] = number
-        count = int(number[-1]) + 1
-    del order, first
-    edges = np.empty((unique.size, 2), dtype=np.int64)
-    np.divmod(unique, kind(n), out=(edges[:, 0], edges[:, 1]))
+        index[key[blk] & ((1 << bits) - 1)] = number
+        unique.append(edge[first])
+        count, last = int(number[-1]) + 1, edge[-1]
+    del key
+    unique = np.concatenate(unique) if unique else np.empty(0, np.int64)
+    edges = np.empty((unique.size, 2),
+                     dtype=np.int32 if n <= 1 << 31 else np.int64)
+    np.divmod(unique, n, out=(edges[:, 0], edges[:, 1]))
     return edges, index.reshape(-1, 6)
 
 

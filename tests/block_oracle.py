@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from thinjunction.fem3d import _TET_RULES
-from thinjunction.mesh3d import _FACES, OTHER
+from thinjunction.mesh3d import _FACES, OTHER, tet_geometry
 
 # Vertex pairs of the six edges of a tet.
 _EDGES = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])
@@ -31,7 +31,9 @@ def _norm_terms(ctx, u, reference, mask):
     bary, w = _TET_RULES[2]
     tets = ctx.mesh.tets.astype(np.int64)
     vols = ctx.volumes
-    grads = np.einsum("tad,ta->td", ctx.grads, u[tets])
+    # the whole-mesh gradients, which neither the mesh nor the context keeps
+    grads = np.einsum("tad,ta->td", tet_geometry(ctx.mesh.nodes, tets)[1],
+                      u[tets])
     if live is not None:
         tets, vols, grads = tets[live], vols[live], grads[live]
     pts = np.matmul(bary, ctx.mesh.nodes[tets])

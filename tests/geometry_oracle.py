@@ -16,6 +16,8 @@ kernel and the sort-free placement of the entries bit for bit.
 import numpy as np
 from scipy import sparse
 
+from thinjunction.mesh3d import tet_geometry
+
 
 def geometry_reference(mesh):
     """(volumes, gradients) of every tet from ``det`` and ``inv``."""
@@ -53,9 +55,10 @@ def stiffness_reference(mesh, volumes, grads):
 
 def coo_stiffness(ctx):
     """The former assembly: the 16 local entries of every tet as COO
-    triplets, summed by ``tocsr``."""
+    triplets, summed by ``tocsr``, from the whole-mesh gradients."""
     m = ctx.mesh
-    local = ctx.grads @ ctx.grads.transpose(0, 2, 1)
+    grads = tet_geometry(m.nodes, m.tets)[1]
+    local = grads @ grads.transpose(0, 2, 1)
     local *= ctx.volumes[:, None, None]
     rows = np.repeat(m.tets, 4, axis=1).ravel()
     cols = np.tile(m.tets, (1, 4)).ravel()

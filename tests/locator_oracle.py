@@ -21,7 +21,7 @@ face, as the walks from a centroid did beside a tube mouth.
 import numpy as np
 from scipy.spatial import cKDTree
 
-from thinjunction.mesh3d import END, LATERAL
+from thinjunction.mesh3d import END, LATERAL, tet_geometry
 
 WALK_STEPS = 200
 _OPPOSITE = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
@@ -89,7 +89,7 @@ class LocatorOracle:
 
 class KdWalkOracle:
     def __init__(self, mesh):
-        self._grads = mesh.grads
+        self._grads = tet_geometry(mesh.nodes, mesh.tets)[1]
         self._origin = mesh.nodes[mesh.tets[:, 0]]
         self._tree = cKDTree(mesh.nodes[mesh.tets].mean(axis=1))
         self._sagitta = float(mesh.meta.get("sagitta", 0.0))

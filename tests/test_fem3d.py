@@ -172,14 +172,22 @@ class TestBlocks:
         assert np.array_equal(
             mesh3d.face_adjacency(tube.tets, tube.num_nodes),
             face_adjacency_reference(tube.tets, tube.num_nodes))
-        # int32 keys, and int64 ones on ids spread so that a*n + b
-        # passes 2**31
+        # edge keys a*n + b below 2**31, and on ids spread so that they
+        # pass it; the edge rows are int32 either way
         spread = 50_000 // tube.num_nodes + 1
         for tets, n in ((tube.tets, tube.num_nodes),
                         (tube.tets * spread, tube.num_nodes * spread)):
-            for got, want in zip(mesh3d.tet_edges(tets, n),
-                                 tet_edges_reference(tets, n)):
-                assert np.array_equal(got, want)
+            got = mesh3d.tet_edges(tets, n)
+            assert got[0].dtype == np.int32 and got[1].dtype == np.int32
+            for g, want in zip(got, tet_edges_reference(tets, n)):
+                assert np.array_equal(g, want)
+
+    def test_edge_keys_that_would_overflow_are_refused(self, tube):
+        """A key holds the edge key a*n + b above the bits of the slot
+        numbers; node ids too large for that are refused before any key
+        is made."""
+        with pytest.raises(AssertionError, match="overflow"):
+            mesh3d.tet_edges(tube.tets, 1 << 31)
 
     def test_face_keys_are_the_sorted_keys(self, tube):
         faces = tube.tets[:, mesh3d._FACES]
@@ -211,10 +219,10 @@ def test_context_and_norms_hold_a_block_not_the_mesh(monkeypatch, fx_spec):
     callback, above their starting live set, on a 39,528-tet thin mesh
     in blocks of 2,048 points: at most one block's transients (256 bytes
     a point) plus a few numbers per tet.  A norm keeps two sums and the
-    live index per tet, and the context's edge sort holds its int64 order
-    and two copies of the int32 keys, 12 numbers per tet.  The pass that
-    kept the weights and squared errors at every quadrature point took
-    about 21 numbers per tet, and the argsort build of the matrix 22."""
+    live index per tet, and the context's edge sort holds its int64 keys
+    and the int32 edge numbers, 9 numbers per tet.  The pass that kept
+    the weights and squared errors at every quadrature point took about
+    21 numbers per tet, and the argsort build of the matrix 22."""
     spec = dataclasses.replace(fx_spec, order=0, epsilon=0.2)
     mesh = build_thin_mesh(spec, axial=0.05, refine=0.5)
     assert mesh.num_tets == 39_528
@@ -236,6 +244,36 @@ def test_context_and_norms_hold_a_block_not_the_mesh(monkeypatch, fx_spec):
     tets = mesh.num_tets
     assert context <= block + 14 * 8 * tets, context / tets
     assert norm <= block + 4 * 8 * tets, norm / tets
+
+
+def test_reference_solve_and_norm_pass_peak_per_tet(fx_spec, exp_fx):
+    """The traced peak of a reference solve (mesh, context, Dirichlet
+    solve) and then one order-0 whole-domain norm against the expansion,
+    above the heap before them, on a 61,344-tet thin mesh: at most 250
+    bytes a tet.  That holds the solution's mesh and context and the
+    largest transient of any stage.  A mesh that kept its barycentric
+    gradients held 96 bytes a tet more, through every stage (304 bytes
+    a tet in all)."""
+    eps = 0.2
+    spec = with_epsilon(fx_spec, eps)
+
+    def order_0(pts):
+        return exp_fx.evaluate(pts, eps, m=0, gradient=True)
+
+    # the same stages on a coarse mesh first, so that no first-call
+    # cache lands in the traced peak
+    solve_reference(spec, axial=0.1, refine=0.4).norms_against(order_0)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ref = solve_reference(spec, axial=0.04, refine=0.7)
+        ref.norms_against(order_0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert ref.mesh.num_tets == 61_344
+    assert peak <= 250 * ref.mesh.num_tets, peak / ref.mesh.num_tets
 
 
 class TestSolves:

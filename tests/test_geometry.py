@@ -1,5 +1,7 @@
 """Closed-form tet geometry and matrix-product quadrature against the
-former det/inv/einsum kernels kept in ``geometry_oracle``."""
+former det/inv/einsum kernels kept in ``geometry_oracle``, and the
+gradients that each pass computes block by block against the whole-mesh
+array of ``tet_geometry``."""
 
 import itertools
 
@@ -30,7 +32,9 @@ from thinjunction.mesh3d import (
     TetMesh,
     face_adjacency,
     split_prisms,
+    tet_blocks,
     tet_geometry,
+    tet_volumes,
 )
 
 REL = 1e-13
@@ -69,15 +73,62 @@ def test_volumes_and_gradients_match_det_and_inv(case):
     volumes, grads = geometry_reference(ctx.mesh)
     assert rel_err(ctx.volumes, volumes) <= REL
     assert rel_err(ctx.mesh.volumes, volumes) <= REL
-    assert rel_err(ctx.grads, grads) <= REL
+    assert rel_err(tet_geometry(ctx.mesh.nodes, ctx.mesh.tets)[1],
+                   grads) <= REL
 
 
 def test_geometry_matches_the_cross_kernel_bitwise(case):
+    """The volumes-only pass that measures a mesh and the whole-mesh
+    geometry are both bitwise the former closed-form kernel."""
     ctx, _ = case
-    volumes, grads = cross_geometry_reference(ctx.mesh.nodes, ctx.mesh.tets)
+    mesh = ctx.mesh
+    volumes, grads = cross_geometry_reference(mesh.nodes, mesh.tets)
     assert same_bits(ctx.volumes, volumes)
-    assert same_bits(ctx.grads, grads)
-    assert ctx.volumes is ctx.mesh.volumes and ctx.grads is ctx.mesh.grads
+    assert same_bits(tet_volumes(mesh.nodes, mesh.tets), volumes)
+    got = tet_geometry(mesh.nodes, mesh.tets)
+    assert same_bits(got[0], volumes)
+    assert same_bits(got[1], grads)
+    assert ctx.volumes is mesh.volumes
+
+
+def _recorded_blocks(monkeypatch):
+    """The gradient blocks that ``fem3d`` computes, each as its
+    (tets, 4, 3) rows, in the order of the calls."""
+    blocks = []
+
+    def recorded(nodes, tets, out):
+        det = mesh3d.tet_gradients(nodes, tets, out)
+        blocks.append(out.transpose(2, 0, 1).copy())
+        return det
+
+    monkeypatch.setattr(fem3d, "tet_gradients", recorded)
+    return blocks
+
+
+def test_block_gradients_are_the_whole_mesh_array(case, monkeypatch):
+    """The gradients that the stiffness pass and ``field_gradients``
+    compute block by block, and those the locator holds, are bitwise the
+    rows of ``tet_geometry``'s whole-mesh array; ``field_gradients`` is
+    bitwise the einsum of that array with a field that is zero at some
+    nodes, down to the sign of its zeros."""
+    ctx, _ = case
+    mesh = ctx.mesh
+    whole = tet_geometry(mesh.nodes, mesh.tets)[1]
+    blocks = _recorded_blocks(monkeypatch)
+    assert same_csr(FemContext(mesh).matrix, ctx.matrix)
+    assert len(blocks) == len(tet_blocks(mesh.num_tets))
+    assert same_bits(np.concatenate(blocks), whole)
+    rng = np.random.default_rng(9)
+    u = rng.standard_normal(mesh.num_nodes)
+    u[rng.random(mesh.num_nodes) < 0.3] = 0.0
+    live = np.flatnonzero(rng.random(mesh.num_tets) < 0.4)
+    for sel in (slice(None), live):
+        blocks.clear()
+        got = ctx.field_gradients(u, sel)
+        assert same_bits(np.concatenate(blocks), whole[sel])
+        want = np.einsum("tad,ta->td", whole[sel], u[mesh.tets[sel]])
+        assert same_bits(got, want)
+    assert same_bits(fem3d.PointLocator(ctx)._grads, whole)
 
 
 def test_stiffness_matches_the_einsum(case):
@@ -223,22 +274,34 @@ def test_flipped_tet_is_rejected():
         FemContext(flipped)
 
 
-def test_one_geometry_pass_per_thin_mesh(rich_spec, monkeypatch):
-    """A thin mesh is measured once, by one pass with gradients (its
-    tets are built oriented), and its FEM context reuses that geometry
-    instead of measuring again."""
+def test_one_volumes_pass_per_thin_mesh(rich_spec, monkeypatch):
+    """A thin mesh is measured once, by one volumes-only pass, and its
+    FEM context measures no volume: its stiffness computes the gradients
+    block by block, one ``tet_gradients`` call per block.  Neither the
+    mesh nor the context keeps a (tets, 4, 3) array."""
     calls = []
 
-    def counted(nodes, tets):
-        out = tet_geometry(nodes, tets)
-        calls.append((tets.shape[0], out[1] is not None))
-        return out
+    def counted(name, fn):
+        def inner(nodes, tets, *out):
+            calls.append((name, tets.shape[0]))
+            return fn(nodes, tets, *out)
+        return inner
 
-    monkeypatch.setattr(mesh3d, "tet_geometry", counted)
+    for name in ("tet_volumes", "tet_geometry", "tet_gradients"):
+        wrapped = counted(name, getattr(mesh3d, name))
+        for module in (mesh3d, fem3d):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, wrapped)
     mesh = build_thin_mesh(with_epsilon(rich_spec, 0.2), axial=0.05,
                            refine=0.5)
     n = mesh.num_tets
-    assert calls == [(n, True)]
+    assert calls == [("tet_volumes", n)]
+    calls.clear()
     ctx = FemContext(mesh)
-    assert len(calls) == 1
-    assert ctx.volumes is mesh.volumes and ctx.grads is mesh.grads
+    assert calls == [("tet_gradients", b.stop - b.start)
+                     for b in tet_blocks(n)]
+    assert ctx.volumes is mesh.volumes
+    for obj in (mesh, ctx):
+        assert not hasattr(obj, "grads")
+        held = [v for v in vars(obj).values() if isinstance(v, np.ndarray)]
+        assert held and not any(v.ndim == 3 and len(v) == n for v in held)

@@ -3,8 +3,8 @@
 Vectorized assembly, a conjugate-gradient solver for symmetric
 positive definite systems with a two-level preconditioner (Jacobi plus
 one coarse unknown per tube station and one per bulge shell, cube face
-and face quadrant), quadrature-based norms, and cross-section
-utilities (averages, slab fluxes, point evaluation).
+and face quadrant), quadrature-based per-tet norms, and cross-section
+utilities (averages, point evaluation).
 """
 
 from __future__ import annotations
@@ -105,8 +105,8 @@ class FemContext:
 
     @cached_property
     def centroids(self):
-        """Tet centroids, computed on first use, by ``region_mask`` and
-        ``slab_flux``."""
+        """Tet centroids, computed on first use by the region subsets of
+        ``reference.ReferenceSolution``."""
         nodes, tets = self.mesh.nodes, self.mesh.tets
         out = np.empty((self.mesh.num_tets, 3))
         for blk in tet_blocks(self.mesh.num_tets):
@@ -424,56 +424,40 @@ def _point_sums(wts, err, out):
         out += wts[:, q] * err[:, q]
 
 
-def norms(ctx: FemContext, u, reference=None, mask=None, per_tet=False):
-    """(L2, H1-seminorm, H1) of u minus an optional analytic reference.
+def norms(ctx: FemContext, u, reference=None):
+    """Squared L2 and H1 errors per tet of u minus an optional analytic
+    reference, in tet order.
 
     ``reference(points) -> (values, gradients)`` is evaluated at the
-    quadrature points, one block of tets at a time; ``mask`` weights the
-    tetrahedra (centroid filters), and only those of nonzero weight are
-    integrated, so the reference is evaluated at their quadrature points
-    alone.  Each tet's weighted squared errors are summed over its four
-    points into one L2 and one H1 number per tet, and those are summed
-    once at the end, so the pass keeps two numbers per tet (and a mask's
-    live index) and one block, and the norms do not depend on the block
-    size, bit for bit.
-
-    ``per_tet`` returns those numbers instead, the squared L2 and H1
-    errors of the integrated tets in tet order; ``norm_triple`` of them
-    is the triple, and of a subset of them, in tet order, bitwise the
-    triple of a pass masked to that subset.
+    quadrature points, one block of tets at a time.  Each tet's weighted
+    squared errors are summed over its four points into one L2 and one
+    H1 number, so the pass keeps two numbers per tet and one block, and
+    they do not depend on the block size, bit for bit.  ``norm_triple``
+    of them is the (L2, H1-seminorm, H1) triple of the whole mesh, and of
+    a tet subset of them, in tet order, the triple over that subset.
     """
-    live = None if mask is None else np.flatnonzero(mask)
     tets, (bary, w) = ctx.mesh.tets, _TET_RULES[2]
-    count = ctx.mesh.num_tets if live is None else live.size
-    l2, h1 = np.empty(count), np.empty(count)
-    for blk in tet_blocks(count, len(w)):
-        sel = blk if live is None else live[blk]
-        vals = np.take(u, tets[sel]) @ bary.T
-        grads = ctx.field_gradients(u, sel)[:, None, :]
+    l2, h1 = np.empty(ctx.mesh.num_tets), np.empty(ctx.mesh.num_tets)
+    for blk in tet_blocks(ctx.mesh.num_tets, len(w)):
+        vals = np.take(u, tets[blk]) @ bary.T
+        grads = ctx.field_gradients(u, blk)[:, None, :]
         if reference is not None:
-            pts = np.matmul(bary, np.take(ctx.mesh.nodes, tets[sel], axis=0))
+            pts = np.matmul(bary, np.take(ctx.mesh.nodes, tets[blk], axis=0))
             rv, rg = reference(pts.reshape(-1, 3))
             vals = vals - rv.reshape(vals.shape)
             grads = grads - rg.reshape(vals.shape + (3,))
-        wts = np.outer(ctx.volumes[sel], w)
-        if live is not None:
-            wts *= mask[sel, None]
+        wts = np.outer(ctx.volumes[blk], w)
         grads *= grads
         _point_sums(wts, vals * vals, l2[blk])
         _point_sums(wts, grads[..., 0] + grads[..., 1] + grads[..., 2],
                     h1[blk])
-    return (l2, h1) if per_tet else norm_triple(l2, h1)
+    return l2, h1
 
 
 def norm_triple(l2, h1):
     """(L2, H1-seminorm, H1) from per-tet squared L2 and H1 numbers."""
     l2sq, h1sq = float(l2.sum()), float(h1.sum())
     return math.sqrt(l2sq), math.sqrt(h1sq), math.sqrt(l2sq + h1sq)
-
-
-def region_mask(ctx: FemContext, predicate):
-    """Tet weights 1 where ``predicate(centroids)`` holds, else 0."""
-    return predicate(ctx.centroids).astype(float)
 
 
 def station_means(mesh: TetMesh, u, stations):
@@ -501,17 +485,6 @@ def station_profile(mesh: TetMesh, u, edge):
     stations = mesh.stations[edge]
     return (np.array([st.x for st in stations]),
             station_means(mesh, u, stations))
-
-
-def slab_flux(ctx: FemContext, u, axis, lo, hi):
-    """Average axial flux of u across the slab lo < x_axis < hi."""
-
-    x = ctx.centroids[:, axis]
-    inside = (x > lo) & (x < hi)
-    if not inside.any():
-        raise ValueError("slab contains no elements")
-    g = ctx.field_gradients(u)
-    return float((ctx.volumes[inside] * g[inside, axis]).sum() / (hi - lo))
 
 
 class PointLocator:

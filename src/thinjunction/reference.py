@@ -7,8 +7,7 @@ import dataclasses
 import numpy as np
 
 from .config import TRANSVERSE_AXES, ProblemSpec
-from .fem3d import FemContext, norms, region_mask, solve_poisson, \
-    station_profile
+from .fem3d import FemContext, norms, solve_poisson, station_profile
 from .mesh3d import build_thin_mesh
 
 
@@ -46,25 +45,27 @@ class ReferenceSolution:
 
     def tube_mask(self, edge):
         """Tetrahedra of one tube whose centroids lie in the observation
-        interval (which starts past the bulge: 3 ell eps^alpha > eps ell)."""
+        interval (which starts past the bulge: 3 ell eps^alpha > eps ell),
+        as booleans."""
         lo, hi = self.observation_interval()
-        return region_mask(self.ctx, lambda c: (c[:, edge] > lo)
-                           & (c[:, edge] < hi))
+        x = self.ctx.centroids[:, edge]
+        return (x > lo) & (x < hi)
 
     def bulge_mask(self):
-        """Tetrahedra of the junction zone |x_i| < 2 eps ell."""
+        """Tetrahedra of the junction zone |x_i| < 2 eps ell, as booleans."""
         lim = 2.0 * self.epsilon * self.spec.ell
-        return region_mask(self.ctx, lambda c: np.max(c, axis=1) < lim)
+        return np.max(self.ctx.centroids, axis=1) < lim
 
-    def norms_against(self, fn=None, mask=None, per_tet=False):
-        """(L2, H1 semi, H1) of the FEM field minus an analytic field.
+    def norms_against(self, fn=None):
+        """Squared L2 and H1 errors per tet of the FEM field minus an
+        analytic field, in tet order (``fem3d.norms``; ``norm_triple``
+        sums them).
 
         ``fn(points) -> (values, gradients)``; None measures the FEM
-        field itself.  ``per_tet`` returns the squared L2 and H1 errors
-        of the integrated tets instead (``fem3d.norms``).
+        field itself.
         """
-        return norms(self.ctx, self.u, reference=fn, mask=mask,
-                     per_tet=per_tet)
+        # this module's global, which bench/tracing.py wraps
+        return norms(self.ctx, self.u, reference=fn)
 
     def record(self):
         """The solve's record: mesh size, CG iterations and restarts, and

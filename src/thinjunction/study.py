@@ -18,6 +18,11 @@ COR44_POINTWISE     stations      worst station gap to the 2-term axis profile
 RESID_1 .. RESID_7  sample-cloud  sampled sup of one interior residual term
 ==================  ============  =============================================
 
+The whole, outer-tubes and bulge targets are read off one norm pass per
+slenderness and partial-sum order: its per-tet squared errors, summed
+over the whole domain, each tube beyond the matching band, or the
+bulge (``_WholePasses``).
+
 Pointwise and residual targets have two-sided pass bands around the
 predicted slope; energy norms use a one-sided bound because the proven
 rates need not be sharp.  RESID_2 .. RESID_7 are report-only (no
@@ -41,6 +46,7 @@ from . import __version__
 from .config import TRANSVERSE_AXES, ProblemSpec, is_number, load_spec
 from .expansion import Expansion
 from .fem3d import norm_triple
+from .mesh3d import _layout_params, thin_stations
 from .reference import (
     ReferenceSolution,
     default_axial,
@@ -188,9 +194,9 @@ class TargetResult:
     status: str
     epsilons: list
     errors: list
-    # per slenderness, the ms spent in this target; a pass shared by
-    # several targets (a whole-domain pass, which also reads COR42_CYL
-    # off the order-0 one) is charged to the first of them in the plan
+    # per slenderness, the ms spent in this target; the norm pass of an
+    # order, which every whole, outer-tubes and bulge target of that
+    # order reads, is charged to the first of them in the plan
     wall_ms: list
 
 
@@ -232,12 +238,20 @@ def spec_digest(spec: ProblemSpec) -> str:
 
 
 def estimate_nodes(spec, epsilon, axial, refine):
-    """Crude node count forecast for the thin mesh."""
-    eps = float(epsilon)
-    ax = axial if axial is not None else default_axial(eps)
-    per_disk = 24.0 * (6.0 * refine) * (7.0 * refine) / 2.0
-    stations = 3.0 * (1.0 / (ax / refine) + 10.0)
-    return int(per_disk * stations)
+    """Node count of the thin mesh that ``solve_reference`` builds, from
+    the builder's own layout: each tube's stations past the bulge face
+    (``mesh3d.thin_stations``) times the disk nodes, plus the bulge
+    box's shells of cube-surface nodes and its centre.  Each face holds
+    its centre and its rings but the rim, and the rims' nodes are shared
+    along the cube's 12 edges and 8 corners (segments is a multiple of
+    8, so every rim has its corners and its edge nodes meet)."""
+    spec = with_epsilon(spec, epsilon)
+    ax = default_axial(spec.epsilon) if axial is None else axial
+    segments, rings, blend, shells = _layout_params(refine)
+    stations = sum(len(thin_stations(spec, i, ax, refine)) - 1
+                   for i in range(3))
+    surface = 6 * (1 + (rings + blend - 1) * segments) + 3 * segments - 4
+    return stations * (1 + rings * segments) + shells * surface + 1
 
 
 def residual_cloud(spec, epsilon):
@@ -271,81 +285,61 @@ def _station_gap(exp: Expansion, ref: ReferenceSolution, order):
     return worst
 
 
-def _junction_h1(exp: Expansion, ref: ReferenceSolution):
-    eps = ref.epsilon
-    base = exp.graph[0][0].vertex_value
-
-    def fn(pts):
-        # only the masked tets are integrated; quadrature points of the
-        # others may lie beyond the truncated junction (x > R eps)
-        v, g = exp.nfields[1].evaluate(pts / eps)
-        return base + eps * v, g
-
-    return ref.norms_against(fn, mask=ref.bulge_mask())[2]
-
-
 class _WholePasses:
-    """The whole-domain norm passes at one slenderness, one per partial
-    sum order, each shared by the targets of that order; with ``tubes``
-    the order-0 pass also gives the tube target COR42_CYL.
+    """The norm passes at one slenderness: one whole-domain pass per
+    partial-sum order, run when a target first needs it and kept as its
+    per-tet numbers, which every target of that order reads over its
+    tets (``norm_triple`` of a subset, summed in tet order).
 
     COR42_CYL is the worst H1 distance, over each tube's tets beyond the
     matching band (``tube_mask``), to the limit profile w_0.  The band's
     edge is a station of every tube (``mesh3d.thin_stations``), so these
     tets lie wholly past it, and at their quadrature points the order-0
     sum is w_0 exactly (chi = 1, its slope 0, and no corrector or end
-    layer exists below order 2).  The target is therefore ``norm_triple``
-    of the order-0 pass's per-tet numbers over each tube mask: summed in
-    tet order, bitwise a masked pass against w_0 alone."""
+    layer exists below order 2).  COR42_JUNC is the H1 distance, over
+    the bulge's tets (``bulge_mask``, centroids within 2 eps ell), to the
+    order-1 sum.  They lie wholly before the matching band's first plane
+    2 ell eps^alpha, where chi = 0 and its slope is 0, so there that sum
+    is the junction's: its constant plus eps N_1 at x / eps."""
 
-    def __init__(self, exp, ref, tubes):
-        self.exp, self.ref, self.tubes = exp, ref, tubes
-        self._done = {}
-        self._tube = None
+    def __init__(self, exp, ref):
+        self.exp, self.ref = exp, ref
+        self._per_tet = {}
 
-    def __call__(self, order):
-        """(L2, H1 semi, H1) of the whole domain."""
-        if order not in self._done:
+    def __call__(self, order, subset=None):
+        """(L2, H1 semi, H1) of the whole domain, or of the tets where
+        the boolean ``subset`` holds."""
+        if order not in self._per_tet:
             exp, ref = self.exp, self.ref
-            keep = order == 0 and self.tubes
-            out = ref.norms_against(
+            self._per_tet[order] = ref.norms_against(
                 lambda pts: exp.evaluate(pts, ref.epsilon, m=order,
-                                         gradient=True), per_tet=keep)
-            if keep:
-                # the tube target is read now, so the per-tet numbers go
-                l2, h1 = out
-                self._tube = max(
-                    norm_triple(l2[at], h1[at])[2]
-                    for at in (ref.tube_mask(i) > 0.0 for i in range(3)))
-                out = norm_triple(l2, h1)
-            self._done[order] = out
-        return self._done[order]
-
-    def tube_h1(self):
-        """COR42_CYL at this slenderness."""
-        self(0)
-        return self._tube
+                                         gradient=True))
+        l2, h1 = self._per_tet[order]
+        if subset is not None:
+            l2, h1 = l2[subset], h1[subset]
+        return norm_triple(l2, h1)
 
 
 def _order(target, exp):
-    """Partial-sum order of a whole-domain target."""
+    """Partial-sum order of a target."""
     return exp.order if target.order is None else target.order
 
 
 def _target_error(target, exp, ref, whole, terms):
-    """Error of one target at one slenderness.  ``whole`` gives the
-    whole-domain norm passes (``_WholePasses``) and ``terms`` the
-    residual terms on the sample cloud."""
+    """Error of one target at one slenderness.  ``whole`` gives the norm
+    passes (``_WholePasses``) and ``terms`` the residual terms on the
+    sample cloud."""
     region = target.region
     if region == "sample-cloud":
         return float(np.max(np.abs(terms[target.term])))
     if region == "stations":
         return _station_gap(exp, ref, target.order)
+    order = _order(target, exp)
     if region == "outer-tubes":
-        return whole.tube_h1()
+        return max(whole(order, ref.tube_mask(i))[2] for i in range(3))
     if region == "bulge":
-        return _junction_h1(exp, ref)
-    l2, _h1s, h1 = whole(_order(target, exp))
+        return whole(order, ref.bulge_mask())[2]
+    l2, _h1s, h1 = whole(order)
     if target.norm == "l2":
         return l2
     if target.norm == "h1/measure":
@@ -388,7 +382,6 @@ def run_study(plan: StudyPlan) -> StudyReport:
     timing = {t: [] for t in plan.targets}
     term_keys = [TARGETS[t].term for t in plan.targets
                  if TARGETS[t].region == "sample-cloud"]
-    tubes = any(TARGETS[t].region == "outer-tubes" for t in plan.targets)
     for eps in plan.epsilons:
         # the previous slenderness' solve goes before the next is built
         ref = whole = None
@@ -396,7 +389,7 @@ def run_study(plan: StudyPlan) -> StudyReport:
             ref = solve_reference(with_epsilon(spec, eps), axial=plan.axial,
                                   refine=plan.fem_refine)
             report.references.append(ref.record())
-        whole = _WholePasses(exp, ref, tubes)
+        whole = _WholePasses(exp, ref)
         terms = {}
         if term_keys:
             terms = exp.residual_terms(residual_cloud(spec, eps), eps,

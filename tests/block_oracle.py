@@ -2,9 +2,11 @@
 blocked passes: each must match its oracle bit for bit at any block
 size.
 
-``norms_reference`` integrates every quadrature point of every (masked)
-tet at once, from one reference call, and sums each tet's four points
-in order and then the tets, as ``fem3d.norms`` does block by block;
+``norms_reference`` integrates every quadrature point of every tet, or
+of the tets where a boolean mask holds, at once, from one reference
+call, and sums each tet's four points in order and then the tets: the
+triple that ``fem3d.norm_triple`` gives of ``fem3d.norms``' per-tet
+numbers over those tets, which the pass computes block by block;
 ``norms_vdot_reference`` is the former ``fem3d.norms``, one ``vdot``
 over every point, which it matches to rounding.
 ``face_keys_reference`` sorts each triangle's vertices, and
@@ -26,7 +28,8 @@ _EDGES = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])
 
 def _norm_terms(ctx, u, reference, mask):
     """Weights, errors and gradient errors at every quadrature point of
-    every (masked) tet at once, from one reference call."""
+    every tet, or of the tets where the boolean ``mask`` holds, at once,
+    from one reference call."""
     live = None if mask is None else np.flatnonzero(mask)
     bary, w = _TET_RULES[2]
     tets = ctx.mesh.tets.astype(np.int64)
@@ -38,8 +41,6 @@ def _norm_terms(ctx, u, reference, mask):
         tets, vols, grads = tets[live], vols[live], grads[live]
     pts = np.matmul(bary, ctx.mesh.nodes[tets])
     wts = np.outer(vols, w)
-    if live is not None:
-        wts = wts * mask[live, None]
     vals = u[tets] @ bary.T
     if reference is not None:
         rv, rg = reference(pts.reshape(-1, 3))

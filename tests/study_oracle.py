@@ -7,11 +7,15 @@ values and raises the same messages for every target.
 
 ``tube_profile_h1`` is the former COR42_CYL pass: one masked norm pass
 per tube against the limit profile w_0, which the study now reads off
-its order-0 whole-domain pass.
+its order-0 whole-domain pass.  ``junction_h1`` is the former
+COR42_JUNC pass: one norm pass over the bulge against the junction sum
+base + eps N_1, which the study now reads off its order-1 pass.  Both
+run their masked passes with ``block_oracle.norms_reference``.
 """
 
 import numpy as np
 
+from block_oracle import norms_reference
 from thinjunction.study import StudyError
 
 _ENERGY_TARGETS = ("T0_M", "COR42_H1_U0", "COR42_H1_U0_REL", "COR42_L2_U0",
@@ -101,5 +105,23 @@ def tube_profile_h1(exp, ref):
 
         x = cent[:, i]
         mask = (x > eps * spec.ell) & (x > lo) & (x < 1.0)
-        worst = max(worst, ref.norms_against(fn, mask=mask * 1.0)[2])
+        worst = max(worst, norms_reference(ref.ctx, ref.u, fn, mask)[2])
     return worst
+
+
+def junction_h1(exp, ref):
+    """H1 distance, over the bulge's tets (centroids within 2 eps ell),
+    to the order-1 junction sum: the vertex value of the limit problem
+    plus eps times the first junction field at x / eps."""
+    eps = ref.epsilon
+    base = exp.graph[0][0].vertex_value
+
+    def fn(pts):
+        # only the bulge is integrated; quadrature points of the other
+        # tets may lie beyond the truncated junction (x > R eps)
+        v, g = exp.nfields[1].evaluate(pts / eps)
+        return base + eps * v, g
+
+    cent = ref.mesh.nodes[ref.mesh.tets].mean(axis=1)
+    mask = cent.max(axis=1) < 2.0 * eps * ref.spec.ell
+    return norms_reference(ref.ctx, ref.u, fn, mask)[2]

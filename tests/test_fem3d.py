@@ -50,8 +50,6 @@ from thinjunction.fem3d import (
     coarse_labels,
     norm_triple,
     norms,
-    region_mask,
-    slab_flux,
     solve_poisson,
     station_average,
     station_profile,
@@ -145,16 +143,21 @@ class TestBlocks:
             assert count < 2 or 2 <= min(sizes) and max(sizes) <= 3
 
     def test_norms(self, ctx, field):
-        mask = region_mask(ctx, lambda c: c[:, 0] < 0.6) * 0.5
+        # the per-tet numbers of one pass, summed over every tet or over
+        # a tet subset, are the oracle's pass over those tets
+        subset = ctx.centroids[:, 0] < 0.6
+        assert 0 < subset.sum() < ctx.mesh.num_tets
         seen = []
 
         def reference(pts):
             seen.append(len(pts))
             return _wavy_reference(pts)
 
-        for m in (None, mask):
-            for fn, ref in ((None, None), (reference, _wavy_reference)):
-                got = norms(ctx, field, fn, m)
+        for fn, ref in ((None, None), (reference, _wavy_reference)):
+            l2, h1 = norms(ctx, field, fn)
+            for m in (None, subset):
+                at = slice(None) if m is None else m
+                got = norm_triple(l2[at], h1[at])
                 assert got == norms_reference(ctx, field, ref, m)
                 # the former whole-array vdot sums, to rounding
                 want = norms_vdot_reference(ctx, field, ref, m)
@@ -215,14 +218,15 @@ class TestBlocks:
 
 
 def test_context_and_norms_hold_a_block_not_the_mesh(monkeypatch, fx_spec):
-    """Peak memory of FemContext and of a masked norm with a reference
+    """Peak memory of FemContext and of a norm pass with a reference
     callback, above their starting live set, on a 39,528-tet thin mesh
     in blocks of 2,048 points: at most one block's transients (256 bytes
-    a point) plus a few numbers per tet.  A norm keeps two sums and the
-    live index per tet, and the context's edge sort holds its int64 keys
-    and the int32 edge numbers, 9 numbers per tet.  The pass that kept
-    the weights and squared errors at every quadrature point took about
-    21 numbers per tet, and the argsort build of the matrix 22."""
+    a point) plus a few numbers per tet.  A norm keeps its two sums per
+    tet, and the context's edge sort holds its int64 keys and the int32
+    edge numbers, 9 numbers per tet.  The pass that kept the weights and
+    squared errors at every quadrature point took about 21 numbers per
+    tet, and the argsort build of the matrix 22.  A tet subset of the
+    pass is the oracle's pass over those tets, bit for bit."""
     spec = dataclasses.replace(fx_spec, order=0, epsilon=0.2)
     mesh = build_thin_mesh(spec, axial=0.05, refine=0.5)
     assert mesh.num_tets == 39_528
@@ -234,16 +238,18 @@ def test_context_and_norms_hold_a_block_not_the_mesh(monkeypatch, fx_spec):
         base = tracemalloc.get_traced_memory()[0]
         ctx = FemContext(mesh)
         context = tracemalloc.get_traced_memory()[1] - base
-        mask = region_mask(ctx, lambda c: c[:, 0] < 0.6) * 0.5
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
-        norms(ctx, u, _wavy_reference, mask)
+        l2, h1 = norms(ctx, u, _wavy_reference)
         norm = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
     tets = mesh.num_tets
     assert context <= block + 14 * 8 * tets, context / tets
-    assert norm <= block + 4 * 8 * tets, norm / tets
+    assert norm <= block + 2 * 8 * tets, norm / tets
+    subset = ctx.centroids[:, 0] < 0.6
+    assert norm_triple(l2[subset], h1[subset]) == norms_reference(
+        ctx, u, _wavy_reference, subset)
 
 
 def test_reference_solve_and_norm_pass_peak_per_tet(fx_spec, exp_fx):
@@ -302,7 +308,7 @@ class TestSolves:
                 g[:, 0] = 2.0 * pts[:, 0]
                 return pts[:, 0] ** 2, g
 
-            l2, _, _ = norms(c, u, reference=ref)
+            l2, _, _ = norm_triple(*norms(c, u, reference=ref))
             errs.append(l2)
         rate = np.log2(errs[0] / errs[1])
         assert 1.6 < rate < 2.4
@@ -650,23 +656,15 @@ class TestEvaluation:
                         for st in stations]
                 assert np.array_equal(means, want)
 
-    def test_slab_flux_linear_exact(self, ctx, tube):
-        u = 3.0 * tube.nodes[:, 0]
-        area = tube.boundary_area("end_a")
-        got = slab_flux(ctx, u, axis=0, lo=0.25, hi=0.75)
-        assert got == pytest.approx(3.0 * area, rel=1e-12)
-
-    def test_slab_flux_empty_slab_rejected(self, ctx):
-        u = np.zeros(ctx.mesh.num_nodes)
-        with pytest.raises(ValueError, match="slab"):
-            slab_flux(ctx, u, axis=0, lo=5.0, hi=6.0)
-
-    def test_region_mask_splits_volume(self, ctx, tube):
-        mask = region_mask(ctx, lambda c: c[:, 0] < 0.5)
+    def test_tet_subset_splits_volume(self, monkeypatch, ctx, tube):
+        monkeypatch.setattr(mesh3d, "BLOCK_POINTS", 7)
+        half = ctx.centroids[:, 0] < 0.5
         ones = np.ones(tube.num_nodes)
-        l2_half, _, _ = norms(ctx, ones, mask=mask)
-        l2_full, _, _ = norms(ctx, ones)
-        assert l2_half ** 2 == pytest.approx(0.5 * l2_full ** 2, rel=1e-12)
+        l2, h1 = norms(ctx, ones)
+        part = norm_triple(l2[half], h1[half])
+        assert part == norms_reference(ctx, ones, mask=half)
+        l2_full = norm_triple(l2, h1)[0]
+        assert part[0] ** 2 == pytest.approx(0.5 * l2_full ** 2, rel=1e-12)
 
 
 _ORACLES = {}
@@ -1116,24 +1114,22 @@ def test_norms_of_known_field(ctx, tube):
     # u = x has squared L2 norm A/3 and squared seminorm A on this tube
     u = tube.nodes[:, 0]
     area = tube.boundary_area("end_a")
-    l2, semi, h1 = norms(ctx, u)
+    l2, semi, h1 = norm_triple(*norms(ctx, u))
     assert l2 ** 2 == pytest.approx(area / 3.0, rel=1e-12)
     assert semi ** 2 == pytest.approx(area, rel=1e-12)
     assert h1 ** 2 == pytest.approx(l2 ** 2 + semi ** 2, rel=1e-12)
 
 
-def test_per_tet_norms_sum_to_the_masked_triples(ctx, tube):
-    # the per-tet numbers of one pass, summed over a tet subset in tet
-    # order, are bitwise the triple of a pass masked to that subset
+def test_per_tet_norms_sum_to_the_masked_triples(monkeypatch, ctx, tube):
+    # the per-tet numbers of one pass, in blocks of two or three tets,
+    # summed over a tet subset in tet order, are bitwise the triple of
+    # the oracle's pass masked to that subset
+    monkeypatch.setattr(mesh3d, "BLOCK_POINTS", 7)
     u = np.sin(tube.nodes[:, 0])
-    l2, h1 = norms(ctx, u, _wavy_reference, per_tet=True)
+    l2, h1 = norms(ctx, u, _wavy_reference)
     assert l2.shape == h1.shape == (tube.num_tets,)
-    assert norm_triple(l2, h1) == norms(ctx, u, _wavy_reference)
-    keep = ctx.centroids[:, 0] < 0.6
-    at = np.flatnonzero(keep)
-    assert 0 < at.size < tube.num_tets
-    assert norm_triple(l2[at], h1[at]) == norms(
-        ctx, u, _wavy_reference, mask=keep * 1.0)
-    part = norms(ctx, u, _wavy_reference, mask=keep * 1.0, per_tet=True)
-    assert np.array_equal(part[0], l2[at])
-    assert np.array_equal(part[1], h1[at])
+    assert norm_triple(l2, h1) == norms_reference(ctx, u, _wavy_reference)
+    for keep in (ctx.centroids[:, 0] < 0.6, ctx.centroids[:, 1] > 0.1):
+        assert 0 < keep.sum() < tube.num_tets
+        assert norm_triple(l2[keep], h1[keep]) == norms_reference(
+            ctx, u, _wavy_reference, keep)

@@ -5,6 +5,7 @@ import dataclasses
 import itertools
 import json
 import math
+import pathlib
 import re
 
 import numpy as np
@@ -12,9 +13,12 @@ import pytest
 from scipy import stats
 
 import study_oracle
+from block_oracle import norms_reference
 from thinjunction import fem3d, reference, study
 from thinjunction.config import LateralLoad, RadiusProfile, SourceField
 from thinjunction.expansion import Expansion
+from thinjunction.fem3d import norm_triple
+from thinjunction.mesh3d import build_thin_mesh
 from thinjunction.poly import Poly3
 from thinjunction.reference import (default_axial, solve_reference,
                                     with_epsilon)
@@ -97,7 +101,7 @@ def test_tube_target_matches_direct_norms(fx_spec):
 
             x = cent[:, i]
             mask = (x > eps * spec.ell) & (x > lo) & (x < 1.0)
-            worst = max(worst, ref.norms_against(fn, mask=mask * 1.0)[2])
+            worst = max(worst, norms_reference(ref.ctx, ref.u, fn, mask)[2])
         assert result.errors[j] == pytest.approx(worst, rel=1e-9)
 
 
@@ -122,8 +126,8 @@ def test_whole_domain_targets_share_one_norm_evaluation(fx_spec, monkeypatch):
     for j, eps in enumerate(plan.epsilons):
         ref = solve_reference(with_epsilon(spec, eps), axial=plan.axial,
                               refine=plan.fem_refine)
-        l2, _h1s, h1 = ref.norms_against(
-            lambda pts: exp.evaluate(pts, eps, m=0, gradient=True))
+        l2, _h1s, h1 = norm_triple(*ref.norms_against(
+            lambda pts: exp.evaluate(pts, eps, m=0, gradient=True)))
         want = {"COR42_H1_U0": h1, "T0_M": h1, "COR42_L2_U0": l2,
                 "COR42_H1_U0_REL": h1 / np.sqrt(ref.domain_measure())}
         for t in report.targets:
@@ -341,20 +345,21 @@ def test_tube_profile_is_evaluated_once_per_axial_position(fx_spec,
     profiles = Expansion._profiles
     monkeypatch.setattr(Expansion, "_profiles", counted)
     monkeypatch.setattr(Expansion, "tube_profiles", refused)
-    passes = study._WholePasses(exp, ref, tubes=True)
+    passes = study._WholePasses(exp, ref)
     assert study._target_error(TARGETS["COR42_CYL"], exp, ref, passes,
                                {}) == worst
     assert 0 < sum(seen) < 4 * ref.mesh.num_tets // 10
 
 
 def _norm_calls(monkeypatch):
-    """The norm passes of the study, each as (masked, per_tet)."""
+    """The norm passes of the study, each as whether it returned the
+    numbers of every tet of its mesh."""
     calls = []
 
-    def counted(*args, **kwargs):
-        calls.append((kwargs.get("mask") is not None,
-                      kwargs.get("per_tet", False)))
-        return norms(*args, **kwargs)
+    def counted(ctx, *args, **kwargs):
+        l2, h1 = norms(ctx, *args, **kwargs)
+        calls.append(l2.shape == h1.shape == (ctx.mesh.num_tets,))
+        return l2, h1
 
     norms = reference.norms
     monkeypatch.setattr(reference, "norms", counted)
@@ -379,11 +384,11 @@ def _captured_study(plan, monkeypatch):
 
 @pytest.mark.parametrize("order, targets, passes", [
     # the order-0 pass serves the whole-domain targets and COR42_CYL
-    (0, ["COR42_H1_U0", "COR42_CYL", "COR42_L2_U0"], [(False, True)]),
+    (0, ["COR42_H1_U0", "COR42_CYL", "COR42_L2_U0"], [True]),
     # without an order-0 whole-domain target, COR42_CYL runs that pass
     # alone, and no masked one
-    (0, ["COR42_CYL"], [(False, True)]),
-    (1, ["COR42_CYL", "T0_M"], [(False, True), (False, False)]),
+    (0, ["COR42_CYL"], [True]),
+    (1, ["COR42_CYL", "T0_M"], [True, True]),
 ])
 def test_tube_target_is_read_off_the_order_0_pass(fx_spec, monkeypatch,
                                                   order, targets, passes):
@@ -426,10 +431,10 @@ def test_tube_target_is_one_pass_where_forced_planes_crowd(fx_spec,
         assert not across.any()
     want = study_oracle.tube_profile_h1(exp, ref)
     calls = _norm_calls(monkeypatch)
-    passes = study._WholePasses(exp, ref, tubes=True)
+    passes = study._WholePasses(exp, ref)
     got = study._target_error(TARGETS["COR42_CYL"], exp, ref, passes, {})
     assert got == want
-    assert calls == [(False, True)]
+    assert calls == [True]
 
 
 def test_report_carries_each_reference_record(fx_spec):
@@ -456,3 +461,48 @@ def test_node_forecast_and_mesh_share_the_default_spacing(fx_spec):
     assert ref.mesh.meta["axial"] == default_axial(eps)
     assert estimate_nodes(fx_spec, eps, None, 0.4) == estimate_nodes(
         fx_spec, eps, default_axial(eps), 0.4)
+
+
+def _bench_plan(name):
+    return load_plan(str(pathlib.Path(__file__).resolve().parents[1]
+                         / "bench" / "plans" / f"{name}.json"))
+
+
+def test_node_forecast_is_the_built_mesh(rich_spec):
+    # each slenderness of both study plans, and the default spacing at
+    # refine 1.0 and on varying radii with a radius breakpoint
+    cases = [(plan.spec, eps, plan.axial, plan.fem_refine)
+             for plan in map(_bench_plan, ("fem_sweep", "full_study"))
+             for eps in plan.epsilons]
+    cases += [(_bench_plan("fem_sweep").spec, 0.1, None, 1.0),
+              (rich_spec, 0.2, None, 0.5)]
+    for spec, eps, axial, refine in cases:
+        ref_axial = default_axial(eps) if axial is None else axial
+        mesh = build_thin_mesh(with_epsilon(spec, eps), axial=ref_axial,
+                               refine=refine)
+        assert estimate_nodes(spec, eps, axial, refine) == mesh.num_nodes
+
+
+def test_junction_target_is_read_off_the_order_1_pass(fx_spec, monkeypatch):
+    # COR42_JUNC and COR42_H1_U1 share one norm pass per slenderness; the
+    # bulge's tets lie before the matching band, where the order-1 sum is
+    # the junction sum, so COR42_JUNC is the former masked pass against
+    # it (study_oracle.junction_h1) to rounding; eps = 0.2 < 1 / R puts
+    # quadrature points of the tubes' ends beyond the truncated junction
+    plan = StudyPlan(spec=fx_spec, epsilons=[0.3, 0.25, 0.2],
+                     targets=["COR42_JUNC", "COR42_H1_U1"],
+                     junction_R=fx_spec.ell + 4.0, junction_refine=0.5,
+                     axial=0.04, fem_refine=0.4)
+    report, exp, calls = _captured_study(plan, monkeypatch)
+    assert calls == [True] * len(plan.epsilons)
+    junc, h1_u1 = report.targets
+    for j, eps in enumerate(plan.epsilons):
+        ref = solve_reference(with_epsilon(fx_spec, eps), axial=plan.axial,
+                              refine=plan.fem_refine)
+        want = study_oracle.junction_h1(exp, ref)
+        assert junc.errors[j] == pytest.approx(want, rel=1e-13, abs=0.0)
+        l2, h1 = ref.norms_against(
+            lambda pts: exp.evaluate(pts, eps, m=1, gradient=True))
+        bulge = ref.bulge_mask()
+        assert junc.errors[j] == norm_triple(l2[bulge], h1[bulge])[2]
+        assert h1_u1.errors[j] == norm_triple(l2, h1)[2]

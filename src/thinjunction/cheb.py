@@ -2,20 +2,21 @@
 
 Every Chebyshev-in-x quantity of the package is evaluated by one kernel,
 :meth:`ChebStack.at`.  It maps each point to the variable t of its
-interval and builds T_0(t) .. T_deg(t), in blocks of ``BLOCK`` points, by
-doubling: given the rows T_0 .. T_m, the product identity
-T_{m+j} = 2 T_m T_j - T_{m-j} gives the rows T_{m+1} .. T_{2m} in one
-vectorised pass, so degree 65 takes 7 passes where the three-term
-recurrence takes 64 steps.  On the few dozen distinct positions of a
-served request each step costs mostly its ufunc calls, so the passes
-are what count.  A :class:`ChebStack` holds many series stacked along
-trailing axes, and one matrix product per interval of a block gives all
-of them.  Its grid may be several breakpoint grids whose intervals are
-numbered in turn, each point looked up on its own grid: when an
-expansion is served, the graph profiles of all orders and the
+interval and builds T_0(t) .. T_deg(t) by doubling: given the rows
+T_0 .. T_m, the product identity T_{m+j} = 2 T_m T_j - T_{m-j} gives the
+rows T_{m+1} .. T_{2m} in one vectorised pass, so degree 65 takes 7
+passes where the three-term recurrence takes 64 steps.  On the few dozen
+distinct positions of a served request each step costs mostly its ufunc
+calls, so the passes are what count.  A :class:`ChebStack` holds many
+series stacked along trailing axes, and one matrix product per interval
+gives all of them.  Its grid may be several breakpoint grids whose
+intervals are numbered in turn, each point looked up on its own grid:
+when an expansion is served, the graph profiles of all orders and the
 correctors' modal coefficients of all three tubes come from one table
-and one contraction per request.  The identity holds for |t| > 1 too,
-so points outside a grid are extrapolated by the polynomial of the end
+and one contraction per request.  A tube function lives on its radius'
+breakpoints, the only places where it may kink: the source and the
+lateral load are polynomials.  The identity holds for |t| > 1 too, so
+points outside a grid are extrapolated by the polynomial of the end
 interval.  Every step is elementwise, so a point's row does not depend
 on its batch.
 """
@@ -25,19 +26,6 @@ from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import Chebyshev
-
-# points per table block; bounds the table of a large call to a few MB
-BLOCK = 4096
-
-
-def merge_breakpoints(*lists):
-    pts = np.concatenate([np.asarray(l, dtype=float) for l in lists])
-    pts = np.sort(pts)
-    keep = [pts[0]]
-    for p in pts[1:]:
-        if p - keep[-1] > 1e-12:
-            keep.append(p)
-    return np.asarray(keep)
 
 
 def _recurrence(t, deg):
@@ -99,45 +87,39 @@ class ChebStack:
         gives them, and the interval of each point, numbered in turn over
         the grids, the end ones extended outwards.
 
-        Each block of ``BLOCK`` points is sorted by interval, so its
-        table T_0..T_deg has columns that run interval by interval, and
-        the stack is contracted with one product per interval segment.
+        The points are sorted by interval once, so the table T_0..T_deg
+        has columns that run interval by interval, and the stack is
+        contracted with one product per interval.  The table takes
+        8 (deg + 1) bytes a point: the caller bounds the points of a
+        call.
         """
         x = np.asarray(x, dtype=float)
         shape, x = x.shape, x.ravel()
         cut = [0, x.size] if cut is None else list(cut)
         nint = self._first[-1]
-        out = np.empty((x.size, self._cols))
+        # the interval of each point on its own grid, the end ones
+        # extended outwards, numbered after the earlier grids' intervals
         interval = np.empty(x.size, np.intp)
-        for lo in range(0, x.size, BLOCK):
-            xb = x[lo: lo + BLOCK]
-            # the interval of each point on its own grid, the end ones
-            # extended outwards, numbered after the earlier grids' intervals
-            idx = np.empty(xb.size, np.intp)
-            for inner, first, a, b in zip(self._inner, self._first, cut[:-1],
-                                          cut[1:]):
-                a, b = max(a - lo, 0), min(b - lo, xb.size)
-                if b > a:
-                    idx[a:b] = np.searchsorted(inner, xb[a:b],
-                                               side="right") + first
-            # a stable sort of keys of 16 bits or fewer is a radix sort
-            order = np.argsort(idx.astype(np.min_scalar_type(nint)),
-                               kind="stable")
-            idx = idx[order]
-            interval[lo + order] = idx
-            T = _recurrence(self._offset[idx] + self._scale[idx] * xb[order],
-                            self.deg)
-            bounds = np.searchsorted(idx, np.arange(nint + 1)).tolist()
-            res = np.empty((xb.size, self._cols))
-            for j, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-                if b - a == 1:
-                    seg = np.repeat(T[:, a:b], 2, axis=1)
-                elif b > a:
-                    seg = T[:, a:b]
-                else:
-                    continue
-                res[a:b] = (seg.T @ self._coeffs[j])[: b - a, : self._cols]
-            out[lo + order] = res
+        for inner, first, a, b in zip(self._inner, self._first, cut[:-1],
+                                      cut[1:]):
+            interval[a:b] = np.searchsorted(inner, x[a:b],
+                                            side="right") + first
+        # a stable sort of keys of 16 bits or fewer is a radix sort
+        order = np.argsort(interval.astype(np.min_scalar_type(nint)),
+                           kind="stable")
+        idx = interval[order]
+        T = _recurrence(self._offset[idx] + self._scale[idx] * x[order],
+                        self.deg)
+        bounds = np.searchsorted(idx, np.arange(nint + 1)).tolist()
+        out = np.empty((x.size, self._cols))
+        for j, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+            if b - a == 1:
+                seg = np.repeat(T[:, a:b], 2, axis=1)
+            elif b > a:
+                seg = T[:, a:b]
+            else:
+                continue
+            out[order[a:b]] = (seg.T @ self._coeffs[j])[: b - a, : self._cols]
         out = out.reshape(shape + self.shape)
         return out[()] if out.ndim == 0 else out, interval.reshape(shape)
 
@@ -174,9 +156,6 @@ class PiecewiseCheb:
 
     def __call__(self, x):
         return self._stack(x)
-
-    def deriv(self, m=1):
-        return PiecewiseCheb(self.breakpoints, [s.deriv(m) for s in self.series])
 
     def antiderivative(self, start=0.0):
         """Continuous antiderivative equal to ``start`` at the left endpoint."""

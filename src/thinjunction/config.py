@@ -428,18 +428,24 @@ def load_spec(source):
     Unknown or missing keys, numbers given as strings or booleans (also
     inside ``h``, ``f`` and ``phi``), term powers that are not three
     nonnegative integers and a non-integer order raise ``ValueError``
-    naming the key, as ``h[0]`` or ``f.terms[0].coef``.
+    naming the key, as ``h[0]`` or ``f.terms[0].coef``.  A source that
+    is neither a readable file nor JSON text raises ``ValueError``
+    naming it.
     """
     if isinstance(source, dict):
         doc = source
     else:
-        text = None
         try:
             with open(source, "r") as fh:
                 text = fh.read()
-        except (OSError, TypeError):
-            text = source
-        doc = json.loads(text)
+        except (OSError, TypeError) as exc:
+            try:
+                doc = json.loads(source)
+            except (ValueError, TypeError):
+                raise ValueError(f"{source!r} is neither a readable file "
+                                 f"({exc}) nor JSON text") from None
+        else:
+            doc = json.loads(text)
     if doc.get("schema") != 1:
         raise ValueError("unsupported problem-file schema")
     unknown = sorted(set(doc) - _SPEC_KEYS)

@@ -27,7 +27,7 @@ from numpy.polynomial import Polynomial
 
 from .config import ProblemSpec, RadiusProfile, eta
 from .graph import EdgeFunction, EdgeRHS
-from .cheb import ChebStack, merge_breakpoints
+from .cheb import ChebStack
 
 
 class DiskCompatibilityError(ValueError):
@@ -256,23 +256,23 @@ def solve_disk_neumann(g: DiskPoly, bc, bs, h):
 class EdgeCorrector:
     """One corrector u_k on one branch: modal coefficients over x.
 
-    ``coeffs[j]`` holds, for the j-th smoothness interval, Chebyshev
-    coefficients of shape (deg+1, 2, N+1, P+1) in the mapped variable;
-    index 1 separates cos/sin banks.  ``germ`` lists the exact x-power
+    Like every tube function, u_k is smooth between the breakpoints of
+    its radius ``h``.  ``coeffs[j]`` holds, for the j-th of those
+    intervals, Chebyshev coefficients of shape (deg+1, 2, N+1, P+1) in
+    the mapped variable; index 1 separates cos/sin banks.  ``germ`` lists the exact x-power
     slices of u_k about x = 0, valid while the radius is constant.
     """
 
     edge: int
     order: int
     h: RadiusProfile
-    breakpoints: np.ndarray
     coeffs: list
     germ: list
 
     def __post_init__(self):
         # (intervals, deg+1, 2, N, P) stacks of u and its x-derivatives;
         # u and du/dx, padded with a zero top row, are joined by column
-        bp = self.breakpoints
+        bp = self.h.breakpoints
         d = [np.stack([npcheb.chebder(c, m, scl=2.0 / (xr - xl), axis=0)
                        if m else c
                        for c, xl, xr in zip(self.coeffs, bp, bp[1:])])
@@ -287,15 +287,12 @@ class EdgeCorrector:
         return self.coeffs[0].shape[1:]
 
     def modal_batch(self, x, deriv=0):
-        """Per-point modal arrays of d^deriv u / dx^deriv, (npts, 2, N, P);
-        ``deriv=(0, 1)`` gives those of u and du/dx from one contraction,
-        (npts, 2, 2, N, P).
-        """
+        """Per-point modal arrays of d^deriv u / dx^deriv, of shape
+        (npts, 2, N, P)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if deriv == 2:
             return self._second(x)
-        both = self._joined(x)
-        return both if deriv == (0, 1) else both[:, deriv]
+        return self._joined(x)[:, deriv]
 
     def modal_at(self, x, deriv=0):
         A = self.modal_batch(float(x), deriv)
@@ -384,8 +381,7 @@ def build_corrector(spec: ProblemSpec, edge, k, omega: EdgeFunction,
     h = spec.h[edge]
     phi = spec.phi[edge]
     fslice = spec.f.transverse_taylor(edge, k - 2)
-    bp = merge_breakpoints(h.breakpoints, omega.breakpoints,
-                           prev.breakpoints if prev is not None else [])
+    bp = h.breakpoints
     tpts = npcheb.chebpts1(33)
     nb = phi.max_harmonic
     if prev is not None:
@@ -433,8 +429,7 @@ def build_corrector(spec: ProblemSpec, edge, k, omega: EdgeFunction,
 
     prev_g = prev.germ if prev is not None else None
     germ = corrector_germ(spec, edge, k, omega.germ(), prev_g, jmax)
-    return EdgeCorrector(edge=edge, order=k, h=h, breakpoints=bp,
-                         coeffs=coeffs, germ=germ)
+    return EdgeCorrector(edge=edge, order=k, h=h, coeffs=coeffs, germ=germ)
 
 
 def corrector_rhs(spec: ProblemSpec, edge, k, corr: EdgeCorrector | None):
@@ -467,6 +462,4 @@ def corrector_rhs(spec: ProblemSpec, edge, k, corr: EdgeCorrector | None):
 
     for (pi, pa, pb), c in sl.terms():
         gcoef[pi] += c * disk_monomial_integral(pa, pb, h0)
-    bp = corr.breakpoints if corr is not None else h.breakpoints
-    return EdgeRHS(fn=fn, breakpoints=np.asarray(bp, dtype=float).copy(),
-                   germ0=Polynomial(gcoef))
+    return EdgeRHS(fn=fn, germ0=Polynomial(gcoef))

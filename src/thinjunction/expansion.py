@@ -195,7 +195,8 @@ class Expansion:
         profile w_k and the flux antiderivative s_k of every order, then
         for k >= 2 the joined modal coefficients of u_k and du/dx,
         zero-padded to the order's (N, P) and to the highest degree.
-        Every function of tube i must be on its radius' breakpoints."""
+        Every function of tube i lives on its radius' breakpoints, so the
+        stack's intervals are the radii's pieces."""
         grids = [self.spec.h[i].breakpoints for i in range(3)]
         edges = [[self.graph[k][i] for k in range(self.order + 1)]
                  for i in range(3)]
@@ -205,16 +206,6 @@ class Expansion:
         self._modal_shape = {
             k: tuple(np.max([c.shape[1:] for c in corr], axis=0).tolist())
             for k, corr in self.correctors.items()}
-        for i, grid in enumerate(grids):
-            parts = [(f"order-{k} profile", e.breakpoints)
-                     for k, e in enumerate(edges[i])]
-            parts += [(f"order-{k} corrector", corr[i].breakpoints)
-                      for k, corr in self.correctors.items()]
-            for what, bp in parts:
-                if not np.array_equal(bp, grid):
-                    raise RecurrenceError(
-                        f"the {what} of tube {i} is not on the breakpoints "
-                        f"of its radius")
         deg = max([f.deg for row in edges for e in row for f in (e._w, e._s)]
                   + [c.shape[1] - 1 for cs in joined.values() for c in cs])
         first = np.cumsum([0] + [grid.size - 1 for grid in grids])
@@ -325,28 +316,46 @@ class Expansion:
 
     # -- partial sum -----------------------------------------------------
 
-    def _partial_order(self, m):
-        """The partial sum order m, the built order by default."""
-        m = self.order if m is None else int(m)
+    def _inputs(self, points, epsilon, m):
+        """(points, eps, m) of a call, checked before any term runs:
+        points of shape (n, 3), all finite, eps in (0, 1) as
+        ``ProblemSpec`` requires, and an integer partial sum order m in
+        [0, order], the built order by default.  A failure raises
+        ``ValueError`` naming the input."""
+        pts = np.asarray(points, dtype=float)
+        if pts.ndim != 2 or pts.shape[1] != 3:
+            raise ValueError(f"points must have shape (n, 3), not "
+                             f"{pts.shape}")
+        if not np.isfinite(pts).all():
+            row = int(np.argmin(np.isfinite(pts).all(axis=1)))
+            raise ValueError(f"point {row} is not finite: {pts[row]}")
+        eps = float(epsilon)
+        if not 0.0 < eps < 1.0:
+            raise ValueError(f"epsilon must lie in (0, 1), not {epsilon!r}")
+        m = self.order if m is None else m
+        if isinstance(m, bool) or not isinstance(m, (int, np.integer)):
+            raise ValueError(f"partial sum order m must be an integer, not "
+                             f"{m!r}")
         if m > self.order:
-            raise ValueError("partial sum order exceeds the built order")
-        return m
+            raise ValueError(f"partial sum order {m} exceeds the built "
+                             f"order {self.order}")
+        if m < 0:
+            raise ValueError(f"partial sum order m must be at least 0, "
+                             f"not {m}")
+        return pts, eps, int(m)
 
     def evaluate(self, points, epsilon, m=None, gradient=False):
         """Glued partial sum of order m (and gradient) at physical points.
 
         Each term is evaluated once with its gradient; ``gradient`` only
-        picks whether the gradients are returned.  A non-finite point
-        raises ``ValueError`` before any term runs.  The points are
-        served ``EVAL_BLOCK`` at a time into the outputs; each row is
-        bitwise its one-point batch, so the blocks do not change a bit.
+        picks whether the gradients are returned.  Points that are not
+        of shape (n, 3) or not finite, eps outside (0, 1) and m outside
+        [0, order] raise ``ValueError`` before any term runs
+        (``_inputs``).  The points are served ``EVAL_BLOCK`` at a time
+        into the outputs; each row is bitwise its one-point batch, so the
+        blocks do not change a bit.
         """
-        pts = np.asarray(points, dtype=float)
-        if not np.isfinite(pts).all():
-            row = int(np.argmin(np.isfinite(pts).all(axis=1)))
-            raise ValueError(f"point {row} is not finite: {pts[row]}")
-        eps = float(epsilon)
-        m = self._partial_order(m)
+        pts, eps, m = self._inputs(points, epsilon, m)
         n = len(pts)
         vals = np.zeros(n)
         grads = np.zeros((n, 3))
@@ -438,11 +447,10 @@ class Expansion:
         4: transverse Taylor remainder of the source in the tubes.
         5: full Taylor remainder of the source in the bulge zone.
         6, 7: vertex Taylor remainders of the tube terms hit by cutoff
-        derivatives (first and second order).
+        derivatives (first and second order).  The inputs are checked
+        as :meth:`evaluate` checks them.
         """
-        pts = np.asarray(points, dtype=float)
-        eps = float(epsilon)
-        m = self._partial_order(m)
+        pts, eps, m = self._inputs(points, epsilon, m)
         which = tuple(range(1, 8)) if which is None else tuple(which)
         alpha = self.spec.alpha
         out = {j: np.zeros(len(pts)) for j in which}

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .cheb import PiecewiseCheb, gauss_piecewise, merge_breakpoints
+from .cheb import PiecewiseCheb, gauss_piecewise
 from .config import ProblemSpec
 
 # Chebyshev degree per smoothness interval of every graph profile.
@@ -27,7 +27,8 @@ DEG = 64
 
 @dataclass
 class EdgeRHS:
-    """Right-hand side of one edge ODE, with its smoothness breakpoints.
+    """Right-hand side of one edge ODE, smooth between the breakpoints of
+    its edge's radius.
 
     ``germ0`` is a plain polynomial that coincides with ``fn`` on the
     plateau [0, h.plateau0) of the radius; it exists because the radius
@@ -36,7 +37,6 @@ class EdgeRHS:
     """
 
     fn: callable
-    breakpoints: np.ndarray
     germ0: Polynomial
 
     def __call__(self, x):
@@ -63,8 +63,7 @@ def assemble_rhs0(spec: ProblemSpec):
             for (pi_, pa, pb), c in phi.poly.terms():
                 gcoef[pi_] += c * circle_monomial_integral(pa, pb, h0)
             germ = germ - Polynomial(gcoef)
-        out.append(EdgeRHS(fn=fn, breakpoints=h.breakpoints.copy(),
-                           germ0=germ))
+        out.append(EdgeRHS(fn=fn, germ0=germ))
     return out
 
 
@@ -75,10 +74,11 @@ class EdgeFunction:
     c0 = pi h(0)^2 w'(0) and s(x) = int_0^x rhs,
         w'(x) = (c0 - s(x)) / (pi h(x)^2),
         w''(x) = (-rhs(x) - 2 pi h h' w') / (pi h^2).
-    ``s`` is the interpolated flux antiderivative of the solve, whose
-    breakpoints the edge keeps.  An optional affine tail ``p + q x``
-    supports the jump substitution.  The vertex value and slope are
-    computed once, when the function is built or shifted.
+    ``s`` is the interpolated flux antiderivative of the solve.  Like
+    every tube function, the edge is smooth between the breakpoints of
+    its radius ``h``, on which it is interpolated.  An optional affine
+    tail ``p + q x`` supports the jump substitution.  The vertex value
+    and slope are computed once, when the function is built or shifted.
     """
 
     def __init__(self, h, rhs: EdgeRHS, s: PiecewiseCheb, vertex_value,
@@ -86,9 +86,9 @@ class EdgeFunction:
         self.h = h
         self.rhs = rhs
         self.c0 = float(flux0)
-        self._bp = s.breakpoints
         self._s = s
-        self._wp = PiecewiseCheb.interpolate(self._deriv_exact, self._bp, DEG)
+        self._wp = PiecewiseCheb.interpolate(self._deriv_exact,
+                                             h.breakpoints, DEG)
         self._w = self._wp.antiderivative(start=float(vertex_value))
         self.affine = (0.0, 0.0)
         self._set_vertex()
@@ -99,10 +99,6 @@ class EdgeFunction:
 
     def _deriv_exact(self, x):
         return (self.c0 - self._s(x)) / (math.pi * self.h(x) ** 2)
-
-    @property
-    def breakpoints(self):
-        return self._bp
 
     def with_affine(self, p, q):
         """Return self shifted by the affine function p + q x (shared core)."""
@@ -164,7 +160,7 @@ def _solve_continuous(spec, rhs_list, flux_total):
     s_funcs = []
     for i in range(3):
         h = spec.h[i]
-        bp = merge_breakpoints(h.breakpoints, rhs_list[i].breakpoints)
+        bp = h.breakpoints
         fhat = PiecewiseCheb.interpolate(rhs_list[i], bp, DEG)
         s = fhat.antiderivative()
         inv = PiecewiseCheb.interpolate(
@@ -211,8 +207,7 @@ def solve_omega_k(spec: ProblemSpec, rhs_list,
         def fn(x, base=base, h=spec.h[i], j=j):
             return base(x) - 2.0 * math.pi * j * h(x) * h.deriv(x)
 
-        subst.append(EdgeRHS(fn=fn, breakpoints=base.breakpoints,
-                             germ0=base.germ0))
+        subst.append(EdgeRHS(fn=fn, germ0=base.germ0))
     flux = transmission.dstar + sum(
         math.pi * spec.h0(i) ** 2 * jumps[i] for i in (1, 2))
     edges, _, _ = _solve_continuous(spec, subst, flux)
@@ -251,7 +246,7 @@ def weak_residual(spec: ProblemSpec, edges, rhs_list,
         rhs_val = 0.0
         for i in range(3):
             h = spec.h[i]
-            bp = merge_breakpoints(h.breakpoints, rhs_list[i].breakpoints)
+            bp = h.breakpoints
             if kind == "hat":
                 psi = lambda x, q=p: (1.0 - x) ** q
                 dpsi = lambda x, q=p: -q * (1.0 - x) ** (q - 1)

@@ -47,11 +47,11 @@ def modal_batch(corr, x, deriv=0):
     """Per-point modal arrays of d^deriv u / dx^deriv of a corrector."""
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty((x.size,) + corr.coeffs[0].shape[1:])
-    idx = np.clip(np.searchsorted(corr.breakpoints, x, side="right") - 1,
+    idx = np.clip(np.searchsorted(corr.h.breakpoints, x, side="right") - 1,
                   0, len(corr.coeffs) - 1)
     for j in np.unique(idx):
         sel = np.where(idx == j)[0]
-        xl, xr = corr.breakpoints[j], corr.breakpoints[j + 1]
+        xl, xr = corr.h.breakpoints[j], corr.h.breakpoints[j + 1]
         c = corr.coeffs[j]
         if deriv:
             c = npcheb.chebder(c, deriv, scl=2.0 / (xr - xl), axis=0)

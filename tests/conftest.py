@@ -84,6 +84,8 @@ def ref_flat(flat_spec):
     return solve_reference(with_epsilon(flat_spec, 0.2), axial=0.02)
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture
 def rng():
+    """A fresh generator per test, so a test draws what it draws when run
+    alone, whichever tests ran before it."""
     return np.random.default_rng(20260819)

@@ -545,7 +545,7 @@ def tube_profiles_per_tube(exp, i, x):
     one."""
     edges = [exp.graph[k][i] for k in range(exp.order + 1)]
     deg = max(f.deg for e in edges for f in (e._w, e._s))
-    stack = ChebStack(edges[0].breakpoints, np.stack(
+    stack = ChebStack(edges[0].h.breakpoints, np.stack(
         [np.stack([e._w.coeffs(deg), e._s.coeffs(deg)], axis=-1)
          for e in edges], axis=2))
     out = stack(x)
@@ -572,9 +572,7 @@ def _tube_terms_per_point(exp, i, x, ta, tb, m):
 def evaluate_per_point(exp, points, epsilon, m=None):
     """(values, gradients) of ``Expansion.evaluate``, axial factors per
     point."""
-    pts = np.asarray(points, dtype=float)
-    eps = float(epsilon)
-    m = exp._partial_order(m)
+    pts, eps, m = exp._inputs(points, epsilon, m)
     alpha = exp.spec.alpha
     n = len(pts)
     vals = np.zeros(n)
@@ -633,9 +631,7 @@ def evaluate_per_point(exp, points, epsilon, m=None):
 def residual_terms_per_point(exp, points, epsilon, m=None):
     """All seven terms of ``Expansion.residual_terms``, axial factors per
     point."""
-    pts = np.asarray(points, dtype=float)
-    eps = float(epsilon)
-    m = exp._partial_order(m)
+    pts, eps, m = exp._inputs(points, epsilon, m)
     alpha = exp.spec.alpha
     out = {j: np.zeros(len(pts)) for j in range(1, 8)}
     edge = exp._split(pts, eps)

@@ -206,6 +206,14 @@ class TestProblemSpec:
         from_file = load_spec(str(p))
         assert spec_digest(from_file) == spec_digest(rich_spec)
 
+    def test_missing_file_is_named(self, tmp_path):
+        """A path that names no readable file, and is no JSON text
+        either, raises ``ValueError`` naming the path, not the decoder's
+        error about its first character."""
+        missing = str(tmp_path / "no" / "such" / "spec.json")
+        with pytest.raises(ValueError, match=re.escape(repr(missing))):
+            load_spec(missing)
+
     def test_schema_guard(self):
         with pytest.raises(ValueError, match="schema"):
             load_spec({"schema": 2})

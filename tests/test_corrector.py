@@ -236,9 +236,9 @@ def test_joined_modal_pass_equals_one_pass_per_field(exp_rich, rng):
     joined stack and one modal pass, against a pass over u and one
     over du/dx, each from its own array."""
     for corr in exp_rich.correctors[2]:
-        x = np.concatenate([rng.uniform(0.0, 1.0, 30), corr.breakpoints])
+        x = np.concatenate([rng.uniform(0.0, 1.0, 30), corr.h.breakpoints])
         xa, xb = disk_points(corr.h.value0, x.size, rng)
-        A = corr.modal_batch(x, (0, 1))
+        A = corr._joined(x)
         assert A.shape == (x.size, 2) + corr.shape
         (u, ux), ga, gb = _modal_eval(A, xa, xb)
         for d, want in ((0, u), (1, ux)):

@@ -88,6 +88,45 @@ def test_non_finite_points_are_rejected(exp_fx, bad):
     assert np.isfinite(exp_fx.evaluate(pts[:2], 0.1)).all()
 
 
+_GOOD = np.full((4, 3), 0.01)
+
+
+@pytest.mark.parametrize("points, epsilon, m, match", [
+    (np.full(3, 0.01), 0.1, None, r"points must have shape \(n, 3\)"),
+    (np.full((4, 2), 0.01), 0.1, None, r"points must have shape \(n, 3\)"),
+    (_GOOD, 0.0, None, r"epsilon must lie in \(0, 1\), not 0.0"),
+    (_GOOD, -0.1, None, r"epsilon must lie in \(0, 1\), not -0.1"),
+    (_GOOD, 1.0, None, r"epsilon must lie in \(0, 1\), not 1.0"),
+    (_GOOD, np.nan, None, r"epsilon must lie in \(0, 1\)"),
+    (_GOOD, 0.1, -1, "order m must be at least 0, not -1"),
+    (_GOOD, 0.1, 2, "order 2 exceeds the built order 1"),
+    (_GOOD, 0.1, 0.5, "order m must be an integer, not 0.5"),
+    (_GOOD, 0.1, True, "order m must be an integer, not True"),
+])
+def test_inputs_outside_the_contract_are_rejected(exp_fx, monkeypatch,
+                                                  points, epsilon, m, match):
+    """Points not of shape (n, 3), eps outside (0, 1) and m outside the
+    integers [0, order] raise ``ValueError`` naming the input, from
+    ``evaluate`` and ``residual_terms`` alike, before any term runs (no
+    point is split by tube)."""
+    assert exp_fx.order == 1
+
+    def refuse(*args):
+        raise AssertionError("a term ran")
+
+    monkeypatch.setattr(exp_fx, "_split", refuse)
+    for call in (exp_fx.evaluate, exp_fx.residual_terms):
+        with pytest.raises(ValueError, match=match):
+            call(points, epsilon, m=m)
+
+
+def test_integer_orders_in_range_are_served(exp_fx):
+    """numpy integers are orders too, and m = 0 .. order are served."""
+    for m in (0, 1, np.int64(1), None):
+        assert exp_fx.evaluate(_GOOD, 0.1, m=m).shape == (4,)
+        assert exp_fx.residual_terms(_GOOD, 0.1, m=m)[1].shape == (4,)
+
+
 def _cloud(spec, eps, rng, n=60):
     """Points of the bulge, the matching band, the tube interiors and the
     end-layer band, at most 0.9 of the radius off the axis."""

@@ -1,6 +1,5 @@
 """One-dimensional vertex problems on the three-edge graph."""
 
-import copy
 import math
 
 import numpy as np
@@ -14,12 +13,10 @@ from thinjunction import (
     solve_limit,
     solve_omega_k,
 )
-from thinjunction.cheb import PiecewiseCheb, merge_breakpoints
-from thinjunction.expansion import RecurrenceError
+from thinjunction.cheb import PiecewiseCheb
 from thinjunction.graph import (
     DEG,
     EdgeFunction,
-    EdgeRHS,
     _solve_continuous,
     assemble_rhs0,
     weak_residual,
@@ -74,8 +71,8 @@ def test_limit_weak_residual_random_source(rng):
     _, v, c = _solve_continuous(spec, rhs, 0.0)
     x = np.linspace(0.0, 1.0, 257)
     for i, edge in enumerate(gf):
-        bp = merge_breakpoints(h[i].breakpoints, rhs[i].breakpoints)
-        s = PiecewiseCheb.interpolate(rhs[i], bp, DEG).antiderivative()
+        s = PiecewiseCheb.interpolate(rhs[i], h[i].breakpoints,
+                                      DEG).antiderivative()
         fresh = EdgeFunction(h[i], rhs[i], s, v, c[i])
         for name in ("value", "d1", "d2"):
             assert np.array_equal(getattr(fresh, name)(x),
@@ -113,7 +110,7 @@ def test_omega_k_jump_and_flux_conditions(fx_spec):
 
 def test_omega_k_zero_data_is_zero(fx_spec):
     zero_rhs = [type(r)(fn=lambda x: np.zeros_like(np.asarray(x, float)),
-                        breakpoints=r.breakpoints, germ0=r.germ0 * 0.0)
+                        germ0=r.germ0 * 0.0)
                 for r in assemble_rhs0(fx_spec)]
     gf = solve_omega_k(fx_spec, zero_rhs, TransmissionData())
     x = np.linspace(0, 1, 11)
@@ -158,19 +155,3 @@ def test_vertex_data_are_kept_from_construction(exp_rich):
             assert np.allclose(slopes[:, k], e.d1(x), rtol=1e-14, atol=0)
     assert any(e.affine != (0.0, 0.0)
                for g in exp_rich.graph.values() for e in g)
-
-
-def test_profiles_off_their_radius_grid_are_refused(fx_spec, exp_fx):
-    """The served stack numbers each tube's intervals by its radius'
-    breakpoints, so a profile on another grid is refused when the stack
-    is built."""
-    rhs = [EdgeRHS(fn=r.fn, breakpoints=np.array([0.0, 0.5, 1.0]),
-                   germ0=r.germ0)
-           for r in assemble_rhs0(fx_spec)]
-    exp = copy.copy(exp_fx)
-    exp.graph = dict(exp_fx.graph)
-    exp._build_stack()
-    exp.graph[0] = solve_limit(fx_spec, rhs_list=rhs)
-    with pytest.raises(RecurrenceError,
-                       match="order-0 profile of tube 0 is not on"):
-        exp._build_stack()

@@ -19,8 +19,6 @@ def _cmd_study(args):
         mark = "pass" if t.passed else "FAIL"
         print(f"  {t.target:18s} slope {slope} predicted {pred} "
               f"[{t.status}] {mark}")
-    for note in report.notes:
-        print(f"  note: {note}")
     if args.out:
         fmts = ["json", "csv"] if args.format == "both" else [args.format]
         os.makedirs(args.out, exist_ok=True)

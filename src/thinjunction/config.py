@@ -422,8 +422,27 @@ _SPEC_KEYS = {"schema", "epsilon", "ell", "alpha", "delta_cut", "order", "h",
 _REQUIRED_KEYS = ("epsilon", "ell", "alpha", "h", "f", "phi")
 
 
+def read_document(source, error=ValueError):
+    """The JSON document of a file path (``str`` or path-like), of JSON
+    text, or a dict as it is.  A source that is neither a readable file
+    nor JSON text raises ``error`` naming it."""
+    if isinstance(source, dict):
+        return source
+    try:
+        with open(source, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, TypeError) as exc:
+        try:
+            return json.loads(source)
+        except (ValueError, TypeError):
+            raise error(f"{source!r} is neither a readable file ({exc}) "
+                        f"nor JSON text") from None
+    return json.loads(text)
+
+
 def load_spec(source):
-    """Build a ProblemSpec from a JSON file path, JSON text, or a dict.
+    """Build a ProblemSpec from a JSON file path, JSON text, or a dict
+    (``read_document``).
 
     Unknown or missing keys, numbers given as strings or booleans (also
     inside ``h``, ``f`` and ``phi``), term powers that are not three
@@ -432,20 +451,7 @@ def load_spec(source):
     is neither a readable file nor JSON text raises ``ValueError``
     naming it.
     """
-    if isinstance(source, dict):
-        doc = source
-    else:
-        try:
-            with open(source, "r") as fh:
-                text = fh.read()
-        except (OSError, TypeError) as exc:
-            try:
-                doc = json.loads(source)
-            except (ValueError, TypeError):
-                raise ValueError(f"{source!r} is neither a readable file "
-                                 f"({exc}) nor JSON text") from None
-        else:
-            doc = json.loads(text)
+    doc = read_document(source)
     if doc.get("schema") != 1:
         raise ValueError("unsupported problem-file schema")
     unknown = sorted(set(doc) - _SPEC_KEYS)

@@ -105,8 +105,9 @@ class _TubeRows:
 class Expansion:
     """All expansion terms of one problem up to ``spec.order``.
 
-    The junction model is built lazily (orders >= 1 need it) and can be
-    shared by passing ``junction``.  ``epsilon`` enters only at
+    Orders >= 1 need the junction model, built at construction unless
+    ``junction`` is passed to share one, and its two special solutions
+    (``specials``); order 0 builds neither.  ``epsilon`` enters only at
     evaluation time, never during construction.
     """
 
@@ -123,33 +124,24 @@ class Expansion:
         self.trans = {}
         self.nfields = {}
         self.solvability = {}
-        self._junction = junction
-        self._junction_R = junction_R
-        self._junction_refine = junction_refine
-        self._specials = None
-        self._build()
+        self.junction = junction
+        self.specials = None
+        self._build(junction_R, junction_refine)
 
     # -- construction ---------------------------------------------------
-
-    @property
-    def junction(self):
-        if self._junction is None:
-            self._junction = TruncatedJunction(
-                self.spec, R=self._junction_R, refine=self._junction_refine)
-        return self._junction
-
-    def specials(self):
-        if self._specials is None:
-            tj = self.junction
-            self._specials = (solve_special(tj, 1), solve_special(tj, 2))
-        return self._specials
 
     def _germ_depth(self, k):
         return max(4, self.order - k) + 2 * ((self.order - k) // 2)
 
-    def _build(self):
+    def _build(self, junction_R, junction_refine):
         spec = self.spec
         self.graph[0] = solve_limit(spec)
+        if self.order >= 1:
+            if self.junction is None:
+                self.junction = TruncatedJunction(spec, R=junction_R,
+                                                  refine=junction_refine)
+            tj = self.junction
+            self.specials = (solve_special(tj, 1), solve_special(tj, 2))
         for k in range(1, self.order + 1):
             if k >= 2:
                 prev = self.correctors.get(k - 2)
@@ -169,7 +161,7 @@ class Expansion:
                     f"{defect:.3e}; the recurrence state is inconsistent")
             dstar = compute_dstar(spec, k)
             nhat = solve_decaying(self.junction, data)
-            jumps = compute_delta(nhat.load, self.specials())
+            jumps = compute_delta(nhat.load, self.specials)
             trans = TransmissionData(delta2=float(jumps[0]),
                                      delta3=float(jumps[1]), dstar=dstar)
             self.trans[k] = trans

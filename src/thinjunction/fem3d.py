@@ -436,17 +436,16 @@ def norms(ctx: FemContext, u, reference=None):
     of them is the (L2, H1-seminorm, H1) triple of the whole mesh, and of
     a tet subset of them, in tet order, the triple over that subset.
     """
-    tets, (bary, w) = ctx.mesh.tets, _TET_RULES[2]
+    tets, bary = ctx.mesh.tets, _TET_RULES[2][0]
     l2, h1 = np.empty(ctx.mesh.num_tets), np.empty(ctx.mesh.num_tets)
-    for blk in tet_blocks(ctx.mesh.num_tets, len(w)):
+    for blk in tet_blocks(ctx.mesh.num_tets, len(bary)):
         vals = np.take(u, tets[blk]) @ bary.T
         grads = ctx.field_gradients(u, blk)[:, None, :]
+        pts, wts, _ = ctx.quad_points(2, blk)
         if reference is not None:
-            pts = np.matmul(bary, np.take(ctx.mesh.nodes, tets[blk], axis=0))
             rv, rg = reference(pts.reshape(-1, 3))
             vals = vals - rv.reshape(vals.shape)
             grads = grads - rg.reshape(vals.shape + (3,))
-        wts = np.outer(ctx.volumes[blk], w)
         grads *= grads
         _point_sums(wts, vals * vals, l2[blk])
         _point_sums(wts, grads[..., 0] + grads[..., 1] + grads[..., 2],

@@ -666,9 +666,12 @@ def _cell_lines(pts, segments, bands):
 
 
 def face_keys(faces, num_nodes):
-    """One int64 key per triangle, (lo*n + mid)*n + hi of its vertices."""
+    """One int64 key per triangle, (lo*n + mid)*n + hi of its vertices;
+    a mesh of 2**21 nodes or more is refused, since n**3 overflows."""
     n = int(num_nodes)
-    assert n < 1 << 21, "face keys overflow int64"
+    if n >= 1 << 21:
+        raise ValueError(f"face keys overflow int64: {n} nodes, the limit "
+                         f"is {(1 << 21) - 1} nodes at any tet count")
     f = np.asarray(faces, dtype=np.int64)
     a, b, c = f[..., 0], f[..., 1], f[..., 2]
     lo = np.minimum(np.minimum(a, b), c)
@@ -722,12 +725,18 @@ def tet_edges(tets, num_nodes):
     the edge keys takes about twice as long), and equal edges are
     numbered block by block through the sorted keys.  The pass holds the
     keys and the slots' edge numbers, 72 bytes per tet.  The edge rows
-    are int32 where node ids fit.
+    are int32 where node ids fit.  A key needs n**2 << bits < 2**63,
+    bits those of the slot numbers: about 0.55M nodes at 5 tets a node;
+    a larger mesh is refused before any key is made.
     """
     n = int(num_nodes)
     size = 6 * tets.shape[0]
     bits = max(size - 1, 1).bit_length()
-    assert (n * n) << bits < 1 << 63, "edge keys overflow int64"
+    if (n * n) << bits >= 1 << 63:
+        limit = math.isqrt(((1 << 63) - 1) >> bits)
+        raise ValueError(f"edge keys overflow int64: {n} nodes and "
+                         f"{tets.shape[0]} tets, the limit is {limit} nodes "
+                         f"at {tets.shape[0]} tets")
     key = np.empty((tets.shape[0], 6), dtype=np.int64)
     for blk in tet_blocks(tets.shape[0]):
         pair = tets[blk][:, _EDGES].astype(np.int64)
@@ -825,13 +834,15 @@ def build_junction_mesh(spec: ProblemSpec, R=None, refine=None):
     return builder.finish({0: R, 1: R, 2: R}, {"R": R, "refine": refine})
 
 
-def build_thin_mesh(spec: ProblemSpec, axial=0.02, refine=1.0):
+def build_thin_mesh(spec: ProblemSpec, axial, refine):
     """Mesh the physical domain: scaled cube bulge plus three tubes.
 
     Each tube has a station on every plane of ``thin_stations``, so no
     tet straddles a band's end or a radius breakpoint: a tube tet lies
     wholly on one side of the matching band's edge, where tube
     estimates start (``ReferenceSolution.observation_interval``).
+    ``axial`` and ``refine`` have no default: ``solve_reference`` owns
+    the spacing default (``reference.default_axial``).
     """
 
     spec.check_attachable()
@@ -847,7 +858,7 @@ def build_thin_mesh(spec: ProblemSpec, axial=0.02, refine=1.0):
     return builder.finish({0: 1.0, 1: 1.0, 2: 1.0}, meta)
 
 
-def thin_stations(spec: ProblemSpec, axis, axial=0.02, refine=1.0):
+def thin_stations(spec: ProblemSpec, axis, axial, refine):
     """Axial stations of one tube of the thin mesh: graded from the bulge
     face, with a station on each plane where the data have a kink (the
     matching and end bands' ends, the radius breakpoints)."""

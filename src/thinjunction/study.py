@@ -28,6 +28,13 @@ predicted slope; energy norms use a one-sided bound because the proven
 rates need not be sharp.  RESID_2 .. RESID_7 are report-only (no
 prediction): their size mixes exponential tails with cutoff powers and
 has no clean slope.
+
+A report holds, per slenderness, the reference solve's record, with the
+node and tet counts of the mesh it built.  The study does not size a
+mesh before it builds it: ``mesh3d`` owns a thin mesh's layout and its
+limits, and a mesh too large for its packed face keys (in the build)
+or edge keys (in the solve's ``FemContext``) raises ``ValueError``
+before any key is made.
 """
 
 from __future__ import annotations
@@ -43,18 +50,11 @@ import numpy as np
 from scipy import special
 
 from . import __version__
-from .config import TRANSVERSE_AXES, ProblemSpec, is_number, load_spec
+from .config import (TRANSVERSE_AXES, ProblemSpec, is_number, load_spec,
+                     read_document)
 from .expansion import Expansion
 from .fem3d import norm_triple
-from .mesh3d import _layout_params, thin_stations
-from .reference import (
-    ReferenceSolution,
-    default_axial,
-    solve_reference,
-    with_epsilon,
-)
-
-NODE_BUDGET = 2_000_000
+from .reference import ReferenceSolution, solve_reference, with_epsilon
 
 # Axial positions per tube of the residual cloud, by 5 radii and 8 angles.
 CLOUD_AXIAL = 160
@@ -205,7 +205,6 @@ class StudyReport:
     spec_hash: str
     version: str
     targets: list = field(default_factory=list)
-    notes: list = field(default_factory=list)
     # per slenderness, the reference solve's ``ReferenceSolution.record``
     references: list = field(default_factory=list)
 
@@ -218,7 +217,6 @@ class StudyReport:
             "spec_hash": self.spec_hash,
             "version": self.version,
             "passed": self.passed,
-            "notes": list(self.notes),
             "references": [dict(r) for r in self.references],
             "targets": [{
                 "target": t.target, "region": t.region,
@@ -235,23 +233,6 @@ class StudyReport:
 def spec_digest(spec: ProblemSpec) -> str:
     payload = json.dumps(spec.to_json(), sort_keys=True).encode()
     return hashlib.sha256(payload).hexdigest()
-
-
-def estimate_nodes(spec, epsilon, axial, refine):
-    """Node count of the thin mesh that ``solve_reference`` builds, from
-    the builder's own layout: each tube's stations past the bulge face
-    (``mesh3d.thin_stations``) times the disk nodes, plus the bulge
-    box's shells of cube-surface nodes and its centre.  Each face holds
-    its centre and its rings but the rim, and the rims' nodes are shared
-    along the cube's 12 edges and 8 corners (segments is a multiple of
-    8, so every rim has its corners and its edge nodes meet)."""
-    spec = with_epsilon(spec, epsilon)
-    ax = default_axial(spec.epsilon) if axial is None else axial
-    segments, rings, blend, shells = _layout_params(refine)
-    stations = sum(len(thin_stations(spec, i, ax, refine)) - 1
-                   for i in range(3))
-    surface = 6 * (1 + (rings + blend - 1) * segments) + 3 * segments - 4
-    return stations * (1 + rings * segments) + shells * surface + 1
 
 
 def residual_cloud(spec, epsilon):
@@ -369,12 +350,6 @@ def _fit(epsilons, errors):
 def run_study(plan: StudyPlan) -> StudyReport:
     spec = plan.spec
     report = StudyReport(spec_hash=spec_digest(spec), version=__version__)
-    for eps in plan.epsilons:
-        guess = estimate_nodes(spec, eps, plan.axial, plan.fem_refine)
-        if plan.needs_fem() and guess > NODE_BUDGET:
-            report.notes.append(
-                f"epsilon={eps}: forecast {guess} mesh nodes exceeds the "
-                f"budget {NODE_BUDGET}")
     exp = Expansion(spec, junction_R=plan.junction_R,
                     junction_refine=plan.junction_refine)
 
@@ -445,11 +420,10 @@ def emit(report: StudyReport, fmt="json", path=None):
 
 
 def load_plan(source) -> StudyPlan:
-    """Build a plan from a JSON file path or an already-parsed dict."""
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            source = json.load(fh)
-    data = dict(source)
+    """Build a plan from a JSON file path, JSON text or a dict, the
+    sources of ``load_spec`` (``config.read_document``).  A source that
+    is neither a readable file nor JSON text raises ``StudyError``."""
+    data = dict(read_document(source, StudyError))
     unknown = sorted(set(data) - {f.name for f in fields(StudyPlan)})
     if unknown:
         raise StudyError(f"unknown plan keys: {unknown}")

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import re
 import tracemalloc
 import weakref
 
@@ -56,6 +57,7 @@ from thinjunction.fem3d import (
 )
 from thinjunction.mesh3d import LayoutSeed, TetMesh, _layout_params
 from thinjunction.poly import Poly3
+from thinjunction.reference import default_axial
 
 
 @pytest.fixture(scope="module")
@@ -185,12 +187,17 @@ class TestBlocks:
             for g, want in zip(got, tet_edges_reference(tets, n)):
                 assert np.array_equal(g, want)
 
-    def test_edge_keys_that_would_overflow_are_refused(self, tube):
+    def test_edge_keys_that_would_overflow_are_refused(self):
         """A key holds the edge key a*n + b above the bits of the slot
         numbers; node ids too large for that are refused before any key
-        is made."""
-        with pytest.raises(AssertionError, match="overflow"):
-            mesh3d.tet_edges(tube.tets, 1 << 31)
+        is made, with a ValueError that ``python -O`` keeps: two tets
+        near node 2**30 would otherwise get wrong edge rows."""
+        n = 1 << 30
+        tets = np.arange(n - 8, n, dtype=np.int64).reshape(2, 4)
+        with pytest.raises(ValueError, match=re.escape(
+                f"edge keys overflow int64: {n} nodes and 2 tets, the limit "
+                f"is 759250124 nodes")):
+            mesh3d.tet_edges(tets, n)
 
     def test_face_keys_are_the_sorted_keys(self, tube):
         faces = tube.tets[:, mesh3d._FACES]
@@ -468,7 +475,9 @@ class TestTwoLevelCG:
 
         monkeypatch.setattr(fem3d, "_solve_spd", record)
         for eps in (0.2, 0.1):
-            solve_reference(with_epsilon(fx_spec, eps), refine=0.5)
+            ref = solve_reference(with_epsilon(fx_spec, eps), refine=0.5)
+            # a solve given no spacing meshes at the one default
+            assert ref.mesh.meta["axial"] == default_axial(eps)
         jacobi = []
         for a, b, _ in seen:
             count = []

@@ -170,7 +170,7 @@ class TestTransmission:
                                             junction_flat6, specials_flat6):
         with_fpart = fpart_data(flat_spec)
         flat = (junction_flat6, specials_flat6)
-        rich = (exp_rich.junction, exp_rich.specials())
+        rich = (exp_rich.junction, exp_rich.specials)
         cases = [(flat, exp_fx.inner[1]), (flat, with_fpart),
                  (rich, exp_rich.inner[1]), (rich, exp_rich.inner[2])]
         for (junction, specials), data in cases:
@@ -232,7 +232,7 @@ class TestLoadAssembly:
 
     def test_special_load_reads_the_band_only(self, exp_rich, monkeypatch):
         junction = exp_rich.junction
-        special = exp_rich.specials()[0]
+        special = exp_rich.specials[0]
         evaluated = []
 
         def counting(junction, data, pts):

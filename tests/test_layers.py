@@ -39,22 +39,23 @@ def test_zero_layer_searches_no_roots(monkeypatch):
     assert term.spectrum.modes == DiskSpectrum(0.25, (), 0).modes
 
 
-def test_trace_cancellation(pi2, rich_spec, rng, monkeypatch):
+def test_trace_cancellation(pi2, rich_spec, monkeypatch):
     term, corr = pi2
-    h1 = rich_spec.h[1].value1
-    r = h1 * np.sqrt(rng.uniform(0, 1, 50))
-    t = rng.uniform(0, 2 * np.pi, 50)
-    xa, xb = r * np.cos(t), r * np.sin(t)
-    trace = corr.values(np.ones(50), xa, xb)
+    # the polar grid of BoundaryLayerTerm.decay_certificate: 48 radii up
+    # to and including the rim, by 96 angles
+    r, t = np.meshgrid(np.linspace(0.0, term.spectrum.radius, 48),
+                       np.linspace(0.0, 2 * np.pi, 96, endpoint=False))
+    xa, xb = (r * np.cos(t)).ravel(), (r * np.sin(t)).ravel()
+    trace = corr.values(np.ones(xa.size), xa, xb)
     # At the end disk the layer cancels the corrector trace up to the
     # modal truncation tail (the trace has a nonzero rim slope, so the
     # Neumann-mode series converges algebraically, not spectrally).
-    layer0 = term.values(np.zeros(50), xa, xb)
+    layer0 = term.values(np.zeros(xa.size), xa, xb)
     res40 = np.max(np.abs(layer0 + trace))
     assert res40 < 1e-4
     monkeypatch.setattr(layers, "MODE_DEPTH", 120)
     rich = build_pi(rich_spec, 1, corr)
-    res120 = np.max(np.abs(rich.values(np.zeros(50), xa, xb) + trace))
+    res120 = np.max(np.abs(rich.values(np.zeros(xa.size), xa, xb) + trace))
     assert res120 < 0.5 * res40
 
 

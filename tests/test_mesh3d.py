@@ -1,5 +1,7 @@
 """Mesh generation: conformity, volumes, boundary tags, stations."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,7 @@ from thinjunction.mesh3d import (
     TetMesh,
     _boundary_faces,
     face_adjacency,
+    face_keys,
     graded_stations,
     snap_stations,
     thin_stations,
@@ -234,9 +237,13 @@ class TestBoundaryFaces:
         assert np.array_equal(np.unique(key, axis=0),
                               np.unique(np.sort(tagged, axis=1), axis=0))
 
-    def test_key_range_is_checked(self, tube):
-        with pytest.raises(AssertionError, match="overflow"):
-            face_adjacency(tube.tets, 1 << 21)
+    def test_key_range_is_checked(self):
+        # a ValueError, which python -O keeps; 2**21 - 1 nodes fit
+        tri = np.array([[0, 1, (1 << 21) - 1]])
+        with pytest.raises(ValueError, match=re.escape(
+                "face keys overflow int64: 2097152 nodes, the limit is "
+                "2097151 nodes")):
+            face_keys(tri, 1 << 21)
 
     def test_sagitta_recorded(self, tube, junction, thin):
         # the widest station rim of each mesh sets its sagitta

@@ -5,7 +5,6 @@ import dataclasses
 import itertools
 import json
 import math
-import pathlib
 import re
 
 import numpy as np
@@ -18,13 +17,11 @@ from thinjunction import fem3d, reference, study
 from thinjunction.config import LateralLoad, RadiusProfile, SourceField
 from thinjunction.expansion import Expansion
 from thinjunction.fem3d import norm_triple
-from thinjunction.mesh3d import build_thin_mesh
 from thinjunction.poly import Poly3
-from thinjunction.reference import (default_axial, solve_reference,
-                                    with_epsilon)
+from thinjunction.reference import solve_reference, with_epsilon
 from thinjunction.study import (RESTRICTIONS, TARGETS, StudyError, StudyPlan,
-                                StudyReport, _fit, estimate_nodes, load_plan,
-                                residual_cloud, run_study)
+                                StudyReport, _fit, load_plan, residual_cloud,
+                                run_study)
 
 EPSILONS = [0.3, 0.25, 0.2]
 
@@ -312,6 +309,20 @@ def test_load_plan_rejects_missing_keys(fx_spec, key):
         load_plan(doc)
 
 
+def test_load_plan_takes_the_sources_of_load_spec(fx_spec, tmp_path):
+    doc = _plan_doc(fx_spec)
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(doc))
+    plans = [load_plan(source)
+             for source in (str(path), path, json.dumps(doc), doc)]
+    assert len({(study.spec_digest(p.spec), tuple(p.epsilons),
+                 tuple(p.targets)) for p in plans}) == 1
+    for source in ("no/such/plan.json", tmp_path / "none.json", "{not json"):
+        with pytest.raises(StudyError, match=re.escape(
+                f"{source!r} is neither a readable file")):
+            load_plan(source)
+
+
 def test_tube_profile_is_evaluated_once_per_axial_position(fx_spec,
                                                            monkeypatch):
     # COR42_CYL is read off the order-0 whole-domain pass, which
@@ -453,34 +464,6 @@ def test_report_carries_each_reference_record(fx_spec):
     assert json.loads(study.emit(report))["references"] == rows
     # a report of no solve lists no record
     assert StudyReport("", "").to_json()["references"] == []
-
-
-def test_node_forecast_and_mesh_share_the_default_spacing(fx_spec):
-    eps = 0.25
-    ref = solve_reference(with_epsilon(fx_spec, eps), refine=0.4)
-    assert ref.mesh.meta["axial"] == default_axial(eps)
-    assert estimate_nodes(fx_spec, eps, None, 0.4) == estimate_nodes(
-        fx_spec, eps, default_axial(eps), 0.4)
-
-
-def _bench_plan(name):
-    return load_plan(str(pathlib.Path(__file__).resolve().parents[1]
-                         / "bench" / "plans" / f"{name}.json"))
-
-
-def test_node_forecast_is_the_built_mesh(rich_spec):
-    # each slenderness of both study plans, and the default spacing at
-    # refine 1.0 and on varying radii with a radius breakpoint
-    cases = [(plan.spec, eps, plan.axial, plan.fem_refine)
-             for plan in map(_bench_plan, ("fem_sweep", "full_study"))
-             for eps in plan.epsilons]
-    cases += [(_bench_plan("fem_sweep").spec, 0.1, None, 1.0),
-              (rich_spec, 0.2, None, 0.5)]
-    for spec, eps, axial, refine in cases:
-        ref_axial = default_axial(eps) if axial is None else axial
-        mesh = build_thin_mesh(with_epsilon(spec, eps), axial=ref_axial,
-                               refine=refine)
-        assert estimate_nodes(spec, eps, axial, refine) == mesh.num_nodes
 
 
 def test_junction_target_is_read_off_the_order_1_pass(fx_spec, monkeypatch):

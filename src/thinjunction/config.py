@@ -423,21 +423,24 @@ _REQUIRED_KEYS = ("epsilon", "ell", "alpha", "h", "f", "phi")
 
 
 def read_document(source, error=ValueError):
-    """The JSON document of a file path (``str`` or path-like), of JSON
+    """The JSON object of a file path (``str`` or path-like), of JSON
     text, or a dict as it is.  A source that is neither a readable file
-    nor JSON text raises ``error`` naming it."""
+    nor JSON text, or whose document is no object, raises ``error``
+    naming it."""
     if isinstance(source, dict):
         return source
     try:
         with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
+            doc = json.loads(fh.read())
     except (OSError, TypeError) as exc:
         try:
-            return json.loads(source)
+            doc = json.loads(source)
         except (ValueError, TypeError):
             raise error(f"{source!r} is neither a readable file ({exc}) "
                         f"nor JSON text") from None
-    return json.loads(text)
+    if not isinstance(doc, dict):
+        raise error(f"{source!r} holds no JSON object")
+    return doc
 
 
 def load_spec(source):

@@ -422,8 +422,9 @@ def emit(report: StudyReport, fmt="json", path=None):
 def load_plan(source) -> StudyPlan:
     """Build a plan from a JSON file path, JSON text or a dict, the
     sources of ``load_spec`` (``config.read_document``).  A source that
-    is neither a readable file nor JSON text raises ``StudyError``."""
-    data = dict(read_document(source, StudyError))
+    is neither a readable file nor JSON text, or holds no JSON object,
+    raises ``StudyError``."""
+    data = read_document(source, StudyError)
     unknown = sorted(set(data) - {f.name for f in fields(StudyPlan)})
     if unknown:
         raise StudyError(f"unknown plan keys: {unknown}")

@@ -321,6 +321,9 @@ def test_load_plan_takes_the_sources_of_load_spec(fx_spec, tmp_path):
         with pytest.raises(StudyError, match=re.escape(
                 f"{source!r} is neither a readable file")):
             load_plan(source)
+    with pytest.raises(StudyError, match=re.escape(
+            "'[1, 2]' holds no JSON object")):
+        load_plan("[1, 2]")
 
 
 def test_tube_profile_is_evaluated_once_per_axial_position(fx_spec,

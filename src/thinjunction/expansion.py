@@ -248,11 +248,16 @@ class Expansion:
     # -- point classification --------------------------------------------
 
     def _split(self, pts, epsilon):
-        """Tube membership per point: edge index or -1 for the bulge."""
-        lim = epsilon * self.spec.ell
-        edge = np.argmax(pts, axis=1)
-        peak = pts[np.arange(len(pts)), edge]
-        edge = np.where(peak > lim, edge, -1)
+        """Tube membership per point: edge index or -1 for the bulge.
+
+        The edge is that of the largest coordinate, the first of equal
+        ones as ``argmax`` takes it, by elementwise comparisons; the
+        points are finite."""
+        x, y, z = pts.T
+        top = np.maximum(x, y)
+        edge = np.where(z > top, 2, y > x)
+        np.maximum(top, z, out=top)
+        edge[top <= epsilon * self.spec.ell] = -1
         return edge
 
     def _profiles(self, xu, xcut):

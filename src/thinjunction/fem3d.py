@@ -17,7 +17,7 @@ from scipy import sparse
 from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from .mesh3d import _EDGES, BLOCK_POINTS, END, LayoutSeed, TetMesh, \
-    tet_blocks, tet_edges, tet_geometry, tet_gradients
+    tet_blocks, tet_edges, tet_gradients
 
 _S5 = math.sqrt(5.0)
 _TET_RULES = {
@@ -187,7 +187,10 @@ class FemContext:
             sel = blk if live is None else live[blk]
             pts, wts, _ = self.quad_points(degree, sel)
             vals = fn(pts.reshape(-1, 3)).reshape(wts.shape)
-            np.add.at(b, self.mesh.tets[sel], (wts * vals) @ bary)
+            # 1-D indices and values take numpy's fast add.at path, with
+            # the same adds in the same order
+            np.add.at(b, self.mesh.tets[sel].ravel(),
+                      ((wts * vals) @ bary).ravel())
         return b
 
     def surface_quad(self, tag, degree=2):
@@ -205,7 +208,7 @@ class FemContext:
         if tris.size == 0:
             return b
         vals = fn(pts.reshape(-1, 3)).reshape(wts.shape)
-        np.add.at(b, tris.astype(np.int64), (wts * vals) @ bary)
+        np.add.at(b, tris.ravel(), ((wts * vals) @ bary).ravel())
         return b
 
     def field_gradients(self, u, live=slice(None)):
@@ -496,23 +499,42 @@ class PointLocator:
     ``ValueError``.
 
     The locator keeps only the mesh arrays it reads, not the context, so
-    a context and its lazily built locator form no reference cycle.  It
-    computes the barycentric gradients of every tet once, when it is
-    built (``mesh3d.tet_geometry``), and holds them: a walk reads the
-    gradients of scattered tets, one step at a time.  Only a junction's
-    locator is built in a study or a served request, so no thin mesh
-    pays for that array.
+    a context and its lazily built locator form no reference cycle.  A
+    walk reads the barycentric gradients of scattered tets, one step at
+    a time, so the locator computes them once, when it is built, block
+    by block (``mesh3d.tet_gradients``), and holds rows 1-3 of each,
+    shape (tets, 3, 3): a step reads only those.  Row 0 is recomputed
+    for the tets that need it (:meth:`gradients`), and a tet's vertex 0
+    is gathered through the tets.  Building it also derives the mesh's
+    face adjacency (``TetMesh.adjacent``).  Only a junction's locator is
+    built in a study or a served request, with the junction
+    (``junction.TruncatedJunction``), so no thin mesh pays for that
+    state.
     """
 
     def __init__(self, ctx: FemContext):
         mesh = ctx.mesh
-        self._tets = mesh.tets
-        self._grads = tet_geometry(mesh.nodes, mesh.tets)[1]
-        self._origin = mesh.nodes[mesh.tets[:, 0]]
         self._seed = LayoutSeed(mesh.meta)
         self._sagitta = float(mesh.meta["sagitta"])
+        # the adjacency first: its face sort's transients are gone before
+        # the table is made
         self._neighbours = mesh.adjacent
         self._end_face = mesh.adjacent == END
+        self._nodes = mesh.nodes
+        self._tets = mesh.tets
+        self._grads = np.empty((mesh.num_tets, 3, 3))
+        for blk in tet_blocks(mesh.num_tets):
+            g = np.empty((4, 3, blk.stop - blk.start))
+            tet_gradients(mesh.nodes, mesh.tets[blk], g)
+            self._grads[blk] = g[1:].transpose(2, 0, 1)
+
+    def gradients(self, tets):
+        """Barycentric gradients of the tets, shape (tets, 4, 3): the held
+        rows 1-3, and row 0 as -(g_1 + g_2 + g_3), summed in
+        ``tet_gradients``' order and so bitwise its row."""
+        rows = self._grads.take(tets, axis=0)
+        first = -(rows[:, 0] + rows[:, 1] + rows[:, 2])
+        return np.concatenate([first[:, None], rows], axis=1)
 
     def locate(self, points):
         """(tet index, barycentric coords) per point; -1 when not located.
@@ -541,9 +563,12 @@ class PointLocator:
                 break
             # ndarray.take gathers rows several times faster than
             # fancy indexing, with the same values
-            local = np.einsum("tkd,td->tk",
-                              self._grads.take(cur, axis=0)[:, 1:],
-                              points[live] - self._origin.take(cur, axis=0))
+            # vertex 0 from the gathered rows: ``take`` on the strided
+            # column would first copy all of it
+            origin = self._nodes.take(self._tets.take(cur, axis=0)[:, 0],
+                                      axis=0)
+            local = np.einsum("tkd,td->tk", self._grads.take(cur, axis=0),
+                              points[live] - origin)
             lam = np.column_stack([1.0 - local.sum(axis=1), local])
             out = lam < -1e-9
             inside = ~out.any(axis=1)
@@ -561,7 +586,7 @@ class PointLocator:
                 # distances beyond the faces, only for walks that left
                 t, o = cur[left], out[left]
                 dist = np.where(o, -lam[left], 0.0) / np.linalg.norm(
-                    self._grads[t], axis=2)
+                    self.gradients(t), axis=2)
                 ok = (~(o & self._end_face[t]).any(axis=1)
                       & (dist.max(axis=1) <= self._sagitta))
                 tet[live[left[ok]]] = t[ok]
@@ -586,4 +611,4 @@ class PointLocator:
         if weights is not None:
             nodal = np.einsum("pak,k->pa", nodal, weights)
         return (np.einsum("pa,pa->p", nodal, lam),
-                np.einsum("pad,pa->pd", self._grads[tet], nodal))
+                np.einsum("pad,pa->pd", self.gradients(tet), nodal))

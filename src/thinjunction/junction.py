@@ -255,7 +255,11 @@ def _outlet_integral(profile, ell, step):
 
 
 class TruncatedJunction:
-    """Finite-element model of the junction truncated at outlet length R."""
+    """Finite-element model of the junction truncated at outlet length R.
+
+    Its mesh is the one that a study or a served request walks, so its
+    point locator is built with it, outside the first pass that locates
+    points."""
 
     def __init__(self, spec: ProblemSpec, R=None, refine=None):
         self.spec = spec
@@ -278,6 +282,7 @@ class TruncatedJunction:
             self.band_tets[blk] = (high > lo) & (low < hi)
             self.past_band[blk] = (low >= hi).any(axis=1)
         self.labels = coarse_labels(self.mesh)
+        self.ctx.locator()
 
 
 def _source_values(junction: TruncatedJunction, data: InnerData, pts):
@@ -463,7 +468,8 @@ def solve_special(junction: TruncatedJunction, edge):
 
     Grows like -t/(pi r_0^2) along outlet 0 and +t/(pi r_edge^2) along
     the given outlet, normalized to vanish at the first outlet's end.
-    Attaches far-field slope and flux-balance diagnostics.
+    Its far-field slopes and plateaus are read on demand
+    (:meth:`JunctionField.far_slope`, :meth:`JunctionField.plateau`).
     """
 
     if edge not in (1, 2):
@@ -474,10 +480,7 @@ def solve_special(junction: TruncatedJunction, edge):
     growth[edge] = OutletGrowth(edge, [0.0, 1.0 / (math.pi * re * re)])
     u, b, info = _solve_load(junction, InnerData(k=0, growth=tuple(growth)))
     decay = u - _plateau(junction, u, 0)
-    fld = JunctionField(junction, decay, b, growth=tuple(growth), info=info)
-    fld.info["slopes"] = [fld.far_slope(i) for i in range(3)]
-    fld.info["plateaus"] = [_plateau(junction, decay, i) for i in range(3)]
-    return fld
+    return JunctionField(junction, decay, b, growth=tuple(growth), info=info)
 
 
 def compute_delta(load, specials):

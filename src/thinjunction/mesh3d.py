@@ -9,15 +9,19 @@ with scaled copies of its surface (onion shells), tubes are extruded
 station by station, and every prism is cut into three tetrahedra with
 the min-vertex rule so neighbouring prisms agree on quad diagonals,
 each positively oriented by its layout triangle and its extrusion.
-Node ids, face adjacency and boundary tags are each derived once, when
-the mesh is built, and the layout that fixes the order of the
-tetrahedra is recorded with it, for ``LayoutSeed``.
+Node ids and boundary tags are each derived once, when the mesh is
+built: the boundary from the faces whose nodes all lie on the
+builder's surface, without matching the interior faces.  The layout
+that fixes the order of the tetrahedra is recorded with the mesh, for
+``LayoutSeed``.  Face adjacency is walk state, derived on first use,
+so only a mesh that is walked (``fem3d.PointLocator``) pays for it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -75,10 +79,14 @@ class TetMesh:
     node arrays follow the layout of ``disk_tris`` so cross-section
     integrals reuse one template triangulation.
 
-    ``adjacent[t, v]`` is the tet across the face of tet ``t`` opposite
-    its vertex ``v``, or on the boundary the code of the face's tag:
-    ``END`` (``end*``), ``LATERAL`` (``lateral*``) or ``OTHER``.  A mesh
-    given no ``adjacent`` derives it from ``tets``, all boundary ``OTHER``.
+    ``boundary_codes`` holds the code of each boundary face's tag,
+    ``END`` (``end*``), ``LATERAL`` (``lateral*``) or ``OTHER``, in the
+    order of ``_boundary_faces``.  ``adjacent[t, v]`` is the tet across
+    the face of tet ``t`` opposite its vertex ``v``, or on the boundary
+    that face's code.  It is derived on first use, by one
+    ``face_adjacency`` pass with the codes written in, since only a
+    walked mesh reads it; a mesh given no codes has every boundary face
+    ``OTHER``.
 
     ``volumes`` are the signed tet volumes, measured once when the mesh
     is made by ``tet_volumes``.  The mesh keeps no barycentric gradients:
@@ -92,13 +100,20 @@ class TetMesh:
     stations: dict
     disk_tris: np.ndarray
     meta: dict = field(default_factory=dict)
-    adjacent: np.ndarray = None
+    boundary_codes: np.ndarray = None
     volumes: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.adjacent is None:
-            self.adjacent = face_adjacency(self.tets, self.num_nodes)
         self.volumes = tet_volumes(self.nodes, self.tets)
+
+    @cached_property
+    def adjacent(self):
+        """Tet across each face, or the boundary face's code; derived on
+        first read, which only a walked mesh makes."""
+        adjacent = face_adjacency(self.tets, self.num_nodes)
+        if self.boundary_codes is not None:
+            adjacent.T[adjacent.T < 0] = self.boundary_codes
+        return adjacent
 
     @property
     def num_nodes(self):
@@ -386,6 +401,8 @@ class _DomainBuilder:
         self.face_radii = []
         self.tube_tets = {}
         self.station_r = {}
+        # ids of the nodes on the domain's surface, those of boundary faces
+        self.surface = []
         self._build_box()
 
     def _fresh(self, pts):
@@ -412,6 +429,7 @@ class _DomainBuilder:
         # the six faces share one layout, whose triangles use every node
         surf_tris = ids[:, tris].reshape(-1, 3)
         shell_ids = [self._fresh(surface)]
+        self.surface.append(shell_ids[0])
         for t in range(1, self.shells):
             tau = 1.0 - t / self.shells
             shell_ids.append(self._fresh(surface * tau))
@@ -441,6 +459,8 @@ class _DomainBuilder:
         self.max_radius = max(self.max_radius, *self.station_r[axis])
         pts = _tube_sections(self.uv_disk, axis, xs[1:], radii)
         rings = self._fresh(pts.reshape(-1, 3)).reshape(len(radii), -1)
+        # each station's outer ring, and the whole end disk
+        self.surface += [rings[:, -self.segments:], rings[-1]]
         self.stations[axis] = [Station(float(xs[0]), ids)] + [
             Station(float(x), cur) for x, cur in zip(xs[1:], rings)]
         tris = np.concatenate([ids[None], rings])[:, self.disk_tris]
@@ -463,13 +483,12 @@ class _DomainBuilder:
         tets = np.concatenate(self.tets, axis=0, dtype=np.int32)
         self.coords.clear()
         self.tets.clear()
-        adjacent = face_adjacency(tets, self.num_nodes)
-        boundary = _tag_boundary(nodes, tets, adjacent, self.half,
-                                 end_planes)
+        faces = _boundary_faces(tets, self.num_nodes, self.surface)
+        boundary, codes = _tag_boundary(nodes, faces, self.half, end_planes)
         return TetMesh(nodes=nodes, tets=tets,
                        boundary=boundary, stations=self.stations,
                        disk_tris=self.disk_tris, meta=meta,
-                       adjacent=adjacent)
+                       boundary_codes=codes)
 
 
 def _tube_layout(stations, radii, first_tets):
@@ -766,19 +785,32 @@ def tet_edges(tets, num_nodes):
     return edges, index.reshape(-1, 6)
 
 
-def _boundary_faces(tets, adjacent):
-    """Outward faces with no tet across, in the order of their slots in
-    ``adjacent.T``: by face of ``_FACES``, then by tet."""
-    side, tet = np.nonzero(adjacent.T < 0)
-    return tets[tet[:, None], _FACES[side]]
+def _boundary_faces(tets, num_nodes, surface):
+    """Outward faces with no tet across, int64 node ids, in the order of
+    their slots in ``TetMesh.adjacent.T``: by face of ``_FACES``, then by
+    tet.
+
+    Only the faces whose three nodes are among the ``surface`` node ids
+    (arrays of them, which must hold every node of the boundary) are
+    keyed: a face listed once among them is on the boundary, one listed
+    twice is interior.
+    """
+    on_surface = np.zeros(num_nodes, dtype=bool)
+    for ids in surface:
+        on_surface[ids] = True
+    hit = on_surface[tets]
+    side, tet = np.nonzero([hit[:, f].all(axis=1) for f in _FACES])
+    faces = tets[tet[:, None], _FACES[side]].astype(np.int64)
+    _, inverse, count = np.unique(face_keys(faces, num_nodes),
+                                  return_inverse=True, return_counts=True)
+    return faces[count[inverse] == 1]
 
 
-def _tag_boundary(nodes, tets, adjacent, half, end_planes):
-    """Boundary tags of a box mesh, int64 node ids; writes their codes
-    into ``adjacent``."""
-    faces = _boundary_faces(tets, adjacent).astype(np.int64)
+def _tag_boundary(nodes, faces, half, end_planes):
+    """Boundary tags of a box mesh's boundary faces, and the code of
+    each face."""
     cent = nodes[faces].mean(axis=1)
-    code = np.full(faces.shape[0], OTHER, dtype=adjacent.dtype)
+    code = np.full(faces.shape[0], OTHER, dtype=np.int32)
     tags = {}
     tol = 1e-9 * max(1.0, half)
     for axis, x_end in end_planes.items():
@@ -789,8 +821,7 @@ def _tag_boundary(nodes, tets, adjacent, half, end_planes):
         tags[f"lateral_{axis}"] = faces[lateral]
         code[lateral] = LATERAL
     tags["wall"] = faces[code == OTHER]
-    adjacent.T[adjacent.T < 0] = code
-    return tags
+    return tags, code
 
 
 def sagitta(radius, segments):
@@ -890,13 +921,13 @@ def build_tube_mesh(radius, length, axial, refine=1.0, radius_fn=None):
     tris = ids[:, disk_tris]
     tets = split_prisms(tris[:-1].reshape(-1, 3), tris[1:].reshape(-1, 3),
                         np.tile(orient, len(xs) - 1))
-    adjacent = face_adjacency(tets, nodes.shape[0])
-    faces = _boundary_faces(tets, adjacent).astype(np.int64)
+    # the stations' outer rings and the two end disks
+    faces = _boundary_faces(tets, len(nodes),
+                            [ids[:, -segments:], ids[0], ids[-1]])
     cent = nodes[faces].mean(axis=1)
     tol = 1e-9 * max(1.0, length)
     at_0 = np.abs(cent[:, 0]) < tol
     at_l = np.abs(cent[:, 0] - length) < tol
-    adjacent.T[adjacent.T < 0] = np.where(at_0 | at_l, END, LATERAL)
     boundary = {"end_a": faces[at_0], "end_b": faces[at_l],
                 "lateral_0": faces[~(at_0 | at_l)]}
     meta = {"radius": radius, "length": length, "axial": axial,
@@ -905,4 +936,6 @@ def build_tube_mesh(radius, length, axial, refine=1.0, radius_fn=None):
             **_tube_layout({0: stations}, {0: radii}, {0: 0})}
     return TetMesh(nodes=nodes, tets=tets,
                    boundary=boundary, stations={0: stations},
-                   disk_tris=disk_tris, meta=meta, adjacent=adjacent)
+                   disk_tris=disk_tris, meta=meta,
+                   boundary_codes=np.where(at_0 | at_l, END,
+                                           LATERAL).astype(np.int32))

@@ -253,7 +253,12 @@ def locator_evaluate(loc, u, points, gradient=False):
     vals = np.einsum("pa,pa->p", nodal, lam)
     if not gradient:
         return vals
-    grads = np.einsum("pad,pa->pd", loc._grads[tet], nodal)
+    # the locator holds rows 1-3 of each tet's barycentric gradients;
+    # row 0 is minus their sum, in tet_gradients' order
+    rows = loc._grads[tet]
+    first = -(rows[:, 0] + rows[:, 1] + rows[:, 2])
+    grads = np.einsum("pad,pa->pd",
+                      np.concatenate([first[:, None], rows], axis=1), nodal)
     return vals, grads
 
 

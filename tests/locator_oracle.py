@@ -16,12 +16,18 @@ nearest the point, from a KD-tree of all the centroids.  The walk and
 the sagitta rule are those of ``PointLocator``; a walk that leaves the
 mesh elsewhere restarts once from the tet of the nearest tube wall
 face, as the walks from a centroid did beside a tube mouth.
+
+``WholeTableLocator`` is ``PointLocator`` as it was before it held a
+compact table: the walk from the layout seed over the whole-mesh
+(tets, 4, 3) array of ``tet_geometry`` and a copy of every tet's vertex
+0, built when the locator is.  The compact locator must match its tets,
+barycentrics, values and gradients bit for bit.
 """
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from thinjunction.mesh3d import END, LATERAL, tet_geometry
+from thinjunction.mesh3d import END, LATERAL, LayoutSeed, tet_geometry
 
 WALK_STEPS = 200
 _OPPOSITE = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
@@ -141,3 +147,63 @@ class KdWalkOracle:
             move[again] = True
             live, cur = live[move], nxt[move]
         return tet, bary
+
+
+class WholeTableLocator:
+    def __init__(self, mesh):
+        self._tets = mesh.tets
+        self._grads = tet_geometry(mesh.nodes, mesh.tets)[1]
+        self._origin = mesh.nodes[mesh.tets[:, 0]]
+        self._seed = LayoutSeed(mesh.meta)
+        self._sagitta = float(mesh.meta["sagitta"])
+        self._neighbours = mesh.adjacent
+        self._end_face = mesh.adjacent == END
+
+    def locate(self, points):
+        """(tet, barycentrics) per point; the tet is -1 when not located."""
+        points = np.asarray(points, dtype=float)
+        npts = len(points)
+        tet = np.full(npts, -1, dtype=np.int64)
+        bary = np.zeros((npts, 4))
+        cur = self._seed(points)
+        live = np.arange(npts)
+        for _ in range(WALK_STEPS):
+            if live.size == 0:
+                break
+            local = np.einsum("tkd,td->tk",
+                              self._grads.take(cur, axis=0)[:, 1:],
+                              points[live] - self._origin.take(cur, axis=0))
+            lam = np.column_stack([1.0 - local.sum(axis=1), local])
+            out = lam < -1e-9
+            inside = ~out.any(axis=1)
+            tet[live[inside]] = cur[inside]
+            bary[live[inside]] = np.clip(lam[inside], 0.0, None)
+            if inside.all():
+                break
+            nb = self._neighbours.take(cur, axis=0)
+            step = np.where(out & (nb >= 0), lam, np.inf)
+            face = np.argmin(step, axis=1)
+            rows = np.arange(live.size)
+            left = np.flatnonzero(~inside & np.isinf(step[rows, face]))
+            move = ~inside
+            if left.size:
+                t, o = cur[left], out[left]
+                dist = np.where(o, -lam[left], 0.0) / np.linalg.norm(
+                    self._grads[t], axis=2)
+                ok = (~(o & self._end_face[t]).any(axis=1)
+                      & (dist.max(axis=1) <= self._sagitta))
+                tet[live[left[ok]]] = t[ok]
+                bary[live[left[ok]]] = lam[left[ok]]
+                move[left] = False
+            live, cur = live[move], nb[rows, face][move].astype(np.int64)
+        return tet, bary
+
+    def evaluate(self, u, points, weights=None):
+        tet, lam = self.locate(points)
+        if np.any(tet < 0):
+            raise ValueError("points outside the mesh")
+        nodal = u[self._tets[tet]]
+        if weights is not None:
+            nodal = np.einsum("pak,k->pa", nodal, weights)
+        return (np.einsum("pa,pa->p", nodal, lam),
+                np.einsum("pad,pa->pd", self._grads[tet], nodal))

@@ -24,7 +24,7 @@ from block_oracle import (
 )
 from conftest import make_spec
 from geometry_oracle import cross_geometry_reference, station_average_reference
-from locator_oracle import KdWalkOracle, LocatorOracle
+from locator_oracle import KdWalkOracle, LocatorOracle, WholeTableLocator
 from solver_oracle import (
     solve_load_reference,
     solve_spd_reference,
@@ -1058,6 +1058,30 @@ class TestLayoutSeed:
         val = np.einsum("pa,pa->p", bary, u[nodes[tet]])
         ref = np.einsum("pa,pa->p", ref_bary, u[nodes[ref_tet]])
         assert np.abs(val - ref).max() <= 1e-12
+
+    def test_compact_table_is_the_whole_table(self, case):
+        """The locator's rows 1-3 with vertex 0 gathered through the tets,
+        and row 0 recomputed where it is read, give bitwise the tets,
+        barycentrics, values and gradients of the whole-table oracle: on
+        points inside tets, in the wall gaps, at nodes and beyond the
+        mesh, where the walk reads row 0 for the sagitta rule."""
+        mesh, loc, pts, _, gap = case
+        rng = np.random.default_rng(49)
+        verts = mesh.nodes[rng.choice(mesh.num_nodes, 500, replace=False)]
+        far = TestWalk._gap_points(mesh, 0, 50, 1.5, 50)
+        every = np.vstack([pts, gap, verts, far, [[20.0, 0.0, 0.0],
+                                                  [-4.0, -4.0, -4.0]]])
+        oracle = WholeTableLocator(mesh)
+        got, want = loc.locate(every), oracle.locate(every)
+        assert 0 < (got[0] >= 0).sum() < len(every)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+        found = every[got[0] >= 0]
+        u = rng.standard_normal((mesh.num_nodes, 3))
+        for args in ((u[:, 0].copy(),), (u, np.array([0.3, -1.2, 0.7]))):
+            for g, w in zip(loc.evaluate(args[0], found, *args[1:]),
+                            oracle.evaluate(args[0], found, *args[1:])):
+                assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
     def test_every_seed_lies_in_its_points_prism(self, case):
         # a gap point's prism is that of the tet the walk keeps

@@ -30,7 +30,6 @@ from thinjunction import (
 from thinjunction.fem3d import FemContext
 from thinjunction.mesh3d import (
     TetMesh,
-    face_adjacency,
     split_prisms,
     tet_blocks,
     tet_geometry,
@@ -106,9 +105,10 @@ def _recorded_blocks(monkeypatch):
 
 
 def test_block_gradients_are_the_whole_mesh_array(case, monkeypatch):
-    """The gradients that the stiffness pass and ``field_gradients``
-    compute block by block, and those the locator holds, are bitwise the
-    rows of ``tet_geometry``'s whole-mesh array; ``field_gradients`` is
+    """The gradients that the stiffness pass, ``field_gradients`` and the
+    locator compute block by block are bitwise the rows of
+    ``tet_geometry``'s whole-mesh array, as are the locator's held rows
+    1-3 and its row 0 recomputed from them; ``field_gradients`` is
     bitwise the einsum of that array with a field that is zero at some
     nodes, down to the sign of its zeros."""
     ctx, _ = case
@@ -128,7 +128,12 @@ def test_block_gradients_are_the_whole_mesh_array(case, monkeypatch):
         assert same_bits(np.concatenate(blocks), whole[sel])
         want = np.einsum("tad,ta->td", whole[sel], u[mesh.tets[sel]])
         assert same_bits(got, want)
-    assert same_bits(fem3d.PointLocator(ctx)._grads, whole)
+    blocks.clear()
+    loc = fem3d.PointLocator(ctx)
+    assert same_bits(np.concatenate(blocks), whole)
+    assert same_bits(loc._grads, whole[:, 1:])
+    assert same_bits(loc.gradients(live), whole[live])
+    assert same_bits(loc.gradients(np.arange(mesh.num_tets)), whole)
 
 
 def test_stiffness_matches_the_einsum(case):
@@ -219,24 +224,25 @@ def test_quadrature_points_match_the_einsum(case, degree):
 
 
 def test_orientation_matches_the_det_sign(case, monkeypatch):
-    """The tets built oriented, and the adjacency and boundary derived
+    """The tets built oriented, and the boundary and adjacency derived
     from them, are those of the former construction: the unoriented
-    split and cone, then, before the adjacency, a swap of the first two
-    vertices of every tet whose ``det`` is negative."""
+    split and cone, then, before the boundary faces, a swap of the first
+    two vertices of every tet whose ``det`` is negative."""
     ctx, build = case
     flipped = []
+    boundary_faces = mesh3d._boundary_faces
 
-    def by_det(tets, num_nodes):
+    def by_det(tets, num_nodes, surface):
         oriented = orient_reference(ctx.mesh.nodes, tets)
         flipped.append(int((oriented != tets).any(axis=1).sum()))
         tets[:] = oriented
-        return face_adjacency(tets, num_nodes)
+        return boundary_faces(tets, num_nodes, surface)
 
     monkeypatch.setattr(mesh3d, "split_prisms", lambda bottom, top, _:
                         unoriented_split_prisms(bottom, top))
     monkeypatch.setattr(mesh3d, "_prism_signs",
                         lambda tris, *_: np.ones(len(tris), dtype=int))
-    monkeypatch.setattr(mesh3d, "face_adjacency", by_det)
+    monkeypatch.setattr(mesh3d, "_boundary_faces", by_det)
     want = build()
     assert len(flipped) == 1 and flipped[0] > want.num_tets // 4
     mesh = ctx.mesh

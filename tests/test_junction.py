@@ -131,7 +131,7 @@ class TestSpecialFields:
     def test_far_slopes(self, specials_flat6, flat_spec):
         for edge, fld in zip((1, 2), specials_flat6):
             scale = 1.0 / (math.pi * flat_spec.h0(edge) ** 2)
-            slopes = fld.info["slopes"]
+            slopes = [fld.far_slope(i) for i in range(3)]
             assert slopes[0] == pytest.approx(-scale, rel=0.01)
             assert slopes[edge] == pytest.approx(scale, rel=0.01)
             other = 3 - edge
@@ -140,14 +140,14 @@ class TestSpecialFields:
     def test_flux_balance(self, specials_flat6, flat_spec):
         for fld in specials_flat6:
             total = sum(
-                math.pi * flat_spec.h0(i) ** 2 * fld.info["slopes"][i]
+                math.pi * flat_spec.h0(i) ** 2 * fld.far_slope(i)
                 for i in range(3))
             assert abs(total) < 1e-6
 
     def test_normalised_at_first_outlet(self, specials_flat6):
         # the decaying part is shifted to level off at zero on outlet 0
         for fld in specials_flat6:
-            assert abs(fld.info["plateaus"][0]) < 1e-10
+            assert abs(fld.with_growth(None).plateau(0)) < 1e-10
 
     def test_invalid_edge_rejected(self, junction_flat6):
         with pytest.raises(ValueError, match="outlet"):

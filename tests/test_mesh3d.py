@@ -5,22 +5,24 @@ import re
 import numpy as np
 import pytest
 
-from boundary_faces_oracle import boundary_faces_reference
+from boundary_faces_oracle import boundary_faces_reference, face_sort_boundary
 from node_pool_oracle import NodePool, pool_numbering
 from thinjunction import (
     build_junction_mesh,
     build_thin_mesh,
     build_tube_mesh,
     mesh3d,
+    solve_reference,
     with_epsilon,
 )
+from thinjunction.junction import TruncatedJunction
 from thinjunction.mesh3d import (
+    _FACES,
     END,
     LATERAL,
     OTHER,
     TetMesh,
     _boundary_faces,
-    face_adjacency,
     face_keys,
     graded_stations,
     snap_stations,
@@ -188,20 +190,62 @@ class TestThinMesh:
         assert thin.boundary_area("end_1") == pytest.approx(exact, rel=0.06)
 
 
+def _boundary_slots(mesh):
+    """The sorted faces of the slots of ``mesh.adjacent`` with no tet
+    across, in the order of those slots in ``adjacent.T``."""
+    side, tet = np.nonzero(mesh.adjacent.T < 0)
+    return np.sort(mesh.tets[tet[:, None], _FACES[side]], axis=1)
+
+
 class TestBoundaryFaces:
-    """The faces with no tet across, by the builder's face matching,
-    against the row-keyed oracle."""
+    """The faces with no tet across, found among the faces on the
+    builder's surface, against the face-sort oracles."""
+
+    @pytest.fixture(scope="class", params=[
+        "tube", "tube_varying", "junction", "thin_varying_0.8",
+        "thin_constant_0.5", "thin_constant_1.0", "thin_varying_0.5"])
+    def built(self, request, flat_spec, rich_spec):
+        """A mesh built afresh, so that nothing has read its adjacency."""
+        name = request.param
+        if name == "tube":
+            return build_tube_mesh(radius=0.5, length=2.0, axial=0.25)
+        if name == "tube_varying":
+            return build_tube_mesh(0.5, 2.0, 0.25, refine=0.7,
+                                   radius_fn=lambda x: 0.4 + 0.1 * x)
+        if name == "junction":
+            return build_junction_mesh(flat_spec, R=flat_spec.ell + 3.5,
+                                       refine=1.0)
+        _, radii, refine = name.split("_")
+        if radii == "constant":
+            spec = with_epsilon(flat_spec, 0.2)
+        else:
+            spec = rich_spec if refine == "0.8" else with_epsilon(rich_spec,
+                                                                  0.2)
+        return build_thin_mesh(spec, axial=0.05, refine=float(refine))
+
+    def test_tags_codes_and_adjacency_are_the_face_sorts(self, built):
+        # the adjacency is derived on first use, after the tags
+        assert "adjacent" not in vars(built)
+        tags, adjacent = face_sort_boundary(built)
+        assert list(built.boundary) == list(tags)
+        for tag, want in tags.items():
+            got = built.boundary[tag]
+            assert got.dtype == want.dtype and np.array_equal(got, want), tag
+        assert built.adjacent.dtype == adjacent.dtype
+        assert np.array_equal(built.adjacent, adjacent)
+        assert np.array_equal(built.boundary_codes, adjacent.T[adjacent.T < 0])
 
     @pytest.mark.parametrize("name", ["tube", "junction", "thin"])
     def test_bitwise_equal_to_oracle(self, request, name):
+        # any surface that holds the boundary's nodes gives its faces, in
+        # the order of the oracle's face sort
         mesh = request.getfixturevalue(name)
+        n = mesh.num_nodes
         for tets in (mesh.tets, mesh.tets.astype(np.int64)):
-            want = boundary_faces_reference(tets)
-            for adjacent in (mesh.adjacent,
-                             face_adjacency(tets, mesh.num_nodes)):
-                got = _boundary_faces(tets, adjacent)
-                assert got.dtype == want.dtype
-                assert np.array_equal(got, want)
+            want = boundary_faces_reference(tets).astype(np.int64)
+            for surface in (list(mesh.boundary.values()), [np.arange(n)]):
+                got = _boundary_faces(tets, n, surface)
+                assert got.dtype == np.int64 and np.array_equal(got, want)
 
     @pytest.mark.parametrize("name", ["tube", "junction", "thin"])
     def test_adjacency_pairs_faces_and_codes_tags(self, request, name):
@@ -213,7 +257,7 @@ class TestBoundaryFaces:
         back = adj[adj[t, v]]
         assert np.all((back == t[:, None]).sum(axis=1) == 1)
         assert set(np.unique(adj[adj < 0]).tolist()) <= {END, LATERAL, OTHER}
-        faces = np.sort(_boundary_faces(mesh.tets, adj), axis=1)
+        faces = _boundary_slots(mesh)
         code = adj.T[adj.T < 0]
         for prefix, want in (("end", END), ("lateral", LATERAL),
                              ("wall", OTHER)):
@@ -224,13 +268,34 @@ class TestBoundaryFaces:
             assert np.array_equal(np.unique(faces[code == want], axis=0),
                                   np.unique(tagged, axis=0)), prefix
 
+    def test_only_the_walked_mesh_sorts_its_faces(self, flat_spec,
+                                                  monkeypatch):
+        """A thin-mesh reference solve derives no face adjacency; a
+        junction derives it once, for the locator it builds with it."""
+        calls = []
+        sort = mesh3d.face_adjacency
+
+        def counted(tets, num_nodes):
+            calls.append(len(tets))
+            return sort(tets, num_nodes)
+
+        monkeypatch.setattr(mesh3d, "face_adjacency", counted)
+        ref = solve_reference(with_epsilon(flat_spec, 0.2), axial=0.05,
+                              refine=0.5)
+        assert calls == [] and "adjacent" not in vars(ref.mesh)
+        tj = TruncatedJunction(flat_spec, R=flat_spec.ell + 3.5, refine=0.7)
+        assert calls == [tj.mesh.num_tets]
+        assert tj.ctx.locator() is tj.ctx.locator()
+        assert tj.ctx.locator()._neighbours is tj.mesh.adjacent
+        assert calls == [tj.mesh.num_tets]
+
     def test_mesh_built_directly_gets_its_adjacency(self, tube):
         mesh = TetMesh(nodes=tube.nodes, tets=tube.tets, boundary={},
                        stations={}, disk_tris=tube.disk_tris)
         assert np.array_equal(mesh.adjacent, np.maximum(tube.adjacent, OTHER))
 
     def test_tags_partition_the_boundary_faces(self, thin):
-        faces = _boundary_faces(thin.tets, thin.adjacent)
+        faces = boundary_faces_reference(thin.tets)
         tagged = np.concatenate(list(thin.boundary.values()))
         assert len(tagged) == len(faces)
         key = np.sort(faces, axis=1)

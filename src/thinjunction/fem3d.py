@@ -14,7 +14,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy import sparse
-from scipy.sparse.linalg import LinearOperator, cg, splu
 
 from .mesh3d import _EDGES, BLOCK_POINTS, END, LayoutSeed, TetMesh, \
     tet_blocks, tet_edges, tet_gradients
@@ -316,6 +315,64 @@ def submatrix(a, keep):
         shape=(indptr.size - 1,) * 2)
 
 
+def _cg(a, b, x0, psolve, maxiter):
+    """Preconditioned conjugate gradients (Saad, Alg. 9.1) for ``a @ x =
+    b`` from ``x0`` with the preconditioner ``psolve(r)``: (x, code,
+    iterations), code 0 once the recursive residual r has
+    ||r|| < CG_RTOL ||b||, and ``maxiter`` when the iterations run out.
+
+    The loop is scipy 1.17's ``sparse.linalg.cg`` operation for operation:
+    b = 0 returns (a copy of) b at once, r = b - A x0 only for a nonzero
+    x0, then z, rho, beta, p, q = A p, alpha, x and r in its order.  So
+    given the same ``psolve`` it returns scipy's iterate and code, bit
+    for bit.
+    """
+    norm_b = np.linalg.norm(b)
+    if norm_b == 0:
+        return b.copy(), 0, 0
+    atol = CG_RTOL * float(norm_b)
+    x = np.array(x0, dtype=float)
+    r = b - a @ x if x.any() else b.copy()
+    for it in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, 0, it
+        z = psolve(r)
+        rho = np.dot(r, z)
+        if it:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = a @ p
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, maxiter, maxiter
+
+
+def _coarse_space(a, agg):
+    """P^T as CSR and the dense inverse of the coarse matrix P^T A P, for
+    the aggregate ``agg[i]`` of each row i (numbered from 0, none empty).
+
+    numpy has no triangular solve to apply a Cholesky factor, so the
+    matrix is inverted (nc^2 doubles for nc aggregates: a few hundred
+    rows on the meshes, 1-7 ms) and applied as one matrix-vector product.
+    """
+    n = agg.size
+    nc = int(agg.max()) + 1 if n else 0
+    p = sparse.csr_matrix((np.ones(n), (np.arange(n), agg)), shape=(n, nc))
+    # P^T as CSR sums each aggregate in node order, as a weighted
+    # bincount does, about four times faster
+    pt = p.T.tocsr()
+    # P^T A P as two CSR products, each summing in increasing node order
+    # (the rows of the first sorted), bitwise the CSC products of
+    # p.T @ a @ p, without their CSC copy of A
+    pta = pt @ a
+    pta.sort_indices()
+    return pt, np.linalg.inv((pta @ p).toarray())
+
+
 def _solve_spd(a, b, labels=None):
     """Two-level preconditioned CG for the symmetric positive definite ``a``.
 
@@ -323,7 +380,7 @@ def _solve_spd(a, b, labels=None):
     where column j of P is the indicator of the nodes with ``labels == j``
     (one aggregate by default; ``coarse_labels`` gives the mesh solves one
     per tube station and one per bulge shell, cube face and quadrant).
-    The coarse matrix is factored once.
+    The coarse matrix is inverted once, dense (``_coarse_space``).
 
     The solve meets ``CG_RTOL`` on the true residual ||b - A u|| / ||b||:
     CG restarts from its iterate while only its recursive residual does,
@@ -336,35 +393,19 @@ def _solve_spd(a, b, labels=None):
     if labels is None:
         labels = np.zeros(n, dtype=np.int64)
     _, agg = np.unique(labels, return_inverse=True)
-    nc = int(agg.max()) + 1 if n else 0
-    p = sparse.csr_matrix((np.ones(n), (np.arange(n), agg)), shape=(n, nc))
-    # P^T as CSR sums each aggregate in node order, as a weighted
-    # bincount does, about four times faster
-    pt = p.T.tocsr()
-    lu = None
-    if nc:
-        # P^T A P as two CSR products, each summing in increasing node
-        # order (the rows of the first sorted), bitwise the CSC products
-        # of p.T @ a @ p, without their CSC copy of A
-        pta = pt @ a
-        pta.sort_indices()
-        lu = splu((pta @ p).tocsc())
+    pt, coarse_inv = _coarse_space(a, agg)
 
     def two_level(v):
-        coarse = lu.solve(pt @ v)
-        return inv * v + coarse[agg]
-
-    mop = LinearOperator((n, n), matvec=two_level)
-    iters = [0]
-
-    def count(_):
-        iters[0] += 1
+        out = inv * v
+        out += (coarse_inv @ (pt @ v)).take(agg)
+        return out
 
     norm_b = max(float(np.linalg.norm(b)), 1e-300)
     u = np.zeros(n)
+    iterations = 0
     for restarts in range(1 + CG_RESTARTS):
-        u, code = cg(a, b, x0=u, rtol=CG_RTOL, atol=0.0, maxiter=20000,
-                     M=mop, callback=count)
+        u, code, its = _cg(a, b, u, two_level, maxiter=20000)
+        iterations += its
         if code != 0:
             raise RuntimeError(f"conjugate gradients stalled (code {code})")
         resid = float(np.linalg.norm(a @ u - b)) / norm_b
@@ -374,7 +415,7 @@ def _solve_spd(a, b, labels=None):
         raise RuntimeError(
             f"conjugate gradients reached a true relative residual of "
             f"{resid:.3e}, above {CG_RTOL:.1e}, after {CG_RESTARTS} restarts")
-    return u, {"iterations": iters[0], "relative_residual": resid,
+    return u, {"iterations": iterations, "relative_residual": resid,
                "restarts": restarts}
 
 

@@ -3,8 +3,12 @@
 ``solve_spd_reference`` is ``fem3d._solve_spd`` as it was with its
 ``deflate`` branch: for the pure flux-condition junction systems it
 wrapped the operator and the preconditioner in the mean-zero projection
-and pinned one coarse unknown.  Without ``deflate`` it is the Dirichlet
-path the package keeps, which must match it bit for bit.
+and pinned one coarse unknown.  It keeps scipy's ``cg`` loop and
+SuperLU (``splu``) for the coarse solve, as the package did before it
+ran a CG loop of its own with a dense coarse inverse: without
+``deflate`` it is the Dirichlet path the package keeps, whose loop must
+match it bit for bit given its preconditioner
+(``two_level_reference``), and whose solve must match it to rounding.
 ``solve_load_reference`` is the former ``junction._solve_load`` on top
 of it; the package's project-and-pin solve must match it to rounding
 once the constant both leave free is removed.
@@ -31,16 +35,16 @@ def station_labels_reference(mesh):
     return labels
 
 
-def solve_spd_reference(a, b, deflate=False, labels=None):
+def two_level_reference(a, labels, pinned=0):
+    """The former preconditioner v -> D^-1 v + P (P^T A P)^-1 P^T v, the
+    coarse matrix factored by SuperLU, with the first ``pinned``
+    aggregates left out of P."""
     n = a.shape[0]
     d = a.diagonal()
     d[d == 0.0] = 1.0
     inv = 1.0 / d
-    if labels is None:
-        labels = np.zeros(n, dtype=np.int64)
     _, agg = np.unique(labels, return_inverse=True)
     nc = int(agg.max()) + 1 if n else 0
-    pinned = 1 if deflate else 0
     p = sparse.csr_matrix((np.ones(n), (np.arange(n), agg)),
                           shape=(n, nc))[:, pinned:]
     coarse = np.zeros(nc)
@@ -51,6 +55,15 @@ def solve_spd_reference(a, b, deflate=False, labels=None):
             coarse[pinned:] = lu.solve(
                 np.bincount(agg, weights=v, minlength=nc)[pinned:])
         return inv * v + coarse[agg]
+
+    return two_level
+
+
+def solve_spd_reference(a, b, deflate=False, labels=None):
+    n = a.shape[0]
+    if labels is None:
+        labels = np.zeros(n, dtype=np.int64)
+    two_level = two_level_reference(a, labels, pinned=1 if deflate else 0)
 
     if deflate:
         def project(v):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import sparse
-from scipy.sparse.linalg import cg, spsolve
+from scipy.sparse.linalg import LinearOperator, cg, splu, spsolve
 from scipy.spatial import cKDTree
 
 from block_oracle import (
@@ -25,10 +25,12 @@ from block_oracle import (
 from conftest import make_spec
 from geometry_oracle import cross_geometry_reference, station_average_reference
 from locator_oracle import KdWalkOracle, LocatorOracle, WholeTableLocator
+import solver_oracle
 from solver_oracle import (
     solve_load_reference,
     solve_spd_reference,
     station_labels_reference,
+    two_level_reference,
 )
 from thinjunction import (
     LateralLoad,
@@ -497,15 +499,16 @@ class TestTwoLevelCG:
         its first ``drift_calls`` calls, as a drifting recursive residual
         would."""
         calls = []
+        loop = fem3d._cg
 
-        def drifting(*args, **kwargs):
-            u, code = cg(*args, **kwargs)
-            calls.append(kwargs.get("x0"))
+        def drifting(a, b, x0, psolve, maxiter):
+            u, code, iterations = loop(a, b, x0, psolve, maxiter)
+            calls.append(x0)
             if len(calls) <= drift_calls:
                 u = u * (1.0 + 1e-6)
-            return u, code
+            return u, code, iterations
 
-        monkeypatch.setattr(fem3d, "cg", drifting)
+        monkeypatch.setattr(fem3d, "_cg", drifting)
         return calls
 
     def test_true_residual_above_rtol_restarts(self, monkeypatch, ctx):
@@ -532,6 +535,89 @@ class TestTwoLevelCG:
         u, info = fem3d._solve_spd(a, np.ones(3))
         assert np.allclose(u, [0.5, 1 / 3, 0.25], rtol=1e-12)
         assert info["restarts"] == 0
+
+    @pytest.fixture(scope="class")
+    def systems(self, thin_ctx, junction_flat):
+        """(matrix, load, labels) of a thin-mesh Dirichlet solve and of a
+        pinned junction solve."""
+        a, free = _end_dirichlet_system(thin_ctx)
+        b = thin_ctx.volume_load(lambda p: p[:, 0] + np.sin(9.0 * p[:, 1]))
+        jn = junction_flat
+        load = jn.ctx.volume_load(lambda p: p[:, 0] - p[:, 2] ** 2)
+        return [(a, b[free], coarse_labels(thin_ctx.mesh)[free]),
+                (jn.ctx.matrix[1:, 1:].tocsr(), (load - load.mean())[1:],
+                 jn.labels[1:])]
+
+    @staticmethod
+    def _scipy_cg(a, b, x0, psolve, maxiter):
+        """scipy's ``cg`` at the package's stop: (x, code, iterations)."""
+        count = []
+        x, code = cg(a, b, x0=x0, rtol=fem3d.CG_RTOL, atol=0.0,
+                     maxiter=maxiter, callback=count.append,
+                     M=LinearOperator(a.shape, matvec=psolve, dtype=float))
+        return x, code, len(count)
+
+    @pytest.mark.parametrize("start", ["zero", "restart"])
+    def test_loop_is_scipys_cg(self, systems, start):
+        """Same preconditioner, same iterate and count, bit for bit: from
+        zero, and from a drifted iterate as a restart starts from (where
+        the loop first forms b - A x0)."""
+        for a, b, labels in systems:
+            psolve = two_level_reference(a, labels)
+            x0 = np.zeros(len(b))
+            if start == "restart":
+                x0 = fem3d._cg(a, b, x0, psolve, 20000)[0] * (1.0 + 1e-6)
+            kept = x0.copy()
+            want, code, count = self._scipy_cg(a, b, x0, psolve, 20000)
+            got, got_code, iterations = fem3d._cg(a, b, x0, psolve, 20000)
+            assert got.tobytes() == want.tobytes()
+            assert (got_code, iterations) == (code, count)
+            assert code == 0 and count > 0
+            assert x0.tobytes() == kept.tobytes()
+
+    def test_zero_load_returns_at_once(self, systems):
+        a, b, labels = systems[0]
+
+        def never(_):
+            raise AssertionError("the preconditioner was called")
+
+        zero, start = np.zeros(len(b)), np.ones(len(b))
+        x, code, iterations = fem3d._cg(a, zero, start, never, 20000)
+        assert (code, iterations) == (0, 0) and x is not zero
+        assert x.tobytes() == self._scipy_cg(a, zero, start, never,
+                                             20000)[0].tobytes()
+        u, info = fem3d._solve_spd(a, zero, labels=labels)
+        assert not u.any()
+        assert info == {"iterations": 0, "relative_residual": 0.0,
+                        "restarts": 0}
+
+    def test_iterations_that_run_out_stall_the_solve(self, monkeypatch,
+                                                     systems):
+        a, b, labels = systems[0]
+        psolve = two_level_reference(a, labels)
+        x0 = np.zeros(len(b))
+        want, code, count = self._scipy_cg(a, b, x0, psolve, 5)
+        got, got_code, iterations = fem3d._cg(a, b, x0, psolve, 5)
+        assert got_code == iterations == code == count == 5
+        assert got.tobytes() == want.tobytes()
+        loop = fem3d._cg
+        monkeypatch.setattr(fem3d, "_cg", lambda a, b, x0, psolve, maxiter:
+                            loop(a, b, x0, psolve, 5))
+        with pytest.raises(RuntimeError, match=r"stalled \(code 5\)"):
+            fem3d._solve_spd(a, b, labels=labels)
+
+    def test_dense_coarse_inverse_is_the_sparse_factor_solve(self, systems,
+                                                             rng):
+        for a, _, labels in systems:
+            _, agg = np.unique(labels, return_inverse=True)
+            pt, coarse_inv = fem3d._coarse_space(a, agg)
+            assert coarse_inv.shape == (agg.max() + 1,) * 2
+            scale = np.abs(coarse_inv).max()
+            assert np.abs(coarse_inv - coarse_inv.T).max() <= 1e-12 * scale
+            w = rng.standard_normal((len(coarse_inv), 4))
+            want = splu((pt @ a @ pt.T).tocsc()).solve(w)
+            assert (np.abs(coarse_inv @ w - want).max()
+                    <= 1e-12 * np.abs(want).max())
 
 
 class TestOneSolvePath:
@@ -563,12 +649,37 @@ class TestOneSolvePath:
 
     def test_reference_solve_is_the_former_dirichlet_path(self, monkeypatch,
                                                           fx_spec):
+        """The package's CG loop in place of scipy's ``cg`` in the former
+        solver, with its SuperLU preconditioner: the same reference solve
+        bit for bit, restarts and iteration counts included."""
+        spec = with_epsilon(fx_spec, 0.2)
+        monkeypatch.setattr(fem3d, "_solve_spd", solve_spd_reference)
+        want = solve_reference(spec, axial=0.05, refine=0.5)
+
+        def package_loop(op, rhs, x0, rtol, atol, maxiter, M, callback):
+            assert (rtol, atol) == (fem3d.CG_RTOL, 0.0)
+            u, code, iterations = fem3d._cg(op, rhs, x0, M.matvec, maxiter)
+            for _ in range(iterations):
+                callback(u)
+            return u, code
+
+        monkeypatch.setattr(solver_oracle, "cg", package_loop)
+        got = solve_reference(spec, axial=0.05, refine=0.5)
+        assert got.u.tobytes() == want.u.tobytes()
+        assert got.info == want.info
+
+    def test_reference_solve_is_the_former_one_to_rounding(self, monkeypatch,
+                                                          fx_spec):
+        """The package's solve against the former one: only the coarse
+        solve's rounding differs (a dense inverse for SuperLU)."""
         spec = with_epsilon(fx_spec, 0.2)
         got = solve_reference(spec, axial=0.05, refine=0.5)
         monkeypatch.setattr(fem3d, "_solve_spd", solve_spd_reference)
         want = solve_reference(spec, axial=0.05, refine=0.5)
-        assert got.u.tobytes() == want.u.tobytes()
-        assert got.info == want.info
+        assert self._rel(got.u, want.u) <= 1e-9
+        assert abs(got.info["iterations"] - want.info["iterations"]) <= 1
+        assert got.info.keys() == want.info.keys()
+        assert got.info["relative_residual"] <= fem3d.CG_RTOL
 
     def test_systems_are_the_fancy_index_restrictions(self, monkeypatch,
                                                       ctx, tube, exp_rich):

@@ -7,6 +7,8 @@ imports.  The package's ``__init__.py`` re-exports names and
 """
 
 import ast
+import dataclasses
+import json
 import pathlib
 import subprocess
 import sys
@@ -69,3 +71,42 @@ def test_package_import_leaves_scipy_optimize_out():
     # scipy.optimize takes about 0.2 s to import; the disk roots are
     # polished by Newton steps instead of its brentq
     assert not _loaded_by_package_import("scipy.optimize")
+
+
+def test_package_import_leaves_scipy_linalg_out():
+    # scipy.sparse.linalg and the scipy.linalg it loads (LAPACK wrappers,
+    # ARPACK, PROPACK) cost about 8 MB of RSS a process; the package runs
+    # its own CG loop and inverts the coarse matrix with numpy
+    for module in ("scipy.sparse.linalg", "scipy.linalg"):
+        assert not _loaded_by_package_import(module)
+
+
+SOLVE_AND_SERVE = """
+import json, sys
+import numpy as np
+from thinjunction import Expansion, load_plan, load_spec, run_study
+spec = load_spec(sys.argv[1])
+exp = Expansion(spec, junction_R=spec.ell + 4.0, junction_refine=0.7)
+eps = 0.1
+exp.evaluate(np.array([[0.5 * spec.ell * eps, 1e-3 * eps, 2e-3 * eps]]),
+             eps, gradient=True)
+run_study(load_plan(sys.argv[2]))
+print(json.dumps([m for m in ("scipy.sparse.linalg", "scipy.linalg")
+                  if m in sys.modules]))
+"""
+
+
+def test_solves_serving_and_studies_leave_scipy_linalg_out(rich_spec,
+                                                            fx_spec):
+    """No module of the solve, serve and study paths imports them while
+    it runs: an order-2 expansion (junction solves) serves one request,
+    then a small order-0 study runs (reference solves and the fit).  A
+    plan needs three slenderness values; these are the tests' coarsest."""
+    plan = {"spec": dataclasses.replace(fx_spec, order=0).to_json(),
+            "epsilons": [0.3, 0.25, 0.2], "targets": ["COR42_L2_U0"],
+            "axial": 0.05, "fem_refine": 0.4}
+    out = subprocess.run(
+        [sys.executable, "-c", SOLVE_AND_SERVE,
+         json.dumps(rich_spec.to_json()), json.dumps(plan)],
+        check=True, capture_output=True, text=True, cwd=SRC.parent).stdout
+    assert json.loads(out) == []

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import sparse
 
 from .mesh3d import _EDGES, BLOCK_POINTS, END, LayoutSeed, TetMesh, \
-    tet_blocks, tet_edges, tet_gradients
+    face_adjacency, tet_blocks, tet_edges, tet_gradients
 
 _S5 = math.sqrt(5.0)
 _TET_RULES = {
@@ -86,13 +86,13 @@ CG_RESTARTS = 3
 
 class FemContext:
     """Geometry (the mesh's tet volumes, and centroids) and stiffness
-    matrix of one mesh.  Every pass over the tets runs in blocks of
-    ``mesh3d.BLOCK_POINTS`` points (``mesh3d.tet_blocks``), and the passes
-    that read barycentric gradients (the stiffness and
-    ``field_gradients``) compute them per block with
-    ``mesh3d.tet_gradients``: neither the mesh nor the context keeps a
-    (tets, 4, 3) array.  The builders orient every tet; a non-positive
-    volume is refused."""
+    matrix of one mesh, with no walk state (``PointLocator``).  Every pass
+    over the tets runs in blocks of ``mesh3d.BLOCK_POINTS`` points
+    (``mesh3d.tet_blocks``), and the passes that read barycentric
+    gradients (the stiffness and ``field_gradients``) compute them per
+    block with ``mesh3d.tet_gradients``: neither the mesh nor the context
+    keeps a (tets, 4, 3) array.  The builders orient every tet; a
+    non-positive volume is refused."""
 
     def __init__(self, mesh: TetMesh):
         self.mesh = mesh
@@ -100,7 +100,6 @@ class FemContext:
         if np.any(self.volumes <= 0):
             raise ValueError("mesh has non-positive tetrahedra")
         self.matrix = self._stiffness()
-        self._locator = None
 
     @cached_property
     def centroids(self):
@@ -214,8 +213,9 @@ class FemContext:
         """Gradient of the nodal field u on every tet, or on the tets
         that ``live`` indexes or slices, from barycentric gradients
         computed block by block: bitwise the contraction
-        ``einsum("tad,ta->td")`` of ``tet_geometry``'s gradients with u,
-        which sums each component's four terms in the same order."""
+        ``einsum("tad,ta->td")`` of the whole mesh's (tets, 4, 3)
+        gradients with u, which sums each component's four terms in the
+        same order."""
         tets = self.mesh.tets[live]
         out = np.empty((len(tets), 3))
         for blk in tet_blocks(len(tets)):
@@ -224,11 +224,6 @@ class FemContext:
             tet_gradients(self.mesh.nodes, t, g)
             out[blk] = np.einsum("adt,at->td", g, np.take(u, t.T))
         return out
-
-    def locator(self):
-        if self._locator is None:
-            self._locator = PointLocator(self)
-        return self._locator
 
 
 def edge_csr(edges, off, diag):
@@ -531,36 +526,36 @@ def station_profile(mesh: TetMesh, u, edge):
 
 
 class PointLocator:
-    """Point location by a face walk from a seed tet.
+    """Point location by a face walk from a seed tet, on a mesh with a
+    box layout: the junction's, which builds the one locator of a study
+    or a served request (``junction.TruncatedJunction``).
 
     A point's seed is the middle tet of the prism that holds it, from
-    the layout the mesh's builder recorded (``mesh3d.LayoutSeed``), so
-    the walk takes at most one step inside the mesh.  A mesh made from
-    nodes and tets alone has no layout, and its locator raises
-    ``ValueError``.
+    the box layout the mesh's builder recorded (``mesh3d.LayoutSeed``),
+    so the walk takes at most one step inside the mesh.  A mesh without
+    one, a standalone tube or a mesh made from nodes and tets alone, is
+    refused with ``ValueError``.
 
-    The locator keeps only the mesh arrays it reads, not the context, so
-    a context and its lazily built locator form no reference cycle.  A
-    walk reads the barycentric gradients of scattered tets, one step at
-    a time, so the locator computes them once, when it is built, block
-    by block (``mesh3d.tet_gradients``), and holds rows 1-3 of each,
-    shape (tets, 3, 3): a step reads only those.  Row 0 is recomputed
-    for the tets that need it (:meth:`gradients`), and a tet's vertex 0
-    is gathered through the tets.  Building it also derives the mesh's
-    face adjacency (``TetMesh.adjacent``).  Only a junction's locator is
-    built in a study or a served request, with the junction
-    (``junction.TruncatedJunction``), so no thin mesh pays for that
-    state.
+    The locator reads only mesh arrays.  It derives the face adjacency
+    (``mesh3d.face_adjacency``, the tet across the face of each tet
+    opposite each vertex) with the mesh's ``boundary_codes`` in the
+    boundary slots, so a walk tells an end face from a wall.  A walk
+    reads the barycentric gradients of scattered tets, one step at a
+    time, so the locator computes them once, when it is built, block by
+    block (``mesh3d.tet_gradients``), and holds rows 1-3 of each, shape
+    (tets, 3, 3): a step reads only those.  Row 0 is recomputed for the
+    tets that need it (:meth:`gradients`), and a tet's vertex 0 is
+    gathered through the tets.
     """
 
-    def __init__(self, ctx: FemContext):
-        mesh = ctx.mesh
+    def __init__(self, mesh: TetMesh):
         self._seed = LayoutSeed(mesh.meta)
         self._sagitta = float(mesh.meta["sagitta"])
         # the adjacency first: its face sort's transients are gone before
         # the table is made
-        self._neighbours = mesh.adjacent
-        self._end_face = mesh.adjacent == END
+        adjacent = face_adjacency(mesh.tets, mesh.num_nodes)
+        adjacent.T[adjacent.T < 0] = mesh.boundary_codes
+        self._neighbours, self._end_face = adjacent, adjacent == END
         self._nodes = mesh.nodes
         self._tets = mesh.tets
         self._grads = np.empty((mesh.num_tets, 3, 3))

@@ -24,6 +24,7 @@ import numpy as np
 from .config import TRANSVERSE_AXES, ProblemSpec
 from .fem3d import (
     FemContext,
+    PointLocator,
     _solve_spd,
     coarse_labels,
     station_average,
@@ -257,9 +258,9 @@ def _outlet_integral(profile, ell, step):
 class TruncatedJunction:
     """Finite-element model of the junction truncated at outlet length R.
 
-    Its mesh is the one that a study or a served request walks, so its
-    point locator is built with it, outside the first pass that locates
-    points."""
+    Its mesh is the only one that a study or a served request walks, so
+    the junction builds the package's one point locator (``locator``)
+    with it, outside the first pass that locates points."""
 
     def __init__(self, spec: ProblemSpec, R=None, refine=None):
         self.spec = spec
@@ -282,7 +283,7 @@ class TruncatedJunction:
             self.band_tets[blk] = (high > lo) & (low < hi)
             self.past_band[blk] = (low >= hi).any(axis=1)
         self.labels = coarse_labels(self.mesh)
-        self.ctx.locator()
+        self.locator = PointLocator(self.mesh)
 
 
 def _source_values(junction: TruncatedJunction, data: InnerData, pts):
@@ -423,8 +424,7 @@ class JunctionField:
         if weights is not None:
             k = len(weights)
             decay, constant = decay[:, :k], weights @ constant[:k]
-        vals, grads = self.junction.ctx.locator().evaluate(decay, points,
-                                                           weights)
+        vals, grads = self.junction.locator.evaluate(decay, points, weights)
         vals += constant
         self._add_growth(points, vals, grads, weights)
         return vals, grads

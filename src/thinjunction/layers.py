@@ -50,7 +50,6 @@ class BoundaryLayerTerm:
     order: int
     spectrum: DiskSpectrum
     coeffs: np.ndarray
-    tail_norm: float = 0.0
 
     def __post_init__(self):
         # the modes with nonzero weight in order of frequency, as arrays
@@ -85,8 +84,7 @@ class BoundaryLayerTerm:
     @classmethod
     def zero(cls, edge, order, radius):
         sp = DiskSpectrum(radius, (), 0)
-        return cls(edge=edge, order=order, spectrum=sp,
-                   coeffs=np.zeros(1), tail_norm=0.0)
+        return cls(edge=edge, order=order, spectrum=sp, coeffs=np.zeros(1))
 
     @property
     def is_zero(self):
@@ -215,6 +213,5 @@ def build_pi(spec: ProblemSpec, edge, corr: EdgeCorrector | None,
             f"flat-mode weight {coeffs[0]:.3e} exceeds 1e-10; "
             "the corrector trace is not mean-free")
     coeffs[0] = 0.0
-    tail = float(np.sqrt(np.sum(coeffs[-5:] ** 2)))
     return BoundaryLayerTerm(edge=edge, order=corr.order, spectrum=spectrum,
-                             coeffs=coeffs, tail_norm=tail)
+                             coeffs=coeffs)

@@ -13,15 +13,15 @@ Node ids and boundary tags are each derived once, when the mesh is
 built: the boundary from the faces whose nodes all lie on the
 builder's surface, without matching the interior faces.  The layout
 that fixes the order of the tetrahedra is recorded with the mesh, for
-``LayoutSeed``.  Face adjacency is walk state, derived on first use,
-so only a mesh that is walked (``fem3d.PointLocator``) pays for it.
+``LayoutSeed``.  A mesh keeps no face adjacency: that is walk state,
+derived by the locator of the one mesh that is walked, the junction's
+(``fem3d.PointLocator``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -54,7 +54,8 @@ _FACES = np.array([[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]])
 # Vertex pairs of the six edges of a tet.
 _EDGES = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])
 
-# Codes in ``TetMesh.adjacent`` of the faces with no tet across them.
+# Codes of the faces with no tet across them, in ``TetMesh.boundary_codes``
+# and in the boundary slots of a locator's face adjacency.
 OTHER, END, LATERAL = -1, -2, -3
 
 # Points per block of every pass over a mesh's tets: quadrature points
@@ -81,12 +82,8 @@ class TetMesh:
 
     ``boundary_codes`` holds the code of each boundary face's tag,
     ``END`` (``end*``), ``LATERAL`` (``lateral*``) or ``OTHER``, in the
-    order of ``_boundary_faces``.  ``adjacent[t, v]`` is the tet across
-    the face of tet ``t`` opposite its vertex ``v``, or on the boundary
-    that face's code.  It is derived on first use, by one
-    ``face_adjacency`` pass with the codes written in, since only a
-    walked mesh reads it; a mesh given no codes has every boundary face
-    ``OTHER``.
+    order of ``_boundary_faces``.  The mesh keeps no face adjacency: the
+    locator of the one walked mesh derives it (``fem3d.PointLocator``).
 
     ``volumes`` are the signed tet volumes, measured once when the mesh
     is made by ``tet_volumes``.  The mesh keeps no barycentric gradients:
@@ -105,15 +102,6 @@ class TetMesh:
 
     def __post_init__(self):
         self.volumes = tet_volumes(self.nodes, self.tets)
-
-    @cached_property
-    def adjacent(self):
-        """Tet across each face, or the boundary face's code; derived on
-        first read, which only a walked mesh makes."""
-        adjacent = face_adjacency(self.tets, self.num_nodes)
-        if self.boundary_codes is not None:
-            adjacent.T[adjacent.T < 0] = self.boundary_codes
-        return adjacent
 
     @property
     def num_nodes(self):
@@ -201,7 +189,8 @@ def _triple(e, cof):
 def tet_volumes(nodes, tets):
     """Signed volumes of tets, the triple product e_1 . (e_2 x e_3) / 6 of
     the edge vectors e_k = x_k - x_0, in ``tet_gradients``' arithmetic
-    and so bitwise ``tet_geometry``'s volumes, without the gradients."""
+    and so bitwise the determinant that it returns, over 6, without the
+    gradients."""
     n = tets.shape[0]
     volumes = np.empty(n)
     for blk in tet_blocks(n):
@@ -234,19 +223,6 @@ def tet_gradients(nodes, tets, out):
     out[0] += out[3]
     np.negative(out[0], out=out[0])
     return det
-
-
-def tet_geometry(nodes, tets):
-    """Signed volumes of tets and their barycentric gradients, shape
-    (tets, 4, 3), from ``tet_gradients`` block by block."""
-    n = tets.shape[0]
-    volumes = np.empty(n)
-    grads = np.empty((n, 4, 3))
-    for blk in tet_blocks(n):
-        g = np.empty((4, 3, blk.stop - blk.start))
-        np.divide(tet_gradients(nodes, tets[blk], g), 6.0, out=volumes[blk])
-        grads[blk] = g.transpose(2, 0, 1)
-    return volumes, grads
 
 
 def disk_layout(rings, segments):
@@ -507,46 +483,45 @@ _TRANSVERSE = np.array([TRANSVERSE_AXES[a] for a in range(3)])
 
 class LayoutSeed:
     """The tet at the middle of the prism that holds each point, found
-    by arithmetic on the layout a builder records in ``TetMesh.meta``.
+    by arithmetic on the box layout a builder records in ``TetMesh.meta``
+    (the junction's and the thin domain's; a standalone tube has none,
+    and is refused with ``ValueError``).
 
-    The builders append tets in a fixed order: a box mesh the prisms of
-    its onion shells (shell by shell, face by face, triangle by triangle
-    of the face layout), then the cone from the innermost shell to the
-    centre (one tet per triangle), then each tube's prisms station by
-    station; a tube mesh has its stations alone.  Each prism is three
-    consecutive tets, the middle one a face step from the other two.
+    The builders append tets in a fixed order: the prisms of the onion
+    shells (shell by shell, face by face, triangle by triangle of the
+    face layout), then the cone from the innermost shell to the centre
+    (one tet per triangle), then each tube's prisms station by station.
+    Each prism is three consecutive tets, the middle one a face step
+    from the other two.
 
     Every cell boundary of that layout is flat, so a point's cell is
-    exact up to rounding on a boundary.  A point of a box mesh takes the
-    face of its largest |coordinate|.  That coordinate, its max-norm,
-    gives its shell, since the shells are scaled copies of the cube
-    surface; past the half-width on a face with a tube, it gives the
-    station interval along that tube instead.  (This places a tube
-    point exactly where the tube's radius is below its distance from
-    the centre, as everywhere in a junction mesh, whose radii are
-    h_i(0) < ell.)  The point's position on the face layout, by
-    projection along the ray from the centre, or in the tube's unit
-    disk, at the radius interpolated in the interval, then gives its
-    triangle: the angle gives the segment between two of the layout's
-    rays, and the count of the chords and quad diagonals between those
-    rays' nodes that the point lies beyond gives the ring band and the
-    quad's triangle.  One pass does this for all points: one
-    ``searchsorted`` of a key that orders the shells and intervals of
-    all faces, and one product with the coefficients of those lines.
-    A point outside the mesh gets the cell its clipped indices give, its
-    max-norm clipped to its face's rows; the walk of
-    ``fem3d.PointLocator`` goes on from any seed.
+    exact up to rounding on a boundary.  A point takes the face of its
+    largest |coordinate|.  That coordinate, its max-norm, gives its
+    shell, since the shells are scaled copies of the cube surface; past
+    the half-width on a face with a tube, it gives the station interval
+    along that tube instead.  (This places a tube point exactly where
+    the tube's radius is below its distance from the centre, as
+    everywhere in a junction mesh, whose radii are h_i(0) < ell.)  The
+    point's position on the face layout, by projection along the ray
+    from the centre, or in the tube's unit disk, at the radius
+    interpolated in the interval, then gives its triangle: the angle
+    gives the segment between two of the layout's rays, and the count of
+    the chords and quad diagonals between those rays' nodes that the
+    point lies beyond gives the ring band and the quad's triangle.  One
+    pass does this for all points: one ``searchsorted`` of a key that
+    orders the shells and intervals of all faces, and one product with
+    the coefficients of those lines.  A point outside the mesh gets the
+    cell its clipped indices give, its max-norm clipped to its face's
+    rows; the walk of ``fem3d.PointLocator`` goes on from any seed.
     """
 
     def __init__(self, meta):
-        if "station_x" not in meta:
-            raise ValueError("the mesh has no builder's layout to seed from")
+        if "shells" not in meta:
+            raise ValueError("the mesh has no box layout to seed from")
         segments, rings = meta["segments"], meta["rings"]
-        self.bulge = "shells" in meta
-        bands = rings + meta["blend"] if self.bulge else rings
+        bands = rings + meta["blend"]
         layouts = [face_layout(meta["half"], r, rings, meta["blend"],
-                               segments)[0]
-                   for r in meta["face_radii"]] if self.bulge else []
+                               segments)[0] for r in meta["face_radii"]]
         disk = len(layouts) * segments  # the tubes' first row of lines
         layouts.append(disk_layout(rings, segments)[0])
         self.lines = np.concatenate(
@@ -566,23 +541,15 @@ class LayoutSeed:
         # of lines, and r0, x0, slope of the radius r0 + (x - x0) slope
         # that scales a point into its layout), after a placeholder, so
         # that the count of rows starting below a key is the key's row.
-        rows = [(-np.inf, 0, 0, 0, 1.0, 0.0, 0.0)]
-        interval_tets = 3 * segments * (2 * rings - 1)
-        if self.bulge:
-            span = 4.0 * (1.0 + max(float(x[-1])
-                                    for x in meta["station_x"].values()))
-            self.block = span * np.arange(6)
-            # every station is below span / 4, so each face's rows have
-            # keys below face * span + span / 4
-            self.reach = 0.25 * span
-            self.transverse = _TRANSVERSE[np.arange(6) % 3]
-            rows += _box_rows(meta, span, bands, interval_tets, disk)
-        else:
-            self.axis = min(meta["station_x"])
-            self.transverse = _TRANSVERSE[self.axis]
-            rows += _interval_rows(meta, self.axis, 0.0, -np.inf,
-                                   interval_tets, disk)
-        rows = np.array(rows)
+        span = 4.0 * (1.0 + max(float(x[-1])
+                                for x in meta["station_x"].values()))
+        rows = np.array([(-np.inf, 0, 0, 0, 1.0, 0.0, 0.0), *_box_rows(
+            meta, span, bands, 3 * segments * (2 * rings - 1), disk)])
+        self.block = span * np.arange(6)
+        # every station is below span / 4, so each face's rows have keys
+        # below face * span + span / 4
+        self.reach = 0.25 * span
+        self.transverse = _TRANSVERSE[np.arange(6) % 3]
         self.keys = rows[1:, 0]
         self.cell = rows[:, 1:4].astype(np.intp)
         self.radius = rows[:, 4:]
@@ -592,22 +559,17 @@ class LayoutSeed:
     def __call__(self, points):
         """Seed tet of each point, shape (points,)."""
         points = np.asarray(points, dtype=float)
-        if self.bulge:
-            # the face of the largest of the six coordinates +-x_i, in
-            # the order +x, +y, +z, -x, -y, -z; the largest is the norm
-            both = np.concatenate((points, -points), axis=1)
-            face = both.argmax(axis=1)
-            flat = both.ravel()
-            at = np.arange(0, flat.size, 6)
-            # clipped to the face's own rows: a point far past a tube end
-            # is seeded beyond that end, not in the next face's cells
-            x = np.minimum(flat[at + face], self.reach)
-            row = self.keys.searchsorted(x + self.block[face], "left")
-            uv = flat[at[:, None] + self.transverse[face]]
-        else:
-            x = points[:, self.axis]
-            row = self.keys.searchsorted(x, "left")
-            uv = points[:, self.transverse]
+        # the face of the largest of the six coordinates +-x_i, in the
+        # order +x, +y, +z, -x, -y, -z; the largest is the norm
+        both = np.concatenate((points, -points), axis=1)
+        face = both.argmax(axis=1)
+        flat = both.ravel()
+        at = np.arange(0, flat.size, 6)
+        # clipped to the face's own rows: a point far past a tube end is
+        # seeded beyond that end, not in the next face's cells
+        x = np.minimum(flat[at + face], self.reach)
+        row = self.keys.searchsorted(x + self.block[face], "left")
+        uv = flat[at[:, None] + self.transverse[face]]
         cell, radius = self.cell[row], self.radius[row]
         radius = radius[:, 0] + (x - radius[:, 1]) * radius[:, 2]
         uv /= np.maximum(radius, self.floor)[:, None]
@@ -639,19 +601,18 @@ def _box_rows(meta, span, bands, interval_tets, disk):
                          t * 18 * face_tris + 3 * face * face_tris + 1,
                          3, lines, 0.0, 0.0, 1.0 / half))
         if b < 3 and axis in meta["station_x"]:
-            rows += _interval_rows(meta, axis, b * span,
-                                   b * span + meta["station_x"][axis][0],
-                                   interval_tets, disk)
+            rows += _interval_rows(meta, axis, b * span, interval_tets,
+                                   disk)
     return rows
 
 
-def _interval_rows(meta, axis, offset, first_key, interval_tets, disk):
+def _interval_rows(meta, axis, offset, interval_tets, disk):
     """Cell rows of the station intervals of one tube, keyed by
-    x + offset; the first starts at ``first_key``."""
+    x + offset."""
     x, r = meta["station_x"][axis], meta["station_r"][axis]
     slope = np.diff(r) / np.diff(x)
     first = meta["tube_tets"][axis] + 1
-    keys = np.concatenate([[first_key], x[1:-1] + offset])
+    keys = x[:-1] + offset
     return [(keys[k], first + k * interval_tets, 3, disk, r[k], x[k],
              slope[k]) for k in range(len(x) - 1)]
 
@@ -787,8 +748,8 @@ def tet_edges(tets, num_nodes):
 
 def _boundary_faces(tets, num_nodes, surface):
     """Outward faces with no tet across, int64 node ids, in the order of
-    their slots in ``TetMesh.adjacent.T``: by face of ``_FACES``, then by
-    tet.
+    their slots in the transposed ``face_adjacency``: by face of
+    ``_FACES``, then by tet.
 
     Only the faces whose three nodes are among the ``surface`` node ids
     (arrays of them, which must hold every node of the boundary) are

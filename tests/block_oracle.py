@@ -19,8 +19,9 @@ import math
 
 import numpy as np
 
+from geometry_oracle import tet_geometry
 from thinjunction.fem3d import _TET_RULES
-from thinjunction.mesh3d import _FACES, OTHER, tet_geometry
+from thinjunction.mesh3d import _FACES, OTHER
 
 # Vertex pairs of the six edges of a tet.
 _EDGES = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])

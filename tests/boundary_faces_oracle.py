@@ -8,14 +8,18 @@ vertex triples of every face of every tet.
 whole-mesh face adjacency (``block_oracle.face_adjacency_reference``),
 the faces of its boundary slots in their order, tags and codes from the
 face centroids, and the codes written into the adjacency.  The builders
-now key only the faces on their surface and derive the adjacency when
-it is first read; both must match these bit for bit.
+now key only the faces on their surface, and only the locator derives
+the adjacency; both must match these bit for bit.
+
+``coded_adjacency`` is the adjacency the locator walks: the package's
+``face_adjacency`` with the mesh's boundary codes written into its
+boundary slots, for any built mesh, a tube too.
 """
 
 import numpy as np
 
 from block_oracle import face_adjacency_reference
-from thinjunction.mesh3d import _FACES, END, LATERAL, OTHER
+from thinjunction.mesh3d import _FACES, END, LATERAL, OTHER, face_adjacency
 
 
 def boundary_faces_reference(tets):
@@ -26,6 +30,13 @@ def boundary_faces_reference(tets):
     _, inv, counts = np.unique(key, axis=0, return_inverse=True,
                                return_counts=True)
     return faces[counts[inv] == 1]
+
+
+def coded_adjacency(mesh):
+    """Tet across each face of a built mesh, or the boundary face's code."""
+    adjacent = face_adjacency(mesh.tets, mesh.num_nodes)
+    adjacent.T[adjacent.T < 0] = mesh.boundary_codes
+    return adjacent
 
 
 def face_sort_boundary(mesh):

@@ -264,7 +264,7 @@ def locator_evaluate(loc, u, points, gradient=False):
 
 def field_evaluate(nf, points, gradient=False):
     points = np.asarray(points, dtype=float)
-    loc = nf.junction.ctx.locator()
+    loc = nf.junction.locator
     if gradient:
         vals, grads = locator_evaluate(loc, nf.decay, points, gradient=True)
         grads = grads.copy()
@@ -482,7 +482,7 @@ def _matching_commutator(exp, target, sel, i, x, ta, tb, eps, m, dchi,
     step = exp.junction.step
     chi_j = step(xi_ax)
     dchi_j = step.deriv(xi_ax)
-    loc = exp.junction.ctx.locator()
+    loc = exp.junction.locator
     for k in range(1, m + 1):
         nf = exp.nfields[k]
         dec, dgrad = locator_evaluate(loc, nf.decay, pts_xi, gradient=True)

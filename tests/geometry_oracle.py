@@ -5,8 +5,9 @@ local stiffness by a three-operand ``einsum``, the stiffness matrix from
 COO triplets, the edge-pattern entries placed by an argsort, quadrature
 points by ``einsum``, the prism split before it oriented its tets,
 orientation by the sign of ``det``, one cross-section mean per station,
-and the closed-form geometry by ``np.cross`` over all cofactor rows at
-once.  Kept as the oracles that
+the closed-form geometry by ``np.cross`` over all cofactor rows at
+once, and the whole-mesh geometry array (``tet_geometry``), which no
+pass of the package holds any more.  Kept as the oracles that
 the closed-form geometry, the matrix-product contractions and the
 edge-pattern stiffness must match to rounding, and the orientation at
 build time, the stacked station means, the component-wise closed-form
@@ -16,7 +17,20 @@ kernel and the sort-free placement of the entries bit for bit.
 import numpy as np
 from scipy import sparse
 
-from thinjunction.mesh3d import tet_geometry
+from thinjunction.mesh3d import tet_blocks, tet_gradients
+
+
+def tet_geometry(nodes, tets):
+    """Signed volumes of tets and their barycentric gradients, shape
+    (tets, 4, 3), from ``tet_gradients`` block by block."""
+    n = tets.shape[0]
+    volumes = np.empty(n)
+    grads = np.empty((n, 4, 3))
+    for blk in tet_blocks(n):
+        g = np.empty((4, 3, blk.stop - blk.start))
+        np.divide(tet_gradients(nodes, tets[blk], g), 6.0, out=volumes[blk])
+        grads[blk] = g.transpose(2, 0, 1)
+    return volumes, grads
 
 
 def geometry_reference(mesh):

@@ -19,15 +19,17 @@ face, as the walks from a centroid did beside a tube mouth.
 
 ``WholeTableLocator`` is ``PointLocator`` as it was before it held a
 compact table: the walk from the layout seed over the whole-mesh
-(tets, 4, 3) array of ``tet_geometry`` and a copy of every tet's vertex
-0, built when the locator is.  The compact locator must match its tets,
-barycentrics, values and gradients bit for bit.
+(tets, 4, 3) array of ``geometry_oracle.tet_geometry`` and a copy of
+every tet's vertex 0, built when the locator is.  The compact locator
+must match its tets, barycentrics, values and gradients bit for bit.
 """
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from thinjunction.mesh3d import END, LATERAL, LayoutSeed, tet_geometry
+from boundary_faces_oracle import coded_adjacency
+from geometry_oracle import tet_geometry
+from thinjunction.mesh3d import END, LATERAL, LayoutSeed
 
 WALK_STEPS = 200
 _OPPOSITE = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
@@ -99,9 +101,9 @@ class KdWalkOracle:
         self._origin = mesh.nodes[mesh.tets[:, 0]]
         self._tree = cKDTree(mesh.nodes[mesh.tets].mean(axis=1))
         self._sagitta = float(mesh.meta.get("sagitta", 0.0))
-        self._neighbours = mesh.adjacent
-        self._end_face = mesh.adjacent == END
-        wall = np.flatnonzero(mesh.adjacent == LATERAL)
+        self._neighbours = coded_adjacency(mesh)
+        self._end_face = self._neighbours == END
+        wall = np.flatnonzero(self._neighbours == LATERAL)
         self._wall_tets = wall // 4
         faces = mesh.tets[self._wall_tets[:, None], _OPPOSITE[wall % 4]]
         self._wall_tree = cKDTree(mesh.nodes[faces].mean(axis=1))
@@ -156,8 +158,8 @@ class WholeTableLocator:
         self._origin = mesh.nodes[mesh.tets[:, 0]]
         self._seed = LayoutSeed(mesh.meta)
         self._sagitta = float(mesh.meta["sagitta"])
-        self._neighbours = mesh.adjacent
-        self._end_face = mesh.adjacent == END
+        self._neighbours = coded_adjacency(mesh)
+        self._end_face = self._neighbours == END
 
     def locate(self, points):
         """(tet, barycentrics) per point; the tet is -1 when not located."""

@@ -23,7 +23,11 @@ from block_oracle import (
     volume_load_reference,
 )
 from conftest import make_spec
-from geometry_oracle import cross_geometry_reference, station_average_reference
+from geometry_oracle import (
+    cross_geometry_reference,
+    station_average_reference,
+    tet_geometry,
+)
 from locator_oracle import KdWalkOracle, LocatorOracle, WholeTableLocator
 import solver_oracle
 from solver_oracle import (
@@ -50,6 +54,7 @@ from thinjunction import (
 )
 from thinjunction.fem3d import (
     FemContext,
+    PointLocator,
     coarse_labels,
     norm_triple,
     norms,
@@ -70,6 +75,12 @@ def tube():
 @pytest.fixture(scope="module")
 def ctx(tube):
     return FemContext(tube)
+
+
+@pytest.fixture(scope="module")
+def jloc(junction_flat6):
+    """The junction's point locator, the one the package builds."""
+    return junction_flat6.locator
 
 
 def linear_field(pts):
@@ -170,7 +181,7 @@ class TestBlocks:
         assert max(seen) <= 12 and len(seen) > ctx.mesh.num_tets // 3
 
     def test_geometry(self, tube):
-        volumes, grads = mesh3d.tet_geometry(tube.nodes, tube.tets)
+        volumes, grads = tet_geometry(tube.nodes, tube.tets)
         want = cross_geometry_reference(tube.nodes, tube.tets)
         assert volumes.tobytes() == want[0].tobytes()
         assert grads.tobytes() == want[1].tobytes()
@@ -724,30 +735,31 @@ class TestOneSolvePath:
 
 
 class TestEvaluation:
-    def test_locator_reproduces_linear_field(self, ctx, tube):
-        u = linear_field(tube.nodes)
+    def test_locator_reproduces_linear_field(self, jloc, junction_flat6):
+        # points in tube 0 of the junction, radius 0.25 from x = ell = 0.3
+        u = linear_field(junction_flat6.mesh.nodes)
         rng = np.random.default_rng(3)
-        x = rng.uniform(0.05, 0.95, size=40)
-        r = rng.uniform(0.0, 0.35, size=40)
+        x = rng.uniform(0.35, 6.25, size=40)
+        r = rng.uniform(0.0, 0.175, size=40)
         th = rng.uniform(0.0, 2.0 * np.pi, size=40)
         pts = np.column_stack([x, r * np.cos(th), r * np.sin(th)])
-        vals, _ = ctx.locator().evaluate(u, pts)
+        vals, _ = jloc.evaluate(u, pts)
         assert np.abs(vals - linear_field(pts)).max() < 1e-12
 
-    def test_locator_gradient_of_linear_field(self, ctx, tube):
-        u = linear_field(tube.nodes)
+    def test_locator_gradient_of_linear_field(self, jloc, junction_flat6):
+        u = linear_field(junction_flat6.mesh.nodes)
         pts = np.array([[0.3, 0.1, -0.05], [0.7, -0.2, 0.1]])
-        vals, grads = ctx.locator().evaluate(u, pts)
+        vals, grads = jloc.evaluate(u, pts)
         assert np.abs(vals - linear_field(pts)).max() < 1e-12
         assert np.abs(grads - LINEAR_GRAD).max() < 1e-12
 
-    def test_locator_flags_outside_points(self, ctx):
-        outside = np.array([[2.5, 0.0, 0.0]])
-        tet, _ = ctx.locator().locate(outside)
+    def test_locator_flags_outside_points(self, jloc, junction_flat6):
+        outside = np.array([[2.5, 1.0, 0.0]])
+        tet, _ = jloc.locate(outside)
         assert tet[0] == -1
-        u = np.zeros(ctx.mesh.num_nodes)
+        u = np.zeros(junction_flat6.mesh.num_nodes)
         with pytest.raises(ValueError, match="outside"):
-            ctx.locator().evaluate(u, outside)
+            jloc.evaluate(u, outside)
 
     def test_station_average_linear_exact(self, ctx, tube):
         u = linear_field(tube.nodes)
@@ -885,15 +897,12 @@ def _beyond_nearest_nodes(mesh, pts, tet, k):
 class TestBatchedLocator:
     """The face walk against the node-round oracle."""
 
-    @pytest.fixture(scope="class")
-    def jloc(self, junction_flat6):
-        return junction_flat6.ctx.locator()
-
-    def test_random_points_in_tube(self, ctx, tube):
+    def test_random_points_in_tube(self, jloc, junction_flat6):
+        # around tube 0 of the junction, from its mouth past its end
         rng = np.random.default_rng(11)
-        pts = rng.uniform([-0.05, -0.55, -0.55], [1.05, 0.55, 0.55],
+        pts = rng.uniform([0.25, -0.3, -0.3], [6.35, 0.3, 0.3],
                           size=(3000, 3))
-        tet = _assert_agrees_with_oracle(ctx.locator(), tube, pts)
+        tet = _assert_agrees_with_oracle(jloc, junction_flat6.mesh, pts)
         assert 0 < (tet >= 0).sum() < len(pts)
 
     def test_random_points_in_junction(self, jloc, junction_flat6):
@@ -904,21 +913,18 @@ class TestBatchedLocator:
         box = rng.uniform(lo, np.minimum(hi, 1.5), size=(2000, 3))
         _assert_agrees_with_oracle(jloc, mesh, np.vstack([pts, box]))
 
-    def test_vertices_and_shared_faces_tie_rule(self, ctx, tube, jloc,
-                                                junction_flat6):
+    def test_vertices_and_shared_faces_tie_rule(self, jloc, junction_flat6):
         # a vertex or face centroid lies in several tets; the walk may
         # take another one than the oracle, with the same P1 value
-        for loc, mesh in ((ctx.locator(), tube),
-                          (jloc, junction_flat6.mesh)):
-            rng = np.random.default_rng(14)
-            faces = _interior_face_centroids(mesh)
-            pick = rng.choice(len(faces), min(len(faces), 2000),
-                              replace=False)
-            verts = rng.choice(mesh.num_nodes, min(mesh.num_nodes, 1000),
-                               replace=False)
-            pts = np.vstack([mesh.nodes[verts], faces[pick]])
-            tet = _assert_agrees_with_oracle(loc, mesh, pts)
-            assert np.all(tet >= 0)
+        mesh = junction_flat6.mesh
+        rng = np.random.default_rng(14)
+        faces = _interior_face_centroids(mesh)
+        pick = rng.choice(len(faces), min(len(faces), 2000), replace=False)
+        verts = rng.choice(mesh.num_nodes, min(mesh.num_nodes, 1000),
+                           replace=False)
+        pts = np.vstack([mesh.nodes[verts], faces[pick]])
+        tet = _assert_agrees_with_oracle(jloc, mesh, pts)
+        assert np.all(tet >= 0)
 
     def test_points_found_only_by_wider_rounds(self, jloc, junction_flat6):
         mesh = junction_flat6.mesh
@@ -931,48 +937,49 @@ class TestBatchedLocator:
         assert np.array_equal(got, tet[late[1]])
 
     def test_mesh_without_a_layout_is_refused(self, tube):
-        # only the layout a builder records seeds the walk
-        mesh = TetMesh(nodes=tube.nodes, tets=tube.tets, boundary={},
+        # only the box layout a builder records seeds the walk: a mesh
+        # made from nodes and tets has none, nor has a standalone tube
+        bare = TetMesh(nodes=tube.nodes, tets=tube.tets, boundary={},
                        stations={}, disk_tris=tube.disk_tris)
-        with pytest.raises(ValueError, match="layout"):
-            FemContext(mesh).locator()
+        for mesh in (bare, tube):
+            with pytest.raises(ValueError, match="no box layout"):
+                PointLocator(mesh)
 
-    def test_points_just_outside_the_wall_fall_back(self, ctx, tube):
-        p = tube.nodes[tube.boundary["lateral_0"]]
+    def test_points_just_outside_the_wall_fall_back(self, jloc,
+                                                    junction_flat6):
+        mesh = junction_flat6.mesh
+        p = mesh.nodes[mesh.boundary["lateral_0"]]
         cent = p.mean(axis=1)
         normal = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
         normal /= np.linalg.norm(normal, axis=1)[:, None]
         normal *= np.sign(np.einsum("fd,fd->f", normal,
                                     cent * [0.0, 1.0, 1.0]))[:, None]
         pts = cent + 1e-7 * normal
-        tet = _assert_agrees_with_oracle(ctx.locator(), tube, pts)
+        tet = _assert_agrees_with_oracle(jloc, mesh, pts)
         assert np.all(tet >= 0)
 
-    def test_far_outside_points_are_not_found(self, ctx, tube, jloc,
-                                              junction_flat6):
+    def test_far_outside_points_are_not_found(self, jloc, junction_flat6):
         far = np.array([[2.5, 2.5, 0.0], [0.5, 3.0, 0.0], [-4.0, -4, -4],
                         [50.0, 50, 50]])
-        for loc, mesh in ((ctx.locator(), tube),
-                          (jloc, junction_flat6.mesh)):
-            tet = _assert_agrees_with_oracle(loc, mesh, far)
-            assert np.all(tet == -1)
+        tet = _assert_agrees_with_oracle(jloc, junction_flat6.mesh, far)
+        assert np.all(tet == -1)
 
-    def test_empty_batch(self, ctx):
-        tet, bary = ctx.locator().locate(np.empty((0, 3)))
+    def test_empty_batch(self, jloc):
+        tet, bary = jloc.locate(np.empty((0, 3)))
         assert tet.shape == (0,) and bary.shape == (0, 4)
 
-    def test_gradients_at_located_tets(self, ctx, tube):
+    def test_gradients_at_located_tets(self, jloc, junction_flat6):
+        mesh = junction_flat6.mesh
         rng = np.random.default_rng(18)
-        u = rng.standard_normal(tube.num_nodes)
-        pts = _inside_points(tube, 500, seed=19)
-        loc = ctx.locator()
-        _, grads = loc.evaluate(u, pts)
-        tet, _ = loc.locate(pts)
-        assert np.array_equal(grads, ctx.field_gradients(u)[tet])
+        u = rng.standard_normal(mesh.num_nodes)
+        pts = _inside_points(mesh, 500, seed=19)
+        _, grads = jloc.evaluate(u, pts)
+        tet, _ = jloc.locate(pts)
+        assert np.array_equal(grads,
+                              junction_flat6.ctx.field_gradients(u)[tet])
 
     def test_context_freed_without_cycle_collection(self, tube):
         c = FemContext(tube)
-        c.locator()
         ref = weakref.ref(c)
         gc.disable()
         try:
@@ -981,14 +988,22 @@ class TestBatchedLocator:
         finally:
             gc.enable()
 
+    def test_junction_freed_without_cycle_collection(self, flat_spec):
+        # the junction holds its context and its locator, and neither
+        # refers back to it
+        tj = TruncatedJunction(flat_spec, R=flat_spec.ell + 3.5, refine=0.7)
+        refs = [weakref.ref(o) for o in (tj, tj.ctx, tj.locator)]
+        gc.disable()
+        try:
+            del tj
+            assert all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
+
 
 class TestWalk:
     """Points the node rounds missed are found by the walk, and a point
     in the gap beside a curved wall gets its tet's linear field."""
-
-    @pytest.fixture(scope="class")
-    def jloc(self, junction_flat6):
-        return junction_flat6.ctx.locator()
 
     @staticmethod
     def _gap_points(mesh, edge, n, depth, seed, axial=None):
@@ -1010,13 +1025,13 @@ class TestWalk:
         pts[:, axes[1]] = r * np.sin(th)
         return pts
 
-    def test_wall_gap_gets_the_linear_field(self, ctx, tube):
-        pts = self._gap_points(tube, 0, 200, depth=0.9, seed=21)
-        loc = ctx.locator()
-        tet, _ = loc.locate(pts)
+    def test_wall_gap_gets_the_linear_field(self, jloc, junction_flat6):
+        mesh = junction_flat6.mesh
+        pts = self._gap_points(mesh, 0, 200, depth=0.9, seed=21)
+        tet, _ = jloc.locate(pts)
         assert np.all(tet >= 0)
-        _assert_in_tet_or_gap(tube, pts, tet)
-        vals, grads = loc.evaluate(linear_field(tube.nodes), pts)
+        _assert_in_tet_or_gap(mesh, pts, tet)
+        vals, grads = jloc.evaluate(linear_field(mesh.nodes), pts)
         assert np.abs(vals - linear_field(pts)).max() < 1e-12
         assert np.abs(grads - LINEAR_GRAD).max() < 1e-12
 
@@ -1034,20 +1049,21 @@ class TestWalk:
         vals, _ = jloc.evaluate(linear_field(mesh.nodes), pts)
         assert np.abs(vals - linear_field(pts)).max() < 1e-12
 
-    def test_beyond_the_sagitta_still_raises(self, ctx, tube):
-        loc = ctx.locator()
-        u = np.zeros(tube.num_nodes)
-        for p in self._gap_points(tube, 0, 20, depth=1.5, seed=23):
+    def test_beyond_the_sagitta_still_raises(self, jloc, junction_flat6):
+        mesh = junction_flat6.mesh
+        u = np.zeros(mesh.num_nodes)
+        for p in self._gap_points(mesh, 0, 20, depth=1.5, seed=23):
             with pytest.raises(ValueError, match="outside"):
-                loc.evaluate(u, p[None])
+                jloc.evaluate(u, p[None])
 
-    def test_beyond_an_end_face_still_raises(self, ctx, tube):
+    def test_beyond_an_end_face_still_raises(self, jloc, junction_flat6):
         # end disks are flat: a point past one is outside the domain
-        s = tube.meta["sagitta"]
-        pts = np.array([[1.0 + 0.5 * s, 0.1, 0.05], [-0.5 * s, 0.0, 0.2]])
+        mesh, end = junction_flat6.mesh, junction_flat6.R
+        s = mesh.meta["sagitta"]
+        pts = np.array([[end + 0.5 * s, 0.1, 0.05], [0.0, 0.2, end + 0.5 * s]])
         for p in pts:
             with pytest.raises(ValueError, match="outside"):
-                ctx.locator().evaluate(np.zeros(tube.num_nodes), p[None])
+                jloc.evaluate(np.zeros(mesh.num_nodes), p[None])
 
     def test_rounds_misses_inside_tets_are_walked_to(self, jloc,
                                                      junction_flat6):
@@ -1107,12 +1123,11 @@ class TestWalk:
 def _assert_seeds_in_prisms(mesh, pts, own):
     """The layout seed of each point is the middle tet of the prism of
     its tet ``own``: three consecutive tets that span six nodes, the
-    seed t with t % 3 == 1; or a cone tet of a box mesh (the one with
-    the centre node), a prism alone."""
+    seed t with t % 3 == 1; or a cone tet (the one with the centre
+    node), a prism alone."""
     seed = LayoutSeed(mesh.meta)(pts)
     tets = mesh.tets.astype(np.int64)
-    centre = (np.flatnonzero(~mesh.nodes.any(axis=1))
-              if "shells" in mesh.meta else [])
+    centre = np.flatnonzero(~mesh.nodes.any(axis=1))
     cone = np.isin(tets[seed], centre).any(axis=1)
     assert np.array_equal(own[cone], seed[cone])
     mid = seed[~cone]
@@ -1125,8 +1140,8 @@ def _assert_seeds_in_prisms(mesh, pts, own):
 class TestLayoutSeed:
     """The walk from the layout seed against the walk from the nearest
     centroid with the wall-tree restart that it replaced
-    (``KdWalkOracle``), on 200,000 points inside tets and on wall-gap
-    points, on a junction mesh also at the tube mouths, where the walk
+    (``KdWalkOracle``), on 200,000 points inside tets of the junction
+    mesh and on wall-gap points, also at the tube mouths, where the walk
     from a centroid could leave through the box wall.
 
     A wall-gap point can lie beyond the coplanar wall facets of two
@@ -1135,23 +1150,17 @@ class TestLayoutSeed:
     the walk from the layout seed keeps a tet of the point's own prism.
     """
 
-    @pytest.fixture(scope="class", params=["junction", "tube"])
-    def case(self, request, junction_flat6, tube):
-        if request.param == "junction":
-            mesh = junction_flat6.mesh
-            ell = mesh.stations[0][0].x
-            gap = np.vstack([TestWalk._gap_points(mesh, e, 100, 0.9, 40 + e)
-                             for e in range(3)]
-                            + [TestWalk._gap_points(mesh, e, 100, 0.9, 48 + e,
-                                                    axial=(ell, ell + 0.01))
-                               for e in range(3)])
-            loc = junction_flat6.ctx.locator()
-        else:
-            mesh = tube
-            gap = TestWalk._gap_points(tube, 0, 200, 0.9, 43)
-            loc = FemContext(tube).locator()
+    @pytest.fixture(scope="class", params=["junction"])
+    def case(self, junction_flat6):
+        mesh = junction_flat6.mesh
+        ell = mesh.stations[0][0].x
+        gap = np.vstack([TestWalk._gap_points(mesh, e, 100, 0.9, 40 + e)
+                         for e in range(3)]
+                        + [TestWalk._gap_points(mesh, e, 100, 0.9, 48 + e,
+                                                axial=(ell, ell + 0.01))
+                           for e in range(3)])
         pts, own = _inside_points_with_tets(mesh, 200_000, seed=44)
-        return mesh, loc, pts, own, gap
+        return mesh, junction_flat6.locator, pts, own, gap
 
     def test_tets_and_values_match_the_kd_walk(self, case):
         mesh, loc, pts, _, gap = case
@@ -1225,9 +1234,9 @@ class TestLayoutSeed:
         face = np.argmax(np.hstack([pts, -pts]), axis=1)
         assert np.array_equal(
             np.argmax(np.hstack([centroid, -centroid]), axis=1), face)
-        loc = junction_flat6.ctx.locator()
+        loc = junction_flat6.locator
         steps = []
-        adjacent = mesh.adjacent
+        adjacent = loc._neighbours
 
         class Counted:
             def take(self, *args, **kwargs):
@@ -1240,14 +1249,14 @@ class TestLayoutSeed:
             assert loc.locate(p[None])[0][0] == -1
             assert len(steps) <= 3, p
 
-    def test_built_meshes_build_no_centroid_tree(self, junction_flat6, tube,
+    def test_built_meshes_build_no_centroid_tree(self, junction_flat6,
                                                  rich_spec):
         thin = build_thin_mesh(rich_spec, axial=0.05, refine=0.8)
-        for ctx in (junction_flat6.ctx, FemContext(tube), FemContext(thin)):
-            loc = ctx.locator()
-            loc.locate(_inside_points(ctx.mesh, 100, seed=46))
+        for mesh, loc in ((junction_flat6.mesh, junction_flat6.locator),
+                          (thin, PointLocator(thin))):
+            loc.locate(_inside_points(mesh, 100, seed=46))
             assert not any(isinstance(v, cKDTree) for v in vars(loc).values())
-            assert "centroids" not in ctx.__dict__
+        assert "centroids" not in junction_flat6.ctx.__dict__
         # a thin mesh's radius varies along a tube: its seeds too are exact
         pts, own = _inside_points_with_tets(thin, 20_000, seed=47)
         inside = _linear_coords(thin, own, pts).min(axis=1) > 1e-9

@@ -1,7 +1,7 @@
 """Closed-form tet geometry and matrix-product quadrature against the
 former det/inv/einsum kernels kept in ``geometry_oracle``, and the
 gradients that each pass computes block by block against the whole-mesh
-array of ``tet_geometry``."""
+array of ``geometry_oracle.tet_geometry``."""
 
 import itertools
 
@@ -11,6 +11,7 @@ from scipy import sparse
 
 import thinjunction.mesh3d as mesh3d
 import thinjunction.fem3d as fem3d
+from boundary_faces_oracle import coded_adjacency
 from geometry_oracle import (
     coo_stiffness,
     cross_geometry_reference,
@@ -19,6 +20,7 @@ from geometry_oracle import (
     orient_reference,
     quad_points_reference,
     stiffness_reference,
+    tet_geometry,
     unoriented_split_prisms,
 )
 from thinjunction import (
@@ -32,7 +34,6 @@ from thinjunction.mesh3d import (
     TetMesh,
     split_prisms,
     tet_blocks,
-    tet_geometry,
     tet_volumes,
 )
 
@@ -108,9 +109,9 @@ def test_block_gradients_are_the_whole_mesh_array(case, monkeypatch):
     """The gradients that the stiffness pass, ``field_gradients`` and the
     locator compute block by block are bitwise the rows of
     ``tet_geometry``'s whole-mesh array, as are the locator's held rows
-    1-3 and its row 0 recomputed from them; ``field_gradients`` is
-    bitwise the einsum of that array with a field that is zero at some
-    nodes, down to the sign of its zeros."""
+    1-3 and its row 0 recomputed from them (a tube has no locator);
+    ``field_gradients`` is bitwise the einsum of that array with a field
+    that is zero at some nodes, down to the sign of its zeros."""
     ctx, _ = case
     mesh = ctx.mesh
     whole = tet_geometry(mesh.nodes, mesh.tets)[1]
@@ -128,8 +129,12 @@ def test_block_gradients_are_the_whole_mesh_array(case, monkeypatch):
         assert same_bits(np.concatenate(blocks), whole[sel])
         want = np.einsum("tad,ta->td", whole[sel], u[mesh.tets[sel]])
         assert same_bits(got, want)
+    if "shells" not in mesh.meta:
+        with pytest.raises(ValueError, match="no box layout"):
+            fem3d.PointLocator(mesh)
+        return
     blocks.clear()
-    loc = fem3d.PointLocator(ctx)
+    loc = fem3d.PointLocator(mesh)
     assert same_bits(np.concatenate(blocks), whole)
     assert same_bits(loc._grads, whole[:, 1:])
     assert same_bits(loc.gradients(live), whole[live])
@@ -248,7 +253,7 @@ def test_orientation_matches_the_det_sign(case, monkeypatch):
     mesh = ctx.mesh
     assert np.array_equal(mesh.nodes, want.nodes)
     assert np.array_equal(mesh.tets, want.tets)
-    assert np.array_equal(mesh.adjacent, want.adjacent)
+    assert np.array_equal(coded_adjacency(mesh), coded_adjacency(want))
     assert mesh.boundary.keys() == want.boundary.keys()
     for tag in want.boundary:
         assert np.array_equal(mesh.boundary[tag], want.boundary[tag])
@@ -293,7 +298,7 @@ def test_one_volumes_pass_per_thin_mesh(rich_spec, monkeypatch):
             return fn(nodes, tets, *out)
         return inner
 
-    for name in ("tet_volumes", "tet_geometry", "tet_gradients"):
+    for name in ("tet_volumes", "tet_gradients"):
         wrapped = counted(name, getattr(mesh3d, name))
         for module in (mesh3d, fem3d):
             if hasattr(module, name):

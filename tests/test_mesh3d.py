@@ -5,23 +5,28 @@ import re
 import numpy as np
 import pytest
 
-from boundary_faces_oracle import boundary_faces_reference, face_sort_boundary
+from boundary_faces_oracle import (
+    boundary_faces_reference,
+    coded_adjacency,
+    face_sort_boundary,
+)
 from node_pool_oracle import NodePool, pool_numbering
 from thinjunction import (
+    Expansion,
     build_junction_mesh,
     build_thin_mesh,
     build_tube_mesh,
+    fem3d,
     mesh3d,
     solve_reference,
     with_epsilon,
 )
-from thinjunction.junction import TruncatedJunction
+from thinjunction.fem3d import PointLocator
 from thinjunction.mesh3d import (
     _FACES,
     END,
     LATERAL,
     OTHER,
-    TetMesh,
     _boundary_faces,
     face_keys,
     graded_stations,
@@ -191,9 +196,9 @@ class TestThinMesh:
 
 
 def _boundary_slots(mesh):
-    """The sorted faces of the slots of ``mesh.adjacent`` with no tet
-    across, in the order of those slots in ``adjacent.T``."""
-    side, tet = np.nonzero(mesh.adjacent.T < 0)
+    """The sorted faces of the slots of the mesh's face adjacency with no
+    tet across, in the order of those slots in its transpose."""
+    side, tet = np.nonzero(coded_adjacency(mesh).T < 0)
     return np.sort(mesh.tets[tet[:, None], _FACES[side]], axis=1)
 
 
@@ -205,7 +210,7 @@ class TestBoundaryFaces:
         "tube", "tube_varying", "junction", "thin_varying_0.8",
         "thin_constant_0.5", "thin_constant_1.0", "thin_varying_0.5"])
     def built(self, request, flat_spec, rich_spec):
-        """A mesh built afresh, so that nothing has read its adjacency."""
+        """A mesh built afresh."""
         name = request.param
         if name == "tube":
             return build_tube_mesh(radius=0.5, length=2.0, axial=0.25)
@@ -224,15 +229,18 @@ class TestBoundaryFaces:
         return build_thin_mesh(spec, axial=0.05, refine=float(refine))
 
     def test_tags_codes_and_adjacency_are_the_face_sorts(self, built):
-        # the adjacency is derived on first use, after the tags
-        assert "adjacent" not in vars(built)
+        # the tags come without an adjacency, which only a locator derives
+        assert not hasattr(built, "adjacent")
         tags, adjacent = face_sort_boundary(built)
         assert list(built.boundary) == list(tags)
         for tag, want in tags.items():
             got = built.boundary[tag]
             assert got.dtype == want.dtype and np.array_equal(got, want), tag
-        assert built.adjacent.dtype == adjacent.dtype
-        assert np.array_equal(built.adjacent, adjacent)
+        got = [coded_adjacency(built)]
+        if "shells" in built.meta:
+            got.append(PointLocator(built)._neighbours)
+        for g in got:
+            assert g.dtype == adjacent.dtype and np.array_equal(g, adjacent)
         assert np.array_equal(built.boundary_codes, adjacent.T[adjacent.T < 0])
 
     @pytest.mark.parametrize("name", ["tube", "junction", "thin"])
@@ -250,7 +258,7 @@ class TestBoundaryFaces:
     @pytest.mark.parametrize("name", ["tube", "junction", "thin"])
     def test_adjacency_pairs_faces_and_codes_tags(self, request, name):
         mesh = request.getfixturevalue(name)
-        adj = mesh.adjacent
+        adj = coded_adjacency(mesh)
         assert adj.shape == (mesh.num_tets, 4) and adj.dtype == np.int32
         # an interior face is seen from both of its tets
         t, v = np.nonzero(adj >= 0)
@@ -270,29 +278,31 @@ class TestBoundaryFaces:
 
     def test_only_the_walked_mesh_sorts_its_faces(self, flat_spec,
                                                   monkeypatch):
-        """A thin-mesh reference solve derives no face adjacency; a
-        junction derives it once, for the locator it builds with it."""
-        calls = []
+        """A thin-mesh reference solve builds no point locator and derives
+        no face adjacency; an order-1 expansion builds one locator, its
+        junction's, and derives the adjacency once, for it."""
+        calls, built = [], []
         sort = mesh3d.face_adjacency
+        init = PointLocator.__init__
 
         def counted(tets, num_nodes):
             calls.append(len(tets))
             return sort(tets, num_nodes)
 
-        monkeypatch.setattr(mesh3d, "face_adjacency", counted)
-        ref = solve_reference(with_epsilon(flat_spec, 0.2), axial=0.05,
-                              refine=0.5)
-        assert calls == [] and "adjacent" not in vars(ref.mesh)
-        tj = TruncatedJunction(flat_spec, R=flat_spec.ell + 3.5, refine=0.7)
-        assert calls == [tj.mesh.num_tets]
-        assert tj.ctx.locator() is tj.ctx.locator()
-        assert tj.ctx.locator()._neighbours is tj.mesh.adjacent
-        assert calls == [tj.mesh.num_tets]
+        def counted_init(loc, mesh):
+            built.append(loc)
+            init(loc, mesh)
 
-    def test_mesh_built_directly_gets_its_adjacency(self, tube):
-        mesh = TetMesh(nodes=tube.nodes, tets=tube.tets, boundary={},
-                       stations={}, disk_tris=tube.disk_tris)
-        assert np.array_equal(mesh.adjacent, np.maximum(tube.adjacent, OTHER))
+        for module in (mesh3d, fem3d):
+            monkeypatch.setattr(module, "face_adjacency", counted)
+        monkeypatch.setattr(PointLocator, "__init__", counted_init)
+        solve_reference(with_epsilon(flat_spec, 0.2), axial=0.05, refine=0.5)
+        assert calls == [] and built == []
+        exp = Expansion(flat_spec, junction_R=flat_spec.ell + 3.5,
+                        junction_refine=0.7)
+        assert exp.order == 1
+        assert calls == [exp.junction.mesh.num_tets]
+        assert len(built) == 1 and built[0] is exp.junction.locator
 
     def test_tags_partition_the_boundary_faces(self, thin):
         faces = boundary_faces_reference(thin.tets)

@@ -16,7 +16,7 @@ import numpy as np
 from scipy import sparse
 
 from .mesh3d import _EDGES, BLOCK_POINTS, END, LayoutSeed, TetMesh, \
-    face_adjacency, tet_blocks, tet_edges, tet_gradients
+    tet_blocks, tet_edges, tet_gradients
 
 _S5 = math.sqrt(5.0)
 _TET_RULES = {
@@ -68,10 +68,6 @@ def _tri_rule_4():
 
 _TRI_RULES[4] = _tri_rule_4()
 
-# Most face steps of PointLocator's walk; one that has neither found
-# its tet nor left the mesh by then is not located.
-WALK_STEPS = 200
-
 # True relative residual ||b - A u|| / ||b|| every CG solve meets.  At
 # this stop, changing only the rounding path moves study errors by up to
 # 3.1e-10 relative and slopes by up to 1.4e-9 (the stiffness summation
@@ -86,8 +82,8 @@ CG_RESTARTS = 3
 
 class FemContext:
     """Geometry (the mesh's tet volumes, and centroids) and stiffness
-    matrix of one mesh, with no walk state (``PointLocator``).  Every pass
-    over the tets runs in blocks of ``mesh3d.BLOCK_POINTS`` points
+    matrix of one mesh, with no point-location state (``PointLocator``).
+    Every pass over the tets runs in blocks of ``mesh3d.BLOCK_POINTS`` points
     (``mesh3d.tet_blocks``), and the passes that read barycentric
     gradients (the stiffness and ``field_gradients``) compute them per
     block with ``mesh3d.tet_gradients``: neither the mesh nor the context
@@ -157,13 +153,11 @@ class FemContext:
                                 minlength=m.num_nodes)
         return off, diag
 
-    def quad_points(self, degree=2, live=None):
-        """Quadrature points and weights of every tet, or of the tets
-        that ``live`` indexes or slices."""
+    def quad_points(self, degree, live):
+        """Quadrature points and weights of the tets that ``live`` indexes
+        or slices."""
         bary, w = _TET_RULES[degree]
-        tets, vols = self.mesh.tets, self.volumes
-        if live is not None:
-            tets, vols = tets[live], vols[live]
+        tets, vols = self.mesh.tets[live], self.volumes[live]
         # np.take gathers the vertex rows about five times faster than
         # fancy indexing, with the same values
         pts = np.matmul(bary, np.take(self.mesh.nodes, tets, axis=0))
@@ -463,9 +457,9 @@ def _point_sums(wts, err, out):
         out += wts[:, q] * err[:, q]
 
 
-def norms(ctx: FemContext, u, reference=None):
-    """Squared L2 and H1 errors per tet of u minus an optional analytic
-    reference, in tet order.
+def norms(ctx: FemContext, u, reference):
+    """Squared L2 and H1 errors per tet of u minus an analytic reference,
+    in tet order.
 
     ``reference(points) -> (values, gradients)`` is evaluated at the
     quadrature points, one block of tets at a time.  Each tet's weighted
@@ -481,10 +475,9 @@ def norms(ctx: FemContext, u, reference=None):
         vals = np.take(u, tets[blk]) @ bary.T
         grads = ctx.field_gradients(u, blk)[:, None, :]
         pts, wts, _ = ctx.quad_points(2, blk)
-        if reference is not None:
-            rv, rg = reference(pts.reshape(-1, 3))
-            vals = vals - rv.reshape(vals.shape)
-            grads = grads - rg.reshape(vals.shape + (3,))
+        rv, rg = reference(pts.reshape(-1, 3))
+        vals = vals - rv.reshape(vals.shape)
+        grads = grads - rg.reshape(vals.shape + (3,))
         grads *= grads
         _point_sums(wts, vals * vals, l2[blk])
         _point_sums(wts, grads[..., 0] + grads[..., 1] + grads[..., 2],
@@ -525,37 +518,51 @@ def station_profile(mesh: TetMesh, u, edge):
             station_means(mesh, u, stations))
 
 
+# Marks of a face shared with the tet before or after (``_partner_faces``).
+_BEFORE, _AFTER = 1, 2
+
+
+def _partner_faces(tets):
+    """(tets, 4) int8 table with ``_BEFORE`` and ``_AFTER`` on the faces
+    each tet shares with its neighbours in the order, else 0, from the
+    16 comparisons of each tet's vertices with the next tet's: two tets
+    that share three vertices share the face opposite the fourth."""
+    this, after = tets.T[:, :-1], tets.T[:, 1:]
+    seen = np.zeros((2, 4, len(tets) - 1), dtype=bool)
+    for a in range(4):
+        for b in range(4):
+            equal = this[a] == after[b]
+            seen[0, a] |= equal
+            seen[1, b] |= equal
+    face = (seen.sum(axis=1, dtype=np.int8) == 3)[:, None] & ~seen
+    table = np.zeros(tets.shape, dtype=np.int8)
+    table.T[:, :-1][face[0]] = _AFTER
+    table.T[:, 1:][face[1]] = _BEFORE
+    return table
+
+
 class PointLocator:
-    """Point location by a face walk from a seed tet, on a mesh with a
+    """Point location in the cell a layout seed names, on a mesh with a
     box layout: the junction's, which builds the one locator of a study
-    or a served request (``junction.TruncatedJunction``).
+    or a served request (``junction.TruncatedJunction``).  A mesh without
+    one, a standalone tube or a bare ``TetMesh``, is refused.
 
-    A point's seed is the middle tet of the prism that holds it, from
-    the box layout the mesh's builder recorded (``mesh3d.LayoutSeed``),
-    so the walk takes at most one step inside the mesh.  A mesh without
-    one, a standalone tube or a mesh made from nodes and tets alone, is
-    refused with ``ValueError``.
-
-    The locator reads only mesh arrays.  It derives the face adjacency
-    (``mesh3d.face_adjacency``, the tet across the face of each tet
-    opposite each vertex) with the mesh's ``boundary_codes`` in the
-    boundary slots, so a walk tells an end face from a wall.  A walk
-    reads the barycentric gradients of scattered tets, one step at a
-    time, so the locator computes them once, when it is built, block by
-    block (``mesh3d.tet_gradients``), and holds rows 1-3 of each, shape
-    (tets, 3, 3): a step reads only those.  Row 0 is recomputed for the
-    tets that need it (:meth:`gradients`), and a tet's vertex 0 is
-    gathered through the tets.
+    A point's seed is the middle tet of the prism that holds it
+    (``mesh3d.LayoutSeed``), so a point of the mesh lies in the seed or
+    in a prism partner, the tet before or after it: no walk is needed.
+    The face state is one (tets, 4) int8 table, the marks of
+    ``_partner_faces`` with the boundary codes written through the mesh's
+    ``boundary_slots``, which tell an end face from a wall.  The locator
+    holds rows 1-3 of each tet's barycentric gradients, computed block by
+    block (``mesh3d.tet_gradients``); row 0 is recomputed where it is
+    read (:meth:`gradients`), and vertex 0 gathered through the tets.
     """
 
     def __init__(self, mesh: TetMesh):
         self._seed = LayoutSeed(mesh.meta)
         self._sagitta = float(mesh.meta["sagitta"])
-        # the adjacency first: its face sort's transients are gone before
-        # the table is made
-        adjacent = face_adjacency(mesh.tets, mesh.num_nodes)
-        adjacent.T[adjacent.T < 0] = mesh.boundary_codes
-        self._neighbours, self._end_face = adjacent, adjacent == END
+        self._faces = _partner_faces(mesh.tets)
+        np.put(self._faces, mesh.boundary_slots, mesh.boundary_codes)
         self._nodes = mesh.nodes
         self._tets = mesh.tets
         self._grads = np.empty((mesh.num_tets, 3, 3))
@@ -572,63 +579,64 @@ class PointLocator:
         first = -(rows[:, 0] + rows[:, 1] + rows[:, 2])
         return np.concatenate([first[:, None], rows], axis=1)
 
+    def _test(self, tets, points, rows, tet, bary):
+        """Test each point in its tet (:meth:`locate`), writing the tets
+        that keep points and their coordinates into rows ``rows`` of
+        ``tet`` and ``bary``; returns the positions of the points to test
+        in a prism partner, and those partners."""
+        # ndarray.take gathers rows several times faster than fancy
+        # indexing, with the same values; vertex 0 from the gathered
+        # rows: ``take`` on the strided column would first copy all of it
+        origin = self._nodes.take(self._tets.take(tets, axis=0)[:, 0], axis=0)
+        local = np.einsum("tkd,td->tk", self._grads.take(tets, axis=0),
+                          points - origin)
+        lam = np.column_stack([1.0 - local.sum(axis=1), local])
+        out = lam < -1e-9
+        inside = ~out.any(axis=1)
+        tet[rows[inside]] = tets[inside]
+        bary[rows[inside]] = np.clip(lam[inside], 0.0, None)
+        if inside.all():
+            return rows[:0], tets[:0]
+        code = self._faces.take(tets, axis=0)
+        step = np.where(out & (code >= 0), lam, np.inf)
+        face = np.argmin(step, axis=1)
+        at = np.arange(len(tets))
+        # no negative face with a tet across: inside, or beyond the mesh
+        stay = np.isinf(step[at, face])
+        left = np.flatnonzero(stay & ~inside)
+        if left.size:
+            # distances beyond the faces, only for points that left
+            t, o = tets[left], out[left]
+            dist = np.where(o, -lam[left], 0.0) / np.linalg.norm(
+                self.gradients(t), axis=2)
+            ok = left[~(o & (code[left] == END)).any(axis=1)
+                      & (dist.max(axis=1) <= self._sagitta)]
+            tet[rows[ok]], bary[rows[ok]] = tets[ok], lam[ok]
+        mark = code[at, face]
+        mark[stay] = 0
+        go = np.flatnonzero(mark)
+        return go, tets[go] + np.where(mark[go] == _AFTER, 1, -1)
+
     def locate(self, points):
         """(tet index, barycentric coords) per point; -1 when not located.
 
-        Each walk starts at the point's seed tet (see the class) and
-        steps across the face with the most negative barycentric among
-        those with a neighbour (a visibility walk).  It ends inside
-        a tet, within 1e-9, with clipped coordinates.  A walk whose
-        negative faces all lie on the boundary has left the mesh: when
-        none of them is an end face and the point is at most the mesh's
-        sagitta beyond each, it keeps that tet with unclipped coordinates,
-        i.e. the tet's linear field.  A point in the gap between a tube's
-        circular wall and its facets is seeded in its own prism, and so
-        gets a tet of that prism.  Otherwise, or when the walk takes more
-        than ``WALK_STEPS`` steps, the tet is -1.  The walk depends only
-        on the point, so answers do not depend on the batch.
+        A tet keeps a point whose barycentrics are all at least -1e-9,
+        clipped; or, when its negative faces all lie on the boundary, none
+        is an end face and the point is at most the mesh's sagitta beyond
+        each, unclipped (its linear field: a wall-gap point gets a tet of
+        its own prism).  A point that its seed does not keep is tested in
+        the prism partner across its most negative face with a tet across,
+        when that face is marked; otherwise it would need a step beyond
+        the partners, and gets -1.  Answers do not depend on the batch.
         """
         points = np.asarray(points, dtype=float)
         npts = len(points)
         tet = np.full(npts, -1, dtype=np.int64)
         bary = np.zeros((npts, 4))
-        cur = self._seed(points)
-        live = np.arange(npts)
-        for _ in range(WALK_STEPS):
-            if live.size == 0:
-                break
-            # ndarray.take gathers rows several times faster than
-            # fancy indexing, with the same values
-            # vertex 0 from the gathered rows: ``take`` on the strided
-            # column would first copy all of it
-            origin = self._nodes.take(self._tets.take(cur, axis=0)[:, 0],
-                                      axis=0)
-            local = np.einsum("tkd,td->tk", self._grads.take(cur, axis=0),
-                              points[live] - origin)
-            lam = np.column_stack([1.0 - local.sum(axis=1), local])
-            out = lam < -1e-9
-            inside = ~out.any(axis=1)
-            tet[live[inside]] = cur[inside]
-            bary[live[inside]] = np.clip(lam[inside], 0.0, None)
-            if inside.all():
-                break
-            nb = self._neighbours.take(cur, axis=0)
-            step = np.where(out & (nb >= 0), lam, np.inf)
-            face = np.argmin(step, axis=1)
-            rows = np.arange(live.size)
-            left = np.flatnonzero(~inside & np.isinf(step[rows, face]))
-            move = ~inside
-            if left.size:
-                # distances beyond the faces, only for walks that left
-                t, o = cur[left], out[left]
-                dist = np.where(o, -lam[left], 0.0) / np.linalg.norm(
-                    self.gradients(t), axis=2)
-                ok = (~(o & self._end_face[t]).any(axis=1)
-                      & (dist.max(axis=1) <= self._sagitta))
-                tet[live[left[ok]]] = t[ok]
-                bary[live[left[ok]]] = lam[left[ok]]
-                move[left] = False
-            live, cur = live[move], nb[rows, face][move].astype(np.int64)
+        go, partner = self._test(self._seed(points), points,
+                                 np.arange(npts), tet, bary)
+        if go.size:
+            self._test(partner, points[go], go, tet, bary)
         return tet, bary
 
     def evaluate(self, u, points, weights=None):
@@ -637,12 +645,16 @@ class PointLocator:
         the located tets only.
 
         A point in the gap between a curved wall and its facets gets the
-        linear field of the tet beside it (:meth:`locate`).  Raises when
-        a point is not located.
+        linear field of the tet beside it (:meth:`locate`).  Raises
+        ``ValueError`` when a point is not located, with the count of such
+        points and the row and coordinates of the first.
         """
         tet, lam = self.locate(points)
         if np.any(tet < 0):
-            raise ValueError("points outside the mesh")
+            row = int(np.argmin(tet))
+            raise ValueError(f"points outside the mesh: {np.sum(tet < 0)} of "
+                             f"{len(tet)}, the first point {row}: "
+                             f"{np.asarray(points, dtype=float)[row]}")
         nodal = u[self._tets[tet]]
         if weights is not None:
             nodal = np.einsum("pak,k->pa", nodal, weights)

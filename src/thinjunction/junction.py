@@ -258,9 +258,9 @@ def _outlet_integral(profile, ell, step):
 class TruncatedJunction:
     """Finite-element model of the junction truncated at outlet length R.
 
-    Its mesh is the only one that a study or a served request walks, so
-    the junction builds the package's one point locator (``locator``)
-    with it, outside the first pass that locates points."""
+    Its mesh is the only one where a study or a served request locates
+    points, so the junction builds the package's one point locator
+    (``locator``) with it, outside the first pass that locates points."""
 
     def __init__(self, spec: ProblemSpec, R=None, refine=None):
         self.spec = spec

@@ -13,9 +13,10 @@ Node ids and boundary tags are each derived once, when the mesh is
 built: the boundary from the faces whose nodes all lie on the
 builder's surface, without matching the interior faces.  The layout
 that fixes the order of the tetrahedra is recorded with the mesh, for
-``LayoutSeed``.  A mesh keeps no face adjacency: that is walk state,
-derived by the locator of the one mesh that is walked, the junction's
-(``fem3d.PointLocator``).
+``LayoutSeed``, which names each point's prism.  A mesh keeps no face
+adjacency: the junction's locator tests the seeded cell against a face
+table of its own (``fem3d.PointLocator``), and no mesh sorts all of its
+faces.
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ _FACES = np.array([[1, 2, 3], [0, 3, 2], [0, 1, 3], [0, 2, 1]])
 _EDGES = np.array([[0, 1], [0, 2], [0, 3], [1, 2], [1, 3], [2, 3]])
 
 # Codes of the faces with no tet across them, in ``TetMesh.boundary_codes``
-# and in the boundary slots of a locator's face adjacency.
+# and in the boundary slots of a locator's face table.
 OTHER, END, LATERAL = -1, -2, -3
 
 # Points per block of every pass over a mesh's tets: quadrature points
@@ -81,9 +82,12 @@ class TetMesh:
     integrals reuse one template triangulation.
 
     ``boundary_codes`` holds the code of each boundary face's tag,
-    ``END`` (``end*``), ``LATERAL`` (``lateral*``) or ``OTHER``, in the
-    order of ``_boundary_faces``.  The mesh keeps no face adjacency: the
-    locator of the one walked mesh derives it (``fem3d.PointLocator``).
+    ``END`` (``end*``), ``LATERAL`` (``lateral*``) or ``OTHER``, and
+    ``boundary_slots`` its slot 4 tet + side (the face of ``tet``
+    opposite its vertex ``side``), both in the order of
+    ``_boundary_faces``.  The mesh keeps no face adjacency: the junction's
+    locator writes the codes through the slots into its face table
+    (``fem3d.PointLocator``).
 
     ``volumes`` are the signed tet volumes, measured once when the mesh
     is made by ``tet_volumes``.  The mesh keeps no barycentric gradients:
@@ -98,6 +102,7 @@ class TetMesh:
     disk_tris: np.ndarray
     meta: dict = field(default_factory=dict)
     boundary_codes: np.ndarray = None
+    boundary_slots: np.ndarray = None
     volumes: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -110,9 +115,6 @@ class TetMesh:
     @property
     def num_tets(self):
         return self.tets.shape[0]
-
-    def volume(self):
-        return float(self.volumes.sum())
 
     def boundary_area(self, tag):
         tri = self.boundary[tag]
@@ -453,28 +455,23 @@ class _DomainBuilder:
             shells=self.shells, half=self.half,
             face_radii=list(self.face_radii),
             sagitta=sagitta(self.max_radius, self.segments),
-            **_tube_layout(self.stations, self.station_r, self.tube_tets))
+            # per tube, its first tet and its stations' positions and radii
+            tube_tets=dict(self.tube_tets),
+            station_x={a: np.array([st.x for st in sts])
+                       for a, sts in self.stations.items()},
+            station_r={a: np.array(self.station_r[a], dtype=float)
+                       for a in self.stations})
         # the builder's pieces go as they are joined
         nodes = np.concatenate(self.coords, axis=0)
         tets = np.concatenate(self.tets, axis=0, dtype=np.int32)
         self.coords.clear()
         self.tets.clear()
-        faces = _boundary_faces(tets, self.num_nodes, self.surface)
+        faces, slots = _boundary_faces(tets, self.num_nodes, self.surface)
         boundary, codes = _tag_boundary(nodes, faces, self.half, end_planes)
         return TetMesh(nodes=nodes, tets=tets,
                        boundary=boundary, stations=self.stations,
                        disk_tris=self.disk_tris, meta=meta,
-                       boundary_codes=codes)
-
-
-def _tube_layout(stations, radii, first_tets):
-    """The tubes' part of a mesh's layout: per tube, its first tet and
-    the axial positions and radii of its stations."""
-    return {"tube_tets": dict(first_tets),
-            "station_x": {a: np.array([st.x for st in sts])
-                          for a, sts in stations.items()},
-            "station_r": {a: np.array(radii[a], dtype=float)
-                          for a in stations}}
+                       boundary_codes=codes, boundary_slots=slots)
 
 
 # In-plane axes of each face and tube axis, as rows.
@@ -512,7 +509,7 @@ class LayoutSeed:
     orders the shells and intervals of all faces, and one product with
     the coefficients of those lines.  A point outside the mesh gets the
     cell its clipped indices give, its max-norm clipped to its face's
-    rows; the walk of ``fem3d.PointLocator`` goes on from any seed.
+    rows; ``fem3d.PointLocator`` tests that cell and its partners only.
     """
 
     def __init__(self, meta):
@@ -659,41 +656,6 @@ def face_keys(faces, num_nodes):
     return (lo * n + (a + b + c - lo - hi)) * n + hi
 
 
-def _run_starts(key, order):
-    """Whether each key of the sorted order ``key[order]`` starts a run
-    of equal keys, compared block by block through ``order``, so that
-    no sorted copy of the keys is made."""
-    first = np.empty(order.size, dtype=bool)
-    first[:1] = True
-    for lo in range(1, order.size, BLOCK_POINTS):
-        hi = min(lo + BLOCK_POINTS, order.size)
-        np.not_equal(key.take(order[lo:hi]), key.take(order[lo - 1:hi - 1]),
-                     out=first[lo:hi])
-    return first
-
-
-def face_adjacency(tets, num_nodes):
-    """Tet across each face of each tet, ``OTHER`` where there is none.
-
-    Faces are matched by their keys, built block by block; column ``v``
-    is the face opposite vertex ``v``.  The pass holds the int64 keys
-    and their sort order, 16 bytes a face, and the adjacency.
-    """
-    key = np.empty((tets.shape[0], 4), dtype=np.int64)
-    for blk in tet_blocks(tets.shape[0]):
-        key[blk] = face_keys(tets[blk][:, _FACES], num_nodes)
-    key = key.ravel()
-    order = np.argsort(key, kind="stable")
-    # sorted positions whose key repeats at the next position
-    twin = np.flatnonzero(~_run_starts(key, order)[1:])
-    del key
-    adjacent = np.full(order.size, OTHER, dtype=np.int32)
-    first, second = order[twin], order[twin + 1]
-    adjacent[first] = second // 4
-    adjacent[second] = first // 4
-    return adjacent.reshape(-1, 4)
-
-
 def tet_edges(tets, num_nodes):
     """The mesh's edges as rows (a, b), a < b, in increasing order, and
     the row of each tet's six edges (``_EDGES``) in that list.
@@ -747,9 +709,9 @@ def tet_edges(tets, num_nodes):
 
 
 def _boundary_faces(tets, num_nodes, surface):
-    """Outward faces with no tet across, int64 node ids, in the order of
-    their slots in the transposed ``face_adjacency``: by face of
-    ``_FACES``, then by tet.
+    """Outward faces with no tet across, int64 node ids, and their int32
+    slots 4 tet + side (the face opposite vertex ``side``; the face keys'
+    node limit keeps them far below 2**31), ordered by side, then by tet.
 
     Only the faces whose three nodes are among the ``surface`` node ids
     (arrays of them, which must hold every node of the boundary) are
@@ -764,7 +726,8 @@ def _boundary_faces(tets, num_nodes, surface):
     faces = tets[tet[:, None], _FACES[side]].astype(np.int64)
     _, inverse, count = np.unique(face_keys(faces, num_nodes),
                                   return_inverse=True, return_counts=True)
-    return faces[count[inverse] == 1]
+    once = count[inverse] == 1
+    return faces[once], (4 * tet[once] + side[once]).astype(np.int32)
 
 
 def _tag_boundary(nodes, faces, half, end_planes):
@@ -883,8 +846,8 @@ def build_tube_mesh(radius, length, axial, refine=1.0, radius_fn=None):
     tets = split_prisms(tris[:-1].reshape(-1, 3), tris[1:].reshape(-1, 3),
                         np.tile(orient, len(xs) - 1))
     # the stations' outer rings and the two end disks
-    faces = _boundary_faces(tets, len(nodes),
-                            [ids[:, -segments:], ids[0], ids[-1]])
+    faces, slots = _boundary_faces(tets, len(nodes),
+                                   [ids[:, -segments:], ids[0], ids[-1]])
     cent = nodes[faces].mean(axis=1)
     tol = 1e-9 * max(1.0, length)
     at_0 = np.abs(cent[:, 0]) < tol
@@ -893,10 +856,10 @@ def build_tube_mesh(radius, length, axial, refine=1.0, radius_fn=None):
                 "lateral_0": faces[~(at_0 | at_l)]}
     meta = {"radius": radius, "length": length, "axial": axial,
             "segments": segments, "rings": rings,
-            "sagitta": sagitta(max(radii), segments),
-            **_tube_layout({0: stations}, {0: radii}, {0: 0})}
+            "sagitta": sagitta(max(radii), segments)}
     return TetMesh(nodes=nodes, tets=tets,
                    boundary=boundary, stations={0: stations},
                    disk_tris=disk_tris, meta=meta,
                    boundary_codes=np.where(at_0 | at_l, END,
-                                           LATERAL).astype(np.int32))
+                                           LATERAL).astype(np.int32),
+                   boundary_slots=slots)

@@ -11,15 +11,16 @@ face centroids, and the codes written into the adjacency.  The builders
 now key only the faces on their surface, and only the locator derives
 the adjacency; both must match these bit for bit.
 
-``coded_adjacency`` is the adjacency the locator walks: the package's
-``face_adjacency`` with the mesh's boundary codes written into its
-boundary slots, for any built mesh, a tube too.
+``coded_adjacency`` is the adjacency the former walk read, kept for
+the walk oracles of ``locator_oracle``: the whole-mesh face adjacency
+(``block_oracle.face_adjacency_reference``) with the mesh's boundary
+codes written into its boundary slots, for any built mesh, a tube too.
 """
 
 import numpy as np
 
 from block_oracle import face_adjacency_reference
-from thinjunction.mesh3d import _FACES, END, LATERAL, OTHER, face_adjacency
+from thinjunction.mesh3d import _FACES, END, LATERAL, OTHER
 
 
 def boundary_faces_reference(tets):
@@ -34,7 +35,7 @@ def boundary_faces_reference(tets):
 
 def coded_adjacency(mesh):
     """Tet across each face of a built mesh, or the boundary face's code."""
-    adjacent = face_adjacency(mesh.tets, mesh.num_nodes)
+    adjacent = face_adjacency_reference(mesh.tets, mesh.num_nodes)
     adjacent.T[adjacent.T < 0] = mesh.boundary_codes
     return adjacent
 

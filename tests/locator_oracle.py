@@ -12,16 +12,20 @@ it is within 1e-6.
 
 ``KdWalkOracle`` is the face walk as it was seeded before the builders
 recorded their layout: each walk starts at the tet whose centroid is
-nearest the point, from a KD-tree of all the centroids.  The walk and
-the sagitta rule are those of ``PointLocator``; a walk that leaves the
-mesh elsewhere restarts once from the tet of the nearest tube wall
-face, as the walks from a centroid did beside a tube mouth.
+nearest the point, from a KD-tree of all the centroids.  It steps
+across the face with the most negative barycentric among those with a
+neighbour (a visibility walk; Devillers, Pion and Teillaud 2002), and
+keeps the sagitta rule of ``PointLocator``; a walk that leaves the mesh
+elsewhere restarts once from the tet of the nearest tube wall face, as
+the walks from a centroid did beside a tube mouth.
 
-``WholeTableLocator`` is ``PointLocator`` as it was before it held a
-compact table: the walk from the layout seed over the whole-mesh
-(tets, 4, 3) array of ``geometry_oracle.tet_geometry`` and a copy of
-every tet's vertex 0, built when the locator is.  The compact locator
-must match its tets, barycentrics, values and gradients bit for bit.
+``WholeTableLocator`` is the former ``PointLocator``: the same walk from
+the layout seed, over the whole-mesh (tets, 4, 3) array of
+``geometry_oracle.tet_geometry``, a copy of every tet's vertex 0 and
+the coded face adjacency of ``boundary_faces_oracle``, for at most
+``WALK_STEPS`` steps.  The locator, which tests only the seeded cell
+and its prism partners, must match its tets, barycentrics, values and
+gradients bit for bit.
 """
 
 import numpy as np

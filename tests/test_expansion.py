@@ -194,7 +194,7 @@ def mesh_clouds(rich_spec):
     for eps in (0.2, 0.1):
         mesh = build_thin_mesh(with_epsilon(rich_spec, eps), axial=0.05,
                                refine=0.5)
-        quad = FemContext(mesh).quad_points(2)[0].reshape(-1, 3)
+        quad = FemContext(mesh).quad_points(2, slice(None))[0].reshape(-1, 3)
         out[eps] = np.vstack([quad, residual_cloud(rich_spec, eps)])
     return out
 

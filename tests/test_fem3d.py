@@ -2,6 +2,8 @@
 
 import dataclasses
 import gc
+import json
+import pathlib
 import re
 import tracemalloc
 import weakref
@@ -15,7 +17,6 @@ from scipy.sparse.linalg import LinearOperator, cg, splu, spsolve
 from scipy.spatial import cKDTree
 
 from block_oracle import (
-    face_adjacency_reference,
     face_keys_reference,
     norms_reference,
     norms_vdot_reference,
@@ -44,6 +45,7 @@ from thinjunction import (
     build_tube_mesh,
     compute_delta,
     fem3d,
+    load_spec,
     junction,
     mesh3d,
     solve_decaying,
@@ -93,12 +95,13 @@ LINEAR_GRAD = np.array([2.0, -1.0, 0.5])
 class TestQuadrature:
     def test_weights_sum_to_volume(self, ctx):
         for degree in (2, 5):
-            _, wts, _ = ctx.quad_points(degree)
-            assert wts.sum() == pytest.approx(ctx.mesh.volume(), rel=1e-12)
+            _, wts, _ = ctx.quad_points(degree, slice(None))
+            assert wts.sum() == pytest.approx(ctx.mesh.volumes.sum(),
+                                              rel=1e-12)
 
     def test_volume_load_of_one_integrates_to_volume(self, ctx):
         b = ctx.volume_load(lambda pts: np.ones(pts.shape[0]))
-        assert b.sum() == pytest.approx(ctx.mesh.volume(), rel=1e-12)
+        assert b.sum() == pytest.approx(ctx.mesh.volumes.sum(), rel=1e-12)
 
     def test_volume_load_linear_exact(self, ctx, tube):
         # cross-sections are centred, so the axial moment is A * L^2 / 2
@@ -127,6 +130,11 @@ class TestQuadrature:
 
 def _wavy_value(pts):
     return np.sin(3.0 * pts[:, 0]) + pts[:, 1] * pts[:, 2]
+
+
+def _zero_reference(pts):
+    """The zero field, so that ``norms`` measures the field itself."""
+    return np.zeros(len(pts)), np.zeros((len(pts), 3))
 
 
 def _wavy_reference(pts):
@@ -168,7 +176,8 @@ class TestBlocks:
             seen.append(len(pts))
             return _wavy_reference(pts)
 
-        for fn, ref in ((None, None), (reference, _wavy_reference)):
+        for fn, ref in ((_zero_reference, None),
+                        (reference, _wavy_reference)):
             l2, h1 = norms(ctx, field, fn)
             for m in (None, subset):
                 at = slice(None) if m is None else m
@@ -186,10 +195,7 @@ class TestBlocks:
         assert volumes.tobytes() == want[0].tobytes()
         assert grads.tobytes() == want[1].tobytes()
 
-    def test_face_adjacency_and_edges(self, tube):
-        assert np.array_equal(
-            mesh3d.face_adjacency(tube.tets, tube.num_nodes),
-            face_adjacency_reference(tube.tets, tube.num_nodes))
+    def test_edges(self, tube):
         # edge keys a*n + b below 2**31, and on ids spread so that they
         # pass it; the edge rows are int32 either way
         spread = 50_000 // tube.num_nodes + 1
@@ -761,6 +767,29 @@ class TestEvaluation:
         with pytest.raises(ValueError, match="outside"):
             jloc.evaluate(u, outside)
 
+    def test_a_point_not_located_is_named(self):
+        """The error counts the points not located and names the row and
+        coordinates of the first, on the field_queries junction.  The
+        recorded outside points of its golden are all served since the
+        wall-gap rule; the first one at eps = 0.2, in the fast variables
+        and at twice its distance from its tube's axis, is outside."""
+        bench = pathlib.Path(__file__).resolve().parents[1] / "bench"
+        plan = json.loads((bench / "plans" / "field_queries.json").read_text())
+        golden = json.loads(
+            (bench / "golden" / "field_queries.json").read_text())
+        jn = TruncatedJunction(load_spec(plan["spec"]), R=plan["junction_R"],
+                               refine=plan["junction_refine"])
+        recorded = np.array(golden["outside"]["0.2"][0]) / 0.2
+        pushed = 2.0 * recorded
+        pushed[np.argmax(recorded)] = recorded.max()
+        pts = np.array([recorded, [0.1, 0.0, 0.0], pushed, 2.0 * pushed])
+        assert np.array_equal(jn.locator.locate(pts)[0] >= 0,
+                              [True, True, False, False])
+        with pytest.raises(ValueError) as err:
+            jn.locator.evaluate(np.zeros(jn.mesh.num_nodes), pts)
+        assert str(err.value) == (f"points outside the mesh: 2 of 4, the "
+                                  f"first point 2: {pts[2]}")
+
     def test_station_average_linear_exact(self, ctx, tube):
         u = linear_field(tube.nodes)
         for st in tube.stations[0]:
@@ -792,7 +821,7 @@ class TestEvaluation:
         monkeypatch.setattr(mesh3d, "BLOCK_POINTS", 7)
         half = ctx.centroids[:, 0] < 0.5
         ones = np.ones(tube.num_nodes)
-        l2, h1 = norms(ctx, ones)
+        l2, h1 = norms(ctx, ones, _zero_reference)
         part = norm_triple(l2[half], h1[half])
         assert part == norms_reference(ctx, ones, mask=half)
         l2_full = norm_triple(l2, h1)[0]
@@ -841,10 +870,10 @@ def _assert_in_tet_or_gap(mesh, pts, tet):
 
 
 def _assert_agrees_with_oracle(loc, mesh, pts):
-    """The walk against the node-round oracle.
+    """The locator against the node-round oracle.
 
     Where the oracle's tet is unique (smallest barycentric > 1e-9) the
-    walk takes the same tet and barycentrics.  Every point the oracle
+    locator takes the same tet and barycentrics.  Every point the oracle
     locates is located, and a random nodal field has there the P1 value
     of the oracle's tet: the linear field of that tet at the point,
     since the oracle clips the coordinates of the points it accepts
@@ -895,7 +924,7 @@ def _beyond_nearest_nodes(mesh, pts, tet, k):
 
 
 class TestBatchedLocator:
-    """The face walk against the node-round oracle."""
+    """The seeded cell test against the node-round oracle."""
 
     def test_random_points_in_tube(self, jloc, junction_flat6):
         # around tube 0 of the junction, from its mouth past its end
@@ -914,7 +943,7 @@ class TestBatchedLocator:
         _assert_agrees_with_oracle(jloc, mesh, np.vstack([pts, box]))
 
     def test_vertices_and_shared_faces_tie_rule(self, jloc, junction_flat6):
-        # a vertex or face centroid lies in several tets; the walk may
+        # a vertex or face centroid lies in several tets; the locator may
         # take another one than the oracle, with the same P1 value
         mesh = junction_flat6.mesh
         rng = np.random.default_rng(14)
@@ -930,14 +959,14 @@ class TestBatchedLocator:
         mesh = junction_flat6.mesh
         pts, tet = _inside_points_with_tets(mesh, 40000, seed=15)
         late = {k: _beyond_nearest_nodes(mesh, pts, tet, k) for k in (1, 8)}
-        # the oracle's k = 8 (k = 32) round found these; the walk finds
+        # the oracle's k = 8 (k = 32) round found these; the locator finds
         # their own tet
         assert late[1].sum() > 20 and late[8].sum() > 5
         got = _assert_agrees_with_oracle(jloc, mesh, pts[late[1]])
         assert np.array_equal(got, tet[late[1]])
 
     def test_mesh_without_a_layout_is_refused(self, tube):
-        # only the box layout a builder records seeds the walk: a mesh
+        # only the box layout a builder records seeds the locator: a mesh
         # made from nodes and tets has none, nor has a standalone tube
         bare = TetMesh(nodes=tube.nodes, tets=tube.tets, boundary={},
                        stations={}, disk_tris=tube.disk_tris)
@@ -1002,8 +1031,8 @@ class TestBatchedLocator:
 
 
 class TestWalk:
-    """Points the node rounds missed are found by the walk, and a point
-    in the gap beside a curved wall gets its tet's linear field."""
+    """Points the node rounds missed are found in their seeded cells, and
+    a point in the gap beside a curved wall gets its tet's linear field."""
 
     @staticmethod
     def _gap_points(mesh, edge, n, depth, seed, axial=None):
@@ -1138,16 +1167,16 @@ def _assert_seeds_in_prisms(mesh, pts, own):
 
 
 class TestLayoutSeed:
-    """The walk from the layout seed against the walk from the nearest
-    centroid with the wall-tree restart that it replaced
-    (``KdWalkOracle``), on 200,000 points inside tets of the junction
-    mesh and on wall-gap points, also at the tube mouths, where the walk
-    from a centroid could leave through the box wall.
+    """The seeded cell test against the walk from the nearest centroid
+    with the wall-tree restart (``KdWalkOracle``), on 200,000 points
+    inside tets of the junction mesh and on wall-gap points, also at the
+    tube mouths, where the walk from a centroid could leave through the
+    box wall.
 
     A wall-gap point can lie beyond the coplanar wall facets of two
     neighbouring prisms and within the other faces of a tet of each, so
-    either walk may keep either tet, whose linear fields differ there;
-    the walk from the layout seed keeps a tet of the point's own prism.
+    either may be kept, and their linear fields differ there; the seeded
+    cell test keeps a tet of the point's own prism.
     """
 
     @pytest.fixture(scope="class", params=["junction"])
@@ -1184,7 +1213,7 @@ class TestLayoutSeed:
         and row 0 recomputed where it is read, give bitwise the tets,
         barycentrics, values and gradients of the whole-table oracle: on
         points inside tets, in the wall gaps, at nodes and beyond the
-        mesh, where the walk reads row 0 for the sagitta rule."""
+        mesh, where the cell test reads row 0 for the sagitta rule."""
         mesh, loc, pts, _, gap = case
         rng = np.random.default_rng(49)
         verts = mesh.nodes[rng.choice(mesh.num_nodes, 500, replace=False)]
@@ -1204,7 +1233,7 @@ class TestLayoutSeed:
                 assert g.shape == w.shape and g.tobytes() == w.tobytes()
 
     def test_every_seed_lies_in_its_points_prism(self, case):
-        # a gap point's prism is that of the tet the walk keeps
+        # a gap point's prism is that of the tet the locator keeps
         mesh, loc, pts, own, gap = case
         inside = _linear_coords(mesh, own, pts).min(axis=1) > 1e-9
         _assert_seeds_in_prisms(
@@ -1220,35 +1249,6 @@ class TestLayoutSeed:
         seed.reach = np.inf
         assert np.array_equal(got, seed(pts))
 
-    def test_far_points_are_refused_within_a_few_steps(self, junction_flat6,
-                                                       monkeypatch):
-        """A point far past a tube end, or far beyond a box face, is
-        seeded on its own face (a coordinate past half the key span of
-        a face once keyed the next face's cells) and its walk leaves
-        the mesh at once."""
-        mesh = junction_flat6.mesh
-        pts = np.array([[20.0, 0.0, 0.0], [1e6, 3.0, 2.0], [-1e6, 0.0, 0.0],
-                        [50.0, 50.0, 50.0], [0.0, -30.0, 1.0]])
-        seed = LayoutSeed(mesh.meta)(pts)
-        centroid = mesh.nodes[mesh.tets[seed]].mean(axis=1)
-        face = np.argmax(np.hstack([pts, -pts]), axis=1)
-        assert np.array_equal(
-            np.argmax(np.hstack([centroid, -centroid]), axis=1), face)
-        loc = junction_flat6.locator
-        steps = []
-        adjacent = loc._neighbours
-
-        class Counted:
-            def take(self, *args, **kwargs):
-                steps.append(1)
-                return adjacent.take(*args, **kwargs)
-
-        monkeypatch.setattr(loc, "_neighbours", Counted())
-        for p in pts:
-            steps.clear()
-            assert loc.locate(p[None])[0][0] == -1
-            assert len(steps) <= 3, p
-
     def test_built_meshes_build_no_centroid_tree(self, junction_flat6,
                                                  rich_spec):
         thin = build_thin_mesh(rich_spec, axial=0.05, refine=0.8)
@@ -1263,11 +1263,95 @@ class TestLayoutSeed:
         _assert_seeds_in_prisms(thin, pts[inside], own[inside])
 
 
+# Points far past a tube end or far beyond a box face.
+_FAR = np.array([[20.0, 0.0, 0.0], [1e6, 3.0, 2.0], [-1e6, 0.0, 0.0],
+                 [50.0, 50.0, 50.0], [0.0, -30.0, 1.0]])
+
+
+def _oracle_classes(mesh, seed):
+    """Bounded samples of each class of point the cell test must answer
+    as the walk does: inside tets, at vertices, edge midpoints and face
+    centroids, in the bounding box grown by 0.5 and by 20% of its
+    extent, at -2 ... 3 sagittas along the outward normal of faces of
+    every boundary tag, and far from the mesh."""
+    rng = np.random.default_rng(seed)
+    x = mesh.nodes[mesh.tets[rng.integers(0, mesh.num_tets, 3000)]]
+    lo, hi = mesh.nodes.min(axis=0), mesh.nodes.max(axis=0)
+    grow = 0.2 * (hi - lo)
+    gap = []
+    for tris in mesh.boundary.values():
+        p = mesh.nodes[tris[rng.choice(len(tris), min(len(tris), 60),
+                                       replace=False)]]
+        normal = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+        normal /= np.linalg.norm(normal, axis=1)[:, None]
+        on = np.einsum("pa,pad->pd", rng.dirichlet(np.ones(3), len(p)), p)
+        for depth in (-2.0, -1.0, -0.5, 0.0, 0.5, 0.99, 1.01, 1.5, 2.0, 3.0):
+            gap.append(on + depth * mesh.meta["sagitta"] * normal)
+    return {
+        "inside": _inside_points(mesh, 4000, seed),
+        "ties": np.vstack([x[:1000, 0], 0.5 * (x[1000:2000, 0]
+                                               + x[1000:2000, 1]),
+                           x[2000:, :3].mean(axis=1)]),
+        "box": np.vstack([rng.uniform(lo - 0.5, hi + 0.5, (1500, 3)),
+                          rng.uniform(lo - grow, hi + grow, (1500, 3))]),
+        "sagitta": np.vstack(gap),
+        "far": np.vstack([_FAR, 30.0 * rng.standard_normal((300, 3))]),
+    }
+
+
+class TestSeededCell:
+    """The test of the seeded cell against the face walk it replaced,
+    kept as ``locator_oracle.WholeTableLocator``: bitwise the same tets
+    and barycentrics on every class of ``_oracle_classes``, on the
+    junction of the tests, a rich-spec junction, and rich thin meshes at
+    eps = 0.2 and 0.51 (a varying radius, and slivers where two forced
+    stations nearly coincide)."""
+
+    @pytest.fixture(scope="class", params=["junction_flat6", "rich_junction",
+                                           "thin_0.2", "thin_0.51"])
+    def mesh(self, request, junction_flat6, exp_rich, rich_spec):
+        if request.param == "junction_flat6":
+            return junction_flat6.mesh
+        if request.param == "rich_junction":
+            return exp_rich.junction.mesh
+        eps = float(request.param.split("_")[1])
+        return build_thin_mesh(with_epsilon(rich_spec, eps), axial=0.05,
+                               refine=0.5)
+
+    def test_locate_is_the_walk(self, mesh):
+        loc, walk = PointLocator(mesh), WholeTableLocator(mesh)
+        for name, pts in _oracle_classes(mesh, seed=60).items():
+            got, want = loc.locate(pts), walk.locate(pts)
+            for g, w in zip(got, want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), name
+            located = np.mean(got[0] >= 0)
+            assert {"inside": located == 1, "ties": located == 1,
+                    "box": 0 < located < 1, "sagitta": 0 < located < 1,
+                    "far": located == 0}[name], (name, located)
+
+    def test_far_points_are_seeded_on_their_own_face(self, mesh):
+        # a coordinate past half the key span of a face once keyed the
+        # next face's cells
+        seed = LayoutSeed(mesh.meta)(_FAR)
+        centroid = mesh.nodes[mesh.tets[seed]].mean(axis=1)
+        assert np.array_equal(np.argmax(np.hstack([centroid, -centroid]), 1),
+                              np.argmax(np.hstack([_FAR, -_FAR]), 1))
+
+    def test_face_state_is_one_int8_table(self, mesh):
+        # besides the mesh's own arrays and the gradient rows, the locator
+        # holds 4 bytes a tet: no adjacency, no end-face table
+        loc = PointLocator(mesh)
+        held = [v for v in vars(loc).values() if isinstance(v, np.ndarray)
+                and v is not mesh.nodes and v is not mesh.tets]
+        assert [(v.shape, v.dtype) for v in held] == [
+            ((mesh.num_tets, 4), np.int8), ((mesh.num_tets, 3, 3), float)]
+
+
 def test_norms_of_known_field(ctx, tube):
     # u = x has squared L2 norm A/3 and squared seminorm A on this tube
     u = tube.nodes[:, 0]
     area = tube.boundary_area("end_a")
-    l2, semi, h1 = norm_triple(*norms(ctx, u))
+    l2, semi, h1 = norm_triple(*norms(ctx, u, _zero_reference))
     assert l2 ** 2 == pytest.approx(area / 3.0, rel=1e-12)
     assert semi ** 2 == pytest.approx(area, rel=1e-12)
     assert h1 ** 2 == pytest.approx(l2 ** 2 + semi ** 2, rel=1e-12)

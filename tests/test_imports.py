@@ -1,9 +1,10 @@
-"""Every top-level import of a package or test module is used, and
-importing the package loads no module it does not need.
+"""Every top-level import of a package or test module is used, every
+module-level function and class of the package is read, and importing
+the package loads no module it does not need.
 
 No linter runs on the repository, so this is the check for unused
-imports.  The package's ``__init__.py`` re-exports names and
-``__future__`` imports are directives, so both are left out.
+imports and definitions.  The package's ``__init__.py`` re-exports names
+and ``__future__`` imports are directives, so both are left out.
 """
 
 import ast
@@ -19,6 +20,16 @@ TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "thinjunction"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 TEST_MODULES = sorted(TESTS.glob("*.py"))
+BENCH_MODULES = sorted((TESTS.parent / "bench").glob("*.py"))
+
+# Definitions that only tests read, each kept for its reason.
+TEST_ONLY = {
+    ("graph", "weak_residual"): "a check of the paper's weak form",
+    ("mesh3d", "build_tube_mesh"):
+        "the uniform-spacing tube of the FEM convergence tests: thin meshes "
+        "grade their stations, and on the fem_sweep spec halving axial "
+        "left the thin mesh unchanged, so the rate read 0",
+}
 
 
 def unused_imports(source):
@@ -40,6 +51,41 @@ def test_the_check_sees_unused_names():
            "from dataclasses import dataclass, field\n"
            "x = np.zeros(1)\n@dataclass\nclass A:\n    pass\n")
     assert unused_imports(src) == ["field", "os"]
+
+
+def unread_definitions(modules, readers):
+    """(module, name) of the module-level functions and classes of
+    ``modules`` ({name: source}) that no source of ``modules`` or
+    ``readers`` reads, as a name or as an attribute."""
+    read = set()
+    for source in [*modules.values(), *readers]:
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+                read.add(n.id)
+            elif isinstance(n, ast.Attribute):
+                read.add(n.attr)
+    return sorted((module, n.name) for module, source in modules.items()
+                  for n in ast.parse(source).body
+                  if isinstance(n, (ast.FunctionDef, ast.ClassDef))
+                  and n.name not in read)
+
+
+def test_the_check_sees_unread_definitions():
+    modules = {"a": "def f():\n    return g()\ndef g():\n    pass\n"
+                    "class C:\n    pass\nh = 1\n",
+               "b": "import a\ndef k():\n    k = 2\n"}
+    assert unread_definitions(modules, []) == [("a", "C"), ("a", "f"),
+                                                ("b", "k")]
+    assert unread_definitions(modules, ["from a import f\nf()\na.C"]) == [
+        ("b", "k")]
+
+
+def test_every_package_definition_is_read():
+    """Read in a package module (its own counts), in ``cli.py`` or in the
+    benchmark's modules; the re-exports of ``__init__.py`` do not count."""
+    modules = {p.stem: p.read_text() for p in MODULES}
+    readers = [p.read_text() for p in BENCH_MODULES]
+    assert unread_definitions(modules, readers) == sorted(TEST_ONLY)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

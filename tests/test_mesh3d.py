@@ -67,7 +67,7 @@ class TestTube:
     def test_volume_matches_end_area_times_length(self, tube):
         # straight prisms split into tets keep the product exactly
         area = tube.boundary_area("end_a")
-        assert tube.volume() == pytest.approx(2.0 * area, rel=1e-12)
+        assert tube.volumes.sum() == pytest.approx(2.0 * area, rel=1e-12)
 
     def test_end_disks_approximate_circle(self, tube):
         a = tube.boundary_area("end_a")
@@ -229,31 +229,40 @@ class TestBoundaryFaces:
         return build_thin_mesh(spec, axial=0.05, refine=float(refine))
 
     def test_tags_codes_and_adjacency_are_the_face_sorts(self, built):
-        # the tags come without an adjacency, which only a locator derives
+        # the tags come without an adjacency; the slots and codes are those
+        # of the face sort's boundary slots
         assert not hasattr(built, "adjacent")
         tags, adjacent = face_sort_boundary(built)
         assert list(built.boundary) == list(tags)
         for tag, want in tags.items():
             got = built.boundary[tag]
             assert got.dtype == want.dtype and np.array_equal(got, want), tag
-        got = [coded_adjacency(built)]
-        if "shells" in built.meta:
-            got.append(PointLocator(built)._neighbours)
-        for g in got:
-            assert g.dtype == adjacent.dtype and np.array_equal(g, adjacent)
+        assert np.array_equal(coded_adjacency(built), adjacent)
+        side, tet = np.nonzero(adjacent.T < 0)
+        assert np.array_equal(built.boundary_slots, 4 * tet + side)
         assert np.array_equal(built.boundary_codes, adjacent.T[adjacent.T < 0])
+        if "shells" in built.meta:
+            # the locator's table: the codes in the boundary slots, a mark
+            # on the faces shared with the tet before or after, else 0
+            own = np.arange(built.num_tets)[:, None]
+            want = np.select([adjacent < 0, adjacent == own - 1,
+                              adjacent == own + 1],
+                             [adjacent, fem3d._BEFORE, fem3d._AFTER], 0)
+            table = PointLocator(built)._faces
+            assert table.dtype == np.int8 and np.array_equal(table, want)
 
     @pytest.mark.parametrize("name", ["tube", "junction", "thin"])
     def test_bitwise_equal_to_oracle(self, request, name):
         # any surface that holds the boundary's nodes gives its faces, in
-        # the order of the oracle's face sort
+        # the order of the oracle's face sort, and the mesh's slots
         mesh = request.getfixturevalue(name)
         n = mesh.num_nodes
         for tets in (mesh.tets, mesh.tets.astype(np.int64)):
             want = boundary_faces_reference(tets).astype(np.int64)
             for surface in (list(mesh.boundary.values()), [np.arange(n)]):
-                got = _boundary_faces(tets, n, surface)
+                got, slots = _boundary_faces(tets, n, surface)
                 assert got.dtype == np.int64 and np.array_equal(got, want)
+                assert np.array_equal(slots, mesh.boundary_slots)
 
     @pytest.mark.parametrize("name", ["tube", "junction", "thin"])
     def test_adjacency_pairs_faces_and_codes_tags(self, request, name):
@@ -276,33 +285,35 @@ class TestBoundaryFaces:
             assert np.array_equal(np.unique(faces[code == want], axis=0),
                                   np.unique(tagged, axis=0)), prefix
 
-    def test_only_the_walked_mesh_sorts_its_faces(self, flat_spec,
-                                                  monkeypatch):
-        """A thin-mesh reference solve builds no point locator and derives
-        no face adjacency; an order-1 expansion builds one locator, its
-        junction's, and derives the adjacency once, for it."""
-        calls, built = [], []
-        sort = mesh3d.face_adjacency
+    def test_only_surface_faces_are_keyed(self, flat_spec, monkeypatch):
+        """A thin-mesh reference solve and an order-1 expansion key only
+        the faces on each builder's surface, once per mesh, far fewer
+        than the 4 * tets faces of a whole-mesh sort, and build one point
+        locator, the junction's."""
+        keyed, built = [], []
+        keys = mesh3d.face_keys
         init = PointLocator.__init__
 
-        def counted(tets, num_nodes):
-            calls.append(len(tets))
-            return sort(tets, num_nodes)
+        def counted(faces, num_nodes):
+            keyed.append(len(faces))
+            return keys(faces, num_nodes)
 
         def counted_init(loc, mesh):
             built.append(loc)
             init(loc, mesh)
 
-        for module in (mesh3d, fem3d):
-            monkeypatch.setattr(module, "face_adjacency", counted)
+        monkeypatch.setattr(mesh3d, "face_keys", counted)
         monkeypatch.setattr(PointLocator, "__init__", counted_init)
-        solve_reference(with_epsilon(flat_spec, 0.2), axial=0.05, refine=0.5)
-        assert calls == [] and built == []
+        ref = solve_reference(with_epsilon(flat_spec, 0.2), axial=0.05,
+                              refine=0.5)
+        assert len(keyed) == 1 and built == []
         exp = Expansion(flat_spec, junction_R=flat_spec.ell + 3.5,
                         junction_refine=0.7)
         assert exp.order == 1
-        assert calls == [exp.junction.mesh.num_tets]
+        assert len(keyed) == 2
         assert len(built) == 1 and built[0] is exp.junction.locator
+        for count, mesh in zip(keyed, (ref.mesh, exp.junction.mesh)):
+            assert count < 0.1 * 4 * mesh.num_tets, (count, mesh.num_tets)
 
     def test_tags_partition_the_boundary_faces(self, thin):
         faces = boundary_faces_reference(thin.tets)
@@ -498,5 +509,8 @@ def test_each_tube_is_split_in_one_call_as_station_by_station(
         want = np.concatenate([
             split(a.nodes[mesh.disk_tris], b.nodes[mesh.disk_tris], orient)
             for a, b in zip(stations[:-1], stations[1:])])
-        first = meta["tube_tets"][axis]
+        # a tube records no seeding layout: its tube starts at tet 0
+        first = meta["tube_tets"][axis] if "shells" in meta else 0
         assert np.array_equal(mesh.tets[first:first + len(want)], want)
+    if build == "tube":
+        assert not {"tube_tets", "station_x", "station_r"} & meta.keys()

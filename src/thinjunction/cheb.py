@@ -1,6 +1,7 @@
-"""Piecewise Chebyshev series on [0, 1] used by the edge ODE solves.
+"""Piecewise Chebyshev series on [0, 1], all of one type, ChebStack.
 
-Every Chebyshev-in-x quantity of the package is evaluated by one kernel,
+The graph profiles (:func:`interpolate`, :func:`antiderivative`) and the
+correctors' modal coefficients are evaluated by one kernel,
 :meth:`ChebStack.at`.  It maps each point to the variable t of its
 interval and builds T_0(t) .. T_deg(t) by doubling: given the rows
 T_0 .. T_m, the product identity T_{m+j} = 2 T_m T_j - T_{m-j} gives the
@@ -21,8 +22,6 @@ interval.  Every step is elementwise, so a point's row does not depend
 on its batch.
 """
 from __future__ import annotations
-
-from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import Chebyshev
@@ -49,14 +48,15 @@ class ChebStack:
     """Piecewise Chebyshev series on breakpoint grids, stacked.
 
     ``breakpoints`` is one grid, or several whose intervals are numbered
-    in turn.  ``coeffs`` has shape (intervals, deg+1, *shape); evaluating
-    at points of shape S gives an array of shape S + shape.
+    in turn (``grids``).  ``coeffs`` has shape (intervals, deg+1, *shape);
+    evaluating at points of shape S gives an array of shape S + shape.
     """
 
     def __init__(self, breakpoints, coeffs):
         if np.ndim(breakpoints[0]) == 0:
             breakpoints = [breakpoints]
-        grids = [np.asarray(bp, dtype=float) for bp in breakpoints]
+        self.grids = grids = [np.asarray(bp, dtype=float)
+                              for bp in breakpoints]
         a = np.concatenate([bp[:-1] for bp in grids])
         b = np.concatenate([bp[1:] for bp in grids])
         # numpy's map of each interval [a, b] onto [-1, 1], each grid's
@@ -77,15 +77,15 @@ class ChebStack:
         self._coeffs = np.zeros(c.shape[:2] + (max(self._cols, 2),))
         self._coeffs[:, :, : self._cols] = c
 
-    def __call__(self, x, cut=None):
-        """Every stacked series at x; on several grids, the points
-        x[cut[g]:cut[g + 1]] are on grid g."""
-        return self.at(x, cut)[0]
+    def __call__(self, x):
+        """Every stacked series at x, on a stack of one grid."""
+        return self.at(x)[0]
 
     def at(self, x, cut=None):
-        """(values, intervals): every stacked series at x, as a call
-        gives them, and the interval of each point, numbered in turn over
-        the grids, the end ones extended outwards.
+        """(values, intervals): every stacked series at x, and the
+        interval of each point, numbered in turn over the grids, the end
+        ones extended outwards.  On several grids, the points
+        x[cut[g]:cut[g + 1]] are on grid g.
 
         The points are sorted by interval once, so the table T_0..T_deg
         has columns that run interval by interval, and the stack is
@@ -124,55 +124,43 @@ class ChebStack:
         return out[()] if out.ndim == 0 else out, interval.reshape(shape)
 
 
-class PiecewiseCheb:
-    """Chebyshev interpolants per interval with continuous antiderivatives."""
+def _series(stack):
+    """The numpy series of a one-grid, one-column stack, per interval."""
+    (bp,) = stack.grids
+    return [Chebyshev(c, domain=[a, b])
+            for c, a, b in zip(stack.coeffs, bp[:-1], bp[1:])]
 
-    def __init__(self, breakpoints, series):
-        self.breakpoints = np.asarray(breakpoints, dtype=float)
-        self.series = list(series)
 
-    @classmethod
-    def interpolate(cls, fn, breakpoints, deg=64):
-        bp = np.asarray(breakpoints, dtype=float)
-        series = [Chebyshev.interpolate(fn, deg, domain=[bp[j], bp[j + 1]])
-                  for j in range(len(bp) - 1)]
-        return cls(bp, series)
+def interpolate(fn, breakpoints, deg):
+    """Chebyshev interpolant of degree ``deg`` of fn on every interval of
+    the breakpoints, as a one-column stack."""
+    bp = np.asarray(breakpoints, dtype=float)
+    return ChebStack(bp, [Chebyshev.interpolate(fn, deg, domain=[a, b]).coef
+                          for a, b in zip(bp[:-1], bp[1:])])
 
-    @property
-    def deg(self):
-        return max(s.coef.size for s in self.series) - 1
 
-    def coeffs(self, deg=None):
-        """(intervals, deg+1) coefficients, zero-padded to ``deg``."""
-        deg = self.deg if deg is None else deg
-        out = np.zeros((len(self.series), deg + 1))
-        for j, s in enumerate(self.series):
-            out[j, : s.coef.size] = s.coef
-        return out
+def antiderivative(stack, start=0.0):
+    """Continuous antiderivative of a one-column stack, equal to
+    ``start`` at the left end of its grid, with the coefficients that
+    numpy trims zero-padded."""
+    acc = float(start)
+    out = []
+    for s in _series(stack):
+        a = s.integ(lbnd=s.domain[0]) + acc
+        out.append(a.coef)
+        acc = a(s.domain[1])
+    coeffs = np.zeros((len(out), max(c.size for c in out)))
+    for j, c in enumerate(out):
+        coeffs[j, : c.size] = c
+    return ChebStack(stack.grids[0], coeffs)
 
-    @cached_property
-    def _stack(self):
-        return ChebStack(self.breakpoints, self.coeffs())
 
-    def __call__(self, x):
-        return self._stack(x)
-
-    def antiderivative(self, start=0.0):
-        """Continuous antiderivative equal to ``start`` at the left endpoint."""
-        acc = float(start)
-        out = []
-        for s in self.series:
-            a = s.integ(lbnd=s.domain[0])
-            a = a + acc
-            out.append(a)
-            acc = a(s.domain[1])
-        return PiecewiseCheb(self.breakpoints, out)
-
-    def integral(self):
-        total = 0.0
-        for s in self.series:
-            total += s.integ(lbnd=s.domain[0])(s.domain[1])
-        return total
+def integral(stack):
+    """Integral of a one-column stack over its grid."""
+    total = 0.0
+    for s in _series(stack):
+        total += s.integ(lbnd=s.domain[0])(s.domain[1])
+    return total
 
 
 def gauss_piecewise(fn, breakpoints):

@@ -259,8 +259,10 @@ class EdgeCorrector:
     Like every tube function, u_k is smooth between the breakpoints of
     its radius ``h``.  ``coeffs[j]`` holds, for the j-th of those
     intervals, Chebyshev coefficients of shape (deg+1, 2, N+1, P+1) in
-    the mapped variable; index 1 separates cos/sin banks.  ``germ`` lists the exact x-power
-    slices of u_k about x = 0, valid while the radius is constant.
+    the mapped variable; index 1 separates cos/sin banks.  One
+    ``ChebStack`` holds them with those of du/dx and d2u/dx2.  ``germ``
+    lists the exact x-power slices of u_k about x = 0, valid while the
+    radius is constant.
     """
 
     edge: int
@@ -270,17 +272,16 @@ class EdgeCorrector:
     germ: list
 
     def __post_init__(self):
-        # (intervals, deg+1, 2, N, P) stacks of u and its x-derivatives;
-        # u and du/dx, padded with a zero top row, are joined by column
+        # (intervals, deg+1, 3, 2, N, P): u, du/dx and d2u/dx2, the
+        # derivatives padded with zero top rows
         bp = self.h.breakpoints
-        d = [np.stack([npcheb.chebder(c, m, scl=2.0 / (xr - xl), axis=0)
-                       if m else c
-                       for c, xl, xr in zip(self.coeffs, bp, bp[1:])])
-             for m in range(3)]
-        ux = np.zeros_like(d[0])
-        ux[:, :-1] = d[1]
-        self._joined = ChebStack(bp, np.stack([d[0], ux], axis=2))
-        self._second = ChebStack(bp, d[2])
+        stack = np.zeros((len(self.coeffs), self.coeffs[0].shape[0], 3)
+                         + self.shape)
+        for j, (c, xl, xr) in enumerate(zip(self.coeffs, bp, bp[1:])):
+            for m in range(3):
+                d = npcheb.chebder(c, m, scl=2.0 / (xr - xl), axis=0)
+                stack[j, : d.shape[0], m] = d
+        self._stack = ChebStack(bp, stack)
 
     @property
     def shape(self):
@@ -289,20 +290,11 @@ class EdgeCorrector:
     def modal_batch(self, x, deriv=0):
         """Per-point modal arrays of d^deriv u / dx^deriv, of shape
         (npts, 2, N, P)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        if deriv == 2:
-            return self._second(x)
-        return self._joined(x)[:, deriv]
+        return self._stack(np.atleast_1d(x))[:, deriv]
 
     def modal_at(self, x, deriv=0):
         A = self.modal_batch(float(x), deriv)
         return DiskPoly(A[0, 0], A[0, 1])
-
-    def values(self, x, xa, xb, xderiv=0, at=None):
-        A = self.modal_batch(x, xderiv)
-        return _modal_eval((A if at is None else A[at])[:, None],
-                           np.asarray(xa, float).ravel(),
-                           np.asarray(xb, float).ravel())[0][0]
 
     def trace_fourier(self, x, xderiv=0):
         """Rim harmonics of d^xderiv u/dx^xderiv at each x (vectorized)."""

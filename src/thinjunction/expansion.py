@@ -19,6 +19,7 @@ import numpy as np
 from .cheb import ChebStack
 from .config import TRANSVERSE_AXES, ProblemSpec, horner
 from .corrector import _modal_eval, build_corrector, corrector_rhs
+from .fem3d import OutsideMeshError
 from .graph import TransmissionData, solve_limit, solve_omega_k
 from .junction import (
     JunctionField,
@@ -192,7 +193,7 @@ class Expansion:
         grids = [self.spec.h[i].breakpoints for i in range(3)]
         edges = [[self.graph[k][i] for k in range(self.order + 1)]
                  for i in range(3)]
-        joined = {k: [c._joined.coeffs for c in corr]
+        joined = {k: [c._stack.coeffs[:, :, :2] for c in corr]
                   for k, corr in self.correctors.items()}
         # the common (N, P) of each order's three correctors
         self._modal_shape = {
@@ -205,8 +206,8 @@ class Expansion:
         prof = np.zeros((nint, deg + 1, 2, nk))
         for i, row in enumerate(edges):
             for k, e in enumerate(row):
-                prof[first[i]:first[i + 1], :, 0, k] = e._w.coeffs(deg)
-                prof[first[i]:first[i + 1], :, 1, k] = e._s.coeffs(deg)
+                prof[first[i]:first[i + 1], :e._w.deg + 1, 0, k] = e._w.coeffs
+                prof[first[i]:first[i + 1], :e._s.deg + 1, 1, k] = e._s.coeffs
         blocks = [prof.reshape(nint, deg + 1, -1)]
         self._modal_cols = {}
         ncols = 2 * nk
@@ -350,7 +351,8 @@ class Expansion:
         [0, order] raise ``ValueError`` before any term runs
         (``_inputs``).  The points are served ``EVAL_BLOCK`` at a time
         into the outputs; each row is bitwise its one-point batch, so the
-        blocks do not change a bit.
+        blocks do not change a bit.  A point outside the junction mesh
+        where it serves raises ``ValueError`` naming its row.
         """
         pts, eps, m = self._inputs(points, epsilon, m)
         n = len(pts)
@@ -358,12 +360,13 @@ class Expansion:
         grads = np.zeros((n, 3))
         for lo in range(0, n, EVAL_BLOCK):
             blk = slice(lo, lo + EVAL_BLOCK)
-            self._evaluate_block(pts[blk], eps, m, vals[blk], grads[blk])
+            self._evaluate_block(pts[blk], eps, m, vals[blk], grads[blk], lo)
         return (vals, grads) if gradient else vals
 
-    def _evaluate_block(self, pts, eps, m, vals, grads):
+    def _evaluate_block(self, pts, eps, m, vals, grads, lo):
         """The partial sum of order m and its gradient at the points,
-        added into the zeroed ``vals`` and ``grads``."""
+        rows lo, lo + 1, .. of the call, added into the zeroed ``vals``
+        and ``grads``."""
         alpha = self.spec.alpha
         n = len(pts)
         edge = self._split(pts, eps)
@@ -425,8 +428,13 @@ class Expansion:
             nv = np.full(live.size, self.graph[0][0].vertex_value)
             ng = np.zeros((live.size, 3))
             if m >= 1:
-                inner, inner_grad = self.inner_field.evaluate(
-                    pts[live] / eps, eps ** np.arange(1, m + 1))
+                try:
+                    inner, inner_grad = self.inner_field.evaluate(
+                        pts[live] / eps, eps ** np.arange(1, m + 1))
+                except OutsideMeshError as err:
+                    row = live[err.row]
+                    raise ValueError(f"point {lo + row} is outside the mesh: "
+                                     f"{pts[row]}") from None
                 nv += inner
                 ng = inner_grad / eps
             vals[live] += weight[live] * nv
@@ -480,8 +488,9 @@ class Expansion:
                     term = self.graph[k][i].d2(xu)[at]
                     corr = self.correctors.get(k)
                     if corr is not None:
-                        term = term + corr[i].values(xu, ta, tb, xderiv=2,
-                                                     at=at)
+                        term = term + _modal_eval(
+                            corr[i].modal_batch(xu, 2)[at][:, None], ta,
+                            tb)[0][0]
                     acc += eps ** k * term
                 out[1][sel] += chi[rows] * acc
 

@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 from scipy import sparse
 
-from .mesh3d import _EDGES, BLOCK_POINTS, END, LayoutSeed, TetMesh, \
+from .mesh3d import _EDGES, BLOCK_POINTS, LATERAL, LayoutSeed, TetMesh, \
     tet_blocks, tet_edges, tet_gradients
 
 _S5 = math.sqrt(5.0)
@@ -541,6 +541,14 @@ def _partner_faces(tets):
     return table
 
 
+class OutsideMeshError(ValueError):
+    """Points not located; ``row`` is the first of them in the batch."""
+
+    def __init__(self, message, row):
+        super().__init__(message)
+        self.row = row
+
+
 class PointLocator:
     """Point location in the cell a layout seed names, on a mesh with a
     box layout: the junction's, which builds the one locator of a study
@@ -552,7 +560,7 @@ class PointLocator:
     in a prism partner, the tet before or after it: no walk is needed.
     The face state is one (tets, 4) int8 table, the marks of
     ``_partner_faces`` with the boundary codes written through the mesh's
-    ``boundary_slots``, which tell an end face from a wall.  The locator
+    ``boundary_slots``, which tell a tube wall from a flat face.  The locator
     holds rows 1-3 of each tet's barycentric gradients, computed block by
     block (``mesh3d.tet_gradients``); row 0 is recomputed where it is
     read (:meth:`gradients`), and vertex 0 gathered through the tets.
@@ -609,7 +617,7 @@ class PointLocator:
             t, o = tets[left], out[left]
             dist = np.where(o, -lam[left], 0.0) / np.linalg.norm(
                 self.gradients(t), axis=2)
-            ok = left[~(o & (code[left] == END)).any(axis=1)
+            ok = left[~(o & (code[left] != LATERAL)).any(axis=1)
                       & (dist.max(axis=1) <= self._sagitta)]
             tet[rows[ok]], bary[rows[ok]] = tets[ok], lam[ok]
         mark = code[at, face]
@@ -621,13 +629,14 @@ class PointLocator:
         """(tet index, barycentric coords) per point; -1 when not located.
 
         A tet keeps a point whose barycentrics are all at least -1e-9,
-        clipped; or, when its negative faces all lie on the boundary, none
-        is an end face and the point is at most the mesh's sagitta beyond
-        each, unclipped (its linear field: a wall-gap point gets a tet of
-        its own prism).  A point that its seed does not keep is tested in
-        the prism partner across its most negative face with a tet across,
-        when that face is marked; otherwise it would need a step beyond
-        the partners, and gets -1.  Answers do not depend on the batch.
+        clipped; or, when its negative faces all lie on a curved tube
+        wall (``LATERAL``, not a flat end disk or box face) and the point
+        is at most the mesh's sagitta beyond each, unclipped (its linear
+        field: a wall-gap point gets a tet of its own prism).  A point
+        that its seed does not keep is tested in the prism partner across
+        its most negative face with a tet across, when that face is
+        marked; otherwise it would need a step beyond the partners, and
+        gets -1.  Answers do not depend on the batch.
         """
         points = np.asarray(points, dtype=float)
         npts = len(points)
@@ -646,15 +655,16 @@ class PointLocator:
 
         A point in the gap between a curved wall and its facets gets the
         linear field of the tet beside it (:meth:`locate`).  Raises
-        ``ValueError`` when a point is not located, with the count of such
-        points and the row and coordinates of the first.
+        :class:`OutsideMeshError` when a point is not located, with the
+        count of such points and the row and coordinates of the first.
         """
         tet, lam = self.locate(points)
         if np.any(tet < 0):
             row = int(np.argmin(tet))
-            raise ValueError(f"points outside the mesh: {np.sum(tet < 0)} of "
-                             f"{len(tet)}, the first point {row}: "
-                             f"{np.asarray(points, dtype=float)[row]}")
+            raise OutsideMeshError(
+                f"points outside the mesh: {np.sum(tet < 0)} of {len(tet)}, "
+                f"the first point {row}: "
+                f"{np.asarray(points, dtype=float)[row]}", row)
         nodal = u[self._tets[tet]]
         if weights is not None:
             nodal = np.einsum("pak,k->pa", nodal, weights)

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .cheb import PiecewiseCheb, gauss_piecewise
+from .cheb import (ChebStack, antiderivative, gauss_piecewise, integral,
+                   interpolate)
 from .config import ProblemSpec
 
 # Chebyshev degree per smoothness interval of every graph profile.
@@ -81,15 +82,14 @@ class EdgeFunction:
     and slope are computed once, when the function is built or shifted.
     """
 
-    def __init__(self, h, rhs: EdgeRHS, s: PiecewiseCheb, vertex_value,
-                 flux0):
+    def __init__(self, h, rhs: EdgeRHS, s: ChebStack, vertex_value, flux0):
         self.h = h
         self.rhs = rhs
         self.c0 = float(flux0)
         self._s = s
-        self._wp = PiecewiseCheb.interpolate(self._deriv_exact,
-                                             h.breakpoints, DEG)
-        self._w = self._wp.antiderivative(start=float(vertex_value))
+        self._w = antiderivative(
+            interpolate(self._deriv_exact, h.breakpoints, DEG),
+            float(vertex_value))
         self.affine = (0.0, 0.0)
         self._set_vertex()
 
@@ -161,14 +161,11 @@ def _solve_continuous(spec, rhs_list, flux_total):
     for i in range(3):
         h = spec.h[i]
         bp = h.breakpoints
-        fhat = PiecewiseCheb.interpolate(rhs_list[i], bp, DEG)
-        s = fhat.antiderivative()
-        inv = PiecewiseCheb.interpolate(
-            lambda x, h=h: 1.0 / (math.pi * h(x) ** 2), bp, DEG)
-        sov = PiecewiseCheb.interpolate(
-            lambda x, h=h, s=s: s(x) / (math.pi * h(x) ** 2), bp, DEG)
-        A[i] = inv.integral()
-        B[i] = sov.integral()
+        s = antiderivative(interpolate(rhs_list[i], bp, DEG))
+        A[i] = integral(interpolate(
+            lambda x, h=h: 1.0 / (math.pi * h(x) ** 2), bp, DEG))
+        B[i] = integral(interpolate(
+            lambda x, h=h, s=s: s(x) / (math.pi * h(x) ** 2), bp, DEG))
         s_funcs.append(s)
     # w_i(1) = v + c_i A_i - B_i = 0 and sum_i c_i = flux_total
     v = (np.sum(B / A) - flux_total) / np.sum(1.0 / A)

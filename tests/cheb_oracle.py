@@ -1,7 +1,7 @@
 """Per-interval Chebyshev evaluation with numpy's Clenshaw ``chebval``.
 
 The former evaluation paths, kept as the oracle of the stacked kernel in
-``thinjunction.cheb``: a piecewise series evaluates each interval's
+``thinjunction.cheb``: a one-column stack evaluates each interval's
 numpy ``Chebyshev`` on its own points, and a corrector's modal arrays
 come from ``chebval`` over each interval's coefficients, with the
 Chebyshev derivative rebuilt on every call.  Both read the built
@@ -10,6 +10,7 @@ the kernel's table before the doubling one is kept as its oracle.
 """
 
 import numpy as np
+from numpy.polynomial import Chebyshev
 from numpy.polynomial import chebyshev as npcheb
 
 _EVAL_CHUNK = 8192
@@ -28,18 +29,20 @@ def three_term_table(t, deg):
     return T
 
 
-def piecewise_call(pc, x):
-    """``PiecewiseCheb`` at x, one numpy series call per interval."""
+def piecewise_call(stack, x):
+    """A one-grid, one-column ``ChebStack`` at x, one numpy ``Chebyshev``
+    call per interval."""
     x = np.asarray(x, dtype=float)
     scalar = x.ndim == 0
     x = np.atleast_1d(x)
-    idx = np.clip(np.searchsorted(pc.breakpoints, x, side="right") - 1,
-                  0, len(pc.series) - 1)
+    (bp,) = stack.grids
+    idx = np.clip(np.searchsorted(bp, x, side="right") - 1,
+                  0, bp.size - 2)
     out = np.empty_like(x)
-    for j, s in enumerate(pc.series):
+    for j, c in enumerate(stack.coeffs):
         m = idx == j
         if np.any(m):
-            out[m] = s(x[m])
+            out[m] = Chebyshev(c, domain=bp[j:j + 2])(x[m])
     return out[0] if scalar else out
 
 

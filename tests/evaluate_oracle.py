@@ -550,9 +550,12 @@ def tube_profiles_per_tube(exp, i, x):
     one."""
     edges = [exp.graph[k][i] for k in range(exp.order + 1)]
     deg = max(f.deg for e in edges for f in (e._w, e._s))
-    stack = ChebStack(edges[0].h.breakpoints, np.stack(
-        [np.stack([e._w.coeffs(deg), e._s.coeffs(deg)], axis=-1)
-         for e in edges], axis=2))
+    coeffs = np.zeros((edges[0].h.breakpoints.size - 1, deg + 1,
+                       len(edges), 2))
+    for k, e in enumerate(edges):
+        for j, f in enumerate((e._w, e._s)):
+            coeffs[:, : f.deg + 1, k, j] = f.coeffs
+    stack = ChebStack(edges[0].h.breakpoints, coeffs)
     out = stack(x)
     p, q, c0 = (np.array(v) for v in zip(*[e.affine + (e.c0,)
                                            for e in edges]))
@@ -568,7 +571,8 @@ def _tube_terms_per_point(exp, i, x, ta, tb, m):
     gb = np.zeros_like(core)
     for k in range(2, m + 1):
         corr = exp.correctors[k][i]
-        (cv, cx), ga[:, k], gb[:, k] = _modal_eval(corr._joined(x), ta, tb)
+        (cv, cx), ga[:, k], gb[:, k] = _modal_eval(corr._stack(x)[:, :2], ta,
+                                                   tb)
         core[:, k] += cv
         d_ax[:, k] += cx
     return core, d_ax, ga, gb

@@ -33,7 +33,7 @@ from scipy.spatial import cKDTree
 
 from boundary_faces_oracle import coded_adjacency
 from geometry_oracle import tet_geometry
-from thinjunction.mesh3d import END, LATERAL, LayoutSeed
+from thinjunction.mesh3d import LATERAL, LayoutSeed
 
 WALK_STEPS = 200
 _OPPOSITE = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
@@ -106,7 +106,8 @@ class KdWalkOracle:
         self._tree = cKDTree(mesh.nodes[mesh.tets].mean(axis=1))
         self._sagitta = float(mesh.meta.get("sagitta", 0.0))
         self._neighbours = coded_adjacency(mesh)
-        self._end_face = self._neighbours == END
+        self._flat_face = (self._neighbours < 0) & (self._neighbours
+                                                     != LATERAL)
         wall = np.flatnonzero(self._neighbours == LATERAL)
         self._wall_tets = wall // 4
         faces = mesh.tets[self._wall_tets[:, None], _OPPOSITE[wall % 4]]
@@ -139,7 +140,7 @@ class KdWalkOracle:
             t, o = cur[left], out[left]
             dist = np.where(o, -lam[left], 0.0) / np.linalg.norm(
                 self._grads[t], axis=2)
-            ok = (~(o & self._end_face[t]).any(axis=1)
+            ok = (~(o & self._flat_face[t]).any(axis=1)
                   & (dist.max(axis=1) <= self._sagitta))
             tet[live[left[ok]]] = t[ok]
             bary[live[left[ok]]] = lam[left[ok]]
@@ -163,7 +164,8 @@ class WholeTableLocator:
         self._seed = LayoutSeed(mesh.meta)
         self._sagitta = float(mesh.meta["sagitta"])
         self._neighbours = coded_adjacency(mesh)
-        self._end_face = self._neighbours == END
+        self._flat_face = (self._neighbours < 0) & (self._neighbours
+                                                     != LATERAL)
 
     def locate(self, points):
         """(tet, barycentrics) per point; the tet is -1 when not located."""
@@ -196,7 +198,7 @@ class WholeTableLocator:
                 t, o = cur[left], out[left]
                 dist = np.where(o, -lam[left], 0.0) / np.linalg.norm(
                     self._grads[t], axis=2)
-                ok = (~(o & self._end_face[t]).any(axis=1)
+                ok = (~(o & self._flat_face[t]).any(axis=1)
                       & (dist.max(axis=1) <= self._sagitta))
                 tet[live[left[ok]]] = t[ok]
                 bary[live[left[ok]]] = lam[left[ok]]

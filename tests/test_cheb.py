@@ -9,30 +9,56 @@ from numpy.polynomial import Chebyshev
 from cheb_oracle import modal_batch, piecewise_call, three_term_table
 from thinjunction.cheb import (
     ChebStack,
-    PiecewiseCheb,
     _recurrence,
+    antiderivative,
     gauss_piecewise,
+    integral,
+    interpolate,
 )
 
 
 def test_interpolates_smooth_function():
-    f = PiecewiseCheb.interpolate(np.sin, [0.0, 0.4, 1.0])
+    f = interpolate(np.sin, [0.0, 0.4, 1.0], 64)
     x = np.linspace(0.0, 1.0, 257)
     assert np.max(np.abs(f(x) - np.sin(x))) < 1e-13
 
 
 def test_antiderivative_and_integral():
-    f = PiecewiseCheb.interpolate(lambda x: 3.0 * x ** 2, [0.0, 0.5, 1.0])
-    F = f.antiderivative(start=0.0)
+    f = interpolate(lambda x: 3.0 * x ** 2, [0.0, 0.5, 1.0], 64)
+    F = antiderivative(f, start=0.0)
     x = np.linspace(0.0, 1.0, 11)
     assert np.allclose(F(x), x ** 3, atol=1e-12)
-    assert f.integral() == pytest.approx(1.0, abs=1e-12)
+    assert integral(f) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_stacks_are_numpy_per_interval_series_bitwise():
+    """Interpolant, antiderivative and integral of a one-column stack
+    carry bitwise the coefficients and values of numpy's per-interval
+    series, the coefficients numpy trims zero-padded: on a grid of
+    several intervals, and for a function whose antiderivative numpy
+    trims to a constant."""
+    for fn, bp, deg in ((np.cos, [0.0, 0.3, 0.55, 1.0], 65),
+                        (np.zeros_like, [0.0, 0.4, 1.0], 0)):
+        f = interpolate(fn, bp, 64)
+        series = [Chebyshev.interpolate(fn, 64, domain=[a, b])
+                  for a, b in zip(bp[:-1], bp[1:])]
+        assert np.array_equal(f.coeffs, [s.coef for s in series])
+        F = antiderivative(f, start=0.25)
+        acc, total = 0.25, 0.0
+        for j, s in enumerate(series):
+            a = s.integ(lbnd=s.domain[0]) + acc
+            total += s.integ(lbnd=s.domain[0])(s.domain[1])
+            acc = a(s.domain[1])
+            assert np.array_equal(F.coeffs[j, : a.coef.size], a.coef)
+            assert not F.coeffs[j, a.coef.size:].any()
+        assert F.deg == deg
+        assert integral(f) == total
 
 
 def test_piecewise_kink_is_resolved():
     # |x - 0.5| is analytic on each side of the breakpoint.
     fn = lambda x: np.abs(x - 0.5)
-    f = PiecewiseCheb.interpolate(fn, [0.0, 0.5, 1.0])
+    f = interpolate(fn, [0.0, 0.5, 1.0], 64)
     x = np.linspace(0.0, 1.0, 401)
     assert np.max(np.abs(f(x) - fn(x))) < 1e-12
 
@@ -43,16 +69,18 @@ def test_gauss_piecewise_exact_for_polynomials():
 
 
 def _random_piecewise(rng, nint):
-    """Series of decaying random coefficients, degree 0..65, on nint
-    random intervals of [0, 1]."""
+    """A one-column stack of decaying random coefficients, degree 0..65
+    per interval and zero-padded, on nint random intervals of [0, 1]."""
     bp = np.concatenate([[0.0], np.sort(rng.uniform(0.05, 0.95, nint - 1)),
                          [1.0]])
     series = []
-    for a, b in zip(bp[:-1], bp[1:]):
+    for _ in range(nint):
         deg = int(rng.integers(0, 66))
-        coef = rng.standard_normal(deg + 1) * 0.8 ** np.arange(deg + 1)
-        series.append(Chebyshev(coef, domain=[a, b]))
-    return PiecewiseCheb(bp, series)
+        series.append(rng.standard_normal(deg + 1) * 0.8 ** np.arange(deg + 1))
+    coeffs = np.zeros((nint, max(c.size for c in series)))
+    for j, c in enumerate(series):
+        coeffs[j, : c.size] = c
+    return ChebStack(bp, coeffs)
 
 
 def _close(got, want, rtol=1e-12):
@@ -65,7 +93,7 @@ def test_kernel_matches_the_per_interval_oracle():
     for nint in (1, 2, 3, 4):
         for _ in range(5):
             f = _random_piecewise(rng, nint)
-            x = np.concatenate([rng.uniform(0.0, 1.0, 200), f.breakpoints,
+            x = np.concatenate([rng.uniform(0.0, 1.0, 200), f.grids[0],
                                 [0.0, 1.0],
                                 rng.uniform(-0.05, 0.0, 10),
                                 rng.uniform(1.0, 1.05, 10)])
@@ -102,9 +130,12 @@ def test_doubling_table_matches_the_three_term_recurrence(deg):
 def test_stack_matches_its_columns():
     rng = np.random.default_rng(33)
     bp = [0.0, 0.35, 0.65, 1.0]
-    cols = [PiecewiseCheb.interpolate(fn, bp, deg)
+    cols = [interpolate(fn, bp, deg)
             for fn, deg in ((np.sin, 64), (np.exp, 40), (np.cos, 10))]
-    stack = ChebStack(bp, np.stack([c.coeffs(64) for c in cols], axis=-1))
+    coeffs = np.zeros((3, 65, 3))
+    for j, c in enumerate(cols):
+        coeffs[:, : c.deg + 1, j] = c.coeffs
+    stack = ChebStack(bp, coeffs)
     x = rng.uniform(0.0, 1.0, 300)
     got = stack(x)
     assert got.shape == (300, 3)
@@ -125,7 +156,7 @@ def test_stack_on_several_grids_matches_each_grid_bitwise():
     sizes = (4096 - 5, 0, 12, 4096 + 3)
     x = rng.uniform(-0.05, 1.05, sum(sizes))
     cut = np.cumsum((0,) + sizes)
-    got = joined(x, cut)
+    got = joined.at(x, cut)[0]
     assert got.shape == (x.size, 2, 3)
     for g, c, a, b in zip(grids, coeffs, cut[:-1], cut[1:]):
         assert np.array_equal(got[a:b], ChebStack(g, c)(x[a:b]))
@@ -141,7 +172,7 @@ def test_modal_batch_matches_chebval(exp_rich):
 
 _SPLIT_RNG = np.random.default_rng(35)
 _SPLIT_F = _random_piecewise(_SPLIT_RNG, 4)
-_SPLIT_STACK = ChebStack(_SPLIT_F.breakpoints,
+_SPLIT_STACK = ChebStack(_SPLIT_F.grids,
                          _SPLIT_RNG.standard_normal((4, 40, 3)))
 _SPLIT_X = _SPLIT_RNG.uniform(-0.02, 1.02, 4096 + 37)
 _SPLIT_WHOLE = (_SPLIT_F(_SPLIT_X), _SPLIT_STACK(_SPLIT_X))

@@ -7,6 +7,7 @@ from thinjunction import DiskCompatibilityError, build_corrector, solve_disk_neu
 from thinjunction.corrector import DiskPoly, _modal_eval
 from thinjunction.graph import solve_limit
 
+from evaluate_oracle import corr_values
 from fd_disk import richardson_pair
 
 
@@ -166,7 +167,7 @@ class TestEdgeCorrector:
         hx = rich_spec.h[1].value0
         xa, xb = disk_points(hx, 12, rng)
         for x in (1e-3, 0.02):
-            direct = corr.values(np.full(xa.size, x), xa, xb)
+            direct = corr_values(corr, np.full(xa.size, x), xa, xb)
             germ = sum(
                 corr.germ[j].evaluate(xa, xb) * x ** j
                 for j in range(len(corr.germ)))
@@ -176,9 +177,9 @@ class TestEdgeCorrector:
         corr, _ = rich_corr
         xa, xb = disk_points(0.2, 10, rng)
         x0, d = 0.5, 1e-5
-        fd = (corr.values(np.full(xa.size, x0 + d), xa, xb)
-              - corr.values(np.full(xa.size, x0 - d), xa, xb)) / (2 * d)
-        got = corr.values(np.full(xa.size, x0), xa, xb, xderiv=1)
+        fd = (corr_values(corr, np.full(xa.size, x0 + d), xa, xb)
+              - corr_values(corr, np.full(xa.size, x0 - d), xa, xb)) / (2 * d)
+        got = corr_values(corr, np.full(xa.size, x0), xa, xb, xderiv=1)
         assert np.max(np.abs(fd - got)) < 1e-7
 
     def test_zero_data_edge_gives_zero(self, rich_spec, rng):
@@ -187,7 +188,7 @@ class TestEdgeCorrector:
         gf = solve_limit(rich_spec)
         corr = build_corrector(rich_spec, 0, 2, omega=gf[0])
         xa, xb = disk_points(0.25, 10, rng)
-        vals = corr.values(np.full(xa.size, 0.4), xa, xb)
+        vals = corr_values(corr, np.full(xa.size, 0.4), xa, xb)
         assert np.max(np.abs(vals)) < 1e-11
 
 
@@ -206,11 +207,11 @@ def test_order_four_corrector_from_order_two(exp_rich, rng, edge):
         xs = np.full(xa.size, x)
         lap = u4.modal_at(x).laplacian().evaluate(xa, xb)
         want = -(fslice(xs, xa, xb) + float(omega.d2(np.array([x]))[0])
-                 + u2.values(xs, xa, xb, xderiv=2))
+                 + corr_values(u2, xs, xa, xb, xderiv=2))
         assert np.max(np.abs(lap - want)) < 1e-9
     assert len(u4.germ) == 3
     for x in (1e-3, 0.02):
-        direct = u4.values(np.full(xa.size, x), xa, xb)
+        direct = corr_values(u4, np.full(xa.size, x), xa, xb)
         germ = sum(u4.germ[j].evaluate(xa, xb) * x ** j for j in range(3))
         assert np.max(np.abs(direct - germ)) < 1e-9
 
@@ -232,16 +233,16 @@ def test_zero_padding_leaves_the_modal_pass_bitwise(rng):
 
 
 def test_joined_modal_pass_equals_one_pass_per_field(exp_rich, rng):
-    """u, its transverse gradient and du/dx from one contraction of the
-    joined stack and one modal pass, against a pass over u and one
-    over du/dx, each from its own array."""
+    """u, its transverse gradient, du/dx and d2u/dx2 from one
+    contraction of the corrector's one stack and one modal pass, against
+    a pass over each field's own array."""
     for corr in exp_rich.correctors[2]:
         x = np.concatenate([rng.uniform(0.0, 1.0, 30), corr.h.breakpoints])
         xa, xb = disk_points(corr.h.value0, x.size, rng)
-        A = corr._joined(x)
-        assert A.shape == (x.size, 2) + corr.shape
-        (u, ux), ga, gb = _modal_eval(A, xa, xb)
-        for d, want in ((0, u), (1, ux)):
+        A = corr._stack(x)
+        assert A.shape == (x.size, 3) + corr.shape
+        (u, ux, uxx), ga, gb = _modal_eval(A, xa, xb)
+        for d, want in ((0, u), (1, ux), (2, uxx)):
             alone = np.ascontiguousarray(corr.modal_batch(x, d))
             assert np.array_equal(alone, A[:, d])
             v, da, db = _modal_eval(alone[:, None], xa, xb)

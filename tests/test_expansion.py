@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -241,15 +242,31 @@ def test_evaluate_matches_the_per_point_pass_bitwise(exp_rich, mesh_clouds):
             assert _same_bits(exp_rich.evaluate(pts, eps, m=m), want_v)
 
 
+@pytest.fixture(scope="module")
+def exp_order3(rich_spec, exp_rich):
+    """The rich problem at order 3 with constant radii, on the junction
+    of exp_rich, whose vertex radii it keeps: at m = 3 the vertex
+    remainders read the slopes of the order-2 corrector germs."""
+    h = tuple(RadiusProfile.constant(rich_spec.h0(i)) for i in range(3))
+    return Expansion(dataclasses.replace(rich_spec, order=3, h=h),
+                     junction=exp_rich.junction)
+
+
 def test_residual_terms_match_the_per_point_pass_bitwise(exp_rich,
-                                                        mesh_clouds):
-    for eps, pts in mesh_clouds.items():
-        for m in (0, 1, 2):
-            got = exp_rich.residual_terms(pts, eps, m=m)
-            want = residual_terms_per_point(exp_rich, pts, eps, m=m)
-            assert sorted(got) == sorted(want)
-            for j in want:
-                assert _same_bits(got[j], want[j]), j
+                                                        mesh_clouds,
+                                                        exp_order3):
+    cases = [(exp_rich, eps, pts, m) for eps, pts in mesh_clouds.items()
+             for m in (0, 1, 2)]
+    cases += [(exp_order3, eps, residual_cloud(exp_order3.spec, eps), 3)
+              for eps in (0.2, 0.1)]
+    for exp, eps, pts, m in cases:
+        got = exp.residual_terms(pts, eps, m=m)
+        want = residual_terms_per_point(exp, pts, eps, m=m)
+        assert sorted(got) == sorted(want)
+        for j in want:
+            assert _same_bits(got[j], want[j]), (m, j)
+        if m == 3:
+            assert np.any(got[6] != 0.0)
 
 
 def _assert_rows_are_single_point_batches(exp, rng):
@@ -489,6 +506,39 @@ def test_a_non_finite_point_in_a_later_block_is_named_by_its_row(
     with pytest.raises(ValueError, match="point 9 is not finite"):
         exp_fx.evaluate(pts, 0.1, gradient=True)
     assert counts["block"] == 0
+
+
+# Two tube points, a bulge point and a tube-1 point at eps = 0.2 (all in
+# the domain), then a point outside the wall of tube 0 (radius 0.05) in
+# its matching zone, where the junction mesh serves the inner part.
+_TUBE_0 = [0.5, 0.01, 0.0]
+_BULGE = [0.02, 0.01, 0.01]
+_OUTSIDE = [0.15, 0.1, 0.0]
+_FIVE = np.array([_TUBE_0, _BULGE, [0.01, 0.3, 0.01], [0.01, 0.02, 0.3],
+                  _OUTSIDE])
+
+
+def _outside_message(row, point):
+    return re.escape(f"point {row} is outside the mesh: {np.array(point)}")
+
+
+def test_a_junction_zone_point_outside_the_mesh_is_named_by_its_row(
+        exp_rich):
+    """The error names the caller's row and its physical coordinates, not
+    the row of the junction's batch or the point over eps."""
+    exp_rich.evaluate(_FIVE[:4], 0.2, gradient=True)
+    with pytest.raises(ValueError, match=_outside_message(4, _OUTSIDE)):
+        exp_rich.evaluate(_FIVE, 0.2, gradient=True)
+
+
+def test_an_outside_point_in_a_later_block_is_named_by_its_row(
+        exp_rich, monkeypatch):
+    """A call of two blocks whose second holds, after a bulge point and a
+    tube point, the point outside the mesh."""
+    monkeypatch.setattr(expansion, "EVAL_BLOCK", 4)
+    pts = np.vstack([_FIVE[:4], _BULGE, _TUBE_0, _OUTSIDE])
+    with pytest.raises(ValueError, match=_outside_message(6, _OUTSIDE)):
+        exp_rich.evaluate(pts, 0.2)
 
 
 def test_a_large_call_holds_the_transients_of_one_block(exp_rich):

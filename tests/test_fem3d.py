@@ -848,8 +848,8 @@ def _linear_coords(mesh, tet, pts):
 
 def _assert_in_tet_or_gap(mesh, pts, tet):
     """Each located point lies in its tet within 1e-9, or beyond only
-    boundary faces of it that are no end disk, at most the mesh's
-    sagitta away."""
+    faces of it on a curved tube wall, at most the mesh's sagitta
+    away."""
     located = np.flatnonzero(tet >= 0)
     lam = _linear_coords(mesh, tet[located], pts[located])
     row, vertex = np.nonzero(lam < -1e-9)
@@ -859,7 +859,7 @@ def _assert_in_tet_or_gap(mesh, pts, tet):
     faces = np.sort(np.take_along_axis(
         mesh.tets[tet[located[row]]], opposite[vertex], axis=1), axis=1)
     walls = {tuple(f) for tag, tris in mesh.boundary.items()
-             if not tag.startswith("end")
+             if tag.startswith("lateral")
              for f in np.sort(tris, axis=1).tolist()}
     assert all(tuple(f) in walls for f in faces.tolist())
     x = mesh.nodes[faces]
@@ -1090,6 +1090,35 @@ class TestWalk:
         mesh, end = junction_flat6.mesh, junction_flat6.R
         s = mesh.meta["sagitta"]
         pts = np.array([[end + 0.5 * s, 0.1, 0.05], [0.0, 0.2, end + 0.5 * s]])
+        for p in pts:
+            with pytest.raises(ValueError, match="outside"):
+                jloc.evaluate(np.zeros(mesh.num_nodes), p[None])
+
+    @staticmethod
+    def _box_face_points(mesh, depth):
+        """Points ``depth`` sagittas beyond each face of the box, those
+        on the + faces outside the tube mouths."""
+        half = mesh.meta["half"]
+        out = half + depth * mesh.meta["sagitta"]
+        pts = np.empty((6, 3))
+        for a in range(3):
+            pts[2 * a] = [0.01, 0.02, -0.03]
+            pts[2 * a, a] = -out
+            pts[2 * a + 1] = 0.8 * half
+            pts[2 * a + 1, a] = out
+        return pts
+
+    @pytest.mark.parametrize("depth", [0.5, 0.99])
+    def test_beyond_a_flat_box_face_raises(self, jloc, junction_flat6,
+                                           depth):
+        # the box is flat: a point beyond a face without a tube, or
+        # beyond a face with one but outside its mouth, is outside the
+        # domain, however close; the same point as far inside is located
+        mesh = junction_flat6.mesh
+        assert np.all(jloc.locate(self._box_face_points(mesh, -depth))[0]
+                      >= 0)
+        pts = self._box_face_points(mesh, depth)
+        assert np.all(jloc.locate(pts)[0] == -1)
         for p in pts:
             with pytest.raises(ValueError, match="outside"):
                 jloc.evaluate(np.zeros(mesh.num_nodes), p[None])

@@ -13,7 +13,7 @@ from thinjunction import (
     solve_limit,
     solve_omega_k,
 )
-from thinjunction.cheb import PiecewiseCheb
+from thinjunction.cheb import antiderivative, interpolate
 from thinjunction.graph import (
     DEG,
     EdgeFunction,
@@ -71,8 +71,7 @@ def test_limit_weak_residual_random_source(rng):
     _, v, c = _solve_continuous(spec, rhs, 0.0)
     x = np.linspace(0.0, 1.0, 257)
     for i, edge in enumerate(gf):
-        s = PiecewiseCheb.interpolate(rhs[i], h[i].breakpoints,
-                                      DEG).antiderivative()
+        s = antiderivative(interpolate(rhs[i], h[i].breakpoints, DEG))
         fresh = EdgeFunction(h[i], rhs[i], s, v, c[i])
         for name in ("value", "d1", "d2"):
             assert np.array_equal(getattr(fresh, name)(x),

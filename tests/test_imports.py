@@ -1,6 +1,7 @@
 """Every top-level import of a package or test module is used, every
-module-level function and class of the package is read, and importing
-the package loads no module it does not need.
+module-level function and class of the package and every method and
+property of its classes is read, and importing the package loads no
+module it does not need.
 
 No linter runs on the repository, so this is the check for unused
 imports and definitions.  The package's ``__init__.py`` re-exports names
@@ -11,6 +12,7 @@ import ast
 import dataclasses
 import json
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -29,6 +31,31 @@ TEST_ONLY = {
         "the uniform-spacing tube of the FEM convergence tests: thin meshes "
         "grade their stations, and on the fem_sweep spec halving axial "
         "left the thin mesh unchanged, so the rate read 0",
+}
+
+
+# Methods and properties of package classes that only tests read.
+TEST_ONLY_MEMBERS = {
+    ("mesh3d", "TetMesh", "boundary_area"):
+        "the exact end-disk area of the FEM load and mesh checks",
+    ("layers", "BoundaryLayerTerm", "decay_certificate"):
+        "the certified exponential decay of an end layer, a paper claim",
+    ("graph", "EdgeFunction", "derivs_at_zero"):
+        "the vertex Taylor data of a graph profile against its germ",
+    ("junction", "JunctionField", "far_slope"):
+        "the far-field slopes of the special solutions, which carry the "
+        "unit fluxes of the paper's junction problem",
+    ("junction", "JunctionField", "plateau"):
+        "the plateau read-out of the vertex jumps, against which the "
+        "quadrature pairing of compute_delta is checked",
+    ("diskspec", "DiskSpectrum", "gram_matrix"):
+        "the orthonormality of the disk's Neumann modes",
+    ("corrector", "DiskPoly", "laplacian"):
+        "the exact cross-section Poisson problems of the correctors",
+    ("diskspec", "DiskMode", "rim_slope"):
+        "the Neumann condition of each disk mode at the rim",
+    ("config", "RadiusProfile", "smooth_bump"):
+        "the varying radius of the tests' rich spec",
 }
 
 
@@ -53,21 +80,47 @@ def test_the_check_sees_unused_names():
     assert unused_imports(src) == ["field", "os"]
 
 
-def unread_definitions(modules, readers):
-    """(module, name) of the module-level functions and classes of
-    ``modules`` ({name: source}) that no source of ``modules`` or
-    ``readers`` reads, as a name or as an attribute."""
+def _read_names(sources, dotted=False):
+    """Every name the sources read, as a name or as an attribute; with
+    ``dotted``, also as a part of a dotted string (the ``TARGETS`` of
+    ``bench/tracing.py`` name the methods they wrap "Class.method")."""
     read = set()
-    for source in [*modules.values(), *readers]:
+    for source in sources:
         for n in ast.walk(ast.parse(source)):
             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
                 read.add(n.id)
             elif isinstance(n, ast.Attribute):
                 read.add(n.attr)
+            elif dotted and isinstance(n, ast.Constant) \
+                    and isinstance(n.value, str) \
+                    and re.fullmatch(r"[\w.]+", n.value):
+                read.update(n.value.split("."))
+    return read
+
+
+def unread_definitions(modules, readers):
+    """(module, name) of the module-level functions and classes of
+    ``modules`` ({name: source}) that no source of ``modules`` or
+    ``readers`` reads, as a name or as an attribute."""
+    read = _read_names([*modules.values(), *readers])
     return sorted((module, n.name) for module, source in modules.items()
                   for n in ast.parse(source).body
                   if isinstance(n, (ast.FunctionDef, ast.ClassDef))
                   and n.name not in read)
+
+
+def unread_members(modules, readers):
+    """(module, class, name) of the methods and properties, dunders
+    aside, of the module-level classes of ``modules`` that no source of
+    ``modules`` or ``readers`` reads, a dotted string included."""
+    read = _read_names([*modules.values(), *readers], dotted=True)
+    return sorted((module, c.name, f.name)
+                  for module, source in modules.items()
+                  for c in ast.parse(source).body
+                  if isinstance(c, ast.ClassDef)
+                  for f in c.body if isinstance(f, ast.FunctionDef)
+                  and not (f.name.startswith("__") and f.name.endswith("__"))
+                  and f.name not in read)
 
 
 def test_the_check_sees_unread_definitions():
@@ -80,12 +133,32 @@ def test_the_check_sees_unread_definitions():
         ("b", "k")]
 
 
+def test_the_check_sees_unread_members():
+    modules = {"a": "class C:\n    def f(self):\n        return self._g()\n"
+                    "    def _g(self):\n        pass\n"
+                    "    @property\n    def p(self):\n        pass\n"
+                    "    def __len__(self):\n        return 0\n"
+                    "    def t(self):\n        pass\n"}
+    assert unread_members(modules, []) == [("a", "C", "f"), ("a", "C", "p"),
+                                           ("a", "C", "t")]
+    assert unread_members(modules, ["import a\na.C().f\nX = ('C.t',)"]) \
+        == [("a", "C", "p")]
+
+
 def test_every_package_definition_is_read():
     """Read in a package module (its own counts), in ``cli.py`` or in the
     benchmark's modules; the re-exports of ``__init__.py`` do not count."""
     modules = {p.stem: p.read_text() for p in MODULES}
     readers = [p.read_text() for p in BENCH_MODULES]
     assert unread_definitions(modules, readers) == sorted(TEST_ONLY)
+
+
+def test_every_package_method_and_property_is_read():
+    """The same for the members of the package's classes, besides their
+    dunders."""
+    modules = {p.stem: p.read_text() for p in MODULES}
+    readers = [p.read_text() for p in BENCH_MODULES]
+    assert unread_members(modules, readers) == sorted(TEST_ONLY_MEMBERS)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)

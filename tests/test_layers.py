@@ -9,7 +9,7 @@ from thinjunction.diskspec import DiskSpectrum
 from thinjunction.layers import BoundaryLayerTerm
 from thinjunction.graph import solve_limit
 
-from evaluate_oracle import layer_gradient, layer_values
+from evaluate_oracle import corr_values, layer_gradient, layer_values
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +46,7 @@ def test_trace_cancellation(pi2, rich_spec, monkeypatch):
     r, t = np.meshgrid(np.linspace(0.0, term.spectrum.radius, 48),
                        np.linspace(0.0, 2 * np.pi, 96, endpoint=False))
     xa, xb = (r * np.cos(t)).ravel(), (r * np.sin(t)).ravel()
-    trace = corr.values(np.ones(xa.size), xa, xb)
+    trace = corr_values(corr, np.ones(xa.size), xa, xb)
     # At the end disk the layer cancels the corrector trace up to the
     # modal truncation tail (the trace has a nonzero rim slope, so the
     # Neumann-mode series converges algebraically, not spectrally).

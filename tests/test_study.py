@@ -469,6 +469,34 @@ def test_report_carries_each_reference_record(fx_spec):
     assert StudyReport("", "").to_json()["references"] == []
 
 
+def test_a_zero_source_gives_the_degenerate_verdict(fx_spec):
+    """With f = 0 the reference and the expansion are both zero, so every
+    error is 0: each fit is degenerate, has no slope and passes, and the
+    JSON and CSV reports say so."""
+    spec = dataclasses.replace(fx_spec, order=0, f=SourceField.constant(0.0))
+    plan = StudyPlan(spec=spec, epsilons=EPSILONS,
+                     targets=["COR42_H1_U0", "COR43_POINTWISE"], axial=0.05,
+                     fem_refine=0.4)
+    report = run_study(plan)
+    assert report.passed
+    for t in report.targets:
+        assert t.errors == [0.0] * len(EPSILONS)
+        assert t.status == "degenerate" and t.passed
+        assert t.slope is None and t.ci95 is None
+        assert t.predicted is not None
+    doc = json.loads(study.emit(report))
+    assert doc["passed"] is True
+    for row, t in zip(doc["targets"], report.targets):
+        assert (row["status"], row["slope"], row["ci95"], row["passed"]) \
+            == ("degenerate", None, None, True)
+        assert [r["error"] for r in row["rows"]] == t.errors
+    lines = study.emit(report, "csv").splitlines()
+    assert lines[0] == "target,epsilon,error,predicted,region,wall_ms"
+    assert [line.split(",")[:5] for line in lines[1:]] == [
+        [t.target, f"{e:.12g}", "0", f"{t.predicted:.12g}", t.region]
+        for t in report.targets for e in EPSILONS]
+
+
 def test_junction_target_is_read_off_the_order_1_pass(fx_spec, monkeypatch):
     # COR42_JUNC and COR42_H1_U1 share one norm pass per slenderness; the
     # bulge's tets lie before the matching band, where the order-1 sum is
